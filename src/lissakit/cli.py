@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ExperimentConfig, component_seed, load_config, sha256_hex
 from .core import MeanSe, SeededRng, sym_eig
-from .gnh import GnhOperator, gnh_matrix_exact
+from .gnh import MAX_DENSE_PARAMS, GnhOperator, gnh_matrix_exact
 from .influence import eigen_reweight, influence_score, similarity_matrix
 from .lissa import (
     LissaConfig,
@@ -52,6 +52,8 @@ from .spectral import (
     estimate_trace,
     recommend_hyperparams,
     sketch_operator,
+    step_count,
+    step_size,
     top_eigenvalues_from_sketch,
 )
 from .tfidf import BowParams, corpus_from_text, sample_corpus, tfidf_equivalence_check
@@ -146,6 +148,8 @@ def _build_data(run: RunContext, spec: ModelSpec, n_test: int = 0):
             raise ConfigError(str(exc)) from exc
         if full.X.shape[1] != spec.input_dim or int(full.y.max()) >= spec.n_classes:
             raise ConfigError("dataset does not match the model's input/classes")
+        if int(full.y.min()) < 0:
+            raise ConfigError("dataset labels must be non-negative")
     else:
         full = make_blobs(
             run.rng("dataset"),
@@ -165,7 +169,7 @@ def _build_data(run: RunContext, spec: ModelSpec, n_test: int = 0):
 
 
 def _dense_gnh(spec: ModelSpec, theta, train) -> np.ndarray:
-    if spec.n_params > 2000:
+    if spec.n_params > MAX_DENSE_PARAMS:
         raise ConfigError(
             "model too large for the dense reference; set eta/t_steps/tolerance explicitly"
         )
@@ -176,14 +180,13 @@ def _solver_settings(run: RunContext, dense_gnh: np.ndarray):
     """eta and t_steps from config, filling gaps from the dense spectrum."""
     cfg = run.cfg
     lambda_max = float(sym_eig(dense_gnh)[0][0])
-    eta = cfg.eta if cfg.eta is not None else 1.0 / (lambda_max + cfg.lambda_damp)
-    if cfg.t_steps is not None:
-        t_steps = cfg.t_steps
-    else:
-        if cfg.lambda_damp <= 0:
+    eta = cfg.eta if cfg.eta is not None else step_size(lambda_max, cfg.lambda_damp)
+    t_steps = cfg.t_steps
+    if t_steps is None:
+        t_steps = step_count(eta, cfg.lambda_damp, cfg.t_multiplier)
+        if t_steps is None:
             raise ConfigError("t_steps must be given when lambda_damp is 0")
-        t_steps = max(1, math.ceil(cfg.t_multiplier / (cfg.lambda_damp * eta)))
-    return eta, t_steps, lambda_max
+    return eta, t_steps
 
 
 def _stochastic_operator(run: RunContext, spec, theta, train, batch_size):
@@ -287,7 +290,7 @@ def cmd_lissa(run: RunContext) -> None:
     if cfg.eta is None or cfg.t_steps is None or cfg.tolerance is not None:
         dense = _dense_gnh(spec, theta, train)
     if cfg.eta is None or cfg.t_steps is None:
-        eta, t_steps, _ = _solver_settings(run, dense)
+        eta, t_steps = _solver_settings(run, dense)
     else:
         eta, t_steps = cfg.eta, cfg.t_steps
 
@@ -337,7 +340,7 @@ def cmd_convergence(run: RunContext) -> None:
         raise ConfigError("train_index outside the dataset")
 
     dense = _dense_gnh(spec, theta, train)
-    eta, t_steps, _ = _solver_settings(run, dense)
+    eta, t_steps = _solver_settings(run, dense)
     g = -loss_gradient(spec, theta, train[cfg.train_index]).values
     u_star = exact_ihvp(dense, cfg.lambda_damp, g)
     test_grads = [measurement_gradient(spec, theta, test[j]).values for j in range(len(test))]
@@ -374,7 +377,7 @@ def cmd_pbrf_compare(run: RunContext) -> None:
         raise ConfigError("n_train exceeds the training set")
 
     dense = _dense_gnh(spec, theta, train)
-    eta, t_steps, _ = _solver_settings(run, dense)
+    eta, t_steps = _solver_settings(run, dense)
     batch_size = cfg.batch_size if cfg.batch_size is not None else 32
     lr = cfg.pbrf_lr if cfg.pbrf_lr is not None else eta
     steps = cfg.pbrf_steps if cfg.pbrf_steps is not None else t_steps
@@ -475,7 +478,7 @@ def cmd_counterexample(run: RunContext) -> None:
     cfg = run.cfg
     eigenvalues = cfg.require("eigenvalues")
     batch_size = cfg.batch_size if cfg.batch_size is not None else 1
-    eta = cfg.eta if cfg.eta is not None else 1.0 / (max(eigenvalues) + cfg.lambda_damp)
+    eta = cfg.eta if cfg.eta is not None else step_size(max(eigenvalues), cfg.lambda_damp)
     try:
         problem, _ = counterexample_build(
             n=len(eigenvalues),

@@ -10,6 +10,7 @@ the one global seed plus a component name, never from call order.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 
 from .core import derive_seed
@@ -50,8 +51,8 @@ def _int(v: str) -> int:
 
 def _float(v: str) -> float:
     x = float(v)
-    if x != x:
-        raise ValueError("nan")
+    if not math.isfinite(x):
+        raise ValueError("not a finite number")
     return x
 
 
@@ -64,7 +65,7 @@ def _int_tuple(v: str) -> tuple[int, ...]:
 
 
 def _float_tuple(v: str) -> tuple[float, ...]:
-    return tuple(float(part.strip()) for part in v.split(","))
+    return tuple(_float(part.strip()) for part in v.split(","))
 
 
 _CASTERS = {
@@ -173,6 +174,16 @@ class ExperimentConfig:
             raise ConfigError("threads must be >= 1")
         if self.lambda_damp < 0:
             raise ConfigError("lambda_damp must be non-negative")
+        if self.n_examples < 1:
+            raise ConfigError("n_examples must be >= 1")
+        if self.n_probes < 2:
+            raise ConfigError("n_probes must be >= 2")
+        if self.sketch_dim < 2:
+            raise ConfigError("sketch_dim must be >= 2")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+        if self.batch_sizes is not None and min(self.batch_sizes) < 1:
+            raise ConfigError("batch_sizes entries must be >= 1")
         if self.hvp_mode not in ("exact", "fd"):
             raise ConfigError(f"hvp_mode must be exact or fd, got {self.hvp_mode!r}")
         if self.sketch_layout not in ("summed", "concatenated"):

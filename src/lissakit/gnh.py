@@ -160,11 +160,6 @@ class GnhOperator:
         return self.hvp_on(self.dataset.X, self.dataset.y, v)
 
 
-def gnh_hvp(op: GnhOperator, u: ParamVector) -> ParamVector:
-    """Curvature-vector product through the operator's sampling policy."""
-    return ParamVector(op.matvec(u.values), op.segments)
-
-
 def _logit_jacobians(spec: ModelSpec, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Per-example logit Jacobians, shape (B, K, n_params)."""
     layers = _unpack(spec, theta)

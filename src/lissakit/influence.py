@@ -15,28 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import check_symmetric, sym_eig
-from .models import ParamVector
-
-METHODS = ("lissa", "exact", "pbrf", "dot")
-
-
-def _vector(x) -> np.ndarray:
-    values = x.values if isinstance(x, ParamVector) else x
-    return np.asarray(values, dtype=np.float64).ravel()
-
-
-@dataclass(frozen=True)
-class InfluenceRecord:
-    """One (train, test) influence entry tagged with how it was computed."""
-
-    train_id: int
-    test_id: int
-    score: float
-    method: str
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+from .models import _vector
 
 
 def influence_score(u_train, test_grad) -> float:

@@ -16,14 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SeededRng, check_symmetric, derive_seed, pearson_corr
-from .models import ParamVector
+from .models import ParamVector, _vector
 
 _DIVERGENCE_SCALE = 1e12
-
-
-def _vector(x) -> np.ndarray:
-    values = x.values if isinstance(x, ParamVector) else x
-    return np.asarray(values, dtype=np.float64).ravel()
 
 
 @dataclass(frozen=True)
@@ -226,8 +221,6 @@ class RotatedRankOneSampler:
         self.segments = (("all", 0, problem.n),)
         self.batch_size = problem.batch_size
         self._root = np.sqrt(problem.eigenvalues)
-
-    stochastic = True
 
     def reseeded(self, seed: int) -> "RotatedRankOneSampler":
         return RotatedRankOneSampler(self.problem, SeededRng(seed))

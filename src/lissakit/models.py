@@ -10,7 +10,6 @@ address layers individually.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -106,6 +105,12 @@ class ParamVector:
     @classmethod
     def zeros(cls, spec: ModelSpec) -> "ParamVector":
         return cls(np.zeros(spec.n_params), spec.segments)
+
+
+def _vector(x) -> np.ndarray:
+    """Flat float64 values of a ParamVector or any array-like."""
+    values = x.values if isinstance(x, ParamVector) else x
+    return np.asarray(values, dtype=np.float64).ravel()
 
 
 @dataclass(frozen=True)
@@ -253,11 +258,6 @@ def _nll_from_logits(h: np.ndarray, y: np.ndarray) -> np.ndarray:
     return lse - shifted[np.arange(h.shape[0]), y]
 
 
-def mean_loss(spec: ModelSpec, theta: ParamVector, X: np.ndarray, y: np.ndarray) -> float:
-    h, _ = _forward(spec, theta.values, X)
-    return float(_nll_from_logits(h, y).mean())
-
-
 def loss_gradient(spec: ModelSpec, theta: ParamVector, example: Example) -> ParamVector:
     """Gradient of the cross-entropy loss at one example."""
     X = example.x[None, :]
@@ -271,14 +271,6 @@ def test_gradient(spec: ModelSpec, theta: ParamVector, example: Example) -> Para
     """Gradient of the measurement f = log softmax(logits)[y] (= -loss)."""
     g = loss_gradient(spec, theta, example)
     return theta.like(-g.values)
-
-
-def batch_loss_gradient(spec: ModelSpec, theta: ParamVector, X: np.ndarray, y: np.ndarray) -> ParamVector:
-    """Gradient of the mean cross-entropy loss over a batch."""
-    h, caches = _forward(spec, theta.values, X)
-    g = _softmax(h)
-    g[np.arange(X.shape[0]), y] -= 1.0
-    return theta.like(_backprop(spec, theta.values, X, g / X.shape[0], caches))
 
 
 def logit_jvp(
@@ -382,57 +374,3 @@ def load_dataset_csv(path: str) -> Dataset:
             rows.append([float(v) for v in parts[:dim]])
             labels.append(int(parts[dim]))
     return Dataset(X=np.array(rows, dtype=np.float64), y=np.array(labels, dtype=np.int64))
-
-
-# Checkpoint manifest fields, in order:
-#   format, kind, activation, layer_sizes, n_params, theta_dtype, theta_file,
-#   theta_sha256
-# Values are stored separately as raw little-endian float64.
-CHECKPOINT_FORMAT = "lissakit-checkpoint-1"
-
-
-def save_model(path_base: str, spec: ModelSpec, theta: ParamVector) -> None:
-    if theta.values.size != spec.n_params:
-        raise ValueError("theta does not match the model spec")
-    theta_file = path_base + ".theta.bin"
-    blob = theta.values.astype("<f8").tobytes()
-    with open(theta_file, "wb") as fh:
-        fh.write(blob)
-    digest = hashlib.sha256(blob).hexdigest()
-    with open(path_base + ".model.txt", "w") as fh:
-        fh.write(f"format = {CHECKPOINT_FORMAT}\n")
-        fh.write(f"kind = {spec.kind}\n")
-        fh.write(f"activation = {spec.activation}\n")
-        fh.write(f"layer_sizes = {','.join(str(s) for s in spec.layer_sizes)}\n")
-        fh.write(f"n_params = {spec.n_params}\n")
-        fh.write("theta_dtype = float64-le\n")
-        fh.write(f"theta_file = {theta_file.rsplit('/', 1)[-1]}\n")
-        fh.write(f"theta_sha256 = {digest}\n")
-
-
-def load_model(path_base: str) -> tuple[ModelSpec, ParamVector]:
-    fields = {}
-    with open(path_base + ".model.txt") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, value = line.partition(" = ")
-            fields[key] = value
-    if fields.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError("unrecognized checkpoint format")
-    spec = ModelSpec(
-        kind=fields["kind"],
-        layer_sizes=tuple(int(s) for s in fields["layer_sizes"].split(",")),
-        activation=fields["activation"],
-    )
-    theta_path = path_base.rsplit("/", 1)
-    prefix = theta_path[0] + "/" if len(theta_path) == 2 else ""
-    with open(prefix + fields["theta_file"], "rb") as fh:
-        blob = fh.read()
-    if hashlib.sha256(blob).hexdigest() != fields["theta_sha256"]:
-        raise ValueError("checkpoint value file does not match its digest")
-    values = np.frombuffer(blob, dtype="<f8").astype(np.float64)
-    if values.size != int(fields["n_params"]) or values.size != spec.n_params:
-        raise ValueError("checkpoint size mismatch")
-    return spec, ParamVector(values, spec.segments)

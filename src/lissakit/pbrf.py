@@ -40,7 +40,6 @@ class PboConfig:
     steps: int = 100
     batch_size: int = 32
     seed: int = 0
-    precision: str = "double"
 
     def __post_init__(self):
         if self.epsilon < 0:
@@ -53,8 +52,6 @@ class PboConfig:
             raise ValueError("need at least one step")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        if self.precision != "double":
-            raise ValueError("only double precision is supported")
 
 
 @dataclass
@@ -67,7 +64,6 @@ class PbrfResult:
     overflow: bool
     steps_run: int
     objective_trace: list[tuple[int, float]] = field(default_factory=list)
-    influences: dict = field(default_factory=dict)
 
 
 def bregman_divergence(h, h_ref, y: int) -> float:

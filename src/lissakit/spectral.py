@@ -74,20 +74,23 @@ class HyperParams:
     t_multiplier: float
 
 
+def _probe_loop(n: int, n_probes: int, rng: SeededRng, sample) -> MeanSe:
+    """Mean and standard error of ``sample(g)`` over Gaussian probes g ~ N(0, I/N)."""
+    if n_probes < 2:
+        raise ValueError("need at least two probes")
+    samples = np.empty(n_probes)
+    for i in range(n_probes):
+        samples[i] = sample(gaussian_vector(rng, n, 1.0 / n))
+    return MeanSe.from_samples(samples)
+
+
 def estimate_trace(op, n_probes: int, rng: SeededRng) -> MeanSe:
     """Per-parameter trace Tr(H)/N from Gaussian probes g ~ N(0, I/N).
 
     Each probe draws a fresh stochastic operator evaluation, so with batched
     operators the estimate covers both probe and batch randomness.
     """
-    if n_probes < 2:
-        raise ValueError("need at least two probes")
-    n = op.n_params
-    samples = np.empty(n_probes)
-    for i in range(n_probes):
-        g = gaussian_vector(rng, n, 1.0 / n)
-        samples[i] = float(g @ op.matvec(g))
-    return MeanSe.from_samples(samples)
+    return _probe_loop(op.n_params, n_probes, rng, lambda g: float(g @ op.matvec(g)))
 
 
 def estimate_frobenius(op, n_probes: int, rng: SeededRng) -> MeanSe:
@@ -96,14 +99,9 @@ def estimate_frobenius(op, n_probes: int, rng: SeededRng) -> MeanSe:
     Uses (Hb g)^T (Hb' g) with two independent operator draws per probe so
     the batch noise cancels in expectation.
     """
-    if n_probes < 2:
-        raise ValueError("need at least two probes")
-    n = op.n_params
-    samples = np.empty(n_probes)
-    for i in range(n_probes):
-        g = gaussian_vector(rng, n, 1.0 / n)
-        samples[i] = float(op.matvec(g) @ op.matvec(g))
-    return MeanSe.from_samples(samples)
+    return _probe_loop(
+        op.n_params, n_probes, rng, lambda g: float(op.matvec(g) @ op.matvec(g))
+    )
 
 
 _VAR_KEY_LAYER = 1  # substream namespace: (layer key, row key) per sketch row
@@ -115,76 +113,42 @@ def _probe_row(cfg: SketchConfig, layer: int, row: int, length: int) -> np.ndarr
     return SeededRng(seed).normal(length) * (1.0 / math.sqrt(cfg.d))
 
 
-def _layouts(op, cfg: SketchConfig):
-    segments = tuple(op.segments)
-    if cfg.layout == "summed":
-        total = cfg.d
-    else:
-        total = cfg.d * len(segments)
-    return segments, total
+def _sketch_size(op, cfg: SketchConfig) -> int:
+    return cfg.d if cfg.layout == "summed" else cfg.d * len(op.segments)
 
 
 def _probe_vector(op, cfg: SketchConfig, index: int) -> np.ndarray:
     """Probe ``index`` as a full-length parameter-space vector."""
-    segments, total = _layouts(op, cfg)
-    if not 0 <= index < total:
+    if not 0 <= index < _sketch_size(op, cfg):
         raise ValueError("probe index out of range")
     v = np.zeros(op.n_params)
     if cfg.layout == "summed":
-        for layer, (name, offset, length) in enumerate(segments):
+        for layer, (name, offset, length) in enumerate(op.segments):
             v[offset : offset + length] = _probe_row(cfg, layer, index, length)
     else:
         layer, row = divmod(index, cfg.d)
-        name, offset, length = segments[layer]
+        name, offset, length = op.segments[layer]
         v[offset : offset + length] = _probe_row(cfg, layer, row, length)
     return v
 
 
-def embed_vector(op_or_segments, cfg: SketchConfig, v: np.ndarray) -> np.ndarray:
-    """Project a parameter-space vector with the sketch's row streams.
-
-    Output coordinate i equals probe_i . v, so embeddings and sketches share
-    one projection. Accepts either an operator or an explicit segment tuple.
-    """
-    segments = getattr(op_or_segments, "segments", op_or_segments)
-    v = np.asarray(v, dtype=np.float64).ravel()
-    n = segments[-1][1] + segments[-1][2]
-    if v.size != n:
-        raise ValueError("vector does not match the segmentation")
-    if cfg.layout == "summed":
-        out = np.zeros(cfg.d)
-        for layer, (name, offset, length) in enumerate(segments):
-            block = np.vstack([_probe_row(cfg, layer, i, length) for i in range(cfg.d)])
-            out += block @ v[offset : offset + length]
-        return out
-    out = np.zeros(cfg.d * len(segments))
-    for layer, (name, offset, length) in enumerate(segments):
-        block = np.vstack([_probe_row(cfg, layer, i, length) for i in range(cfg.d)])
-        out[layer * cfg.d : (layer + 1) * cfg.d] = block @ v[offset : offset + length]
-    return out
+_ROW_BLOCK = 64  # probe rows stacked per projection-back product
 
 
-def sketch_operator(op, cfg: SketchConfig, n_hvp_avg: int = 1, row_block: int = 64) -> np.ndarray:
+def sketch_operator(op, cfg: SketchConfig) -> np.ndarray:
     """Random sketch Phi H Phi^T computed column-by-column.
 
-    Each probe column is pushed through the operator (optionally averaging
-    ``n_hvp_avg`` stochastic evaluations), then projected back with the same
-    row streams in blocks, so Phi itself is never held in memory.
+    Each probe column is pushed through the operator, then projected back
+    with the same row streams in blocks, so Phi itself is never held in
+    memory.
     """
-    if n_hvp_avg < 1:
-        raise ValueError("n_hvp_avg must be >= 1")
-    segments, total = _layouts(op, cfg)
-    n = op.n_params
-    y = np.empty((n, total))
+    total = _sketch_size(op, cfg)
+    y = np.empty((op.n_params, total))
     for j in range(total):
-        probe = _probe_vector(op, cfg, j)
-        acc = op.matvec(probe)
-        for _ in range(n_hvp_avg - 1):
-            acc = acc + op.matvec(probe)
-        y[:, j] = acc / n_hvp_avg
+        y[:, j] = op.matvec(_probe_vector(op, cfg, j))
     sketch = np.empty((total, total))
-    for start in range(0, total, row_block):
-        stop = min(start + row_block, total)
+    for start in range(0, total, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, total)
         rows = np.vstack([_probe_vector(op, cfg, i) for i in range(start, stop)])
         sketch[start:stop, :] = rows @ y
     return (sketch + sketch.T) / 2.0
@@ -205,6 +169,21 @@ def top_eigenvalues_from_sketch(sketch: np.ndarray, k: int = 1) -> np.ndarray:
     w, _ = sym_eig(sketch)
     shift = float(np.trace(sketch)) / d
     return w[:k] - shift
+
+
+def step_size(lambda_max: float, lambda_damp: float) -> float:
+    """eta = 1/(lambda_max + lambda), the largest step the contraction bound allows."""
+    return 1.0 / (lambda_max + lambda_damp)
+
+
+def step_count(eta: float, lambda_damp: float, t_multiplier: float) -> int | None:
+    """T = mult/(lambda * eta) steps, a multiple of the contraction time constant.
+
+    None when damping is zero: the contraction argument gives no finite count.
+    """
+    if lambda_damp <= 0:
+        return None
+    return max(1, math.ceil(t_multiplier / (lambda_damp * eta)))
 
 
 def recommend_hyperparams(
@@ -228,17 +207,13 @@ def recommend_hyperparams(
         raise ValueError("damping must be non-negative")
     if c_const <= 0 or t_multiplier <= 0:
         raise ValueError("c_const and t_multiplier must be positive")
-    eta = 1.0 / (stats.lambda_max + lambda_damp)
+    eta = step_size(stats.lambda_max, lambda_damp)
     trace_total = stats.trace_per_param.mean * stats.n_params
     batch = max(1, math.ceil(c_const * trace_total / stats.lambda_max))
-    if lambda_damp > 0:
-        t_steps = max(1, math.ceil(t_multiplier / (lambda_damp * eta)))
-    else:
-        t_steps = None
     return HyperParams(
         eta=eta,
         batch_size_min=batch,
-        t_steps=t_steps,
+        t_steps=step_count(eta, lambda_damp, t_multiplier),
         lambda_damp=lambda_damp,
         c_const=c_const,
         t_multiplier=t_multiplier,
@@ -251,18 +226,15 @@ def condition_c1_lhs(op_batch, op_full, n_probes: int, rng: SeededRng) -> MeanSe
     Each probe compares ||Hb g||^2 (fresh stochastic draw) against ||H g||^2
     (reference operator) for the same Gaussian probe g ~ N(0, I/N).
     """
-    if n_probes < 2:
-        raise ValueError("need at least two probes")
-    n = op_batch.n_params
-    if op_full.n_params != n:
+    if op_full.n_params != op_batch.n_params:
         raise ValueError("operators act on different parameter spaces")
-    samples = np.empty(n_probes)
-    for i in range(n_probes):
-        g = gaussian_vector(rng, n, 1.0 / n)
+
+    def sample(g):
         hb = op_batch.matvec(g)
         hf = op_full.matvec(g)
-        samples[i] = float(hb @ hb) - float(hf @ hf)
-    return MeanSe.from_samples(samples)
+        return float(hb @ hb) - float(hf @ hf)
+
+    return _probe_loop(op_batch.n_params, n_probes, rng, sample)
 
 
 @dataclass(frozen=True)

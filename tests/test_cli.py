@@ -82,12 +82,24 @@ class TestExperimentConfig:
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="bad value"):
             ExperimentConfig.from_text("seed = banana\n")
+        for text in ("lambda_damp = inf\n", "eta = -inf\n", "eigenvalues = 1, nan, 1\n"):
+            with pytest.raises(ConfigError, match="bad value"):
+                ExperimentConfig.from_text(text)
 
     def test_invariants_checked(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_text("seed = -1\n")
         with pytest.raises(ConfigError):
             ExperimentConfig.from_text("hvp_mode = magic\n")
+        for text in (
+            "n_examples = 0\n",
+            "n_probes = 1\n",
+            "sketch_dim = 1\n",
+            "batch_size = 0\n",
+            "batch_sizes = 4, 0\n",
+        ):
+            with pytest.raises(ConfigError):
+                ExperimentConfig.from_text(text)
 
     def test_require_reports_missing_field(self):
         cfg = ExperimentConfig.from_text("lambda_damp = 5\n")
@@ -200,6 +212,26 @@ class TestExitCodes:
     def test_missing_out_dir_is_two(self, tmp_path):
         cfg = write(tmp_path, "r.cfg", RECOMMEND_CFG)
         assert main(["recommend", "--config", cfg]) == 2
+
+    def test_out_of_range_count_is_two_without_traceback(self, tmp_path, capsys):
+        code, _ = run_cli(tmp_path, "stats", "n_probes = 1\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+
+    def test_zero_damping_without_t_steps_is_two(self, tmp_path, capsys):
+        text = QUAD_CFG.replace("lambda_damp = 0.5", "lambda_damp = 0").replace(
+            "t_steps = 400", "eta = 0.1"
+        )
+        code, _ = run_cli(tmp_path, "lissa", text)
+        assert code == 2
+        assert "t_steps must be given" in capsys.readouterr().err
+
+    def test_model_too_large_for_derived_settings_is_two(self, tmp_path, capsys):
+        text = "model_kind = mlp\nlayer_sizes = 16, 128, 10\nbatch_size = 8\nt_steps = 5\n"
+        code, _ = run_cli(tmp_path, "lissa", text)
+        assert code == 2
+        assert "set eta/t_steps/tolerance explicitly" in capsys.readouterr().err
 
 
 class TestArtifacts:
@@ -314,4 +346,19 @@ class TestArtifacts:
             f"model_kind = softmax-linear\nlayer_sizes = 10, 4\ndataset_path = {path}\n"
         )
         code, _ = run_cli(tmp_path, "stats", cfg_text)
+        assert code == 2
+
+    def test_negative_label_is_two(self, tmp_path):
+        from lissakit.core import SeededRng
+        from lissakit.models import make_blobs, save_dataset_csv
+
+        data = make_blobs(SeededRng(5), 16, 10, 4)
+        data.y[3] = -1
+        path = tmp_path / "data.csv"
+        save_dataset_csv(data, str(path))
+        cfg_text = (
+            f"model_kind = softmax-linear\nlayer_sizes = 10, 4\ndataset_path = {path}\n"
+            "lambda_damp = 0.5\nbatch_size = 4\nt_steps = 5\n"
+        )
+        code, _ = run_cli(tmp_path, "lissa", cfg_text)
         assert code == 2

@@ -7,7 +7,6 @@ from lissakit.core import MeanSe, SeededRng, sym_eig
 from lissakit.gnh import (
     Batch,
     GnhOperator,
-    gnh_hvp,
     gnh_matrix_exact,
     sample_batch,
     softmax_hessian,
@@ -124,14 +123,6 @@ class TestHvp:
         theta, data = toy_fixture(LINEAR)
         op = GnhOperator(LINEAR, theta, data)
         assert np.allclose(op.matvec(np.zeros(LINEAR.n_params)), 0.0)
-
-    def test_gnh_hvp_wrapper_returns_param_vector(self):
-        theta, data = toy_fixture(LINEAR)
-        op = GnhOperator(LINEAR, theta, data)
-        u = theta.like(np.ones(LINEAR.n_params))
-        out = gnh_hvp(op, u)
-        assert isinstance(out, ParamVector)
-        assert out.segments == LINEAR.segments
 
     def test_fd_mode_close_to_exact_on_same_batch(self):
         theta, data = toy_fixture(MLP, n=16, seed=3)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from lissakit.core import SeededRng
 from lissakit.influence import (
-    InfluenceRecord,
     SimilarityMatrix,
     eigen_reweight,
     eigen_reweight_reconstruction,
@@ -54,20 +53,6 @@ class TestInfluenceScore:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             influence_score(np.ones(3), np.ones(4))
-
-
-class TestInfluenceRecord:
-    def test_fields_round_trip(self):
-        rec = InfluenceRecord(train_id=3, test_id=7, score=-0.25, method="lissa")
-        assert (rec.train_id, rec.test_id, rec.score) == (3, 7, -0.25)
-
-    @pytest.mark.parametrize("method", ["lissa", "exact", "pbrf", "dot"])
-    def test_known_methods_accepted(self, method):
-        InfluenceRecord(0, 0, 0.0, method)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            InfluenceRecord(0, 0, 0.0, "guess")
 
 
 class TestGradientSimilarity:

@@ -9,19 +9,15 @@ from lissakit.models import (
     Example,
     ModelSpec,
     ParamVector,
-    batch_loss_gradient,
     forward_logits,
     init_params,
     load_dataset_csv,
-    load_model,
     logit_jvp,
     loss_gradient,
     make_blobs,
-    mean_loss,
     nll_loss,
     preactivation_margin,
     save_dataset_csv,
-    save_model,
 )
 from lissakit.models import test_gradient as measurement_gradient
 
@@ -172,21 +168,6 @@ class TestGradients:
         g2 = loss_gradient(LINEAR, theta, Example(x=x.copy(), y=1, id=99))
         assert np.array_equal(g1.values, g2.values)
 
-    def test_batch_gradient_is_mean_of_example_gradients(self):
-        theta = rand_theta(MLP_TANH, 9)
-        data = make_blobs(SeededRng(90), 6, 5, 4)
-        per = np.mean(
-            [loss_gradient(MLP_TANH, theta, data[i]).values for i in range(6)], axis=0
-        )
-        batched = batch_loss_gradient(MLP_TANH, theta, data.X, data.y)
-        assert np.allclose(batched.values, per, atol=1e-12)
-
-    def test_mean_loss_matches_pointwise(self):
-        theta = rand_theta(LINEAR, 10)
-        data = make_blobs(SeededRng(100), 5, 4, 3)
-        pointwise = np.mean([nll_loss(LINEAR, theta, data[i].x, data[i].y) for i in range(5)])
-        assert mean_loss(LINEAR, theta, data.X, data.y) == pytest.approx(pointwise, abs=1e-12)
-
 
 class TestLogitJvp:
     def test_zero_direction(self):
@@ -283,30 +264,3 @@ class TestData:
         ex = data[1]
         assert ex.y == 1 and ex.id == 1
         assert np.array_equal(ex.x, np.array([0.0, 1.0, 0.0]))
-
-
-class TestCheckpoint:
-    def test_roundtrip(self, tmp_path):
-        theta = rand_theta(MLP_TANH, 30)
-        base = str(tmp_path / "ckpt")
-        save_model(base, MLP_TANH, theta)
-        spec2, theta2 = load_model(base)
-        assert spec2 == MLP_TANH
-        assert np.array_equal(theta2.values, theta.values)
-
-    def test_little_endian_bytes(self, tmp_path):
-        theta = ParamVector.zeros(LINEAR).like(np.arange(LINEAR.n_params, dtype=np.float64))
-        base = str(tmp_path / "ckpt")
-        save_model(base, LINEAR, theta)
-        blob = (tmp_path / "ckpt.theta.bin").read_bytes()
-        assert blob == theta.values.astype("<f8").tobytes()
-
-    def test_digest_mismatch_rejected(self, tmp_path):
-        theta = rand_theta(LINEAR, 31)
-        base = str(tmp_path / "ckpt")
-        save_model(base, LINEAR, theta)
-        blob = bytearray((tmp_path / "ckpt.theta.bin").read_bytes())
-        blob[0] ^= 0xFF
-        (tmp_path / "ckpt.theta.bin").write_bytes(bytes(blob))
-        with pytest.raises(ValueError):
-            load_model(base)

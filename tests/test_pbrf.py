@@ -121,8 +121,6 @@ class TestPboObjective:
             PboConfig(lr=0.0)
         with pytest.raises(ValueError):
             PboConfig(steps=0)
-        with pytest.raises(ValueError):
-            PboConfig(precision="single")
 
 
 class TestPbrfFinetune:

@@ -15,7 +15,6 @@ from lissakit.spectral import (
     SpectralStats,
     check_condition_c1,
     condition_c1_lhs,
-    embed_vector,
     estimate_frobenius,
     estimate_trace,
     recommend_hyperparams,
@@ -166,18 +165,6 @@ class TestSketch:
             sketch_operator(GnhOperator(spec, theta, data), SketchConfig(d=400, seed=3)), 1
         )[0]
         assert abs(lam - top) <= 0.1 * top
-
-    def test_embed_matches_probe_rows(self):
-        spec = ModelSpec(kind="mlp", layer_sizes=(4, 3, 2))
-        theta = init_params(spec, SeededRng(17))
-        data = make_blobs(SeededRng(18), 8, 4, 2)
-        op = GnhOperator(spec, theta, data)
-        v = SeededRng(19).normal(op.n_params)
-        for layout in ("summed", "concatenated"):
-            cfg = SketchConfig(d=6, seed=20, layout=layout)
-            emb = embed_vector(op, cfg, v)
-            want = [float(_probe_vector(op, cfg, i) @ v) for i in range(emb.size)]
-            assert np.allclose(emb, want, atol=1e-12)
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
