@@ -197,8 +197,7 @@ def _stochastic_operator(run: RunContext, spec, theta, train, batch_size):
         train,
         batch_size=batch_size,
         rng=SeededRng(0) if batch_size is not None else None,
-        mode=cfg.hvp_mode,
-        delta=cfg.fd_delta,
+        fd_delta=cfg.fd_delta if cfg.hvp_mode == "fd" else None,
     )
 
 
@@ -299,7 +298,6 @@ def cmd_lissa(run: RunContext) -> None:
         eta=eta,
         lambda_damp=cfg.lambda_damp,
         t_steps=t_steps,
-        batch_size=cfg.batch_size,
         seed=run.sub_seed("lissa"),
         snapshot_every=cfg.snapshot_every,
     )
@@ -352,7 +350,6 @@ def cmd_convergence(run: RunContext) -> None:
             eta=eta,
             lambda_damp=cfg.lambda_damp,
             t_steps=t_steps,
-            batch_size=b,
             seed=run.sub_seed(f"convergence-batch-{b}"),
             snapshot_every=snapshot_every,
         )
@@ -367,8 +364,6 @@ def cmd_convergence(run: RunContext) -> None:
 
 def cmd_pbrf_compare(run: RunContext) -> None:
     cfg = run.cfg
-    if cfg.n_train < 1 or cfg.n_test < 1:
-        raise ConfigError("need n_train >= 1 and n_test >= 1")
     if cfg.n_train * cfg.n_test < 10:
         raise ConfigError("need at least ten (train, test) pairs to compare")
     spec, theta = _build_model(run)
@@ -393,7 +388,6 @@ def cmd_pbrf_compare(run: RunContext) -> None:
             eta=lr,
             lambda_damp=cfg.lambda_damp,
             t_steps=steps,
-            batch_size=batch_size,
             seed=item_seed,
         )
         u, _ = lissa_solve(op, -g.values, lcfg)

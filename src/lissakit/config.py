@@ -113,6 +113,38 @@ _CASTERS = {
 }
 
 
+# Lower bound of each bounded field as (bound, strict): a value must exceed a
+# strict bound and reach any other.  Unset (None) fields are not checked; a
+# tuple field is checked entry by entry.
+_LOWER_BOUNDS = {
+    "seed": (0, False),
+    "threads": (1, False),
+    "n_examples": (1, False),
+    "n_probes": (2, False),
+    "sketch_dim": (2, False),
+    "fd_delta": (0, True),
+    "c_const": (0, True),
+    "t_multiplier": (0, True),
+    "eta": (0, True),
+    "lambda_damp": (0, False),
+    "batch_size": (1, False),
+    "t_steps": (1, False),
+    "snapshot_every": (0, False),
+    "tolerance": (0, False),
+    "batch_sizes": (1, False),
+    "epsilon": (0, True),
+    "pbrf_lr": (0, True),
+    "pbrf_steps": (1, False),
+    "n_train": (1, False),
+    "n_test": (1, False),
+    "n_runs": (2, False),
+    "t_max": (1, False),
+    "n_docs": (1, False),
+    "doc_length": (1, False),
+    "vocab_size": (2, False),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Typed view of one run's settings; None means derive or use a default."""
@@ -168,22 +200,15 @@ class ExperimentConfig:
     n_items: int = 8
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
-        if self.lambda_damp < 0:
-            raise ConfigError("lambda_damp must be non-negative")
-        if self.n_examples < 1:
-            raise ConfigError("n_examples must be >= 1")
-        if self.n_probes < 2:
-            raise ConfigError("n_probes must be >= 2")
-        if self.sketch_dim < 2:
-            raise ConfigError("sketch_dim must be >= 2")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.batch_sizes is not None and min(self.batch_sizes) < 1:
-            raise ConfigError("batch_sizes entries must be >= 1")
+        for name, (bound, strict) in _LOWER_BOUNDS.items():
+            value = getattr(self, name)
+            if value is None:
+                continue
+            low = min(value) if isinstance(value, tuple) else value
+            if low < bound or (strict and low == bound):
+                raise ConfigError(
+                    f"{name} must be {'>' if strict else '>='} {bound}, got {low!r}"
+                )
         if self.hvp_mode not in ("exact", "fd"):
             raise ConfigError(f"hvp_mode must be exact or fd, got {self.hvp_mode!r}")
         if self.sketch_layout not in ("summed", "concatenated"):

@@ -67,25 +67,23 @@ def _softmax_hessian_apply(p: np.ndarray, t: np.ndarray) -> np.ndarray:
     return p * t - p * np.sum(p * t, axis=1, keepdims=True)
 
 
-def _hvp_exact_on(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, v: np.ndarray) -> np.ndarray:
-    h, caches = _forward(spec, theta, X)
-    p = _softmax(h)
-    t = _jvp_batch(spec, theta, X, v, caches)
-    w = _softmax_hessian_apply(p, t)
-    return _backprop(spec, theta, X, w / X.shape[0], caches)
+def _gnh_hvp(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, v: np.ndarray, fd_delta: float | None) -> np.ndarray:
+    """Gauss-Newton HVP averaged over the rows of X: mean_b J_b^T S_b J_b v.
 
-
-def _hvp_fd_on(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, v: np.ndarray, delta: float) -> np.ndarray:
-    # Three forward passes and one backward pass.  The softmax factor S and
-    # the differenced Jacobian-vector product are treated as constants of the
-    # backward sweep, all evaluated against the unperturbed parameters.
+    ``fd_delta=None`` takes J v in one forward-mode sweep.  A float takes the
+    central difference (h(theta + fd_delta v) - h(theta - fd_delta v)) /
+    (2 fd_delta) instead, at two more forward passes; the softmax factor S and
+    the backward sweep still use the unperturbed parameters.
+    """
     h, caches = _forward(spec, theta, X)
-    p = _softmax(h)
-    h_plus, _ = _forward(spec, theta + delta * v, X)
-    h_minus, _ = _forward(spec, theta - delta * v, X)
-    t = (h_plus - h_minus) / (2.0 * delta)
-    w = _softmax_hessian_apply(p, t)
-    return _backprop(spec, theta, X, w / X.shape[0], caches)
+    if fd_delta is None:
+        t = _jvp_batch(spec, theta, v, caches)
+    else:
+        h_plus, _ = _forward(spec, theta + fd_delta * v, X)
+        h_minus, _ = _forward(spec, theta - fd_delta * v, X)
+        t = (h_plus - h_minus) / (2.0 * fd_delta)
+    w = _softmax_hessian_apply(_softmax(h), t)
+    return _backprop(spec, theta, w / X.shape[0], caches)
 
 
 class GnhOperator:
@@ -94,7 +92,8 @@ class GnhOperator:
     With ``batch_size=None`` every call uses the whole dataset and the
     operator is deterministic.  Otherwise each ``matvec`` draws a fresh
     i.i.d. batch from ``rng``, so repeated calls see independent curvature
-    estimates whose mean is the full-dataset operator.
+    estimates whose mean is the full-dataset operator.  ``fd_delta`` switches
+    the Jacobian-vector product from forward mode to central differences.
     """
 
     def __init__(
@@ -104,18 +103,15 @@ class GnhOperator:
         dataset: Dataset,
         batch_size: int | None = None,
         rng: SeededRng | None = None,
-        mode: str = "exact",
-        delta: float = 0.01,
+        fd_delta: float | None = None,
     ):
-        if mode not in ("exact", "fd"):
-            raise ValueError(f"unknown hvp mode {mode!r}")
         if batch_size is not None:
             if batch_size < 1:
                 raise ValueError("batch size must be >= 1")
             if rng is None:
                 raise ValueError("stochastic operator needs an rng")
-        if delta <= 0:
-            raise ValueError("delta must be positive")
+        if fd_delta is not None and not fd_delta > 0:
+            raise ValueError("fd_delta must be positive")
         if theta.values.size != spec.n_params:
             raise ValueError("theta does not match the model spec")
         self.spec = spec
@@ -123,14 +119,9 @@ class GnhOperator:
         self.dataset = dataset
         self.batch_size = batch_size
         self.rng = rng
-        self.mode = mode
-        self.delta = delta
+        self.fd_delta = fd_delta
         self.n_params = spec.n_params
         self.segments = spec.segments
-
-    @property
-    def stochastic(self) -> bool:
-        return self.batch_size is not None
 
     def reseeded(self, seed: int) -> "GnhOperator":
         """Copy of this operator with its batch stream reset to ``seed``."""
@@ -139,32 +130,26 @@ class GnhOperator:
             self.theta,
             self.dataset,
             batch_size=self.batch_size,
-            rng=SeededRng(seed) if self.stochastic else None,
-            mode=self.mode,
-            delta=self.delta,
+            rng=None if self.batch_size is None else SeededRng(seed),
+            fd_delta=self.fd_delta,
         )
 
-    def hvp_on(self, X: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """HVP against a fixed set of examples (labels unused by the GNH)."""
+    def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.n_params,):
             raise ValueError(f"expected vector of length {self.n_params}")
-        if self.mode == "exact":
-            return _hvp_exact_on(self.spec, self.theta.values, X, v)
-        return _hvp_fd_on(self.spec, self.theta.values, X, v, self.delta)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        if self.stochastic:
-            batch = sample_batch(self.dataset, self.batch_size, self.rng)
-            return self.hvp_on(batch.X, batch.y, v)
-        return self.hvp_on(self.dataset.X, self.dataset.y, v)
+        if self.batch_size is None:
+            X = self.dataset.X
+        else:
+            X = sample_batch(self.dataset, self.batch_size, self.rng).X
+        return _gnh_hvp(self.spec, self.theta.values, X, v, self.fd_delta)
 
 
-def _logit_jacobians(spec: ModelSpec, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Per-example logit Jacobians, shape (B, K, n_params)."""
+def _logit_jacobians(spec: ModelSpec, theta: np.ndarray, caches) -> np.ndarray:
+    """Per-example logit Jacobians, shape (B, K, n_params), from the caches of
+    one forward pass."""
     layers = _unpack(spec, theta)
-    _, caches = _forward(spec, theta, X)
-    B, K = X.shape[0], spec.n_classes
+    B, K = caches[0][0].shape[0], spec.n_classes
     jac = np.zeros((B, K, spec.n_params))
     delta = np.broadcast_to(np.eye(K), (B, K, K)).copy()
     for l in range(len(layers) - 1, -1, -1):
@@ -177,8 +162,7 @@ def _logit_jacobians(spec: ModelSpec, theta: np.ndarray, X: np.ndarray) -> np.nd
         ).reshape(B, K, fan_out * fan_in)
         jac[:, :, offset + fan_out * fan_in : offset + length] = delta
         if l > 0:
-            _, z_prev = caches[l - 1]
-            delta = (delta @ w) * _act_deriv(spec, z_prev)[:, None, :]
+            delta = (delta @ w) * _act_deriv(spec, a_prev)[:, None, :]
     return jac
 
 
@@ -207,10 +191,9 @@ def gnh_matrix_exact(
     H = np.zeros((n, n))
     for start in range(0, len(dataset), chunk):
         X = dataset.X[start : start + chunk]
-        h, _ = _forward(spec, theta.values, X)
-        p = _softmax(h)
-        jac = _logit_jacobians(spec, theta.values, X)
-        factor = _softmax_hessian_factor(p)
+        h, caches = _forward(spec, theta.values, X)
+        jac = _logit_jacobians(spec, theta.values, caches)
+        factor = _softmax_hessian_factor(_softmax(h))
         # columns of M_b = J_b^T F_b, flattened across the chunk
         m = np.einsum("bkn,bkj->bnj", jac, factor)
         flat = m.transpose(1, 0, 2).reshape(n, -1)

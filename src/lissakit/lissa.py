@@ -23,12 +23,12 @@ _DIVERGENCE_SCALE = 1e12
 
 @dataclass(frozen=True)
 class LissaConfig:
-    """Solver settings: step size, damping, step count, batching, seeding."""
+    """Solver settings: step size, damping, step count, seeding.  The batch
+    size belongs to the operator."""
 
     eta: float
     lambda_damp: float
     t_steps: int
-    batch_size: int | None = None
     seed: int = 0
     snapshot_every: int = 0
     u0: np.ndarray | None = None
@@ -40,8 +40,6 @@ class LissaConfig:
             raise ValueError("damping must be non-negative")
         if self.t_steps < 1:
             raise ValueError("need at least one step")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
         if self.snapshot_every < 0:
             raise ValueError("snapshot interval must be >= 0")
 
@@ -85,10 +83,6 @@ def lissa_solve(op, g, cfg: LissaConfig):
     g_values = _vector(g)
     if g_values.size != op.n_params:
         raise ValueError("gradient does not match the operator")
-    if cfg.batch_size is not None:
-        op_batch = getattr(op, "batch_size", None)
-        if op_batch is not None and op_batch != cfg.batch_size:
-            raise ValueError("config batch size disagrees with the operator")
     if hasattr(op, "reseeded"):
         op = op.reseeded(cfg.seed)
 
@@ -355,7 +349,6 @@ def counterexample_simulate(
             eta=problem.eta,
             lambda_damp=problem.lambda_damp,
             t_steps=t,
-            batch_size=problem.batch_size,
             seed=derive_seed(seed, 17, run),
             snapshot_every=1,
             u0=problem.u0,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -58,7 +59,7 @@ class ModelSpec:
     def n_layers(self) -> int:
         return len(self.layer_sizes) - 1
 
-    @property
+    @cached_property
     def segments(self) -> tuple[tuple[str, int, int], ...]:
         """Per-layer (name, offset, length) for weights-plus-bias blocks."""
         segs = []
@@ -168,67 +169,55 @@ def _act(spec: ModelSpec, z: np.ndarray) -> np.ndarray:
     return np.tanh(z) if spec.activation == "tanh" else np.maximum(z, 0.0)
 
 
-def _act_deriv(spec: ModelSpec, z: np.ndarray) -> np.ndarray:
+def _act_deriv(spec: ModelSpec, a: np.ndarray) -> np.ndarray:
+    """Activation derivative read off the activation a = act(z) itself."""
     if spec.activation == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
-    return (z > 0.0).astype(np.float64)
+        return 1.0 - a * a
+    return (a > 0.0).astype(np.float64)
 
 
 def _forward(spec: ModelSpec, theta: np.ndarray, X: np.ndarray):
-    """Batched forward pass; returns logits (B, K) and per-layer caches."""
+    """Batched forward pass; returns logits (B, K) and per-layer (input,
+    pre-activation) caches.  Each hidden layer's activation is the next input."""
     layers = _unpack(spec, theta)
     a = X
     caches = []
     for l, (w, b) in enumerate(layers):
         z = a @ w.T + b
-        if l < len(layers) - 1:
-            caches.append((a, z))
-            a = _act(spec, z)
-        else:
-            caches.append((a, z))
-            a = z
+        caches.append((a, z))
+        a = _act(spec, z) if l < len(layers) - 1 else z
     return a, caches
 
 
-def _backprop(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, G: np.ndarray, caches=None) -> np.ndarray:
+def _backprop(spec: ModelSpec, theta: np.ndarray, G: np.ndarray, caches) -> np.ndarray:
     """Gradient of sum_b <G[b], logits(x_b)> with respect to theta."""
     layers = _unpack(spec, theta)
-    if caches is None:
-        _, caches = _forward(spec, theta, X)
     grad = np.zeros(spec.n_params)
     delta = G
     for l in range(len(layers) - 1, -1, -1):
         w, _ = layers[l]
-        a_prev, z_prev_layer = caches[l]
+        a_prev, _ = caches[l]
         name, offset, length = spec.segments[l]
         fan_out, fan_in = w.shape
         grad[offset : offset + fan_out * fan_in] = (delta.T @ a_prev).ravel()
         grad[offset + fan_out * fan_in : offset + length] = delta.sum(axis=0)
         if l > 0:
-            _, z_prev = caches[l - 1]
-            delta = (delta @ w) * _act_deriv(spec, z_prev)
+            delta = (delta @ w) * _act_deriv(spec, a_prev)
     return grad
 
 
-def _jvp_batch(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, u: np.ndarray, caches=None) -> np.ndarray:
+def _jvp_batch(spec: ModelSpec, theta: np.ndarray, u: np.ndarray, caches) -> np.ndarray:
     """Directional derivative of logits along parameter direction u, batched."""
     layers = _unpack(spec, theta)
     du_layers = _unpack(spec, u)
-    if caches is None:
-        _, caches = _forward(spec, theta, X)
-    a = X
-    da = np.zeros_like(X)
-    for l, ((w, b), (dw, db)) in enumerate(zip(layers, du_layers)):
-        _, z = caches[l]
-        dz = a @ dw.T + da @ w.T + db
-        if l < len(layers) - 1:
-            da = _act_deriv(spec, z) * dz
-            a = _act(spec, z)
+    for l, ((w, _), (dw, db)) in enumerate(zip(layers, du_layers)):
+        a, _ = caches[l]
+        if l == 0:
+            dz = a @ dw.T + db
         else:
-            da = dz
-            a = z
-    return da
+            da = _act_deriv(spec, a) * dz
+            dz = a @ dw.T + da @ w.T + db
+    return dz
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -264,7 +253,7 @@ def loss_gradient(spec: ModelSpec, theta: ParamVector, example: Example) -> Para
     h, caches = _forward(spec, theta.values, X)
     g = _softmax(h)
     g[0, example.y] -= 1.0
-    return theta.like(_backprop(spec, theta.values, X, g, caches))
+    return theta.like(_backprop(spec, theta.values, g, caches))
 
 
 def test_gradient(spec: ModelSpec, theta: ParamVector, example: Example) -> ParamVector:
@@ -292,7 +281,8 @@ def logit_jvp(
     if u.shape != (spec.n_params,):
         raise ValueError("direction has wrong length")
     if mode == "exact":
-        return _jvp_batch(spec, theta.values, x[None, :], u)[0]
+        _, caches = _forward(spec, theta.values, x[None, :])
+        return _jvp_batch(spec, theta.values, u, caches)[0]
     if mode == "fd":
         if delta <= 0:
             raise ValueError("delta must be positive")

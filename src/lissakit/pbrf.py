@@ -126,7 +126,7 @@ def pbo_gradient(
     logits, caches = _forward(spec, theta.values, batch.X)
     ref_logits, _ = _forward(spec, theta_star.values, batch.X)
     gap = (_softmax(logits) - _softmax(ref_logits)) / len(batch.y)
-    grad = _backprop(spec, theta.values, batch.X, gap, caches)
+    grad = _backprop(spec, theta.values, gap, caches)
     if cfg.epsilon:
         grad = grad + cfg.epsilon * loss_gradient(spec, theta, train_point).values
     return grad + cfg.lambda_damp * (theta.values - theta_star.values)

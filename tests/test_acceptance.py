@@ -94,7 +94,6 @@ def oracle():
         eta=hp.eta,
         lambda_damp=lam_damp,
         t_steps=hp.t_steps,
-        batch_size=hp.batch_size_min,
         seed=21,
     )
     u_final, _ = lissa_solve(op_batch, g, cfg)
@@ -247,7 +246,6 @@ def test_criterion_04_small_batches_stabilize_later(acceptance_log):
                 eta=hp.eta,
                 lambda_damp=lam_damp,
                 t_steps=t_run,
-                batch_size=batch,
                 seed=derive_seed(seed, batch, i),
                 snapshot_every=1,
             )
@@ -400,7 +398,6 @@ def _paired_scores(spec, theta, train_set, test_points, lam_damp, eta, steps, ba
             eta=eta,
             lambda_damp=lam_damp,
             t_steps=steps,
-            batch_size=batch,
             seed=derive_seed(solver_base, i),
         )
         u, _ = lissa_solve(op, -g.values, cfg)
@@ -468,7 +465,7 @@ def test_criterion_08_solver_agrees_with_finetuning(mlp_fixture, acceptance_log)
 
 def test_criterion_09_finite_difference_curvature(mlp_fixture, acceptance_log):
     fx = mlp_fixture
-    exact = GnhOperator(fx.spec, fx.theta, fx.train, mode="exact")
+    exact = GnhOperator(fx.spec, fx.theta, fx.train)
     rng = SeededRng(90)
     directions = []
     for _ in range(100):
@@ -476,7 +473,7 @@ def test_criterion_09_finite_difference_curvature(mlp_fixture, acceptance_log):
         directions.append(v / np.linalg.norm(v))
 
     def rel_errors(delta):
-        fd = GnhOperator(fx.spec, fx.theta, fx.train, mode="fd", delta=delta)
+        fd = GnhOperator(fx.spec, fx.theta, fx.train, fd_delta=delta)
         errs = []
         for v in directions:
             reference = exact.matvec(v)

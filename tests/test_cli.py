@@ -97,6 +97,24 @@ class TestExperimentConfig:
             "sketch_dim = 1\n",
             "batch_size = 0\n",
             "batch_sizes = 4, 0\n",
+            "eta = -1\n",
+            "t_steps = 0\n",
+            "fd_delta = 0\n",
+            "hvp_mode = fd\nfd_delta = 0\n",
+            "snapshot_every = -1\n",
+            "tolerance = -1\n",
+            "t_multiplier = -1\n",
+            "c_const = 0\n",
+            "n_runs = 1\n",
+            "t_max = 0\n",
+            "n_docs = 0\n",
+            "doc_length = 0\n",
+            "vocab_size = 1\n",
+            "epsilon = 0\n",
+            "pbrf_lr = 0\n",
+            "pbrf_steps = 0\n",
+            "n_train = 0\n",
+            "n_test = 0\n",
         ):
             with pytest.raises(ConfigError):
                 ExperimentConfig.from_text(text)
@@ -214,10 +232,17 @@ class TestExitCodes:
         assert main(["recommend", "--config", cfg]) == 2
 
     def test_out_of_range_count_is_two_without_traceback(self, tmp_path, capsys):
-        code, _ = run_cli(tmp_path, "stats", "n_probes = 1\n")
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "config error" in err and "Traceback" not in err
+        cases = (
+            ("stats", "n_probes = 1\n"),
+            # without t_steps the step count is derived from t_multiplier
+            ("lissa", QUAD_CFG.replace("t_steps = 400", "t_multiplier = -1")),
+            ("pbrf-compare", QUAD_CFG + "n_train = 2\nn_test = 5\nepsilon = 0\n"),
+        )
+        for i, (command, text) in enumerate(cases):
+            code, _ = run_cli(tmp_path, command, text, name=f"run{i}")
+            assert code == 2, command
+            err = capsys.readouterr().err
+            assert "config error" in err and "Traceback" not in err, command
 
     def test_zero_damping_without_t_steps_is_two(self, tmp_path, capsys):
         text = QUAD_CFG.replace("lambda_damp = 0.5", "lambda_damp = 0").replace(

@@ -15,6 +15,9 @@ from lissakit.models import Dataset, ModelSpec, ParamVector, init_params, make_b
 
 LINEAR = ModelSpec(kind="softmax-linear", layer_sizes=(4, 3))
 MLP = ModelSpec(kind="mlp", layer_sizes=(5, 6, 3), activation="tanh")
+# two hidden layers: the sweeps read each layer's input from a different cache
+DEEP_TANH = ModelSpec(kind="mlp", layer_sizes=(5, 7, 6, 4), activation="tanh")
+DEEP_RELU = ModelSpec(kind="mlp", layer_sizes=(5, 7, 6, 4), activation="relu")
 
 
 def toy_fixture(spec, n=40, seed=1):
@@ -77,7 +80,7 @@ class TestDenseGnh:
         expected = np.block([[ww, wb], [wb.T, bb]])
         assert np.allclose(H, expected, atol=1e-12)
 
-    @pytest.mark.parametrize("spec", [LINEAR, MLP])
+    @pytest.mark.parametrize("spec", [LINEAR, MLP, DEEP_TANH, DEEP_RELU])
     def test_psd(self, spec):
         theta, data = toy_fixture(spec)
         H = gnh_matrix_exact(spec, theta, data)
@@ -107,7 +110,7 @@ class TestDenseGnh:
 
 
 class TestHvp:
-    @pytest.mark.parametrize("spec", [LINEAR, MLP])
+    @pytest.mark.parametrize("spec", [LINEAR, MLP, DEEP_TANH, DEEP_RELU])
     def test_full_dataset_hvp_matches_dense(self, spec):
         theta, data = toy_fixture(spec)
         H = gnh_matrix_exact(spec, theta, data)
@@ -126,8 +129,8 @@ class TestHvp:
 
     def test_fd_mode_close_to_exact_on_same_batch(self):
         theta, data = toy_fixture(MLP, n=16, seed=3)
-        exact = GnhOperator(MLP, theta, data, mode="exact")
-        fd = GnhOperator(MLP, theta, data, mode="fd", delta=0.01)
+        exact = GnhOperator(MLP, theta, data)
+        fd = GnhOperator(MLP, theta, data, fd_delta=0.01)
         rng = SeededRng(17)
         for _ in range(5):
             u = rng.normal(MLP.n_params)
@@ -138,13 +141,13 @@ class TestHvp:
 
     def test_fd_quadratic_delta_decay(self):
         theta, data = toy_fixture(MLP, n=16, seed=4)
-        exact = GnhOperator(MLP, theta, data, mode="exact")
+        exact = GnhOperator(MLP, theta, data)
         u = SeededRng(44).normal(MLP.n_params)
         u /= np.linalg.norm(u)
         ref = exact.matvec(u)
         errs = {}
         for delta in (0.02, 0.01):
-            fd = GnhOperator(MLP, theta, data, mode="fd", delta=delta)
+            fd = GnhOperator(MLP, theta, data, fd_delta=delta)
             errs[delta] = np.linalg.norm(fd.matvec(u) - ref)
         assert errs[0.01] <= errs[0.02] * 0.25 * 1.2
 
@@ -153,8 +156,7 @@ class TestHvp:
         op = GnhOperator(MLP, theta, data)
         rng = SeededRng(50)
         u, v = rng.normal(MLP.n_params), rng.normal(MLP.n_params)
-        hu = op.hvp_on(data.X, data.y, u)
-        hv = op.hvp_on(data.X, data.y, v)
+        hu, hv = op.matvec(u), op.matvec(v)
         lhs, rhs = float(np.dot(v, hu)), float(np.dot(u, hv))
         assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), 1.0)
 
@@ -195,13 +197,11 @@ class TestHvp:
     def test_validation_errors(self):
         theta, data = toy_fixture(LINEAR)
         with pytest.raises(ValueError):
-            GnhOperator(LINEAR, theta, data, mode="hutchinson")
-        with pytest.raises(ValueError):
             GnhOperator(LINEAR, theta, data, batch_size=4)  # missing rng
         with pytest.raises(ValueError):
             GnhOperator(LINEAR, theta, data, batch_size=0, rng=SeededRng(0))
         with pytest.raises(ValueError):
-            GnhOperator(LINEAR, theta, data, delta=0.0)
+            GnhOperator(LINEAR, theta, data, fd_delta=0.0)
         op = GnhOperator(LINEAR, theta, data)
         with pytest.raises(ValueError):
             op.matvec(np.ones(3))

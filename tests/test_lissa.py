@@ -141,19 +141,12 @@ class TestLissaSolve:
     def test_seed_determinism(self):
         spec, theta, data, H, g = toy_problem()
         op = GnhOperator(spec, theta, data, batch_size=16, rng=SeededRng(99))
-        cfg = LissaConfig(eta=0.5, lambda_damp=0.5, t_steps=20, batch_size=16, seed=3)
+        cfg = LissaConfig(eta=0.5, lambda_damp=0.5, t_steps=20, seed=3)
         u1, _ = lissa_solve(op, g, cfg)
         u2, _ = lissa_solve(op, g, cfg)
         assert np.array_equal(u1, u2)
-        u3, _ = lissa_solve(op, g, LissaConfig(eta=0.5, lambda_damp=0.5, t_steps=20, batch_size=16, seed=4))
+        u3, _ = lissa_solve(op, g, LissaConfig(eta=0.5, lambda_damp=0.5, t_steps=20, seed=4))
         assert not np.array_equal(u1, u3)
-
-    def test_batch_size_mismatch(self):
-        spec, theta, data, H, g = toy_problem()
-        op = GnhOperator(spec, theta, data, batch_size=16, rng=SeededRng(0))
-        cfg = LissaConfig(eta=0.5, lambda_damp=0.5, t_steps=2, batch_size=8)
-        with pytest.raises(ValueError):
-            lissa_solve(op, g, cfg)
 
     def test_snapshots_strictly_increasing_and_cover_final(self):
         op = DenseOperator(np.eye(2))
@@ -166,7 +159,7 @@ class TestLissaSolve:
         problem, sampler = growth_problem()
         cfg = LissaConfig(
             eta=problem.eta, lambda_damp=problem.lambda_damp, t_steps=500,
-            batch_size=1, seed=5, u0=problem.u0,
+            seed=5, u0=problem.u0,
         )
         with pytest.raises(LissaDivergenceError) as err:
             lissa_solve(sampler, np.zeros(10), cfg)
@@ -193,8 +186,6 @@ class TestLissaSolve:
             LissaConfig(eta=0.1, lambda_damp=-1.0, t_steps=1)
         with pytest.raises(ValueError):
             LissaConfig(eta=0.1, lambda_damp=1.0, t_steps=0)
-        with pytest.raises(ValueError):
-            LissaConfig(eta=0.1, lambda_damp=1.0, t_steps=1, batch_size=0)
 
 
 class TestConvergenceCorrelation:
@@ -204,7 +195,7 @@ class TestConvergenceCorrelation:
         damp = 0.5
         eta = 1.0 / (np.linalg.eigvalsh(H)[-1] + damp)
         op = GnhOperator(spec, theta, data, batch_size=64, rng=SeededRng(7))
-        cfg = LissaConfig(eta=eta, lambda_damp=damp, t_steps=60, batch_size=64, seed=2, snapshot_every=2)
+        cfg = LissaConfig(eta=eta, lambda_damp=damp, t_steps=60, seed=2, snapshot_every=2)
         _, trace = lissa_solve(op, g, cfg)
         return H, g, grads, trace
 

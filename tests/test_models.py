@@ -18,12 +18,15 @@ from lissakit.models import (
     nll_loss,
     preactivation_margin,
     save_dataset_csv,
+    _act,
+    _act_deriv,
 )
 from lissakit.models import test_gradient as measurement_gradient
 
 LINEAR = ModelSpec(kind="softmax-linear", layer_sizes=(4, 3))
 MLP_TANH = ModelSpec(kind="mlp", layer_sizes=(5, 7, 4), activation="tanh")
 MLP_RELU = ModelSpec(kind="mlp", layer_sizes=(5, 7, 4), activation="relu")
+DEEP_TANH = ModelSpec(kind="mlp", layer_sizes=(5, 7, 6, 4), activation="tanh")
 
 
 def rand_theta(spec, seed=0, scale=0.8):
@@ -124,7 +127,7 @@ class TestGradients:
         assert np.allclose(g.values[:6].reshape(2, 3), expected_w)
         assert np.allclose(g.values[6:], [-0.5, 0.5])
 
-    @pytest.mark.parametrize("spec,seed", [(LINEAR, 1), (MLP_TANH, 2)])
+    @pytest.mark.parametrize("spec,seed", [(LINEAR, 1), (MLP_TANH, 2), (DEEP_TANH, 3)])
     def test_matches_finite_differences(self, spec, seed):
         theta = rand_theta(spec, seed)
         rng = SeededRng(seed + 100)
@@ -167,6 +170,20 @@ class TestGradients:
         g1 = loss_gradient(LINEAR, theta, Example(x=x, y=1, id=0))
         g2 = loss_gradient(LINEAR, theta, Example(x=x.copy(), y=1, id=99))
         assert np.array_equal(g1.values, g2.values)
+
+
+class TestActDeriv:
+    @pytest.mark.parametrize("spec", [MLP_TANH, MLP_RELU])
+    def test_read_off_activation_matches_preactivation_formula(self, spec):
+        # the derivative taken from a = act(z) equals the textbook one taken
+        # from z, bit for bit, signed zeros and saturated tanh included
+        z = np.concatenate([np.linspace(-30.0, 30.0, 2401), [0.0, -0.0, 1e-300, -1e-300]])
+        got = _act_deriv(spec, _act(spec, z))
+        if spec.activation == "tanh":
+            want = 1.0 - np.tanh(z) ** 2
+        else:
+            want = (z > 0).astype(np.float64)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestLogitJvp:

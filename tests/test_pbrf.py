@@ -228,7 +228,7 @@ class TestPbrfInfluence:
         tests = [data[i] for i in range(100, 120)]
         grad_train = loss_gradient(spec, theta, train).values
         op = GnhOperator(spec, theta, data, batch_size=64, rng=SeededRng(0))
-        lissa_cfg = LissaConfig(eta=eta, lambda_damp=damp, t_steps=80, batch_size=64, seed=11)
+        lissa_cfg = LissaConfig(eta=eta, lambda_damp=damp, t_steps=80, seed=11)
         u, _ = lissa_solve(op, -grad_train, lissa_cfg)
         lissa = {ex.id: float(u @ measurement_gradient(spec, theta, ex).values) for ex in tests}
         pbo_cfg = PboConfig(
