@@ -5,11 +5,7 @@
   tfidf-check/   bag-of-words influence against the TF-IDF closed form
 """
 
-import argparse
-import sys
-from pathlib import Path
-
-from lissakit.cli import main as cli_main
+from _study import run_study
 
 MODEL = """\
 model_kind = mlp
@@ -25,47 +21,23 @@ t_steps = 25
 """
 
 
-def run(command, config_text, out_dir, seed):
-    cfg_path = out_dir / f"{command}.cfg"
-    cfg_path.write_text(config_text)
-    code = cli_main(
-        [command, "--config", str(cfg_path), "--out", str(out_dir / command),
-         "--seed", str(seed)]
-    )
-    if code != 0:
-        sys.exit(f"{command} failed with exit code {code}")
-    print(f"{command}: wrote {out_dir / command}")
-
-
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="runs/attribution")
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    run(
+COMMANDS = (
+    (
         "pbrf-compare",
         "command = pbrf-compare\n" + MODEL + "n_train = 10\nn_test = 40\n"
         "epsilon = 1e-8\n",
-        out_dir,
-        args.seed,
-    )
-    run(
+    ),
+    (
         "similarity",
         "command = similarity\n" + MODEL + "n_items = 8\ntrain_index = 0\n",
-        out_dir,
-        args.seed,
-    )
-    run(
+    ),
+    (
         "tfidf-check",
         "command = tfidf-check\nn_docs = 50\ndoc_length = 8\nvocab_size = 10\n"
         "lambda_damp = 1e-8\ntolerance = 1e-6\n",
-        out_dir,
-        args.seed,
-    )
+    ),
+)
 
 
 if __name__ == "__main__":
-    main()
+    run_study(__doc__, "runs/attribution", COMMANDS)

@@ -5,11 +5,7 @@
   counterexample/ exploding second moment at batch size 1 vs the closed form
 """
 
-import argparse
-import sys
-from pathlib import Path
-
-from lissakit.cli import main as cli_main
+from _study import run_study
 
 MODEL = """\
 model_kind = softmax-linear
@@ -24,48 +20,24 @@ t_steps = 40
 """
 
 
-def run(command, config_text, out_dir, seed):
-    cfg_path = out_dir / f"{command}.cfg"
-    cfg_path.write_text(config_text)
-    code = cli_main(
-        [command, "--config", str(cfg_path), "--out", str(out_dir / command),
-         "--seed", str(seed)]
-    )
-    if code != 0:
-        sys.exit(f"{command} failed with exit code {code}")
-    print(f"{command}: wrote {out_dir / command}")
-
-
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="runs/solver")
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    run(
+COMMANDS = (
+    (
         "lissa",
         "command = lissa\n" + MODEL + "snapshot_every = 5\ntolerance = 0.5\n",
-        out_dir,
-        args.seed,
-    )
-    run(
+    ),
+    (
         "convergence",
         "command = convergence\n" + MODEL + "n_test = 20\nbatch_sizes = 2, 21, 42\n"
         "snapshot_every = 1\n",
-        out_dir,
-        args.seed,
-    )
-    run(
+    ),
+    (
         "counterexample",
         "command = counterexample\neigenvalues = "
         "1, 1, 1, 1, 1, 1, 1, 1, 1, 1\nlambda_damp = 0.1\n"
         "eta = 0.909090909090909\nbatch_size = 1\nt_max = 8\nn_runs = 2000\n",
-        out_dir,
-        args.seed,
-    )
+    ),
+)
 
 
 if __name__ == "__main__":
-    main()
+    run_study(__doc__, "runs/solver", COMMANDS)

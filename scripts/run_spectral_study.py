@@ -8,11 +8,7 @@ artifacts side by side under the output directory:
   condition-c1/  batch-noise trace against 1/|B| scaling
 """
 
-import argparse
-import sys
-from pathlib import Path
-
-from lissakit.cli import main as cli_main
+from _study import run_study
 
 BASE = """\
 model_kind = softmax-linear
@@ -26,41 +22,19 @@ sketch_dim = 96
 """
 
 
-def run(command, config_text, out_dir, seed):
-    cfg_path = out_dir / f"{command}.cfg"
-    cfg_path.write_text(config_text)
-    code = cli_main(
-        [command, "--config", str(cfg_path), "--out", str(out_dir / command),
-         "--seed", str(seed)]
-    )
-    if code != 0:
-        sys.exit(f"{command} failed with exit code {code}")
-    print(f"{command}: wrote {out_dir / command}")
-
-
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="runs/spectral")
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    run("stats", "command = stats\n" + BASE, out_dir, args.seed)
+COMMANDS = (
+    ("stats", "command = stats\n" + BASE),
     # feed the recommender the round numbers a spectra table would publish
-    run(
+    (
         "recommend",
         "command = recommend\ntrace = 16.0\nlambda_max = 3.6\nlambda_damp = 0.3\n",
-        out_dir,
-        args.seed,
-    )
-    run(
+    ),
+    (
         "condition-c1",
         "command = condition-c1\n" + BASE + "batch_sizes = 8, 16, 32, 64, 512\n",
-        out_dir,
-        args.seed,
-    )
+    ),
+)
 
 
 if __name__ == "__main__":
-    main()
+    run_study(__doc__, "runs/spectral", COMMANDS)

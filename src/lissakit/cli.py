@@ -52,6 +52,7 @@ from .spectral import (
     estimate_trace,
     recommend_hyperparams,
     sketch_operator,
+    sketch_size,
     step_count,
     step_size,
     top_eigenvalues_from_sketch,
@@ -176,6 +177,16 @@ def _dense_gnh(spec: ModelSpec, theta, train) -> np.ndarray:
     return gnh_matrix_exact(spec, theta, train)
 
 
+def _oracle_ihvp(run: RunContext, dense_gnh: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """exact_ihvp at the run's damping; a singular system is a config error."""
+    try:
+        return exact_ihvp(dense_gnh, run.cfg.lambda_damp, g)
+    except np.linalg.LinAlgError as exc:
+        raise ConfigError(
+            f"dense oracle failed at lambda_damp = {run.cfg.lambda_damp!r} ({exc}); raise lambda_damp"
+        ) from exc
+
+
 def _solver_settings(run: RunContext, dense_gnh: np.ndarray):
     """eta and t_steps from config, filling gaps from the dense spectrum."""
     cfg = run.cfg
@@ -206,11 +217,15 @@ def cmd_stats(run: RunContext) -> None:
     spec, theta = _build_model(run)
     train, _ = _build_data(run, spec)
     op = _stochastic_operator(run, spec, theta, train, None)
+    sketch_cfg = SketchConfig(cfg.sketch_dim, run.sub_seed("sketch"), cfg.sketch_layout)
+    columns = sketch_size(op, sketch_cfg)
+    if columns > MAX_DENSE_PARAMS:
+        raise ConfigError(
+            f"sketch_dim = {cfg.sketch_dim} gives {columns} sketch columns, over {MAX_DENSE_PARAMS}"
+        )
     trace = estimate_trace(op, cfg.n_probes, run.rng("trace-probes"))
     frob = estimate_frobenius(op, cfg.n_probes, run.rng("frobenius-probes"))
-    sketch = sketch_operator(
-        op, SketchConfig(d=cfg.sketch_dim, seed=run.sub_seed("sketch"), layout=cfg.sketch_layout)
-    )
+    sketch = sketch_operator(op, sketch_cfg)
     lambda_top = float(top_eigenvalues_from_sketch(sketch, 1)[0])
     stats = SpectralStats(
         n_params=op.n_params,
@@ -318,7 +333,7 @@ def cmd_lissa(run: RunContext) -> None:
     run.emit_csv("solution.csv", ["index", "value"], list(enumerate(u)))
 
     if cfg.tolerance is not None:
-        u_star = exact_ihvp(dense, cfg.lambda_damp, g)
+        u_star = _oracle_ihvp(run, dense, g)
         rel = float(np.linalg.norm(u - u_star) / np.linalg.norm(u_star))
         print(f"relative_error = {_fmt(rel)}")
         if rel > cfg.tolerance:
@@ -340,7 +355,7 @@ def cmd_convergence(run: RunContext) -> None:
     dense = _dense_gnh(spec, theta, train)
     eta, t_steps = _solver_settings(run, dense)
     g = -loss_gradient(spec, theta, train[cfg.train_index]).values
-    u_star = exact_ihvp(dense, cfg.lambda_damp, g)
+    u_star = _oracle_ihvp(run, dense, g)
     test_grads = [measurement_gradient(spec, theta, test[j]).values for j in range(len(test))]
     snapshot_every = cfg.snapshot_every or max(1, t_steps // 50)
 
@@ -472,8 +487,8 @@ def cmd_counterexample(run: RunContext) -> None:
     cfg = run.cfg
     eigenvalues = cfg.require("eigenvalues")
     batch_size = cfg.batch_size if cfg.batch_size is not None else 1
-    eta = cfg.eta if cfg.eta is not None else step_size(max(eigenvalues), cfg.lambda_damp)
     try:
+        eta = cfg.eta if cfg.eta is not None else step_size(max(eigenvalues), cfg.lambda_damp)
         problem, _ = counterexample_build(
             n=len(eigenvalues),
             eigenvalues=eigenvalues,
@@ -569,7 +584,7 @@ def cmd_similarity(run: RunContext) -> None:
     labels = [ex.id for ex in examples]
 
     dense = _dense_gnh(spec, theta, train)
-    solver = lambda v: exact_ihvp(dense, cfg.lambda_damp, v)
+    solver = lambda v: _oracle_ihvp(run, dense, v)
     gradient_sim = similarity_matrix(grads, kind="gradient", labels=labels)
     influence_sim = similarity_matrix(grads, kind="influence", ihvp_solver=solver, labels=labels)
 

@@ -149,12 +149,12 @@ def _logit_jacobians(spec: ModelSpec, theta: np.ndarray, caches) -> np.ndarray:
     """Per-example logit Jacobians, shape (B, K, n_params), from the caches of
     one forward pass."""
     layers = _unpack(spec, theta)
-    B, K = caches[0][0].shape[0], spec.n_classes
+    B, K = caches[0].shape[0], spec.n_classes
     jac = np.zeros((B, K, spec.n_params))
     delta = np.broadcast_to(np.eye(K), (B, K, K)).copy()
     for l in range(len(layers) - 1, -1, -1):
         w, _ = layers[l]
-        a_prev, _ = caches[l]
+        a_prev = caches[l]
         name, offset, length = spec.segments[l]
         fan_out, fan_in = w.shape
         jac[:, :, offset : offset + fan_out * fan_in] = np.einsum(

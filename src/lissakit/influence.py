@@ -93,6 +93,24 @@ def similarity_matrix(grads, kind: str, ihvp_solver=None, labels=None) -> Simila
     return SimilarityMatrix(values=values, labels=list(labels), kind=kind)
 
 
+def _damped_eigen(g, H: np.ndarray, lambda_damp: float):
+    """(eigenvalue, <g, v_j>, weight) rows of H's eigenbasis, descending, and
+    the eigenvector columns; one symmetry check and one eigendecomposition."""
+    if lambda_damp < 0:
+        raise ValueError("damping must be non-negative")
+    g = _vector(g)
+    eigenvalues, vectors = sym_eig(H)
+    if g.size != vectors.shape[0]:
+        raise ValueError("gradient does not match the matrix")
+    coefficients = vectors.T @ g
+    rows = []
+    for lam, coeff in zip(eigenvalues, coefficients):
+        denom = lam + lambda_damp
+        weight = lambda_damp / denom if denom > 0 else 1.0
+        rows.append((float(lam), float(coeff), float(weight)))
+    return rows, vectors
+
+
 def eigen_reweight(g, H: np.ndarray, lambda_damp: float) -> list[tuple[float, float, float]]:
     """Per-eigendirection view of the damped solve.
 
@@ -101,21 +119,7 @@ def eigen_reweight(g, H: np.ndarray, lambda_damp: float) -> list[tuple[float, fl
     shrinks that coordinate of g: near zero for eigenvalues far above the
     damping, approaching one for flat directions.
     """
-    H = np.asarray(H, dtype=np.float64)
-    check_symmetric(H)
-    if lambda_damp < 0:
-        raise ValueError("damping must be non-negative")
-    g = _vector(g)
-    if g.size != H.shape[0]:
-        raise ValueError("gradient does not match the matrix")
-    eigenvalues, vectors = sym_eig(H)
-    coefficients = vectors.T @ g
-    rows = []
-    for lam, coeff in zip(eigenvalues, coefficients):
-        denom = lam + lambda_damp
-        weight = lambda_damp / denom if denom > 0 else 1.0
-        rows.append((float(lam), float(coeff), float(weight)))
-    return rows
+    return _damped_eigen(g, H, lambda_damp)[0]
 
 
 def eigen_reweight_reconstruction(g, H: np.ndarray, lambda_damp: float) -> np.ndarray:
@@ -124,8 +128,6 @@ def eigen_reweight_reconstruction(g, H: np.ndarray, lambda_damp: float) -> np.nd
     Equals lambda (H + lambda)^-1 g, the part of the gradient that survives
     the solve after the high-curvature directions are suppressed.
     """
-    H = np.asarray(H, dtype=np.float64)
-    rows = eigen_reweight(g, H, lambda_damp)
-    _, vectors = sym_eig(H)
+    rows, vectors = _damped_eigen(g, H, lambda_damp)
     shrunk = np.array([coeff * weight for _, coeff, weight in rows])
     return vectors @ shrunk

@@ -1,11 +1,11 @@
-"""Small classification models with exact gradients and directional logit
-derivatives.
+"""Small classification models with exact gradients.
 
 Two architectures cover the validation needs: a softmax-linear model (logits
 affine in the parameters, so curvature statements have closed forms) and a
 fully-connected MLP with tanh or relu hidden units.  Parameters live in a
 single flat float64 vector with per-layer segmentation so curvature code can
-address layers individually.
+address layers individually.  The batched sweeps ``_forward``, ``_jvp_batch``
+and ``_backprop`` share one cache layout: the input of each layer.
 """
 
 from __future__ import annotations
@@ -148,12 +148,6 @@ class Dataset:
         return Example(x=self.X[i], y=int(self.y[i]), id=int(self.ids[i]))
 
 
-@dataclass(frozen=True)
-class LogitOutput:
-    logits: np.ndarray
-    softmax: np.ndarray
-
-
 def _unpack(spec: ModelSpec, theta: np.ndarray):
     """Views of the flat vector as per-layer (W, b) pairs; no copies."""
     layers = []
@@ -177,14 +171,14 @@ def _act_deriv(spec: ModelSpec, a: np.ndarray) -> np.ndarray:
 
 
 def _forward(spec: ModelSpec, theta: np.ndarray, X: np.ndarray):
-    """Batched forward pass; returns logits (B, K) and per-layer (input,
-    pre-activation) caches.  Each hidden layer's activation is the next input."""
+    """Batched forward pass; returns logits (B, K) and the per-layer caches,
+    the input of each layer.  Each hidden layer's activation is the next input."""
     layers = _unpack(spec, theta)
     a = X
     caches = []
     for l, (w, b) in enumerate(layers):
+        caches.append(a)
         z = a @ w.T + b
-        caches.append((a, z))
         a = _act(spec, z) if l < len(layers) - 1 else z
     return a, caches
 
@@ -196,7 +190,7 @@ def _backprop(spec: ModelSpec, theta: np.ndarray, G: np.ndarray, caches) -> np.n
     delta = G
     for l in range(len(layers) - 1, -1, -1):
         w, _ = layers[l]
-        a_prev, _ = caches[l]
+        a_prev = caches[l]
         name, offset, length = spec.segments[l]
         fan_out, fan_in = w.shape
         grad[offset : offset + fan_out * fan_in] = (delta.T @ a_prev).ravel()
@@ -211,7 +205,7 @@ def _jvp_batch(spec: ModelSpec, theta: np.ndarray, u: np.ndarray, caches) -> np.
     layers = _unpack(spec, theta)
     du_layers = _unpack(spec, u)
     for l, ((w, _), (dw, db)) in enumerate(zip(layers, du_layers)):
-        a, _ = caches[l]
+        a = caches[l]
         if l == 0:
             dz = a @ dw.T + db
         else:
@@ -224,15 +218,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def forward_logits(spec: ModelSpec, theta: ParamVector, x: np.ndarray) -> LogitOutput:
-    """Logits and softmax probabilities for a single input."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (spec.input_dim,):
-        raise ValueError(f"expected input of shape ({spec.input_dim},)")
-    h, _ = _forward(spec, theta.values, x[None, :])
-    return LogitOutput(logits=h[0], softmax=_softmax(h[0]))
 
 
 def nll_loss(spec: ModelSpec, theta: ParamVector, x: np.ndarray, y: int) -> float:
@@ -260,49 +245,6 @@ def test_gradient(spec: ModelSpec, theta: ParamVector, example: Example) -> Para
     """Gradient of the measurement f = log softmax(logits)[y] (= -loss)."""
     g = loss_gradient(spec, theta, example)
     return theta.like(-g.values)
-
-
-def logit_jvp(
-    spec: ModelSpec,
-    theta: ParamVector,
-    x: np.ndarray,
-    u: np.ndarray,
-    mode: str = "exact",
-    delta: float = 0.01,
-) -> np.ndarray:
-    """Jacobian-vector product of the logits with a parameter direction.
-
-    ``exact`` propagates the tangent through the network in one forward-mode
-    sweep; ``fd`` uses the central difference (h(theta + delta u) -
-    h(theta - delta u)) / (2 delta).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64).ravel()
-    if u.shape != (spec.n_params,):
-        raise ValueError("direction has wrong length")
-    if mode == "exact":
-        _, caches = _forward(spec, theta.values, x[None, :])
-        return _jvp_batch(spec, theta.values, u, caches)[0]
-    if mode == "fd":
-        if delta <= 0:
-            raise ValueError("delta must be positive")
-        h_plus, _ = _forward(spec, theta.values + delta * u, x[None, :])
-        h_minus, _ = _forward(spec, theta.values - delta * u, x[None, :])
-        return (h_plus[0] - h_minus[0]) / (2.0 * delta)
-    raise ValueError(f"unknown jvp mode {mode!r}")
-
-
-def preactivation_margin(spec: ModelSpec, theta: ParamVector, x: np.ndarray) -> float:
-    """Smallest |pre-activation| over hidden units (inf for linear models).
-
-    Relu directional checks are only meaningful away from the kink; callers
-    can re-sample inputs until this margin clears a threshold.
-    """
-    if spec.n_layers == 1:
-        return math.inf
-    _, caches = _forward(spec, theta.values, np.asarray(x, dtype=np.float64)[None, :])
-    margins = [float(np.min(np.abs(z))) for _, z in caches[:-1]]
-    return min(margins)
 
 
 def init_params(spec: ModelSpec, rng: SeededRng, scale: float = 1.0) -> ParamVector:

@@ -66,34 +66,23 @@ class PbrfResult:
     objective_trace: list[tuple[int, float]] = field(default_factory=list)
 
 
-def bregman_divergence(h, h_ref, y: int) -> float:
-    """Cross-entropy Bregman divergence between logit vectors.
+def _bregman_gaps(logits: np.ndarray, ref_logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cross-entropy Bregman divergence between matching rows of logits.
 
-    l(h, y) - l(h_ref, y) - (h - h_ref) . grad_l(h_ref, y); non-negative by
-    convexity of the loss in the logits.
+    l(h, y) - l(h_ref, y) - (h - h_ref) . grad_l(h_ref, y) per row;
+    non-negative by convexity of the loss in the logits.
     """
-    h = np.asarray(h, dtype=np.float64).ravel()
-    h_ref = np.asarray(h_ref, dtype=np.float64).ravel()
-    if h.shape != h_ref.shape:
-        raise ValueError("logit vectors differ in length")
-    y_arr = np.array([y])
-    loss = float(_nll_from_logits(h[None, :], y_arr)[0])
-    ref_loss = float(_nll_from_logits(h_ref[None, :], y_arr)[0])
-    ref_grad = _softmax(h_ref[None, :])[0]
-    ref_grad[y] -= 1.0
-    return loss - ref_loss - float((h - h_ref) @ ref_grad)
+    losses = _nll_from_logits(logits, y)
+    ref_losses = _nll_from_logits(ref_logits, y)
+    ref_grad = _softmax(ref_logits)
+    ref_grad[np.arange(len(y)), y] -= 1.0
+    return losses - ref_losses - ((logits - ref_logits) * ref_grad).sum(axis=1)
 
 
 def _batch_bregman_mean(spec, theta_values, theta_star_values, X, y) -> float:
     logits, _ = _forward(spec, theta_values, X)
     ref_logits, _ = _forward(spec, theta_star_values, X)
-    rows = np.arange(len(y))
-    losses = _nll_from_logits(logits, y)
-    ref_losses = _nll_from_logits(ref_logits, y)
-    ref_grad = _softmax(ref_logits)
-    ref_grad[rows, y] -= 1.0
-    gaps = losses - ref_losses - ((logits - ref_logits) * ref_grad).sum(axis=1)
-    return float(gaps.mean())
+    return float(_bregman_gaps(logits, ref_logits, y).mean())
 
 
 def pbo_objective(

@@ -113,13 +113,14 @@ def _probe_row(cfg: SketchConfig, layer: int, row: int, length: int) -> np.ndarr
     return SeededRng(seed).normal(length) * (1.0 / math.sqrt(cfg.d))
 
 
-def _sketch_size(op, cfg: SketchConfig) -> int:
+def sketch_size(op, cfg: SketchConfig) -> int:
+    """Number of sketch columns: d summed, d per layer concatenated."""
     return cfg.d if cfg.layout == "summed" else cfg.d * len(op.segments)
 
 
 def _probe_vector(op, cfg: SketchConfig, index: int) -> np.ndarray:
     """Probe ``index`` as a full-length parameter-space vector."""
-    if not 0 <= index < _sketch_size(op, cfg):
+    if not 0 <= index < sketch_size(op, cfg):
         raise ValueError("probe index out of range")
     v = np.zeros(op.n_params)
     if cfg.layout == "summed":
@@ -142,7 +143,7 @@ def sketch_operator(op, cfg: SketchConfig) -> np.ndarray:
     with the same row streams in blocks, so Phi itself is never held in
     memory.
     """
-    total = _sketch_size(op, cfg)
+    total = sketch_size(op, cfg)
     y = np.empty((op.n_params, total))
     for j in range(total):
         y[:, j] = op.matvec(_probe_vector(op, cfg, j))
@@ -173,6 +174,8 @@ def top_eigenvalues_from_sketch(sketch: np.ndarray, k: int = 1) -> np.ndarray:
 
 def step_size(lambda_max: float, lambda_damp: float) -> float:
     """eta = 1/(lambda_max + lambda), the largest step the contraction bound allows."""
+    if not lambda_max + lambda_damp > 0:
+        raise ValueError(f"step size needs lambda_max + lambda_damp > 0, got {lambda_max + lambda_damp!r}")
     return 1.0 / (lambda_max + lambda_damp)
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SeededRng
+from .models import _softmax
 
 
 @dataclass(frozen=True)
@@ -109,9 +110,7 @@ class BowParams:
 
     @property
     def probabilities(self) -> np.ndarray:
-        shifted = self.logits - self.logits.max()
-        e = np.exp(shifted)
-        return e / e.sum()
+        return _softmax(self.logits)
 
     @classmethod
     def from_probabilities(cls, p) -> "BowParams":
@@ -164,12 +163,6 @@ def bow_gradient(doc, params: BowParams) -> np.ndarray:
     counts = np.zeros(p.size)
     np.add.at(counts, list(doc), 1.0)
     return counts - len(doc) * p
-
-
-def bow_curvature(params: BowParams) -> np.ndarray:
-    """Per-unit-length curvature Diag(p) - p p^T of the softmax model."""
-    p = params.probabilities
-    return np.diag(p) - np.outer(p, p)
 
 
 def bow_inverse_hessian(params: BowParams, lambda_damp: float) -> np.ndarray:

@@ -30,6 +30,10 @@ snapshot_every = 50
 seed = 3
 """
 
+SINGULAR_CFG = "model_kind = softmax-linear\nlayer_sizes = 4, 3\nn_examples = 30\nlambda_damp = 0\n"
+
+TINY_MLP_CFG = "model_kind = mlp\nlayer_sizes = 3, 2, 2\nn_examples = 8\n"
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -237,6 +241,14 @@ class TestExitCodes:
             # without t_steps the step count is derived from t_multiplier
             ("lissa", QUAD_CFG.replace("t_steps = 400", "t_multiplier = -1")),
             ("pbrf-compare", QUAD_CFG + "n_train = 2\nn_test = 5\nepsilon = 0\n"),
+            # eta = 1/(max eigenvalue + lambda_damp) has a zero denominator
+            ("counterexample", "eigenvalues = 0, 0\nlambda_damp = 0\n"),
+            # the undamped softmax GNH is singular, so the dense oracle cannot solve
+            ("lissa", SINGULAR_CFG + "eta = 0.1\nt_steps = 5\ntolerance = 0.5\n"),
+            ("similarity", SINGULAR_CFG + "n_items = 4\n"),
+            # sketch columns: d summed, d per layer concatenated
+            ("stats", TINY_MLP_CFG + "sketch_dim = 2001\n"),
+            ("stats", TINY_MLP_CFG + "sketch_dim = 1001\nsketch_layout = concatenated\n"),
         )
         for i, (command, text) in enumerate(cases):
             code, _ = run_cli(tmp_path, command, text, name=f"run{i}")

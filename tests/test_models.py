@@ -4,22 +4,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lissakit.core import SeededRng
+from lissakit.gnh import GnhOperator, _gnh_hvp
 from lissakit.models import (
     Dataset,
     Example,
     ModelSpec,
     ParamVector,
-    forward_logits,
     init_params,
     load_dataset_csv,
-    logit_jvp,
     loss_gradient,
     make_blobs,
     nll_loss,
-    preactivation_margin,
     save_dataset_csv,
     _act,
     _act_deriv,
+    _forward,
+    _jvp_batch,
+    _softmax,
 )
 from lissakit.models import test_gradient as measurement_gradient
 
@@ -80,9 +81,9 @@ class TestParamVector:
 
 class TestForward:
     def test_zero_params_uniform_softmax(self):
-        out = forward_logits(LINEAR, ParamVector.zeros(LINEAR), np.ones(4))
-        assert np.allclose(out.logits, 0.0)
-        assert np.allclose(out.softmax, 1.0 / 3)
+        logits, _ = _forward(LINEAR, ParamVector.zeros(LINEAR).values, np.ones((2, 4)))
+        assert np.allclose(logits, 0.0)
+        assert np.allclose(_softmax(logits), 1.0 / 3)
 
     def test_mlp_zero_weights_gives_output_bias(self):
         # all weight matrices zero, biases set: logits equal the last bias
@@ -92,28 +93,39 @@ class TestForward:
         fan_out, fan_in = 4, 7
         bias = np.array([0.3, -0.2, 0.05, 1.0])
         values[offset + fan_out * fan_in : offset + length] = bias
-        out = forward_logits(MLP_TANH, theta.like(values), np.ones(5))
-        assert np.allclose(out.logits, bias)
+        logits, _ = _forward(MLP_TANH, values, np.ones((2, 5)))
+        assert np.allclose(logits, bias)
 
     def test_softmax_shift_invariance(self):
         theta = rand_theta(MLP_TANH, 3)
-        x = SeededRng(9).normal(5)
-        out = forward_logits(MLP_TANH, theta, x)
-        shifted = np.exp(out.logits - 100.0)
-        assert np.allclose(out.softmax, shifted / shifted.sum(), atol=1e-10)
+        X = SeededRng(9).normal(15).reshape(3, 5)
+        logits, _ = _forward(MLP_TANH, theta.values, X)
+        shifted = np.exp(logits - 100.0)
+        assert np.allclose(_softmax(logits), shifted / shifted.sum(axis=1, keepdims=True), atol=1e-10)
 
     @given(st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=25, deadline=None)
     def test_softmax_normalized(self, seed):
         theta = rand_theta(MLP_TANH, seed)
-        x = SeededRng(seed + 1).normal(5)
-        out = forward_logits(MLP_TANH, theta, x)
-        assert out.softmax.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(out.softmax >= 0)
+        X = SeededRng(seed + 1).normal(10).reshape(2, 5)
+        p = _softmax(_forward(MLP_TANH, theta.values, X)[0])
+        assert np.allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.all(p >= 0)
 
     def test_input_shape_checked(self):
+        # a batch of the wrong width fails loudly instead of broadcasting
         with pytest.raises(ValueError):
-            forward_logits(LINEAR, ParamVector.zeros(LINEAR), np.ones(5))
+            _forward(LINEAR, ParamVector.zeros(LINEAR).values, np.ones((2, 5)))
+
+    @pytest.mark.parametrize("spec", [LINEAR, MLP_RELU, DEEP_TANH])
+    def test_caches_hold_each_layer_input(self, spec):
+        theta = rand_theta(spec, 4)
+        X = SeededRng(40).normal(3 * spec.input_dim).reshape(3, spec.input_dim)
+        logits, caches = _forward(spec, theta.values, X)
+        assert len(caches) == spec.n_layers and caches[0] is X
+        for l, a in enumerate(caches):
+            assert a.shape == (3, spec.layer_sizes[l])
+        assert logits.shape == (3, spec.n_classes)
 
 
 class TestGradients:
@@ -142,18 +154,22 @@ class TestGradients:
     def test_relu_matches_fd_away_from_kinks(self):
         theta = rand_theta(MLP_RELU, 5)
         rng = SeededRng(55)
-        # re-sample until no hidden pre-activation sits within 1e-3 of zero
-        for _ in range(50):
-            x = rng.normal(MLP_RELU.input_dim)
-            if preactivation_margin(MLP_RELU, theta, x) > 1e-3:
-                break
-        else:
-            pytest.fail("could not find input clear of relu kinks")
+        x = rng.normal(MLP_RELU.input_dim)
         ex = Example(x=x, y=0, id=0)
         g = loss_gradient(MLP_RELU, theta, ex)
+
+        def active_units(values):
+            # the hidden layer's output is the last layer's cached input
+            _, caches = _forward(MLP_RELU, values, x[None, :])
+            return caches[-1] > 0.0
+
         for _ in range(10):
             d = rng.normal(MLP_RELU.n_params)
             d /= np.linalg.norm(d) * 1e3  # keep the probe inside the linear region
+            # both difference points share the relu pattern: no kink between them
+            for sign in (1.0, -1.0):
+                shifted = theta.values + sign * 1e-6 * d
+                assert np.array_equal(active_units(shifted), active_units(theta.values))
             fd = fd_loss_directional(MLP_RELU, theta, ex, d)
             assert fd == pytest.approx(float(np.dot(g.values, d)), rel=1e-4, abs=1e-10)
 
@@ -187,19 +203,22 @@ class TestActDeriv:
 
 
 class TestLogitJvp:
+    """The forward-mode JVP ``_jvp_batch``, and the central difference that
+    ``_gnh_hvp(fd_delta=...)`` takes in its place, seen through the HVP."""
+
     def test_zero_direction(self):
         theta = rand_theta(MLP_TANH, 11)
-        x = SeededRng(110).normal(5)
-        assert np.allclose(logit_jvp(MLP_TANH, theta, x, np.zeros(MLP_TANH.n_params)), 0.0)
+        _, caches = _forward(MLP_TANH, theta.values, SeededRng(110).normal(15).reshape(3, 5))
+        assert np.allclose(_jvp_batch(MLP_TANH, theta.values, np.zeros(MLP_TANH.n_params), caches), 0.0)
 
     def test_linear_model_fd_is_exact(self):
         # logits are affine in theta, so central differences are exact at any step
         theta = rand_theta(LINEAR, 12)
         rng = SeededRng(120)
-        x, u = rng.normal(4), rng.normal(LINEAR.n_params)
-        exact = logit_jvp(LINEAR, theta, x, u, mode="exact")
+        X, u = rng.normal(12).reshape(3, 4), rng.normal(LINEAR.n_params)
+        exact = _gnh_hvp(LINEAR, theta.values, X, u, None)
         for delta in (0.01, 0.5):
-            fd = logit_jvp(LINEAR, theta, x, u, mode="fd", delta=delta)
+            fd = _gnh_hvp(LINEAR, theta.values, X, u, delta)
             assert np.allclose(fd, exact, atol=1e-10)
 
     def test_tanh_second_order_decay(self):
@@ -208,9 +227,9 @@ class TestLogitJvp:
         x = rng.normal(5)
         u = rng.normal(MLP_TANH.n_params)
         u /= np.linalg.norm(u)
-        exact = logit_jvp(MLP_TANH, theta, x, u, mode="exact")
-        err_2 = np.linalg.norm(logit_jvp(MLP_TANH, theta, x, u, mode="fd", delta=0.02) - exact)
-        err_1 = np.linalg.norm(logit_jvp(MLP_TANH, theta, x, u, mode="fd", delta=0.01) - exact)
+        exact = _gnh_hvp(MLP_TANH, theta.values, x[None, :], u, None)
+        err_2 = np.linalg.norm(_gnh_hvp(MLP_TANH, theta.values, x[None, :], u, 0.02) - exact)
+        err_1 = np.linalg.norm(_gnh_hvp(MLP_TANH, theta.values, x[None, :], u, 0.01) - exact)
         assert err_1 <= err_2 * 0.25 * 1.2
 
     def test_exact_matches_tight_fd(self):
@@ -219,28 +238,30 @@ class TestLogitJvp:
         x = rng.normal(5)
         for _ in range(5):
             u = rng.normal(MLP_TANH.n_params)
-            exact = logit_jvp(MLP_TANH, theta, x, u, mode="exact")
-            fd = logit_jvp(MLP_TANH, theta, x, u, mode="fd", delta=1e-5)
+            exact = _gnh_hvp(MLP_TANH, theta.values, x[None, :], u, None)
+            fd = _gnh_hvp(MLP_TANH, theta.values, x[None, :], u, 1e-5)
             assert np.allclose(fd, exact, rtol=1e-6, atol=1e-8)
 
     def test_linearity_in_direction(self):
         theta = rand_theta(MLP_TANH, 15)
         rng = SeededRng(150)
-        x = rng.normal(5)
+        _, caches = _forward(MLP_TANH, theta.values, rng.normal(15).reshape(3, 5))
         u, v = rng.normal(MLP_TANH.n_params), rng.normal(MLP_TANH.n_params)
-        lhs = logit_jvp(MLP_TANH, theta, x, 2.0 * u + v)
-        rhs = 2.0 * logit_jvp(MLP_TANH, theta, x, u) + logit_jvp(MLP_TANH, theta, x, v)
+
+        def jvp(direction):
+            return _jvp_batch(MLP_TANH, theta.values, direction, caches)
+
+        lhs = jvp(2.0 * u + v)
+        rhs = 2.0 * jvp(u) + jvp(v)
         assert np.allclose(lhs, rhs, atol=1e-10 * (np.linalg.norm(u) + np.linalg.norm(v)))
 
-    def test_bad_mode_rejected(self):
-        theta = rand_theta(LINEAR, 16)
-        with pytest.raises(ValueError):
-            logit_jvp(LINEAR, theta, np.ones(4), np.ones(LINEAR.n_params), mode="spectral")
-
     def test_nonpositive_delta_rejected(self):
+        # the central-difference step is validated where it is set
         theta = rand_theta(LINEAR, 17)
-        with pytest.raises(ValueError):
-            logit_jvp(LINEAR, theta, np.ones(4), np.ones(LINEAR.n_params), mode="fd", delta=0.0)
+        data = make_blobs(SeededRng(170), 8, 4, 3)
+        for delta in (0.0, -0.01, float("nan")):
+            with pytest.raises(ValueError):
+                GnhOperator(LINEAR, theta, data, fd_delta=delta)
 
 
 class TestData:

@@ -14,19 +14,21 @@ from lissakit.models import (
     init_params,
     loss_gradient,
     make_blobs,
+    _forward,
 )
 from lissakit.models import test_gradient as measurement_gradient
 from lissakit.pbrf import (
     InfluenceComparison,
     PboConfig,
     PbrfResult,
-    bregman_divergence,
     classify_agreement,
     compare_influences,
     pbo_gradient,
     pbo_objective,
     pbrf_finetune,
     pbrf_influence,
+    _batch_bregman_mean,
+    _bregman_gaps,
 )
 
 
@@ -42,20 +44,25 @@ def quad():
     return spec, theta, data, H, damp, eta
 
 
+def bregman(h, h_ref, y):
+    """Divergence of one pair of logit vectors through the per-row formula."""
+    return float(_bregman_gaps(np.array([h], dtype=float), np.array([h_ref], dtype=float), np.array([y]))[0])
+
+
 class TestBregmanDivergence:
     def test_self_divergence_zero(self):
-        h = np.array([0.3, -1.2, 0.8])
-        assert bregman_divergence(h, h, 1) == 0.0
+        h = [0.3, -1.2, 0.8]
+        assert bregman(h, h, 1) == 0.0
 
     def test_two_class_hand_value(self):
-        got = bregman_divergence(np.array([1.0, -1.0]), np.zeros(2), 0)
+        got = bregman([1.0, -1.0], [0.0, 0.0], 0)
         want = math.log1p(math.exp(-2.0)) - math.log(2.0) + 1.0
         assert got == pytest.approx(want, abs=1e-12)
         assert got == pytest.approx(0.433781, abs=1e-6)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            bregman_divergence(np.zeros(3), np.zeros(2), 0)
+            _bregman_gaps(np.zeros((1, 3)), np.zeros((1, 2)), np.array([0]))
 
     @given(
         st.lists(st.floats(min_value=-20, max_value=20), min_size=2, max_size=6),
@@ -67,8 +74,21 @@ class TestBregmanDivergence:
         k = min(len(h), len(h_ref))
         if y >= k:
             y = 0
-        value = bregman_divergence(np.array(h[:k]), np.array(h_ref[:k]), y)
+        value = bregman(h[:k], h_ref[:k], y)
         assert value >= -1e-12
+
+    def test_rows_are_independent(self, quad):
+        # each row's gap depends on that row alone, and the batch objective
+        # is their mean
+        spec, theta, data, H, damp, eta = quad
+        moved = theta.values + 0.1 * SeededRng(12).normal(spec.n_params)
+        X, y = data.X[:6], data.y[:6]
+        logits, _ = _forward(spec, moved, X)
+        ref_logits, _ = _forward(spec, theta.values, X)
+        gaps = _bregman_gaps(logits, ref_logits, y)
+        for b in range(6):
+            assert gaps[b] == bregman(logits[b], ref_logits[b], y[b])
+        assert _batch_bregman_mean(spec, moved, theta.values, X, y) == float(gaps.mean())
 
 
 class TestPboObjective:

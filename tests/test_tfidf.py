@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lissakit.core import SeededRng
+from lissakit.gnh import softmax_hessian
 from lissakit.tfidf import (
     BowParams,
     Corpus,
-    bow_curvature,
     bow_gradient,
     bow_inverse_hessian,
     corpus_from_text,
@@ -204,7 +204,7 @@ class TestBowInverseHessian:
 
     def test_residual_across_damping_range(self):
         params = BowParams(logits=SeededRng(6).normal(25) * 0.2)
-        H = bow_curvature(params)
+        H = softmax_hessian(params.logits)
         for lam in [1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e3]:
             M = bow_inverse_hessian(params, lam)
             residual = (H + lam * np.eye(25)) @ M - np.eye(25)
@@ -213,13 +213,13 @@ class TestBowInverseHessian:
     def test_matches_dense_solve_at_moderate_damping(self):
         params = BowParams(logits=SeededRng(7).normal(12))
         for lam in [1e-2, 1.0, 1e3]:
-            dense = np.linalg.inv(bow_curvature(params) + lam * np.eye(12))
+            dense = np.linalg.inv(softmax_hessian(params.logits) + lam * np.eye(12))
             np.testing.assert_allclose(bow_inverse_hessian(params, lam), dense, atol=1e-10)
 
     def test_large_damping_approaches_scaled_identity(self):
         params = BowParams(logits=SeededRng(8).normal(15) * 0.5)
         lam = 1e3
-        H = bow_curvature(params)
+        H = softmax_hessian(params.logits)
         gap = np.linalg.norm(lam * bow_inverse_hessian(params, lam) - np.eye(15), 2)
         assert gap <= 2 * np.linalg.norm(H, 2) / lam
 
@@ -237,7 +237,7 @@ class TestBowInverseHessian:
         params = BowParams(logits=rng.normal(size) * 0.4)
         lam = 10.0**log_lam
         M = bow_inverse_hessian(params, lam)
-        residual = (bow_curvature(params) + lam * np.eye(size)) @ M - np.eye(size)
+        residual = (softmax_hessian(params.logits) + lam * np.eye(size)) @ M - np.eye(size)
         assert np.abs(residual).max() <= 1e-10
 
 
@@ -268,7 +268,7 @@ class TestEquivalenceCheck:
         weights = tfidf_weights(corpus)
         grads = (weights.tf - params.probabilities) * corpus.doc_length
         norms = np.linalg.norm(grads, axis=1)
-        curvature_norm = np.linalg.norm(bow_curvature(params), 2)
+        curvature_norm = np.linalg.norm(softmax_hessian(params.logits), 2)
         deviations = 0
         for row in rows:
             raw = float(grads[row.doc_a] @ grads[row.doc_b])
