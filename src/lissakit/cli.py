@@ -172,7 +172,8 @@ def _build_data(run: RunContext, spec: ModelSpec, n_test: int = 0):
 def _dense_gnh(spec: ModelSpec, theta, train) -> np.ndarray:
     if spec.n_params > MAX_DENSE_PARAMS:
         raise ConfigError(
-            "model too large for the dense reference; set eta/t_steps/tolerance explicitly"
+            f"model has {spec.n_params} parameters, over the dense reference's {MAX_DENSE_PARAMS}; "
+            "only lissa (eta set, no tolerance) and pbrf-compare (eta set) run without it"
         )
     return gnh_matrix_exact(spec, theta, train)
 
@@ -187,11 +188,13 @@ def _oracle_ihvp(run: RunContext, dense_gnh: np.ndarray, g: np.ndarray) -> np.nd
         ) from exc
 
 
-def _solver_settings(run: RunContext, dense_gnh: np.ndarray):
-    """eta and t_steps from config, filling gaps from the dense spectrum."""
+def _solver_settings(run: RunContext, dense_gnh: np.ndarray | None):
+    """eta and t_steps from config; an omitted eta comes from the dense GNH's
+    top eigenvalue (dense_gnh is None when eta is set), an omitted t_steps from eta."""
     cfg = run.cfg
-    lambda_max = float(sym_eig(dense_gnh)[0][0])
-    eta = cfg.eta if cfg.eta is not None else step_size(lambda_max, cfg.lambda_damp)
+    eta = cfg.eta
+    if eta is None:
+        eta = step_size(float(sym_eig(dense_gnh)[0][0]), cfg.lambda_damp)
     t_steps = cfg.t_steps
     if t_steps is None:
         t_steps = step_count(eta, cfg.lambda_damp, cfg.t_multiplier)
@@ -301,12 +304,9 @@ def cmd_lissa(run: RunContext) -> None:
     g = -loss_gradient(spec, theta, train[cfg.train_index]).values
 
     dense = None
-    if cfg.eta is None or cfg.t_steps is None or cfg.tolerance is not None:
+    if cfg.eta is None or cfg.tolerance is not None:
         dense = _dense_gnh(spec, theta, train)
-    if cfg.eta is None or cfg.t_steps is None:
-        eta, t_steps = _solver_settings(run, dense)
-    else:
-        eta, t_steps = cfg.eta, cfg.t_steps
+    eta, t_steps = _solver_settings(run, dense)
 
     op = _stochastic_operator(run, spec, theta, train, cfg.batch_size)
     lcfg = LissaConfig(
@@ -386,7 +386,7 @@ def cmd_pbrf_compare(run: RunContext) -> None:
     if cfg.n_train > len(train):
         raise ConfigError("n_train exceeds the training set")
 
-    dense = _dense_gnh(spec, theta, train)
+    dense = _dense_gnh(spec, theta, train) if cfg.eta is None else None
     eta, t_steps = _solver_settings(run, dense)
     batch_size = cfg.batch_size if cfg.batch_size is not None else 32
     lr = cfg.pbrf_lr if cfg.pbrf_lr is not None else eta
@@ -545,6 +545,8 @@ def cmd_tfidf_check(run: RunContext) -> None:
             corpus, _ = corpus_from_text(text)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if corpus.vocab_size < 2:
+            raise ConfigError(f"corpus {cfg.corpus_path!r} needs at least two distinct terms")
         counts = corpus.counts().sum(axis=0)
         p = (counts + 1.0) / (counts.sum() + corpus.vocab_size)
     else:
@@ -584,9 +586,9 @@ def cmd_similarity(run: RunContext) -> None:
     labels = [ex.id for ex in examples]
 
     dense = _dense_gnh(spec, theta, train)
-    solver = lambda v: _oracle_ihvp(run, dense, v)
-    gradient_sim = similarity_matrix(grads, kind="gradient", labels=labels)
-    influence_sim = similarity_matrix(grads, kind="influence", ihvp_solver=solver, labels=labels)
+    solver = lambda block: _oracle_ihvp(run, dense, block)
+    gradient_sim = similarity_matrix(grads, labels=labels)
+    influence_sim = similarity_matrix(grads, solver, labels=labels)
 
     def matrix_rows(values):
         return [(labels[i], *values[i]) for i in range(len(labels))]

@@ -51,12 +51,13 @@ class SimilarityMatrix:
             raise ValueError("diagonal must be 1")
 
 
-def similarity_matrix(grads, kind: str, ihvp_solver=None, labels=None) -> SimilarityMatrix:
+def similarity_matrix(grads, ihvp_solver=None, labels=None) -> SimilarityMatrix:
     """Pairwise similarity between gradient vectors.
 
-    kind="gradient" is plain cosine similarity.  kind="influence" whitens
-    through a damped inverse-curvature solve: each item is solved once
-    (n solves, not n^2), pair scores are symmetrized, and everything is
+    Without a solver this is plain cosine similarity.  With one it whitens
+    through a damped inverse-curvature solve: ``ihvp_solver`` gets the
+    (n_params, n_items) block of gradients and returns the block of solved
+    columns in one call, pair scores are symmetrized, and everything is
     normalized by the self-scores, so output is invariant to positive
     rescaling of any input gradient.
     """
@@ -72,16 +73,11 @@ def similarity_matrix(grads, kind: str, ihvp_solver=None, labels=None) -> Simila
         labels = list(range(n))
 
     G = np.vstack(vectors)
-    if kind == "gradient":
+    if ihvp_solver is None:
         inner = G @ G.T
-    elif kind == "influence":
-        if ihvp_solver is None:
-            raise ValueError("influence similarity needs an ihvp solver")
-        solved = np.vstack([_vector(ihvp_solver(v)) for v in vectors])
-        raw = G @ solved.T
-        inner = 0.5 * (raw + raw.T)
     else:
-        raise ValueError(f"unknown similarity kind {kind!r}")
+        raw = G @ np.asarray(ihvp_solver(G.T), dtype=np.float64)
+        inner = 0.5 * (raw + raw.T)
 
     self_scores = np.diag(inner)
     if np.any(self_scores <= 0):
@@ -90,25 +86,22 @@ def similarity_matrix(grads, kind: str, ihvp_solver=None, labels=None) -> Simila
     values = inner / np.outer(scale, scale)
     np.fill_diagonal(values, 1.0)
     values = 0.5 * (values + values.T)
+    kind = "gradient" if ihvp_solver is None else "influence"
     return SimilarityMatrix(values=values, labels=list(labels), kind=kind)
 
 
 def _damped_eigen(g, H: np.ndarray, lambda_damp: float):
-    """(eigenvalue, <g, v_j>, weight) rows of H's eigenbasis, descending, and
-    the eigenvector columns; one symmetry check and one eigendecomposition."""
+    """H's descending eigenvalues, the coefficients <g, v_j>, the weights
+    lambda/(eigenvalue + lambda) and the eigenvectors; one check, one eigh."""
     if lambda_damp < 0:
         raise ValueError("damping must be non-negative")
     g = _vector(g)
     eigenvalues, vectors = sym_eig(H)
     if g.size != vectors.shape[0]:
         raise ValueError("gradient does not match the matrix")
-    coefficients = vectors.T @ g
-    rows = []
-    for lam, coeff in zip(eigenvalues, coefficients):
-        denom = lam + lambda_damp
-        weight = lambda_damp / denom if denom > 0 else 1.0
-        rows.append((float(lam), float(coeff), float(weight)))
-    return rows, vectors
+    denom = eigenvalues + lambda_damp
+    weights = np.divide(lambda_damp, denom, out=np.ones_like(denom), where=denom > 0)
+    return eigenvalues, vectors.T @ g, weights, vectors
 
 
 def eigen_reweight(g, H: np.ndarray, lambda_damp: float) -> list[tuple[float, float, float]]:
@@ -119,7 +112,8 @@ def eigen_reweight(g, H: np.ndarray, lambda_damp: float) -> list[tuple[float, fl
     shrinks that coordinate of g: near zero for eigenvalues far above the
     damping, approaching one for flat directions.
     """
-    return _damped_eigen(g, H, lambda_damp)[0]
+    eigenvalues, coefficients, weights, _ = _damped_eigen(g, H, lambda_damp)
+    return list(zip(eigenvalues.tolist(), coefficients.tolist(), weights.tolist()))
 
 
 def eigen_reweight_reconstruction(g, H: np.ndarray, lambda_damp: float) -> np.ndarray:
@@ -128,6 +122,5 @@ def eigen_reweight_reconstruction(g, H: np.ndarray, lambda_damp: float) -> np.nd
     Equals lambda (H + lambda)^-1 g, the part of the gradient that survives
     the solve after the high-curvature directions are suppressed.
     """
-    rows, vectors = _damped_eigen(g, H, lambda_damp)
-    shrunk = np.array([coeff * weight for _, coeff, weight in rows])
-    return vectors @ shrunk
+    _, coefficients, weights, vectors = _damped_eigen(g, H, lambda_damp)
+    return vectors @ (coefficients * weights)

@@ -117,23 +117,24 @@ def lissa_solve(op, g, cfg: LissaConfig):
 def exact_ihvp(H: np.ndarray, lambda_damp: float, g) -> np.ndarray:
     """Dense oracle: solve (H + lambda I) u = g to residual <= 1e-10 ||g||.
 
-    One round of iterative refinement backs the guarantee; a system the
-    refinement cannot pin down (singular at lambda = 0) raises.
+    ``g`` is a vector, a ParamVector or an (n, k) block solved in one call,
+    each column to its own bound; the result is an array of g's shape.  One
+    refinement round backs the guarantee; a singular system raises.
     """
     H = np.asarray(H, dtype=np.float64)
     check_symmetric(H)
-    g_values = _vector(g)
-    if g_values.size != H.shape[0]:
+    rhs = np.asarray(g.values if isinstance(g, ParamVector) else g, dtype=np.float64)
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != H.shape[0]:
         raise ValueError("gradient does not match the matrix")
-    system = H + lambda_damp * np.eye(H.shape[0])
-    u = np.linalg.solve(system, g_values)
-    u = u + np.linalg.solve(system, g_values - system @ u)
-    residual = float(np.linalg.norm(g_values - system @ u))
-    if residual > 1e-10 * float(np.linalg.norm(g_values)):
-        raise np.linalg.LinAlgError(
-            f"system too ill-conditioned: residual {residual:.3e}"
-        )
-    return u
+    block = rhs.reshape(rhs.shape[0], -1)
+    system = H.copy()
+    system[np.diag_indices_from(system)] += lambda_damp
+    u = np.linalg.solve(system, block)
+    u = u + np.linalg.solve(system, block - system @ u)
+    residual = np.linalg.norm(block - system @ u, axis=0)
+    if np.any(residual > 1e-10 * np.linalg.norm(block, axis=0)):
+        raise np.linalg.LinAlgError(f"system too ill-conditioned: residual {residual.max():.3e}")
+    return u.reshape(rhs.shape)
 
 
 def convergence_correlation(trace: LissaTrace, test_grads, reference=None):

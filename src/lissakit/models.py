@@ -305,4 +305,7 @@ def load_dataset_csv(path: str) -> Dataset:
                 raise ValueError("row width does not match header")
             rows.append([float(v) for v in parts[:dim]])
             labels.append(int(parts[dim]))
-    return Dataset(X=np.array(rows, dtype=np.float64), y=np.array(labels, dtype=np.int64))
+    X = np.array(rows, dtype=np.float64)
+    if not np.all(np.isfinite(X)):
+        raise ValueError("dataset features must be finite")
+    return Dataset(X=X, y=np.array(labels, dtype=np.int64))

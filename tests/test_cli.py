@@ -1,5 +1,7 @@
 """Tests for the config parser and the command-line harness."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,8 @@ class TestExitCodes:
             # sketch columns: d summed, d per layer concatenated
             ("stats", TINY_MLP_CFG + "sketch_dim = 2001\n"),
             ("stats", TINY_MLP_CFG + "sketch_dim = 1001\nsketch_layout = concatenated\n"),
+            # a one-term corpus has no second term to compare against
+            ("tfidf-check", f"corpus_path = {write(tmp_path, 'one_term.txt', 'a')}\n"),
         )
         for i, (command, text) in enumerate(cases):
             code, _ = run_cli(tmp_path, command, text, name=f"run{i}")
@@ -268,7 +272,29 @@ class TestExitCodes:
         text = "model_kind = mlp\nlayer_sizes = 16, 128, 10\nbatch_size = 8\nt_steps = 5\n"
         code, _ = run_cli(tmp_path, "lissa", text)
         assert code == 2
-        assert "set eta/t_steps/tolerance explicitly" in capsys.readouterr().err
+        assert "only lissa (eta set, no tolerance)" in capsys.readouterr().err
+
+    def test_large_model_with_eta_derives_t_steps_without_dense_gnh(self, tmp_path):
+        # 2442 parameters, over the dense limit: T = ceil(mult / (lambda eta)) needs no spectrum
+        text = (
+            "model_kind = mlp\nlayer_sizes = 16, 128, 10\nn_examples = 64\nbatch_size = 8\n"
+            "eta = 0.2\nlambda_damp = 0.5\nt_multiplier = 2\n"
+        )
+        code, out = run_cli(tmp_path, "lissa", text)
+        assert code == 0
+        rows = (out / "lissa_trace.csv").read_text().splitlines()[1:]
+        assert len(rows) == math.ceil(2 / (0.5 * 0.2)) + 1
+
+    def test_pbrf_compare_with_eta_builds_no_dense_gnh(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense GNH built although eta is set")
+
+        monkeypatch.setattr("lissakit.cli.gnh_matrix_exact", refuse)
+        text = QUAD_CFG.replace("t_steps = 400", "t_steps = 5")
+        text += "eta = 0.2\nn_train = 2\nn_test = 5\n"
+        code, out = run_cli(tmp_path, "pbrf-compare", text)
+        assert code == 0
+        assert (out / "pbrf_summary.csv").exists()
 
 
 class TestArtifacts:
@@ -399,3 +425,24 @@ class TestArtifacts:
         )
         code, _ = run_cli(tmp_path, "lissa", cfg_text)
         assert code == 2
+
+    @pytest.mark.parametrize("feature", ["nan", "1e400"])
+    def test_non_finite_feature_is_two(self, tmp_path, capsys, feature):
+        from lissakit.core import SeededRng
+        from lissakit.models import make_blobs, save_dataset_csv
+
+        path = tmp_path / "data.csv"
+        save_dataset_csv(make_blobs(SeededRng(5), 16, 10, 4), str(path))
+        lines = path.read_text().splitlines()
+        cells = lines[4].split(",")
+        cells[2] = feature
+        lines[4] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        cfg_text = (
+            f"model_kind = softmax-linear\nlayer_sizes = 10, 4\ndataset_path = {path}\n"
+            "lambda_damp = 0.5\nbatch_size = 4\nt_steps = 5\n"
+        )
+        for command in ("stats", "lissa"):
+            code, _ = run_cli(tmp_path, command, cfg_text, name=command)
+            assert code == 2, command
+            assert "features must be finite" in capsys.readouterr().err, command

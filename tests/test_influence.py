@@ -58,18 +58,18 @@ class TestInfluenceScore:
 class TestGradientSimilarity:
     def test_orthogonal_vectors(self):
         grads = [np.array([1.0, 0.0]), np.array([0.0, 2.0])]
-        sim = similarity_matrix(grads, kind="gradient")
+        sim = similarity_matrix(grads)
         assert sim.values == pytest.approx(np.eye(2))
 
     def test_known_cosine(self):
         grads = [np.array([1.0, 0.0]), np.array([1.0, 1.0])]
-        sim = similarity_matrix(grads, kind="gradient")
+        sim = similarity_matrix(grads)
         assert sim.values[0, 1] == pytest.approx(1 / np.sqrt(2))
 
     def test_matches_pairwise_cosine(self):
         rng = SeededRng(11)
         grads = [rng.normal(8) for _ in range(5)]
-        sim = similarity_matrix(grads, kind="gradient")
+        sim = similarity_matrix(grads)
         for i in range(5):
             for j in range(5):
                 assert sim.values[i, j] == pytest.approx(cosine(grads[i], grads[j]), abs=1e-12)
@@ -78,47 +78,37 @@ class TestGradientSimilarity:
         rng = SeededRng(12)
         grads = [rng.normal(6) for _ in range(4)]
         scaled = [g * s for g, s in zip(grads, [0.01, 5.0, 300.0, 1.0])]
-        a = similarity_matrix(grads, kind="gradient")
-        b = similarity_matrix(scaled, kind="gradient")
+        a = similarity_matrix(grads)
+        b = similarity_matrix(scaled)
         np.testing.assert_allclose(a.values, b.values, atol=1e-12)
 
     def test_zero_gradient_rejected(self):
         with pytest.raises(ValueError, match="zero-norm"):
-            similarity_matrix([np.ones(3), np.zeros(3)], kind="gradient")
+            similarity_matrix([np.ones(3), np.zeros(3)])
 
     def test_single_gradient_rejected(self):
         with pytest.raises(ValueError):
-            similarity_matrix([np.ones(3)], kind="gradient")
+            similarity_matrix([np.ones(3)])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            similarity_matrix([np.ones(3), np.ones(4)], kind="gradient")
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            similarity_matrix([np.ones(3), np.ones(3)], kind="euclidean")
+            similarity_matrix([np.ones(3), np.ones(4)])
 
     def test_default_labels(self):
-        sim = similarity_matrix([np.ones(2), np.array([1.0, -1.0])], kind="gradient")
+        sim = similarity_matrix([np.ones(2), np.array([1.0, -1.0])])
         assert sim.labels == [0, 1]
 
     def test_custom_labels(self):
-        sim = similarity_matrix(
-            [np.ones(2), np.array([1.0, -1.0])], kind="gradient", labels=["a", "b"]
-        )
+        sim = similarity_matrix([np.ones(2), np.array([1.0, -1.0])], labels=["a", "b"])
         assert sim.labels == ["a", "b"]
 
 
 class TestInfluenceSimilarity:
-    def test_solver_required(self):
-        with pytest.raises(ValueError, match="solver"):
-            similarity_matrix([np.ones(2), np.ones(2)], kind="influence")
-
     def test_identity_solver_reduces_to_cosine(self):
         rng = SeededRng(4)
         grads = [rng.normal(7) for _ in range(4)]
-        plain = similarity_matrix(grads, kind="gradient")
-        ident = similarity_matrix(grads, kind="influence", ihvp_solver=lambda v: v)
+        plain = similarity_matrix(grads)
+        ident = similarity_matrix(grads, ihvp_solver=lambda v: v)
         np.testing.assert_allclose(plain.values, ident.values, atol=1e-12)
 
     def test_symmetric_and_unit_diagonal(self):
@@ -126,9 +116,7 @@ class TestInfluenceSimilarity:
         damp = 0.3
         rng = SeededRng(5)
         grads = [rng.normal(10) for _ in range(6)]
-        sim = similarity_matrix(
-            grads, kind="influence", ihvp_solver=lambda v: exact_ihvp(H, damp, v)
-        )
+        sim = similarity_matrix(grads, ihvp_solver=lambda v: exact_ihvp(H, damp, v))
         assert np.abs(sim.values - sim.values.T).max() <= 1e-9
         assert np.abs(np.diag(sim.values) - 1.0).max() <= 1e-9
 
@@ -140,9 +128,7 @@ class TestInfluenceSimilarity:
         whiten = vectors @ np.diag((eigenvalues + damp) ** -0.5) @ vectors.T
         rng = SeededRng(6)
         grads = [rng.normal(9) for _ in range(5)]
-        sim = similarity_matrix(
-            grads, kind="influence", ihvp_solver=lambda v: exact_ihvp(H, damp, v)
-        )
+        sim = similarity_matrix(grads, ihvp_solver=lambda v: exact_ihvp(H, damp, v))
         for i in range(5):
             for j in range(5):
                 expected = cosine(whiten @ grads[i], whiten @ grads[j])
@@ -154,8 +140,8 @@ class TestInfluenceSimilarity:
         rng = SeededRng(7)
         grads = [rng.normal(8) for _ in range(4)]
         scaled = [g * s for g, s in zip(grads, [10.0, 0.5, 2.0, 7.0])]
-        a = similarity_matrix(grads, kind="influence", ihvp_solver=solver)
-        b = similarity_matrix(scaled, kind="influence", ihvp_solver=solver)
+        a = similarity_matrix(grads, ihvp_solver=solver)
+        b = similarity_matrix(scaled, ihvp_solver=solver)
         np.testing.assert_allclose(a.values, b.values, atol=1e-10)
 
     def test_near_duplicates_beat_median_pair(self):
@@ -174,8 +160,8 @@ class TestInfluenceSimilarity:
         grads.append(grads[0] + 1e-3 * rng.normal(n))
 
         solver = lambda v: exact_ihvp(H, damp, v)
-        infl = similarity_matrix(grads, kind="influence", ihvp_solver=solver)
-        grad = similarity_matrix(grads, kind="gradient")
+        infl = similarity_matrix(grads, ihvp_solver=solver)
+        grad = similarity_matrix(grads)
 
         off = ~np.eye(len(grads), dtype=bool)
         pair = infl.values[0, -1]
@@ -184,10 +170,24 @@ class TestInfluenceSimilarity:
         # unrelated pairs decorrelate after whitening but not before
         assert np.median(infl.values[off]) < np.median(grad.values[off])
 
+    def test_solver_called_once_on_the_whole_block(self):
+        H = random_psd(10, seed=24)
+        grads = [SeededRng(9).normal(10) * k for k in range(1, 6)]
+        shapes = []
+
+        def solver(block):
+            shapes.append(block.shape)
+            return exact_ihvp(H, 0.4, block)
+
+        sim = similarity_matrix(grads, ihvp_solver=solver)
+        assert shapes == [(10, 5)]
+        assert sim.kind == "influence"
+        assert similarity_matrix(grads).kind == "gradient"
+
     def test_non_positive_self_score_rejected(self):
         grads = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         with pytest.raises(ValueError, match="self-similarity"):
-            similarity_matrix(grads, kind="influence", ihvp_solver=lambda v: -v)
+            similarity_matrix(grads, ihvp_solver=lambda v: -v)
 
 
 class TestSimilarityMatrixType:

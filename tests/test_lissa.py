@@ -67,6 +67,28 @@ class TestExactIhvp:
         u = exact_ihvp(np.eye(3), 0.5, np.zeros(3))
         assert np.array_equal(u, np.zeros(3))
 
+    def test_block_matches_column_solves(self):
+        _, _, _, H, _ = toy_problem()
+        G = SeededRng(8).normal(H.shape[0] * 6).reshape(H.shape[0], 6)
+        U = exact_ihvp(H, 0.3, G)
+        assert U.shape == G.shape
+        for j in range(G.shape[1]):
+            u = exact_ihvp(H, 0.3, G[:, j])
+            assert np.linalg.norm(U[:, j] - u) <= 1e-13 * np.linalg.norm(u)
+
+    def test_one_column_block_is_bit_identical_to_vector(self):
+        spec, _, _, H, g = toy_problem()
+        u = exact_ihvp(H, 0.3, g)
+        column = exact_ihvp(H, 0.3, g[:, None])
+        assert column.shape == (g.size, 1)
+        assert np.array_equal(column[:, 0], u)
+        assert np.array_equal(exact_ihvp(H, 0.3, ParamVector(g, spec.segments)), u)
+
+    def test_bad_gradient_shape_rejected(self):
+        for g in (np.ones((3, 1, 1)), np.ones((4, 2)), np.ones(4)):
+            with pytest.raises(ValueError, match="does not match"):
+                exact_ihvp(np.eye(3), 1.0, g)
+
     @given(st.integers(min_value=2, max_value=10), st.floats(min_value=0.1, max_value=5.0))
     @settings(max_examples=30, deadline=None)
     def test_property_residual(self, n, damp):
