@@ -60,6 +60,9 @@ from .spectral import (
 from .tfidf import BowParams, corpus_from_text, sample_corpus, tfidf_equivalence_check
 
 MANIFEST_FORMAT = "lissakit-run-1"
+# Largest solver step count a command accepts: the solve keeps one iterate
+# norm per step and lissa writes one trace row per step.
+MAX_T_STEPS = 1_000_000
 
 
 class OracleMismatchError(RuntimeError):
@@ -190,16 +193,25 @@ def _oracle_ihvp(run: RunContext, dense_gnh: np.ndarray, g: np.ndarray) -> np.nd
 
 def _solver_settings(run: RunContext, dense_gnh: np.ndarray | None):
     """eta and t_steps from config; an omitted eta comes from the dense GNH's
-    top eigenvalue (dense_gnh is None when eta is set), an omitted t_steps from eta."""
+    top eigenvalue (dense_gnh is None when eta is set), an omitted t_steps from
+    eta.  A t_steps, given or derived, over MAX_T_STEPS is a config error."""
     cfg = run.cfg
     eta = cfg.eta
     if eta is None:
         eta = step_size(float(sym_eig(dense_gnh)[0][0]), cfg.lambda_damp)
     t_steps = cfg.t_steps
     if t_steps is None:
-        t_steps = step_count(eta, cfg.lambda_damp, cfg.t_multiplier)
+        try:
+            t_steps = step_count(eta, cfg.lambda_damp, cfg.t_multiplier)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if t_steps is None:
             raise ConfigError("t_steps must be given when lambda_damp is 0")
+    if t_steps > MAX_T_STEPS:
+        raise ConfigError(
+            f"t_steps = {t_steps} is over the limit of {MAX_T_STEPS}; "
+            "set a smaller t_steps, or raise eta or lambda_damp"
+        )
     return eta, t_steps
 
 
@@ -236,7 +248,10 @@ def cmd_stats(run: RunContext) -> None:
         frobenius_sq_per_param=frob,
         lambda_max=lambda_top,
     )
-    hp = recommend_hyperparams(stats, cfg.lambda_damp, cfg.c_const, cfg.t_multiplier)
+    try:
+        hp = recommend_hyperparams(stats, cfg.lambda_damp, cfg.c_const, cfg.t_multiplier)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     trace_total = trace.mean * op.n_params
     frob_norm = math.sqrt(max(frob.mean, 0.0) * op.n_params)
     run.emit_csv(

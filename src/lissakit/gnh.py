@@ -7,11 +7,18 @@ semi-definite at every parameter point, which is what makes it usable as the
 metric for influence computations.  The operator below averages per-example
 contributions either over the full dataset (deterministic) or over fresh
 i.i.d. batches drawn with replacement (one new batch per matrix-vector call).
+
+An HVP splits into a linearization that depends only on (theta, X) -- each
+layer's input, each hidden layer's activation derivative and the softmax
+probabilities -- and a sweep along v that reads it.  The full-batch operator
+linearizes once at construction, so theta and the dataset must not be mutated
+afterwards; the mini-batch operator linearizes each drawn batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,12 +27,12 @@ from .models import (
     Dataset,
     ModelSpec,
     ParamVector,
+    _act_derivs,
     _backprop,
     _forward,
     _jvp_batch,
     _softmax,
     _unpack,
-    _act_deriv,
 )
 
 MAX_DENSE_PARAMS = 2000
@@ -67,33 +74,53 @@ def _softmax_hessian_apply(p: np.ndarray, t: np.ndarray) -> np.ndarray:
     return p * t - p * np.sum(p * t, axis=1, keepdims=True)
 
 
-def _gnh_hvp(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, v: np.ndarray, fd_delta: float | None) -> np.ndarray:
-    """Gauss-Newton HVP averaged over the rows of X: mean_b J_b^T S_b J_b v.
+class _Linearization(NamedTuple):
+    """The v-independent part of a GNH HVP at (theta, X): ``caches`` holds each
+    layer's input (``caches[0]`` is X), ``derivs`` each hidden layer's
+    activation derivative and ``p`` the softmax probabilities."""
+
+    theta: np.ndarray
+    caches: list
+    derivs: list
+    p: np.ndarray
+
+
+def _linearize(spec: ModelSpec, theta: np.ndarray, X: np.ndarray) -> _Linearization:
+    """One forward pass at (theta, X) and what every HVP there reads from it."""
+    h, caches = _forward(spec, theta, X)
+    return _Linearization(theta, caches, _act_derivs(spec, caches), _softmax(h))
+
+
+def _gnh_hvp(spec: ModelSpec, lin: _Linearization, v: np.ndarray, fd_delta: float | None) -> np.ndarray:
+    """Gauss-Newton HVP averaged over the linearized rows: mean_b J_b^T S_b J_b v.
 
     ``fd_delta=None`` takes J v in one forward-mode sweep.  A float takes the
     central difference (h(theta + fd_delta v) - h(theta - fd_delta v)) /
-    (2 fd_delta) instead, at two more forward passes; the softmax factor S and
-    the backward sweep still use the unperturbed parameters.
+    (2 fd_delta) instead, at two forward passes per call; the softmax factor S
+    and the backward sweep still use the linearization.
     """
-    h, caches = _forward(spec, theta, X)
+    X = lin.caches[0]
     if fd_delta is None:
-        t = _jvp_batch(spec, theta, v, caches)
+        t = _jvp_batch(spec, lin.theta, v, lin.caches, lin.derivs)
     else:
-        h_plus, _ = _forward(spec, theta + fd_delta * v, X)
-        h_minus, _ = _forward(spec, theta - fd_delta * v, X)
+        h_plus, _ = _forward(spec, lin.theta + fd_delta * v, X)
+        h_minus, _ = _forward(spec, lin.theta - fd_delta * v, X)
         t = (h_plus - h_minus) / (2.0 * fd_delta)
-    w = _softmax_hessian_apply(_softmax(h), t)
-    return _backprop(spec, theta, w / X.shape[0], caches)
+    w = _softmax_hessian_apply(lin.p, t)
+    return _backprop(spec, lin.theta, w / X.shape[0], lin.caches, lin.derivs)
 
 
 class GnhOperator:
     """Stochastic (or full-dataset) Gauss-Newton Hessian-vector products.
 
     With ``batch_size=None`` every call uses the whole dataset and the
-    operator is deterministic.  Otherwise each ``matvec`` draws a fresh
-    i.i.d. batch from ``rng``, so repeated calls see independent curvature
-    estimates whose mean is the full-dataset operator.  ``fd_delta`` switches
-    the Jacobian-vector product from forward mode to central differences.
+    operator is deterministic: it linearizes once, at construction, so each
+    ``matvec`` costs one JVP and one backward sweep, and ``theta`` and
+    ``dataset`` must not be mutated afterwards.  Otherwise each ``matvec``
+    draws a fresh i.i.d. batch from ``rng`` and linearizes it, so repeated
+    calls see independent curvature estimates whose mean is the full-dataset
+    operator.  ``fd_delta`` switches the Jacobian-vector product from forward
+    mode to central differences.
     """
 
     def __init__(
@@ -122,15 +149,19 @@ class GnhOperator:
         self.fd_delta = fd_delta
         self.n_params = spec.n_params
         self.segments = spec.segments
+        self._full_lin = _linearize(spec, theta.values, dataset.X) if batch_size is None else None
 
     def reseeded(self, seed: int) -> "GnhOperator":
-        """Copy of this operator with its batch stream reset to ``seed``."""
+        """Copy of this operator with its batch stream reset to ``seed``; the
+        full-batch operator has no batch stream and returns itself."""
+        if self.batch_size is None:
+            return self
         return GnhOperator(
             self.spec,
             self.theta,
             self.dataset,
             batch_size=self.batch_size,
-            rng=None if self.batch_size is None else SeededRng(seed),
+            rng=SeededRng(seed),
             fd_delta=self.fd_delta,
         )
 
@@ -138,23 +169,22 @@ class GnhOperator:
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.n_params,):
             raise ValueError(f"expected vector of length {self.n_params}")
-        if self.batch_size is None:
-            X = self.dataset.X
-        else:
+        lin = self._full_lin
+        if lin is None:
             X = sample_batch(self.dataset, self.batch_size, self.rng).X
-        return _gnh_hvp(self.spec, self.theta.values, X, v, self.fd_delta)
+            lin = _linearize(self.spec, self.theta.values, X)
+        return _gnh_hvp(self.spec, lin, v, self.fd_delta)
 
 
-def _logit_jacobians(spec: ModelSpec, theta: np.ndarray, caches) -> np.ndarray:
-    """Per-example logit Jacobians, shape (B, K, n_params), from the caches of
-    one forward pass."""
-    layers = _unpack(spec, theta)
-    B, K = caches[0].shape[0], spec.n_classes
+def _logit_jacobians(spec: ModelSpec, lin: _Linearization) -> np.ndarray:
+    """Per-example logit Jacobians, shape (B, K, n_params), at a linearization."""
+    layers = _unpack(spec, lin.theta)
+    B, K = lin.caches[0].shape[0], spec.n_classes
     jac = np.zeros((B, K, spec.n_params))
     delta = np.broadcast_to(np.eye(K), (B, K, K)).copy()
     for l in range(len(layers) - 1, -1, -1):
         w, _ = layers[l]
-        a_prev = caches[l]
+        a_prev = lin.caches[l]
         name, offset, length = spec.segments[l]
         fan_out, fan_in = w.shape
         jac[:, :, offset : offset + fan_out * fan_in] = np.einsum(
@@ -162,7 +192,7 @@ def _logit_jacobians(spec: ModelSpec, theta: np.ndarray, caches) -> np.ndarray:
         ).reshape(B, K, fan_out * fan_in)
         jac[:, :, offset + fan_out * fan_in : offset + length] = delta
         if l > 0:
-            delta = (delta @ w) * _act_deriv(spec, a_prev)[:, None, :]
+            delta = (delta @ w) * lin.derivs[l - 1][:, None, :]
     return jac
 
 
@@ -190,10 +220,9 @@ def gnh_matrix_exact(
         raise ValueError("dataset is empty")
     H = np.zeros((n, n))
     for start in range(0, len(dataset), chunk):
-        X = dataset.X[start : start + chunk]
-        h, caches = _forward(spec, theta.values, X)
-        jac = _logit_jacobians(spec, theta.values, caches)
-        factor = _softmax_hessian_factor(_softmax(h))
+        lin = _linearize(spec, theta.values, dataset.X[start : start + chunk])
+        jac = _logit_jacobians(spec, lin)
+        factor = _softmax_hessian_factor(lin.p)
         # columns of M_b = J_b^T F_b, flattened across the chunk
         m = np.einsum("bkn,bkj->bnj", jac, factor)
         flat = m.transpose(1, 0, 2).reshape(n, -1)

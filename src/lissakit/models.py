@@ -5,7 +5,12 @@ affine in the parameters, so curvature statements have closed forms) and a
 fully-connected MLP with tanh or relu hidden units.  Parameters live in a
 single flat float64 vector with per-layer segmentation so curvature code can
 address layers individually.  The batched sweeps ``_forward``, ``_jvp_batch``
-and ``_backprop`` share one cache layout: the input of each layer.
+and ``_backprop`` share one cache layout: the input of each layer.  The two
+derivative sweeps take each hidden layer's activation derivative from
+``_act_derivs`` of the same forward pass instead of recomputing it.  The
+full-batch Gauss-Newton operator runs that forward pass once, at
+construction, so the parameters and dataset it was built on must not be
+mutated afterwards.
 """
 
 from __future__ import annotations
@@ -170,6 +175,12 @@ def _act_deriv(spec: ModelSpec, a: np.ndarray) -> np.ndarray:
     return (a > 0.0).astype(np.float64)
 
 
+def _act_derivs(spec: ModelSpec, caches) -> list[np.ndarray]:
+    """Activation derivatives of one forward pass: entry l - 1 belongs to the
+    input of layer l, the output of hidden layer l - 1."""
+    return [_act_deriv(spec, a) for a in caches[1:]]
+
+
 def _forward(spec: ModelSpec, theta: np.ndarray, X: np.ndarray):
     """Batched forward pass; returns logits (B, K) and the per-layer caches,
     the input of each layer.  Each hidden layer's activation is the next input."""
@@ -183,8 +194,9 @@ def _forward(spec: ModelSpec, theta: np.ndarray, X: np.ndarray):
     return a, caches
 
 
-def _backprop(spec: ModelSpec, theta: np.ndarray, G: np.ndarray, caches) -> np.ndarray:
-    """Gradient of sum_b <G[b], logits(x_b)> with respect to theta."""
+def _backprop(spec: ModelSpec, theta: np.ndarray, G: np.ndarray, caches, derivs) -> np.ndarray:
+    """Gradient of sum_b <G[b], logits(x_b)> with respect to theta; ``derivs``
+    is ``_act_derivs`` of the same caches."""
     layers = _unpack(spec, theta)
     grad = np.zeros(spec.n_params)
     delta = G
@@ -196,12 +208,13 @@ def _backprop(spec: ModelSpec, theta: np.ndarray, G: np.ndarray, caches) -> np.n
         grad[offset : offset + fan_out * fan_in] = (delta.T @ a_prev).ravel()
         grad[offset + fan_out * fan_in : offset + length] = delta.sum(axis=0)
         if l > 0:
-            delta = (delta @ w) * _act_deriv(spec, a_prev)
+            delta = (delta @ w) * derivs[l - 1]
     return grad
 
 
-def _jvp_batch(spec: ModelSpec, theta: np.ndarray, u: np.ndarray, caches) -> np.ndarray:
-    """Directional derivative of logits along parameter direction u, batched."""
+def _jvp_batch(spec: ModelSpec, theta: np.ndarray, u: np.ndarray, caches, derivs) -> np.ndarray:
+    """Directional derivative of logits along parameter direction u, batched;
+    ``derivs`` is ``_act_derivs`` of the same caches."""
     layers = _unpack(spec, theta)
     du_layers = _unpack(spec, u)
     for l, ((w, _), (dw, db)) in enumerate(zip(layers, du_layers)):
@@ -209,7 +222,7 @@ def _jvp_batch(spec: ModelSpec, theta: np.ndarray, u: np.ndarray, caches) -> np.
         if l == 0:
             dz = a @ dw.T + db
         else:
-            da = _act_deriv(spec, a) * dz
+            da = derivs[l - 1] * dz
             dz = a @ dw.T + da @ w.T + db
     return dz
 
@@ -238,7 +251,7 @@ def loss_gradient(spec: ModelSpec, theta: ParamVector, example: Example) -> Para
     h, caches = _forward(spec, theta.values, X)
     g = _softmax(h)
     g[0, example.y] -= 1.0
-    return theta.like(_backprop(spec, theta.values, g, caches))
+    return theta.like(_backprop(spec, theta.values, g, caches, _act_derivs(spec, caches)))
 
 
 def test_gradient(spec: ModelSpec, theta: ParamVector, example: Example) -> ParamVector:

@@ -21,6 +21,7 @@ from .models import (
     Example,
     ModelSpec,
     ParamVector,
+    _act_derivs,
     _backprop,
     _forward,
     _nll_from_logits,
@@ -115,7 +116,7 @@ def pbo_gradient(
     logits, caches = _forward(spec, theta.values, batch.X)
     ref_logits, _ = _forward(spec, theta_star.values, batch.X)
     gap = (_softmax(logits) - _softmax(ref_logits)) / len(batch.y)
-    grad = _backprop(spec, theta.values, gap, caches)
+    grad = _backprop(spec, theta.values, gap, caches, _act_derivs(spec, caches))
     if cfg.epsilon:
         grad = grad + cfg.epsilon * loss_gradient(spec, theta, train_point).values
     return grad + cfg.lambda_damp * (theta.values - theta_star.values)

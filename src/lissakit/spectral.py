@@ -183,10 +183,15 @@ def step_count(eta: float, lambda_damp: float, t_multiplier: float) -> int | Non
     """T = mult/(lambda * eta) steps, a multiple of the contraction time constant.
 
     None when damping is zero: the contraction argument gives no finite count.
+    Raises ValueError when lambda * eta underflows to 0 or the count overflows.
     """
     if lambda_damp <= 0:
         return None
-    return max(1, math.ceil(t_multiplier / (lambda_damp * eta)))
+    rate = lambda_damp * eta
+    steps = t_multiplier / rate if rate > 0 else math.inf
+    if not math.isfinite(steps):
+        raise ValueError(f"eta = {eta!r} and lambda_damp = {lambda_damp!r} give no finite step count")
+    return max(1, math.ceil(steps))
 
 
 def recommend_hyperparams(

@@ -253,6 +253,17 @@ class TestExitCodes:
             ("stats", TINY_MLP_CFG + "sketch_dim = 1001\nsketch_layout = concatenated\n"),
             # a one-term corpus has no second term to compare against
             ("tfidf-check", f"corpus_path = {write(tmp_path, 'one_term.txt', 'a')}\n"),
+            # t_steps over the limit, given or derived from eta (T = 4e15)
+            ("lissa", QUAD_CFG.replace("t_steps = 400", "t_steps = 100000000000")),
+            ("lissa", QUAD_CFG.replace("t_steps = 400", "eta = 1e-15")),
+            # lambda_damp * eta underflows to 0, or T overflows: no finite step count
+            ("lissa", QUAD_CFG.replace("t_steps = 400", "eta = 5e-324")),
+            ("recommend", "trace = 1\nlambda_max = 1e308\nlambda_damp = 1e-10\n"),
+            ("stats", TINY_MLP_CFG + "lambda_damp = 1e-320\n"),
+            ("convergence", QUAD_CFG.replace("t_steps = 400", "t_steps = 100000000000")
+             + "batch_sizes = 8\nn_test = 5\n"),
+            ("pbrf-compare", QUAD_CFG.replace("t_steps = 400", "eta = 1e-15")
+             + "n_train = 2\nn_test = 5\n"),
         )
         for i, (command, text) in enumerate(cases):
             code, _ = run_cli(tmp_path, command, text, name=f"run{i}")

@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from lissakit import gnh
 from lissakit.core import MeanSe, SeededRng, sym_eig
 from lissakit.gnh import (
     Batch,
     GnhOperator,
+    _gnh_hvp,
+    _linearize,
     gnh_matrix_exact,
     sample_batch,
     softmax_hessian,
 )
+from lissakit.lissa import LissaConfig, lissa_solve
 from lissakit.models import Dataset, ModelSpec, ParamVector, init_params, make_blobs
 
 LINEAR = ModelSpec(kind="softmax-linear", layer_sizes=(4, 3))
@@ -193,6 +197,43 @@ class TestHvp:
         op = GnhOperator(LINEAR, theta, data, batch_size=5, rng=SeededRng(1))
         u = SeededRng(90).normal(LINEAR.n_params)
         assert not np.array_equal(op.matvec(u), op.matvec(u))
+
+    @pytest.mark.parametrize("fd_delta", [None, 0.01])
+    @pytest.mark.parametrize("spec", [LINEAR, MLP, DEEP_RELU])
+    def test_full_batch_matvec_matches_fresh_linearization(self, spec, fd_delta):
+        # the state built at construction is reused, never changed, by a matvec
+        theta, data = toy_fixture(spec, n=30, seed=10)
+        op = GnhOperator(spec, theta, data, fd_delta=fd_delta)
+        rng = SeededRng(100)
+        for _ in range(3):
+            u = rng.normal(spec.n_params)
+            fresh = _gnh_hvp(spec, _linearize(spec, theta.values, data.X), u, fd_delta)
+            assert np.array_equal(op.matvec(u), fresh)
+
+    def test_full_batch_operator_runs_one_forward(self, monkeypatch):
+        calls = []
+        forward = gnh._forward
+        monkeypatch.setattr(gnh, "_forward", lambda *args: calls.append(1) or forward(*args))
+        theta, data = toy_fixture(MLP, n=30, seed=11)
+        op = GnhOperator(MLP, theta, data)
+        rng = SeededRng(110)
+        for _ in range(4):
+            op.matvec(rng.normal(MLP.n_params))
+        assert op.reseeded(7) is op
+        lissa_solve(op, rng.normal(MLP.n_params), LissaConfig(eta=0.5, lambda_damp=0.1, t_steps=5))
+        assert len(calls) == 1
+
+    def test_minibatch_operator_linearizes_each_fresh_batch(self, monkeypatch):
+        batches = []
+        forward = gnh._forward
+        monkeypatch.setattr(gnh, "_forward", lambda spec, theta, X: batches.append(X) or forward(spec, theta, X))
+        theta, data = toy_fixture(MLP, n=30, seed=12)
+        op = GnhOperator(MLP, theta, data, batch_size=6, rng=SeededRng(120))
+        u = SeededRng(121).normal(MLP.n_params)
+        for _ in range(4):
+            op.matvec(u)
+        assert len(batches) == 4
+        assert all(not np.array_equal(a, b) for a, b in zip(batches, batches[1:]))
 
     def test_validation_errors(self):
         theta, data = toy_fixture(LINEAR)

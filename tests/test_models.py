@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lissakit.core import SeededRng
-from lissakit.gnh import GnhOperator, _gnh_hvp
+from lissakit.gnh import GnhOperator, _gnh_hvp, _linearize
 from lissakit.models import (
     Dataset,
     Example,
@@ -18,6 +18,7 @@ from lissakit.models import (
     save_dataset_csv,
     _act,
     _act_deriv,
+    _act_derivs,
     _forward,
     _jvp_batch,
     _softmax,
@@ -209,16 +210,18 @@ class TestLogitJvp:
     def test_zero_direction(self):
         theta = rand_theta(MLP_TANH, 11)
         _, caches = _forward(MLP_TANH, theta.values, SeededRng(110).normal(15).reshape(3, 5))
-        assert np.allclose(_jvp_batch(MLP_TANH, theta.values, np.zeros(MLP_TANH.n_params), caches), 0.0)
+        derivs = _act_derivs(MLP_TANH, caches)
+        assert np.allclose(_jvp_batch(MLP_TANH, theta.values, np.zeros(MLP_TANH.n_params), caches, derivs), 0.0)
 
     def test_linear_model_fd_is_exact(self):
         # logits are affine in theta, so central differences are exact at any step
         theta = rand_theta(LINEAR, 12)
         rng = SeededRng(120)
         X, u = rng.normal(12).reshape(3, 4), rng.normal(LINEAR.n_params)
-        exact = _gnh_hvp(LINEAR, theta.values, X, u, None)
+        lin = _linearize(LINEAR, theta.values, X)
+        exact = _gnh_hvp(LINEAR, lin, u, None)
         for delta in (0.01, 0.5):
-            fd = _gnh_hvp(LINEAR, theta.values, X, u, delta)
+            fd = _gnh_hvp(LINEAR, lin, u, delta)
             assert np.allclose(fd, exact, atol=1e-10)
 
     def test_tanh_second_order_decay(self):
@@ -227,19 +230,20 @@ class TestLogitJvp:
         x = rng.normal(5)
         u = rng.normal(MLP_TANH.n_params)
         u /= np.linalg.norm(u)
-        exact = _gnh_hvp(MLP_TANH, theta.values, x[None, :], u, None)
-        err_2 = np.linalg.norm(_gnh_hvp(MLP_TANH, theta.values, x[None, :], u, 0.02) - exact)
-        err_1 = np.linalg.norm(_gnh_hvp(MLP_TANH, theta.values, x[None, :], u, 0.01) - exact)
+        lin = _linearize(MLP_TANH, theta.values, x[None, :])
+        exact = _gnh_hvp(MLP_TANH, lin, u, None)
+        err_2 = np.linalg.norm(_gnh_hvp(MLP_TANH, lin, u, 0.02) - exact)
+        err_1 = np.linalg.norm(_gnh_hvp(MLP_TANH, lin, u, 0.01) - exact)
         assert err_1 <= err_2 * 0.25 * 1.2
 
     def test_exact_matches_tight_fd(self):
         theta = rand_theta(MLP_TANH, 14)
         rng = SeededRng(140)
-        x = rng.normal(5)
+        lin = _linearize(MLP_TANH, theta.values, rng.normal(5)[None, :])
         for _ in range(5):
             u = rng.normal(MLP_TANH.n_params)
-            exact = _gnh_hvp(MLP_TANH, theta.values, x[None, :], u, None)
-            fd = _gnh_hvp(MLP_TANH, theta.values, x[None, :], u, 1e-5)
+            exact = _gnh_hvp(MLP_TANH, lin, u, None)
+            fd = _gnh_hvp(MLP_TANH, lin, u, 1e-5)
             assert np.allclose(fd, exact, rtol=1e-6, atol=1e-8)
 
     def test_linearity_in_direction(self):
@@ -249,7 +253,7 @@ class TestLogitJvp:
         u, v = rng.normal(MLP_TANH.n_params), rng.normal(MLP_TANH.n_params)
 
         def jvp(direction):
-            return _jvp_batch(MLP_TANH, theta.values, direction, caches)
+            return _jvp_batch(MLP_TANH, theta.values, direction, caches, _act_derivs(MLP_TANH, caches))
 
         lhs = jvp(2.0 * u + v)
         rhs = 2.0 * jvp(u) + jvp(v)
