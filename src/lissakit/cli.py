@@ -172,12 +172,18 @@ def _build_data(run: RunContext, spec: ModelSpec, n_test: int = 0):
     return train, test
 
 
-def _dense_gnh(spec: ModelSpec, theta, train) -> np.ndarray:
+def _check_dense_size(spec: ModelSpec) -> None:
+    """A model over MAX_DENSE_PARAMS has no dense reference: a config error."""
     if spec.n_params > MAX_DENSE_PARAMS:
         raise ConfigError(
-            f"model has {spec.n_params} parameters, over the dense reference's {MAX_DENSE_PARAMS}; "
+            f"model has {spec.n_params} parameters, over the dense reference's limit "
+            f"MAX_DENSE_PARAMS = {MAX_DENSE_PARAMS}; "
             "only lissa (eta set, no tolerance) and pbrf-compare (eta set) run without it"
         )
+
+
+def _dense_gnh(spec: ModelSpec, theta, train) -> np.ndarray:
+    _check_dense_size(spec)
     return gnh_matrix_exact(spec, theta, train)
 
 
@@ -207,12 +213,17 @@ def _solver_settings(run: RunContext, dense_gnh: np.ndarray | None):
             raise ConfigError(str(exc)) from exc
         if t_steps is None:
             raise ConfigError("t_steps must be given when lambda_damp is 0")
-    if t_steps > MAX_T_STEPS:
+    _check_t_steps(t_steps)
+    return eta, t_steps
+
+
+def _check_t_steps(t_steps: int | None) -> None:
+    """A step count over MAX_T_STEPS, given, derived or recommended, is a config error."""
+    if t_steps is not None and t_steps > MAX_T_STEPS:
         raise ConfigError(
             f"t_steps = {t_steps} is over the limit of {MAX_T_STEPS}; "
             "set a smaller t_steps, or raise eta or lambda_damp"
         )
-    return eta, t_steps
 
 
 def _stochastic_operator(run: RunContext, spec, theta, train, batch_size):
@@ -252,6 +263,7 @@ def cmd_stats(run: RunContext) -> None:
         hp = recommend_hyperparams(stats, cfg.lambda_damp, cfg.c_const, cfg.t_multiplier)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    _check_t_steps(hp.t_steps)
     trace_total = trace.mean * op.n_params
     frob_norm = math.sqrt(max(frob.mean, 0.0) * op.n_params)
     run.emit_csv(
@@ -300,6 +312,7 @@ def cmd_recommend(run: RunContext) -> None:
         hp = recommend_hyperparams(stats, cfg.lambda_damp, cfg.c_const, cfg.t_multiplier)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    _check_t_steps(hp.t_steps)
     run.emit_csv(
         "recommend.csv",
         ["eta", "batch_size", "t_steps", "lambda_damp", "c_const", "t_multiplier"],
@@ -474,6 +487,7 @@ def cmd_condition_c1(run: RunContext) -> None:
     cfg = run.cfg
     batch_sizes = cfg.require("batch_sizes")
     spec, theta = _build_model(run)
+    _check_dense_size(spec)
     train, _ = _build_data(run, spec)
     rows = check_condition_c1(
         spec, theta, train, list(batch_sizes), cfg.n_probes, run.rng("condition-c1")

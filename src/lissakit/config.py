@@ -56,10 +56,6 @@ def _float(v: str) -> float:
     return x
 
 
-def _str(v: str) -> str:
-    return v
-
-
 def _int_tuple(v: str) -> tuple[int, ...]:
     return tuple(int(part.strip(), 10) for part in v.split(","))
 
@@ -68,49 +64,18 @@ def _float_tuple(v: str) -> tuple[float, ...]:
     return tuple(_float(part.strip()) for part in v.split(","))
 
 
-_CASTERS = {
-    "command": _str,
-    "seed": _int,
-    "out_dir": _str,
-    "threads": _int,
-    "model_kind": _str,
-    "layer_sizes": _int_tuple,
-    "activation": _str,
-    "init_scale": _float,
-    "n_examples": _int,
-    "separation": _float,
-    "dataset_path": _str,
-    "corpus_path": _str,
-    "n_probes": _int,
-    "sketch_dim": _int,
-    "sketch_layout": _str,
-    "hvp_mode": _str,
-    "fd_delta": _float,
-    "trace": _float,
-    "lambda_max": _float,
-    "c_const": _float,
-    "t_multiplier": _float,
-    "eta": _float,
-    "lambda_damp": _float,
-    "batch_size": _int,
-    "t_steps": _int,
-    "snapshot_every": _int,
-    "train_index": _int,
-    "tolerance": _float,
-    "batch_sizes": _int_tuple,
-    "epsilon": _float,
-    "pbrf_lr": _float,
-    "pbrf_steps": _int,
-    "n_train": _int,
-    "n_test": _int,
-    "eigenvalues": _float_tuple,
-    "n_runs": _int,
-    "t_max": _int,
-    "n_docs": _int,
-    "doc_length": _int,
-    "vocab_size": _int,
-    "n_items": _int,
+# Caster of each field annotation, an optional field's by its "| None" base.
+_ANNOTATION_CASTERS = {
+    "str": str,
+    "int": _int,
+    "float": _float,
+    "tuple[int, ...]": _int_tuple,
+    "tuple[float, ...]": _float_tuple,
 }
+
+
+def _caster(annotation: str):
+    return _ANNOTATION_CASTERS[annotation.removesuffix(" | None")]
 
 
 # Lower bound of each bounded field as (bound, strict): a value must exceed a
@@ -216,13 +181,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
+        annotations = {f.name: f.type for f in fields(cls)}
         values = {}
         for key, raw in mapping.items():
-            if key not in known:
+            if key not in annotations:
                 raise ConfigError(f"unknown config field {key!r}")
             try:
-                values[key] = _CASTERS[key](raw)
+                values[key] = _caster(annotations[key])(raw)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
         try:

@@ -8,17 +8,16 @@ metric for influence computations.  The operator below averages per-example
 contributions either over the full dataset (deterministic) or over fresh
 i.i.d. batches drawn with replacement (one new batch per matrix-vector call).
 
-An HVP splits into a linearization that depends only on (theta, X) -- each
-layer's input, each hidden layer's activation derivative and the softmax
-probabilities -- and a sweep along v that reads it.  The full-batch operator
-linearizes once at construction, so theta and the dataset must not be mutated
-afterwards; the mini-batch operator linearizes each drawn batch.
+An HVP splits into a linearization at (theta, X), the record that
+``models._linearize`` builds, and a sweep along v that reads it.  The
+full-batch operator linearizes once at construction, so theta and the dataset
+must not be mutated afterwards; the mini-batch operator linearizes each drawn
+batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,12 +26,13 @@ from .models import (
     Dataset,
     ModelSpec,
     ParamVector,
-    _act_derivs,
+    _Linearization,
     _backprop,
     _forward,
     _jvp_batch,
+    _linearize,
+    _logit_jacobians,
     _softmax,
-    _unpack,
 )
 
 MAX_DENSE_PARAMS = 2000
@@ -74,23 +74,6 @@ def _softmax_hessian_apply(p: np.ndarray, t: np.ndarray) -> np.ndarray:
     return p * t - p * np.sum(p * t, axis=1, keepdims=True)
 
 
-class _Linearization(NamedTuple):
-    """The v-independent part of a GNH HVP at (theta, X): ``caches`` holds each
-    layer's input (``caches[0]`` is X), ``derivs`` each hidden layer's
-    activation derivative and ``p`` the softmax probabilities."""
-
-    theta: np.ndarray
-    caches: list
-    derivs: list
-    p: np.ndarray
-
-
-def _linearize(spec: ModelSpec, theta: np.ndarray, X: np.ndarray) -> _Linearization:
-    """One forward pass at (theta, X) and what every HVP there reads from it."""
-    h, caches = _forward(spec, theta, X)
-    return _Linearization(theta, caches, _act_derivs(spec, caches), _softmax(h))
-
-
 def _gnh_hvp(spec: ModelSpec, lin: _Linearization, v: np.ndarray, fd_delta: float | None) -> np.ndarray:
     """Gauss-Newton HVP averaged over the linearized rows: mean_b J_b^T S_b J_b v.
 
@@ -99,15 +82,15 @@ def _gnh_hvp(spec: ModelSpec, lin: _Linearization, v: np.ndarray, fd_delta: floa
     (2 fd_delta) instead, at two forward passes per call; the softmax factor S
     and the backward sweep still use the linearization.
     """
-    X = lin.caches[0]
+    X = lin.inputs[0]
     if fd_delta is None:
-        t = _jvp_batch(spec, lin.theta, v, lin.caches, lin.derivs)
+        t = _jvp_batch(spec, lin, v)
     else:
         h_plus, _ = _forward(spec, lin.theta + fd_delta * v, X)
         h_minus, _ = _forward(spec, lin.theta - fd_delta * v, X)
         t = (h_plus - h_minus) / (2.0 * fd_delta)
     w = _softmax_hessian_apply(lin.p, t)
-    return _backprop(spec, lin.theta, w / X.shape[0], lin.caches, lin.derivs)
+    return _backprop(spec, lin, w / X.shape[0])
 
 
 class GnhOperator:
@@ -174,26 +157,6 @@ class GnhOperator:
             X = sample_batch(self.dataset, self.batch_size, self.rng).X
             lin = _linearize(self.spec, self.theta.values, X)
         return _gnh_hvp(self.spec, lin, v, self.fd_delta)
-
-
-def _logit_jacobians(spec: ModelSpec, lin: _Linearization) -> np.ndarray:
-    """Per-example logit Jacobians, shape (B, K, n_params), at a linearization."""
-    layers = _unpack(spec, lin.theta)
-    B, K = lin.caches[0].shape[0], spec.n_classes
-    jac = np.zeros((B, K, spec.n_params))
-    delta = np.broadcast_to(np.eye(K), (B, K, K)).copy()
-    for l in range(len(layers) - 1, -1, -1):
-        w, _ = layers[l]
-        a_prev = lin.caches[l]
-        name, offset, length = spec.segments[l]
-        fan_out, fan_in = w.shape
-        jac[:, :, offset : offset + fan_out * fan_in] = np.einsum(
-            "bko,bi->bkoi", delta, a_prev
-        ).reshape(B, K, fan_out * fan_in)
-        jac[:, :, offset + fan_out * fan_in : offset + length] = delta
-        if l > 0:
-            delta = (delta @ w) * lin.derivs[l - 1][:, None, :]
-    return jac
 
 
 def _softmax_hessian_factor(p: np.ndarray) -> np.ndarray:

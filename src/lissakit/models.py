@@ -4,13 +4,11 @@ Two architectures cover the validation needs: a softmax-linear model (logits
 affine in the parameters, so curvature statements have closed forms) and a
 fully-connected MLP with tanh or relu hidden units.  Parameters live in a
 single flat float64 vector with per-layer segmentation so curvature code can
-address layers individually.  The batched sweeps ``_forward``, ``_jvp_batch``
-and ``_backprop`` share one cache layout: the input of each layer.  The two
-derivative sweeps take each hidden layer's activation derivative from
-``_act_derivs`` of the same forward pass instead of recomputing it.  The
-full-batch Gauss-Newton operator runs that forward pass once, at
-construction, so the parameters and dataset it was built on must not be
-mutated afterwards.
+address layers individually.  ``_linearize`` runs one forward pass and keeps
+all that the derivative sweeps at that point read in one ``_Linearization``
+record; ``_backprop``, ``_jvp_batch`` and ``_logit_jacobians`` take the record,
+so none of them unpacks theta or pairs the caches of two passes.  The record
+holds views of theta and of the inputs, which must not be mutated after.
 """
 
 from __future__ import annotations
@@ -18,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -175,12 +174,6 @@ def _act_deriv(spec: ModelSpec, a: np.ndarray) -> np.ndarray:
     return (a > 0.0).astype(np.float64)
 
 
-def _act_derivs(spec: ModelSpec, caches) -> list[np.ndarray]:
-    """Activation derivatives of one forward pass: entry l - 1 belongs to the
-    input of layer l, the output of hidden layer l - 1."""
-    return [_act_deriv(spec, a) for a in caches[1:]]
-
-
 def _forward(spec: ModelSpec, theta: np.ndarray, X: np.ndarray):
     """Batched forward pass; returns logits (B, K) and the per-layer caches,
     the input of each layer.  Each hidden layer's activation is the next input."""
@@ -194,43 +187,76 @@ def _forward(spec: ModelSpec, theta: np.ndarray, X: np.ndarray):
     return a, caches
 
 
-def _backprop(spec: ModelSpec, theta: np.ndarray, G: np.ndarray, caches, derivs) -> np.ndarray:
-    """Gradient of sum_b <G[b], logits(x_b)> with respect to theta; ``derivs``
-    is ``_act_derivs`` of the same caches."""
-    layers = _unpack(spec, theta)
-    grad = np.zeros(spec.n_params)
-    delta = G
-    for l in range(len(layers) - 1, -1, -1):
-        w, _ = layers[l]
-        a_prev = caches[l]
-        name, offset, length = spec.segments[l]
-        fan_out, fan_in = w.shape
-        grad[offset : offset + fan_out * fan_in] = (delta.T @ a_prev).ravel()
-        grad[offset + fan_out * fan_in : offset + length] = delta.sum(axis=0)
-        if l > 0:
-            delta = (delta @ w) * derivs[l - 1]
-    return grad
-
-
-def _jvp_batch(spec: ModelSpec, theta: np.ndarray, u: np.ndarray, caches, derivs) -> np.ndarray:
-    """Directional derivative of logits along parameter direction u, batched;
-    ``derivs`` is ``_act_derivs`` of the same caches."""
-    layers = _unpack(spec, theta)
-    du_layers = _unpack(spec, u)
-    for l, ((w, _), (dw, db)) in enumerate(zip(layers, du_layers)):
-        a = caches[l]
-        if l == 0:
-            dz = a @ dw.T + db
-        else:
-            da = derivs[l - 1] * dz
-            dz = a @ dw.T + da @ w.T + db
-    return dz
-
-
 def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+class _Linearization(NamedTuple):
+    """One forward pass at (theta, X) and what every sweep there reads from it:
+    ``layers`` holds theta's per-layer (W, b) views, ``inputs`` each layer's
+    input (``inputs[0]`` is X), ``derivs`` each hidden layer's activation
+    derivative (entry l - 1 belongs to ``inputs[l]``) and ``p`` the softmax
+    probabilities."""
+
+    theta: np.ndarray
+    layers: list
+    inputs: list
+    derivs: list
+    p: np.ndarray
+
+
+def _linearize(spec: ModelSpec, theta: np.ndarray, X: np.ndarray) -> _Linearization:
+    """Run the forward pass at (theta, X) and keep what the sweeps read."""
+    h, inputs = _forward(spec, theta, X)
+    derivs = [_act_deriv(spec, a) for a in inputs[1:]]
+    return _Linearization(theta, _unpack(spec, theta), inputs, derivs, _softmax(h))
+
+
+def _backprop(spec: ModelSpec, lin: _Linearization, G: np.ndarray) -> np.ndarray:
+    """Gradient of sum_b <G[b], logits(x_b)> with respect to theta at ``lin``."""
+    grad = np.zeros(spec.n_params)
+    delta = G
+    for l in range(len(lin.layers) - 1, -1, -1):
+        w, _ = lin.layers[l]
+        name, offset, length = spec.segments[l]
+        fan_out, fan_in = w.shape
+        grad[offset : offset + fan_out * fan_in] = (delta.T @ lin.inputs[l]).ravel()
+        grad[offset + fan_out * fan_in : offset + length] = delta.sum(axis=0)
+        if l > 0:
+            delta = (delta @ w) * lin.derivs[l - 1]
+    return grad
+
+
+def _jvp_batch(spec: ModelSpec, lin: _Linearization, u: np.ndarray) -> np.ndarray:
+    """Directional derivative of logits along parameter direction u at ``lin``."""
+    for l, ((w, _), (dw, db)) in enumerate(zip(lin.layers, _unpack(spec, u))):
+        a = lin.inputs[l]
+        if l == 0:
+            dz = a @ dw.T + db
+        else:
+            da = lin.derivs[l - 1] * dz
+            dz = a @ dw.T + da @ w.T + db
+    return dz
+
+
+def _logit_jacobians(spec: ModelSpec, lin: _Linearization) -> np.ndarray:
+    """Per-example logit Jacobians, shape (B, K, n_params), at ``lin``."""
+    B, K = lin.inputs[0].shape[0], spec.n_classes
+    jac = np.zeros((B, K, spec.n_params))
+    delta = np.broadcast_to(np.eye(K), (B, K, K)).copy()
+    for l in range(len(lin.layers) - 1, -1, -1):
+        w, _ = lin.layers[l]
+        name, offset, length = spec.segments[l]
+        fan_out, fan_in = w.shape
+        jac[:, :, offset : offset + fan_out * fan_in] = np.einsum(
+            "bko,bi->bkoi", delta, lin.inputs[l]
+        ).reshape(B, K, fan_out * fan_in)
+        jac[:, :, offset + fan_out * fan_in : offset + length] = delta
+        if l > 0:
+            delta = (delta @ w) * lin.derivs[l - 1][:, None, :]
+    return jac
 
 
 def nll_loss(spec: ModelSpec, theta: ParamVector, x: np.ndarray, y: int) -> float:
@@ -247,11 +273,10 @@ def _nll_from_logits(h: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def loss_gradient(spec: ModelSpec, theta: ParamVector, example: Example) -> ParamVector:
     """Gradient of the cross-entropy loss at one example."""
-    X = example.x[None, :]
-    h, caches = _forward(spec, theta.values, X)
-    g = _softmax(h)
+    lin = _linearize(spec, theta.values, example.x[None, :])
+    g = lin.p.copy()
     g[0, example.y] -= 1.0
-    return theta.like(_backprop(spec, theta.values, g, caches, _act_derivs(spec, caches)))
+    return theta.like(_backprop(spec, lin, g))
 
 
 def test_gradient(spec: ModelSpec, theta: ParamVector, example: Example) -> ParamVector:

@@ -21,9 +21,9 @@ from .models import (
     Example,
     ModelSpec,
     ParamVector,
-    _act_derivs,
     _backprop,
     _forward,
+    _linearize,
     _nll_from_logits,
     _softmax,
     loss_gradient,
@@ -60,7 +60,6 @@ class PbrfResult:
     """Finetuned parameters plus diagnostics; overflow is always explicit."""
 
     theta_pbrf: ParamVector
-    final_objective: float
     displacement_norm: float
     overflow: bool
     steps_run: int
@@ -113,10 +112,10 @@ def pbo_gradient(
 ) -> np.ndarray:
     """Exact objective gradient; the label one-hots cancel in the Bregman term,
     leaving the softmax gap between current and reference logits."""
-    logits, caches = _forward(spec, theta.values, batch.X)
+    lin = _linearize(spec, theta.values, batch.X)
     ref_logits, _ = _forward(spec, theta_star.values, batch.X)
-    gap = (_softmax(logits) - _softmax(ref_logits)) / len(batch.y)
-    grad = _backprop(spec, theta.values, gap, caches, _act_derivs(spec, caches))
+    gap = (lin.p - _softmax(ref_logits)) / len(batch.y)
+    grad = _backprop(spec, lin, gap)
     if cfg.epsilon:
         grad = grad + cfg.epsilon * loss_gradient(spec, theta, train_point).values
     return grad + cfg.lambda_damp * (theta.values - theta_star.values)
@@ -161,11 +160,8 @@ def pbrf_finetune(
                 trace.append(
                     (step, pbo_objective(spec, theta, theta_star, train_point, dataset, cfg))
                 )
-        theta_pbrf = ParamVector(theta_values, spec.segments)
-        final = pbo_objective(spec, theta_pbrf, theta_star, train_point, dataset, cfg)
     return PbrfResult(
-        theta_pbrf=theta_pbrf,
-        final_objective=final,
+        theta_pbrf=ParamVector(theta_values, spec.segments),
         displacement_norm=float(np.linalg.norm(theta_values - theta_star.values)),
         overflow=overflow,
         steps_run=steps_run,

@@ -1,6 +1,7 @@
 """Tests for the config parser and the command-line harness."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from lissakit.cli import main
 from lissakit.config import (
     ConfigError,
     ExperimentConfig,
+    _caster,
     component_seed,
     parse_config_text,
     sha256_hex,
@@ -124,6 +126,15 @@ class TestExperimentConfig:
         ):
             with pytest.raises(ConfigError):
                 ExperimentConfig.from_text(text)
+
+    def test_every_field_annotation_has_a_caster(self):
+        # each field is cast by its annotation; every default survives the trip
+        # through its config text
+        for f in fields(ExperimentConfig):
+            cast = _caster(f.type)
+            if f.default is not None:
+                text = ", ".join(map(str, f.default)) if isinstance(f.default, tuple) else str(f.default)
+                assert cast(text) == f.default, f.name
 
     def test_require_reports_missing_field(self):
         cfg = ExperimentConfig.from_text("lambda_damp = 5\n")
@@ -264,6 +275,11 @@ class TestExitCodes:
              + "batch_sizes = 8\nn_test = 5\n"),
             ("pbrf-compare", QUAD_CFG.replace("t_steps = 400", "eta = 1e-15")
              + "n_train = 2\nn_test = 5\n"),
+            # a recommended t_steps over the limit that the solvers would refuse
+            ("recommend", "trace = 1\nlambda_max = 1\nlambda_damp = 1e-300\n"),
+            ("stats", TINY_MLP_CFG + "lambda_damp = 1e-300\n"),
+            # 3466 parameters: over the dense reference's MAX_DENSE_PARAMS
+            ("condition-c1", "model_kind = mlp\nlayer_sizes = 16, 128, 10\nn_examples = 8\nbatch_sizes = 2\n"),
         )
         for i, (command, text) in enumerate(cases):
             code, _ = run_cli(tmp_path, command, text, name=f"run{i}")

@@ -3,19 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from lissakit import gnh
+from lissakit import models
 from lissakit.core import MeanSe, SeededRng, sym_eig
 from lissakit.gnh import (
     Batch,
     GnhOperator,
     _gnh_hvp,
-    _linearize,
     gnh_matrix_exact,
     sample_batch,
     softmax_hessian,
 )
 from lissakit.lissa import LissaConfig, lissa_solve
-from lissakit.models import Dataset, ModelSpec, ParamVector, init_params, make_blobs
+from lissakit.models import Dataset, ModelSpec, ParamVector, _linearize, init_params, make_blobs
 
 LINEAR = ModelSpec(kind="softmax-linear", layer_sizes=(4, 3))
 MLP = ModelSpec(kind="mlp", layer_sizes=(5, 6, 3), activation="tanh")
@@ -212,8 +211,8 @@ class TestHvp:
 
     def test_full_batch_operator_runs_one_forward(self, monkeypatch):
         calls = []
-        forward = gnh._forward
-        monkeypatch.setattr(gnh, "_forward", lambda *args: calls.append(1) or forward(*args))
+        forward = models._forward
+        monkeypatch.setattr(models, "_forward", lambda *args: calls.append(1) or forward(*args))
         theta, data = toy_fixture(MLP, n=30, seed=11)
         op = GnhOperator(MLP, theta, data)
         rng = SeededRng(110)
@@ -225,8 +224,8 @@ class TestHvp:
 
     def test_minibatch_operator_linearizes_each_fresh_batch(self, monkeypatch):
         batches = []
-        forward = gnh._forward
-        monkeypatch.setattr(gnh, "_forward", lambda spec, theta, X: batches.append(X) or forward(spec, theta, X))
+        forward = models._forward
+        monkeypatch.setattr(models, "_forward", lambda spec, theta, X: batches.append(X) or forward(spec, theta, X))
         theta, data = toy_fixture(MLP, n=30, seed=12)
         op = GnhOperator(MLP, theta, data, batch_size=6, rng=SeededRng(120))
         u = SeededRng(121).normal(MLP.n_params)
@@ -234,6 +233,21 @@ class TestHvp:
             op.matvec(u)
         assert len(batches) == 4
         assert all(not np.array_equal(a, b) for a, b in zip(batches, batches[1:]))
+
+    def test_matvec_unpacks_theta_only_in_the_forward_pass(self, monkeypatch):
+        # the record holds theta's layer views: a full-batch matvec unpacks
+        # only v; a mini-batch one also runs the batch's forward pass
+        calls = []
+        unpack = models._unpack
+        monkeypatch.setattr(models, "_unpack", lambda *args: calls.append(1) or unpack(*args))
+        theta, data = toy_fixture(DEEP_TANH, n=30, seed=13)
+        u = SeededRng(130).normal(DEEP_TANH.n_params)
+        full = GnhOperator(DEEP_TANH, theta, data)
+        mini = GnhOperator(DEEP_TANH, theta, data, batch_size=6, rng=SeededRng(131))
+        for op, expected in ((full, 1), (mini, 3)):
+            calls.clear()
+            op.matvec(u)
+            assert len(calls) == expected
 
     def test_validation_errors(self):
         theta, data = toy_fixture(LINEAR)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lissakit.core import SeededRng
-from lissakit.gnh import GnhOperator, _gnh_hvp, _linearize
+from lissakit.gnh import GnhOperator, _gnh_hvp
 from lissakit.models import (
     Dataset,
     Example,
@@ -18,12 +18,14 @@ from lissakit.models import (
     save_dataset_csv,
     _act,
     _act_deriv,
-    _act_derivs,
     _forward,
     _jvp_batch,
+    _linearize,
     _softmax,
+    _unpack,
 )
 from lissakit.models import test_gradient as measurement_gradient
+from lissakit.pbrf import PboConfig, pbo_gradient
 
 LINEAR = ModelSpec(kind="softmax-linear", layer_sizes=(4, 3))
 MLP_TANH = ModelSpec(kind="mlp", layer_sizes=(5, 7, 4), activation="tanh")
@@ -204,14 +206,14 @@ class TestActDeriv:
 
 
 class TestLogitJvp:
-    """The forward-mode JVP ``_jvp_batch``, and the central difference that
-    ``_gnh_hvp(fd_delta=...)`` takes in its place, seen through the HVP."""
+    """The forward-mode JVP ``_jvp_batch`` at a ``_linearize`` record, and the
+    central difference that ``_gnh_hvp(fd_delta=...)`` takes in its place,
+    seen through the HVP."""
 
     def test_zero_direction(self):
         theta = rand_theta(MLP_TANH, 11)
-        _, caches = _forward(MLP_TANH, theta.values, SeededRng(110).normal(15).reshape(3, 5))
-        derivs = _act_derivs(MLP_TANH, caches)
-        assert np.allclose(_jvp_batch(MLP_TANH, theta.values, np.zeros(MLP_TANH.n_params), caches, derivs), 0.0)
+        lin = _linearize(MLP_TANH, theta.values, SeededRng(110).normal(15).reshape(3, 5))
+        assert np.allclose(_jvp_batch(MLP_TANH, lin, np.zeros(MLP_TANH.n_params)), 0.0)
 
     def test_linear_model_fd_is_exact(self):
         # logits are affine in theta, so central differences are exact at any step
@@ -249,11 +251,11 @@ class TestLogitJvp:
     def test_linearity_in_direction(self):
         theta = rand_theta(MLP_TANH, 15)
         rng = SeededRng(150)
-        _, caches = _forward(MLP_TANH, theta.values, rng.normal(15).reshape(3, 5))
+        lin = _linearize(MLP_TANH, theta.values, rng.normal(15).reshape(3, 5))
         u, v = rng.normal(MLP_TANH.n_params), rng.normal(MLP_TANH.n_params)
 
         def jvp(direction):
-            return _jvp_batch(MLP_TANH, theta.values, direction, caches, _act_derivs(MLP_TANH, caches))
+            return _jvp_batch(MLP_TANH, lin, direction)
 
         lhs = jvp(2.0 * u + v)
         rhs = 2.0 * jvp(u) + jvp(v)
@@ -266,6 +268,73 @@ class TestLogitJvp:
         for delta in (0.0, -0.01, float("nan")):
             with pytest.raises(ValueError):
                 GnhOperator(LINEAR, theta, data, fd_delta=delta)
+
+
+class TestLinearization:
+    """One ``_linearize`` record feeds every sweep, and moving the gradients onto
+    it changed no bit of them."""
+
+    @staticmethod
+    def hand_built_backprop(spec, theta, G, X):
+        # the backward sweep as assembled without the record: a forward pass,
+        # theta unpacked again and each derivative taken from the caches
+        _, caches = _forward(spec, theta, X)
+        derivs = [_act_deriv(spec, a) for a in caches[1:]]
+        layers = _unpack(spec, theta)
+        grad = np.zeros(spec.n_params)
+        delta = G
+        for l in range(len(layers) - 1, -1, -1):
+            w, _ = layers[l]
+            name, offset, length = spec.segments[l]
+            fan_out, fan_in = w.shape
+            grad[offset : offset + fan_out * fan_in] = (delta.T @ caches[l]).ravel()
+            grad[offset + fan_out * fan_in : offset + length] = delta.sum(axis=0)
+            if l > 0:
+                delta = (delta @ w) * derivs[l - 1]
+        return grad
+
+    def hand_built_loss_gradient(self, spec, theta, example):
+        X = example.x[None, :]
+        g = _softmax(_forward(spec, theta, X)[0])
+        g[0, example.y] -= 1.0
+        return self.hand_built_backprop(spec, theta, g, X)
+
+    @pytest.mark.parametrize("spec", [MLP_TANH, MLP_RELU, DEEP_TANH])
+    def test_loss_gradient_bit_identical_to_hand_built_pass(self, spec):
+        theta = rand_theta(spec, 31)
+        data = make_blobs(SeededRng(310), 12, spec.input_dim, spec.n_classes)
+        for i in range(len(data)):
+            got = loss_gradient(spec, theta, data[i]).values
+            assert got.tobytes() == self.hand_built_loss_gradient(spec, theta.values, data[i]).tobytes()
+
+    @pytest.mark.parametrize("spec", [MLP_TANH, MLP_RELU])
+    def test_pbo_gradient_bit_identical_to_hand_built_pass(self, spec):
+        theta_star = rand_theta(spec, 32)
+        rng = SeededRng(320)
+        theta = theta_star.like(theta_star.values + 0.1 * rng.normal(spec.n_params))
+        data = make_blobs(rng, 16, spec.input_dim, spec.n_classes)
+        cfg = PboConfig(epsilon=1e-3, lambda_damp=0.2)
+        gap = (_softmax(_forward(spec, theta.values, data.X)[0])
+               - _softmax(_forward(spec, theta_star.values, data.X)[0])) / len(data)
+        want = self.hand_built_backprop(spec, theta.values, gap, data.X)
+        want = want + cfg.epsilon * self.hand_built_loss_gradient(spec, theta.values, data[2])
+        want = want + cfg.lambda_damp * (theta.values - theta_star.values)
+        got = pbo_gradient(spec, theta, theta_star, data[2], data, cfg)
+        assert got.tobytes() == want.tobytes()
+
+    def test_record_holds_one_pass(self):
+        theta = rand_theta(DEEP_TANH, 33)
+        X = SeededRng(330).normal(15).reshape(3, 5)
+        lin = _linearize(DEEP_TANH, theta.values, X)
+        logits, caches = _forward(DEEP_TANH, theta.values, X)
+        assert lin.inputs[0] is X and len(lin.inputs) == len(lin.layers) == DEEP_TANH.n_layers
+        for a, b in zip(lin.inputs, caches):
+            assert np.array_equal(a, b)
+        for (w, b), (w_ref, b_ref) in zip(lin.layers, _unpack(DEEP_TANH, theta.values)):
+            assert np.shares_memory(w, theta.values) and np.array_equal(w, w_ref)
+            assert np.shares_memory(b, theta.values) and np.array_equal(b, b_ref)
+        assert [d.tobytes() for d in lin.derivs] == [_act_deriv(DEEP_TANH, a).tobytes() for a in caches[1:]]
+        assert np.array_equal(lin.p, _softmax(logits))
 
 
 class TestData:

@@ -198,7 +198,6 @@ class TestPbrfInfluence:
         spec, theta, data, H, damp, eta = quad
         result = PbrfResult(
             theta_pbrf=theta.copy(),
-            final_objective=0.0,
             displacement_norm=0.0,
             overflow=False,
             steps_run=0,
@@ -271,7 +270,6 @@ class TestPbrfInfluence:
         spec, theta, data, H, damp, eta = quad
         result = PbrfResult(
             theta_pbrf=theta.copy(),
-            final_objective=0.0,
             displacement_norm=0.0,
             overflow=False,
             steps_run=0,
