@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, component_seed, load_config, sha256_hex
-from .core import MeanSe, SeededRng, sym_eig
+from .core import MeanSe, SeededRng, sym_eigvals
 from .gnh import MAX_DENSE_PARAMS, GnhOperator, gnh_matrix_exact
 from .influence import eigen_reweight, influence_score, similarity_matrix
 from .lissa import (
@@ -187,8 +187,19 @@ def _dense_gnh(spec: ModelSpec, theta, train) -> np.ndarray:
     return gnh_matrix_exact(spec, theta, train)
 
 
+def _check_oracle_damping(run: RunContext) -> None:
+    """The dense oracle needs lambda_damp > 0: every Gauss-Newton matrix here
+    is singular (shifting all last-layer biases by one constant leaves every
+    softmax unchanged), so at lambda_damp = 0 its solution is not unique."""
+    if not run.cfg.lambda_damp > 0:
+        raise ConfigError(
+            f"lambda_damp = {run.cfg.lambda_damp!r}: the dense oracle needs lambda_damp > 0, "
+            "since the Gauss-Newton matrix is singular"
+        )
+
+
 def _oracle_ihvp(run: RunContext, dense_gnh: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """exact_ihvp at the run's damping; a singular system is a config error."""
+    """exact_ihvp at the run's damping; a failed solve is a config error."""
     try:
         return exact_ihvp(dense_gnh, run.cfg.lambda_damp, g)
     except np.linalg.LinAlgError as exc:
@@ -204,7 +215,7 @@ def _solver_settings(run: RunContext, dense_gnh: np.ndarray | None):
     cfg = run.cfg
     eta = cfg.eta
     if eta is None:
-        eta = step_size(float(sym_eig(dense_gnh)[0][0]), cfg.lambda_damp)
+        eta = step_size(float(sym_eigvals(dense_gnh)[0]), cfg.lambda_damp)
     t_steps = cfg.t_steps
     if t_steps is None:
         try:
@@ -325,6 +336,8 @@ def cmd_recommend(run: RunContext) -> None:
 
 def cmd_lissa(run: RunContext) -> None:
     cfg = run.cfg
+    if cfg.tolerance is not None:
+        _check_oracle_damping(run)
     spec, theta = _build_model(run)
     train, _ = _build_data(run, spec)
     if not 0 <= cfg.train_index < len(train):
@@ -372,6 +385,7 @@ def cmd_lissa(run: RunContext) -> None:
 
 def cmd_convergence(run: RunContext) -> None:
     cfg = run.cfg
+    _check_oracle_damping(run)
     if cfg.n_test < 2:
         raise ConfigError("convergence needs n_test >= 2")
     batch_sizes = cfg.require("batch_sizes")
@@ -604,6 +618,7 @@ def cmd_tfidf_check(run: RunContext) -> None:
 
 def cmd_similarity(run: RunContext) -> None:
     cfg = run.cfg
+    _check_oracle_damping(run)
     spec, theta = _build_model(run)
     train, _ = _build_data(run, spec)
     if cfg.n_items < 2 or cfg.n_items > len(train):

@@ -119,14 +119,29 @@ def gaussian_vector(rng: SeededRng, n: int, variance: float = 1.0) -> np.ndarray
     return rng.normal(n) * math.sqrt(variance)
 
 
+# Rows per block of check_symmetric's upper-triangle sweep.
+_SYMMETRY_BLOCK = 128
+
+
 def check_symmetric(m: np.ndarray, rtol: float = 1e-12) -> None:
-    """Raise if ``m`` is not square and symmetric within ``rtol * max|m|``."""
+    """Raise if ``m`` is not square and symmetric within ``rtol * max|m|``.
+
+    Sweeps the upper triangle in blocks of rows, comparing ``m[i:i+b, i:]``
+    with ``m[i:, i:i+b].T``; the two slabs cover every entry, so max|m| and
+    max|m - m^T| come out of one pass without an n x n temporary.
+    """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
-    tol = rtol * max(scale, np.finfo(np.float64).tiny)
-    if float(np.max(np.abs(m - m.T), initial=0.0)) > tol:
+    scales, gaps = [0.0], [0.0]
+    for i in range(0, m.shape[0], _SYMMETRY_BLOCK):
+        upper = m[i : i + _SYMMETRY_BLOCK, i:]
+        lower = m[i:, i : i + _SYMMETRY_BLOCK].T
+        scales += [np.max(np.abs(upper)), np.max(np.abs(lower))]
+        gaps.append(np.max(np.abs(upper - lower)))
+    # np.max, unlike the builtin, propagates a NaN into the decision
+    tol = rtol * max(float(np.max(scales)), np.finfo(np.float64).tiny)
+    if float(np.max(gaps)) > tol:
         raise ValueError("matrix is not symmetric within tolerance")
 
 
@@ -142,6 +157,15 @@ def sym_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(m)
     order = np.argsort(w)[::-1]
     return np.ascontiguousarray(w[order]), np.ascontiguousarray(v[:, order])
+
+
+def sym_eigvals(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, sorted descending, without the
+    eigenvectors (``np.linalg.eigvalsh``): for callers that read only the
+    spectrum."""
+    m = np.asarray(m, dtype=np.float64)
+    check_symmetric(m)
+    return np.ascontiguousarray(np.linalg.eigvalsh(m)[::-1])
 
 
 def pearson_corr(a: np.ndarray, b: np.ndarray) -> float:

@@ -159,19 +159,14 @@ class GnhOperator:
         return _gnh_hvp(self.spec, lin, v, self.fd_delta)
 
 
-def _softmax_hessian_factor(p: np.ndarray) -> np.ndarray:
-    """Per-example factor F with S = F F^T, batched: F = diag(q)(I - q q^T),
-    q = sqrt(p).  Uses that q has unit norm, so I - q q^T is a projector."""
-    B, K = p.shape
-    q = np.sqrt(p)
-    eye = np.broadcast_to(np.eye(K), (B, K, K))
-    return q[:, :, None] * (eye - q[:, :, None] * q[:, None, :])
-
-
 def gnh_matrix_exact(
     spec: ModelSpec, theta: ParamVector, dataset: Dataset, chunk: int = 128
 ) -> np.ndarray:
     """Dense Gauss-Newton Hessian averaged over the whole dataset.
+
+    Each example contributes its centered Jacobian rows sqrt(p_k) (J_k - p^T J),
+    since sum_k p_k (J_k - p^T J)^T (J_k - p^T J) = J^T (diag p - p p^T) J; one
+    product ``rows.T @ rows`` per chunk (a BLAS syrk) keeps H exactly symmetric.
 
     Desk-scale oracle: refuses models with more than MAX_DENSE_PARAMS
     parameters, where the dense matrix stops being a sensible object.
@@ -184,10 +179,9 @@ def gnh_matrix_exact(
     H = np.zeros((n, n))
     for start in range(0, len(dataset), chunk):
         lin = _linearize(spec, theta.values, dataset.X[start : start + chunk])
-        jac = _logit_jacobians(spec, lin)
-        factor = _softmax_hessian_factor(lin.p)
-        # columns of M_b = J_b^T F_b, flattened across the chunk
-        m = np.einsum("bkn,bkj->bnj", jac, factor)
-        flat = m.transpose(1, 0, 2).reshape(n, -1)
-        H += flat @ flat.T
+        rows = _logit_jacobians(spec, lin)
+        rows -= lin.p[:, None, :] @ rows
+        rows *= np.sqrt(lin.p)[:, :, None]
+        rows = rows.reshape(-1, n)
+        H += rows.T @ rows
     return H / len(dataset)

@@ -119,7 +119,10 @@ def exact_ihvp(H: np.ndarray, lambda_damp: float, g) -> np.ndarray:
 
     ``g`` is a vector, a ParamVector or an (n, k) block solved in one call,
     each column to its own bound; the result is an array of g's shape.  One
-    refinement round backs the guarantee; a singular system raises.
+    refinement round backs the guarantee.  Raises ``np.linalg.LinAlgError``
+    when the solve fails or a column misses the residual bound.  A singular
+    but consistent system can pass both and return one of many solutions, so
+    callers keep lambda_damp > 0 (the CLI rules out lambda_damp = 0).
     """
     H = np.asarray(H, dtype=np.float64)
     check_symmetric(H)

@@ -256,7 +256,7 @@ class TestExitCodes:
             ("pbrf-compare", QUAD_CFG + "n_train = 2\nn_test = 5\nepsilon = 0\n"),
             # eta = 1/(max eigenvalue + lambda_damp) has a zero denominator
             ("counterexample", "eigenvalues = 0, 0\nlambda_damp = 0\n"),
-            # the undamped softmax GNH is singular, so the dense oracle cannot solve
+            # the undamped softmax GNH is singular: the dense oracle refuses lambda_damp = 0
             ("lissa", SINGULAR_CFG + "eta = 0.1\nt_steps = 5\ntolerance = 0.5\n"),
             ("similarity", SINGULAR_CFG + "n_items = 4\n"),
             # sketch columns: d summed, d per layer concatenated
@@ -294,6 +294,51 @@ class TestExitCodes:
         code, _ = run_cli(tmp_path, "lissa", text)
         assert code == 2
         assert "t_steps must be given" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "model",
+        ["model_kind = softmax-linear\nlayer_sizes = 4, 3\n", "model_kind = mlp\nlayer_sizes = 4, 5, 3\n"],
+        ids=["linear", "mlp"],
+    )
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("lissa", "eta = 0.1\nt_steps = 5\ntolerance = 0.5\n"),
+            ("lissa", "tolerance = 0.5\nt_steps = 5\n"),
+            ("convergence", "eta = 0.1\nt_steps = 5\nbatch_sizes = 4\nn_test = 5\n"),
+            ("similarity", "n_items = 4\n"),
+        ],
+        ids=["lissa", "lissa-derived-eta", "convergence", "similarity"],
+    )
+    def test_dense_oracle_refuses_zero_damping(self, tmp_path, capsys, monkeypatch, model, command, extra):
+        # every GNH is singular (last-layer bias shift), so lambda_damp = 0 has no
+        # unique oracle solution; the command must stop before building the matrix
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense GNH built at lambda_damp = 0")
+
+        monkeypatch.setattr("lissakit.cli.gnh_matrix_exact", refuse)
+        text = model + "n_examples = 30\nlambda_damp = 0\n" + extra
+        for seed in range(4):
+            code, _ = run_cli(tmp_path, command, text, "--seed", str(seed), name=f"run{seed}")
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "lambda_damp" in err and "Traceback" not in err
+
+    def test_zero_damping_lissa_without_tolerance_still_runs(self, tmp_path):
+        # no oracle solve: eta comes from lambda_max of the singular GNH, T is given
+        text = SINGULAR_CFG + "batch_size = 8\nt_steps = 5\n"
+        code, out = run_cli(tmp_path, "lissa", text)
+        assert code == 0
+        assert len((out / "lissa_trace.csv").read_text().splitlines()) == 7
+
+    def test_derived_eta_reads_eigenvalues_only(self, tmp_path, monkeypatch):
+        # lambda_max needs no eigenvectors: eigvalsh, never eigh
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh called for lambda_max")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        code, _ = run_cli(tmp_path, "lissa", QUAD_CFG + "tolerance = 0.2\n")
+        assert code == 0
 
     def test_model_too_large_for_derived_settings_is_two(self, tmp_path, capsys):
         text = "model_kind = mlp\nlayer_sizes = 16, 128, 10\nbatch_size = 8\nt_steps = 5\n"

@@ -11,8 +11,10 @@ from lissakit.core import (
     SeededRng,
     derive_seed,
     gaussian_vector,
+    check_symmetric,
     pearson_corr,
     sym_eig,
+    sym_eigvals,
 )
 
 MASK = (1 << 64) - 1
@@ -165,6 +167,74 @@ class TestSymEig:
         w, v = sym_eig(m)
         scale = max(1.0, np.abs(m).max())
         assert np.linalg.norm(v @ np.diag(w) @ v.T - m) <= 1e-9 * scale * n
+
+
+class TestSymEigvals:
+    @pytest.mark.parametrize("n, seed", [(1, 0), (8, 1), (40, 2), (130, 3)])
+    def test_matches_sym_eig(self, n, seed):
+        a = SeededRng(seed).normal(n * n).reshape(n, n)
+        m = a @ a.T - 0.5 * (a + a.T)
+        w = sym_eigvals(m)
+        reference = sym_eig(m)[0]
+        assert np.all(np.diff(w) <= 0)
+        assert np.max(np.abs(w - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(ValueError):
+            sym_eigvals(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+def full_matrix_asymmetric(m, rtol=1e-12):
+    """The decision check_symmetric made with a full n x n m - m.T."""
+    scale = float(np.max(np.abs(m))) if m.size else 0.0
+    tol = rtol * max(scale, np.finfo(np.float64).tiny)
+    return float(np.max(np.abs(m - m.T), initial=0.0)) > tol
+
+
+def raises_asymmetric(m):
+    try:
+        check_symmetric(m)
+    except ValueError:
+        return True
+    return False
+
+
+class TestCheckSymmetric:
+    @pytest.mark.parametrize(
+        "n, entry",
+        [
+            (5, (0, 3)),  # first row
+            (129, (0, 128)),  # first row, last column
+            (129, (60, 128)),  # last column, across the 128-row block boundary
+            (300, (127, 128)),  # the two sides of a block boundary
+            (300, (128, 127)),
+            (300, (250, 3)),  # below the diagonal, far from its mirror's block
+            (300, (299, 298)),  # last row of a partial block
+        ],
+    )
+    def test_same_decision_as_full_matrix_formula(self, n, entry):
+        a = SeededRng(n).normal(n * n).reshape(n, n)
+        m = (a + a.T) / 2
+        tol = 1e-12 * np.max(np.abs(m))
+        decisions = []
+        for factor in (0.5, 2.0, 1e6):
+            bumped = m.copy()
+            bumped[entry] += factor * tol
+            decisions.append(raises_asymmetric(bumped))
+            assert decisions[-1] == full_matrix_asymmetric(bumped)
+        assert decisions == [False, True, True]
+
+    @pytest.mark.parametrize("n", [0, 1, 129])
+    def test_symmetric_inputs_pass(self, n):
+        a = SeededRng(n).normal(n * n).reshape(n, n)
+        m = a + a.T
+        assert not full_matrix_asymmetric(m)
+        check_symmetric(m)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (0, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError):
+            check_symmetric(np.ones(shape))
 
 
 class TestPearson:

@@ -105,6 +105,44 @@ class TestDenseGnh:
             atol=1e-12,
         )
 
+    @pytest.mark.parametrize("spec", [LINEAR, MLP, DEEP_TANH, DEEP_RELU])
+    def test_matches_per_example_reference(self, spec):
+        # centered Jacobian rows against sum_b J_b^T S(h_b) J_b, one example at a time
+        theta, data = toy_fixture(spec, n=37, seed=4)
+        jac = models._logit_jacobians(spec, _linearize(spec, theta.values, data.X))
+        logits, _ = models._forward(spec, theta.values, data.X)
+        reference = sum(j.T @ softmax_hessian(h) @ j for j, h in zip(jac, logits)) / len(data)
+        H = gnh_matrix_exact(spec, theta, data, chunk=16)
+        assert np.max(np.abs(H - reference)) <= 1e-13 * np.max(np.abs(reference))
+        assert np.array_equal(H, H.T)
+
+    @pytest.mark.parametrize("spec", [LINEAR, MLP, DEEP_RELU])
+    def test_last_layer_bias_shift_is_a_null_vector(self, spec):
+        # +c on every class bias adds c to every logit, which no softmax sees
+        # (S 1 = 0): every GNH here is singular, whatever the data
+        name, offset, length = spec.segments[-1]
+        shift = np.zeros(spec.n_params)
+        shift[offset + length - spec.n_classes : offset + length] = 1.0
+        for seed in range(3):
+            theta, data = toy_fixture(spec, n=25, seed=seed)
+            H = gnh_matrix_exact(spec, theta, data)
+            assert np.linalg.norm(H @ shift) <= 1e-13 * np.linalg.norm(H)
+
+    def test_runs_no_per_example_kxk_contraction(self, monkeypatch):
+        # the rows go to one BLAS product per chunk, not a per-example einsum
+        # against a K x K softmax-Hessian factor
+        einsum = np.einsum
+
+        def guarded(subscripts, *operands, **kwargs):
+            if subscripts.replace(" ", "") == "bkn,bkj->bnj":
+                raise AssertionError("per-example K x K einsum in the dense GNH")
+            return einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", guarded)
+        theta, data = toy_fixture(MLP, n=20, seed=6)
+        H = gnh_matrix_exact(MLP, theta, data)
+        assert np.array_equal(H, H.T)
+
     def test_refuses_large_models(self):
         big = ModelSpec(kind="softmax-linear", layer_sizes=(1000, 3))
         data = Dataset(X=np.zeros((1, 1000)), y=np.array([0]))
