@@ -208,11 +208,20 @@ def _oracle_ihvp(run: RunContext, dense_gnh: np.ndarray, g: np.ndarray) -> np.nd
         ) from exc
 
 
+def _check_step_count_derivable(run: RunContext) -> None:
+    """An omitted t_steps comes from eta and lambda_damp (spectral.step_count),
+    which give none at lambda_damp = 0.  The config alone decides this, so
+    commands check it before any model work."""
+    if run.cfg.t_steps is None and not run.cfg.lambda_damp > 0:
+        raise ConfigError("t_steps must be given when lambda_damp is 0")
+
+
 def _solver_settings(run: RunContext, dense_gnh: np.ndarray | None):
     """eta and t_steps from config; an omitted eta comes from the dense GNH's
     top eigenvalue (dense_gnh is None when eta is set), an omitted t_steps from
     eta.  A t_steps, given or derived, over MAX_T_STEPS is a config error."""
     cfg = run.cfg
+    _check_step_count_derivable(run)
     eta = cfg.eta
     if eta is None:
         eta = step_size(float(sym_eigvals(dense_gnh)[0]), cfg.lambda_damp)
@@ -222,8 +231,6 @@ def _solver_settings(run: RunContext, dense_gnh: np.ndarray | None):
             t_steps = step_count(eta, cfg.lambda_damp, cfg.t_multiplier)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if t_steps is None:
-            raise ConfigError("t_steps must be given when lambda_damp is 0")
     _check_t_steps(t_steps)
     return eta, t_steps
 
@@ -338,6 +345,7 @@ def cmd_lissa(run: RunContext) -> None:
     cfg = run.cfg
     if cfg.tolerance is not None:
         _check_oracle_damping(run)
+    _check_step_count_derivable(run)
     spec, theta = _build_model(run)
     train, _ = _build_data(run, spec)
     if not 0 <= cfg.train_index < len(train):
@@ -423,6 +431,7 @@ def cmd_pbrf_compare(run: RunContext) -> None:
     cfg = run.cfg
     if cfg.n_train * cfg.n_test < 10:
         raise ConfigError("need at least ten (train, test) pairs to compare")
+    _check_step_count_derivable(run)
     spec, theta = _build_model(run)
     train, test = _build_data(run, spec, n_test=cfg.n_test)
     if cfg.n_train > len(train):
@@ -435,43 +444,46 @@ def cmd_pbrf_compare(run: RunContext) -> None:
     steps = cfg.pbrf_steps if cfg.pbrf_steps is not None else t_steps
     test_examples = [test[j] for j in range(len(test))]
     test_grads = [measurement_gradient(spec, theta, ex).values for ex in test_examples]
+    item_seeds = [run.sub_seed(f"pbrf-item-{i}") for i in range(cfg.n_train)]
 
-    def one_train_point(i: int):
-        item_seed = run.sub_seed(f"pbrf-item-{i}")
-        example = train[i]
-        g = loss_gradient(spec, theta, example)
+    def solve(i: int):
+        """Solver scores of train point i, or the divergence that stopped its solve."""
+        g = loss_gradient(spec, theta, train[i])
         op = _stochastic_operator(run, spec, theta, train, batch_size)
-        lcfg = LissaConfig(
-            eta=lr,
-            lambda_damp=cfg.lambda_damp,
-            t_steps=steps,
-            seed=item_seed,
-        )
-        u, _ = lissa_solve(op, -g.values, lcfg)
-        solver_scores = {
-            (example.id, ex.id): influence_score(u, tg)
-            for ex, tg in zip(test_examples, test_grads)
-        }
+        lcfg = LissaConfig(eta=lr, lambda_damp=cfg.lambda_damp, t_steps=steps, seed=item_seeds[i])
+        try:
+            u, _ = lissa_solve(op, -g.values, lcfg)
+        except LissaDivergenceError as exc:
+            return exc
+        return [influence_score(u, tg) for tg in test_grads]
+
+    # One solve per item (in parallel under --threads); then the finetunes of
+    # the items before the first failed solve run in lockstep.  Errors come in
+    # item order, a solve's before its own finetune's, as if each item ran
+    # its solve and its finetune in turn.
+    solved = run.map_items(solve, list(range(cfg.n_train)))
+    n_ok = next((i for i, s in enumerate(solved) if isinstance(s, LissaDivergenceError)), cfg.n_train)
+    if n_ok:
+        points = Dataset(X=train.X[:n_ok], y=train.y[:n_ok], ids=train.ids[:n_ok])
         pcfg = PboConfig(
             epsilon=cfg.epsilon,
             lambda_damp=cfg.lambda_damp,
             lr=lr,
             steps=steps,
             batch_size=batch_size,
-            seed=item_seed,
+            seed=tuple(item_seeds[:n_ok]),
         )
-        result = pbrf_finetune(spec, theta, example, train, pcfg)
-        retrain_scores = pbrf_influence(spec, result, theta, test_examples, cfg.epsilon)
-        retrain_scores = {
-            (example.id, test_id): score for test_id, score in retrain_scores.items()
-        }
-        return solver_scores, retrain_scores
+        results = pbrf_finetune(spec, theta, points, train, pcfg)
+        retrain = pbrf_influence(spec, results, theta, test_examples, cfg.epsilon)
+    if n_ok < cfg.n_train:
+        raise solved[n_ok]
 
     solver_map: dict = {}
     retrain_map: dict = {}
-    for solver_scores, retrain_scores in run.map_items(one_train_point, list(range(cfg.n_train))):
-        solver_map.update(solver_scores)
-        retrain_map.update(retrain_scores)
+    for train_id, scores, retrain_scores in zip(points.ids, solved, retrain):
+        for ex, score in zip(test_examples, scores):
+            solver_map[(int(train_id), ex.id)] = score
+            retrain_map[(int(train_id), ex.id)] = retrain_scores[ex.id]
 
     comparison = compare_influences(solver_map, retrain_map)
     run.emit_csv(

@@ -23,6 +23,12 @@ _MIX_B = 0x94D049BB133111EB
 
 _INV_2_53 = 2.0 ** -53
 
+# The same constants as uint64 scalars, built once rather than on every draw.
+_GAMMA_U64 = np.uint64(_GAMMA)
+_MIX_A_U64 = np.uint64(_MIX_A)
+_MIX_B_U64 = np.uint64(_MIX_B)
+_U1, _U11, _U27, _U30, _U31, _U63 = (np.uint64(k) for k in (1, 11, 27, 30, 31, 63))
+
 
 def _mix64_scalar(z: int) -> int:
     """SplitMix64 finalizer on a Python int, mod 2**64."""
@@ -34,9 +40,9 @@ def _mix64_scalar(z: int) -> int:
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
     # uint64 arithmetic wraps mod 2**64, matching the scalar path.
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-    return z ^ (z >> np.uint64(31))
+    z = (z ^ (z >> _U30)) * _MIX_A_U64
+    z = (z ^ (z >> _U27)) * _MIX_B_U64
+    return z ^ (z >> _U31)
 
 
 def derive_seed(seed: int, *keys: int) -> int:
@@ -61,34 +67,46 @@ class SeededRng:
     is the number of 64-bit words consumed, so streams can be split,
     replayed, and compared across platforms.  Normal deviates use the
     Box-Muller transform (cosine branch), consuming exactly two words each.
+
+    ``seed`` is one seed or a sequence of R seeds.  With R seeds the stream
+    is R streams in lockstep: every draw returns an (R, n) block whose row r
+    is word for word the draw of ``SeededRng(seeds[r])`` at the same
+    position, and all rows share the position.
     """
 
-    def __init__(self, seed: int, position: int = 0):
-        self.seed = int(seed) & _MASK64
+    def __init__(self, seed, position: int = 0):
+        if np.ndim(seed) == 0:
+            self.seed = int(seed) & _MASK64
+            self._base = np.uint64(self.seed)
+        else:
+            self.seed = np.array([int(s) & _MASK64 for s in seed], dtype=np.uint64)
+            self._base = self.seed[:, None]
         self.position = int(position)
         if self.position < 0:
             raise ValueError("position must be non-negative")
 
     def __repr__(self) -> str:
-        return f"SeededRng(seed={self.seed:#018x}, position={self.position})"
+        if isinstance(self.seed, int):
+            return f"SeededRng(seed={self.seed:#018x}, position={self.position})"
+        return f"SeededRng(seeds={self.seed.size}, position={self.position})"
 
     def raw_uint64(self, n: int) -> np.ndarray:
-        """Next ``n`` raw 64-bit words as a uint64 array."""
+        """Next ``n`` raw 64-bit words as a uint64 array: shape (n,) for one
+        seed, (R, n) for R seeds."""
         if n < 0:
             raise ValueError("n must be non-negative")
         idx = np.arange(self.position + 1, self.position + n + 1, dtype=np.uint64)
         self.position += n
-        counters = np.uint64(self.seed) + idx * np.uint64(_GAMMA)
-        return _mix64_array(counters)
+        return _mix64_array(self._base + idx * _GAMMA_U64)
 
     def uniform(self, n: int) -> np.ndarray:
         """``n`` uniforms in [0, 1) with 53-bit resolution."""
-        bits = self.raw_uint64(n) >> np.uint64(11)
+        bits = self.raw_uint64(n) >> _U11
         return bits.astype(np.float64) * _INV_2_53
 
     def normal(self, n: int) -> np.ndarray:
         """``n`` i.i.d. standard normals via Box-Muller."""
-        u1 = ((self.raw_uint64(n) >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * _INV_2_53
+        u1 = ((self.raw_uint64(n) >> _U11) + _U1).astype(np.float64) * _INV_2_53
         u2 = self.uniform(n)
         return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
 
@@ -102,7 +120,7 @@ class SeededRng:
 
     def rademacher(self, n: int) -> np.ndarray:
         """``n`` independent +-1 values as float64."""
-        bits = self.raw_uint64(n) >> np.uint64(63)
+        bits = self.raw_uint64(n) >> _U63
         return bits.astype(np.float64) * 2.0 - 1.0
 
     def substream(self, *keys: int) -> "SeededRng":

@@ -60,7 +60,8 @@ class Batch:
 
 
 def sample_batch(dataset: Dataset, size: int, rng: SeededRng) -> Batch:
-    """i.i.d. uniform draw with replacement; duplicates are expected."""
+    """i.i.d. uniform draw with replacement; duplicates are expected.  An rng
+    of R seeds draws R batches at once: ids and y (R, size), X (R, size, in)."""
     if size < 1:
         raise ValueError("batch size must be >= 1")
     if len(dataset) < 1:

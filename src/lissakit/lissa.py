@@ -99,7 +99,7 @@ def lissa_solve(op, g, cfg: LissaConfig):
     for step in range(1, cfg.t_steps + 1):
         hu = op.matvec(u)
         u = u - cfg.eta * (hu + cfg.lambda_damp * u - g_values)
-        norm = float(np.linalg.norm(u))
+        norm = math.sqrt(u @ u)
         if not math.isfinite(norm) or norm > bound:
             raise LissaDivergenceError(step, norm)
         norms[step] = norm

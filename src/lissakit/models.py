@@ -153,12 +153,14 @@ class Dataset:
 
 
 def _unpack(spec: ModelSpec, theta: np.ndarray):
-    """Views of the flat vector as per-layer (W, b) pairs; no copies."""
+    """Views of the flat vector as per-layer (W, b) pairs; no copies.  A
+    leading chain axis on theta, (R, n), gives (R, out, in) and (R, out)."""
+    lead = theta.shape[:-1]
     layers = []
     for l, (name, offset, length) in enumerate(spec.segments):
         fan_in, fan_out = spec.layer_sizes[l], spec.layer_sizes[l + 1]
-        w = theta[offset : offset + fan_out * fan_in].reshape(fan_out, fan_in)
-        b = theta[offset + fan_out * fan_in : offset + length]
+        w = theta[..., offset : offset + fan_out * fan_in].reshape(lead + (fan_out, fan_in))
+        b = theta[..., offset + fan_out * fan_in : offset + length]
         layers.append((w, b))
     return layers
 
@@ -175,14 +177,16 @@ def _act_deriv(spec: ModelSpec, a: np.ndarray) -> np.ndarray:
 
 
 def _forward(spec: ModelSpec, theta: np.ndarray, X: np.ndarray):
-    """Batched forward pass; returns logits (B, K) and the per-layer caches,
-    the input of each layer.  Each hidden layer's activation is the next input."""
+    """Batched forward pass; returns logits (..., B, K) and the per-layer
+    caches, the input of each layer.  Each hidden layer's activation is the
+    next input.  theta (n,) or (R, n) and X (B, in) or (R, B, in) broadcast
+    over their leading axes; a 2-D X against a 1-D theta runs plain matmuls."""
     layers = _unpack(spec, theta)
     a = X
     caches = []
     for l, (w, b) in enumerate(layers):
         caches.append(a)
-        z = a @ w.T + b
+        z = a @ np.swapaxes(w, -1, -2) + b[..., None, :]
         a = _act(spec, z) if l < len(layers) - 1 else z
     return a, caches
 
@@ -215,15 +219,18 @@ def _linearize(spec: ModelSpec, theta: np.ndarray, X: np.ndarray) -> _Linearizat
 
 
 def _backprop(spec: ModelSpec, lin: _Linearization, G: np.ndarray) -> np.ndarray:
-    """Gradient of sum_b <G[b], logits(x_b)> with respect to theta at ``lin``."""
-    grad = np.zeros(spec.n_params)
+    """Gradient of sum_b <G[b], logits(x_b)> with respect to theta at ``lin``;
+    (R, n) for a linearization with a leading chain axis."""
+    lead = G.shape[:-2]
+    grad = np.zeros(lead + (spec.n_params,))
     delta = G
     for l in range(len(lin.layers) - 1, -1, -1):
         w, _ = lin.layers[l]
         name, offset, length = spec.segments[l]
-        fan_out, fan_in = w.shape
-        grad[offset : offset + fan_out * fan_in] = (delta.T @ lin.inputs[l]).ravel()
-        grad[offset + fan_out * fan_in : offset + length] = delta.sum(axis=0)
+        fan_out, fan_in = w.shape[-2:]
+        weights = np.swapaxes(delta, -1, -2) @ lin.inputs[l]
+        grad[..., offset : offset + fan_out * fan_in] = weights.reshape(lead + (-1,))
+        grad[..., offset + fan_out * fan_in : offset + length] = delta.sum(axis=-2)
         if l > 0:
             delta = (delta @ w) * lin.derivs[l - 1]
     return grad
@@ -266,17 +273,28 @@ def nll_loss(spec: ModelSpec, theta: ParamVector, x: np.ndarray, y: int) -> floa
 
 
 def _nll_from_logits(h: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-row cross-entropy of logits h (..., K) at labels y, which
+    broadcasts against h's leading axes."""
     shifted = h - h.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1))
-    return lse - shifted[np.arange(h.shape[0]), y]
+    labels = np.broadcast_to(y, h.shape[:-1])[..., None]
+    return lse - np.take_along_axis(shifted, labels, axis=-1)[..., 0]
+
+
+def _loss_gradient_rows(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient of the summed cross-entropy over rows X (..., B, in) with
+    labels y (..., B); (R, n) for an (R, n) block of chains."""
+    lin = _linearize(spec, theta, X)
+    g = lin.p.copy()
+    g[(*np.indices(y.shape, sparse=True), y)] -= 1.0
+    return _backprop(spec, lin, g)
 
 
 def loss_gradient(spec: ModelSpec, theta: ParamVector, example: Example) -> ParamVector:
     """Gradient of the cross-entropy loss at one example."""
-    lin = _linearize(spec, theta.values, example.x[None, :])
-    g = lin.p.copy()
-    g[0, example.y] -= 1.0
-    return theta.like(_backprop(spec, lin, g))
+    return theta.like(
+        _loss_gradient_rows(spec, theta.values, example.x[None, :], np.array([example.y]))
+    )
 
 
 def test_gradient(spec: ModelSpec, theta: ParamVector, example: Example) -> ParamVector:

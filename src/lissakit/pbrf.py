@@ -1,16 +1,19 @@
-"""Ground-truth influence via proximal Bregman finetuning.
+"""Influence via proximal Bregman finetuning.
 
 Finetuning minimizes, around a frozen reference parameter vector, the mean
 Bregman divergence between current and reference logits plus an
 epsilon-weighted training-point loss and a quadratic proximity penalty.  The
 minimizer's displacement, divided by epsilon, reads out the damped
-inverse-curvature influence by finite differences, giving an independent
-ground truth to hold stochastic solvers against.  All arithmetic is float64.
+inverse-curvature influence by finite differences.  With a small epsilon and
+the stochastic solver's step size, step count and batch stream, the finetune
+equals the solver's iteration to first order in epsilon, so the comparison
+checks the finetune code against the solver code rather than against an
+independent ground truth.  All arithmetic is float64.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,23 +27,24 @@ from .models import (
     _backprop,
     _forward,
     _linearize,
+    _loss_gradient_rows,
     _nll_from_logits,
     _softmax,
-    loss_gradient,
     nll_loss,
 )
 
 
 @dataclass(frozen=True)
 class PboConfig:
-    """Finetuning settings; lr, steps, and batch size mirror the paired solve."""
+    """Finetuning settings; lr, steps, and batch size mirror the paired solve.
+    ``seed`` is one seed, or one per chain for a lockstep finetune."""
 
     epsilon: float = 1e-8
     lambda_damp: float = 0.0
     lr: float = 0.1
     steps: int = 100
     batch_size: int = 32
-    seed: int = 0
+    seed: int | tuple[int, ...] = 0
 
     def __post_init__(self):
         if self.epsilon < 0:
@@ -53,6 +57,8 @@ class PboConfig:
             raise ValueError("need at least one step")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        if np.ndim(self.seed) != 0:
+            object.__setattr__(self, "seed", tuple(int(s) for s in self.seed))
 
 
 @dataclass
@@ -63,7 +69,6 @@ class PbrfResult:
     displacement_norm: float
     overflow: bool
     steps_run: int
-    objective_trace: list[tuple[int, float]] = field(default_factory=list)
 
 
 def _bregman_gaps(logits: np.ndarray, ref_logits: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -102,33 +107,46 @@ def pbo_objective(
     return value + 0.5 * cfg.lambda_damp * float(shift @ shift)
 
 
+def _train_rows(train_point):
+    """The training term's rows: one row for an Example, X (R, 1, in) and
+    y (R, 1) for a Dataset of R train points, one per chain."""
+    if isinstance(train_point, Dataset):
+        return train_point.X[:, None, :], train_point.y[:, None]
+    return train_point.x[None, :], np.array([train_point.y])
+
+
 def pbo_gradient(
     spec: ModelSpec,
-    theta: ParamVector,
+    theta,
     theta_star: ParamVector,
-    train_point: Example,
+    train_point,
     batch,
     cfg: PboConfig,
 ) -> np.ndarray:
     """Exact objective gradient; the label one-hots cancel in the Bregman term,
-    leaving the softmax gap between current and reference logits."""
-    lin = _linearize(spec, theta.values, batch.X)
+    leaving the softmax gap between current and reference logits.
+
+    ``theta`` is a ParamVector or an array of parameters.  For R chains it is
+    an (R, n) block, ``train_point`` a Dataset of R points and ``batch.X``
+    (R, B, in), or (B, in) shared by every chain; the gradient is (R, n).
+    """
+    theta = getattr(theta, "values", theta)
+    lin = _linearize(spec, theta, batch.X)
     ref_logits, _ = _forward(spec, theta_star.values, batch.X)
-    gap = (lin.p - _softmax(ref_logits)) / len(batch.y)
+    gap = (lin.p - _softmax(ref_logits)) / batch.y.shape[-1]
     grad = _backprop(spec, lin, gap)
     if cfg.epsilon:
-        grad = grad + cfg.epsilon * loss_gradient(spec, theta, train_point).values
-    return grad + cfg.lambda_damp * (theta.values - theta_star.values)
+        grad = grad + cfg.epsilon * _loss_gradient_rows(spec, theta, *_train_rows(train_point))
+    return grad + cfg.lambda_damp * (theta - theta_star.values)
 
 
 def pbrf_finetune(
     spec: ModelSpec,
     theta_star: ParamVector,
-    train_point: Example,
+    train_point,
     dataset: Dataset,
     cfg: PboConfig,
-    eval_every: int = 0,
-) -> PbrfResult:
+):
     """SGD on the proximal Bregman objective, starting from the reference.
 
     Batches are drawn with the same sampler and seed discipline as the
@@ -137,62 +155,79 @@ def pbrf_finetune(
     the whole dataset switches to deterministic full-batch descent, mirroring
     the curvature operator's convention.  A non-finite update stops early and
     flags overflow; the last finite parameters are returned.
+
+    ``train_point`` is one Example, finetuned from the seed ``cfg.seed``, and
+    the result one PbrfResult.  Or it is a Dataset of R train points with
+    ``cfg.seed`` holding R seeds: the R finetunes run in lockstep as one (R, n)
+    block, each chain with its own seed, overflow flag and step count, and the
+    result is a list of R PbrfResults, each equal to finetuning its point alone.
     """
+    chains = isinstance(train_point, Dataset)
+    if chains != (np.ndim(cfg.seed) == 1) or (chains and len(cfg.seed) != len(train_point)):
+        raise ValueError("give one seed for an Example, one per point for a Dataset")
     rng = SeededRng(cfg.seed)
     full_batch = cfg.batch_size >= len(dataset)
-    theta_values = theta_star.values.copy()
-    trace: list[tuple[int, float]] = []
-    overflow = False
-    steps_run = 0
+    lead = (len(train_point),) if chains else ()
+    theta = np.broadcast_to(theta_star.values, lead + (spec.n_params,)).copy()
+    overflow = np.zeros(lead, dtype=bool)
+    steps_run = np.zeros(lead, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, cfg.steps + 1):
             batch = dataset if full_batch else sample_batch(dataset, cfg.batch_size, rng)
-            theta = ParamVector(theta_values, spec.segments)
             grad = pbo_gradient(spec, theta, theta_star, train_point, batch, cfg)
-            proposal = theta_values - cfg.lr * grad
-            if not np.all(np.isfinite(proposal)):
-                overflow = True
+            proposal = theta - cfg.lr * grad
+            overflow |= ~np.isfinite(proposal).all(axis=-1)
+            if overflow.all():
                 break
-            theta_values = proposal
-            steps_run = step
-            if eval_every and step % eval_every == 0:
-                theta = ParamVector(theta_values, spec.segments)
-                trace.append(
-                    (step, pbo_objective(spec, theta, theta_star, train_point, dataset, cfg))
-                )
-    return PbrfResult(
-        theta_pbrf=ParamVector(theta_values, spec.segments),
-        displacement_norm=float(np.linalg.norm(theta_values - theta_star.values)),
-        overflow=overflow,
-        steps_run=steps_run,
-        objective_trace=trace,
-    )
+            theta = np.where(overflow[..., None], theta, proposal)
+            steps_run[~overflow] = step
+    results = [
+        PbrfResult(
+            theta_pbrf=ParamVector(values, spec.segments),
+            displacement_norm=float(np.linalg.norm(values - theta_star.values)),
+            overflow=bool(flag),
+            steps_run=int(run),
+        )
+        for values, flag, run in zip(
+            theta.reshape(-1, spec.n_params), overflow.ravel(), steps_run.ravel()
+        )
+    ]
+    return results if chains else results[0]
 
 
 def pbrf_influence(
     spec: ModelSpec,
-    result: PbrfResult,
+    result,
     theta_star: ParamVector,
     test_points,
     epsilon: float,
-) -> dict:
+):
     """Influence scores as the measurement change per unit epsilon.
 
     score(test) = (f(test; theta_pbrf) - f(test; theta_star)) / epsilon with
     f the log-probability of the test label; to first order in epsilon this
     equals -grad_f . (H + lambda)^-1 grad_loss(train), the same sign
-    convention the solver pipeline reports.
+    convention the solver pipeline reports.  ``result`` is one PbrfResult,
+    giving one {test id: score} map, or a list of them, giving one map each.
+
+    Each f is a one-row forward pass, as in ``nll_loss``, so every score is
+    bit for bit the one-example value: the reference f once per test point,
+    the moved f of every (result, test point) pair as one stacked forward,
+    (R, J, 1, in) rows against (R, 1, n) parameters.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if result.overflow:
+    results = result if isinstance(result, list) else [result]
+    if any(r.overflow for r in results):
         raise OverflowError("finetune overflowed; influences are unavailable")
-    scores = {}
-    for example in test_points:
-        moved = -nll_loss(spec, result.theta_pbrf, example.x, example.y)
-        ref = -nll_loss(spec, theta_star, example.x, example.y)
-        scores[example.id] = (moved - ref) / epsilon
-    return scores
+    X = np.array([ex.x for ex in test_points], dtype=np.float64).reshape(-1, 1, spec.input_dim)
+    y = np.array([ex.y for ex in test_points], dtype=np.int64).reshape(-1, 1)
+    thetas = np.stack([r.theta_pbrf.values for r in results])[:, None, :]
+    ref = -_nll_from_logits(_forward(spec, theta_star.values, X)[0], y)
+    moved = -_nll_from_logits(_forward(spec, thetas, X)[0], y)
+    scores = (moved - ref)[..., 0] / epsilon
+    maps = [dict(zip((ex.id for ex in test_points), row)) for row in scores]
+    return maps if isinstance(result, list) else maps[0]
 
 
 @dataclass

@@ -6,6 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from lissakit import cli
 from lissakit.cli import main
 from lissakit.config import (
     ConfigError,
@@ -15,6 +16,7 @@ from lissakit.config import (
     parse_config_text,
     sha256_hex,
 )
+from lissakit.lissa import LissaDivergenceError
 
 RECOMMEND_CFG = """
 # spectral statistics of a large image classifier
@@ -200,6 +202,13 @@ class TestDeterminism:
         ).read_bytes()
         assert (serial / "manifest.txt").read_bytes() == (parallel / "manifest.txt").read_bytes()
 
+    def test_thread_count_does_not_change_pbrf_compare(self, tmp_path):
+        cfg_text = QUAD_CFG.replace("t_steps = 400", "t_steps = 20") + "n_train = 6\nn_test = 5\n"
+        _, serial = run_cli(tmp_path, "pbrf-compare", cfg_text, "--threads", "1", name="serial")
+        _, parallel = run_cli(tmp_path, "pbrf-compare", cfg_text, "--threads", "2", name="par")
+        for name in ["pbrf_pairs.csv", "pbrf_summary.csv", "manifest.txt"]:
+            assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+
 
 class TestExitCodes:
     def test_success_is_zero(self, tmp_path):
@@ -294,6 +303,56 @@ class TestExitCodes:
         code, _ = run_cli(tmp_path, "lissa", text)
         assert code == 2
         assert "t_steps must be given" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, extra", [("lissa", ""), ("pbrf-compare", "n_train = 2\nn_test = 5\n")])
+    def test_zero_damping_without_t_steps_stops_before_model_work(
+        self, tmp_path, capsys, monkeypatch, command, extra
+    ):
+        # the config alone decides this error: no model, no dense GNH, no eigvalsh
+        def refuse(*args, **kwargs):
+            raise AssertionError("model work before a config-decided error")
+
+        monkeypatch.setattr("lissakit.cli.gnh_matrix_exact", refuse)
+        monkeypatch.setattr("lissakit.cli._build_model", refuse)
+        code, _ = run_cli(tmp_path, command, SINGULAR_CFG + extra)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "config error: t_steps must be given when lambda_damp is 0\n"
+
+    @pytest.mark.parametrize(
+        "solve_fails, finetune_overflows, message",
+        [
+            ((2, 3), (), "iterate diverged at step 2 (norm 1e+300)"),
+            ((2,), (1,), "finetune overflowed; influences are unavailable"),
+            ((2,), (2, 3), "iterate diverged at step 2 (norm 1e+300)"),
+            ((), (4,), "finetune overflowed; influences are unavailable"),
+        ],
+    )
+    def test_pbrf_compare_fails_on_the_earliest_item(
+        self, tmp_path, capsys, monkeypatch, solve_fails, finetune_overflows, message
+    ):
+        # the solves and the lockstep finetunes report failures as if each item
+        # ran its solve and then its finetune, one item after another
+        items = {component_seed(3, f"pbrf-item-{i}"): i for i in range(6)}
+        real_solve, real_finetune = cli.lissa_solve, cli.pbrf_finetune
+
+        def solve(op, g, cfg):
+            if items[cfg.seed] in solve_fails:
+                raise LissaDivergenceError(step=items[cfg.seed], norm=1e300)
+            return real_solve(op, g, cfg)
+
+        def finetune(spec, theta, points, dataset, cfg):
+            results = real_finetune(spec, theta, points, dataset, cfg)
+            for seed, result in zip(cfg.seed, results):
+                result.overflow = items[seed] in finetune_overflows
+            return results
+
+        monkeypatch.setattr("lissakit.cli.lissa_solve", solve)
+        monkeypatch.setattr("lissakit.cli.pbrf_finetune", finetune)
+        text = QUAD_CFG.replace("t_steps = 400", "t_steps = 5") + "n_train = 6\nn_test = 5\n"
+        code, _ = run_cli(tmp_path, "pbrf-compare", text)
+        assert code == 3
+        assert capsys.readouterr().err == f"numerical overflow: {message}\n"
 
     @pytest.mark.parametrize(
         "model",

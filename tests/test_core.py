@@ -102,6 +102,21 @@ class TestSeededRng:
         assert set(np.unique(r)) == {-1.0, 1.0}
         assert abs(r.mean()) < 0.06
 
+    @pytest.mark.parametrize("position", [0, 7, 2**40])
+    def test_seed_array_draws_each_stream_in_lockstep(self, position):
+        seeds = [0, 3, 2**64 - 1, derive_seed(9, 1), 3]
+        block = SeededRng(seeds, position=position)
+        singles = [SeededRng(s, position=position) for s in seeds]
+        draws = [("raw_uint64", (6,)), ("uniform", (5,)), ("normal", (4,)),
+                 ("integers", (9, 13)), ("rademacher", (10,)), ("raw_uint64", (0,))]
+        for name, args in draws:
+            got = getattr(block, name)(*args)
+            want = [getattr(r, name)(*args) for r in singles]
+            assert got.shape == (len(seeds), args[0])
+            for row, w in zip(got, want):
+                assert row.dtype == w.dtype and row.tobytes() == w.tobytes(), name
+        assert block.position == singles[0].position
+
     def test_substreams_differ(self):
         rng = SeededRng(21)
         a = rng.substream(0).uniform(50)

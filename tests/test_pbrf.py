@@ -9,11 +9,13 @@ from lissakit.core import SeededRng
 from lissakit.gnh import GnhOperator, gnh_matrix_exact, sample_batch
 from lissakit.lissa import LissaConfig, exact_ihvp, lissa_solve
 from lissakit.models import (
+    Dataset,
     ModelSpec,
     ParamVector,
     init_params,
     loss_gradient,
     make_blobs,
+    nll_loss,
     _forward,
 )
 from lissakit.models import test_gradient as measurement_gradient
@@ -183,10 +185,14 @@ class TestPbrfFinetune:
         assert np.isfinite(result.theta_pbrf.values).all()
 
     def test_objective_trace_non_increasing(self, quad):
+        # step k's batch is fixed by (seed, k), so the finetunes with steps
+        # 5, 10, ..., 100 are prefixes of one trajectory
         spec, theta, data, H, damp, eta = quad
-        cfg = PboConfig(epsilon=1e-3, lambda_damp=damp, lr=eta, steps=100, batch_size=64, seed=4)
-        result = pbrf_finetune(spec, theta, data[0], data, cfg, eval_every=5)
-        values = [v for _, v in result.objective_trace]
+        values = []
+        for steps in range(5, 101, 5):
+            cfg = PboConfig(epsilon=1e-3, lambda_damp=damp, lr=eta, steps=steps, batch_size=64, seed=4)
+            result = pbrf_finetune(spec, theta, data[0], data, cfg)
+            values.append(pbo_objective(spec, result.theta_pbrf, theta, data[0], data, cfg))
         assert len(values) == 20
         increases = np.diff(values)
         assert increases.max() <= 1e-3 * values[0]
@@ -276,6 +282,95 @@ class TestPbrfInfluence:
         )
         with pytest.raises(ValueError):
             pbrf_influence(spec, result, theta, [data[0]], 0.0)
+
+
+LOCKSTEP_SPECS = {
+    "linear": ModelSpec(kind="softmax-linear", layer_sizes=(5, 3)),
+    "tanh": ModelSpec(kind="mlp", layer_sizes=(5, 6, 3), activation="tanh"),
+    "relu": ModelSpec(kind="mlp", layer_sizes=(5, 6, 4, 3), activation="relu"),
+}
+
+
+def assert_same_result(got, want):
+    assert got.theta_pbrf.values.tobytes() == want.theta_pbrf.values.tobytes()
+    assert (got.overflow, got.steps_run) == (want.overflow, want.steps_run)
+    assert got.displacement_norm == want.displacement_norm
+
+
+class TestLockstep:
+    """R finetunes as one (R, n) block against R finetunes run one by one."""
+
+    @staticmethod
+    def setup(name, n=40):
+        spec = LOCKSTEP_SPECS[name]
+        theta = init_params(spec, SeededRng(70), scale=0.8)
+        data = make_blobs(SeededRng(71), n, spec.input_dim, spec.n_classes)
+        return spec, theta, data
+
+    @pytest.mark.parametrize("name", sorted(LOCKSTEP_SPECS))
+    @pytest.mark.parametrize("batch_size", [8, 40], ids=["sampled", "full-batch"])
+    @pytest.mark.parametrize("epsilon", [1e-2, 0.0])
+    def test_block_equals_single_finetunes(self, name, batch_size, epsilon):
+        spec, theta, data = self.setup(name)
+        rows = [3, 0, 17, 3, 39]
+        points = Dataset(X=data.X[rows], y=data.y[rows], ids=data.ids[rows])
+        seeds = (11, 12, 13, 14, 11)
+        cfg = PboConfig(epsilon=epsilon, lambda_damp=0.1, lr=0.3, steps=12, batch_size=batch_size, seed=seeds)
+        block = pbrf_finetune(spec, theta, points, data, cfg)
+        assert len(block) == len(rows)
+        for i, got in enumerate(block):
+            one = PboConfig(epsilon=epsilon, lambda_damp=0.1, lr=0.3, steps=12, batch_size=batch_size, seed=seeds[i])
+            assert_same_result(got, pbrf_finetune(spec, theta, points[i], data, one))
+        if epsilon == 0.0:
+            assert all(r.displacement_norm == 0.0 for r in block)
+
+    def test_an_overflowing_chain_leaves_the_others_alone(self):
+        spec, theta, data = self.setup("relu")
+        X = data.X[:4].copy()
+        X[2] = 1e200  # its logits overflow once theta has moved along it
+        points = Dataset(X=X, y=data.y[:4], ids=data.ids[:4])
+        cfg = PboConfig(epsilon=1.0, lambda_damp=0.1, lr=0.3, steps=10, batch_size=8, seed=(1, 2, 3, 4))
+        block = pbrf_finetune(spec, theta, points, data, cfg)
+        assert [r.overflow for r in block] == [False, False, True, False]
+        assert block[2].steps_run < 10 and np.isfinite(block[2].theta_pbrf.values).all()
+        assert [r.steps_run for r in block if not r.overflow] == [10, 10, 10]
+        for i, got in enumerate(block):
+            one = PboConfig(epsilon=1.0, lambda_damp=0.1, lr=0.3, steps=10, batch_size=8, seed=cfg.seed[i])
+            assert_same_result(got, pbrf_finetune(spec, theta, points[i], data, one))
+
+    def test_one_seed_per_point(self):
+        spec, theta, data = self.setup("linear")
+        points = Dataset(X=data.X[:3], y=data.y[:3])
+        with pytest.raises(ValueError):
+            pbrf_finetune(spec, theta, points, data, PboConfig(seed=(1, 2)))
+        with pytest.raises(ValueError):
+            pbrf_finetune(spec, theta, points, data, PboConfig(seed=1))
+        with pytest.raises(ValueError):
+            pbrf_finetune(spec, theta, data[0], data, PboConfig(seed=(1,)))
+
+    @pytest.mark.parametrize("name", sorted(LOCKSTEP_SPECS))
+    def test_batched_influence_equals_one_row_losses(self, name):
+        spec, theta, data = self.setup(name)
+        points = Dataset(X=data.X[:6], y=data.y[:6], ids=data.ids[:6])
+        cfg = PboConfig(epsilon=1e-8, lambda_damp=0.1, lr=0.3, steps=8, batch_size=8, seed=tuple(range(6)))
+        results = pbrf_finetune(spec, theta, points, data, cfg)
+        tests = [data[j] for j in range(20, 40)]
+        maps = pbrf_influence(spec, results, theta, tests, 1e-8)
+        assert len(maps) == len(results)
+        for result, scores in zip(results, maps):
+            assert list(scores) == [ex.id for ex in tests]
+            assert scores == pbrf_influence(spec, result, theta, tests, 1e-8)
+            for ex in tests:
+                moved = -nll_loss(spec, result.theta_pbrf, ex.x, ex.y)
+                ref = -nll_loss(spec, theta, ex.x, ex.y)
+                assert scores[ex.id].tobytes() == ((moved - ref) / 1e-8).tobytes()
+
+    def test_any_overflowed_result_blocks_the_readout(self):
+        spec, theta, data = self.setup("linear")
+        fine = PbrfResult(theta.copy(), 0.0, False, 1)
+        broken = PbrfResult(theta.copy(), 0.0, True, 0)
+        with pytest.raises(OverflowError):
+            pbrf_influence(spec, [fine, broken], theta, [data[0]], 1e-8)
 
 
 class TestCompareInfluences:
