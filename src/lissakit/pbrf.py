@@ -57,8 +57,6 @@ class PboConfig:
             raise ValueError("need at least one step")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        if np.ndim(self.seed) != 0:
-            object.__setattr__(self, "seed", tuple(int(s) for s in self.seed))
 
 
 @dataclass
