@@ -105,6 +105,12 @@ class GnhOperator:
     calls see independent curvature estimates whose mean is the full-dataset
     operator.  ``fd_delta`` switches the Jacobian-vector product from forward
     mode to central differences.
+
+    A linearization record owns the scratch its sweeps write their hidden-layer
+    intermediates into, so one caller at a time may call ``matvec`` on one
+    operator; each result is a fresh array.  Commands build their full-batch
+    operators themselves, and ``map_items`` callers build one per item, so no
+    operator is shared between threads.
     """
 
     def __init__(

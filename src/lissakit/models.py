@@ -9,6 +9,12 @@ all that the derivative sweeps at that point read in one ``_Linearization``
 record; ``_backprop``, ``_jvp_batch`` and ``_logit_jacobians`` take the record,
 so none of them unpacks theta or pairs the caches of two passes.  The record
 holds views of theta and of the inputs, which must not be mutated after.
+
+The record also owns scratch for the hidden-layer intermediates of its sweeps,
+so no sweep allocates an array the size of a hidden layer: it allocates only
+logit-sized and parameter-sized arrays, and returns a fresh one.  A record is
+therefore swept by one caller at a time: two threads sweeping one record would
+overwrite each other's intermediates.
 """
 
 from __future__ import annotations
@@ -107,10 +113,6 @@ class ParamVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
 
-    @classmethod
-    def zeros(cls, spec: ModelSpec) -> "ParamVector":
-        return cls(np.zeros(spec.n_params), spec.segments)
-
 
 def _vector(x) -> np.ndarray:
     """Flat float64 values of a ParamVector or any array-like."""
@@ -202,25 +204,31 @@ class _Linearization(NamedTuple):
     ``layers`` holds theta's per-layer (W, b) views, ``inputs`` each layer's
     input (``inputs[0]`` is X), ``derivs`` each hidden layer's activation
     derivative (entry l - 1 belongs to ``inputs[l]``) and ``p`` the softmax
-    probabilities."""
+    probabilities.  ``work`` is the sweeps' scratch: two buffers per hidden
+    layer, each shaped like that layer's activation, which every JVP and
+    backward sweep at this record overwrites; so one caller at a time sweeps
+    a record."""
 
     theta: np.ndarray
     layers: list
     inputs: list
     derivs: list
     p: np.ndarray
+    work: list
 
 
 def _linearize(spec: ModelSpec, theta: np.ndarray, X: np.ndarray) -> _Linearization:
     """Run the forward pass at (theta, X) and keep what the sweeps read."""
     h, inputs = _forward(spec, theta, X)
     derivs = [_act_deriv(spec, a) for a in inputs[1:]]
-    return _Linearization(theta, _unpack(spec, theta), inputs, derivs, _softmax(h))
+    work = [(np.empty_like(a), np.empty_like(a)) for a in inputs[1:]]
+    return _Linearization(theta, _unpack(spec, theta), inputs, derivs, _softmax(h), work)
 
 
 def _backprop(spec: ModelSpec, lin: _Linearization, G: np.ndarray) -> np.ndarray:
     """Gradient of sum_b <G[b], logits(x_b)> with respect to theta at ``lin``;
-    (R, n) for a linearization with a leading chain axis."""
+    (R, n) for a linearization with a leading chain axis.  Each hidden delta
+    is formed in ``lin.work``; the gradient is a fresh array."""
     lead = G.shape[:-2]
     grad = np.zeros(lead + (spec.n_params,))
     delta = G
@@ -232,20 +240,27 @@ def _backprop(spec: ModelSpec, lin: _Linearization, G: np.ndarray) -> np.ndarray
         grad[..., offset : offset + fan_out * fan_in] = weights.reshape(lead + (-1,))
         grad[..., offset + fan_out * fan_in : offset + length] = delta.sum(axis=-2)
         if l > 0:
-            delta = (delta @ w) * lin.derivs[l - 1]
+            delta = np.matmul(delta, w, out=lin.work[l - 1][0])
+            delta *= lin.derivs[l - 1]
     return grad
 
 
 def _jvp_batch(spec: ModelSpec, lin: _Linearization, u: np.ndarray) -> np.ndarray:
-    """Directional derivative of logits along parameter direction u at ``lin``."""
+    """Directional derivative of logits along parameter direction u at ``lin``.
+    Each hidden layer's tangent is formed in ``lin.work``; the (B, K) logit
+    tangent is a fresh array."""
+    da = None
     for l, ((w, _), (dw, db)) in enumerate(zip(lin.layers, _unpack(spec, u))):
         a = lin.inputs[l]
-        if l == 0:
-            dz = a @ dw.T + db
-        else:
-            da = lin.derivs[l - 1] * dz
-            dz = a @ dw.T + da @ w.T + db
-    return dz
+        if l == len(lin.layers) - 1:
+            return a @ dw.T + db if da is None else a @ dw.T + da @ w.T + db
+        dz, scratch = lin.work[l]
+        np.matmul(a, dw.T, out=dz)
+        if da is not None:
+            dz += np.matmul(da, w.T, out=scratch)
+        dz += db
+        dz *= lin.derivs[l]
+        da = dz
 
 
 def _logit_jacobians(spec: ModelSpec, lin: _Linearization) -> np.ndarray:

@@ -13,6 +13,7 @@ independent ground truth.  All arithmetic is float64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,6 +139,17 @@ def pbo_gradient(
     return grad + cfg.lambda_damp * (theta - theta_star.values)
 
 
+def _displacement_norm(theta: np.ndarray, theta_star: np.ndarray) -> float:
+    """||theta - theta_star||, finite whenever every entry of the difference
+    is: the difference is divided by its largest magnitude before squaring."""
+    with np.errstate(over="ignore"):
+        shift = theta - theta_star
+    scale = float(np.max(np.abs(shift)))
+    if not 0.0 < scale < math.inf:
+        return scale
+    return scale * float(np.linalg.norm(shift / scale))
+
+
 def pbrf_finetune(
     spec: ModelSpec,
     theta_star: ParamVector,
@@ -182,7 +194,7 @@ def pbrf_finetune(
     results = [
         PbrfResult(
             theta_pbrf=ParamVector(values, spec.segments),
-            displacement_norm=float(np.linalg.norm(values - theta_star.values)),
+            displacement_norm=_displacement_norm(values, theta_star.values),
             overflow=bool(flag),
             steps_run=int(run),
         )

@@ -75,7 +75,7 @@ class TestDenseGnh:
         spec = ModelSpec(kind="softmax-linear", layer_sizes=(3, 2))
         x = np.array([0.5, -1.0, 2.0])
         data = Dataset(X=x[None, :], y=np.array([1]))
-        H = gnh_matrix_exact(spec, ParamVector.zeros(spec), data)
+        H = gnh_matrix_exact(spec, ParamVector(np.zeros(spec.n_params), spec.segments), data)
         S = softmax_hessian(np.zeros(2))
         ww = np.kron(S, np.outer(x, x))
         wb = np.kron(S, x[:, None])
@@ -147,7 +147,7 @@ class TestDenseGnh:
         big = ModelSpec(kind="softmax-linear", layer_sizes=(1000, 3))
         data = Dataset(X=np.zeros((1, 1000)), y=np.array([0]))
         with pytest.raises(ValueError):
-            gnh_matrix_exact(big, ParamVector.zeros(big), data)
+            gnh_matrix_exact(big, ParamVector(np.zeros(big.n_params), big.segments), data)
 
 
 class TestHvp:

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lissakit.core import SeededRng
-from lissakit.gnh import GnhOperator, _gnh_hvp
+from lissakit.gnh import GnhOperator, _gnh_hvp, _softmax_hessian_apply, sample_batch
 from lissakit.models import (
     Dataset,
     Example,
@@ -21,6 +23,7 @@ from lissakit.models import (
     _forward,
     _jvp_batch,
     _linearize,
+    _loss_gradient_rows,
     _softmax,
     _unpack,
 )
@@ -76,7 +79,7 @@ class TestParamVector:
             ParamVector(np.zeros(5), (("a", 0, 2), ("b", 3, 2)))
 
     def test_like_preserves_segments(self):
-        pv = ParamVector.zeros(LINEAR)
+        pv = ParamVector(np.zeros(LINEAR.n_params), LINEAR.segments)
         pv2 = pv.like(np.ones(LINEAR.n_params))
         assert pv2.segments == pv.segments
         assert pv2.norm() == pytest.approx(np.sqrt(LINEAR.n_params))
@@ -84,13 +87,14 @@ class TestParamVector:
 
 class TestForward:
     def test_zero_params_uniform_softmax(self):
-        logits, _ = _forward(LINEAR, ParamVector.zeros(LINEAR).values, np.ones((2, 4)))
+        theta = ParamVector(np.zeros(LINEAR.n_params), LINEAR.segments)
+        logits, _ = _forward(LINEAR, theta.values, np.ones((2, 4)))
         assert np.allclose(logits, 0.0)
         assert np.allclose(_softmax(logits), 1.0 / 3)
 
     def test_mlp_zero_weights_gives_output_bias(self):
         # all weight matrices zero, biases set: logits equal the last bias
-        theta = ParamVector.zeros(MLP_TANH)
+        theta = ParamVector(np.zeros(MLP_TANH.n_params), MLP_TANH.segments)
         values = theta.values.copy()
         name, offset, length = MLP_TANH.segments[-1]
         fan_out, fan_in = 4, 7
@@ -117,8 +121,9 @@ class TestForward:
 
     def test_input_shape_checked(self):
         # a batch of the wrong width fails loudly instead of broadcasting
+        theta = ParamVector(np.zeros(LINEAR.n_params), LINEAR.segments)
         with pytest.raises(ValueError):
-            _forward(LINEAR, ParamVector.zeros(LINEAR).values, np.ones((2, 5)))
+            _forward(LINEAR, theta.values, np.ones((2, 5)))
 
     @pytest.mark.parametrize("spec", [LINEAR, MLP_RELU, DEEP_TANH])
     def test_caches_hold_each_layer_input(self, spec):
@@ -137,7 +142,8 @@ class TestGradients:
         # has weight rows (p - onehot) outer x.
         spec = ModelSpec(kind="softmax-linear", layer_sizes=(3, 2))
         x = np.array([1.0, -2.0, 0.5])
-        g = loss_gradient(spec, ParamVector.zeros(spec), Example(x=x, y=0, id=0))
+        theta = ParamVector(np.zeros(spec.n_params), spec.segments)
+        g = loss_gradient(spec, theta, Example(x=x, y=0, id=0))
         expected_w = np.vstack([-0.5 * x, 0.5 * x])
         assert np.allclose(g.values[:6].reshape(2, 3), expected_w)
         assert np.allclose(g.values[6:], [-0.5, 0.5])
@@ -335,6 +341,139 @@ class TestLinearization:
             assert np.shares_memory(b, theta.values) and np.array_equal(b, b_ref)
         assert [d.tobytes() for d in lin.derivs] == [_act_deriv(DEEP_TANH, a).tobytes() for a in caches[1:]]
         assert np.array_equal(lin.p, _softmax(logits))
+
+
+def reference_jvp(spec, lin, u):
+    # the sweeps as plain expressions: every intermediate a fresh array
+    for l, ((w, _), (dw, db)) in enumerate(zip(lin.layers, _unpack(spec, u))):
+        a = lin.inputs[l]
+        if l == 0:
+            dz = a @ dw.T + db
+        else:
+            da = lin.derivs[l - 1] * dz
+            dz = a @ dw.T + da @ w.T + db
+    return dz
+
+
+def reference_backprop(spec, lin, G):
+    lead = G.shape[:-2]
+    grad = np.zeros(lead + (spec.n_params,))
+    delta = G
+    for l in range(len(lin.layers) - 1, -1, -1):
+        w, _ = lin.layers[l]
+        name, offset, length = spec.segments[l]
+        fan_out, fan_in = w.shape[-2:]
+        weights = np.swapaxes(delta, -1, -2) @ lin.inputs[l]
+        grad[..., offset : offset + fan_out * fan_in] = weights.reshape(lead + (-1,))
+        grad[..., offset + fan_out * fan_in : offset + length] = delta.sum(axis=-2)
+        if l > 0:
+            delta = (delta @ w) * lin.derivs[l - 1]
+    return grad
+
+
+def reference_hvp(spec, lin, v, fd_delta):
+    X = lin.inputs[0]
+    if fd_delta is None:
+        t = reference_jvp(spec, lin, v)
+    else:
+        h_plus, _ = _forward(spec, lin.theta + fd_delta * v, X)
+        h_minus, _ = _forward(spec, lin.theta - fd_delta * v, X)
+        t = (h_plus - h_minus) / (2.0 * fd_delta)
+    return reference_backprop(spec, lin, _softmax_hessian_apply(lin.p, t) / X.shape[0])
+
+
+SWEEP_SPECS = [LINEAR, MLP_TANH, MLP_RELU, DEEP_TANH]
+SWEEP_IDS = ["linear", "tanh", "relu", "deep-tanh"]
+
+
+class TestSweepScratch:
+    """The JVP and backward sweeps form their hidden-layer intermediates in the
+    record's scratch: bit for bit the plain expressions, never a result that a
+    later sweep overwrites, and a full-batch HVP that allocates little."""
+
+    @pytest.mark.parametrize("fd_delta", [None, 0.01])
+    @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=SWEEP_IDS)
+    def test_full_batch_matvec_equals_reference(self, spec, fd_delta):
+        theta = rand_theta(spec, 41)
+        data = make_blobs(SeededRng(410), 30, spec.input_dim, spec.n_classes)
+        op = GnhOperator(spec, theta, data, fd_delta=fd_delta)
+        lin = _linearize(spec, theta.values, data.X)
+        rng = SeededRng(411)
+        for _ in range(3):
+            u = rng.normal(spec.n_params)
+            assert np.array_equal(op.matvec(u), reference_hvp(spec, lin, u, fd_delta))
+
+    @pytest.mark.parametrize("fd_delta", [None, 0.01])
+    @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=SWEEP_IDS)
+    def test_minibatch_matvec_equals_reference(self, spec, fd_delta):
+        theta = rand_theta(spec, 42)
+        data = make_blobs(SeededRng(420), 30, spec.input_dim, spec.n_classes)
+        op = GnhOperator(spec, theta, data, batch_size=6, rng=SeededRng(421), fd_delta=fd_delta)
+        draws = SeededRng(421)
+        rng = SeededRng(422)
+        for _ in range(3):
+            u = rng.normal(spec.n_params)
+            lin = _linearize(spec, theta.values, sample_batch(data, 6, draws).X)
+            assert np.array_equal(op.matvec(u), reference_hvp(spec, lin, u, fd_delta))
+
+    @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=SWEEP_IDS)
+    def test_chain_block_gradients_equal_reference(self, spec):
+        theta_star = rand_theta(spec, 43)
+        rng = SeededRng(430)
+        data = make_blobs(rng, 30, spec.input_dim, spec.n_classes)
+        R, B = 4, 5
+        thetas = theta_star.values + 0.1 * rng.normal(R * spec.n_params).reshape(R, -1)
+        batch = sample_batch(data, B, SeededRng((1, 2, 3, 4)))
+        points = Dataset(X=data.X[:R], y=data.y[:R])
+
+        lin = _linearize(spec, thetas, batch.X)
+        g = lin.p.copy()
+        g[np.arange(R)[:, None], np.arange(B), batch.y] -= 1.0
+        want_loss = reference_backprop(spec, lin, g)
+        assert np.array_equal(_loss_gradient_rows(spec, thetas, batch.X, batch.y), want_loss)
+
+        cfg = PboConfig(epsilon=1e-2, lambda_damp=0.2)
+        ref_p = _softmax(_forward(spec, theta_star.values, batch.X)[0])
+        want = reference_backprop(spec, lin, (lin.p - ref_p) / B)
+        train = _linearize(spec, thetas, points.X[:, None, :])
+        g = train.p.copy()
+        g[np.arange(R), 0, points.y] -= 1.0
+        want = want + cfg.epsilon * reference_backprop(spec, train, g)
+        want = want + cfg.lambda_damp * (thetas - theta_star.values)
+        got = pbo_gradient(spec, thetas, theta_star, points, batch, cfg)
+        assert got.shape == (R, spec.n_params) and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=SWEEP_IDS)
+    def test_results_survive_the_next_sweep(self, spec):
+        theta = rand_theta(spec, 44)
+        data = make_blobs(SeededRng(440), 30, spec.input_dim, spec.n_classes)
+        rng = SeededRng(441)
+        u, v = rng.normal(spec.n_params), rng.normal(spec.n_params)
+        op = GnhOperator(spec, theta, data)
+        first = op.matvec(u)
+        kept = first.copy()
+        op.matvec(v)
+        assert np.array_equal(first, kept)
+        lin = _linearize(spec, theta.values, data.X)
+        first = _jvp_batch(spec, lin, u)
+        kept = first.copy()
+        _jvp_batch(spec, lin, v)
+        assert np.array_equal(first, kept)
+
+    def test_full_batch_matvec_allocates_less_than_one_hidden_array(self):
+        spec = ModelSpec(kind="mlp", layer_sizes=(16, 64, 10), activation="tanh")
+        data = make_blobs(SeededRng(450), 2048, 16, 10)
+        op = GnhOperator(spec, rand_theta(spec, 45), data)
+        v = SeededRng(451).normal(spec.n_params)
+        op.matvec(v)
+        tracemalloc.start()
+        try:
+            op.matvec(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        hidden_array = 2048 * 64 * np.dtype(np.float64).itemsize
+        assert peak < hidden_array
 
 
 class TestData:

@@ -184,6 +184,26 @@ class TestPbrfFinetune:
         assert result.steps_run < 100
         assert np.isfinite(result.theta_pbrf.values).all()
 
+    def test_overflowed_chain_reports_a_finite_displacement_norm(self, quad):
+        # the last finite theta is far out: its squared entries overflow, the
+        # norm itself does not
+        spec, theta, data, H, damp, eta = quad
+        cfg = PboConfig(epsilon=1.0, lambda_damp=1.0, lr=1e6, steps=100, batch_size=32, seed=2)
+        result = pbrf_finetune(spec, theta, data[0], data, cfg)
+        shift = result.theta_pbrf.values - theta.values
+        scale = float(np.abs(shift).max())
+        assert scale > math.sqrt(np.finfo(np.float64).max)
+        want = scale * math.sqrt(sum((d / scale) ** 2 for d in shift))
+        assert math.isfinite(result.displacement_norm)
+        assert result.displacement_norm == pytest.approx(want, rel=1e-14)
+
+    def test_displacement_norm_is_the_euclidean_norm(self, quad):
+        spec, theta, data, H, damp, eta = quad
+        cfg = PboConfig(epsilon=1e-2, lambda_damp=damp, lr=eta, steps=5, batch_size=32, seed=3)
+        result = pbrf_finetune(spec, theta, data[0], data, cfg)
+        want = np.linalg.norm(result.theta_pbrf.values - theta.values)
+        assert want > 0 and result.displacement_norm == pytest.approx(want, rel=1e-14)
+
     def test_objective_trace_non_increasing(self, quad):
         # step k's batch is fixed by (seed, k), so the finetunes with steps
         # 5, 10, ..., 100 are prefixes of one trajectory
