@@ -542,18 +542,30 @@ def cmd_counterexample(run: RunContext) -> None:
     cfg = run.cfg
     eigenvalues = cfg.require("eigenvalues")
     batch_size = cfg.batch_size if cfg.batch_size is not None else 1
+    if cfg.t_max > MAX_T_STEPS:
+        raise ConfigError(f"t_max = {cfg.t_max} is over the limit of {MAX_T_STEPS}")
     try:
         eta = cfg.eta if cfg.eta is not None else step_size(max(eigenvalues), cfg.lambda_damp)
-        problem, _ = counterexample_build(
-            n=len(eigenvalues),
-            eigenvalues=eigenvalues,
-            batch_size=batch_size,
-            lambda_damp=cfg.lambda_damp,
-            eta=eta,
-            seed=run.sub_seed("counterexample"),
-        )
+        # extreme eigenvalues overflow the closed form; it is checked below
+        with np.errstate(all="ignore"):
+            problem, _ = counterexample_build(
+                n=len(eigenvalues),
+                eigenvalues=eigenvalues,
+                batch_size=batch_size,
+                lambda_damp=cfg.lambda_damp,
+                eta=eta,
+                seed=run.sub_seed("counterexample"),
+            )
+            exact = [counterexample_moments(problem, t=t) for t in range(cfg.t_max + 1)]
+            growth = float(problem.second_moment_diagonal.max())
+            threshold = problem.batch_threshold
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if not all(math.isfinite(x) for x in [*exact, growth, threshold]):
+        raise ConfigError(
+            "eigenvalues give a non-finite closed-form second moment (E||u_t||^2, "
+            "growth factor or batch threshold); keep their magnitudes and ratios moderate"
+        )
     mc = counterexample_simulate(
         problem, cfg.n_runs, cfg.t_max, seed=run.sub_seed("counterexample-mc")
     )
@@ -564,7 +576,7 @@ def cmd_counterexample(run: RunContext) -> None:
         rows.append(
             (
                 t,
-                counterexample_moments(problem, t=t),
+                exact[t],
                 mc.second_moment[t],
                 mc.second_moment_se[t],
                 float(np.linalg.norm(mc.mean_iterate[t])),
@@ -583,8 +595,8 @@ def cmd_counterexample(run: RunContext) -> None:
         ],
         rows,
     )
-    print(f"batch_threshold = {_fmt(problem.batch_threshold)}")
-    print(f"max_growth_factor = {_fmt(float(problem.second_moment_diagonal.max()))}")
+    print(f"batch_threshold = {_fmt(threshold)}")
+    print(f"max_growth_factor = {_fmt(growth)}")
 
 
 def cmd_tfidf_check(run: RunContext) -> None:

@@ -23,6 +23,11 @@ _MIX_B = 0x94D049BB133111EB
 
 _INV_2_53 = 2.0 ** -53
 
+# Words a SeededRng computes ahead for its small draws, across all its rows:
+# 256 per row for one seed, fewer per row for R seeds, so a lockstep stream's
+# block stays as small as a single stream's.
+_BLOCK_WORDS = 256
+
 # The same constants as uint64 scalars, built once rather than on every draw.
 _GAMMA_U64 = np.uint64(_GAMMA)
 _MIX_A_U64 = np.uint64(_MIX_A)
@@ -72,6 +77,15 @@ class SeededRng:
     is R streams in lockstep: every draw returns an (R, n) block whose row r
     is word for word the draw of ``SeededRng(seeds[r])`` at the same
     position, and all rows share the position.
+
+    Small draws are served from a block of the same counter stream computed
+    ahead: ``_BLOCK_WORDS`` words across all rows, starting at the position
+    of the draw that filled it.  A draw that fits in the block returns a
+    read-only slice of it; any other draw computes exactly its own words.
+    Word i is the same either way, so words, positions and every output are
+    those of the blockless stream.  ``position`` stays the number of words
+    consumed, and the block is read only while ``position`` lies in the range
+    it covers, so reassigning ``position`` replays or skips as before.
     """
 
     def __init__(self, seed, position: int = 0):
@@ -84,6 +98,9 @@ class SeededRng:
         self.position = int(position)
         if self.position < 0:
             raise ValueError("position must be non-negative")
+        self._width = max(1, _BLOCK_WORDS // max(1, self._base.size))
+        self._block = None  # words _block_start+1 ... of every row, read-only
+        self._block_start = 0
 
     def __repr__(self) -> str:
         if isinstance(self.seed, int):
@@ -95,8 +112,22 @@ class SeededRng:
         seed, (R, n) for R seeds."""
         if n < 0:
             raise ValueError("n must be non-negative")
-        idx = np.arange(self.position + 1, self.position + n + 1, dtype=np.uint64)
-        self.position += n
+        start = self.position
+        offset = start - self._block_start
+        if self._block is None or offset < 0 or offset + n > self._width:
+            if n >= self._width:
+                self.position = start + n
+                return self._words(start, n)
+            self._block = self._words(start, self._width)
+            self._block.flags.writeable = False
+            self._block_start = start
+            offset = 0
+        self.position = start + n
+        return self._block[..., offset : offset + n]
+
+    def _words(self, start: int, n: int) -> np.ndarray:
+        """Words start+1 ... start+n of every row."""
+        idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
         return _mix64_array(self._base + idx * _GAMMA_U64)
 
     def uniform(self, n: int) -> np.ndarray:

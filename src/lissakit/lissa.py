@@ -93,20 +93,22 @@ def lissa_solve(op, g, cfg: LissaConfig):
         float(np.linalg.norm(g_values)), float(np.linalg.norm(u)), cfg.lambda_damp
     )
 
-    norms = np.empty(cfg.t_steps + 1)
+    t_steps, eta, damp, every = cfg.t_steps, cfg.eta, cfg.lambda_damp, cfg.snapshot_every
+    matvec, sqrt, isfinite = op.matvec, math.sqrt, math.isfinite
+    norms = np.empty(t_steps + 1)
     norms[0] = np.linalg.norm(u)
     snapshots: list[tuple[int, np.ndarray]] = []
-    for step in range(1, cfg.t_steps + 1):
-        hu = op.matvec(u)
-        u = u - cfg.eta * (hu + cfg.lambda_damp * u - g_values)
-        norm = math.sqrt(u @ u)
-        if not math.isfinite(norm) or norm > bound:
+    for step in range(1, t_steps + 1):
+        hu = matvec(u)
+        u = u - eta * (hu + damp * u - g_values)
+        norm = sqrt(u @ u)
+        if not isfinite(norm) or norm > bound:
             raise LissaDivergenceError(step, norm)
         norms[step] = norm
-        if cfg.snapshot_every and step % cfg.snapshot_every == 0:
+        if every and step % every == 0:
             snapshots.append((step, u.copy()))
-    if not snapshots or snapshots[-1][0] != cfg.t_steps:
-        snapshots.append((cfg.t_steps, u.copy()))
+    if not snapshots or snapshots[-1][0] != t_steps:
+        snapshots.append((t_steps, u.copy()))
 
     trace = LissaTrace(norms=norms, snapshots=snapshots)
     if isinstance(g, ParamVector):
@@ -219,6 +221,8 @@ class RotatedRankOneSampler:
         self.segments = (("all", 0, problem.n),)
         self.batch_size = problem.batch_size
         self._root = np.sqrt(problem.eigenvalues)
+        self._rotation = problem.rotation
+        self._rotation_t = problem.rotation.T
 
     def reseeded(self, seed: int) -> "RotatedRankOneSampler":
         return RotatedRankOneSampler(self.problem, SeededRng(seed))
@@ -228,12 +232,12 @@ class RotatedRankOneSampler:
         return self.problem.rotation @ (self._root * np.asarray(signs, dtype=np.float64))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        problem = self.problem
-        z = problem.rotation.T @ np.asarray(v, dtype=np.float64)
-        signs = self.rng.rademacher(self.batch_size * problem.n)
-        scaled = signs.reshape(self.batch_size, problem.n) * self._root
+        batch_size, n = self.batch_size, self.n_params
+        z = self._rotation_t @ np.asarray(v, dtype=np.float64)
+        signs = self.rng.rademacher(batch_size * n)
+        scaled = signs.reshape(batch_size, n) * self._root
         coeffs = scaled @ z
-        return problem.rotation @ (scaled.T @ coeffs / self.batch_size)
+        return self._rotation @ (scaled.T @ coeffs / batch_size)
 
 
 def counterexample_build(
@@ -329,6 +333,12 @@ def counterexample_simulate(
     Each run reseeds the sampler from its own substream and snapshots every
     step, so the output exposes both the exploding second moment and the
     still-contracting mean for direct comparison with the closed forms.
+
+    Accumulation order: a run's u0 and snapshots are copied into one
+    (t+1, n) array, and the four running sums (||u||^2, ||u||^4, u, u*u per
+    step) each take one array add per run, runs added in order.  Each
+    ||u||^2 is the dot product u @ u, so the sums are bit for bit those of
+    adding step by step.
     """
     if n_runs < 2:
         raise ValueError("need at least two runs")
@@ -340,13 +350,8 @@ def counterexample_simulate(
     sum_sq2 = np.zeros(t + 1)
     sum_u = np.zeros((t + 1, problem.n))
     sum_uu = np.zeros((t + 1, problem.n))
-
-    def record(step: int, u: np.ndarray):
-        nsq = float(u @ u)
-        sum_sq[step] += nsq
-        sum_sq2[step] += nsq * nsq
-        sum_u[step] += u
-        sum_uu[step] += u * u
+    run_u = np.empty((t + 1, problem.n))
+    run_u[0] = problem.u0
 
     for run in range(n_runs):
         cfg = LissaConfig(
@@ -358,9 +363,13 @@ def counterexample_simulate(
             u0=problem.u0,
         )
         _, trace = lissa_solve(sampler, g, cfg)
-        record(0, problem.u0)
         for step, u in trace.snapshots:
-            record(step, u)
+            run_u[step] = u
+        nsq = (run_u[:, None, :] @ run_u[:, :, None])[:, 0, 0]
+        sum_sq += nsq
+        sum_sq2 += nsq * nsq
+        sum_u += run_u
+        sum_uu += run_u * run_u
 
     second = sum_sq / n_runs
     var_sq = np.maximum(sum_sq2 / n_runs - second**2, 0.0)

@@ -246,18 +246,22 @@ def _backprop(spec: ModelSpec, lin: _Linearization, G: np.ndarray) -> np.ndarray
 
 
 def _jvp_batch(spec: ModelSpec, lin: _Linearization, u: np.ndarray) -> np.ndarray:
-    """Directional derivative of logits along parameter direction u at ``lin``.
-    Each hidden layer's tangent is formed in ``lin.work``; the (B, K) logit
-    tangent is a fresh array."""
+    """Directional derivative of logits along parameter direction u at ``lin``;
+    for a linearization with a leading chain axis, u is (R, n), one direction
+    per chain, and the tangent (R, B, K).  Each hidden layer's tangent is
+    formed in ``lin.work``; the logit tangent is a fresh array."""
     da = None
     for l, ((w, _), (dw, db)) in enumerate(zip(lin.layers, _unpack(spec, u))):
         a = lin.inputs[l]
+        dw_t, db = dw.swapaxes(-1, -2), db[..., None, :]
         if l == len(lin.layers) - 1:
-            return a @ dw.T + db if da is None else a @ dw.T + da @ w.T + db
+            if da is None:
+                return a @ dw_t + db
+            return a @ dw_t + da @ w.swapaxes(-1, -2) + db
         dz, scratch = lin.work[l]
-        np.matmul(a, dw.T, out=dz)
+        np.matmul(a, dw_t, out=dz)
         if da is not None:
-            dz += np.matmul(da, w.T, out=scratch)
+            dz += np.matmul(da, w.swapaxes(-1, -2), out=scratch)
         dz += db
         dz *= lin.derivs[l]
         da = dz

@@ -1,6 +1,7 @@
 """Tests for the config parser and the command-line harness."""
 
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -276,6 +277,7 @@ class TestExitCodes:
             # t_steps over the limit, given or derived from eta (T = 4e15)
             ("lissa", QUAD_CFG.replace("t_steps = 400", "t_steps = 100000000000")),
             ("lissa", QUAD_CFG.replace("t_steps = 400", "eta = 1e-15")),
+            ("counterexample", "eigenvalues = 1, 1\nt_max = 100000000000\n"),
             # lambda_damp * eta underflows to 0, or T overflows: no finite step count
             ("lissa", QUAD_CFG.replace("t_steps = 400", "eta = 5e-324")),
             ("recommend", "trace = 1\nlambda_max = 1e308\nlambda_damp = 1e-10\n"),
@@ -295,6 +297,17 @@ class TestExitCodes:
             assert code == 2, command
             err = capsys.readouterr().err
             assert "config error" in err and "Traceback" not in err, command
+
+    @pytest.mark.parametrize("eigenvalues", ["1e200, 1e-200", "1e308, 1e308", "1e160, 1e160"])
+    def test_counterexample_non_finite_closed_form_is_two(self, tmp_path, capsys, eigenvalues):
+        text = f"eigenvalues = {eigenvalues}\nlambda_damp = 0.1\nn_runs = 20\nt_max = 3\n"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_cli(tmp_path, "counterexample", text)
+        assert code == 2 and caught == []
+        err = capsys.readouterr().err
+        assert "config error" in err and "eigenvalues" in err and "Traceback" not in err
+        assert not (out / "counterexample.csv").exists()
 
     def test_zero_damping_without_t_steps_is_two(self, tmp_path, capsys):
         text = QUAD_CFG.replace("lambda_damp = 0.5", "lambda_damp = 0").replace(

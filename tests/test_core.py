@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lissakit.core import (
+    _BLOCK_WORDS,
     DenseOperator,
     MeanSe,
     SeededRng,
@@ -130,6 +131,81 @@ class TestSeededRng:
 
     def test_derive_seed_order_sensitive(self):
         assert derive_seed(5, 1, 2) != derive_seed(5, 2, 1)
+
+
+@st.composite
+def draw_plans(draw):
+    """A stream (one seed, or R <= 4 seeds) and a sequence of draw sizes: empty,
+    small, near the block edge and at or above the block width."""
+    n_seeds = draw(st.integers(0, 4))
+    seeds = draw(st.lists(st.integers(0, MASK), min_size=max(1, n_seeds), max_size=max(1, n_seeds)))
+    width = _BLOCK_WORDS // max(1, n_seeds)
+    size = st.one_of(
+        st.just(0),
+        st.integers(1, 9),
+        st.integers(max(0, width - 3), width + 1),
+        st.integers(width, 2 * width + 5),
+    )
+    sizes = draw(st.lists(size, max_size=12))
+    start = draw(st.sampled_from([0, 1, width - 1, width, 10 * width + 7]))
+    return (seeds[0] if n_seeds == 0 else seeds), start, sizes
+
+
+class TestSeededRngBlock:
+    """Small draws come from a block of the same counter stream computed ahead;
+    every draw must still be exactly the words of the blockless stream."""
+
+    @staticmethod
+    def direct(seed, start, n):
+        # words start+1 ... start+n from a draw too long for any block
+        return SeededRng(seed, position=start).raw_uint64(n + _BLOCK_WORDS)[..., :n]
+
+    @settings(max_examples=150, deadline=None)
+    @given(draw_plans())
+    def test_draws_concatenate_to_one_fresh_draw(self, plan):
+        seed, start, sizes = plan
+        rng = SeededRng(seed, position=start)
+        parts = []
+        for n in sizes:
+            parts.append(rng.raw_uint64(n))
+            assert parts[-1].shape[-1] == n and parts[-1].dtype == np.uint64
+        total = sum(sizes)
+        assert rng.position == start + total
+        want = self.direct(seed, start, total)
+        got = np.concatenate(parts, axis=-1) if parts else want[..., :0]
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", [17, [17, 3, 2**64 - 1]])
+    def test_resume_mid_block_and_reassigned_position(self, seed):
+        width = _BLOCK_WORDS // np.size(seed)
+        whole = self.direct(seed, 0, 4 * width)
+        for p in (1, 5, width - 2, width, width + 3, 3 * width - 1):
+            assert np.array_equal(SeededRng(seed, position=p).raw_uint64(4), whole[..., p : p + 4])
+        rng = SeededRng(seed)
+        rng.raw_uint64(6)
+        # back, forward inside the block, across its edge and past it
+        for p, n in ((2, 3), (width // 2, 5), (0, 1), (width - 2, 5), (width + 1, 2), (3, 4),
+                     (3 * width, width)):
+            rng.position = p
+            assert np.array_equal(rng.raw_uint64(n), whole[..., p : p + n]), (p, n)
+            assert rng.position == p + n
+
+    @pytest.mark.parametrize("seed", [8, [8, 9]])
+    def test_writing_a_draw_leaves_later_draws_unchanged(self, seed):
+        rng = SeededRng(seed)
+        whole = self.direct(seed, 0, _BLOCK_WORDS + 60)
+        for n in (4, 4, 9):
+            got = rng.raw_uint64(n)
+            try:
+                got[...] = 0
+            except ValueError:
+                pass
+        rng.position = 0
+        assert np.array_equal(rng.raw_uint64(40), whole[..., :40])
+        got = rng.raw_uint64(_BLOCK_WORDS)  # too long for a block
+        got[...] = 0
+        assert np.array_equal(rng.raw_uint64(4), whole[..., _BLOCK_WORDS + 40 : _BLOCK_WORDS + 44])
+        assert np.array_equal(SeededRng(seed).uniform(40), (whole[..., :40] >> np.uint64(11)) * 2.0**-53)
 
 
 class TestGaussianVector:

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lissakit.core import DenseOperator, SeededRng
+from lissakit.core import DenseOperator, SeededRng, derive_seed
 from lissakit.gnh import GnhOperator, gnh_matrix_exact
 from lissakit.lissa import (
+    CounterExampleMonteCarlo,
     CounterExampleProblem,
     LissaConfig,
     LissaDivergenceError,
+    RotatedRankOneSampler,
     convergence_correlation,
     counterexample_build,
     counterexample_moments,
@@ -377,6 +379,53 @@ class TestCounterExampleMoments:
         for t in range(1, 7):
             bound = rate**t * np.linalg.norm(problem.u0) + 3 * mc.mean_iterate_se[t]
             assert np.linalg.norm(mc.mean_iterate[t]) <= bound
+
+    @staticmethod
+    def per_step_simulate(problem, n_runs, t, seed):
+        # the moments summed one step at a time, through a per-step helper
+        sampler = RotatedRankOneSampler(problem, SeededRng(seed))
+        g = np.zeros(problem.n)
+        sum_sq = np.zeros(t + 1)
+        sum_sq2 = np.zeros(t + 1)
+        sum_u = np.zeros((t + 1, problem.n))
+        sum_uu = np.zeros((t + 1, problem.n))
+
+        def record(step, u):
+            nsq = float(u @ u)
+            sum_sq[step] += nsq
+            sum_sq2[step] += nsq * nsq
+            sum_u[step] += u
+            sum_uu[step] += u * u
+
+        for run in range(n_runs):
+            cfg = LissaConfig(eta=problem.eta, lambda_damp=problem.lambda_damp, t_steps=t,
+                              seed=derive_seed(seed, 17, run), snapshot_every=1, u0=problem.u0)
+            _, trace = lissa_solve(sampler, g, cfg)
+            record(0, problem.u0)
+            for step, u in trace.snapshots:
+                record(step, u)
+        second = sum_sq / n_runs
+        var_sq = np.maximum(sum_sq2 / n_runs - second**2, 0.0)
+        mean_u = sum_u / n_runs
+        var_u = np.maximum(sum_uu / n_runs - mean_u**2, 0.0)
+        denom = n_runs - 1
+        return CounterExampleMonteCarlo(
+            second_moment=second,
+            second_moment_se=np.sqrt(var_sq * n_runs / denom / n_runs),
+            mean_iterate=mean_u,
+            mean_iterate_se=np.sqrt(var_u.sum(axis=1) * n_runs / denom / n_runs),
+            n_runs=n_runs,
+        )
+
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_run_sums_equal_per_step_sums(self, batch_size):
+        lam = np.array([3.0, 2.0, 1.5, 1.0, 0.5, 0.2, 0.05])
+        problem, _ = counterexample_build(7, lam, batch_size, 0.3, 0.3, seed=12)
+        got = counterexample_simulate(problem, 60, 7, seed=13)
+        want = self.per_step_simulate(problem, 60, 7, seed=13)
+        for name in ("second_moment", "second_moment_se", "mean_iterate", "mean_iterate_se"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.n_runs == want.n_runs
 
     def test_simulate_validation(self):
         problem, _ = growth_problem()

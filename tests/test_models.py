@@ -444,6 +444,22 @@ class TestSweepScratch:
         assert got.shape == (R, spec.n_params) and np.array_equal(got, want)
 
     @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=SWEEP_IDS)
+    def test_chain_block_jvp_equals_single_jvps(self, spec):
+        # an (R, n) record swept along (R, n) directions: row r is the JVP of
+        # chain r's own record along its own direction
+        rng = SeededRng(450)
+        R, B = 3, 5
+        thetas = rng.normal(R * spec.n_params).reshape(R, -1)
+        X = rng.normal(R * B * spec.input_dim).reshape(R, B, -1)
+        u = rng.normal(R * spec.n_params).reshape(R, -1)
+        got = _jvp_batch(spec, _linearize(spec, thetas, X), u)
+        assert got.shape == (R, B, spec.n_classes)
+        for r in range(R):
+            want = _jvp_batch(spec, _linearize(spec, thetas[r], X[r]), u[r])
+            assert np.array_equal(got[r], want)
+            assert np.array_equal(want, reference_jvp(spec, _linearize(spec, thetas[r], X[r]), u[r]))
+
+    @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=SWEEP_IDS)
     def test_results_survive_the_next_sweep(self, spec):
         theta = rand_theta(spec, 44)
         data = make_blobs(SeededRng(440), 30, spec.input_dim, spec.n_classes)
