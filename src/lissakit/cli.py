@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, component_seed, load_config, sha256_hex
-from .core import MeanSe, SeededRng, sym_eigvals
+from .core import SeededRng, sym_eigvals
 from .gnh import MAX_DENSE_PARAMS, GnhOperator, gnh_matrix_exact
 from .influence import eigen_reweight, influence_score, similarity_matrix
 from .lissa import (
@@ -46,7 +46,6 @@ from .models import (
 from .pbrf import PboConfig, compare_influences, pbrf_finetune, pbrf_influence
 from .spectral import (
     SketchConfig,
-    SpectralStats,
     check_condition_c1,
     estimate_frobenius,
     estimate_trace,
@@ -63,6 +62,11 @@ MANIFEST_FORMAT = "lissakit-run-1"
 # Largest solver step count a command accepts: the solve keeps one iterate
 # norm per step and lissa writes one trace row per step.
 MAX_T_STEPS = 1_000_000
+# Largest number of random words one batch draw of a command may take: a
+# batch of b examples draws b words per step (b times n_train in the lockstep
+# finetunes of pbrf-compare, b times the dimension in counterexample), and
+# each word is held as an 8-byte float, so this caps one draw at 80 MB.
+MAX_DRAW_WORDS = 10**7
 
 
 class OracleMismatchError(RuntimeError):
@@ -244,6 +248,24 @@ def _check_t_steps(t_steps: int | None) -> None:
         )
 
 
+def _check_draw(what: str, words: int) -> None:
+    """A batch draw of more than MAX_DRAW_WORDS words, set by ``what``, is a config error."""
+    if words > MAX_DRAW_WORDS:
+        raise ConfigError(f"{what} draws more than MAX_DRAW_WORDS = {MAX_DRAW_WORDS} words in one batch")
+
+
+def _recommend(run: RunContext, trace: float, lambda_max: float):
+    """recommend_hyperparams at the run's settings; settings over a solver limit are a config error."""
+    cfg = run.cfg
+    try:
+        hp = recommend_hyperparams(trace, lambda_max, cfg.lambda_damp, cfg.c_const, cfg.t_multiplier)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    _check_t_steps(hp.t_steps)
+    _check_draw(f"recommended batch_size = {float(hp.batch_size_min):.6g}", hp.batch_size_min)
+    return hp
+
+
 def _stochastic_operator(run: RunContext, spec, theta, train, batch_size):
     cfg = run.cfg
     return GnhOperator(
@@ -271,18 +293,8 @@ def cmd_stats(run: RunContext) -> None:
     frob = estimate_frobenius(op, cfg.n_probes, run.rng("frobenius-probes"))
     sketch = sketch_operator(op, sketch_cfg)
     lambda_top = float(top_eigenvalues_from_sketch(sketch, 1)[0])
-    stats = SpectralStats(
-        n_params=op.n_params,
-        trace_per_param=trace,
-        frobenius_sq_per_param=frob,
-        lambda_max=lambda_top,
-    )
-    try:
-        hp = recommend_hyperparams(stats, cfg.lambda_damp, cfg.c_const, cfg.t_multiplier)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    _check_t_steps(hp.t_steps)
     trace_total = trace.mean * op.n_params
+    hp = _recommend(run, trace_total, lambda_top)
     frob_norm = math.sqrt(max(frob.mean, 0.0) * op.n_params)
     run.emit_csv(
         "stats.csv",
@@ -319,18 +331,7 @@ def cmd_stats(run: RunContext) -> None:
 
 def cmd_recommend(run: RunContext) -> None:
     cfg = run.cfg
-    trace_total, lambda_max = cfg.require("trace", "lambda_max")
-    stats = SpectralStats(
-        n_params=1,
-        trace_per_param=MeanSe(mean=trace_total, se=0.0, n=1),
-        frobenius_sq_per_param=None,
-        lambda_max=lambda_max,
-    )
-    try:
-        hp = recommend_hyperparams(stats, cfg.lambda_damp, cfg.c_const, cfg.t_multiplier)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    _check_t_steps(hp.t_steps)
+    hp = _recommend(run, *cfg.require("trace", "lambda_max"))
     run.emit_csv(
         "recommend.csv",
         ["eta", "batch_size", "t_steps", "lambda_damp", "c_const", "t_multiplier"],
@@ -346,6 +347,8 @@ def cmd_lissa(run: RunContext) -> None:
     if cfg.tolerance is not None:
         _check_oracle_damping(run)
     _check_step_count_derivable(run)
+    if cfg.batch_size is not None:
+        _check_draw(f"batch_size = {cfg.batch_size}", cfg.batch_size)
     spec, theta = _build_model(run)
     train, _ = _build_data(run, spec)
     if not 0 <= cfg.train_index < len(train):
@@ -397,6 +400,8 @@ def cmd_convergence(run: RunContext) -> None:
     if cfg.n_test < 2:
         raise ConfigError("convergence needs n_test >= 2")
     batch_sizes = cfg.require("batch_sizes")
+    for b in batch_sizes:
+        _check_draw(f"batch_sizes entry {b}", b)
     spec, theta = _build_model(run)
     train, test = _build_data(run, spec, n_test=cfg.n_test)
     if not 0 <= cfg.train_index < len(train):
@@ -432,6 +437,8 @@ def cmd_pbrf_compare(run: RunContext) -> None:
     if cfg.n_train * cfg.n_test < 10:
         raise ConfigError("need at least ten (train, test) pairs to compare")
     _check_step_count_derivable(run)
+    batch_size = cfg.batch_size if cfg.batch_size is not None else 32
+    _check_draw(f"n_train = {cfg.n_train} times batch_size = {batch_size}", cfg.n_train * batch_size)
     spec, theta = _build_model(run)
     train, test = _build_data(run, spec, n_test=cfg.n_test)
     if cfg.n_train > len(train):
@@ -439,7 +446,6 @@ def cmd_pbrf_compare(run: RunContext) -> None:
 
     dense = _dense_gnh(spec, theta, train) if cfg.eta is None else None
     eta, t_steps = _solver_settings(run, dense)
-    batch_size = cfg.batch_size if cfg.batch_size is not None else 32
     lr = cfg.pbrf_lr if cfg.pbrf_lr is not None else eta
     steps = cfg.pbrf_steps if cfg.pbrf_steps is not None else t_steps
     test_examples = [test[j] for j in range(len(test))]
@@ -544,24 +550,28 @@ def cmd_counterexample(run: RunContext) -> None:
     batch_size = cfg.batch_size if cfg.batch_size is not None else 1
     if cfg.t_max > MAX_T_STEPS:
         raise ConfigError(f"t_max = {cfg.t_max} is over the limit of {MAX_T_STEPS}")
+    n = len(eigenvalues)
+    if n > MAX_DENSE_PARAMS:
+        raise ConfigError(f"{n} eigenvalues are over the dense rotation's limit {MAX_DENSE_PARAMS}")
+    _check_draw(f"batch_size = {batch_size} times {n} eigenvalues", batch_size * n)
     try:
         eta = cfg.eta if cfg.eta is not None else step_size(max(eigenvalues), cfg.lambda_damp)
         # extreme eigenvalues overflow the closed form; it is checked below
         with np.errstate(all="ignore"):
             problem, _ = counterexample_build(
-                n=len(eigenvalues),
+                n=n,
                 eigenvalues=eigenvalues,
                 batch_size=batch_size,
                 lambda_damp=cfg.lambda_damp,
                 eta=eta,
                 seed=run.sub_seed("counterexample"),
             )
-            exact = [counterexample_moments(problem, t=t) for t in range(cfg.t_max + 1)]
+            exact = counterexample_moments(problem, cfg.t_max)
             growth = float(problem.second_moment_diagonal.max())
             threshold = problem.batch_threshold
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if not all(math.isfinite(x) for x in [*exact, growth, threshold]):
+    if not (np.isfinite(exact).all() and math.isfinite(growth) and math.isfinite(threshold)):
         raise ConfigError(
             "eigenvalues give a non-finite closed-form second moment (E||u_t||^2, "
             "growth factor or batch threshold); keep their magnitudes and ratios moderate"

@@ -11,7 +11,7 @@ iterate contracts while the second moment explodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -268,7 +268,7 @@ def counterexample_build(
     if float(np.abs(rotation @ rotation.T - np.eye(n)).max()) > 1e-10:
         raise AssertionError("rotation failed orthogonality check")
 
-    placeholder = CounterExampleProblem(
+    problem = CounterExampleProblem(
         eigenvalues=lam,
         rotation=rotation,
         batch_size=batch_size,
@@ -276,21 +276,15 @@ def counterexample_build(
         eta=eta,
         u0=np.zeros(n),
     )
-    top = int(np.argmax(placeholder.second_moment_diagonal))
-    problem = CounterExampleProblem(
-        eigenvalues=lam,
-        rotation=rotation,
-        batch_size=batch_size,
-        lambda_damp=lambda_damp,
-        eta=eta,
-        u0=rotation[:, top].copy(),
-    )
+    top = int(np.argmax(problem.second_moment_diagonal))
+    problem = replace(problem, u0=rotation[:, top].copy())
     sampler = RotatedRankOneSampler(problem, SeededRng(derive_seed(seed, 13)))
     return problem, sampler
 
 
-def counterexample_moments(problem: CounterExampleProblem, u0=None, t: int = 1) -> float:
-    """Exact E||u_t||^2 for the g = 0 iteration under the rank-one sampler.
+def counterexample_moments(problem: CounterExampleProblem, t_max: int, u0=None) -> np.ndarray:
+    """Exact E||u_t||^2 for t = 0..t_max of the g = 0 iteration under the
+    rank-one sampler, as a (t_max + 1,) array from one run of the recurrence.
 
     In the eigenbasis the coordinate second moments r_j = E[c_j^2] close on
     themselves: one step maps
@@ -300,18 +294,21 @@ def counterexample_moments(problem: CounterExampleProblem, u0=None, t: int = 1) 
     eigenvalues this collapses to a single growth factor per step, the
     ``second_moment_diagonal`` entry.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if t_max < 0:
+        raise ValueError("t_max must be >= 0")
     start = problem.u0 if u0 is None else u0
     coords = problem.rotation.T @ _vector(start)
     r = coords**2
     lam = problem.eigenvalues
     contraction_sq = (1.0 - problem.eta * (lam + problem.lambda_damp)) ** 2
     scale = problem.eta**2 / problem.batch_size
-    for _ in range(t):
+    moments = np.empty(t_max + 1)
+    moments[0] = r.sum()
+    for t in range(1, t_max + 1):
         s = float(lam @ r)
         r = contraction_sq * r + scale * (lam * s - lam**2 * r)
-    return float(r.sum())
+        moments[t] = r.sum()
+    return moments
 
 
 @dataclass

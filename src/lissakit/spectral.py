@@ -49,16 +49,6 @@ class SketchConfig:
 
 
 @dataclass(frozen=True)
-class SpectralStats:
-    """Summary used to pick solver hyperparameters."""
-
-    n_params: int
-    trace_per_param: MeanSe
-    frobenius_sq_per_param: MeanSe | None
-    lambda_max: float
-
-
-@dataclass(frozen=True)
 class HyperParams:
     """Recommended stochastic-solver settings.
 
@@ -69,9 +59,6 @@ class HyperParams:
     eta: float
     batch_size_min: int
     t_steps: int | None
-    lambda_damp: float
-    c_const: float
-    t_multiplier: float
 
 
 def _probe_loop(n: int, n_probes: int, rng: SeededRng, sample) -> MeanSe:
@@ -195,36 +182,36 @@ def step_count(eta: float, lambda_damp: float, t_multiplier: float) -> int | Non
 
 
 def recommend_hyperparams(
-    stats: SpectralStats,
+    trace: float,
+    lambda_max: float,
     lambda_damp: float,
     c_const: float = 2.0,
     t_multiplier: float = 2.0,
 ) -> HyperParams:
-    """Solver settings from spectral statistics.
+    """Solver settings from the total trace Tr(H) and the top eigenvalue.
 
     Step size saturates the contraction bound: eta = 1/(lambda_max + lambda).
     The batch size keeps the stochastic curvature noise from breaking
     second-moment convergence: |B| >= C * Tr(H) / lambda_max.  The step count
     runs a fixed multiple of the contraction time constant 1/(lambda * eta).
+    Raises ValueError on a non-positive input or a non-finite batch size.
     """
-    if stats.lambda_max <= 0:
+    if lambda_max <= 0:
         raise ValueError("lambda_max must be positive")
-    if stats.trace_per_param.mean <= 0:
+    if trace <= 0:
         raise ValueError("trace estimate must be positive")
     if lambda_damp < 0:
         raise ValueError("damping must be non-negative")
     if c_const <= 0 or t_multiplier <= 0:
         raise ValueError("c_const and t_multiplier must be positive")
-    eta = step_size(stats.lambda_max, lambda_damp)
-    trace_total = stats.trace_per_param.mean * stats.n_params
-    batch = max(1, math.ceil(c_const * trace_total / stats.lambda_max))
+    eta = step_size(lambda_max, lambda_damp)
+    batch = c_const * trace / lambda_max
+    if not math.isfinite(batch):
+        raise ValueError(f"c_const * trace / lambda_max = {batch!r} gives no finite batch_size")
     return HyperParams(
         eta=eta,
-        batch_size_min=batch,
+        batch_size_min=max(1, math.ceil(batch)),
         t_steps=step_count(eta, lambda_damp, t_multiplier),
-        lambda_damp=lambda_damp,
-        c_const=c_const,
-        t_multiplier=t_multiplier,
     )
 
 

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lissakit.core import DenseOperator, MeanSe, SeededRng, derive_seed, sym_eig
+from lissakit.core import DenseOperator, SeededRng, derive_seed, sym_eig
 from lissakit.gnh import GnhOperator, gnh_matrix_exact
 from lissakit.influence import (
     eigen_reweight,
@@ -41,7 +41,6 @@ from lissakit.models import test_gradient as measurement_gradient
 from lissakit.pbrf import PboConfig, compare_influences, pbrf_finetune, pbrf_influence
 from lissakit.spectral import (
     SketchConfig,
-    SpectralStats,
     check_condition_c1,
     estimate_frobenius,
     estimate_trace,
@@ -79,14 +78,10 @@ def oracle():
     trace_est = estimate_trace(op, 300, SeededRng(13))
     sketch = sketch_operator(op, SketchConfig(d=1000, seed=14, layout="summed"))
     lam_hat = float(top_eigenvalues_from_sketch(sketch)[0])
-    stats = SpectralStats(
-        n_params=spec.n_params,
-        trace_per_param=trace_est,
-        frobenius_sq_per_param=None,
-        lambda_max=lam_hat,
-    )
     lam_damp = 0.02 * lam_hat
-    hp = recommend_hyperparams(stats, lam_damp, c_const=2.0, t_multiplier=2.0)
+    hp = recommend_hyperparams(
+        trace_est.mean * spec.n_params, lam_hat, lam_damp, c_const=2.0, t_multiplier=2.0
+    )
     op_batch = GnhOperator(
         spec, theta, data, batch_size=hp.batch_size_min, rng=SeededRng(0)
     )
@@ -191,7 +186,7 @@ def test_criterion_03_small_batch_second_moment_divergence(acceptance_log):
     # batches: the iterate's second moment explodes while its mean contracts
     problem, _ = counterexample_build(10, 1.0, 1, 0.1, 1.0 / 1.1, seed=0)
     growth = float(problem.second_moment_diagonal.max())
-    exact = np.array([counterexample_moments(problem, t=t) for t in range(9)])
+    exact = counterexample_moments(problem, 8)
     mc = counterexample_simulate(problem, 2000, 8, seed=36)
     rel = np.abs(mc.second_moment[1:] / exact[1:] - 1.0)
     mean_mc = counterexample_simulate(problem, 500, 8, seed=36)
@@ -225,14 +220,10 @@ def test_criterion_04_small_batches_stabilize_later(acceptance_log):
     H = gnh_matrix_exact(spec, theta, data)
     eigs, _ = sym_eig(H)
     lam_max = float(eigs[0])
-    stats = SpectralStats(
-        n_params=spec.n_params,
-        trace_per_param=MeanSe(float(np.trace(H)) / spec.n_params, 0.0, 2),
-        frobenius_sq_per_param=None,
-        lambda_max=lam_max,
-    )
     lam_damp = 0.1 * lam_max
-    hp = recommend_hyperparams(stats, lam_damp, c_const=2.0, t_multiplier=2.0)
+    hp = recommend_hyperparams(
+        float(np.trace(H)), lam_max, lam_damp, c_const=2.0, t_multiplier=2.0
+    )
     g = -loss_gradient(spec, theta, data[0]).values
     grads = [measurement_gradient(spec, theta, data[i]).values for i in range(1, 21)]
     t_run = int(1.5 * hp.t_steps)
@@ -359,13 +350,9 @@ def test_criterion_07_published_settings_within_factor(acceptance_log):
     """
     bad = []
     for name, n_params, trace_per, lam_max, eta_pub, batch_pub, steps_pub in PUBLISHED_SETTINGS:
-        stats = SpectralStats(
-            n_params=n_params,
-            trace_per_param=MeanSe(trace_per, 0.0, 2),
-            frobenius_sq_per_param=None,
-            lambda_max=lam_max,
+        hp = recommend_hyperparams(
+            trace_per * n_params, lam_max, 5.0, c_const=2.0, t_multiplier=2.0
         )
-        hp = recommend_hyperparams(stats, 5.0, c_const=2.0, t_multiplier=2.0)
         cells = (
             ("eta", hp.eta, eta_pub),
             ("batch", float(hp.batch_size_min), float(batch_pub)),

@@ -1,11 +1,15 @@
 """Tests for the config parser and the command-line harness."""
 
 import math
+import tempfile
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lissakit import cli
 from lissakit.cli import main
@@ -439,6 +443,145 @@ class TestExitCodes:
         code, out = run_cli(tmp_path, "pbrf-compare", text)
         assert code == 0
         assert (out / "pbrf_summary.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, text, field",
+        [
+            ("lissa", QUAD_CFG.replace("batch_size = 64", "batch_size = 100000000000"), "batch_size"),
+            ("convergence", QUAD_CFG + "n_test = 5\nbatch_sizes = 8, 100000000000\n", "batch_sizes"),
+            ("pbrf-compare", QUAD_CFG.replace("batch_size = 64", "batch_size = 5000001")
+             + "n_train = 2\nn_test = 5\n", "n_train = 2 times batch_size"),
+            ("counterexample", "eigenvalues = 1, 1\nbatch_size = 100000000000\nt_max = 3\nn_runs = 2\n",
+             "batch_size"),
+            ("counterexample", "eigenvalues = 1, 1, 1\nbatch_size = 3333334\nt_max = 3\nn_runs = 2\n",
+             "3 eigenvalues"),
+        ],
+    )
+    def test_batch_draw_over_limit_is_two_before_model_work(
+        self, tmp_path, capsys, monkeypatch, command, text, field
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("model work before a config-decided error")
+
+        monkeypatch.setattr("lissakit.cli._build_model", refuse)
+        monkeypatch.setattr("lissakit.cli.counterexample_build", refuse)
+        code, _ = run_cli(tmp_path, command, text)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err and "MAX_DRAW_WORDS" in err
+
+    def test_draw_limit_is_inclusive(self):
+        cli._check_draw("batch_size", cli.MAX_DRAW_WORDS)
+        with pytest.raises(ConfigError, match="batch_size"):
+            cli._check_draw("batch_size", cli.MAX_DRAW_WORDS + 1)
+
+    def test_counterexample_eigenvalue_count_over_dense_limit_is_two(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("rotation drawn for too many eigenvalues")
+
+        monkeypatch.setattr("lissakit.cli.counterexample_build", refuse)
+        ones = ", ".join(["1"] * (cli.MAX_DENSE_PARAMS + 1))
+        code, _ = run_cli(tmp_path, "counterexample", f"eigenvalues = {ones}\nt_max = 2\nn_runs = 2\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "eigenvalues" in err
+
+    @pytest.mark.parametrize(
+        "command, text, field",
+        [
+            # C Tr / lambda_max overflows to inf: once exit 3, "cannot convert float infinity"
+            ("recommend", "trace = 1e10\nlambda_max = 1e-300\n", "c_const * trace / lambda_max"),
+            # finite but over the draw limit: once exit 0 with the batch size printed
+            ("recommend", "trace = 1e10\nlambda_max = 1\n", "batch_size"),
+            ("stats", TINY_MLP_CFG + "c_const = 1e300\n", "batch_size"),
+        ],
+    )
+    def test_out_of_range_recommended_batch_is_two(self, tmp_path, capsys, command, text, field):
+        code, out = run_cli(tmp_path, command, text)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err
+        assert not any(out.glob("*.csv"))
+
+    def test_counterexample_computes_the_closed_form_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli.counterexample_moments
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr("lissakit.cli.counterexample_moments", counting)
+        text = "eigenvalues = 1, 1, 1, 1\nbatch_size = 2\nlambda_damp = 0.1\nn_runs = 2\nt_max = 30\n"
+        code, out = run_cli(tmp_path, "counterexample", text)
+        assert code == 0
+        assert len(calls) == 1
+        assert len((out / "counterexample.csv").read_text().splitlines()) == 32
+
+
+# Extreme numbers for the input-boundary property tests: zero, subnormals,
+# the ends of the float range, negatives and ordinary values.
+EXTREMES = st.sampled_from(
+    [0.0, 5e-324, 1e-310, 1e-300, 1e-5, 0.5, 1.0, 3.0, 1e5, 1e300, 1.7e308, -1.0, -1e-300]
+)
+
+
+def config_text(fields):
+    return "".join(f"{key} = {value!r}\n" for key, value in fields.items() if value is not None)
+
+
+def run_main(command, text):
+    """Exit code of one in-process run, in a fresh directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(text)
+        code = main([command, "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+        csv = Path(tmp) / "out" / f"{command}.csv"
+        return code, (csv.read_text() if csv.exists() else None)
+
+
+class TestInputBoundary:
+    @given(
+        trace=EXTREMES,
+        lambda_max=EXTREMES,
+        lambda_damp=st.none() | EXTREMES,
+        c_const=st.none() | EXTREMES,
+        t_multiplier=st.none() | EXTREMES,
+    )
+    @example(trace=1e10, lambda_max=1e-300, lambda_damp=None, c_const=None, t_multiplier=None)
+    @example(trace=1.0, lambda_max=1.0, lambda_damp=None, c_const=1e300, t_multiplier=None)
+    @settings(max_examples=150, deadline=None)
+    def test_recommend_exits_cleanly(self, trace, lambda_max, lambda_damp, c_const, t_multiplier):
+        # recommend does no iterative numerics: a config error (2) or settings
+        # the solvers accept, never an overflow exit or an escaping exception
+        text = config_text(
+            dict(trace=trace, lambda_max=lambda_max, lambda_damp=lambda_damp,
+                 c_const=c_const, t_multiplier=t_multiplier)
+        )
+        code, csv = run_main("recommend", text)
+        assert code in (0, 2)
+        if code == 0:
+            eta, batch, t_steps = csv.splitlines()[1].split(",")[:3]
+            assert 1 <= int(batch) <= cli.MAX_DRAW_WORDS
+            assert t_steps == "" or 1 <= int(t_steps) <= cli.MAX_T_STEPS
+
+    @given(
+        eigenvalues=st.lists(EXTREMES, min_size=1, max_size=6),
+        batch_size=st.none() | st.integers(1, 64) | st.integers(10**10, 10**12),
+        lambda_damp=st.none() | EXTREMES,
+        eta=st.none() | EXTREMES,
+        t_max=st.integers(0, 20),
+        n_runs=st.integers(0, 20),
+    )
+    @example(eigenvalues=[1.0, 1.0], batch_size=10**11, lambda_damp=None, eta=None, t_max=3, n_runs=2)
+    @settings(max_examples=150, deadline=None)
+    def test_counterexample_exits_cleanly(self, eigenvalues, batch_size, lambda_damp, eta, t_max, n_runs):
+        text = config_text(
+            dict(batch_size=batch_size, lambda_damp=lambda_damp, eta=eta, t_max=t_max, n_runs=n_runs)
+        )
+        text += "eigenvalues = " + ", ".join(repr(x) for x in eigenvalues) + "\n"
+        code, _ = run_main("counterexample", text)
+        assert code in (0, 2, 3, 4)
 
 
 class TestArtifacts:

@@ -322,7 +322,7 @@ class TestCounterExampleBuild:
 class TestCounterExampleMoments:
     def test_step_zero_is_u0_norm(self):
         problem, _ = growth_problem()
-        assert counterexample_moments(problem, t=0) == pytest.approx(1.0)
+        assert counterexample_moments(problem, 0)[0] == pytest.approx(1.0)
 
     def test_equal_spectrum_closed_form(self):
         problem, _ = growth_problem()
@@ -330,7 +330,7 @@ class TestCounterExampleMoments:
         factor = 9.0 / 1.21
         for t in (1, 3, 6):
             want = factor**t * float(u0 @ u0)
-            assert counterexample_moments(problem, u0, t) == pytest.approx(want, rel=1e-10)
+            assert counterexample_moments(problem, t, u0)[t] == pytest.approx(want, rel=1e-10)
 
     def test_exact_by_enumeration(self):
         # brute-force expectation over every sign sequence; the coordinate
@@ -350,16 +350,53 @@ class TestCounterExampleMoments:
         two = np.mean(
             [np.sum(step(step(problem.u0, s1), s2) ** 2) for s1 in patterns for s2 in patterns]
         )
-        assert counterexample_moments(problem, t=1) == pytest.approx(one, rel=1e-12)
-        assert counterexample_moments(problem, t=2) == pytest.approx(two, rel=1e-12)
+        exact = counterexample_moments(problem, 2)
+        assert exact[1] == pytest.approx(one, rel=1e-12)
+        assert exact[2] == pytest.approx(two, rel=1e-12)
         coords_sq = (V.T @ problem.u0) ** 2
         naive = float((problem.second_moment_diagonal**2 * coords_sq).sum())
         assert abs(naive - two) > 1e-3
 
+    @staticmethod
+    def per_t_moment(problem, u0, t):
+        # one closed-form value per call, the recurrence rerun from u0 each time
+        r = (problem.rotation.T @ np.asarray(u0, dtype=np.float64)) ** 2
+        lam = problem.eigenvalues
+        contraction_sq = (1.0 - problem.eta * (lam + problem.lambda_damp)) ** 2
+        scale = problem.eta**2 / problem.batch_size
+        for _ in range(t):
+            s = float(lam @ r)
+            r = contraction_sq * r + scale * (lam * s - lam**2 * r)
+        return float(r.sum())
+
+    @pytest.mark.parametrize(
+        "build, explicit_u0",
+        [
+            (growth_problem, False),
+            (growth_problem, True),
+            (lambda: counterexample_build(6, [3.0, 2.0, 1.5, 1.0, 0.5, 0.2], 4, 0.5, 0.2, seed=7), False),
+            (lambda: counterexample_build(7, [3.0, 2.0, 1.5, 1.0, 0.5, 0.2, 0.05], 1, 0.3, 0.3, seed=12), True),
+        ],
+    )
+    def test_one_pass_equals_per_step_reruns(self, build, explicit_u0):
+        problem, _ = build()
+        u0 = SeededRng(8).normal(problem.n) if explicit_u0 else None
+        got = counterexample_moments(problem, 40, u0)
+        start = problem.u0 if u0 is None else u0
+        want = np.array([self.per_t_moment(problem, start, t) for t in range(41)])
+        assert got.shape == (41,)
+        assert np.array_equal(got, want)
+
+    def test_moments_validation(self):
+        problem, _ = growth_problem()
+        assert counterexample_moments(problem, 0).shape == (1,)
+        with pytest.raises(ValueError):
+            counterexample_moments(problem, -1)
+
     def test_monte_carlo_matches_in_growth_regime(self):
         problem, _ = growth_problem()
         mc = counterexample_simulate(problem, 2000, 8, seed=36)
-        exact = np.array([counterexample_moments(problem, t=t) for t in range(9)])
+        exact = counterexample_moments(problem, 8)
         rel = np.abs(mc.second_moment / exact - 1.0)
         assert rel[5] <= 0.10
         assert rel[1:].max() <= 0.15
@@ -368,9 +405,9 @@ class TestCounterExampleMoments:
         lam = np.array([3.0, 2.0, 1.5, 1.0, 0.5, 0.2])
         problem, _ = counterexample_build(6, lam, 4, 0.5, 0.2, seed=7)
         mc = counterexample_simulate(problem, 4000, 6, seed=9)
+        exact = counterexample_moments(problem, 6)
         for t in range(1, 7):
-            exact = counterexample_moments(problem, t=t)
-            assert abs(mc.second_moment[t] - exact) <= 3 * mc.second_moment_se[t]
+            assert abs(mc.second_moment[t] - exact[t]) <= 3 * mc.second_moment_se[t]
 
     def test_mean_iterate_contracts_despite_growth(self):
         problem, _ = growth_problem()

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lissakit.core import DenseOperator, MeanSe, SeededRng, derive_seed
+from lissakit.core import DenseOperator, SeededRng, derive_seed
 from lissakit.gnh import GnhOperator, gnh_matrix_exact
 from lissakit.models import ModelSpec, init_params, make_blobs
 from lissakit.spectral import (
     ConditionC1Row,
     HyperParams,
     SketchConfig,
-    SpectralStats,
     check_condition_c1,
     condition_c1_lhs,
     estimate_frobenius,
@@ -32,12 +31,8 @@ def toy_gnh(seed=5):
 
 
 def stats_of(trace_per_param, n_params, lambda_max):
-    return SpectralStats(
-        n_params=n_params,
-        trace_per_param=MeanSe(mean=trace_per_param, se=0.0, n=2),
-        frobenius_sq_per_param=None,
-        lambda_max=lambda_max,
-    )
+    """(Tr(H), lambda_max), the leading arguments of recommend_hyperparams."""
+    return trace_per_param * n_params, lambda_max
 
 
 class TestTraceEstimator:
@@ -200,7 +195,7 @@ class TestTopEigenvaluesFromSketch:
 class TestRecommend:
     def test_published_image_model_row(self):
         # 11M-parameter image model: Tr(H)/N = 1.32e-3, lambda_max ~ 270
-        hp = recommend_hyperparams(stats_of(1.32e-3, 11_000_000, 270.0), lambda_damp=5.0)
+        hp = recommend_hyperparams(*stats_of(1.32e-3, 11_000_000, 270.0), lambda_damp=5.0)
         assert hp.eta == pytest.approx(1.0 / 275.0)
         assert hp.batch_size_min == 108
         assert hp.t_steps == 110
@@ -209,31 +204,34 @@ class TestRecommend:
 
     def test_published_language_model_row(self):
         # 7B-parameter language model: Tr(H)/N = 8.18e-5, lambda_max ~ 5600
-        hp = recommend_hyperparams(stats_of(8.18e-5, 7_000_000_000, 5600.0), lambda_damp=5.0)
+        hp = recommend_hyperparams(*stats_of(8.18e-5, 7_000_000_000, 5600.0), lambda_damp=5.0)
         assert hp.eta == pytest.approx(1.0 / 5605.0)
         assert hp.batch_size_min == 205
         for got, published in ((hp.eta, 0.0002), (hp.batch_size_min, 200), (hp.t_steps, 2000)):
             assert max(got / published, published / got) <= 1.5
 
     def test_zero_damping_formula_case(self):
-        hp = recommend_hyperparams(stats_of(1.0 / 4, 4, 1.0), lambda_damp=0.0)
+        hp = recommend_hyperparams(*stats_of(1.0 / 4, 4, 1.0), lambda_damp=0.0)
         assert hp.eta == pytest.approx(1.0)
         assert hp.batch_size_min == 2
         assert hp.t_steps is None
 
     def test_eta_saturates_contraction_bound(self):
-        hp = recommend_hyperparams(stats_of(0.1, 100, 3.0), lambda_damp=0.5)
+        hp = recommend_hyperparams(*stats_of(0.1, 100, 3.0), lambda_damp=0.5)
         assert hp.eta * (3.0 + 0.5) == pytest.approx(1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            recommend_hyperparams(stats_of(0.1, 10, 0.0), lambda_damp=1.0)
+            recommend_hyperparams(*stats_of(0.1, 10, 0.0), lambda_damp=1.0)
         with pytest.raises(ValueError):
-            recommend_hyperparams(stats_of(-0.1, 10, 1.0), lambda_damp=1.0)
+            recommend_hyperparams(*stats_of(-0.1, 10, 1.0), lambda_damp=1.0)
         with pytest.raises(ValueError):
-            recommend_hyperparams(stats_of(0.1, 10, 1.0), lambda_damp=-1.0)
+            recommend_hyperparams(*stats_of(0.1, 10, 1.0), lambda_damp=-1.0)
         with pytest.raises(ValueError):
-            recommend_hyperparams(stats_of(0.1, 10, 1.0), lambda_damp=1.0, c_const=0.0)
+            recommend_hyperparams(*stats_of(0.1, 10, 1.0), lambda_damp=1.0, c_const=0.0)
+        # C Tr / lambda_max overflows: no finite batch size
+        with pytest.raises(ValueError, match="batch_size"):
+            recommend_hyperparams(1e10, 1e-300, lambda_damp=1.0)
 
     @given(
         st.floats(min_value=0.01, max_value=10.0),
@@ -243,8 +241,8 @@ class TestRecommend:
     @settings(max_examples=40, deadline=None)
     def test_property_monotone_in_damping(self, trace_pp, lam_max, damp):
         s = stats_of(trace_pp, 50, lam_max)
-        lo = recommend_hyperparams(s, lambda_damp=damp)
-        hi = recommend_hyperparams(s, lambda_damp=damp * 2)
+        lo = recommend_hyperparams(*s, lambda_damp=damp)
+        hi = recommend_hyperparams(*s, lambda_damp=damp * 2)
         assert hi.eta <= lo.eta
         assert hi.t_steps <= lo.t_steps
 
