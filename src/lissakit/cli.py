@@ -4,9 +4,7 @@ Each subcommand reads one flat config file, derives every random stream from
 the global seed plus a component name, writes CSV artifacts plus a manifest
 into the output directory, and exits 0 on success, 2 on configuration
 problems, 3 on numerical overflow, and 4 when a built-in oracle check fails.
-Reruns with the same config and seed are byte-identical; worker threads only
-ever split work whose substreams are fixed up front, so --threads never
-changes any output.
+Reruns with the same config and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +59,10 @@ MANIFEST_FORMAT = "lissakit-run-1"
 # Largest solver step count a command accepts: the solve keeps one iterate
 # norm per step and lissa writes one trace row per step.
 MAX_T_STEPS = 1_000_000
+# Largest number of floats a command keeps as iterates to read after its
+# solve: convergence keeps one copy of the iterate per snapshot until it
+# correlates them, so this caps the kept iterates at 80 MB.
+MAX_KEPT_FLOATS = 10**7
 # Largest number of random words one batch draw of a command may take: a
 # batch of b examples draws b words per step (b times n_train in the lockstep
 # finetunes of pbrf-compare, b times the dimension in counterexample), and
@@ -86,11 +87,10 @@ def _fmt(value) -> str:
 class RunContext:
     """Output directory, seeding, and artifact bookkeeping for one run."""
 
-    def __init__(self, cfg: ExperimentConfig, out_dir: Path, seed: int, threads: int, config_sha: str):
+    def __init__(self, cfg: ExperimentConfig, out_dir: Path, seed: int, config_sha: str):
         self.cfg = cfg
         self.out_dir = out_dir
         self.seed = seed
-        self.threads = threads
         self.config_sha = config_sha
         self.outputs: list[tuple[str, str]] = []
 
@@ -121,17 +121,6 @@ class RunContext:
         for name, sha in sorted(self.outputs):
             lines.append(f"output {name} sha256 = {sha}")
         (self.out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
-
-    def map_items(self, fn, items):
-        """Apply fn over items, in parallel when configured.
-
-        Results come back in item order regardless of scheduling; every item
-        must draw randomness only from substreams fixed before dispatch.
-        """
-        if self.threads <= 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            return list(pool.map(fn, items))
 
 
 def _build_model(run: RunContext):
@@ -239,12 +228,12 @@ def _solver_settings(run: RunContext, dense_gnh: np.ndarray | None):
     return eta, t_steps
 
 
-def _check_t_steps(t_steps: int | None) -> None:
+def _check_t_steps(t_steps: int | None, field: str = "t_steps") -> None:
     """A step count over MAX_T_STEPS, given, derived or recommended, is a config error."""
     if t_steps is not None and t_steps > MAX_T_STEPS:
         raise ConfigError(
-            f"t_steps = {t_steps} is over the limit of {MAX_T_STEPS}; "
-            "set a smaller t_steps, or raise eta or lambda_damp"
+            f"{field} = {t_steps} is over the limit of {MAX_T_STEPS}; set a smaller {field}"
+            + (", or raise eta or lambda_damp" if field == "t_steps" else "")
         )
 
 
@@ -366,7 +355,6 @@ def cmd_lissa(run: RunContext) -> None:
         lambda_damp=cfg.lambda_damp,
         t_steps=t_steps,
         seed=run.sub_seed("lissa"),
-        snapshot_every=cfg.snapshot_every,
     )
     u, trace = lissa_solve(op, g, lcfg)
 
@@ -409,12 +397,19 @@ def cmd_convergence(run: RunContext) -> None:
 
     dense = _dense_gnh(spec, theta, train)
     eta, t_steps = _solver_settings(run, dense)
+    snapshot_every = cfg.snapshot_every or max(1, t_steps // 50)
+    if (t_steps // snapshot_every + 1) * spec.n_params > MAX_KEPT_FLOATS:
+        raise ConfigError(
+            f"t_steps = {t_steps} with snapshot_every = {snapshot_every} keeps more than "
+            f"MAX_KEPT_FLOATS = {MAX_KEPT_FLOATS} floats of iterates for a model of "
+            f"{spec.n_params} parameters; raise snapshot_every or lower t_steps"
+        )
     g = -loss_gradient(spec, theta, train[cfg.train_index]).values
     u_star = _oracle_ihvp(run, dense, g)
     test_grads = [measurement_gradient(spec, theta, test[j]).values for j in range(len(test))]
-    snapshot_every = cfg.snapshot_every or max(1, t_steps // 50)
 
-    def one_batch_size(b: int):
+    rows = []
+    for b in batch_sizes:
         op = _stochastic_operator(run, spec, theta, train, b)
         lcfg = LissaConfig(
             eta=eta,
@@ -424,11 +419,11 @@ def cmd_convergence(run: RunContext) -> None:
             snapshot_every=snapshot_every,
         )
         _, trace = lissa_solve(op, g, lcfg)
-        series = convergence_correlation(trace, test_grads, reference=u_star)
-        return [(b, step, corr) for step, corr in series]
-
-    chunks = run.map_items(one_batch_size, list(batch_sizes))
-    rows = [row for chunk in chunks for row in chunk]
+        try:
+            series = convergence_correlation(trace, test_grads, reference=u_star)
+        except ValueError as exc:
+            raise ConfigError(f"no influence correlation at batch size {b}: {exc}") from exc
+        rows += [(b, step, corr) for step, corr in series]
     run.emit_csv("convergence.csv", ["batch_size", "step", "correlation"], rows)
 
 
@@ -437,6 +432,7 @@ def cmd_pbrf_compare(run: RunContext) -> None:
     if cfg.n_train * cfg.n_test < 10:
         raise ConfigError("need at least ten (train, test) pairs to compare")
     _check_step_count_derivable(run)
+    _check_t_steps(cfg.pbrf_steps, "pbrf_steps")
     batch_size = cfg.batch_size if cfg.batch_size is not None else 32
     _check_draw(f"n_train = {cfg.n_train} times batch_size = {batch_size}", cfg.n_train * batch_size)
     spec, theta = _build_model(run)
@@ -452,23 +448,22 @@ def cmd_pbrf_compare(run: RunContext) -> None:
     test_grads = [measurement_gradient(spec, theta, ex).values for ex in test_examples]
     item_seeds = [run.sub_seed(f"pbrf-item-{i}") for i in range(cfg.n_train)]
 
-    def solve(i: int):
-        """Solver scores of train point i, or the divergence that stopped its solve."""
+    # The solves run in item order and stop at the first divergence; then the
+    # finetunes of the items before it run in lockstep.  Errors come in item
+    # order, a solve's before its own finetune's, as if each item ran its
+    # solve and its finetune in turn.
+    op = _stochastic_operator(run, spec, theta, train, batch_size)
+    solved, divergence = [], None
+    for i in range(cfg.n_train):
         g = loss_gradient(spec, theta, train[i])
-        op = _stochastic_operator(run, spec, theta, train, batch_size)
         lcfg = LissaConfig(eta=lr, lambda_damp=cfg.lambda_damp, t_steps=steps, seed=item_seeds[i])
         try:
             u, _ = lissa_solve(op, -g.values, lcfg)
         except LissaDivergenceError as exc:
-            return exc
-        return [influence_score(u, tg) for tg in test_grads]
-
-    # One solve per item (in parallel under --threads); then the finetunes of
-    # the items before the first failed solve run in lockstep.  Errors come in
-    # item order, a solve's before its own finetune's, as if each item ran
-    # its solve and its finetune in turn.
-    solved = run.map_items(solve, list(range(cfg.n_train)))
-    n_ok = next((i for i, s in enumerate(solved) if isinstance(s, LissaDivergenceError)), cfg.n_train)
+            divergence = exc
+            break
+        solved.append([influence_score(u, tg) for tg in test_grads])
+    n_ok = len(solved)
     if n_ok:
         points = Dataset(X=train.X[:n_ok], y=train.y[:n_ok], ids=train.ids[:n_ok])
         pcfg = PboConfig(
@@ -481,8 +476,8 @@ def cmd_pbrf_compare(run: RunContext) -> None:
         )
         results = pbrf_finetune(spec, theta, points, train, pcfg)
         retrain = pbrf_influence(spec, results, theta, test_examples, cfg.epsilon)
-    if n_ok < cfg.n_train:
-        raise solved[n_ok]
+    if divergence is not None:
+        raise divergence
 
     solver_map: dict = {}
     retrain_map: dict = {}
@@ -491,7 +486,10 @@ def cmd_pbrf_compare(run: RunContext) -> None:
             solver_map[(int(train_id), ex.id)] = score
             retrain_map[(int(train_id), ex.id)] = retrain_scores[ex.id]
 
-    comparison = compare_influences(solver_map, retrain_map)
+    try:
+        comparison = compare_influences(solver_map, retrain_map)
+    except ValueError as exc:
+        raise ConfigError(f"cannot compare the influences: {exc}") from exc
     run.emit_csv(
         "pbrf_pairs.csv",
         ["train_id", "test_id", "lissa", "pbrf"],
@@ -709,7 +707,9 @@ def _parse_args(argv):
         p.add_argument("--config", required=True, help="flat key = value config file")
         p.add_argument("--out", default=None, help="output directory (or out_dir in config)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=None, help="worker thread count")
+        # Accepted only as 1, hidden: the benchmark harness in perfbench/run.py
+        # still passes --threads 1, and every command runs on one thread.
+        p.add_argument("--threads", type=int, choices=[1], help=argparse.SUPPRESS)
     return parser.parse_args(argv)
 
 
@@ -727,11 +727,7 @@ def main(argv=None) -> int:
         seed = args.seed if args.seed is not None else cfg.seed
         if seed < 0:
             raise ConfigError("seed must be non-negative")
-        threads = args.threads if args.threads is not None else cfg.threads
-        if threads < 1:
-            raise ConfigError("threads must be >= 1")
-
-        run = RunContext(cfg, Path(out_dir), seed, threads, sha256_hex(raw_text))
+        run = RunContext(cfg, Path(out_dir), seed, sha256_hex(raw_text))
         run.out_dir.mkdir(parents=True, exist_ok=True)
         try:
             COMMANDS[args.command](run)

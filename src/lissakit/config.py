@@ -83,7 +83,6 @@ def _caster(annotation: str):
 # tuple field is checked entry by entry.
 _LOWER_BOUNDS = {
     "seed": (0, False),
-    "threads": (1, False),
     "n_examples": (1, False),
     "n_probes": (2, False),
     "sketch_dim": (2, False),
@@ -117,7 +116,6 @@ class ExperimentConfig:
     command: str | None = None
     seed: int = 0
     out_dir: str | None = None
-    threads: int = 1
     # model and dataset
     model_kind: str = "softmax-linear"
     layer_sizes: tuple[int, ...] = (8, 3)

@@ -108,9 +108,7 @@ class GnhOperator:
 
     A linearization record owns the scratch its sweeps write their hidden-layer
     intermediates into, so one caller at a time may call ``matvec`` on one
-    operator; each result is a fresh array.  Commands build their full-batch
-    operators themselves, and ``map_items`` callers build one per item, so no
-    operator is shared between threads.
+    operator; each result is a fresh array.
     """
 
     def __init__(

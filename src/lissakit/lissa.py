@@ -98,15 +98,17 @@ def lissa_solve(op, g, cfg: LissaConfig):
     norms = np.empty(t_steps + 1)
     norms[0] = np.linalg.norm(u)
     snapshots: list[tuple[int, np.ndarray]] = []
-    for step in range(1, t_steps + 1):
-        hu = matvec(u)
-        u = u - eta * (hu + damp * u - g_values)
-        norm = sqrt(u @ u)
-        if not isfinite(norm) or norm > bound:
-            raise LissaDivergenceError(step, norm)
-        norms[step] = norm
-        if every and step % every == 0:
-            snapshots.append((step, u.copy()))
+    # a step that overflows leaves a non-finite norm, which the guard reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, t_steps + 1):
+            hu = matvec(u)
+            u = u - eta * (hu + damp * u - g_values)
+            norm = sqrt(u @ u)
+            if not isfinite(norm) or norm > bound:
+                raise LissaDivergenceError(step, norm)
+            norms[step] = norm
+            if every and step % every == 0:
+                snapshots.append((step, u.copy()))
     if not snapshots or snapshots[-1][0] != t_steps:
         snapshots.append((t_steps, u.copy()))
 

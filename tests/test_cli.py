@@ -1,6 +1,11 @@
 """Tests for the config parser and the command-line harness."""
 
+import contextlib
+import io
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import fields
@@ -44,6 +49,10 @@ seed = 3
 SINGULAR_CFG = "model_kind = softmax-linear\nlayer_sizes = 4, 3\nn_examples = 30\nlambda_damp = 0\n"
 
 TINY_MLP_CFG = "model_kind = mlp\nlayer_sizes = 3, 2, 2\nn_examples = 8\n"
+
+LINEAR_4_3 = "model_kind = softmax-linear\nlayer_sizes = 4, 3\n"
+
+MLP_4_5_3 = "model_kind = mlp\nlayer_sizes = 4, 5, 3\n"
 
 
 def write(tmp_path, name, text):
@@ -197,22 +206,32 @@ class TestDeterminism:
         assert (base / "solution.csv").read_text() != (other / "solution.csv").read_text()
         assert "seed = 9" in (other / "manifest.txt").read_text()
 
-    def test_thread_count_does_not_change_output(self, tmp_path):
-        cfg_text = QUAD_CFG.replace("t_steps = 400", "t_steps = 60")
-        cfg_text += "n_test = 8\nbatch_sizes = 8, 64\n"
-        _, serial = run_cli(tmp_path, "convergence", cfg_text, "--threads", "1", name="serial")
-        _, parallel = run_cli(tmp_path, "convergence", cfg_text, "--threads", "4", name="par")
-        assert (serial / "convergence.csv").read_bytes() == (
-            parallel / "convergence.csv"
-        ).read_bytes()
-        assert (serial / "manifest.txt").read_bytes() == (parallel / "manifest.txt").read_bytes()
-
-    def test_thread_count_does_not_change_pbrf_compare(self, tmp_path):
+    def test_threads_one_writes_the_same_bytes_as_no_flag(self, tmp_path):
         cfg_text = QUAD_CFG.replace("t_steps = 400", "t_steps = 20") + "n_train = 6\nn_test = 5\n"
-        _, serial = run_cli(tmp_path, "pbrf-compare", cfg_text, "--threads", "1", name="serial")
-        _, parallel = run_cli(tmp_path, "pbrf-compare", cfg_text, "--threads", "2", name="par")
+        _, plain = run_cli(tmp_path, "pbrf-compare", cfg_text, name="plain")
+        _, flagged = run_cli(tmp_path, "pbrf-compare", cfg_text, "--threads", "1", name="flagged")
         for name in ["pbrf_pairs.csv", "pbrf_summary.csv", "manifest.txt"]:
-            assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+            assert (plain / name).read_bytes() == (flagged / name).read_bytes()
+
+    def test_other_thread_counts_are_two(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli(tmp_path, "lissa", QUAD_CFG, "--threads", "2")
+        assert info.value.code == 2
+        code, _ = run_cli(tmp_path, "lissa", QUAD_CFG + "threads = 2\n", name="cfg")
+        assert code == 2
+        assert "unknown config field 'threads'" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["lissa", "--help"])
+        assert "--threads" not in capsys.readouterr().out
+
+    def test_cli_imports_no_thread_pool(self):
+        # every command runs on one thread, which the strict span nesting of
+        # perfbench/tracing.py assumes; NumPy alone does not import the pool
+        probe = "import sys, lissakit.cli; print('concurrent.futures' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
 
 
 class TestExitCodes:
@@ -371,11 +390,35 @@ class TestExitCodes:
         assert code == 3
         assert capsys.readouterr().err == f"numerical overflow: {message}\n"
 
-    @pytest.mark.parametrize(
-        "model",
-        ["model_kind = softmax-linear\nlayer_sizes = 4, 3\n", "model_kind = mlp\nlayer_sizes = 4, 5, 3\n"],
-        ids=["linear", "mlp"],
-    )
+    def test_pbrf_compare_solves_no_item_after_a_divergence(self, tmp_path, monkeypatch):
+        items = {component_seed(3, f"pbrf-item-{i}"): i for i in range(6)}
+        solved = []
+        real_solve = cli.lissa_solve
+
+        def solve(op, g, cfg):
+            solved.append(items[cfg.seed])
+            if items[cfg.seed] == 2:
+                raise LissaDivergenceError(step=2, norm=1e300)
+            return real_solve(op, g, cfg)
+
+        monkeypatch.setattr("lissakit.cli.lissa_solve", solve)
+        text = QUAD_CFG.replace("t_steps = 400", "t_steps = 5") + "n_train = 6\nn_test = 5\n"
+        code, _ = run_cli(tmp_path, "pbrf-compare", text)
+        assert code == 3
+        assert solved == [0, 1, 2]
+
+    def test_pbrf_steps_over_limit_is_two_before_model_work(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("model work before a config-decided error")
+
+        monkeypatch.setattr("lissakit.cli._build_model", refuse)
+        text = MLP_4_5_3 + "eta = 0.5\nt_steps = 3\npbrf_steps = 1000000000000\nn_train = 2\nn_test = 5\n"
+        code, _ = run_cli(tmp_path, "pbrf-compare", text)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: pbrf_steps = 1000000000000 is over the limit")
+
+    @pytest.mark.parametrize("model", [LINEAR_4_3, MLP_4_5_3], ids=["linear", "mlp"])
     @pytest.mark.parametrize(
         "command, extra",
         [
@@ -530,12 +573,21 @@ def config_text(fields):
     return "".join(f"{key} = {value!r}\n" for key, value in fields.items() if value is not None)
 
 
+# Step counts that run fast or are over the limit, and batch sizes that are
+# small or over the draw limit, so that no generated run takes long.
+STEPS = st.integers(1, 20) | st.sampled_from([cli.MAX_T_STEPS + 1, 10**12])
+BATCHES = st.integers(1, 64) | st.integers(10**10, 10**12)
+
+
 def run_main(command, text):
-    """Exit code of one in-process run, in a fresh directory."""
+    """Exit code of one in-process run, in a fresh directory; no traceback may reach stderr."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "run.cfg"
         cfg.write_text(text)
-        code = main([command, "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+        assert "Traceback" not in err.getvalue()
         csv = Path(tmp) / "out" / f"{command}.csv"
         return code, (csv.read_text() if csv.exists() else None)
 
@@ -582,6 +634,71 @@ class TestInputBoundary:
         text += "eigenvalues = " + ", ".join(repr(x) for x in eigenvalues) + "\n"
         code, _ = run_main("counterexample", text)
         assert code in (0, 2, 3, 4)
+
+    @given(
+        command=st.sampled_from(["lissa", "convergence", "pbrf-compare"]),
+        model=st.sampled_from([LINEAR_4_3, MLP_4_5_3]),
+        n_examples=st.integers(1, 40),
+        n_test=st.integers(1, 10),
+        n_train=st.integers(1, 6),
+        t_steps=STEPS,
+        pbrf_steps=st.none() | STEPS,
+        snapshot_every=st.none() | STEPS,
+        batch_size=st.none() | BATCHES,
+        batch_sizes=st.lists(BATCHES, min_size=1, max_size=3),
+        eta=st.none() | EXTREMES,
+        lambda_damp=st.none() | EXTREMES,
+    )
+    @example(command="pbrf-compare", model=MLP_4_5_3, n_examples=30, n_test=5, n_train=2, t_steps=3,
+             pbrf_steps=10**12, snapshot_every=None, batch_size=None, batch_sizes=[4], eta=0.5,
+             lambda_damp=None)
+    @settings(max_examples=150, deadline=None)
+    def test_solver_commands_exit_cleanly(
+        self, command, model, n_examples, n_test, n_train, t_steps, pbrf_steps, snapshot_every,
+        batch_size, batch_sizes, eta, lambda_damp,
+    ):
+        text = model + config_text(
+            dict(n_examples=n_examples, n_test=n_test, n_train=n_train, t_steps=t_steps,
+                 pbrf_steps=pbrf_steps, snapshot_every=snapshot_every, batch_size=batch_size,
+                 eta=eta, lambda_damp=lambda_damp)
+        )
+        text += "batch_sizes = " + ", ".join(str(b) for b in batch_sizes) + "\n"
+        code, _ = run_main(command, text)
+        assert code in (0, 2, 3, 4)
+
+
+class TestKeptIterates:
+    def test_lissa_keeps_no_snapshots(self, tmp_path, monkeypatch):
+        # lissa writes the norms and the final iterate, so it asks for no copies
+        intervals = []
+        real_solve = cli.lissa_solve
+
+        def solve(op, g, cfg):
+            intervals.append(cfg.snapshot_every)
+            return real_solve(op, g, cfg)
+
+        monkeypatch.setattr("lissakit.cli.lissa_solve", solve)
+        text = QUAD_CFG.replace("snapshot_every = 50", "snapshot_every = 1")
+        code, _ = run_cli(tmp_path, "lissa", text)
+        assert code == 0 and intervals == [0]
+
+    @pytest.mark.parametrize("interval, expected", [("snapshot_every = 1\n", 2), ("", 3)])
+    def test_convergence_over_the_kept_iterate_limit_is_two_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, interval, expected
+    ):
+        # 43 parameters: (10^6 + 1) snapshots are over MAX_KEPT_FLOATS, while the
+        # default interval T/50 keeps 51 and reaches the (patched) solve
+        def diverge(op, g, cfg):
+            raise LissaDivergenceError(step=1, norm=math.inf)
+
+        monkeypatch.setattr("lissakit.cli.lissa_solve", diverge)
+        text = MLP_4_5_3 + f"n_examples = 30\neta = 0.1\nt_steps = {cli.MAX_T_STEPS}\n"
+        code, _ = run_cli(tmp_path, "convergence", text + interval + "batch_sizes = 4\nn_test = 5\n")
+        assert code == expected
+        if expected == 2:
+            err = capsys.readouterr().err
+            assert "config error" in err and "MAX_KEPT_FLOATS" in err
+            assert "t_steps" in err and "snapshot_every = 1" in err and "43 parameters" in err
 
 
 class TestArtifacts:
