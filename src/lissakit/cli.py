@@ -59,14 +59,18 @@ MANIFEST_FORMAT = "lissakit-run-1"
 # Largest solver step count a command accepts: the solve keeps one iterate
 # norm per step and lissa writes one trace row per step.
 MAX_T_STEPS = 1_000_000
-# Largest number of floats a command keeps as iterates to read after its
-# solve: convergence keeps one copy of the iterate per snapshot until it
-# correlates them, so this caps the kept iterates at 80 MB.
+# Largest probe count a command accepts: the probe loop keeps one sample per
+# probe, and each probe costs one to three HVPs.
+MAX_PROBES = 1_000_000
+# Largest number of floats a command keeps in one table: convergence keeps one
+# copy of the iterate per snapshot until it correlates them, and tfidf-check
+# keeps dense count, inverse and pair tables, so this caps each at 80 MB.
 MAX_KEPT_FLOATS = 10**7
-# Largest number of random words one batch draw of a command may take: a
-# batch of b examples draws b words per step (b times n_train in the lockstep
-# finetunes of pbrf-compare, b times the dimension in counterexample), and
-# each word is held as an 8-byte float, so this caps one draw at 80 MB.
+# Largest number of random words one draw of a command may take: a batch of
+# b examples draws b words per step (b times n_train in the lockstep finetunes
+# of pbrf-compare, b times the dimension in counterexample), a synthetic
+# dataset its n examples times their features, and each word is held as an
+# 8-byte float, so this caps one draw at 80 MB.
 MAX_DRAW_WORDS = 10**7
 
 
@@ -148,13 +152,9 @@ def _build_data(run: RunContext, spec: ModelSpec, n_test: int = 0):
         if int(full.y.min()) < 0:
             raise ConfigError("dataset labels must be non-negative")
     else:
-        full = make_blobs(
-            run.rng("dataset"),
-            cfg.n_examples + n_test,
-            spec.input_dim,
-            spec.n_classes,
-            cfg.separation,
-        )
+        n_full = cfg.n_examples + n_test
+        _check_draw(f"{n_full} examples of {spec.input_dim} features", n_full * spec.input_dim)
+        full = make_blobs(run.rng("dataset"), n_full, spec.input_dim, spec.n_classes, cfg.separation)
     if n_test == 0:
         return full, None
     if len(full) <= n_test:
@@ -201,46 +201,49 @@ def _oracle_ihvp(run: RunContext, dense_gnh: np.ndarray, g: np.ndarray) -> np.nd
         ) from exc
 
 
-def _check_step_count_derivable(run: RunContext) -> None:
-    """An omitted t_steps comes from eta and lambda_damp (spectral.step_count),
-    which give none at lambda_damp = 0.  The config alone decides this, so
-    commands check it before any model work."""
-    if run.cfg.t_steps is None and not run.cfg.lambda_damp > 0:
-        raise ConfigError("t_steps must be given when lambda_damp is 0")
+def _check_step_count_derivable(run: RunContext, field: str = "t_steps") -> None:
+    """An omitted step count (``field``: t_steps, or pbrf_steps in its place)
+    comes from eta and lambda_damp (spectral.step_count), which give none at
+    lambda_damp = 0.  The config alone decides this, so commands check it
+    before any model work."""
+    if getattr(run.cfg, field) is None and not run.cfg.lambda_damp > 0:
+        raise ConfigError(f"{field} must be given when lambda_damp is 0")
 
 
-def _solver_settings(run: RunContext, dense_gnh: np.ndarray | None):
-    """eta and t_steps from config; an omitted eta comes from the dense GNH's
-    top eigenvalue (dense_gnh is None when eta is set), an omitted t_steps from
-    eta.  A t_steps, given or derived, over MAX_T_STEPS is a config error."""
+def _solver_settings(run: RunContext, dense_gnh: np.ndarray | None, field: str = "t_steps"):
+    """eta and the step count from config; an omitted eta comes from the dense
+    GNH's top eigenvalue (dense_gnh is None when eta is set), an omitted step
+    count from eta.  ``field`` names the config field that gives the step
+    count.  A step count, given or derived, over MAX_T_STEPS is a config error."""
     cfg = run.cfg
-    _check_step_count_derivable(run)
+    _check_step_count_derivable(run, field)
     eta = cfg.eta
     if eta is None:
         eta = step_size(float(sym_eigvals(dense_gnh)[0]), cfg.lambda_damp)
-    t_steps = cfg.t_steps
+    t_steps = getattr(cfg, field)
     if t_steps is None:
         try:
             t_steps = step_count(eta, cfg.lambda_damp, cfg.t_multiplier)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    _check_t_steps(t_steps)
+    _check_count(t_steps, field)
     return eta, t_steps
 
 
-def _check_t_steps(t_steps: int | None, field: str = "t_steps") -> None:
-    """A step count over MAX_T_STEPS, given, derived or recommended, is a config error."""
-    if t_steps is not None and t_steps > MAX_T_STEPS:
+def _check_count(value: int | None, field: str = "t_steps", limit: int = MAX_T_STEPS) -> None:
+    """A count over its limit is a config error: a step count, given, derived
+    or recommended, over MAX_T_STEPS, or n_probes over MAX_PROBES."""
+    if value is not None and value > limit:
         raise ConfigError(
-            f"{field} = {t_steps} is over the limit of {MAX_T_STEPS}; set a smaller {field}"
+            f"{field} = {value} is over the limit of {limit}; set a smaller {field}"
             + (", or raise eta or lambda_damp" if field == "t_steps" else "")
         )
 
 
 def _check_draw(what: str, words: int) -> None:
-    """A batch draw of more than MAX_DRAW_WORDS words, set by ``what``, is a config error."""
+    """A draw of more than MAX_DRAW_WORDS words, set by ``what``, is a config error."""
     if words > MAX_DRAW_WORDS:
-        raise ConfigError(f"{what} draws more than MAX_DRAW_WORDS = {MAX_DRAW_WORDS} words in one batch")
+        raise ConfigError(f"{what} draws more than MAX_DRAW_WORDS = {MAX_DRAW_WORDS} words at once")
 
 
 def _recommend(run: RunContext, trace: float, lambda_max: float):
@@ -250,7 +253,7 @@ def _recommend(run: RunContext, trace: float, lambda_max: float):
         hp = recommend_hyperparams(trace, lambda_max, cfg.lambda_damp, cfg.c_const, cfg.t_multiplier)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    _check_t_steps(hp.t_steps)
+    _check_count(hp.t_steps)
     _check_draw(f"recommended batch_size = {float(hp.batch_size_min):.6g}", hp.batch_size_min)
     return hp
 
@@ -269,6 +272,7 @@ def _stochastic_operator(run: RunContext, spec, theta, train, batch_size):
 
 def cmd_stats(run: RunContext) -> None:
     cfg = run.cfg
+    _check_count(cfg.n_probes, "n_probes", MAX_PROBES)
     spec, theta = _build_model(run)
     train, _ = _build_data(run, spec)
     op = _stochastic_operator(run, spec, theta, train, None)
@@ -431,8 +435,10 @@ def cmd_pbrf_compare(run: RunContext) -> None:
     cfg = run.cfg
     if cfg.n_train * cfg.n_test < 10:
         raise ConfigError("need at least ten (train, test) pairs to compare")
-    _check_step_count_derivable(run)
-    _check_t_steps(cfg.pbrf_steps, "pbrf_steps")
+    # pbrf_steps, when set, is the step count of the solves and the finetunes
+    steps_field = "t_steps" if cfg.pbrf_steps is None else "pbrf_steps"
+    _check_step_count_derivable(run, steps_field)
+    _check_count(getattr(cfg, steps_field), steps_field)
     batch_size = cfg.batch_size if cfg.batch_size is not None else 32
     _check_draw(f"n_train = {cfg.n_train} times batch_size = {batch_size}", cfg.n_train * batch_size)
     spec, theta = _build_model(run)
@@ -441,11 +447,8 @@ def cmd_pbrf_compare(run: RunContext) -> None:
         raise ConfigError("n_train exceeds the training set")
 
     dense = _dense_gnh(spec, theta, train) if cfg.eta is None else None
-    eta, t_steps = _solver_settings(run, dense)
-    lr = cfg.pbrf_lr if cfg.pbrf_lr is not None else eta
-    steps = cfg.pbrf_steps if cfg.pbrf_steps is not None else t_steps
-    test_examples = [test[j] for j in range(len(test))]
-    test_grads = [measurement_gradient(spec, theta, ex).values for ex in test_examples]
+    eta, steps = _solver_settings(run, dense, steps_field)
+    test_grads = [measurement_gradient(spec, theta, test[j]).values for j in range(len(test))]
     item_seeds = [run.sub_seed(f"pbrf-item-{i}") for i in range(cfg.n_train)]
 
     # The solves run in item order and stop at the first divergence; then the
@@ -456,7 +459,7 @@ def cmd_pbrf_compare(run: RunContext) -> None:
     solved, divergence = [], None
     for i in range(cfg.n_train):
         g = loss_gradient(spec, theta, train[i])
-        lcfg = LissaConfig(eta=lr, lambda_damp=cfg.lambda_damp, t_steps=steps, seed=item_seeds[i])
+        lcfg = LissaConfig(eta=eta, lambda_damp=cfg.lambda_damp, t_steps=steps, seed=item_seeds[i])
         try:
             u, _ = lissa_solve(op, -g.values, lcfg)
         except LissaDivergenceError as exc:
@@ -469,45 +472,33 @@ def cmd_pbrf_compare(run: RunContext) -> None:
         pcfg = PboConfig(
             epsilon=cfg.epsilon,
             lambda_damp=cfg.lambda_damp,
-            lr=lr,
+            lr=eta,
             steps=steps,
             batch_size=batch_size,
             seed=tuple(item_seeds[:n_ok]),
         )
         results = pbrf_finetune(spec, theta, points, train, pcfg)
-        retrain = pbrf_influence(spec, results, theta, test_examples, cfg.epsilon)
+        retrain = pbrf_influence(spec, results, theta, test, cfg.epsilon)
     if divergence is not None:
         raise divergence
 
-    solver_map: dict = {}
-    retrain_map: dict = {}
-    for train_id, scores, retrain_scores in zip(points.ids, solved, retrain):
-        for ex, score in zip(test_examples, scores):
-            solver_map[(int(train_id), ex.id)] = score
-            retrain_map[(int(train_id), ex.id)] = retrain_scores[ex.id]
-
+    lissa = np.array(solved)
     try:
-        comparison = compare_influences(solver_map, retrain_map)
+        comparison = compare_influences(lissa, retrain)
     except ValueError as exc:
         raise ConfigError(f"cannot compare the influences: {exc}") from exc
+    # row i of both score arrays is train point i, column j test point j
+    pairs = [(train_id, test_id) for train_id in points.ids for test_id in test.ids]
     run.emit_csv(
         "pbrf_pairs.csv",
         ["train_id", "test_id", "lissa", "pbrf"],
-        [(tid[0], tid[1], a, b) for tid, a, b in comparison.rows],
+        [(*pair, a, b) for pair, a, b in zip(pairs, lissa.ravel(), retrain.ravel())],
     )
-    counts = comparison.class_counts
+    counts = [comparison.class_counts[k] for k in ("agreeing", "disagreeing", "near_zero")]
     run.emit_csv(
         "pbrf_summary.csv",
         ["pearson", "slope", "n_agreeing", "n_disagreeing", "n_near_zero"],
-        [
-            (
-                comparison.pearson,
-                comparison.slope,
-                counts.get("agreeing", 0),
-                counts.get("disagreeing", 0),
-                counts.get("near_zero", 0),
-            )
-        ],
+        [(comparison.pearson, comparison.slope, *counts)],
     )
     print(f"pearson = {_fmt(comparison.pearson)}")
     print(f"slope = {_fmt(comparison.slope)}")
@@ -516,6 +507,7 @@ def cmd_pbrf_compare(run: RunContext) -> None:
 def cmd_condition_c1(run: RunContext) -> None:
     cfg = run.cfg
     batch_sizes = cfg.require("batch_sizes")
+    _check_count(cfg.n_probes, "n_probes", MAX_PROBES)
     spec, theta = _build_model(run)
     _check_dense_size(spec)
     train, _ = _build_data(run, spec)
@@ -525,7 +517,12 @@ def cmd_condition_c1(run: RunContext) -> None:
     table = []
     points = []
     for row in rows:
-        ratio = row.lhs_trace.mean / row.rhs_trace if row.rhs_trace > 0 else math.nan
+        if not row.rhs_trace > 0:
+            raise ConfigError(
+                f"Tr(H)^2/(n |B|) = {row.rhs_trace!r} at batch size {row.batch_size} is not positive "
+                "(a zero Gauss-Newton matrix, or its trace underflows); the noise ratio is undefined"
+            )
+        ratio = row.lhs_trace.mean / row.rhs_trace
         table.append(
             (row.batch_size, row.lhs_trace.mean, row.lhs_trace.se, row.rhs_trace, ratio)
         )
@@ -546,8 +543,7 @@ def cmd_counterexample(run: RunContext) -> None:
     cfg = run.cfg
     eigenvalues = cfg.require("eigenvalues")
     batch_size = cfg.batch_size if cfg.batch_size is not None else 1
-    if cfg.t_max > MAX_T_STEPS:
-        raise ConfigError(f"t_max = {cfg.t_max} is over the limit of {MAX_T_STEPS}")
+    _check_count(cfg.t_max, "t_max")
     n = len(eigenvalues)
     if n > MAX_DENSE_PARAMS:
         raise ConfigError(f"{n} eigenvalues are over the dense rotation's limit {MAX_DENSE_PARAMS}")
@@ -607,6 +603,20 @@ def cmd_counterexample(run: RunContext) -> None:
     print(f"max_growth_factor = {_fmt(growth)}")
 
 
+def _check_tfidf_tables(n_docs: int, doc_length: int, vocab_size: int) -> None:
+    """tfidf-check holds its corpus and dense count, inverse-Hessian and pair
+    tables; one over MAX_KEPT_FLOATS entries is a config error.  This also
+    bounds the probability draw and each document's draw by MAX_DRAW_WORDS."""
+    for what, entries in (
+        (f"n_docs = {n_docs} times doc_length = {doc_length} terms", n_docs * doc_length),
+        (f"n_docs = {n_docs} times vocab_size = {vocab_size} counts", n_docs * vocab_size),
+        (f"vocab_size = {vocab_size} squared inverse-Hessian entries", vocab_size**2),
+        (f"n_docs = {n_docs} squared document pairs", n_docs**2),
+    ):
+        if entries > MAX_KEPT_FLOATS:
+            raise ConfigError(f"tfidf-check keeps {what}, over MAX_KEPT_FLOATS = {MAX_KEPT_FLOATS}")
+
+
 def cmd_tfidf_check(run: RunContext) -> None:
     cfg = run.cfg
     if cfg.lambda_damp <= 0:
@@ -622,9 +632,11 @@ def cmd_tfidf_check(run: RunContext) -> None:
             raise ConfigError(str(exc)) from exc
         if corpus.vocab_size < 2:
             raise ConfigError(f"corpus {cfg.corpus_path!r} needs at least two distinct terms")
+        _check_tfidf_tables(corpus.n_docs, corpus.doc_length, corpus.vocab_size)
         counts = corpus.counts().sum(axis=0)
         p = (counts + 1.0) / (counts.sum() + corpus.vocab_size)
     else:
+        _check_tfidf_tables(cfg.n_docs, cfg.doc_length, cfg.vocab_size)
         raw = run.rng("tfidf-probs").uniform(cfg.vocab_size) * 0.4 + 0.8
         p = raw / raw.sum()
         corpus = sample_corpus(run.rng("tfidf-corpus"), cfg.n_docs, cfg.doc_length, p)
@@ -663,8 +675,13 @@ def cmd_similarity(run: RunContext) -> None:
 
     dense = _dense_gnh(spec, theta, train)
     solver = lambda block: _oracle_ihvp(run, dense, block)
-    gradient_sim = similarity_matrix(grads, labels=labels)
-    influence_sim = similarity_matrix(grads, solver, labels=labels)
+    try:
+        gradient_sim = similarity_matrix(grads, labels=labels)
+        influence_sim = similarity_matrix(grads, solver, labels=labels)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"no similarity matrix: {exc}") from exc
 
     def matrix_rows(values):
         return [(labels[i], *values[i]) for i in range(len(labels))]

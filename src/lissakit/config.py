@@ -97,7 +97,6 @@ _LOWER_BOUNDS = {
     "tolerance": (0, False),
     "batch_sizes": (1, False),
     "epsilon": (0, True),
-    "pbrf_lr": (0, True),
     "pbrf_steps": (1, False),
     "n_train": (1, False),
     "n_test": (1, False),
@@ -147,7 +146,6 @@ class ExperimentConfig:
     batch_sizes: tuple[int, ...] | None = None
     # retraining comparison
     epsilon: float = 1e-8
-    pbrf_lr: float | None = None
     pbrf_steps: int | None = None
     n_train: int = 5
     n_test: int = 20

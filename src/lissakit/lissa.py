@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import SeededRng, check_symmetric, derive_seed, pearson_corr
-from .models import ParamVector, _vector
+from .models import _vector
 
 _DIVERGENCE_SCALE = 1e12
 
@@ -76,9 +76,9 @@ def lissa_solve(op, g, cfg: LissaConfig):
     Every step applies a fresh curvature estimate, so the iterates target
     u* = (H + lambda)^-1 g where H is the operator's mean.  The operator is
     reseeded from cfg.seed when it supports reseeding, making a solve a pure
-    function of (op, g, cfg).  Returns the final iterate (matching the type
-    of ``g``) and a trace; raises LissaDivergenceError, carrying the faulting
-    step, when the iterate goes non-finite or passes the runaway guard.
+    function of (op, g, cfg).  Returns the final iterate as an array and a
+    trace; raises LissaDivergenceError, carrying the faulting step, when the
+    iterate goes non-finite or passes the runaway guard.
     """
     g_values = _vector(g)
     if g_values.size != op.n_params:
@@ -112,17 +112,14 @@ def lissa_solve(op, g, cfg: LissaConfig):
     if not snapshots or snapshots[-1][0] != t_steps:
         snapshots.append((t_steps, u.copy()))
 
-    trace = LissaTrace(norms=norms, snapshots=snapshots)
-    if isinstance(g, ParamVector):
-        return ParamVector(u, g.segments), trace
-    return u, trace
+    return u, LissaTrace(norms=norms, snapshots=snapshots)
 
 
 def exact_ihvp(H: np.ndarray, lambda_damp: float, g) -> np.ndarray:
     """Dense oracle: solve (H + lambda I) u = g to residual <= 1e-10 ||g||.
 
-    ``g`` is a vector, a ParamVector or an (n, k) block solved in one call,
-    each column to its own bound; the result is an array of g's shape.  One
+    ``g`` is an array: a vector, or an (n, k) block solved in one call, each
+    column to its own bound; the result is an array of g's shape.  One
     refinement round backs the guarantee.  Raises ``np.linalg.LinAlgError``
     when the solve fails or a column misses the residual bound.  A singular
     but consistent system can pass both and return one of many solutions, so
@@ -130,7 +127,7 @@ def exact_ihvp(H: np.ndarray, lambda_damp: float, g) -> np.ndarray:
     """
     H = np.asarray(H, dtype=np.float64)
     check_symmetric(H)
-    rhs = np.asarray(g.values if isinstance(g, ParamVector) else g, dtype=np.float64)
+    rhs = np.asarray(g, dtype=np.float64)
     if rhs.ndim not in (1, 2) or rhs.shape[0] != H.shape[0]:
         raise ValueError("gradient does not match the matrix")
     block = rhs.reshape(rhs.shape[0], -1)

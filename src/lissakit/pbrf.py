@@ -38,14 +38,14 @@ from .models import (
 @dataclass(frozen=True)
 class PboConfig:
     """Finetuning settings; lr, steps, and batch size mirror the paired solve.
-    ``seed`` is one seed, or one per chain for a lockstep finetune."""
+    ``seed`` holds one seed per finetuned point."""
 
     epsilon: float = 1e-8
     lambda_damp: float = 0.0
     lr: float = 0.1
     steps: int = 100
     batch_size: int = 32
-    seed: int | tuple[int, ...] = 0
+    seed: tuple[int, ...] = (0,)
 
     def __post_init__(self):
         if self.epsilon < 0:
@@ -106,36 +106,29 @@ def pbo_objective(
     return value + 0.5 * cfg.lambda_damp * float(shift @ shift)
 
 
-def _train_rows(train_point):
-    """The training term's rows: one row for an Example, X (R, 1, in) and
-    y (R, 1) for a Dataset of R train points, one per chain."""
-    if isinstance(train_point, Dataset):
-        return train_point.X[:, None, :], train_point.y[:, None]
-    return train_point.x[None, :], np.array([train_point.y])
-
-
 def pbo_gradient(
     spec: ModelSpec,
-    theta,
+    theta: np.ndarray,
     theta_star: ParamVector,
-    train_point,
+    points: Dataset,
     batch,
     cfg: PboConfig,
 ) -> np.ndarray:
-    """Exact objective gradient; the label one-hots cancel in the Bregman term,
-    leaving the softmax gap between current and reference logits.
+    """Exact objective gradient of R chains; the label one-hots cancel in the
+    Bregman term, leaving the softmax gap between current and reference logits.
 
-    ``theta`` is a ParamVector or an array of parameters.  For R chains it is
-    an (R, n) block, ``train_point`` a Dataset of R points and ``batch.X``
-    (R, B, in), or (B, in) shared by every chain; the gradient is (R, n).
+    ``theta`` is an (R, n) block, one row per chain, and ``points`` a Dataset
+    of R train points, chain r's training term at point r.  ``batch.X`` is
+    (R, B, in), one batch per chain, or (B, in) shared by every chain; the
+    gradient is (R, n).
     """
-    theta = getattr(theta, "values", theta)
     lin = _linearize(spec, theta, batch.X)
     ref_logits, _ = _forward(spec, theta_star.values, batch.X)
     gap = (lin.p - _softmax(ref_logits)) / batch.y.shape[-1]
     grad = _backprop(spec, lin, gap)
     if cfg.epsilon:
-        grad = grad + cfg.epsilon * _loss_gradient_rows(spec, theta, *_train_rows(train_point))
+        train = _loss_gradient_rows(spec, theta, points.X[:, None, :], points.y[:, None])
+        grad = grad + cfg.epsilon * train
     return grad + cfg.lambda_damp * (theta - theta_star.values)
 
 
@@ -153,72 +146,66 @@ def _displacement_norm(theta: np.ndarray, theta_star: np.ndarray) -> float:
 def pbrf_finetune(
     spec: ModelSpec,
     theta_star: ParamVector,
-    train_point,
+    points: Dataset,
     dataset: Dataset,
     cfg: PboConfig,
-):
-    """SGD on the proximal Bregman objective, starting from the reference.
+) -> list[PbrfResult]:
+    """SGD on the proximal Bregman objective of each of R train points,
+    starting from the reference.
 
-    Batches are drawn with the same sampler and seed discipline as the
-    stochastic solver, so a finetune and a solve with matching (lr, steps,
-    batch size, seed) see identical batch sequences.  A batch size covering
-    the whole dataset switches to deterministic full-batch descent, mirroring
-    the curvature operator's convention.  A non-finite update stops early and
-    flags overflow; the last finite parameters are returned.
-
-    ``train_point`` is one Example, finetuned from the seed ``cfg.seed``, and
-    the result one PbrfResult.  Or it is a Dataset of R train points with
-    ``cfg.seed`` holding R seeds: the R finetunes run in lockstep as one (R, n)
-    block, each chain with its own seed, overflow flag and step count, and the
-    result is a list of R PbrfResults, each equal to finetuning its point alone.
+    The R finetunes run in lockstep as one (R, n) parameter block, chain r
+    finetuning ``points[r]`` from the seed ``cfg.seed[r]``; a single finetune
+    is the R = 1 case.  Batches are drawn with the same sampler and seed
+    discipline as the stochastic solver, so a finetune and a solve with
+    matching (lr, steps, batch size, seed) see identical batch sequences.  A
+    batch size covering the whole dataset switches to deterministic
+    full-batch descent, mirroring the curvature operator's convention.  A
+    non-finite update stops its chain and flags overflow; that chain keeps its
+    last finite parameters while the others run on.  Returns R PbrfResults in
+    point order, each equal to finetuning its point alone.
     """
-    chains = isinstance(train_point, Dataset)
-    if chains != (np.ndim(cfg.seed) == 1) or (chains and len(cfg.seed) != len(train_point)):
-        raise ValueError("give one seed for an Example, one per point for a Dataset")
+    if len(cfg.seed) != len(points):
+        raise ValueError(f"need one seed per point: {len(cfg.seed)} seeds for {len(points)} points")
     rng = SeededRng(cfg.seed)
     full_batch = cfg.batch_size >= len(dataset)
-    lead = (len(train_point),) if chains else ()
-    theta = np.broadcast_to(theta_star.values, lead + (spec.n_params,)).copy()
-    overflow = np.zeros(lead, dtype=bool)
-    steps_run = np.zeros(lead, dtype=np.int64)
+    theta = np.broadcast_to(theta_star.values, (len(points), spec.n_params)).copy()
+    overflow = np.zeros(len(points), dtype=bool)
+    steps_run = np.zeros(len(points), dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, cfg.steps + 1):
             batch = dataset if full_batch else sample_batch(dataset, cfg.batch_size, rng)
-            grad = pbo_gradient(spec, theta, theta_star, train_point, batch, cfg)
+            grad = pbo_gradient(spec, theta, theta_star, points, batch, cfg)
             proposal = theta - cfg.lr * grad
             overflow |= ~np.isfinite(proposal).all(axis=-1)
             if overflow.all():
                 break
-            theta = np.where(overflow[..., None], theta, proposal)
+            theta = np.where(overflow[:, None], theta, proposal)
             steps_run[~overflow] = step
-    results = [
+    return [
         PbrfResult(
             theta_pbrf=ParamVector(values, spec.segments),
             displacement_norm=_displacement_norm(values, theta_star.values),
             overflow=bool(flag),
             steps_run=int(run),
         )
-        for values, flag, run in zip(
-            theta.reshape(-1, spec.n_params), overflow.ravel(), steps_run.ravel()
-        )
+        for values, flag, run in zip(theta, overflow, steps_run)
     ]
-    return results if chains else results[0]
 
 
 def pbrf_influence(
     spec: ModelSpec,
-    result,
+    results: list[PbrfResult],
     theta_star: ParamVector,
-    test_points,
+    test_points: Dataset,
     epsilon: float,
-):
+) -> np.ndarray:
     """Influence scores as the measurement change per unit epsilon.
 
     score(test) = (f(test; theta_pbrf) - f(test; theta_star)) / epsilon with
     f the log-probability of the test label; to first order in epsilon this
     equals -grad_f . (H + lambda)^-1 grad_loss(train), the same sign
-    convention the solver pipeline reports.  ``result`` is one PbrfResult,
-    giving one {test id: score} map, or a list of them, giving one map each.
+    convention the solver pipeline reports.  Returns an (R, J) array, row r
+    for ``results[r]`` and column j for ``test_points[j]``.
 
     Each f is a one-row forward pass, as in ``nll_loss``, so every score is
     bit for bit the one-example value: the reference f once per test point,
@@ -227,26 +214,22 @@ def pbrf_influence(
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    results = result if isinstance(result, list) else [result]
     if any(r.overflow for r in results):
         raise OverflowError("finetune overflowed; influences are unavailable")
-    X = np.array([ex.x for ex in test_points], dtype=np.float64).reshape(-1, 1, spec.input_dim)
-    y = np.array([ex.y for ex in test_points], dtype=np.int64).reshape(-1, 1)
+    X = test_points.X[:, None, :]
+    y = test_points.y[:, None]
     thetas = np.stack([r.theta_pbrf.values for r in results])[:, None, :]
     ref = -_nll_from_logits(_forward(spec, theta_star.values, X)[0], y)
     moved = -_nll_from_logits(_forward(spec, thetas, X)[0], y)
-    scores = (moved - ref)[..., 0] / epsilon
-    maps = [dict(zip((ex.id for ex in test_points), row)) for row in scores]
-    return maps if isinstance(result, list) else maps[0]
+    return (moved - ref)[..., 0] / epsilon
 
 
 @dataclass
 class InfluenceComparison:
-    """Scatter summary of two score maps over a shared test set."""
+    """Scatter summary of two score arrays over the same (train, test) pairs."""
 
     pearson: float
     slope: float
-    rows: list[tuple]
     class_counts: dict
 
 
@@ -268,23 +251,23 @@ def classify_agreement(
 
 
 def compare_influences(
-    lissa_scores: dict,
-    pbrf_scores: dict,
+    lissa_scores: np.ndarray,
+    pbrf_scores: np.ndarray,
     near_zero_frac: float = 0.05,
     agree_rtol: float = 0.2,
 ) -> InfluenceComparison:
-    """Pearson correlation, origin slope, and trichotomy counts for two maps.
+    """Pearson correlation, origin slope, and trichotomy counts for two arrays.
 
-    The maps must carry identical id sets with at least ten entries; rows
-    come back id-sorted as (id, lissa, pbrf) ready for emission.
+    The arrays must have equal shapes, entry i of one paired with entry i of
+    the other, and at least ten entries; they are read in C order.
     """
-    if set(lissa_scores) != set(pbrf_scores):
-        raise ValueError("score maps cover different ids")
-    if len(lissa_scores) < 10:
+    x = np.asarray(lissa_scores, dtype=np.float64)
+    y = np.asarray(pbrf_scores, dtype=np.float64)
+    if x.shape != y.shape:
+        raise ValueError(f"score arrays differ in shape: {x.shape} and {y.shape}")
+    if x.size < 10:
         raise ValueError("need at least ten scores to compare")
-    ids = sorted(lissa_scores)
-    x = np.array([lissa_scores[i] for i in ids], dtype=np.float64)
-    y = np.array([pbrf_scores[i] for i in ids], dtype=np.float64)
+    x, y = x.ravel(), y.ravel()
     denom = float(x @ x)
     if denom == 0.0:
         raise ValueError("all reference scores are zero")
@@ -293,7 +276,4 @@ def compare_influences(
     counts = {"agreeing": 0, "near_zero": 0, "disagreeing": 0}
     for xi, yi in zip(x, y):
         counts[classify_agreement(xi, yi, scale, near_zero_frac, agree_rtol)] += 1
-    rows = [(i, float(xi), float(yi)) for i, xi, yi in zip(ids, x, y)]
-    return InfluenceComparison(
-        pearson=pearson_corr(x, y), slope=slope, rows=rows, class_counts=counts
-    )
+    return InfluenceComparison(pearson=pearson_corr(x, y), slope=slope, class_counts=counts)

@@ -135,7 +135,6 @@ class TestExperimentConfig:
             "doc_length = 0\n",
             "vocab_size = 1\n",
             "epsilon = 0\n",
-            "pbrf_lr = 0\n",
             "pbrf_steps = 0\n",
             "n_train = 0\n",
             "n_test = 0\n",
@@ -418,6 +417,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: pbrf_steps = 1000000000000 is over the limit")
 
+    @pytest.mark.parametrize(
+        "extra",
+        ["eta = 0.5\nt_steps = 1000000000000\n", "lambda_damp = 0\n"],
+        ids=["t-steps-over-limit", "no-t-steps-at-zero-damping"],
+    )
+    def test_pbrf_steps_replaces_t_steps(self, tmp_path, monkeypatch, extra):
+        # with pbrf_steps set, t_steps is neither checked nor derived: every
+        # solve and every finetune runs pbrf_steps steps
+        steps = []
+        real_solve, real_finetune = cli.lissa_solve, cli.pbrf_finetune
+
+        def solve(op, g, cfg):
+            steps.append(cfg.t_steps)
+            return real_solve(op, g, cfg)
+
+        def finetune(spec, theta, points, dataset, cfg):
+            steps.append(cfg.steps)
+            return real_finetune(spec, theta, points, dataset, cfg)
+
+        monkeypatch.setattr("lissakit.cli.lissa_solve", solve)
+        monkeypatch.setattr("lissakit.cli.pbrf_finetune", finetune)
+        text = MLP_4_5_3 + extra + "pbrf_steps = 5\nn_train = 2\nn_test = 5\n"
+        code, _ = run_cli(tmp_path, "pbrf-compare", text)
+        assert code == 0 and steps == [5, 5, 5]
+
+    def test_pbrf_lr_is_an_unknown_field(self, tmp_path, capsys):
+        # eta is the one step size of the solves and the finetunes
+        text = MLP_4_5_3 + "eta = 0.5\nt_steps = 3\npbrf_lr = 0.5\nn_train = 2\nn_test = 5\n"
+        code, _ = run_cli(tmp_path, "pbrf-compare", text)
+        assert code == 2
+        assert capsys.readouterr().err == "config error: unknown config field 'pbrf_lr'\n"
+
     @pytest.mark.parametrize("model", [LINEAR_4_3, MLP_4_5_3], ids=["linear", "mlp"])
     @pytest.mark.parametrize(
         "command, extra",
@@ -577,6 +608,8 @@ def config_text(fields):
 # small or over the draw limit, so that no generated run takes long.
 STEPS = st.integers(1, 20) | st.sampled_from([cli.MAX_T_STEPS + 1, 10**12])
 BATCHES = st.integers(1, 64) | st.integers(10**10, 10**12)
+# Dataset sizes: the default, small, or over the draw limit.
+EXAMPLES = st.none() | st.integers(1, 40) | st.just(10**13)
 
 
 def run_main(command, text):
@@ -667,6 +700,82 @@ class TestInputBoundary:
         assert code in (0, 2, 3, 4)
 
 
+    @given(
+        command=st.sampled_from(["stats", "condition-c1"]),
+        model=st.sampled_from([LINEAR_4_3, MLP_4_5_3]),
+        n_examples=EXAMPLES,
+        n_probes=st.integers(2, 6) | st.sampled_from([cli.MAX_PROBES + 1, 10**12]),
+        sketch_dim=st.integers(2, 8),
+        batch_sizes=st.lists(st.integers(1, 64), min_size=1, max_size=3),
+        init_scale=st.none() | st.just(1e300),
+    )
+    @example(command="stats", model=MLP_4_5_3, n_examples=None, n_probes=10**12, sketch_dim=8,
+             batch_sizes=[4], init_scale=None)
+    @example(command="condition-c1", model=MLP_4_5_3, n_examples=None, n_probes=10**12, sketch_dim=8,
+             batch_sizes=[4, 8], init_scale=None)
+    @example(command="stats", model=MLP_4_5_3, n_examples=10**13, n_probes=2, sketch_dim=8,
+             batch_sizes=[4], init_scale=None)
+    @example(command="condition-c1", model=MLP_4_5_3, n_examples=None, n_probes=4, sketch_dim=8,
+             batch_sizes=[4, 8], init_scale=1e300)
+    @settings(max_examples=60, deadline=None)
+    def test_spectral_commands_exit_cleanly(
+        self, command, model, n_examples, n_probes, sketch_dim, batch_sizes, init_scale
+    ):
+        text = model + config_text(
+            dict(n_examples=n_examples, n_probes=n_probes, sketch_dim=sketch_dim, init_scale=init_scale)
+        )
+        text += "batch_sizes = " + ", ".join(str(b) for b in batch_sizes) + "\n"
+        code, _ = run_main(command, text)
+        assert code in (0, 2)
+
+    @given(
+        n_docs=st.integers(1, 12),
+        doc_length=st.integers(1, 12) | st.sampled_from([cli.MAX_KEPT_FLOATS + 1, 10**12]),
+        vocab_size=st.integers(2, 12) | st.sampled_from([3163, 10**11]),
+    )
+    @example(n_docs=50, doc_length=8, vocab_size=10**11)
+    @settings(max_examples=60, deadline=None)
+    def test_tfidf_check_exits_cleanly(self, n_docs, doc_length, vocab_size):
+        code, _ = run_main("tfidf-check", config_text(dict(n_docs=n_docs, doc_length=doc_length, vocab_size=vocab_size)))
+        assert code in (0, 2)
+
+    def test_tfidf_check_many_documents_is_two_before_sampling(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("corpus sampled before a config-decided error")
+
+        monkeypatch.setattr("lissakit.cli.sample_corpus", refuse)
+        for n_docs in (3163, 10**12):
+            code, _ = run_main("tfidf-check", f"n_docs = {n_docs}\ndoc_length = 1\nvocab_size = 2\n")
+            assert code == 2
+
+    def test_tfidf_check_corpus_file_pairs_are_checked_after_parsing(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pair table built over the limit")
+
+        monkeypatch.setattr("lissakit.cli.tfidf_equivalence_check", refuse)
+        corpus = write(tmp_path, "corpus.txt", "a b\n" * 3163)
+        code, _ = run_cli(tmp_path, "tfidf-check", f"corpus_path = {corpus}\n")
+        assert code == 2
+        assert "n_docs = 3163 squared document pairs" in capsys.readouterr().err
+
+    @given(
+        model=st.sampled_from([LINEAR_4_3, MLP_4_5_3]),
+        n_examples=EXAMPLES,
+        n_items=st.none() | st.integers(0, 10),
+        train_index=st.none() | st.integers(0, 10),
+        init_scale=st.none() | st.just(1e300),
+    )
+    @example(model=MLP_4_5_3, n_examples=None, n_items=None, train_index=None, init_scale=1e300)
+    @example(model=MLP_4_5_3, n_examples=10**13, n_items=None, train_index=None, init_scale=None)
+    @settings(max_examples=60, deadline=None)
+    def test_similarity_exits_cleanly(self, model, n_examples, n_items, train_index, init_scale):
+        text = model + config_text(
+            dict(n_examples=n_examples, n_items=n_items, train_index=train_index, init_scale=init_scale)
+        )
+        code, _ = run_main("similarity", text)
+        assert code in (0, 2)
+
+
 class TestKeptIterates:
     def test_lissa_keeps_no_snapshots(self, tmp_path, monkeypatch):
         # lissa writes the norms and the final iterate, so it asks for no copies
@@ -732,6 +841,34 @@ class TestArtifacts:
         lines = (out / "condition_c1.csv").read_text().splitlines()
         full_row = [line for line in lines if line.startswith("64,")][0]
         assert float(full_row.split(",")[1]) == 0.0
+
+    def test_condition_c1_on_a_zero_gauss_newton_matrix_is_two(self, tmp_path, capsys):
+        # init_scale = 1e300 saturates every tanh and softmax, so H = 0 and the
+        # C = 1 reference Tr(H)^2/(n |B|) is zero: no ratio to report
+        code, out = run_cli(tmp_path, "condition-c1", MLP_4_5_3 + "init_scale = 1e300\nbatch_sizes = 4, 8\n")
+        assert code == 2
+        assert "is not positive" in capsys.readouterr().err
+        assert not any(out.glob("*.csv"))
+
+    def test_pbrf_pairs_follow_train_then_test_order(self, tmp_path, monkeypatch):
+        compared = []
+        real_compare = cli.compare_influences
+
+        def compare(lissa, pbrf):
+            compared.append((lissa, pbrf))
+            return real_compare(lissa, pbrf)
+
+        monkeypatch.setattr("lissakit.cli.compare_influences", compare)
+        text = QUAD_CFG.replace("t_steps = 400", "t_steps = 5") + "n_train = 3\nn_test = 4\n"
+        code, out = run_cli(tmp_path, "pbrf-compare", text)
+        assert code == 0
+        (lissa, pbrf), = compared
+        assert lissa.shape == pbrf.shape == (3, 4)
+        rows = [line.split(",") for line in (out / "pbrf_pairs.csv").read_text().splitlines()[1:]]
+        # the 256 train examples take ids 0..255 and the 4 held-out test points 256..259
+        assert [(r[0], r[1]) for r in rows] == [(str(i), str(256 + j)) for i in range(3) for j in range(4)]
+        for k, row in enumerate(rows):
+            assert (float(row[2]), float(row[3])) == (lissa[k // 4, k % 4], pbrf[k // 4, k % 4])
 
     def test_counterexample_reports_growth(self, tmp_path, capsys):
         cfg_text = (

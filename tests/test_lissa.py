@@ -20,7 +20,7 @@ from lissakit.lissa import (
     exact_ihvp,
     lissa_solve,
 )
-from lissakit.models import ModelSpec, ParamVector, init_params, make_blobs
+from lissakit.models import ModelSpec, init_params, make_blobs
 from lissakit.models import test_gradient as measurement_gradient
 
 
@@ -84,7 +84,6 @@ class TestExactIhvp:
         column = exact_ihvp(H, 0.3, g[:, None])
         assert column.shape == (g.size, 1)
         assert np.array_equal(column[:, 0], u)
-        assert np.array_equal(exact_ihvp(H, 0.3, ParamVector(g, spec.segments)), u)
 
     def test_bad_gradient_shape_rejected(self):
         for g in (np.ones((3, 1, 1)), np.ones((4, 2)), np.ones(4)):
@@ -152,15 +151,6 @@ class TestLissaSolve:
         cfg = LissaConfig(eta=eta, lambda_damp=0.3, t_steps=10, u0=ustar)
         u, _ = lissa_solve(op, g, cfg)
         assert np.allclose(u, ustar, atol=1e-10)
-
-    def test_param_vector_round_trip(self):
-        spec, theta, data, H, g = toy_problem()
-        gv = ParamVector(g, spec.segments)
-        op = GnhOperator(spec, theta, data)
-        cfg = LissaConfig(eta=0.5, lambda_damp=0.5, t_steps=3)
-        u, _ = lissa_solve(op, gv, cfg)
-        assert isinstance(u, ParamVector)
-        assert u.segments == spec.segments
 
     def test_seed_determinism(self):
         spec, theta, data, H, g = toy_problem()

@@ -325,8 +325,9 @@ class TestLinearization:
         want = self.hand_built_backprop(spec, theta.values, gap, data.X)
         want = want + cfg.epsilon * self.hand_built_loss_gradient(spec, theta.values, data[2])
         want = want + cfg.lambda_damp * (theta.values - theta_star.values)
-        got = pbo_gradient(spec, theta, theta_star, data[2], data, cfg)
-        assert got.tobytes() == want.tobytes()
+        point = Dataset(X=data.X[2:3], y=data.y[2:3])
+        got = pbo_gradient(spec, theta.values[None], theta_star, point, data, cfg)
+        assert got.shape == (1, spec.n_params) and got[0].tobytes() == want.tobytes()
 
     def test_record_holds_one_pass(self):
         theta = rand_theta(DEEP_TANH, 33)

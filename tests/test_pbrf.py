@@ -46,6 +46,12 @@ def quad():
     return spec, theta, data, H, damp, eta
 
 
+def subset(data, rows):
+    """The Dataset of ``data``'s rows ``rows``, ids kept."""
+    rows = list(rows)
+    return Dataset(X=data.X[rows], y=data.y[rows], ids=data.ids[rows])
+
+
 def bregman(h, h_ref, y):
     """Divergence of one pair of logit vectors through the per-row formula."""
     return float(_bregman_gaps(np.array([h], dtype=float), np.array([h_ref], dtype=float), np.array([y]))[0])
@@ -114,7 +120,7 @@ class TestPboObjective:
         rng = SeededRng(77)
         moved = ParamVector(theta.values + 0.05 * rng.normal(spec.n_params), spec.segments)
         batch = sample_batch(data, 64, SeededRng(8))
-        grad = pbo_gradient(spec, moved, theta, data[0], batch, cfg)
+        grad = pbo_gradient(spec, moved.values[None], theta, subset(data, [0]), batch, cfg)[0]
         step = 1e-5
         for _ in range(10):
             d = rng.normal(spec.n_params)
@@ -132,7 +138,7 @@ class TestPboObjective:
         spec, theta, data, H, damp, eta = quad
         cfg = PboConfig(epsilon=0.25, lambda_damp=damp, lr=eta, steps=1, batch_size=16)
         batch = sample_batch(data, 16, SeededRng(9))
-        grad = pbo_gradient(spec, theta, theta, data[0], batch, cfg)
+        grad = pbo_gradient(spec, theta.values[None], theta, subset(data, [0]), batch, cfg)[0]
         want = 0.25 * loss_gradient(spec, theta, data[0]).values
         assert np.allclose(grad, want, atol=1e-14)
 
@@ -148,16 +154,16 @@ class TestPboObjective:
 class TestPbrfFinetune:
     def test_zero_epsilon_stays_at_reference(self, quad):
         spec, theta, data, H, damp, eta = quad
-        cfg = PboConfig(epsilon=0.0, lambda_damp=damp, lr=eta, steps=30, batch_size=64, seed=1)
-        result = pbrf_finetune(spec, theta, data[0], data, cfg)
+        cfg = PboConfig(epsilon=0.0, lambda_damp=damp, lr=eta, steps=30, batch_size=64, seed=(1,))
+        (result,) = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
         assert result.displacement_norm == 0.0
         assert np.array_equal(result.theta_pbrf.values, theta.values)
 
     def test_deterministic_given_seed(self, quad):
         spec, theta, data, H, damp, eta = quad
-        cfg = PboConfig(epsilon=1e-4, lambda_damp=damp, lr=eta, steps=25, batch_size=32, seed=3)
-        a = pbrf_finetune(spec, theta, data[0], data, cfg)
-        b = pbrf_finetune(spec, theta, data[0], data, cfg)
+        cfg = PboConfig(epsilon=1e-4, lambda_damp=damp, lr=eta, steps=25, batch_size=32, seed=(3,))
+        (a,) = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
+        (b,) = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
         assert np.array_equal(a.theta_pbrf.values, b.theta_pbrf.values)
 
     def test_full_batch_matches_ridge_closed_form(self, quad):
@@ -168,9 +174,9 @@ class TestPbrfFinetune:
         grad_train = loss_gradient(spec, theta, train).values
         ustar = exact_ihvp(H, damp, grad_train)
         cfg = PboConfig(
-            epsilon=1e-8, lambda_damp=damp, lr=eta, steps=80, batch_size=len(data), seed=0
+            epsilon=1e-8, lambda_damp=damp, lr=eta, steps=80, batch_size=len(data), seed=(0,)
         )
-        result = pbrf_finetune(spec, theta, train, data, cfg)
+        (result,) = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
         implied = -(result.theta_pbrf.values - theta.values) / cfg.epsilon
         rel = np.linalg.norm(implied - ustar) / np.linalg.norm(ustar)
         assert rel <= 0.02
@@ -178,8 +184,8 @@ class TestPbrfFinetune:
 
     def test_overflow_flagged_with_finite_partial_result(self, quad):
         spec, theta, data, H, damp, eta = quad
-        cfg = PboConfig(epsilon=1.0, lambda_damp=1.0, lr=1e6, steps=100, batch_size=32, seed=2)
-        result = pbrf_finetune(spec, theta, data[0], data, cfg)
+        cfg = PboConfig(epsilon=1.0, lambda_damp=1.0, lr=1e6, steps=100, batch_size=32, seed=(2,))
+        (result,) = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
         assert result.overflow
         assert result.steps_run < 100
         assert np.isfinite(result.theta_pbrf.values).all()
@@ -188,8 +194,8 @@ class TestPbrfFinetune:
         # the last finite theta is far out: its squared entries overflow, the
         # norm itself does not
         spec, theta, data, H, damp, eta = quad
-        cfg = PboConfig(epsilon=1.0, lambda_damp=1.0, lr=1e6, steps=100, batch_size=32, seed=2)
-        result = pbrf_finetune(spec, theta, data[0], data, cfg)
+        cfg = PboConfig(epsilon=1.0, lambda_damp=1.0, lr=1e6, steps=100, batch_size=32, seed=(2,))
+        (result,) = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
         shift = result.theta_pbrf.values - theta.values
         scale = float(np.abs(shift).max())
         assert scale > math.sqrt(np.finfo(np.float64).max)
@@ -199,8 +205,8 @@ class TestPbrfFinetune:
 
     def test_displacement_norm_is_the_euclidean_norm(self, quad):
         spec, theta, data, H, damp, eta = quad
-        cfg = PboConfig(epsilon=1e-2, lambda_damp=damp, lr=eta, steps=5, batch_size=32, seed=3)
-        result = pbrf_finetune(spec, theta, data[0], data, cfg)
+        cfg = PboConfig(epsilon=1e-2, lambda_damp=damp, lr=eta, steps=5, batch_size=32, seed=(3,))
+        (result,) = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
         want = np.linalg.norm(result.theta_pbrf.values - theta.values)
         assert want > 0 and result.displacement_norm == pytest.approx(want, rel=1e-14)
 
@@ -210,8 +216,8 @@ class TestPbrfFinetune:
         spec, theta, data, H, damp, eta = quad
         values = []
         for steps in range(5, 101, 5):
-            cfg = PboConfig(epsilon=1e-3, lambda_damp=damp, lr=eta, steps=steps, batch_size=64, seed=4)
-            result = pbrf_finetune(spec, theta, data[0], data, cfg)
+            cfg = PboConfig(epsilon=1e-3, lambda_damp=damp, lr=eta, steps=steps, batch_size=64, seed=(4,))
+            (result,) = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
             values.append(pbo_objective(spec, result.theta_pbrf, theta, data[0], data, cfg))
         assert len(values) == 20
         increases = np.diff(values)
@@ -228,41 +234,39 @@ class TestPbrfInfluence:
             overflow=False,
             steps_run=0,
         )
-        scores = pbrf_influence(spec, result, theta, [data[i] for i in range(5)], 1e-8)
-        assert all(v == 0.0 for v in scores.values())
+        scores = pbrf_influence(spec, [result], theta, subset(data, range(5)), 1e-8)
+        assert scores.shape == (1, 5) and (scores == 0.0).all()
 
     def test_quadratic_model_matches_dense_formula(self, quad):
         spec, theta, data, H, damp, eta = quad
         train = data[0]
-        tests = [data[i] for i in range(100, 120)]
+        tests = subset(data, range(100, 120))
         grad_train = loss_gradient(spec, theta, train).values
         u_exact = exact_ihvp(H, damp, -grad_train)
-        exact = {
-            ex.id: float(u_exact @ measurement_gradient(spec, theta, ex).values)
-            for ex in tests
-        }
+        exact = [
+            float(u_exact @ measurement_gradient(spec, theta, tests[j]).values)
+            for j in range(len(tests))
+        ]
         cfg = PboConfig(
-            epsilon=1e-8, lambda_damp=damp, lr=eta, steps=80, batch_size=len(data), seed=0
+            epsilon=1e-8, lambda_damp=damp, lr=eta, steps=80, batch_size=len(data), seed=(0,)
         )
-        result = pbrf_finetune(spec, theta, train, data, cfg)
-        scores = pbrf_influence(spec, result, theta, tests, cfg.epsilon)
-        for ex in tests:
-            assert abs(scores[ex.id] - exact[ex.id]) <= 0.02 * abs(exact[ex.id])
+        results = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
+        (scores,) = pbrf_influence(spec, results, theta, tests, cfg.epsilon)
+        for j in range(len(tests)):
+            assert abs(scores[j] - exact[j]) <= 0.02 * abs(exact[j])
 
     def test_epsilon_linear_response(self, quad):
         # doubling epsilon doubles the displacement but leaves scores fixed
         spec, theta, data, H, damp, eta = quad
-        train = data[0]
-        tests = [data[i] for i in range(100, 110)]
+        tests = subset(data, range(100, 110))
         scores = {}
         for eps in (1e-8, 2e-8):
             cfg = PboConfig(
-                epsilon=eps, lambda_damp=damp, lr=eta, steps=60, batch_size=len(data), seed=0
+                epsilon=eps, lambda_damp=damp, lr=eta, steps=60, batch_size=len(data), seed=(0,)
             )
-            result = pbrf_finetune(spec, theta, train, data, cfg)
-            scores[eps] = pbrf_influence(spec, result, theta, tests, eps)
-        for ex in tests:
-            a, b = scores[1e-8][ex.id], scores[2e-8][ex.id]
+            results = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
+            (scores[eps],) = pbrf_influence(spec, results, theta, tests, eps)
+        for a, b in zip(scores[1e-8], scores[2e-8]):
             assert abs(a - b) <= 1e-3 * max(abs(a), abs(b))
 
     def test_matched_seeds_agree_pointwise_with_solver(self, quad):
@@ -270,27 +274,26 @@ class TestPbrfInfluence:
         # solver iterate to first order in epsilon
         spec, theta, data, H, damp, eta = quad
         train = data[0]
-        tests = [data[i] for i in range(100, 120)]
+        tests = subset(data, range(100, 120))
         grad_train = loss_gradient(spec, theta, train).values
         op = GnhOperator(spec, theta, data, batch_size=64, rng=SeededRng(0))
         lissa_cfg = LissaConfig(eta=eta, lambda_damp=damp, t_steps=80, seed=11)
         u, _ = lissa_solve(op, -grad_train, lissa_cfg)
-        lissa = {ex.id: float(u @ measurement_gradient(spec, theta, ex).values) for ex in tests}
+        lissa = [float(u @ measurement_gradient(spec, theta, tests[j]).values) for j in range(len(tests))]
         pbo_cfg = PboConfig(
-            epsilon=1e-8, lambda_damp=damp, lr=eta, steps=80, batch_size=64, seed=11
+            epsilon=1e-8, lambda_damp=damp, lr=eta, steps=80, batch_size=64, seed=(11,)
         )
-        result = pbrf_finetune(spec, theta, train, data, pbo_cfg)
-        pbrf = pbrf_influence(spec, result, theta, tests, pbo_cfg.epsilon)
-        for ex in tests:
-            a, b = lissa[ex.id], pbrf[ex.id]
+        results = pbrf_finetune(spec, theta, subset(data, [0]), data, pbo_cfg)
+        (pbrf,) = pbrf_influence(spec, results, theta, tests, pbo_cfg.epsilon)
+        for a, b in zip(lissa, pbrf):
             assert abs(a - b) <= 0.02 * max(abs(a), abs(b))
 
     def test_overflow_propagates(self, quad):
         spec, theta, data, H, damp, eta = quad
-        cfg = PboConfig(epsilon=1.0, lambda_damp=1.0, lr=1e6, steps=100, batch_size=32, seed=2)
-        result = pbrf_finetune(spec, theta, data[0], data, cfg)
+        cfg = PboConfig(epsilon=1.0, lambda_damp=1.0, lr=1e6, steps=100, batch_size=32, seed=(2,))
+        results = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
         with pytest.raises(OverflowError):
-            pbrf_influence(spec, result, theta, [data[0]], 1.0)
+            pbrf_influence(spec, results, theta, subset(data, [0]), 1.0)
 
     def test_epsilon_validation(self, quad):
         spec, theta, data, H, damp, eta = quad
@@ -301,7 +304,7 @@ class TestPbrfInfluence:
             steps_run=0,
         )
         with pytest.raises(ValueError):
-            pbrf_influence(spec, result, theta, [data[0]], 0.0)
+            pbrf_influence(spec, [result], theta, subset(data, [0]), 0.0)
 
 
 LOCKSTEP_SPECS = {
@@ -339,8 +342,8 @@ class TestLockstep:
         block = pbrf_finetune(spec, theta, points, data, cfg)
         assert len(block) == len(rows)
         for i, got in enumerate(block):
-            one = PboConfig(epsilon=epsilon, lambda_damp=0.1, lr=0.3, steps=12, batch_size=batch_size, seed=seeds[i])
-            assert_same_result(got, pbrf_finetune(spec, theta, points[i], data, one))
+            one = PboConfig(epsilon=epsilon, lambda_damp=0.1, lr=0.3, steps=12, batch_size=batch_size, seed=seeds[i : i + 1])
+            assert_same_result(got, pbrf_finetune(spec, theta, subset(points, [i]), data, one)[0])
         if epsilon == 0.0:
             assert all(r.displacement_norm == 0.0 for r in block)
 
@@ -355,18 +358,17 @@ class TestLockstep:
         assert block[2].steps_run < 10 and np.isfinite(block[2].theta_pbrf.values).all()
         assert [r.steps_run for r in block if not r.overflow] == [10, 10, 10]
         for i, got in enumerate(block):
-            one = PboConfig(epsilon=1.0, lambda_damp=0.1, lr=0.3, steps=10, batch_size=8, seed=cfg.seed[i])
-            assert_same_result(got, pbrf_finetune(spec, theta, points[i], data, one))
+            one = PboConfig(epsilon=1.0, lambda_damp=0.1, lr=0.3, steps=10, batch_size=8, seed=cfg.seed[i : i + 1])
+            assert_same_result(got, pbrf_finetune(spec, theta, subset(points, [i]), data, one)[0])
 
     def test_one_seed_per_point(self):
         spec, theta, data = self.setup("linear")
         points = Dataset(X=data.X[:3], y=data.y[:3])
-        with pytest.raises(ValueError):
-            pbrf_finetune(spec, theta, points, data, PboConfig(seed=(1, 2)))
-        with pytest.raises(ValueError):
-            pbrf_finetune(spec, theta, points, data, PboConfig(seed=1))
-        with pytest.raises(ValueError):
-            pbrf_finetune(spec, theta, data[0], data, PboConfig(seed=(1,)))
+        for seeds in ((1, 2), (1, 2, 3, 4), ()):
+            with pytest.raises(ValueError, match="one seed per point"):
+                pbrf_finetune(spec, theta, points, data, PboConfig(seed=seeds))
+        with pytest.raises(ValueError, match="one seed per point"):
+            pbrf_finetune(spec, theta, subset(data, [0]), data, PboConfig(seed=(1, 2)))
 
     @pytest.mark.parametrize("name", sorted(LOCKSTEP_SPECS))
     def test_batched_influence_equals_one_row_losses(self, name):
@@ -374,58 +376,52 @@ class TestLockstep:
         points = Dataset(X=data.X[:6], y=data.y[:6], ids=data.ids[:6])
         cfg = PboConfig(epsilon=1e-8, lambda_damp=0.1, lr=0.3, steps=8, batch_size=8, seed=tuple(range(6)))
         results = pbrf_finetune(spec, theta, points, data, cfg)
-        tests = [data[j] for j in range(20, 40)]
-        maps = pbrf_influence(spec, results, theta, tests, 1e-8)
-        assert len(maps) == len(results)
-        for result, scores in zip(results, maps):
-            assert list(scores) == [ex.id for ex in tests]
-            assert scores == pbrf_influence(spec, result, theta, tests, 1e-8)
-            for ex in tests:
+        tests = subset(data, range(20, 40))
+        block = pbrf_influence(spec, results, theta, tests, 1e-8)
+        assert block.shape == (len(results), len(tests))
+        for result, scores in zip(results, block):
+            assert scores.tobytes() == pbrf_influence(spec, [result], theta, tests, 1e-8)[0].tobytes()
+            for j in range(len(tests)):
+                ex = tests[j]
                 moved = -nll_loss(spec, result.theta_pbrf, ex.x, ex.y)
                 ref = -nll_loss(spec, theta, ex.x, ex.y)
-                assert scores[ex.id].tobytes() == ((moved - ref) / 1e-8).tobytes()
+                assert scores[j].tobytes() == ((moved - ref) / 1e-8).tobytes()
 
     def test_any_overflowed_result_blocks_the_readout(self):
         spec, theta, data = self.setup("linear")
         fine = PbrfResult(theta.copy(), 0.0, False, 1)
         broken = PbrfResult(theta.copy(), 0.0, True, 0)
         with pytest.raises(OverflowError):
-            pbrf_influence(spec, [fine, broken], theta, [data[0]], 1e-8)
+            pbrf_influence(spec, [fine, broken], theta, subset(data, [0]), 1e-8)
 
 
 class TestCompareInfluences:
     def test_identical_maps(self):
-        scores = {i: float(np.sin(i + 1)) for i in range(12)}
-        cmp = compare_influences(scores, dict(scores))
+        scores = np.sin(np.arange(12) + 1.0)
+        cmp = compare_influences(scores, scores.copy())
         assert cmp.pearson == pytest.approx(1.0, abs=1e-12)
         assert cmp.slope == pytest.approx(1.0, abs=1e-12)
 
     def test_doubled_scores_keep_correlation(self):
-        scores = {i: float(np.sin(i + 1)) for i in range(12)}
-        doubled = {k: 2 * v for k, v in scores.items()}
-        cmp = compare_influences(scores, doubled)
+        scores = np.sin(np.arange(12) + 1.0)
+        cmp = compare_influences(scores, 2 * scores)
         assert cmp.pearson == pytest.approx(1.0, abs=1e-12)
         assert cmp.slope == pytest.approx(2.0, abs=1e-12)
 
-    def test_rows_are_id_sorted(self):
-        scores = {i: float(i) for i in range(10)}
-        cmp = compare_influences(scores, scores)
-        assert [r[0] for r in cmp.rows] == list(range(10))
-
-    def test_mismatched_ids_rejected(self):
-        a = {i: 1.0 * i for i in range(10)}
-        b = {i + 1: 1.0 * i for i in range(10)}
-        with pytest.raises(ValueError):
-            compare_influences(a, b)
+    def test_unequal_shapes_rejected(self):
+        a = np.arange(12.0)
+        for b in (a.reshape(3, 4), a[:10], np.arange(13.0)):
+            with pytest.raises(ValueError, match="differ in shape"):
+                compare_influences(a, b)
 
     def test_too_few_points_rejected(self):
-        a = {i: 1.0 * i for i in range(5)}
+        a = np.arange(5.0)
         with pytest.raises(ValueError):
             compare_influences(a, a)
 
     def test_trichotomy_counts(self):
         # four agreeing, four near-zero, four disagreeing by construction
-        x, y = {}, {}
+        x, y = np.empty(12), np.empty(12)
         for i, base in enumerate((1.0, 1.5, -1.2, 2.0)):
             x[i] = base
             y[i] = base * 1.05
