@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, component_seed, load_config, sha256_hex
-from .core import SeededRng, sym_eigvals
+from .core import SeededRng, SymEig, sym_eig
 from .gnh import MAX_DENSE_PARAMS, GnhOperator, gnh_matrix_exact
 from .influence import eigen_reweight, influence_score, similarity_matrix
 from .lissa import (
@@ -175,9 +175,10 @@ def _check_dense_size(spec: ModelSpec) -> None:
         )
 
 
-def _dense_gnh(spec: ModelSpec, theta, train) -> np.ndarray:
+def _dense_gnh(spec: ModelSpec, theta, train) -> SymEig:
+    """The dense GNH, decomposed once for every dense quantity of a command."""
     _check_dense_size(spec)
-    return gnh_matrix_exact(spec, theta, train)
+    return sym_eig(gnh_matrix_exact(spec, theta, train))
 
 
 def _check_oracle_damping(run: RunContext) -> None:
@@ -191,10 +192,10 @@ def _check_oracle_damping(run: RunContext) -> None:
         )
 
 
-def _oracle_ihvp(run: RunContext, dense_gnh: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _oracle_ihvp(run: RunContext, dense: SymEig, g: np.ndarray) -> np.ndarray:
     """exact_ihvp at the run's damping; a failed solve is a config error."""
     try:
-        return exact_ihvp(dense_gnh, run.cfg.lambda_damp, g)
+        return exact_ihvp(dense, run.cfg.lambda_damp, g)
     except np.linalg.LinAlgError as exc:
         raise ConfigError(
             f"dense oracle failed at lambda_damp = {run.cfg.lambda_damp!r} ({exc}); raise lambda_damp"
@@ -210,16 +211,16 @@ def _check_step_count_derivable(run: RunContext, field: str = "t_steps") -> None
         raise ConfigError(f"{field} must be given when lambda_damp is 0")
 
 
-def _solver_settings(run: RunContext, dense_gnh: np.ndarray | None, field: str = "t_steps"):
+def _solver_settings(run: RunContext, dense: SymEig | None, field: str = "t_steps"):
     """eta and the step count from config; an omitted eta comes from the dense
-    GNH's top eigenvalue (dense_gnh is None when eta is set), an omitted step
+    GNH's top eigenvalue (dense is None when eta is set), an omitted step
     count from eta.  ``field`` names the config field that gives the step
     count.  A step count, given or derived, over MAX_T_STEPS is a config error."""
     cfg = run.cfg
     _check_step_count_derivable(run, field)
     eta = cfg.eta
     if eta is None:
-        eta = step_size(float(sym_eigvals(dense_gnh)[0]), cfg.lambda_damp)
+        eta = step_size(float(dense.values[0]), cfg.lambda_damp)
     t_steps = getattr(cfg, field)
     if t_steps is None:
         try:
@@ -531,7 +532,7 @@ def cmd_condition_c1(run: RunContext) -> None:
     run.emit_csv(
         "condition_c1.csv", ["batch_size", "lhs", "lhs_se", "rhs_c1", "ratio"], table
     )
-    if len(points) >= 2:
+    if len({x for x, _ in points}) >= 2:  # a slope needs two distinct batch sizes
         xs = np.array([p[0] for p in points])
         ys = np.array([p[1] for p in points])
         slope = float(np.polyfit(xs, ys, 1)[0])
@@ -619,8 +620,6 @@ def _check_tfidf_tables(n_docs: int, doc_length: int, vocab_size: int) -> None:
 
 def cmd_tfidf_check(run: RunContext) -> None:
     cfg = run.cfg
-    if cfg.lambda_damp <= 0:
-        raise ConfigError("tfidf-check needs lambda_damp > 0")
     if cfg.corpus_path is not None:
         try:
             text = Path(cfg.corpus_path).read_text()
@@ -641,7 +640,10 @@ def cmd_tfidf_check(run: RunContext) -> None:
         p = raw / raw.sum()
         corpus = sample_corpus(run.rng("tfidf-corpus"), cfg.n_docs, cfg.doc_length, p)
     params = BowParams.from_probabilities(p)
-    rows = tfidf_equivalence_check(corpus, params, cfg.lambda_damp)
+    try:
+        rows = tfidf_equivalence_check(corpus, params, cfg.lambda_damp)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     run.emit_csv(
         "tfidf_pairs.csv",
         ["doc_a", "doc_b", "influence_exact", "tfidf_sum", "tfidf_form", "abs_diff"],
@@ -670,14 +672,15 @@ def cmd_similarity(run: RunContext) -> None:
     if not 0 <= cfg.train_index < cfg.n_items:
         raise ConfigError("train_index outside the selected items")
     examples = [train[i] for i in range(cfg.n_items)]
-    grads = [loss_gradient(spec, theta, ex).values for ex in examples]
+    # an overflowing model gives non-finite gradients, which similarity_matrix rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        grads = [loss_gradient(spec, theta, ex).values for ex in examples]
     labels = [ex.id for ex in examples]
 
-    dense = _dense_gnh(spec, theta, train)
-    solver = lambda block: _oracle_ihvp(run, dense, block)
     try:
         gradient_sim = similarity_matrix(grads, labels=labels)
-        influence_sim = similarity_matrix(grads, solver, labels=labels)
+        dense = _dense_gnh(spec, theta, train)
+        influence_sim = similarity_matrix(grads, lambda b: _oracle_ihvp(run, dense, b), labels=labels)
     except ConfigError:
         raise
     except ValueError as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -194,27 +195,22 @@ def check_symmetric(m: np.ndarray, rtol: float = 1e-12) -> None:
         raise ValueError("matrix is not symmetric within tolerance")
 
 
-def sym_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix.
+class SymEig(NamedTuple):
+    """A checked symmetric matrix, its eigenvalues sorted descending and the
+    matching orthonormal eigenvector columns: matrix = V diag(values) V^T."""
 
-    Returns ``(w, V)`` with eigenvalues ``w`` sorted descending and
-    orthonormal eigenvector columns ``V[:, i]`` matching ``w[i]``, so that
-    ``m = V @ diag(w) @ V.T`` up to floating-point error.
-    """
+    matrix: np.ndarray
+    values: np.ndarray
+    vectors: np.ndarray
+
+
+def sym_eig(m: np.ndarray) -> SymEig:
+    """Eigendecomposition of a symmetric matrix: one symmetry check, one eigh."""
     m = np.asarray(m, dtype=np.float64)
     check_symmetric(m)
     w, v = np.linalg.eigh(m)
     order = np.argsort(w)[::-1]
-    return np.ascontiguousarray(w[order]), np.ascontiguousarray(v[:, order])
-
-
-def sym_eigvals(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, sorted descending, without the
-    eigenvectors (``np.linalg.eigvalsh``): for callers that read only the
-    spectrum."""
-    m = np.asarray(m, dtype=np.float64)
-    check_symmetric(m)
-    return np.ascontiguousarray(np.linalg.eigvalsh(m)[::-1])
+    return SymEig(m, np.ascontiguousarray(w[order]), np.ascontiguousarray(v[:, order]))
 
 
 def pearson_corr(a: np.ndarray, b: np.ndarray) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_symmetric, sym_eig
+from .core import SymEig, check_symmetric
 from .models import _vector
 
 
@@ -67,6 +67,8 @@ def similarity_matrix(grads, ihvp_solver=None, labels=None) -> SimilarityMatrix:
         raise ValueError("need at least two gradients")
     if any(v.shape != vectors[0].shape for v in vectors):
         raise ValueError("gradients differ in length")
+    if not all(np.isfinite(v).all() for v in vectors):
+        raise ValueError("non-finite gradient")
     if any(float(v @ v) == 0.0 for v in vectors):
         raise ValueError("zero-norm gradient")
     if labels is None:
@@ -90,37 +92,29 @@ def similarity_matrix(grads, ihvp_solver=None, labels=None) -> SimilarityMatrix:
     return SimilarityMatrix(values=values, labels=list(labels), kind=kind)
 
 
-def _damped_eigen(g, H: np.ndarray, lambda_damp: float):
-    """H's descending eigenvalues, the coefficients <g, v_j>, the weights
-    lambda/(eigenvalue + lambda) and the eigenvectors; one check, one eigh."""
-    if lambda_damp < 0:
-        raise ValueError("damping must be non-negative")
-    g = _vector(g)
-    eigenvalues, vectors = sym_eig(H)
-    if g.size != vectors.shape[0]:
-        raise ValueError("gradient does not match the matrix")
-    denom = eigenvalues + lambda_damp
-    weights = np.divide(lambda_damp, denom, out=np.ones_like(denom), where=denom > 0)
-    return eigenvalues, vectors.T @ g, weights, vectors
-
-
-def eigen_reweight(g, H: np.ndarray, lambda_damp: float) -> list[tuple[float, float, float]]:
+def eigen_reweight(g, eig: SymEig, lambda_damp: float) -> list[tuple[float, float, float]]:
     """Per-eigendirection view of the damped solve.
 
     Returns (eigenvalue, <g, v_j>, lambda/(eigenvalue + lambda)) triples in
-    descending eigenvalue order.  The weight is the factor by which damping
-    shrinks that coordinate of g: near zero for eigenvalues far above the
-    damping, approaching one for flat directions.
+    descending eigenvalue order from ``eig`` = ``core.sym_eig(H)``.  The weight
+    is the factor by which damping shrinks that coordinate of g: near zero for
+    eigenvalues far above the damping, approaching one for flat directions.
     """
-    eigenvalues, coefficients, weights, _ = _damped_eigen(g, H, lambda_damp)
-    return list(zip(eigenvalues.tolist(), coefficients.tolist(), weights.tolist()))
+    if lambda_damp < 0:
+        raise ValueError("damping must be non-negative")
+    g = _vector(g)
+    if g.size != eig.vectors.shape[0]:
+        raise ValueError("gradient does not match the matrix")
+    denom = eig.values + lambda_damp
+    weights = np.divide(lambda_damp, denom, out=np.ones_like(denom), where=denom > 0)
+    return list(zip(eig.values.tolist(), (eig.vectors.T @ g).tolist(), weights.tolist()))
 
 
-def eigen_reweight_reconstruction(g, H: np.ndarray, lambda_damp: float) -> np.ndarray:
+def eigen_reweight_reconstruction(g, eig: SymEig, lambda_damp: float) -> np.ndarray:
     """Assemble sum_j weight_j <g, v_j> v_j, the damped projection of g.
 
     Equals lambda (H + lambda)^-1 g, the part of the gradient that survives
     the solve after the high-curvature directions are suppressed.
     """
-    _, coefficients, weights, vectors = _damped_eigen(g, H, lambda_damp)
-    return vectors @ (coefficients * weights)
+    _, coefficients, weights = np.array(eigen_reweight(g, eig, lambda_damp)).T
+    return eig.vectors @ (coefficients * weights)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import SeededRng, check_symmetric, derive_seed, pearson_corr
+from .core import SeededRng, SymEig, derive_seed, pearson_corr
 from .models import _vector
 
 _DIVERGENCE_SCALE = 1e12
@@ -115,28 +115,29 @@ def lissa_solve(op, g, cfg: LissaConfig):
     return u, LissaTrace(norms=norms, snapshots=snapshots)
 
 
-def exact_ihvp(H: np.ndarray, lambda_damp: float, g) -> np.ndarray:
+def exact_ihvp(eig: SymEig, lambda_damp: float, g) -> np.ndarray:
     """Dense oracle: solve (H + lambda I) u = g to residual <= 1e-10 ||g||.
 
-    ``g`` is an array: a vector, or an (n, k) block solved in one call, each
-    column to its own bound; the result is an array of g's shape.  One
-    refinement round backs the guarantee.  Raises ``np.linalg.LinAlgError``
-    when the solve fails or a column misses the residual bound.  A singular
-    but consistent system can pass both and return one of many solutions, so
-    callers keep lambda_damp > 0 (the CLI rules out lambda_damp = 0).
+    ``eig`` is ``core.sym_eig(H)``; u = V ((V^T g) / (w + lambda)) plus one
+    refinement round, with the residual checked against H itself.  ``g`` is a
+    vector or an (n, k) block, each column held to its own bound.  Raises
+    ``np.linalg.LinAlgError`` when some eigenvalue + lambda is not positive
+    or a column misses the bound.
     """
-    H = np.asarray(H, dtype=np.float64)
-    check_symmetric(H)
+    H, w, V = eig
     rhs = np.asarray(g, dtype=np.float64)
     if rhs.ndim not in (1, 2) or rhs.shape[0] != H.shape[0]:
         raise ValueError("gradient does not match the matrix")
+    denom = (w + lambda_damp)[:, None]
+    if not np.all(denom > 0):
+        raise np.linalg.LinAlgError(f"H + lambda I is not positive definite ({denom.min():.3e})")
     block = rhs.reshape(rhs.shape[0], -1)
-    system = H.copy()
-    system[np.diag_indices_from(system)] += lambda_damp
-    u = np.linalg.solve(system, block)
-    u = u + np.linalg.solve(system, block - system @ u)
-    residual = np.linalg.norm(block - system @ u, axis=0)
-    if np.any(residual > 1e-10 * np.linalg.norm(block, axis=0)):
+    # a near-null eigenvalue can overflow the solve; the residual check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = V @ ((V.T @ block) / denom)
+        u += V @ ((V.T @ (block - (H @ u + lambda_damp * u))) / denom)
+        residual = np.linalg.norm(block - (H @ u + lambda_damp * u), axis=0)
+    if not np.all(residual <= 1e-10 * np.linalg.norm(block, axis=0)):
         raise np.linalg.LinAlgError(f"system too ill-conditioned: residual {residual.max():.3e}")
     return u.reshape(rhs.shape)
 

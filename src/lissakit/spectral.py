@@ -154,9 +154,8 @@ def top_eigenvalues_from_sketch(sketch: np.ndarray, k: int = 1) -> np.ndarray:
     d = sketch.shape[0]
     if not 1 <= k <= d:
         raise ValueError("k must be in [1, sketch dimension]")
-    w, _ = sym_eig(sketch)
     shift = float(np.trace(sketch)) / d
-    return w[:k] - shift
+    return sym_eig(sketch).values[:k] - shift
 
 
 def step_size(lambda_max: float, lambda_damp: float) -> float:

@@ -172,13 +172,18 @@ def bow_inverse_hessian(params: BowParams, lambda_damp: float) -> np.ndarray:
     plus a rank-one correction: Diag(p + lambda)^-1 + d d^T / s with
     d = p / (p + lambda) and s = lambda * sum_j p_j / (p_j + lambda).
     """
-    if lambda_damp <= 0:
-        raise ValueError("damping must be positive")
+    if not lambda_damp > 0:
+        raise ValueError(f"lambda_damp = {lambda_damp!r} must be positive")
     p = params.probabilities
-    diag = 1.0 / (p + lambda_damp)
-    d = p * diag
-    s = lambda_damp * float(d.sum())
-    return np.diag(diag) + np.outer(d, d) / s
+    # a damping near the float limits breaks the rank-one term; reported below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        diag = 1.0 / (p + lambda_damp)
+        d = p * diag
+        s = lambda_damp * float(d.sum())
+        inverse = np.diag(diag) + np.outer(d, d) / s
+    if not (s > 0 and np.isfinite(inverse).all()):
+        raise ValueError(f"lambda_damp = {lambda_damp!r} gives no finite inverse Hessian")
+    return inverse
 
 
 @dataclass(frozen=True)
@@ -210,14 +215,15 @@ def tfidf_equivalence_check(
     the closed-form inverse; the gap to tfidf_form shrinks linearly in the
     damping.  Self pairs are included.
     """
-    if lambda_damp <= 0:
-        raise ValueError("damping must be positive")
     p = params.probabilities
     weights = tfidf_weights(corpus)
     length = corpus.doc_length
     grads = weights.tf * length - length * p
     inverse = bow_inverse_hessian(params, lambda_damp)
-    influence = grads @ inverse @ grads.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        influence = grads @ inverse @ grads.T
+    if not np.isfinite(influence).all():
+        raise ValueError(f"lambda_damp = {lambda_damp!r} overflows the exact influence")
     tf_sum = weights.tf @ np.diag(1.0 / p) @ weights.tf.T
     rows = []
     for a in range(corpus.n_docs):

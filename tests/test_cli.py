@@ -481,14 +481,34 @@ class TestExitCodes:
         assert code == 0
         assert len((out / "lissa_trace.csv").read_text().splitlines()) == 7
 
-    def test_derived_eta_reads_eigenvalues_only(self, tmp_path, monkeypatch):
-        # lambda_max needs no eigenvectors: eigvalsh, never eigh
-        def refuse(*args, **kwargs):
-            raise AssertionError("eigh called for lambda_max")
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("lissa", QUAD_CFG + "tolerance = 0.2\n"),
+            ("convergence", QUAD_CFG + "n_test = 5\nbatch_sizes = 8\n"),
+            ("similarity", QUAD_CFG + "n_items = 4\n"),
+            ("pbrf-compare", QUAD_CFG.replace("t_steps = 400", "t_steps = 5") + "n_train = 2\nn_test = 5\n"),
+        ],
+        ids=["lissa", "convergence", "similarity", "pbrf-compare"],
+    )
+    def test_dense_commands_decompose_the_gnh_once(self, tmp_path, monkeypatch, command, text):
+        # lambda_max, every exact solve and the eigen-reweighting read one eigh
+        eigh = np.linalg.eigh
+        calls = []
 
-        monkeypatch.setattr(np.linalg, "eigh", refuse)
-        code, _ = run_cli(tmp_path, "lissa", QUAD_CFG + "tolerance = 0.2\n")
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dense GNH factored a second way")
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        code, _ = run_cli(tmp_path, command, text)
         assert code == 0
+        assert len(calls) == 1
 
     def test_model_too_large_for_derived_settings_is_two(self, tmp_path, capsys):
         text = "model_kind = mlp\nlayer_sizes = 16, 128, 10\nbatch_size = 8\nt_steps = 5\n"
@@ -621,8 +641,18 @@ def run_main(command, text):
         with contextlib.redirect_stderr(err):
             code = main([command, "--config", str(cfg), "--out", str(Path(tmp) / "out")])
         assert "Traceback" not in err.getvalue()
-        csv = Path(tmp) / "out" / f"{command}.csv"
-        return code, (csv.read_text() if csv.exists() else None)
+        return code, {csv.name: csv.read_text() for csv in (Path(tmp) / "out").glob("*.csv")}
+
+
+def non_finite_cells(outputs):
+    """(file, cell) of every nan or inf cell in a run's CSV files."""
+    return [
+        (name, cell)
+        for name, text in outputs.items()
+        for line in text.splitlines()[1:]
+        for cell in line.split(",")
+        if cell.lstrip("-") in ("nan", "inf")
+    ]
 
 
 class TestInputBoundary:
@@ -643,10 +673,10 @@ class TestInputBoundary:
             dict(trace=trace, lambda_max=lambda_max, lambda_damp=lambda_damp,
                  c_const=c_const, t_multiplier=t_multiplier)
         )
-        code, csv = run_main("recommend", text)
+        code, outputs = run_main("recommend", text)
         assert code in (0, 2)
         if code == 0:
-            eta, batch, t_steps = csv.splitlines()[1].split(",")[:3]
+            eta, batch, t_steps = outputs["recommend.csv"].splitlines()[1].split(",")[:3]
             assert 1 <= int(batch) <= cli.MAX_DRAW_WORDS
             assert t_steps == "" or 1 <= int(t_steps) <= cli.MAX_T_STEPS
 
@@ -717,6 +747,8 @@ class TestInputBoundary:
              batch_sizes=[4], init_scale=None)
     @example(command="condition-c1", model=MLP_4_5_3, n_examples=None, n_probes=4, sketch_dim=8,
              batch_sizes=[4, 8], init_scale=1e300)
+    @example(command="condition-c1", model=LINEAR_4_3, n_examples=None, n_probes=2, sketch_dim=2,
+             batch_sizes=[2, 2], init_scale=None)
     @settings(max_examples=60, deadline=None)
     def test_spectral_commands_exit_cleanly(
         self, command, model, n_examples, n_probes, sketch_dim, batch_sizes, init_scale
@@ -732,12 +764,22 @@ class TestInputBoundary:
         n_docs=st.integers(1, 12),
         doc_length=st.integers(1, 12) | st.sampled_from([cli.MAX_KEPT_FLOATS + 1, 10**12]),
         vocab_size=st.integers(2, 12) | st.sampled_from([3163, 10**11]),
+        lambda_damp=st.none() | EXTREMES,
     )
-    @example(n_docs=50, doc_length=8, vocab_size=10**11)
+    @example(n_docs=50, doc_length=8, vocab_size=10**11, lambda_damp=None)
+    @example(n_docs=4, doc_length=8, vocab_size=6, lambda_damp=5e-324)
+    @example(n_docs=4, doc_length=8, vocab_size=6, lambda_damp=1e-310)
+    @example(n_docs=4, doc_length=8, vocab_size=6, lambda_damp=1.6e-309)
     @settings(max_examples=60, deadline=None)
-    def test_tfidf_check_exits_cleanly(self, n_docs, doc_length, vocab_size):
-        code, _ = run_main("tfidf-check", config_text(dict(n_docs=n_docs, doc_length=doc_length, vocab_size=vocab_size)))
+    def test_tfidf_check_exits_cleanly(self, n_docs, doc_length, vocab_size, lambda_damp):
+        code, outputs = run_main(
+            "tfidf-check",
+            config_text(dict(n_docs=n_docs, doc_length=doc_length, vocab_size=vocab_size,
+                             lambda_damp=lambda_damp)),
+        )
         assert code in (0, 2)
+        if code == 0:
+            assert non_finite_cells(outputs) == []
 
     def test_tfidf_check_many_documents_is_two_before_sampling(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -763,17 +805,32 @@ class TestInputBoundary:
         n_examples=EXAMPLES,
         n_items=st.none() | st.integers(0, 10),
         train_index=st.none() | st.integers(0, 10),
-        init_scale=st.none() | st.just(1e300),
+        init_scale=st.none() | EXTREMES,
+        lambda_damp=st.none() | EXTREMES,
     )
-    @example(model=MLP_4_5_3, n_examples=None, n_items=None, train_index=None, init_scale=1e300)
-    @example(model=MLP_4_5_3, n_examples=10**13, n_items=None, train_index=None, init_scale=None)
+    @example(model=MLP_4_5_3, n_examples=None, n_items=None, train_index=None, init_scale=1e300,
+             lambda_damp=None)
+    @example(model=MLP_4_5_3, n_examples=10**13, n_items=None, train_index=None, init_scale=None,
+             lambda_damp=None)
+    @example(model=MLP_4_5_3, n_examples=None, n_items=None, train_index=None, init_scale=1.7e308,
+             lambda_damp=None)
+    @example(model=LINEAR_4_3, n_examples=None, n_items=None, train_index=None, init_scale=None,
+             lambda_damp=5e-324)
+    @example(model=MLP_4_5_3, n_examples=None, n_items=None, train_index=None, init_scale=None,
+             lambda_damp=1e-310)
+    @example(model=MLP_4_5_3, n_examples=None, n_items=None, train_index=None, init_scale=None,
+             lambda_damp=1.7e308)
     @settings(max_examples=60, deadline=None)
-    def test_similarity_exits_cleanly(self, model, n_examples, n_items, train_index, init_scale):
+    def test_similarity_exits_cleanly(self, model, n_examples, n_items, train_index, init_scale,
+                                      lambda_damp):
         text = model + config_text(
-            dict(n_examples=n_examples, n_items=n_items, train_index=train_index, init_scale=init_scale)
+            dict(n_examples=n_examples, n_items=n_items, train_index=train_index, init_scale=init_scale,
+                 lambda_damp=lambda_damp)
         )
-        code, _ = run_main("similarity", text)
+        code, outputs = run_main("similarity", text)
         assert code in (0, 2)
+        if code == 0:
+            assert non_finite_cells(outputs) == []
 
 
 class TestKeptIterates:

@@ -15,7 +15,6 @@ from lissakit.core import (
     check_symmetric,
     pearson_corr,
     sym_eig,
-    sym_eigvals,
 )
 
 MASK = (1 << 64) - 1
@@ -225,22 +224,36 @@ class TestGaussianVector:
 
 class TestSymEig:
     def test_diagonal(self):
-        w, v = sym_eig(np.diag([3.0, 1.0]))
-        assert np.allclose(w, [3.0, 1.0])
-        assert np.allclose(np.abs(v), np.eye(2))
+        eig = sym_eig(np.diag([3.0, 1.0]))
+        assert np.allclose(eig.values, [3.0, 1.0])
+        assert np.allclose(np.abs(eig.vectors), np.eye(2))
 
     def test_identity(self):
-        w, _ = sym_eig(np.eye(5))
-        assert np.allclose(w, np.ones(5))
+        assert np.allclose(sym_eig(np.eye(5)).values, np.ones(5))
 
     def test_reconstruction_and_orthonormality(self):
         rng = SeededRng(17)
         a = rng.normal(64).reshape(8, 8)
         m = (a + a.T) / 2
-        w, v = sym_eig(m)
+        _, w, v = sym_eig(m)
         assert np.all(np.diff(w) <= 1e-12)
         assert np.linalg.norm(v @ np.diag(w) @ v.T - m) <= 1e-8
         assert np.linalg.norm(v.T @ v - np.eye(8)) <= 1e-10
+
+    def test_holds_the_checked_matrix(self):
+        m = [[2, 1], [1, 2]]
+        eig = sym_eig(m)
+        assert eig.matrix.dtype == np.float64
+        assert np.array_equal(eig.matrix, np.array(m, dtype=np.float64))
+
+    @pytest.mark.parametrize("n, seed", [(1, 0), (8, 1), (40, 2), (130, 3)])
+    def test_values_match_eigvalsh(self, n, seed):
+        a = SeededRng(seed).normal(n * n).reshape(n, n)
+        m = a @ a.T - 0.5 * (a + a.T)
+        w = sym_eig(m).values
+        reference = np.linalg.eigvalsh(m)[::-1]
+        assert np.all(np.diff(w) <= 0)
+        assert np.max(np.abs(w - reference)) <= 1e-13 * np.max(np.abs(reference))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
@@ -255,24 +268,9 @@ class TestSymEig:
     def test_property_residual(self, n, seed):
         a = SeededRng(seed).normal(n * n).reshape(n, n)
         m = (a + a.T) / 2
-        w, v = sym_eig(m)
+        _, w, v = sym_eig(m)
         scale = max(1.0, np.abs(m).max())
         assert np.linalg.norm(v @ np.diag(w) @ v.T - m) <= 1e-9 * scale * n
-
-
-class TestSymEigvals:
-    @pytest.mark.parametrize("n, seed", [(1, 0), (8, 1), (40, 2), (130, 3)])
-    def test_matches_sym_eig(self, n, seed):
-        a = SeededRng(seed).normal(n * n).reshape(n, n)
-        m = a @ a.T - 0.5 * (a + a.T)
-        w = sym_eigvals(m)
-        reference = sym_eig(m)[0]
-        assert np.all(np.diff(w) <= 0)
-        assert np.max(np.abs(w - reference)) <= 1e-13 * np.max(np.abs(reference))
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            sym_eigvals(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 def full_matrix_asymmetric(m, rtol=1e-12):

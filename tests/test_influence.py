@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lissakit.core import SeededRng
+from lissakit.core import SeededRng, sym_eig
 from lissakit.influence import (
     SimilarityMatrix,
     eigen_reweight,
@@ -41,7 +41,7 @@ class TestInfluenceScore:
         rng = SeededRng(3)
         train_grad = rng.normal(6)
         test_grad = rng.normal(6)
-        u = exact_ihvp(np.zeros((6, 6)), 1.0, -train_grad)
+        u = exact_ihvp(sym_eig(np.zeros((6, 6))), 1.0, -train_grad)
         assert influence_score(u, test_grad) == pytest.approx(-float(train_grad @ test_grad))
 
     def test_param_vector_inputs(self):
@@ -116,7 +116,7 @@ class TestInfluenceSimilarity:
         damp = 0.3
         rng = SeededRng(5)
         grads = [rng.normal(10) for _ in range(6)]
-        sim = similarity_matrix(grads, ihvp_solver=lambda v: exact_ihvp(H, damp, v))
+        sim = similarity_matrix(grads, ihvp_solver=lambda v: exact_ihvp(sym_eig(H), damp, v))
         assert np.abs(sim.values - sim.values.T).max() <= 1e-9
         assert np.abs(np.diag(sim.values) - 1.0).max() <= 1e-9
 
@@ -128,7 +128,7 @@ class TestInfluenceSimilarity:
         whiten = vectors @ np.diag((eigenvalues + damp) ** -0.5) @ vectors.T
         rng = SeededRng(6)
         grads = [rng.normal(9) for _ in range(5)]
-        sim = similarity_matrix(grads, ihvp_solver=lambda v: exact_ihvp(H, damp, v))
+        sim = similarity_matrix(grads, ihvp_solver=lambda v: exact_ihvp(sym_eig(H), damp, v))
         for i in range(5):
             for j in range(5):
                 expected = cosine(whiten @ grads[i], whiten @ grads[j])
@@ -136,7 +136,7 @@ class TestInfluenceSimilarity:
 
     def test_rescaling_invariance(self):
         H = random_psd(8, seed=23)
-        solver = lambda v: exact_ihvp(H, 0.2, v)
+        solver = lambda v: exact_ihvp(sym_eig(H), 0.2, v)
         rng = SeededRng(7)
         grads = [rng.normal(8) for _ in range(4)]
         scaled = [g * s for g, s in zip(grads, [10.0, 0.5, 2.0, 7.0])]
@@ -159,7 +159,7 @@ class TestInfluenceSimilarity:
             grads.append(3.0 * float(rng.uniform(1)[0]) * top + 0.3 * noise)
         grads.append(grads[0] + 1e-3 * rng.normal(n))
 
-        solver = lambda v: exact_ihvp(H, damp, v)
+        solver = lambda v: exact_ihvp(sym_eig(H), damp, v)
         infl = similarity_matrix(grads, ihvp_solver=solver)
         grad = similarity_matrix(grads)
 
@@ -177,7 +177,7 @@ class TestInfluenceSimilarity:
 
         def solver(block):
             shapes.append(block.shape)
-            return exact_ihvp(H, 0.4, block)
+            return exact_ihvp(sym_eig(H), 0.4, block)
 
         sim = similarity_matrix(grads, ihvp_solver=solver)
         assert shapes == [(10, 5)]
@@ -210,41 +210,41 @@ class TestEigenReweight:
     def test_two_eigenvalue_example(self):
         # eigenvalues 10 and 0.1 with damping 1: weights 1/11 and 1/1.1
         H = np.diag([10.0, 0.1])
-        rows = eigen_reweight(np.array([1.0, 1.0]), H, lambda_damp=1.0)
+        rows = eigen_reweight(np.array([1.0, 1.0]), sym_eig(H), lambda_damp=1.0)
         assert rows[0][0] == pytest.approx(10.0)
         assert rows[0][2] == pytest.approx(1 / 11)
         assert rows[1][2] == pytest.approx(1 / 1.1)
 
     def test_descending_eigenvalue_order(self):
         H = random_psd(12, seed=41)
-        rows = eigen_reweight(SeededRng(1).normal(12), H, 0.5)
+        rows = eigen_reweight(SeededRng(1).normal(12), sym_eig(H), 0.5)
         eigenvalues = [r[0] for r in rows]
         assert eigenvalues == sorted(eigenvalues, reverse=True)
 
     def test_flat_direction_gets_weight_one(self):
         H = np.diag([2.0, 0.0])
-        rows = eigen_reweight(np.array([1.0, 1.0]), H, lambda_damp=0.5)
+        rows = eigen_reweight(np.array([1.0, 1.0]), sym_eig(H), lambda_damp=0.5)
         assert rows[0][2] == pytest.approx(0.5 / 2.5)
         assert rows[1][2] == pytest.approx(1.0)
 
     def test_zero_damping_zero_eigenvalue_limit(self):
         H = np.diag([3.0, 0.0])
-        rows = eigen_reweight(np.array([1.0, 1.0]), H, lambda_damp=0.0)
+        rows = eigen_reweight(np.array([1.0, 1.0]), sym_eig(H), lambda_damp=0.0)
         assert rows[0][2] == 0.0
         assert rows[1][2] == 1.0
 
     def test_coefficients_on_diagonal_matrix(self):
         H = np.diag([4.0, 3.0, 1.0])
         g = np.array([0.5, -2.0, 7.0])
-        rows = eigen_reweight(g, H, 1.0)
+        rows = eigen_reweight(g, sym_eig(H), 1.0)
         assert sorted(abs(r[1]) for r in rows) == pytest.approx([0.5, 2.0, 7.0])
 
     def test_reconstruction_matches_damped_solve(self):
         H = random_psd(30, seed=42)
         damp = 0.7
         g = SeededRng(8).normal(30)
-        recon = eigen_reweight_reconstruction(g, H, damp)
-        expected = damp * exact_ihvp(H, damp, g)
+        recon = eigen_reweight_reconstruction(g, sym_eig(H), damp)
+        expected = damp * np.linalg.solve(H + damp * np.eye(30), g)
         assert np.abs(recon - expected).max() <= 1e-8
 
     def test_top_direction_suppression_is_exact(self):
@@ -254,27 +254,27 @@ class TestEigenReweight:
         eigenvalues, vectors = np.linalg.eigh(H)
         top_value = eigenvalues[-1]
         g = vectors[:, -1] * 4.0
-        recon = eigen_reweight_reconstruction(g, H, damp)
+        recon = eigen_reweight_reconstruction(g, sym_eig(H), damp)
         expected_norm = damp / (top_value + damp) * np.linalg.norm(g)
         assert np.linalg.norm(recon) == pytest.approx(expected_norm, rel=1e-10)
 
     def test_negative_damping_rejected(self):
         with pytest.raises(ValueError):
-            eigen_reweight(np.ones(2), np.eye(2), -0.1)
+            eigen_reweight(np.ones(2), sym_eig(np.eye(2)), -0.1)
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            eigen_reweight(np.ones(3), np.eye(2), 0.1)
+            eigen_reweight(np.ones(3), sym_eig(np.eye(2)), 0.1)
 
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(ValueError):
-            eigen_reweight(np.ones(2), np.array([[1.0, 2.0], [0.0, 1.0]]), 0.1)
+            eigen_reweight(np.ones(2), sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]])), 0.1)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), damp=st.floats(1e-3, 10.0))
     def test_reconstruction_property(self, seed, damp):
         H = random_psd(8, seed=seed)
         g = SeededRng(seed + 1).normal(8)
-        recon = eigen_reweight_reconstruction(g, H, damp)
-        expected = damp * exact_ihvp(H, damp, g)
+        recon = eigen_reweight_reconstruction(g, sym_eig(H), damp)
+        expected = damp * np.linalg.solve(H + damp * np.eye(8), g)
         assert np.abs(recon - expected).max() <= 1e-8

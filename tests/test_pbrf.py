@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lissakit.core import SeededRng
+from lissakit.core import SeededRng, sym_eig
 from lissakit.gnh import GnhOperator, gnh_matrix_exact, sample_batch
 from lissakit.lissa import LissaConfig, exact_ihvp, lissa_solve
 from lissakit.models import (
@@ -172,7 +172,7 @@ class TestPbrfFinetune:
         spec, theta, data, H, damp, eta = quad
         train = data[0]
         grad_train = loss_gradient(spec, theta, train).values
-        ustar = exact_ihvp(H, damp, grad_train)
+        ustar = exact_ihvp(sym_eig(H), damp, grad_train)
         cfg = PboConfig(
             epsilon=1e-8, lambda_damp=damp, lr=eta, steps=80, batch_size=len(data), seed=(0,)
         )
@@ -242,7 +242,7 @@ class TestPbrfInfluence:
         train = data[0]
         tests = subset(data, range(100, 120))
         grad_train = loss_gradient(spec, theta, train).values
-        u_exact = exact_ihvp(H, damp, -grad_train)
+        u_exact = exact_ihvp(sym_eig(H), damp, -grad_train)
         exact = [
             float(u_exact @ measurement_gradient(spec, theta, tests[j]).values)
             for j in range(len(tests))

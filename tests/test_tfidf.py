@@ -229,6 +229,13 @@ class TestBowInverseHessian:
             with pytest.raises(ValueError):
                 bow_inverse_hessian(params, lam)
 
+    def test_damping_that_overflows_the_inverse_rejected(self):
+        # s = lambda * sum_j p_j / (p_j + lambda) is subnormal, so d d^T / s overflows
+        params = BowParams.from_probabilities([0.5, 0.5])
+        for lam in [5e-324, 1e-310]:
+            with pytest.raises(ValueError, match="lambda_damp"):
+                bow_inverse_hessian(params, lam)
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), log_lam=st.floats(-6, 3))
     def test_residual_property(self, seed, log_lam):
@@ -242,6 +249,14 @@ class TestBowInverseHessian:
 
 
 class TestEquivalenceCheck:
+    def test_overflowing_influence_rejected(self):
+        # the inverse is finite, but its rank-one term near 1e308 overflows g^T M g
+        corpus = Corpus(documents=((0,) * 8, (1, 2) * 4), vocab_size=3)
+        params = BowParams.from_probabilities([0.2, 0.3, 0.5])
+        assert np.isfinite(bow_inverse_hessian(params, 3e-309)).all()
+        with pytest.raises(ValueError, match="overflows the exact influence"):
+            tfidf_equivalence_check(corpus, params, 3e-309)
+
     def test_disjoint_frequency_pair_is_zero(self):
         # docs "a a" and "a b" at p = (0.5, 0.5): both forms vanish
         corpus = Corpus(documents=((0, 0), (0, 1)), vocab_size=2)
