@@ -246,15 +246,6 @@ class TestSymEig:
         assert eig.matrix.dtype == np.float64
         assert np.array_equal(eig.matrix, np.array(m, dtype=np.float64))
 
-    @pytest.mark.parametrize("n, seed", [(1, 0), (8, 1), (40, 2), (130, 3)])
-    def test_values_match_eigvalsh(self, n, seed):
-        a = SeededRng(seed).normal(n * n).reshape(n, n)
-        m = a @ a.T - 0.5 * (a + a.T)
-        w = sym_eig(m).values
-        reference = np.linalg.eigvalsh(m)[::-1]
-        assert np.all(np.diff(w) <= 0)
-        assert np.max(np.abs(w - reference)) <= 1e-13 * np.max(np.abs(reference))
-
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
@@ -271,6 +262,28 @@ class TestSymEig:
         _, w, v = sym_eig(m)
         scale = max(1.0, np.abs(m).max())
         assert np.linalg.norm(v @ np.diag(w) @ v.T - m) <= 1e-9 * scale * n
+
+
+class TestSymEigvals:
+    """The spectrum of sym_eig, read on its own as lambda_max is."""
+
+    @pytest.mark.parametrize("n, seed", [(1, 0), (8, 1), (40, 2), (130, 3)])
+    def test_values_match_eigvalsh(self, n, seed):
+        a = SeededRng(seed).normal(n * n).reshape(n, n)
+        m = a @ a.T - 0.5 * (a + a.T)
+        w = sym_eig(m).values
+        reference = np.linalg.eigvalsh(m)[::-1]
+        assert np.all(np.diff(w) <= 0)
+        assert np.max(np.abs(w - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+    def test_rejects_asymmetric(self):
+        # One entry off across the 128-row block boundary of check_symmetric:
+        # no eigenvalues (and so no lambda_max) come from an asymmetric matrix.
+        a = SeededRng(4).normal(130 * 130).reshape(130, 130)
+        m = a @ a.T
+        m[60, 129] += 1.0
+        with pytest.raises(ValueError):
+            sym_eig(m).values
 
 
 def full_matrix_asymmetric(m, rtol=1e-12):
