@@ -34,6 +34,7 @@ from .lissa import (
 from .models import (
     Dataset,
     ModelSpec,
+    _forward,
     init_params,
     load_dataset_csv,
     loss_gradient,
@@ -133,8 +134,29 @@ def _build_model(run: RunContext):
         spec = ModelSpec(cfg.model_kind, cfg.layer_sizes, cfg.activation)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    theta = init_params(spec, run.rng("init"), cfg.init_scale)
+    # init_scale near the float range overflows to inf weights, which
+    # _check_finite_logits rejects
+    with np.errstate(over="ignore"):
+        theta = init_params(spec, run.rng("init"), cfg.init_scale)
     return spec, theta
+
+
+def _overflow_error(run: RunContext, what: str) -> ConfigError:
+    """The config error for a model whose numbers overflow."""
+    return ConfigError(
+        f"{what} at init_scale = {run.cfg.init_scale!r}; "
+        "lower init_scale (or the scale of the dataset's features)"
+    )
+
+
+def _check_finite_logits(run: RunContext, spec: ModelSpec, theta, *datasets) -> None:
+    """A model whose logits overflow on its data has no gradient, curvature
+    or score to compute: a config error before any of them."""
+    for data in datasets:
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits, _ = _forward(spec, theta.values, data.X)
+        if not np.isfinite(logits).all():
+            raise _overflow_error(run, "the model's logits overflow")
 
 
 def _build_data(run: RunContext, spec: ModelSpec, n_test: int = 0):
@@ -175,10 +197,17 @@ def _check_dense_size(spec: ModelSpec) -> None:
         )
 
 
-def _dense_gnh(spec: ModelSpec, theta, train) -> SymEig:
-    """The dense GNH, decomposed once for every dense quantity of a command."""
+def _dense_gnh(run: RunContext, spec: ModelSpec, theta, train) -> SymEig:
+    """The dense GNH, decomposed once for every dense quantity of a command.
+    Curvature can overflow where the logits do not (huge features), giving a
+    non-finite matrix, which sym_eig rejects: a config error."""
     _check_dense_size(spec)
-    return sym_eig(gnh_matrix_exact(spec, theta, train))
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = gnh_matrix_exact(spec, theta, train)
+    try:
+        return sym_eig(H)
+    except ValueError as exc:
+        raise _overflow_error(run, f"no dense Gauss-Newton matrix ({exc})") from exc
 
 
 def _check_oracle_damping(run: RunContext) -> None:
@@ -276,6 +305,7 @@ def cmd_stats(run: RunContext) -> None:
     _check_count(cfg.n_probes, "n_probes", MAX_PROBES)
     spec, theta = _build_model(run)
     train, _ = _build_data(run, spec)
+    _check_finite_logits(run, spec, theta, train)
     op = _stochastic_operator(run, spec, theta, train, None)
     sketch_cfg = SketchConfig(cfg.sketch_dim, run.sub_seed("sketch"), cfg.sketch_layout)
     columns = sketch_size(op, sketch_cfg)
@@ -283,10 +313,15 @@ def cmd_stats(run: RunContext) -> None:
         raise ConfigError(
             f"sketch_dim = {cfg.sketch_dim} gives {columns} sketch columns, over {MAX_DENSE_PARAMS}"
         )
-    trace = estimate_trace(op, cfg.n_probes, run.rng("trace-probes"))
-    frob = estimate_frobenius(op, cfg.n_probes, run.rng("frobenius-probes"))
-    sketch = sketch_operator(op, sketch_cfg)
-    lambda_top = float(top_eigenvalues_from_sketch(sketch, 1)[0])
+    # curvature that overflows gives a non-finite sketch, which sym_eig rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = estimate_trace(op, cfg.n_probes, run.rng("trace-probes"))
+        frob = estimate_frobenius(op, cfg.n_probes, run.rng("frobenius-probes"))
+        sketch = sketch_operator(op, sketch_cfg)
+    try:
+        lambda_top = float(top_eigenvalues_from_sketch(sketch, 1)[0])
+    except ValueError as exc:
+        raise _overflow_error(run, f"no curvature sketch ({exc})") from exc
     trace_total = trace.mean * op.n_params
     hp = _recommend(run, trace_total, lambda_top)
     frob_norm = math.sqrt(max(frob.mean, 0.0) * op.n_params)
@@ -345,13 +380,14 @@ def cmd_lissa(run: RunContext) -> None:
         _check_draw(f"batch_size = {cfg.batch_size}", cfg.batch_size)
     spec, theta = _build_model(run)
     train, _ = _build_data(run, spec)
+    _check_finite_logits(run, spec, theta, train)
     if not 0 <= cfg.train_index < len(train):
         raise ConfigError("train_index outside the dataset")
     g = -loss_gradient(spec, theta, train[cfg.train_index]).values
 
     dense = None
     if cfg.eta is None or cfg.tolerance is not None:
-        dense = _dense_gnh(spec, theta, train)
+        dense = _dense_gnh(run, spec, theta, train)
     eta, t_steps = _solver_settings(run, dense)
 
     op = _stochastic_operator(run, spec, theta, train, cfg.batch_size)
@@ -379,7 +415,13 @@ def cmd_lissa(run: RunContext) -> None:
 
     if cfg.tolerance is not None:
         u_star = _oracle_ihvp(run, dense, g)
-        rel = float(np.linalg.norm(u - u_star) / np.linalg.norm(u_star))
+        # both norms scaled by max|u*|, which keeps a tiny u* (lambda_damp
+        # near the float range) from underflowing to 0 / 0
+        scale = float(np.max(np.abs(u_star)))
+        if not scale > 0:
+            raise ConfigError("the oracle solution is zero, so no relative error can be checked")
+        with np.errstate(over="ignore"):
+            rel = float(np.linalg.norm((u - u_star) / scale) / np.linalg.norm(u_star / scale))
         print(f"relative_error = {_fmt(rel)}")
         if rel > cfg.tolerance:
             raise OracleMismatchError(
@@ -397,10 +439,11 @@ def cmd_convergence(run: RunContext) -> None:
         _check_draw(f"batch_sizes entry {b}", b)
     spec, theta = _build_model(run)
     train, test = _build_data(run, spec, n_test=cfg.n_test)
+    _check_finite_logits(run, spec, theta, train, test)
     if not 0 <= cfg.train_index < len(train):
         raise ConfigError("train_index outside the dataset")
 
-    dense = _dense_gnh(spec, theta, train)
+    dense = _dense_gnh(run, spec, theta, train)
     eta, t_steps = _solver_settings(run, dense)
     snapshot_every = cfg.snapshot_every or max(1, t_steps // 50)
     if (t_steps // snapshot_every + 1) * spec.n_params > MAX_KEPT_FLOATS:
@@ -444,10 +487,11 @@ def cmd_pbrf_compare(run: RunContext) -> None:
     _check_draw(f"n_train = {cfg.n_train} times batch_size = {batch_size}", cfg.n_train * batch_size)
     spec, theta = _build_model(run)
     train, test = _build_data(run, spec, n_test=cfg.n_test)
+    _check_finite_logits(run, spec, theta, train, test)
     if cfg.n_train > len(train):
         raise ConfigError("n_train exceeds the training set")
 
-    dense = _dense_gnh(spec, theta, train) if cfg.eta is None else None
+    dense = _dense_gnh(run, spec, theta, train) if cfg.eta is None else None
     eta, steps = _solver_settings(run, dense, steps_field)
     test_grads = [measurement_gradient(spec, theta, test[j]).values for j in range(len(test))]
     item_seeds = [run.sub_seed(f"pbrf-item-{i}") for i in range(cfg.n_train)]
@@ -512,6 +556,7 @@ def cmd_condition_c1(run: RunContext) -> None:
     spec, theta = _build_model(run)
     _check_dense_size(spec)
     train, _ = _build_data(run, spec)
+    _check_finite_logits(run, spec, theta, train)
     rows = check_condition_c1(
         spec, theta, train, list(batch_sizes), cfg.n_probes, run.rng("condition-c1")
     )
@@ -667,24 +712,25 @@ def cmd_similarity(run: RunContext) -> None:
     _check_oracle_damping(run)
     spec, theta = _build_model(run)
     train, _ = _build_data(run, spec)
+    _check_finite_logits(run, spec, theta, train)
     if cfg.n_items < 2 or cfg.n_items > len(train):
         raise ConfigError("n_items must be between 2 and the dataset size")
     if not 0 <= cfg.train_index < cfg.n_items:
         raise ConfigError("train_index outside the selected items")
     examples = [train[i] for i in range(cfg.n_items)]
-    # an overflowing model gives non-finite gradients, which similarity_matrix rejects
+    labels = [ex.id for ex in examples]
+    # huge features overflow the gradients or their inner products; the
+    # non-finite gradients or similarities that come out are rejected
     with np.errstate(over="ignore", invalid="ignore"):
         grads = [loss_gradient(spec, theta, ex).values for ex in examples]
-    labels = [ex.id for ex in examples]
-
-    try:
-        gradient_sim = similarity_matrix(grads, labels=labels)
-        dense = _dense_gnh(spec, theta, train)
-        influence_sim = similarity_matrix(grads, lambda b: _oracle_ihvp(run, dense, b), labels=labels)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"no similarity matrix: {exc}") from exc
+        try:
+            gradient_sim = similarity_matrix(grads, labels=labels)
+            dense = _dense_gnh(run, spec, theta, train)
+            influence_sim = similarity_matrix(grads, lambda b: _oracle_ihvp(run, dense, b), labels=labels)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"no similarity matrix: {exc}") from exc
 
     def matrix_rows(values):
         return [(labels[i], *values[i]) for i in range(len(labels))]

@@ -174,7 +174,8 @@ _SYMMETRY_BLOCK = 128
 
 
 def check_symmetric(m: np.ndarray, rtol: float = 1e-12) -> None:
-    """Raise if ``m`` is not square and symmetric within ``rtol * max|m|``.
+    """Raise if ``m`` is not square, has a non-finite entry, or is not
+    symmetric within ``rtol * max|m|``.
 
     Sweeps the upper triangle in blocks of rows, comparing ``m[i:i+b, i:]``
     with ``m[i:, i:i+b].T``; the two slabs cover every entry, so max|m| and
@@ -188,16 +189,22 @@ def check_symmetric(m: np.ndarray, rtol: float = 1e-12) -> None:
         upper = m[i : i + _SYMMETRY_BLOCK, i:]
         lower = m[i:, i : i + _SYMMETRY_BLOCK].T
         scales += [np.max(np.abs(upper)), np.max(np.abs(lower))]
-        gaps.append(np.max(np.abs(upper - lower)))
-    # np.max, unlike the builtin, propagates a NaN into the decision
-    tol = rtol * max(float(np.max(scales)), np.finfo(np.float64).tiny)
+        with np.errstate(invalid="ignore"):  # inf - inf; max|m| rejects it below
+            gaps.append(np.max(np.abs(upper - lower)))
+    # np.max, unlike the builtin, propagates a NaN: max|m| is finite only
+    # when every entry is
+    scale = float(np.max(scales))
+    if not math.isfinite(scale):
+        raise ValueError("matrix has a non-finite entry")
+    tol = rtol * max(scale, np.finfo(np.float64).tiny)
     if float(np.max(gaps)) > tol:
         raise ValueError("matrix is not symmetric within tolerance")
 
 
 class SymEig(NamedTuple):
     """A checked symmetric matrix, its eigenvalues sorted descending and the
-    matching orthonormal eigenvector columns: matrix = V diag(values) V^T."""
+    matching orthonormal eigenvector columns: matrix = V diag(values) V^T.
+    Each column's largest-magnitude entry (the first, on a tie) is positive."""
 
     matrix: np.ndarray
     values: np.ndarray
@@ -205,12 +212,24 @@ class SymEig(NamedTuple):
 
 
 def sym_eig(m: np.ndarray) -> SymEig:
-    """Eigendecomposition of a symmetric matrix: one symmetry check, one eigh."""
+    """Eigendecomposition of a symmetric matrix: one symmetry check, one eigh.
+
+    An eigenvector's sign is arbitrary, and eigh may flip it when the matrix
+    moves in its last bits; fixing it by the column's largest-magnitude entry
+    makes the columns, and any coefficient read in them, follow the matrix.
+    """
     m = np.asarray(m, dtype=np.float64)
     check_symmetric(m)
     w, v = np.linalg.eigh(m)
     order = np.argsort(w)[::-1]
-    return SymEig(m, np.ascontiguousarray(w[order]), np.ascontiguousarray(v[:, order]))
+    vectors = np.ascontiguousarray(v[:, order])
+    # the largest-magnitude entry is the column's max or its min; argmax and
+    # argmin need no |V| temporary
+    cols = np.arange(vectors.shape[1])
+    top, bottom = np.argmax(vectors, axis=0), np.argmin(vectors, axis=0)
+    high, low = vectors[top, cols], -vectors[bottom, cols]
+    vectors *= np.where((low > high) | ((low == high) & (bottom < top)), -1.0, 1.0)
+    return SymEig(m, np.ascontiguousarray(w[order]), vectors)
 
 
 def pearson_corr(a: np.ndarray, b: np.ndarray) -> float:

@@ -31,7 +31,7 @@ from .models import (
     _forward,
     _jvp_batch,
     _linearize,
-    _logit_jacobians,
+    _logit_deltas,
     _softmax,
 )
 
@@ -164,14 +164,48 @@ class GnhOperator:
         return _gnh_hvp(self.spec, lin, v, self.fd_delta)
 
 
+def _layer_parts(spec: ModelSpec, k: int):
+    """Layer k's parameters as (rows of theta, their (fan_out, width) shape,
+    their columns of the augmented input [a_k, 1]): the row-major weights,
+    then the bias, which multiplies the constant 1."""
+    name, offset, length = spec.segments[k]
+    fan_in, fan_out = spec.layer_sizes[k], spec.layer_sizes[k + 1]
+    end_w = offset + fan_out * fan_in
+    return (
+        (slice(offset, end_w), (fan_out, fan_in), slice(0, fan_in)),
+        (slice(end_w, offset + length), (fan_out, 1), slice(fan_in, fan_in + 1)),
+    )
+
+
+def _write_block(H: np.ndarray, spec: ModelSpec, l: int, m: int, block: np.ndarray) -> None:
+    """Write the (l, m) block, held as (fan_out_l fan_out_m) x
+    ((fan_in_l + 1)(fan_in_m + 1)), into H's rows of layer l and columns of
+    layer m, through strided views of H."""
+    sizes = spec.layer_sizes
+    block = block.reshape(sizes[l + 1], sizes[m + 1], sizes[l] + 1, sizes[m] + 1)
+    block = block.transpose(0, 2, 1, 3)
+    for rows_l, shape_l, cols_l in _layer_parts(spec, l):
+        for rows_m, shape_m, cols_m in _layer_parts(spec, m):
+            H[rows_l, rows_m].reshape(shape_l + shape_m)[...] = block[:, cols_l, :, cols_m]
+
+
 def gnh_matrix_exact(
     spec: ModelSpec, theta: ParamVector, dataset: Dataset, chunk: int = 128
 ) -> np.ndarray:
     """Dense Gauss-Newton Hessian averaged over the whole dataset.
 
-    Each example contributes its centered Jacobian rows sqrt(p_k) (J_k - p^T J),
-    since sum_k p_k (J_k - p^T J)^T (J_k - p^T J) = J^T (diag p - p p^T) J; one
-    product ``rows.T @ rows`` per chunk (a BLAS syrk) keeps H exactly symmetric.
+    Layer l's logit Jacobian is the Kronecker product of its logit delta D_l
+    (``models._logit_deltas``) and its augmented input [a_l, 1].  With the
+    centered factors R_l = sqrt(p) (D_l - p^T D_l), the (l, m) block of
+    J^T (diag p - p p^T) J is sum_b (R_l^T R_m)_b kron ([a_l, 1] [a_m, 1]^T)_b,
+    so each pass adds one GEMM per layer pair l <= m, over its rows, to that
+    block held as (fan_out_l fan_out_m) x ((fan_in_l + 1)(fan_in_m + 1)).
+    Once after the passes each block is written into the parameter layout
+    (weights row-major, then bias), each l < m block is mirrored by
+    transpose and each diagonal block symmetrized, so H is exactly symmetric.
+
+    A pass takes ``chunk`` rows, fewer where one row's factor products are
+    so wide that a pass's per-row arrays would exceed n^2 / 2 floats.
 
     Desk-scale oracle: refuses models with more than MAX_DENSE_PARAMS
     parameters, where the dense matrix stops being a sensible object.
@@ -181,12 +215,33 @@ def gnh_matrix_exact(
         raise ValueError(f"dense GNH limited to {MAX_DENSE_PARAMS} parameters, got {n}")
     if len(dataset) < 1:
         raise ValueError("dataset is empty")
-    H = np.zeros((n, n))
-    for start in range(0, len(dataset), chunk):
-        lin = _linearize(spec, theta.values, dataset.X[start : start + chunk])
-        rows = _logit_jacobians(spec, lin)
-        rows -= lin.p[:, None, :] @ rows
-        rows *= np.sqrt(lin.p)[:, :, None]
-        rows = rows.reshape(-1, n)
-        H += rows.T @ rows
-    return H / len(dataset)
+    sizes, L = spec.layer_sizes, spec.n_layers
+    pairs = [(l, m) for l in range(L) for m in range(l, L)]
+    blocks = {
+        (l, m): np.zeros((sizes[l + 1] * sizes[m + 1], (sizes[l] + 1) * (sizes[m] + 1)))
+        for l, m in pairs
+    }
+    widest = max(max(b.shape) for b in blocks.values())
+    rows = max(1, min(chunk, n * n // (2 * widest)))
+    for start in range(0, len(dataset), rows):
+        lin = _linearize(spec, theta.values, dataset.X[start : start + rows])
+        B = lin.p.shape[0]
+        sqrt_p = np.sqrt(lin.p)[:, :, None]
+        factors = [sqrt_p * (d - lin.p[:, None, :] @ d) for d in _logit_deltas(spec, lin)]
+        augmented = [np.concatenate([a, np.ones((B, 1))], axis=1) for a in lin.inputs]
+        for l, m in pairs:
+            outer_r = (np.swapaxes(factors[l], 1, 2) @ factors[m]).reshape(B, -1)
+            outer_a = (augmented[l][:, :, None] * augmented[m][:, None, :]).reshape(B, -1)
+            blocks[l, m] += outer_r.T @ outer_a
+    H = np.empty((n, n))
+    for l, m in pairs:
+        _write_block(H, spec, l, m, blocks.pop((l, m)))
+    for l, (_, off_l, len_l) in enumerate(spec.segments):
+        seg_l = slice(off_l, off_l + len_l)
+        diagonal = H[seg_l, seg_l]
+        diagonal[...] = 0.5 * (diagonal + diagonal.T)
+        for _, off_m, len_m in spec.segments[l + 1 :]:
+            seg_m = slice(off_m, off_m + len_m)
+            H[seg_m, seg_l] = H[seg_l, seg_m].T
+    H /= len(dataset)
+    return H

@@ -6,7 +6,7 @@ fully-connected MLP with tanh or relu hidden units.  Parameters live in a
 single flat float64 vector with per-layer segmentation so curvature code can
 address layers individually.  ``_linearize`` runs one forward pass and keeps
 all that the derivative sweeps at that point read in one ``_Linearization``
-record; ``_backprop``, ``_jvp_batch`` and ``_logit_jacobians`` take the record,
+record; ``_backprop``, ``_jvp_batch`` and ``_logit_deltas`` take the record,
 so none of them unpacks theta or pairs the caches of two passes.  The record
 holds views of theta and of the inputs, which must not be mutated after.
 
@@ -267,22 +267,19 @@ def _jvp_batch(spec: ModelSpec, lin: _Linearization, u: np.ndarray) -> np.ndarra
         da = dz
 
 
-def _logit_jacobians(spec: ModelSpec, lin: _Linearization) -> np.ndarray:
-    """Per-example logit Jacobians, shape (B, K, n_params), at ``lin``."""
+def _logit_deltas(spec: ModelSpec, lin: _Linearization) -> list:
+    """Per-layer logit deltas at ``lin``: entry l is d logits / d z_l, shape
+    (B, K, fan_out_l), for z_l the pre-activation of layer l.  The logit
+    Jacobian of layer l's weights is the Kronecker product of this delta and
+    the layer input, and of its bias the delta itself."""
     B, K = lin.inputs[0].shape[0], spec.n_classes
-    jac = np.zeros((B, K, spec.n_params))
-    delta = np.broadcast_to(np.eye(K), (B, K, K)).copy()
+    deltas = [None] * len(lin.layers)
+    delta = np.broadcast_to(np.eye(K), (B, K, K))
     for l in range(len(lin.layers) - 1, -1, -1):
-        w, _ = lin.layers[l]
-        name, offset, length = spec.segments[l]
-        fan_out, fan_in = w.shape
-        jac[:, :, offset : offset + fan_out * fan_in] = np.einsum(
-            "bko,bi->bkoi", delta, lin.inputs[l]
-        ).reshape(B, K, fan_out * fan_in)
-        jac[:, :, offset + fan_out * fan_in : offset + length] = delta
+        deltas[l] = delta
         if l > 0:
-            delta = (delta @ w) * lin.derivs[l - 1][:, None, :]
-    return jac
+            delta = (delta @ lin.layers[l][0]) * lin.derivs[l - 1][:, None, :]
+    return deltas
 
 
 def nll_loss(spec: ModelSpec, theta: ParamVector, x: np.ndarray, y: int) -> float:

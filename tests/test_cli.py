@@ -711,23 +711,38 @@ class TestInputBoundary:
         batch_sizes=st.lists(BATCHES, min_size=1, max_size=3),
         eta=st.none() | EXTREMES,
         lambda_damp=st.none() | EXTREMES,
+        init_scale=st.none() | EXTREMES,
+        tolerance=st.none() | st.just(0.5),
     )
     @example(command="pbrf-compare", model=MLP_4_5_3, n_examples=30, n_test=5, n_train=2, t_steps=3,
              pbrf_steps=10**12, snapshot_every=None, batch_size=None, batch_sizes=[4], eta=0.5,
-             lambda_damp=None)
+             lambda_damp=None, init_scale=None, tolerance=None)
+    # an overflowing model's dense GNH is NaN: once a traceback, exit 1
+    @example(command="lissa", model=MLP_4_5_3, n_examples=30, n_test=5, n_train=2, t_steps=3,
+             pbrf_steps=None, snapshot_every=None, batch_size=None, batch_sizes=[4], eta=None,
+             lambda_damp=None, init_scale=1.7e308, tolerance=0.5)
+    @example(command="convergence", model=MLP_4_5_3, n_examples=30, n_test=5, n_train=2, t_steps=3,
+             pbrf_steps=None, snapshot_every=None, batch_size=None, batch_sizes=[4], eta=None,
+             lambda_damp=None, init_scale=1.7e308, tolerance=None)
+    # u* of size 1e-300: its norm underflowed and the relative error read 0 / 0
+    @example(command="lissa", model=LINEAR_4_3, n_examples=1, n_test=1, n_train=1, t_steps=1,
+             pbrf_steps=None, snapshot_every=None, batch_size=None, batch_sizes=[1], eta=None,
+             lambda_damp=1e300, init_scale=None, tolerance=0.5)
     @settings(max_examples=150, deadline=None)
     def test_solver_commands_exit_cleanly(
         self, command, model, n_examples, n_test, n_train, t_steps, pbrf_steps, snapshot_every,
-        batch_size, batch_sizes, eta, lambda_damp,
+        batch_size, batch_sizes, eta, lambda_damp, init_scale, tolerance,
     ):
         text = model + config_text(
             dict(n_examples=n_examples, n_test=n_test, n_train=n_train, t_steps=t_steps,
                  pbrf_steps=pbrf_steps, snapshot_every=snapshot_every, batch_size=batch_size,
-                 eta=eta, lambda_damp=lambda_damp)
+                 eta=eta, lambda_damp=lambda_damp, init_scale=init_scale, tolerance=tolerance)
         )
         text += "batch_sizes = " + ", ".join(str(b) for b in batch_sizes) + "\n"
-        code, _ = run_main(command, text)
+        code, outputs = run_main(command, text)
         assert code in (0, 2, 3, 4)
+        if code == 0:
+            assert non_finite_cells(outputs) == []
 
 
     @given(
@@ -737,8 +752,11 @@ class TestInputBoundary:
         n_probes=st.integers(2, 6) | st.sampled_from([cli.MAX_PROBES + 1, 10**12]),
         sketch_dim=st.integers(2, 8),
         batch_sizes=st.lists(st.integers(1, 64), min_size=1, max_size=3),
-        init_scale=st.none() | st.just(1e300),
+        init_scale=st.none() | EXTREMES,
     )
+    # an overflowing model's sketch is NaN: once a traceback, exit 1
+    @example(command="stats", model=MLP_4_5_3, n_examples=None, n_probes=6, sketch_dim=8,
+             batch_sizes=[4], init_scale=1.7e308)
     @example(command="stats", model=MLP_4_5_3, n_examples=None, n_probes=10**12, sketch_dim=8,
              batch_sizes=[4], init_scale=None)
     @example(command="condition-c1", model=MLP_4_5_3, n_examples=None, n_probes=10**12, sketch_dim=8,
@@ -757,8 +775,10 @@ class TestInputBoundary:
             dict(n_examples=n_examples, n_probes=n_probes, sketch_dim=sketch_dim, init_scale=init_scale)
         )
         text += "batch_sizes = " + ", ".join(str(b) for b in batch_sizes) + "\n"
-        code, _ = run_main(command, text)
+        code, outputs = run_main(command, text)
         assert code in (0, 2)
+        if code == 0:
+            assert non_finite_cells(outputs) == []
 
     @given(
         n_docs=st.integers(1, 12),
@@ -831,6 +851,47 @@ class TestInputBoundary:
         assert code in (0, 2)
         if code == 0:
             assert non_finite_cells(outputs) == []
+
+
+    @pytest.mark.parametrize(
+        "command, extra, message",
+        [
+            ("lissa", "tolerance = 0.5\n", "init_scale = 1e-200"),
+            ("convergence", "n_test = 5\nbatch_sizes = 4\n", "init_scale = 1e-200"),
+            ("stats", "sketch_dim = 4\n", "init_scale = 1e-200"),
+            # the gradients' inner products overflow before the dense matrix is built
+            ("similarity", "", "no similarity matrix"),
+        ],
+    )
+    def test_overflowing_curvature_is_two(self, tmp_path, capsys, command, extra, message):
+        # features of 1e200 at init_scale 1e-200: finite logits, but J^T S J
+        # overflows; a NaN matrix once reached eigh and ended in a traceback
+        X = np.linspace(-2.0, 3.0, 30 * 4).reshape(30, 4) ** 3 * 1e200
+        rows = "".join(",".join(repr(float(v)) for v in x) + f",{i % 3}\n" for i, x in enumerate(X))
+        data = write(tmp_path, "huge.csv", "x0,x1,x2,x3,label\n" + rows)
+        text = LINEAR_4_3 + f"init_scale = 1e-200\ndataset_path = {data}\n" + extra
+        code, out = run_cli(tmp_path, command, text)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "non-finite" in err and message in err
+        assert "Traceback" not in err
+        assert not any(out.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("lissa", ""), ("stats", ""), ("condition-c1", "batch_sizes = 4\n"), ("similarity", ""),
+         ("convergence", "n_test = 5\nbatch_sizes = 4\n"), ("pbrf-compare", "n_test = 5\neta = 0.5\n")],
+    )
+    def test_overflowing_logits_are_two_before_any_gradient(self, tmp_path, capsys, monkeypatch, command, extra):
+        def refuse(*args, **kwargs):
+            raise AssertionError("gradient or curvature of an overflowing model")
+
+        for name in ("loss_gradient", "gnh_matrix_exact", "GnhOperator", "check_condition_c1"):
+            monkeypatch.setattr(f"lissakit.cli.{name}", refuse)
+        code, _ = run_cli(tmp_path, command, MLP_4_5_3 + "init_scale = 1.7e308\n" + extra)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "logits overflow" in err and "init_scale = 1.7e+308" in err
 
 
 class TestKeptIterates:

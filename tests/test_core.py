@@ -254,6 +254,39 @@ class TestSymEig:
         with pytest.raises(ValueError):
             sym_eig(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (9, 2), (130, 3)])
+    def test_largest_magnitude_entry_of_each_vector_is_positive(self, n, seed):
+        a = SeededRng(seed).normal(n * n).reshape(n, n)
+        v = sym_eig(a + a.T).vectors
+        top = np.argmax(np.abs(v), axis=0)
+        assert np.all(v[top, np.arange(n)] > 0)
+
+    def test_sign_tie_goes_to_the_first_entry(self):
+        # both eigenvectors of [[0, 1], [1, 0]] have entries of equal magnitude
+        v = sym_eig(np.array([[0.0, 1.0], [1.0, 0.0]])).vectors
+        assert np.all(v[0] > 0)
+        assert v[1, 1] < 0
+
+    def test_vectors_do_not_depend_on_the_signs_eigh_returns(self, monkeypatch):
+        # eigh may flip a column when the matrix moves in its last bits
+        a = SeededRng(5).normal(40 * 40).reshape(40, 40)
+        m = a @ a.T
+        want = sym_eig(m).vectors
+        eigh = np.linalg.eigh
+
+        def flipped(x):
+            w, v = eigh(x)
+            return w, v * np.where(np.arange(v.shape[1]) % 3 == 0, -1.0, 1.0)
+
+        monkeypatch.setattr(np.linalg, "eigh", flipped)
+        assert np.array_equal(sym_eig(m).vectors, want)
+
+    def test_rejects_non_finite(self):
+        m = np.eye(3)
+        m[1, 2] = m[2, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            sym_eig(m)
+
     @given(st.integers(min_value=2, max_value=10), st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=25, deadline=None)
     def test_property_residual(self, n, seed):
@@ -337,6 +370,19 @@ class TestCheckSymmetric:
     def test_rejects_non_square(self, shape):
         with pytest.raises(ValueError):
             check_symmetric(np.ones(shape))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n, entry", [(3, (1, 2)), (3, (0, 0)), (130, (60, 129))])
+    def test_rejects_non_finite(self, value, n, entry):
+        # NaN compares False against any tolerance, so the check once let a
+        # NaN matrix through to eigh; one non-finite entry or its mirror is enough
+        m = np.eye(n)
+        m[entry] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            check_symmetric(m)
+        m[entry[::-1]] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            check_symmetric(m)
 
 
 class TestPearson:

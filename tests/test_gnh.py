@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,13 +15,23 @@ from lissakit.gnh import (
     softmax_hessian,
 )
 from lissakit.lissa import LissaConfig, lissa_solve
-from lissakit.models import Dataset, ModelSpec, ParamVector, _linearize, init_params, make_blobs
+from lissakit.models import (
+    Dataset,
+    ModelSpec,
+    ParamVector,
+    _jvp_batch,
+    _linearize,
+    init_params,
+    make_blobs,
+)
 
 LINEAR = ModelSpec(kind="softmax-linear", layer_sizes=(4, 3))
 MLP = ModelSpec(kind="mlp", layer_sizes=(5, 6, 3), activation="tanh")
 # two hidden layers: the sweeps read each layer's input from a different cache
 DEEP_TANH = ModelSpec(kind="mlp", layer_sizes=(5, 7, 6, 4), activation="tanh")
 DEEP_RELU = ModelSpec(kind="mlp", layer_sizes=(5, 7, 6, 4), activation="relu")
+# three hidden layers: six layer pairs, four of them off the block diagonal
+DEEPER_RELU = ModelSpec(kind="mlp", layer_sizes=(4, 6, 5, 7, 3), activation="relu")
 
 
 def toy_fixture(spec, n=40, seed=1):
@@ -105,14 +116,18 @@ class TestDenseGnh:
             atol=1e-12,
         )
 
-    @pytest.mark.parametrize("spec", [LINEAR, MLP, DEEP_TANH, DEEP_RELU])
+    @pytest.mark.parametrize("spec", [LINEAR, MLP, DEEP_TANH, DEEP_RELU, DEEPER_RELU])
     def test_matches_per_example_reference(self, spec):
-        # centered Jacobian rows against sum_b J_b^T S(h_b) J_b, one example at a time
+        # sum_b J_b^T S(h_b) J_b, one example at a time, with each J_b read
+        # column by column from forward-mode JVPs along the unit vectors; 37
+        # rows in passes of 7 leave a short last pass
         theta, data = toy_fixture(spec, n=37, seed=4)
-        jac = models._logit_jacobians(spec, _linearize(spec, theta.values, data.X))
+        lin = _linearize(spec, theta.values, data.X)
+        units = np.eye(spec.n_params)
+        jac = np.stack([_jvp_batch(spec, lin, e) for e in units], axis=-1)
         logits, _ = models._forward(spec, theta.values, data.X)
         reference = sum(j.T @ softmax_hessian(h) @ j for j, h in zip(jac, logits)) / len(data)
-        H = gnh_matrix_exact(spec, theta, data, chunk=16)
+        H = gnh_matrix_exact(spec, theta, data, chunk=7)
         assert np.max(np.abs(H - reference)) <= 1e-13 * np.max(np.abs(reference))
         assert np.array_equal(H, H.T)
 
@@ -128,19 +143,20 @@ class TestDenseGnh:
             H = gnh_matrix_exact(spec, theta, data)
             assert np.linalg.norm(H @ shift) <= 1e-13 * np.linalg.norm(H)
 
-    def test_runs_no_per_example_kxk_contraction(self, monkeypatch):
-        # the rows go to one BLAS product per chunk, not a per-example einsum
-        # against a K x K softmax-Hessian factor
-        einsum = np.einsum
-
-        def guarded(subscripts, *operands, **kwargs):
-            if subscripts.replace(" ", "") == "bkn,bkj->bnj":
-                raise AssertionError("per-example K x K einsum in the dense GNH")
-            return einsum(subscripts, *operands, **kwargs)
-
-        monkeypatch.setattr(np, "einsum", guarded)
-        theta, data = toy_fixture(MLP, n=20, seed=6)
-        H = gnh_matrix_exact(MLP, theta, data)
+    def test_wide_layer_pair_stays_within_three_matrices(self):
+        # softmax-linear 999 -> 2 admits one row's [x, 1] outer product of
+        # 10^6 floats, so a pass of 128 rows would hold 128 n x n matrices'
+        # worth of it; the passes shrink until H, its one block and the
+        # pass's arrays fit in 3 n^2 floats
+        spec = ModelSpec(kind="softmax-linear", layer_sizes=(999, 2))
+        theta, data = toy_fixture(spec, n=9, seed=7)
+        tracemalloc.start()
+        try:
+            H = gnh_matrix_exact(spec, theta, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * H.nbytes
         assert np.array_equal(H, H.T)
 
     def test_refuses_large_models(self):
