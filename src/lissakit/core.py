@@ -220,16 +220,19 @@ def sym_eig(m: np.ndarray) -> SymEig:
     """
     m = np.asarray(m, dtype=np.float64)
     check_symmetric(m)
-    w, v = np.linalg.eigh(m)
-    order = np.argsort(w)[::-1]
-    vectors = np.ascontiguousarray(v[:, order])
-    # the largest-magnitude entry is the column's max or its min; argmax and
-    # argmin need no |V| temporary
-    cols = np.arange(vectors.shape[1])
-    top, bottom = np.argmax(vectors, axis=0), np.argmin(vectors, axis=0)
-    high, low = vectors[top, cols], -vectors[bottom, cols]
-    vectors *= np.where((low > high) | ((low == high) & (bottom < top)), -1.0, 1.0)
-    return SymEig(m, np.ascontiguousarray(w[order]), vectors)
+    w, v = np.linalg.eigh(m)  # ascending, so reversing the columns sorts them
+    vectors = np.ascontiguousarray(v[:, ::-1])
+    # the largest magnitude is the column's max or minus its min; the two
+    # reductions run along rows of the C-ordered array, unlike an argmax
+    # (initial=0 changes no decision and lets a 0 x 0 matrix through)
+    high, low = vectors.max(axis=0, initial=0.0), -vectors.min(axis=0, initial=0.0)
+    flip = low > high
+    ties = np.flatnonzero(low == high)
+    if ties.size:
+        tied = vectors[:, ties]
+        flip[ties] = tied[np.argmax(np.abs(tied), axis=0), np.arange(ties.size)] < 0
+    vectors *= np.where(flip, -1.0, 1.0)
+    return SymEig(m, np.ascontiguousarray(w[::-1]), vectors)
 
 
 def pearson_corr(a: np.ndarray, b: np.ndarray) -> float:

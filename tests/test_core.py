@@ -254,6 +254,10 @@ class TestSymEig:
         with pytest.raises(ValueError):
             sym_eig(np.ones((2, 3)))
 
+    def test_empty_matrix(self):
+        eig = sym_eig(np.zeros((0, 0)))
+        assert eig.values.shape == (0,) and eig.vectors.shape == (0, 0)
+
     @pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (9, 2), (130, 3)])
     def test_largest_magnitude_entry_of_each_vector_is_positive(self, n, seed):
         a = SeededRng(seed).normal(n * n).reshape(n, n)
