@@ -419,7 +419,10 @@ def cmd_lissa(run: RunContext) -> None:
         # near the float range) from underflowing to 0 / 0
         scale = float(np.max(np.abs(u_star)))
         if not scale > 0:
-            raise ConfigError("the oracle solution is zero, so no relative error can be checked")
+            raise ConfigError(
+                f"the gradient at train_index = {cfg.train_index} is zero, so is the oracle "
+                "solution, and no relative error can be checked"
+            )
         with np.errstate(over="ignore"):
             rel = float(np.linalg.norm((u - u_star) / scale) / np.linalg.norm(u_star / scale))
         print(f"relative_error = {_fmt(rel)}")

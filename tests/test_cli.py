@@ -877,6 +877,17 @@ class TestInputBoundary:
         assert "Traceback" not in err
         assert not any(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("train_index, code", [(0, 0), (2, 2)])
+    def test_tolerance_needs_a_nonzero_oracle_solution(self, tmp_path, capsys, train_index, code):
+        # at init_scale 1e300 the softmax is one-hot: example 2's gradient is
+        # exactly zero, and its relative error once read 0 / 0 = nan, exit 0
+        text = LINEAR_4_3 + f"init_scale = 1e300\ntolerance = 0.5\ntrain_index = {train_index}\n"
+        assert run_cli(tmp_path, "lissa", text)[0] == code
+        captured = capsys.readouterr()
+        assert "nan" not in captured.out
+        if code == 2:
+            assert "gradient at train_index = 2 is zero" in captured.err
+
     @pytest.mark.parametrize(
         "command, extra",
         [("lissa", ""), ("stats", ""), ("condition-c1", "batch_sizes = 4\n"), ("similarity", ""),
