@@ -30,7 +30,8 @@ MLP = ModelSpec(kind="mlp", layer_sizes=(5, 6, 3), activation="tanh")
 # two hidden layers: the sweeps read each layer's input from a different cache
 DEEP_TANH = ModelSpec(kind="mlp", layer_sizes=(5, 7, 6, 4), activation="tanh")
 DEEP_RELU = ModelSpec(kind="mlp", layer_sizes=(5, 7, 6, 4), activation="relu")
-# three hidden layers: six layer pairs, four of them off the block diagonal
+# three hidden layers: four weight layers, ten layer pairs l <= m, six of
+# them off the block diagonal
 DEEPER_RELU = ModelSpec(kind="mlp", layer_sizes=(4, 6, 5, 7, 3), activation="relu")
 
 
@@ -144,10 +145,10 @@ class TestDenseGnh:
             assert np.linalg.norm(H @ shift) <= 1e-13 * np.linalg.norm(H)
 
     def test_wide_layer_pair_stays_within_three_matrices(self):
-        # softmax-linear 999 -> 2 admits one row's [x, 1] outer product of
-        # 10^6 floats, so a pass of 128 rows would hold 128 n x n matrices'
-        # worth of it; the passes shrink until H, its one block and the
-        # pass's arrays fit in 3 n^2 floats
+        # softmax-linear 999 -> 2 (n = 2000) has a [x, 1] outer product of
+        # 10^6 floats per row, so a pass of 128 rows would hold 32 n x n
+        # matrices' worth of it; the passes shrink until H, its one block and
+        # a pass's arrays fit in 3 n^2 floats
         spec = ModelSpec(kind="softmax-linear", layer_sizes=(999, 2))
         theta, data = toy_fixture(spec, n=9, seed=7)
         tracemalloc.start()
