@@ -64,8 +64,9 @@ MAX_T_STEPS = 1_000_000
 # probe, and each probe costs one to three HVPs.
 MAX_PROBES = 1_000_000
 # Largest number of floats a command keeps in one table: convergence keeps one
-# copy of the iterate per snapshot until it correlates them, and tfidf-check
-# keeps dense count, inverse and pair tables, so this caps each at 80 MB.
+# copy of the iterate per snapshot until it correlates them, counterexample
+# one iterate and its moment sums per step, and tfidf-check dense count,
+# gradient and pair tables, so this caps each at 80 MB.
 MAX_KEPT_FLOATS = 10**7
 # Largest number of random words one draw of a command may take: a batch of
 # b examples draws b words per step (b times n_train in the lockstep finetunes
@@ -502,8 +503,11 @@ def cmd_pbrf_compare(run: RunContext) -> None:
     # The solves run in item order and stop at the first divergence; then the
     # finetunes of the items before it run in lockstep.  Errors come in item
     # order, a solve's before its own finetune's, as if each item ran its
-    # solve and its finetune in turn.
-    op = _stochastic_operator(run, spec, theta, train, batch_size)
+    # solve and its finetune in turn.  A batch of the whole training set is
+    # full batch for the finetunes, so the solves take the full-batch operator.
+    op = _stochastic_operator(
+        run, spec, theta, train, None if batch_size >= len(train) else batch_size
+    )
     solved, divergence = [], None
     for i in range(cfg.n_train):
         g = loss_gradient(spec, theta, train[i])
@@ -597,6 +601,12 @@ def cmd_counterexample(run: RunContext) -> None:
     if n > MAX_DENSE_PARAMS:
         raise ConfigError(f"{n} eigenvalues are over the dense rotation's limit {MAX_DENSE_PARAMS}")
     _check_draw(f"batch_size = {batch_size} times {n} eigenvalues", batch_size * n)
+    if (cfg.t_max + 1) * n > MAX_KEPT_FLOATS:
+        raise ConfigError(
+            f"t_max = {cfg.t_max} with {n} eigenvalues keeps {(cfg.t_max + 1) * n} floats of "
+            f"iterates per table, over MAX_KEPT_FLOATS = {MAX_KEPT_FLOATS}; lower t_max or "
+            "use fewer eigenvalues"
+        )
     try:
         eta = cfg.eta if cfg.eta is not None else step_size(max(eigenvalues), cfg.lambda_damp)
         # extreme eigenvalues overflow the closed form; it is checked below
@@ -653,13 +663,12 @@ def cmd_counterexample(run: RunContext) -> None:
 
 
 def _check_tfidf_tables(n_docs: int, doc_length: int, vocab_size: int) -> None:
-    """tfidf-check holds its corpus and dense count, inverse-Hessian and pair
-    tables; one over MAX_KEPT_FLOATS entries is a config error.  This also
-    bounds the probability draw and each document's draw by MAX_DRAW_WORDS."""
+    """tfidf-check holds its corpus and dense count, gradient and pair tables;
+    one over MAX_KEPT_FLOATS entries is a config error.  This also bounds the
+    probability draw and each document's draw by MAX_DRAW_WORDS."""
     for what, entries in (
         (f"n_docs = {n_docs} times doc_length = {doc_length} terms", n_docs * doc_length),
         (f"n_docs = {n_docs} times vocab_size = {vocab_size} counts", n_docs * vocab_size),
-        (f"vocab_size = {vocab_size} squared inverse-Hessian entries", vocab_size**2),
         (f"n_docs = {n_docs} squared document pairs", n_docs**2),
     ):
         if entries > MAX_KEPT_FLOATS:

@@ -1,12 +1,12 @@
 """Bag-of-words categorical model with a closed-form damped influence.
 
 A document is a fixed-length sequence of term indices drawn from one softmax
-distribution over the vocabulary.  For this model the damped inverse
-curvature has an explicit rank-one closed form, and document-pair influence
-collapses, as the damping goes to zero, to a term-frequency dot product
-weighted by inverse term probability.  That makes the model a desk-scale
-oracle: every quantity the stochastic pipeline estimates elsewhere is exact
-here.
+distribution over the vocabulary.  The curvature Diag(p) - p p^T is a
+rank-one downdate of a diagonal, so the damped influence of a document pair
+has a closed form in vectors of the vocabulary's length, and it collapses,
+as the damping goes to zero, to a term-frequency dot product weighted by
+inverse term probability.  That makes the model a desk-scale oracle: every
+quantity the stochastic pipeline estimates elsewhere is exact here.
 """
 
 from __future__ import annotations
@@ -120,70 +120,20 @@ class BowParams:
         return cls(logits=np.log(p))
 
 
-@dataclass(frozen=True)
-class TfIdfWeights:
-    """TF per (doc, term), DF per term, and square-root inverse-DF weights.
+def bow_gradients(corpus: Corpus, params: BowParams) -> np.ndarray:
+    """Gradients of the document log-likelihoods in the logits, one row per document.
 
-    idf is NaN for terms absent from every document; that flags the weight
-    as undefined rather than silently dropping the term.
-    """
-
-    tf: np.ndarray
-    df: np.ndarray
-    idf: np.ndarray
-
-    @property
-    def undefined_terms(self) -> np.ndarray:
-        return np.flatnonzero(self.df == 0)
-
-
-def tfidf_weights(corpus: Corpus) -> TfIdfWeights:
-    """Term frequency, document frequency, and IDF = sqrt(1/DF)."""
-    counts = corpus.counts()
-    tf = counts / corpus.doc_length
-    df = (counts > 0).mean(axis=0)
-    idf = np.full_like(df, np.nan)
-    seen = df > 0
-    idf[seen] = np.sqrt(1.0 / df[seen])
-    return TfIdfWeights(tf=tf, df=df, idf=idf)
-
-
-def bow_gradient(doc, params: BowParams) -> np.ndarray:
-    """Gradient of the document log-likelihood in the logits.
-
-    Equals |d| (tau - p) where tau holds the document's term frequencies;
-    the entries always sum to zero because softmax is shift invariant.
+    Row i is counts_i - |d| p, which is |d| (tau_i - p) for the document's
+    term frequencies tau_i; every row sums to zero because softmax is shift
+    invariant.
     """
     p = params.probabilities
-    doc = tuple(int(t) for t in doc)
-    if not doc:
-        raise ValueError("document is empty")
-    if min(doc) < 0 or max(doc) >= p.size:
-        raise ValueError("term index outside the vocabulary")
-    counts = np.zeros(p.size)
-    np.add.at(counts, list(doc), 1.0)
-    return counts - len(doc) * p
-
-
-def bow_inverse_hessian(params: BowParams, lambda_damp: float) -> np.ndarray:
-    """Closed-form inverse of (Diag(p) - p p^T + lambda I).
-
-    Rank-one downdate of a diagonal, so the inverse is the diagonal inverse
-    plus a rank-one correction: Diag(p + lambda)^-1 + d d^T / s with
-    d = p / (p + lambda) and s = lambda * sum_j p_j / (p_j + lambda).
-    """
-    if not lambda_damp > 0:
-        raise ValueError(f"lambda_damp = {lambda_damp!r} must be positive")
-    p = params.probabilities
-    # a damping near the float limits breaks the rank-one term; reported below
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        diag = 1.0 / (p + lambda_damp)
-        d = p * diag
-        s = lambda_damp * float(d.sum())
-        inverse = np.diag(diag) + np.outer(d, d) / s
-    if not (s > 0 and np.isfinite(inverse).all()):
-        raise ValueError(f"lambda_damp = {lambda_damp!r} gives no finite inverse Hessian")
-    return inverse
+    if corpus.vocab_size != p.size:
+        raise ValueError(
+            f"corpus vocabulary of {corpus.vocab_size} terms does not match "
+            f"{p.size} term probabilities"
+        )
+    return corpus.counts() - corpus.doc_length * p
 
 
 @dataclass(frozen=True)
@@ -211,20 +161,33 @@ def tfidf_equivalence_check(
 ) -> list[PairEquivalence]:
     """Exact influence versus the TF-IDF limit for every unordered doc pair.
 
-    influence_exact = g_a (H + lambda)^-1 g_b with bag-of-words gradients and
-    the closed-form inverse; the gap to tfidf_form shrinks linearly in the
+    influence_exact = g_a (H + lambda)^-1 g_b with H = Diag(p) - p p^T.  By
+    Sherman-Morrison, with w = 1/(p + lambda) and c = G w for the gradient
+    block G, the inverse gives G Diag(w) G^T plus (G d)(G d)^T / s, where
+    d = p w and s = lambda sum_j p_j w_j.  Every gradient sums to zero, so
+    g . d = -lambda g . w, and the second term is lambda c c^T / sum_j p_j w_j:
+    only length-V vectors, and no 1/lambda term to cancel.  For the same
+    reason c equals G v with v = w - 1/(1 + lambda) = (1 - p) w / (1 + lambda);
+    at a large damping w is nearly constant, and G w would be the rounding
+    noise of sum_j g_j.  The gap to tfidf_form shrinks linearly in the
     damping.  Self pairs are included.
     """
+    if not lambda_damp > 0:
+        raise ValueError(f"lambda_damp = {lambda_damp!r} must be positive")
     p = params.probabilities
-    weights = tfidf_weights(corpus)
-    length = corpus.doc_length
-    grads = weights.tf * length - length * p
-    inverse = bow_inverse_hessian(params, lambda_damp)
+    grads = bow_gradients(corpus, params)
+    # an infinite damping gives inf * 0 below; reported as non-finite
     with np.errstate(over="ignore", invalid="ignore"):
-        influence = grads @ inverse @ grads.T
+        w = 1.0 / (p + lambda_damp)
+        c = grads @ ((1.0 - p) * w / (1.0 + lambda_damp))
+        # lambda / sum_j p_j w_j overflows near the float limit (1.7e308);
+        # scaling each factor of the outer product does not
+        influence = (grads * w) @ grads.T + np.outer(lambda_damp * c, c / (p @ w))
     if not np.isfinite(influence).all():
-        raise ValueError(f"lambda_damp = {lambda_damp!r} overflows the exact influence")
-    tf_sum = weights.tf @ np.diag(1.0 / p) @ weights.tf.T
+        raise ValueError(f"lambda_damp = {lambda_damp!r} gives a non-finite exact influence")
+    length = corpus.doc_length
+    tf = corpus.counts() / length
+    tf_sum = (tf * (1.0 / p)) @ tf.T
     rows = []
     for a in range(corpus.n_docs):
         for b in range(a, corpus.n_docs):

@@ -26,6 +26,7 @@ from lissakit.config import (
     parse_config_text,
     sha256_hex,
 )
+from lissakit.gnh import GnhOperator
 from lissakit.lissa import LissaDivergenceError
 
 RECOMMEND_CFG = """
@@ -442,6 +443,30 @@ class TestExitCodes:
         code, _ = run_cli(tmp_path, "pbrf-compare", text)
         assert code == 0 and steps == [5, 5, 5]
 
+    def test_pbrf_compare_solves_full_batch_when_the_finetunes_do(self, tmp_path, monkeypatch):
+        # batch_size = 32 covers the 30 training examples, so pbrf_finetune runs
+        # full-batch descent; the solves must draw no batch either
+        def refuse(*args, **kwargs):
+            raise AssertionError("batch drawn although batch_size covers the training set")
+
+        monkeypatch.setattr("lissakit.gnh.sample_batch", refuse)
+        monkeypatch.setattr("lissakit.pbrf.sample_batch", refuse)
+        iterates = []
+        real_solve = cli.lissa_solve
+
+        def solve(op, g, cfg):
+            u, trace = real_solve(op, g, cfg)
+            full = GnhOperator(op.spec, op.theta, op.dataset)
+            iterates.append((u, real_solve(full, g, cfg)[0]))
+            return u, trace
+
+        monkeypatch.setattr("lissakit.cli.lissa_solve", solve)
+        text = MLP_4_5_3 + "n_examples = 30\nn_test = 5\nn_train = 4\nbatch_size = 32\neta = 0.5\nt_steps = 5\n"
+        code, _ = run_cli(tmp_path, "pbrf-compare", text)
+        assert code == 0
+        assert len(iterates) == 4
+        assert all(np.array_equal(u, full) for u, full in iterates)
+
     def test_pbrf_lr_is_an_unknown_field(self, tmp_path, capsys):
         # eta is the one step size of the solves and the finetunes
         text = MLP_4_5_3 + "eta = 0.5\nt_steps = 3\npbrf_lr = 0.5\nn_train = 2\nn_test = 5\n"
@@ -655,6 +680,23 @@ def non_finite_cells(outputs):
     ]
 
 
+@st.composite
+def corpus_texts(draw):
+    """Corpus files of at most 12 lines of at most 12 tokens: equal-length or
+    ragged documents, blank lines, and vocabularies of one to five terms."""
+    vocab = draw(st.sampled_from(["a", "ab", "abcde"]))
+    n_lines = draw(st.integers(0, 12))
+    if draw(st.booleans()):
+        length = draw(st.integers(1, 12))
+        lengths = draw(st.lists(st.sampled_from([0, length]), min_size=n_lines, max_size=n_lines))
+    else:
+        lengths = draw(st.lists(st.integers(0, 12), min_size=n_lines, max_size=n_lines))
+    token = st.sampled_from(vocab)
+    return "".join(
+        " ".join(draw(st.lists(token, min_size=k, max_size=k))) + "\n" for k in lengths
+    )
+
+
 class TestInputBoundary:
     @given(
         trace=EXTREMES,
@@ -801,6 +843,22 @@ class TestInputBoundary:
         if code == 0:
             assert non_finite_cells(outputs) == []
 
+    @given(text=corpus_texts(), lambda_damp=st.none() | EXTREMES)
+    @example(text="a b a\n\nb b a\n", lambda_damp=5e-324)
+    @example(text="a a\na a\n", lambda_damp=None)
+    @example(text="a b\nb\n", lambda_damp=None)
+    @example(text="\n\n", lambda_damp=None)
+    @settings(max_examples=60, deadline=None)
+    def test_tfidf_check_corpus_file_exits_cleanly(self, text, lambda_damp):
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus = Path(tmp) / "corpus.txt"
+            corpus.write_text(text)
+            cfg = f"corpus_path = {corpus}\n" + config_text(dict(lambda_damp=lambda_damp))
+            code, outputs = run_main("tfidf-check", cfg)
+        assert code in (0, 2)
+        if code == 0:
+            assert non_finite_cells(outputs) == []
+
     def test_tfidf_check_many_documents_is_two_before_sampling(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("corpus sampled before a config-decided error")
@@ -938,6 +996,28 @@ class TestKeptIterates:
             assert "config error" in err and "MAX_KEPT_FLOATS" in err
             assert "t_steps" in err and "snapshot_every = 1" in err and "43 parameters" in err
 
+    def test_counterexample_over_the_kept_iterate_limit_is_two_before_the_build(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # each run keeps (t_max + 1) times len(eigenvalues) floats per table
+        class Built(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Built
+
+        monkeypatch.setattr("lissakit.cli.counterexample_build", refuse)
+        n = cli.MAX_KEPT_FLOATS // cli.MAX_T_STEPS
+        ones = ", ".join(["1"] * n)
+        code, _ = run_cli(tmp_path, "counterexample", f"eigenvalues = {ones}\nt_max = {cli.MAX_T_STEPS}\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "MAX_KEPT_FLOATS" in err
+        assert f"t_max = {cli.MAX_T_STEPS}" in err and f"{n} eigenvalues" in err
+        with pytest.raises(Built):  # exactly MAX_KEPT_FLOATS floats is allowed
+            run_cli(tmp_path, "counterexample", f"eigenvalues = {ones}\nt_max = {cli.MAX_T_STEPS - 1}\n",
+                    name="at-limit")
+
 
 class TestArtifacts:
     def test_every_file_has_a_header_row(self, tmp_path):
@@ -1022,6 +1102,16 @@ class TestArtifacts:
         assert code == 0
         header = (out / "tfidf_pairs.csv").read_text().splitlines()[0]
         assert header == "doc_a,doc_b,influence_exact,tfidf_sum,tfidf_form,abs_diff"
+
+    @pytest.mark.parametrize("lambda_damp", [1e-300, 1e-308, 5e-324])
+    def test_tfidf_check_at_tiny_damping_gives_the_limit(self, tmp_path, capsys, lambda_damp):
+        # the default synthetic corpus: 50 documents of doc_length = 8 terms
+        code, out = run_cli(tmp_path, "tfidf-check", f"lambda_damp = {lambda_damp!r}\n")
+        assert code == 0
+        worst = float(capsys.readouterr().out.split("worst_abs_diff = ")[1])
+        assert worst <= 1e-9 * 8**2
+        lines = (out / "tfidf_pairs.csv").read_text().splitlines()[1:]
+        assert max(float(line.split(",")[-1]) for line in lines) == worst
 
     def test_tfidf_check_corpus_file_and_mismatch(self, tmp_path):
         corpus = write(tmp_path, "corpus.txt", "a a\na b\nb b\n")

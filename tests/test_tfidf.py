@@ -1,5 +1,7 @@
 """Tests for the bag-of-words model and its TF-IDF influence limit."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,13 +12,11 @@ from lissakit.gnh import softmax_hessian
 from lissakit.tfidf import (
     BowParams,
     Corpus,
-    bow_gradient,
-    bow_inverse_hessian,
+    bow_gradients,
     corpus_from_text,
     corpus_to_text,
     sample_corpus,
     tfidf_equivalence_check,
-    tfidf_weights,
 )
 
 
@@ -30,6 +30,46 @@ def demo_corpus(seed=1):
     p = near_uniform_probs(SeededRng(seed), 10)
     corpus = sample_corpus(SeededRng(seed + 100), 50, 8, p)
     return corpus, BowParams.from_probabilities(p)
+
+
+def influence_matrix(corpus, params, lambda_damp):
+    """influence_exact of every document pair as a symmetric (n_docs, n_docs) array."""
+    out = np.empty((corpus.n_docs, corpus.n_docs))
+    for row in tfidf_equivalence_check(corpus, params, lambda_damp):
+        out[row.doc_a, row.doc_b] = out[row.doc_b, row.doc_a] = row.influence_exact
+    return out
+
+
+def dense_solve_influence(corpus, params, lambda_damp):
+    """G (H + lambda I)^-1 G^T from an LU solve of the dense damped curvature."""
+    grads = bow_gradients(corpus, params)
+    system = softmax_hessian(params.logits) + lambda_damp * np.eye(corpus.vocab_size)
+    return grads @ np.linalg.solve(system, grads.T)
+
+
+def exact_influence(corpus, params, lambda_damp):
+    """G (H + lambda)^-1 G^T in rational arithmetic, with p rescaled to sum to
+    exactly one so that every gradient sums to exactly zero."""
+    p = [Fraction(x) for x in params.probabilities]
+    p = [x / sum(p) for x in p]
+    lam = Fraction(lambda_damp)
+    w = [1 / (x + lam) for x in p]
+    d = [x * y for x, y in zip(p, w)]
+    s = 1 - sum(x * y for x, y in zip(p, d))  # 1 - p^T Diag(w) p
+    grads = [[int(n) - corpus.doc_length * x for n, x in zip(row, p)] for row in corpus.counts()]
+    gd = [sum(g * y for g, y in zip(row, d)) for row in grads]
+    return np.array(
+        [
+            [float(sum(x * y * z for x, y, z in zip(ga, gb, w)) + da * db / s) for gb, db in zip(grads, gd)]
+            for ga, da in zip(grads, gd)
+        ]
+    )
+
+
+def random_corpus(rng, vocab_size, n_docs, doc_length, scale):
+    """A sampled corpus under softmax(scale * normal) term probabilities."""
+    params = BowParams(logits=rng.normal(vocab_size) * scale)
+    return sample_corpus(rng, n_docs, doc_length, params.probabilities), params
 
 
 class TestCorpus:
@@ -143,119 +183,149 @@ class TestBowParams:
 
 
 class TestTfIdfWeights:
-    def test_single_doc_frequencies(self):
-        # doc "a a" over vocabulary {a, b}
-        corpus = Corpus(documents=((0, 0),), vocab_size=2)
-        weights = tfidf_weights(corpus)
-        np.testing.assert_allclose(weights.tf, [[1.0, 0.0]])
+    """The check's TF = counts / |d| and its 1/p term weights."""
 
-    def test_document_frequency_counting(self):
-        # docs "a a" and "a b": DF(a)=1, DF(b)=0.5, IDF(b)=sqrt(2)
-        corpus = Corpus(documents=((0, 0), (0, 1)), vocab_size=2)
-        weights = tfidf_weights(corpus)
-        np.testing.assert_allclose(weights.df, [1.0, 0.5])
-        assert weights.idf[0] == pytest.approx(1.0)
-        assert weights.idf[1] == pytest.approx(np.sqrt(2.0))
+    def test_single_doc_frequencies(self):
+        # doc "a a" over vocabulary {a, b}: TF = (1, 0), so sum_t TF TF / p_t = 1 / p_a
+        corpus = Corpus(documents=((0, 0),), vocab_size=2)
+        params = BowParams.from_probabilities([0.25, 0.75])
+        (row,) = tfidf_equivalence_check(corpus, params, 1.0)
+        assert row.tfidf_sum == pytest.approx(4.0, rel=1e-15)
 
     def test_term_frequencies_normalized(self):
-        corpus, _ = demo_corpus()
-        np.testing.assert_allclose(tfidf_weights(corpus).tf.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_absent_term_flagged(self):
-        corpus = Corpus(documents=((0, 1),), vocab_size=3)
-        weights = tfidf_weights(corpus)
-        assert weights.df[2] == 0.0
-        assert np.isnan(weights.idf[2])
-        np.testing.assert_array_equal(weights.undefined_terms, [2])
+        # |d|^2 sum_t (TF_a - p)(TF_b - p) / p_t is |d|^2 (tfidf_sum - 1) only
+        # when every TF row sums to one
+        corpus, params = demo_corpus()
+        p = params.probabilities
+        centered = corpus.counts() / corpus.doc_length - p
+        for row in tfidf_equivalence_check(corpus, params, 1e-4):
+            expected = corpus.doc_length**2 * float((centered[row.doc_a] * centered[row.doc_b] / p).sum())
+            assert row.tfidf_form == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
 class TestBowGradient:
+    """The gradient block: one row counts - |d| p per document."""
+
     def test_matching_frequencies_give_zero(self):
-        grad = bow_gradient((0, 1), BowParams.from_probabilities([0.5, 0.5]))
-        np.testing.assert_allclose(grad, 0.0, atol=1e-12)
+        corpus = Corpus(documents=((0, 1),), vocab_size=2)
+        grads = bow_gradients(corpus, BowParams.from_probabilities([0.5, 0.5]))
+        np.testing.assert_allclose(grads, 0.0, atol=1e-12)
 
     def test_two_term_example(self):
-        # doc "a a" with p = (0.5, 0.5): gradient (1, -1)
-        grad = bow_gradient((0, 0), BowParams.from_probabilities([0.5, 0.5]))
-        np.testing.assert_allclose(grad, [1.0, -1.0], atol=1e-12)
+        # docs "a a" and "b a" with p = (0.5, 0.5): gradients (1, -1) and (0, 0)
+        corpus = Corpus(documents=((0, 0), (1, 0)), vocab_size=2)
+        grads = bow_gradients(corpus, BowParams.from_probabilities([0.5, 0.5]))
+        np.testing.assert_allclose(grads, [[1.0, -1.0], [0.0, 0.0]], atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), length=st.integers(1, 12))
     def test_entries_sum_to_zero(self, seed, length):
         rng = SeededRng(seed)
         params = BowParams(logits=rng.normal(7))
-        doc = tuple(int(t) for t in rng.integers(length, 7))
-        assert abs(bow_gradient(doc, params).sum()) <= 1e-12
+        docs = tuple(tuple(int(t) for t in rng.integers(length, 7)) for _ in range(3))
+        grads = bow_gradients(Corpus(documents=docs, vocab_size=7), params)
+        assert grads.shape == (3, 7)
+        assert np.abs(grads.sum(axis=1)).max() <= 1e-12
 
     def test_empty_doc_rejected(self):
-        with pytest.raises(ValueError):
-            bow_gradient((), BowParams.from_probabilities([0.5, 0.5]))
+        # the corpus refuses an empty document, so no gradient block is built
+        with pytest.raises(ValueError, match="empty"):
+            corpus = Corpus(documents=((),), vocab_size=2)
+            bow_gradients(corpus, BowParams.from_probabilities([0.5, 0.5]))
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            bow_gradient((2,), BowParams.from_probabilities([0.5, 0.5]))
+        # a term the probabilities do not cover
+        corpus = Corpus(documents=((2,),), vocab_size=3)
+        with pytest.raises(ValueError, match="vocabulary"):
+            bow_gradients(corpus, BowParams.from_probabilities([0.5, 0.5]))
 
 
 class TestBowInverseHessian:
+    """The damped inverse (H + lambda)^-1, as the closed form applies it to the gradients."""
+
     def test_uniform_two_term_matches_dense_inverse(self):
+        corpus = Corpus(documents=((0, 0), (0, 1), (1, 1)), vocab_size=2)
         params = BowParams.from_probabilities([0.5, 0.5])
         dense = np.linalg.inv(np.array([[0.25, -0.25], [-0.25, 0.25]]) + np.eye(2))
-        np.testing.assert_allclose(bow_inverse_hessian(params, 1.0), dense, atol=1e-10)
+        grads = bow_gradients(corpus, params)
+        np.testing.assert_allclose(
+            influence_matrix(corpus, params, 1.0), grads @ dense @ grads.T, atol=1e-10
+        )
 
-    def test_residual_across_damping_range(self):
-        params = BowParams(logits=SeededRng(6).normal(25) * 0.2)
-        H = softmax_hessian(params.logits)
+    def test_matches_dense_solve_across_damping_range(self):
+        rng = SeededRng(6)
+        corpus, params = random_corpus(rng, 25, 30, 9, 0.2)
         for lam in [1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e3]:
-            M = bow_inverse_hessian(params, lam)
-            residual = (H + lam * np.eye(25)) @ M - np.eye(25)
-            assert np.abs(residual).max() <= 1e-10, f"damping {lam}"
+            reference = dense_solve_influence(corpus, params, lam)
+            gap = np.abs(influence_matrix(corpus, params, lam) - reference).max()
+            assert gap <= 1e-12 * np.abs(reference).max(), f"damping {lam}"
 
     def test_matches_dense_solve_at_moderate_damping(self):
-        params = BowParams(logits=SeededRng(7).normal(12))
+        corpus, params = random_corpus(SeededRng(7), 12, 10, 6, 1.0)
         for lam in [1e-2, 1.0, 1e3]:
-            dense = np.linalg.inv(softmax_hessian(params.logits) + lam * np.eye(12))
-            np.testing.assert_allclose(bow_inverse_hessian(params, lam), dense, atol=1e-10)
+            np.testing.assert_allclose(
+                influence_matrix(corpus, params, lam),
+                dense_solve_influence(corpus, params, lam),
+                rtol=1e-12,
+                atol=1e-12,
+            )
 
     def test_large_damping_approaches_scaled_identity(self):
-        params = BowParams(logits=SeededRng(8).normal(15) * 0.5)
+        # lambda (H + lambda)^-1 -> I, so lambda g_a M g_b -> g_a . g_b
+        corpus, params = random_corpus(SeededRng(8), 15, 12, 7, 0.5)
         lam = 1e3
-        H = softmax_hessian(params.logits)
-        gap = np.linalg.norm(lam * bow_inverse_hessian(params, lam) - np.eye(15), 2)
-        assert gap <= 2 * np.linalg.norm(H, 2) / lam
+        grads = bow_gradients(corpus, params)
+        norms = np.linalg.norm(grads, axis=1)
+        curvature_norm = np.linalg.norm(softmax_hessian(params.logits), 2)
+        gap = np.abs(lam * influence_matrix(corpus, params, lam) - grads @ grads.T)
+        assert (gap <= 2 * curvature_norm / lam * np.outer(norms, norms)).all()
 
     def test_non_positive_damping_rejected(self):
+        corpus = Corpus(documents=((0, 1),), vocab_size=2)
         params = BowParams.from_probabilities([0.5, 0.5])
         for lam in [0.0, -1.0]:
-            with pytest.raises(ValueError):
-                bow_inverse_hessian(params, lam)
-
-    def test_damping_that_overflows_the_inverse_rejected(self):
-        # s = lambda * sum_j p_j / (p_j + lambda) is subnormal, so d d^T / s overflows
-        params = BowParams.from_probabilities([0.5, 0.5])
-        for lam in [5e-324, 1e-310]:
             with pytest.raises(ValueError, match="lambda_damp"):
-                bow_inverse_hessian(params, lam)
+                tfidf_equivalence_check(corpus, params, lam)
 
     @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 10_000), log_lam=st.floats(-6, 3))
-    def test_residual_property(self, seed, log_lam):
+    @given(seed=st.integers(0, 10_000), log_lam=st.floats(-8, 3))
+    def test_matches_dense_solve_property(self, seed, log_lam):
         rng = SeededRng(seed)
         size = 2 + int(rng.integers(1, 28)[0])
-        params = BowParams(logits=rng.normal(size) * 0.4)
+        n_docs = 1 + int(rng.integers(1, 12)[0])
+        length = 1 + int(rng.integers(1, 12)[0])
+        corpus, params = random_corpus(rng, size, n_docs, length, 0.4)
         lam = 10.0**log_lam
-        M = bow_inverse_hessian(params, lam)
-        residual = (softmax_hessian(params.logits) + lam * np.eye(size)) @ M - np.eye(size)
-        assert np.abs(residual).max() <= 1e-10
+        reference = dense_solve_influence(corpus, params, lam)
+        gap = np.abs(influence_matrix(corpus, params, lam) - reference).max()
+        assert gap <= 1e-12 * np.abs(reference).max()
 
 
 class TestEquivalenceCheck:
-    def test_overflowing_influence_rejected(self):
-        # the inverse is finite, but its rank-one term near 1e308 overflows g^T M g
+    def test_tiny_damping_gives_the_zero_damping_limit(self):
+        # the dense inverse's rank-one term, about 1/(lambda V), overflowed here
+        # or cancelled to ~1e284 against the zero-sum gradients; the closed
+        # form has no such term, so influence_exact is the TF-IDF form itself
         corpus = Corpus(documents=((0,) * 8, (1, 2) * 4), vocab_size=3)
         params = BowParams.from_probabilities([0.2, 0.3, 0.5])
-        assert np.isfinite(bow_inverse_hessian(params, 3e-309)).all()
-        with pytest.raises(ValueError, match="overflows the exact influence"):
-            tfidf_equivalence_check(corpus, params, 3e-309)
+        for lam in [3e-309, 1e-310, 5e-324]:
+            rows = {(r.doc_a, r.doc_b): r for r in tfidf_equivalence_check(corpus, params, lam)}
+            # |d|^2 (sum_t TF TF / p_t - 1): 64 (1/0.2 - 1), 64 (0.25/0.3 + 0.25/0.5 - 1), -64
+            assert rows[(0, 0)].influence_exact == pytest.approx(256.0, rel=1e-14)
+            expected = 64 * (0.25 / 0.3 + 0.25 / 0.5 - 1)
+            assert rows[(1, 1)].influence_exact == pytest.approx(expected, rel=1e-14)
+            assert rows[(0, 1)].influence_exact == pytest.approx(-64.0, rel=1e-14)
+            assert max(r.abs_diff for r in rows.values()) <= 1e-12
+
+    def test_matches_exact_arithmetic_across_the_float_range(self):
+        # no cancellation at either end: a tiny damping leaves no 1/lambda
+        # term, and a large one no rounding noise of sum_j g_j
+        for seed in range(3):
+            corpus, params = random_corpus(SeededRng(seed), 5, 4, 6, 0.8)
+            for lam in [5e-324, 1e-300, 1e-8, 1.0, 1e8, 1e20, 1e300, 1.7e308]:
+                reference = exact_influence(corpus, params, lam)
+                gap = np.abs(influence_matrix(corpus, params, lam) - reference).max()
+                assert gap <= 1e-14 * np.abs(reference).max(), f"seed {seed}, damping {lam}"
 
     def test_disjoint_frequency_pair_is_zero(self):
         # docs "a a" and "a b" at p = (0.5, 0.5): both forms vanish
@@ -280,8 +350,7 @@ class TestEquivalenceCheck:
         corpus, params = demo_corpus()
         lam = 1e3
         rows = tfidf_equivalence_check(corpus, params, lam)
-        weights = tfidf_weights(corpus)
-        grads = (weights.tf - params.probabilities) * corpus.doc_length
+        grads = bow_gradients(corpus, params)
         norms = np.linalg.norm(grads, axis=1)
         curvature_norm = np.linalg.norm(softmax_hessian(params.logits), 2)
         deviations = 0
@@ -314,8 +383,7 @@ class TestEquivalenceCheck:
         fitted = []
         for seed in [1, 2]:
             corpus, params = demo_corpus(seed)
-            weights = tfidf_weights(corpus)
-            grads = (weights.tf - params.probabilities) * corpus.doc_length
+            grads = bow_gradients(corpus, params)
             norms = np.linalg.norm(grads, axis=1)
             for lam in [1e-6, 1e-4]:
                 rows = tfidf_equivalence_check(corpus, params, lam)
@@ -342,14 +410,16 @@ class TestSqrtIdfApproximation:
         p = near_uniform_probs(SeededRng(11), 40)
         corpus = sample_corpus(SeededRng(12), 2000, 4, p)
         assert (p * corpus.doc_length).max() < 0.15
-        weights = tfidf_weights(corpus)
-        assert weights.undefined_terms.size == 0
+        counts = corpus.counts()
+        df = (counts > 0).mean(axis=0)
+        assert (df > 0).all()
 
-        tf = weights.tf
+        tf = counts / corpus.doc_length
         n = corpus.n_docs
         totals = tf.sum(axis=0)
         squares = (tf**2).sum(axis=0)
         pair_mean = (totals**2 - squares) / (n * (n - 1))
-        idf_dot = float((pair_mean * weights.idf**2).sum())
+        # sqrt-IDF weights sqrt(1/DF) enter the dot product squared
+        idf_dot = float((pair_mean / df).sum())
         prob_dot = float((pair_mean / p).sum()) / corpus.doc_length
         assert idf_dot / prob_dot == pytest.approx(1.0, abs=0.2)
