@@ -287,6 +287,15 @@ class TestBowInverseHessian:
             with pytest.raises(ValueError, match="lambda_damp"):
                 tfidf_equivalence_check(corpus, params, lam)
 
+    def test_damping_that_overflows_the_inverse_rejected(self):
+        # a subnormal p_t + lambda overflows w_t = 1 / (p_t + lambda)
+        corpus = Corpus(documents=((0, 1), (0, 0)), vocab_size=2)
+        params = BowParams(logits=[0.0, -744.0])
+        assert params.probabilities[1] < 1e-320
+        for lam in [5e-324, 1e-310]:
+            with pytest.raises(ValueError, match="lambda_damp"):
+                tfidf_equivalence_check(corpus, params, lam)
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), log_lam=st.floats(-8, 3))
     def test_matches_dense_solve_property(self, seed, log_lam):
@@ -316,6 +325,14 @@ class TestEquivalenceCheck:
             assert rows[(1, 1)].influence_exact == pytest.approx(expected, rel=1e-14)
             assert rows[(0, 1)].influence_exact == pytest.approx(-64.0, rel=1e-14)
             assert max(r.abs_diff for r in rows.values()) <= 1e-12
+
+    def test_overflowing_influence_rejected(self):
+        # w is finite, but |d|^2 w_t near 1e311 overflows g Diag(w) g^T
+        corpus = Corpus(documents=((1,) * 100, (0,) * 100), vocab_size=2)
+        params = BowParams.from_probabilities([1.0 - 1e-307, 1e-307])
+        assert np.isfinite(1.0 / (params.probabilities + 3e-309)).all()
+        with pytest.raises(ValueError, match="non-finite exact influence"):
+            tfidf_equivalence_check(corpus, params, 3e-309)
 
     def test_matches_exact_arithmetic_across_the_float_range(self):
         # no cancellation at either end: a tiny damping leaves no 1/lambda
