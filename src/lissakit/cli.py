@@ -63,10 +63,11 @@ MAX_T_STEPS = 1_000_000
 # Largest probe count a command accepts: the probe loop keeps one sample per
 # probe, and each probe costs one to three HVPs.
 MAX_PROBES = 1_000_000
-# Largest number of floats a command keeps in one table: convergence keeps one
+# Largest number of floats a command holds in one array: convergence keeps one
 # copy of the iterate per snapshot until it correlates them, counterexample
-# one iterate and its moment sums per step, and tfidf-check dense count,
-# gradient and pair tables, so this caps each at 80 MB.
+# one iterate and its moment sums per step, and tfidf-check its corpus and its
+# count, gradient and pair arrays, so this caps each array at 80 MB.  It does
+# not cap the text of a table that a command writes.
 MAX_KEPT_FLOATS = 10**7
 # Largest number of random words one draw of a command may take: a batch of
 # b examples draws b words per step (b times n_train in the lockstep finetunes
@@ -176,7 +177,8 @@ def _build_data(run: RunContext, spec: ModelSpec, n_test: int = 0):
             raise ConfigError("dataset labels must be non-negative")
     else:
         n_full = cfg.n_examples + n_test
-        _check_draw(f"{n_full} examples of {spec.input_dim} features", n_full * spec.input_dim)
+        what = f"a draw of n_examples + n_test = {n_full} examples of {spec.input_dim} features"
+        _check_limit(what, n_full * spec.input_dim, "MAX_DRAW_WORDS")
         full = make_blobs(run.rng("dataset"), n_full, spec.input_dim, spec.n_classes, cfg.separation)
     if n_test == 0:
         return full, None
@@ -188,21 +190,24 @@ def _build_data(run: RunContext, spec: ModelSpec, n_test: int = 0):
     return train, test
 
 
-def _check_dense_size(spec: ModelSpec) -> None:
-    """A model over MAX_DENSE_PARAMS has no dense reference: a config error."""
-    if spec.n_params > MAX_DENSE_PARAMS:
-        raise ConfigError(
-            f"model has {spec.n_params} parameters, over the dense reference's limit "
-            f"MAX_DENSE_PARAMS = {MAX_DENSE_PARAMS}; "
-            "only lissa (eta set, no tolerance) and pbrf-compare (eta set) run without it"
-        )
+def _check_limit(what: str, amount: int | None, limit: str, hint: str = "") -> None:
+    """The CLI's one limit check: ``amount``, the count that ``what`` names, over
+    the module constant named ``limit`` is a config error.  Each command calls
+    it where the amount is first known, on what its run draws or keeps; every
+    limit is inclusive, and an absent amount (None) passes."""
+    value = globals()[limit]
+    if amount is not None and amount > value:
+        raise ConfigError(f"{what} is over the limit {limit} = {value}" + (hint and f"; {hint}"))
 
 
 def _dense_gnh(run: RunContext, spec: ModelSpec, theta, train) -> SymEig:
     """The dense GNH, decomposed once for every dense quantity of a command.
     Curvature can overflow where the logits do not (huge features), giving a
     non-finite matrix, which sym_eig rejects: a config error."""
-    _check_dense_size(spec)
+    _check_limit(
+        f"a dense GNH of {spec.n_params} parameters", spec.n_params, "MAX_DENSE_PARAMS",
+        "only lissa (eta set, no tolerance) and pbrf-compare (eta set) run without it",
+    )
     with np.errstate(over="ignore", invalid="ignore"):
         H = gnh_matrix_exact(spec, theta, train)
     try:
@@ -232,22 +237,25 @@ def _oracle_ihvp(run: RunContext, dense: SymEig, g: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def _check_step_count_derivable(run: RunContext, field: str = "t_steps") -> None:
-    """An omitted step count (``field``: t_steps, or pbrf_steps in its place)
-    comes from eta and lambda_damp (spectral.step_count), which give none at
-    lambda_damp = 0.  The config alone decides this, so commands check it
-    before any model work."""
-    if getattr(run.cfg, field) is None and not run.cfg.lambda_damp > 0:
+def _check_given_step_count(run: RunContext, field: str = "t_steps") -> None:
+    """The step count in ``field`` (t_steps, or pbrf_steps in its place), when
+    given, is bounded by MAX_T_STEPS; when omitted it comes from eta and
+    lambda_damp (spectral.step_count), which give none at lambda_damp = 0.
+    The config alone decides both, so commands check them before any model
+    work."""
+    steps = getattr(run.cfg, field)
+    if steps is None and not run.cfg.lambda_damp > 0:
         raise ConfigError(f"{field} must be given when lambda_damp is 0")
+    _check_limit(f"{field} = {steps}", steps, "MAX_T_STEPS", f"set a smaller {field}")
 
 
 def _solver_settings(run: RunContext, dense: SymEig | None, field: str = "t_steps"):
     """eta and the step count from config; an omitted eta comes from the dense
     GNH's top eigenvalue (dense is None when eta is set), an omitted step
     count from eta.  ``field`` names the config field that gives the step
-    count.  A step count, given or derived, over MAX_T_STEPS is a config error."""
+    count, which _check_given_step_count has checked; a derived count over
+    MAX_T_STEPS is a config error."""
     cfg = run.cfg
-    _check_step_count_derivable(run, field)
     eta = cfg.eta
     if eta is None:
         eta = step_size(float(dense.values[0]), cfg.lambda_damp)
@@ -257,35 +265,28 @@ def _solver_settings(run: RunContext, dense: SymEig | None, field: str = "t_step
             t_steps = step_count(eta, cfg.lambda_damp, cfg.t_multiplier)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    _check_count(t_steps, field)
+        _check_limit(
+            f"{field} = {t_steps} (derived from eta = {eta!r})", t_steps, "MAX_T_STEPS",
+            f"set {field}, raise eta or lambda_damp, or lower t_multiplier",
+        )
     return eta, t_steps
 
 
-def _check_count(value: int | None, field: str = "t_steps", limit: int = MAX_T_STEPS) -> None:
-    """A count over its limit is a config error: a step count, given, derived
-    or recommended, over MAX_T_STEPS, or n_probes over MAX_PROBES."""
-    if value is not None and value > limit:
-        raise ConfigError(
-            f"{field} = {value} is over the limit of {limit}; set a smaller {field}"
-            + (", or raise eta or lambda_damp" if field == "t_steps" else "")
-        )
-
-
-def _check_draw(what: str, words: int) -> None:
-    """A draw of more than MAX_DRAW_WORDS words, set by ``what``, is a config error."""
-    if words > MAX_DRAW_WORDS:
-        raise ConfigError(f"{what} draws more than MAX_DRAW_WORDS = {MAX_DRAW_WORDS} words at once")
-
-
 def _recommend(run: RunContext, trace: float, lambda_max: float):
-    """recommend_hyperparams at the run's settings; settings over a solver limit are a config error."""
+    """recommend_hyperparams at the run's settings; settings that the solvers
+    would refuse are a config error.  T = t_multiplier (lambda_max +
+    lambda_damp) / lambda_damp and |B| = c_const trace / lambda_max."""
     cfg = run.cfg
     try:
         hp = recommend_hyperparams(trace, lambda_max, cfg.lambda_damp, cfg.c_const, cfg.t_multiplier)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    _check_count(hp.t_steps)
-    _check_draw(f"recommended batch_size = {float(hp.batch_size_min):.6g}", hp.batch_size_min)
+    _check_limit(
+        f"the recommended t_steps = {hp.t_steps}", hp.t_steps, "MAX_T_STEPS",
+        "raise lambda_damp or lower t_multiplier",
+    )
+    what = f"the recommended batch_size = {float(hp.batch_size_min):.6g}"
+    _check_limit(what, hp.batch_size_min, "MAX_DRAW_WORDS", "lower c_const")
     return hp
 
 
@@ -303,17 +304,15 @@ def _stochastic_operator(run: RunContext, spec, theta, train, batch_size):
 
 def cmd_stats(run: RunContext) -> None:
     cfg = run.cfg
-    _check_count(cfg.n_probes, "n_probes", MAX_PROBES)
+    _check_limit(f"n_probes = {cfg.n_probes}", cfg.n_probes, "MAX_PROBES")
     spec, theta = _build_model(run)
     train, _ = _build_data(run, spec)
     _check_finite_logits(run, spec, theta, train)
     op = _stochastic_operator(run, spec, theta, train, None)
     sketch_cfg = SketchConfig(cfg.sketch_dim, run.sub_seed("sketch"), cfg.sketch_layout)
     columns = sketch_size(op, sketch_cfg)
-    if columns > MAX_DENSE_PARAMS:
-        raise ConfigError(
-            f"sketch_dim = {cfg.sketch_dim} gives {columns} sketch columns, over {MAX_DENSE_PARAMS}"
-        )
+    layout = f"sketch_dim = {cfg.sketch_dim}, sketch_layout = {cfg.sketch_layout}"
+    _check_limit(f"{columns} sketch columns ({layout})", columns, "MAX_DENSE_PARAMS")
     # curvature that overflows gives a non-finite sketch, which sym_eig rejects
     with np.errstate(over="ignore", invalid="ignore"):
         trace = estimate_trace(op, cfg.n_probes, run.rng("trace-probes"))
@@ -376,9 +375,9 @@ def cmd_lissa(run: RunContext) -> None:
     cfg = run.cfg
     if cfg.tolerance is not None:
         _check_oracle_damping(run)
-    _check_step_count_derivable(run)
+    _check_given_step_count(run)
     if cfg.batch_size is not None:
-        _check_draw(f"batch_size = {cfg.batch_size}", cfg.batch_size)
+        _check_limit(f"a draw of batch_size = {cfg.batch_size}", cfg.batch_size, "MAX_DRAW_WORDS")
     spec, theta = _build_model(run)
     train, _ = _build_data(run, spec)
     _check_finite_logits(run, spec, theta, train)
@@ -438,9 +437,10 @@ def cmd_convergence(run: RunContext) -> None:
     _check_oracle_damping(run)
     if cfg.n_test < 2:
         raise ConfigError("convergence needs n_test >= 2")
+    _check_given_step_count(run)
     batch_sizes = cfg.require("batch_sizes")
     for b in batch_sizes:
-        _check_draw(f"batch_sizes entry {b}", b)
+        _check_limit(f"a draw of batch_sizes entry {b}", b, "MAX_DRAW_WORDS")
     spec, theta = _build_model(run)
     train, test = _build_data(run, spec, n_test=cfg.n_test)
     _check_finite_logits(run, spec, theta, train, test)
@@ -450,12 +450,12 @@ def cmd_convergence(run: RunContext) -> None:
     dense = _dense_gnh(run, spec, theta, train)
     eta, t_steps = _solver_settings(run, dense)
     snapshot_every = cfg.snapshot_every or max(1, t_steps // 50)
-    if (t_steps // snapshot_every + 1) * spec.n_params > MAX_KEPT_FLOATS:
-        raise ConfigError(
-            f"t_steps = {t_steps} with snapshot_every = {snapshot_every} keeps more than "
-            f"MAX_KEPT_FLOATS = {MAX_KEPT_FLOATS} floats of iterates for a model of "
-            f"{spec.n_params} parameters; raise snapshot_every or lower t_steps"
-        )
+    snapshots = t_steps // snapshot_every + 1
+    _check_limit(
+        f"{snapshots} kept iterates of {spec.n_params} parameters (t_steps = {t_steps}, "
+        f"snapshot_every = {snapshot_every})", snapshots * spec.n_params, "MAX_KEPT_FLOATS",
+        "raise snapshot_every or lower t_steps",
+    )
     g = -loss_gradient(spec, theta, train[cfg.train_index]).values
     u_star = _oracle_ihvp(run, dense, g)
     test_grads = [measurement_gradient(spec, theta, test[j]).values for j in range(len(test))]
@@ -485,12 +485,15 @@ def cmd_pbrf_compare(run: RunContext) -> None:
         raise ConfigError("need at least ten (train, test) pairs to compare")
     # pbrf_steps, when set, is the step count of the solves and the finetunes
     steps_field = "t_steps" if cfg.pbrf_steps is None else "pbrf_steps"
-    _check_step_count_derivable(run, steps_field)
-    _check_count(getattr(cfg, steps_field), steps_field)
+    _check_given_step_count(run, steps_field)
     batch_size = cfg.batch_size if cfg.batch_size is not None else 32
-    _check_draw(f"n_train = {cfg.n_train} times batch_size = {batch_size}", cfg.n_train * batch_size)
     spec, theta = _build_model(run)
     train, test = _build_data(run, spec, n_test=cfg.n_test)
+    # A batch of the whole training set runs the solves and the finetunes full
+    # batch and draws nothing; a smaller one draws n_train batches at once.
+    full_batch = batch_size >= len(train)
+    what = f"a draw of n_train = {cfg.n_train} times batch_size = {batch_size}"
+    _check_limit(what, None if full_batch else cfg.n_train * batch_size, "MAX_DRAW_WORDS")
     _check_finite_logits(run, spec, theta, train, test)
     if cfg.n_train > len(train):
         raise ConfigError("n_train exceeds the training set")
@@ -503,11 +506,8 @@ def cmd_pbrf_compare(run: RunContext) -> None:
     # The solves run in item order and stop at the first divergence; then the
     # finetunes of the items before it run in lockstep.  Errors come in item
     # order, a solve's before its own finetune's, as if each item ran its
-    # solve and its finetune in turn.  A batch of the whole training set is
-    # full batch for the finetunes, so the solves take the full-batch operator.
-    op = _stochastic_operator(
-        run, spec, theta, train, None if batch_size >= len(train) else batch_size
-    )
+    # solve and its finetune in turn.
+    op = _stochastic_operator(run, spec, theta, train, None if full_batch else batch_size)
     solved, divergence = [], None
     for i in range(cfg.n_train):
         g = loss_gradient(spec, theta, train[i])
@@ -559,9 +559,9 @@ def cmd_pbrf_compare(run: RunContext) -> None:
 def cmd_condition_c1(run: RunContext) -> None:
     cfg = run.cfg
     batch_sizes = cfg.require("batch_sizes")
-    _check_count(cfg.n_probes, "n_probes", MAX_PROBES)
+    _check_limit(f"n_probes = {cfg.n_probes}", cfg.n_probes, "MAX_PROBES")
     spec, theta = _build_model(run)
-    _check_dense_size(spec)
+    _check_limit(f"a dense GNH of {spec.n_params} parameters", spec.n_params, "MAX_DENSE_PARAMS")
     train, _ = _build_data(run, spec)
     _check_finite_logits(run, spec, theta, train)
     rows = check_condition_c1(
@@ -596,17 +596,15 @@ def cmd_counterexample(run: RunContext) -> None:
     cfg = run.cfg
     eigenvalues = cfg.require("eigenvalues")
     batch_size = cfg.batch_size if cfg.batch_size is not None else 1
-    _check_count(cfg.t_max, "t_max")
     n = len(eigenvalues)
-    if n > MAX_DENSE_PARAMS:
-        raise ConfigError(f"{n} eigenvalues are over the dense rotation's limit {MAX_DENSE_PARAMS}")
-    _check_draw(f"batch_size = {batch_size} times {n} eigenvalues", batch_size * n)
-    if (cfg.t_max + 1) * n > MAX_KEPT_FLOATS:
-        raise ConfigError(
-            f"t_max = {cfg.t_max} with {n} eigenvalues keeps {(cfg.t_max + 1) * n} floats of "
-            f"iterates per table, over MAX_KEPT_FLOATS = {MAX_KEPT_FLOATS}; lower t_max or "
-            "use fewer eigenvalues"
-        )
+    _check_limit(f"t_max = {cfg.t_max}", cfg.t_max, "MAX_T_STEPS")
+    _check_limit(f"a dense rotation of {n} eigenvalues", n, "MAX_DENSE_PARAMS")
+    what = f"a draw of batch_size = {batch_size} times {n} eigenvalues"
+    _check_limit(what, batch_size * n, "MAX_DRAW_WORDS")
+    _check_limit(
+        f"{cfg.t_max + 1} kept iterates of {n} eigenvalues (t_max = {cfg.t_max})", (cfg.t_max + 1) * n,
+        "MAX_KEPT_FLOATS", "lower t_max or use fewer eigenvalues",
+    )
     try:
         eta = cfg.eta if cfg.eta is not None else step_size(max(eigenvalues), cfg.lambda_damp)
         # extreme eigenvalues overflow the closed form; it is checked below
@@ -662,21 +660,9 @@ def cmd_counterexample(run: RunContext) -> None:
     print(f"max_growth_factor = {_fmt(growth)}")
 
 
-def _check_tfidf_tables(n_docs: int, doc_length: int, vocab_size: int) -> None:
-    """tfidf-check holds its corpus and dense count, gradient and pair tables;
-    one over MAX_KEPT_FLOATS entries is a config error.  This also bounds the
-    probability draw and each document's draw by MAX_DRAW_WORDS."""
-    for what, entries in (
-        (f"n_docs = {n_docs} times doc_length = {doc_length} terms", n_docs * doc_length),
-        (f"n_docs = {n_docs} times vocab_size = {vocab_size} counts", n_docs * vocab_size),
-        (f"n_docs = {n_docs} squared document pairs", n_docs**2),
-    ):
-        if entries > MAX_KEPT_FLOATS:
-            raise ConfigError(f"tfidf-check keeps {what}, over MAX_KEPT_FLOATS = {MAX_KEPT_FLOATS}")
-
-
 def cmd_tfidf_check(run: RunContext) -> None:
     cfg = run.cfg
+    corpus = None
     if cfg.corpus_path is not None:
         try:
             text = Path(cfg.corpus_path).read_text()
@@ -688,28 +674,39 @@ def cmd_tfidf_check(run: RunContext) -> None:
             raise ConfigError(str(exc)) from exc
         if corpus.vocab_size < 2:
             raise ConfigError(f"corpus {cfg.corpus_path!r} needs at least two distinct terms")
-        _check_tfidf_tables(corpus.n_docs, corpus.doc_length, corpus.vocab_size)
-        counts = corpus.counts().sum(axis=0)
-        p = (counts + 1.0) / (counts.sum() + corpus.vocab_size)
+        n_docs, length, vocab = corpus.n_docs, corpus.doc_length, corpus.vocab_size
     else:
-        _check_tfidf_tables(cfg.n_docs, cfg.doc_length, cfg.vocab_size)
-        raw = run.rng("tfidf-probs").uniform(cfg.vocab_size) * 0.4 + 0.8
+        n_docs, length, vocab = cfg.n_docs, cfg.doc_length, cfg.vocab_size
+    # the corpus (also each document's draw), the count and gradient arrays
+    # (also the probability draw) and the pair arrays
+    for what, floats in (
+        (f"n_docs = {n_docs} times doc_length = {length} terms", n_docs * length),
+        (f"n_docs = {n_docs} times vocab_size = {vocab} counts", n_docs * vocab),
+        (f"n_docs = {n_docs} squared document pairs", n_docs**2),
+    ):
+        _check_limit(f"an array of {what}", floats, "MAX_KEPT_FLOATS")
+    if corpus is None:
+        raw = run.rng("tfidf-probs").uniform(vocab) * 0.4 + 0.8
         p = raw / raw.sum()
-        corpus = sample_corpus(run.rng("tfidf-corpus"), cfg.n_docs, cfg.doc_length, p)
+        corpus = sample_corpus(run.rng("tfidf-corpus"), n_docs, length, p)
+    else:
+        counts = corpus.counts().sum(axis=0)
+        p = (counts + 1.0) / (counts.sum() + vocab)
     params = BowParams.from_probabilities(p)
     try:
-        rows = tfidf_equivalence_check(corpus, params, cfg.lambda_damp)
+        influence, tfidf_sum, tfidf_form = tfidf_equivalence_check(corpus, params, cfg.lambda_damp)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # one row per unordered pair a <= b, read from the upper triangles
+    a, b = np.triu_indices(n_docs)
+    exact, form = influence[a, b], tfidf_form[a, b]
+    abs_diff = np.abs(exact - form)
     run.emit_csv(
         "tfidf_pairs.csv",
         ["doc_a", "doc_b", "influence_exact", "tfidf_sum", "tfidf_form", "abs_diff"],
-        [
-            (r.doc_a, r.doc_b, r.influence_exact, r.tfidf_sum, r.tfidf_form, r.abs_diff)
-            for r in rows
-        ],
+        zip(a, b, exact, tfidf_sum[a, b], form, abs_diff),
     )
-    worst = max(r.abs_diff for r in rows)
+    worst = abs_diff.max()
     print(f"worst_abs_diff = {_fmt(worst)}")
     if cfg.tolerance is not None:
         bound = cfg.tolerance * corpus.doc_length**2

@@ -136,41 +136,27 @@ def bow_gradients(corpus: Corpus, params: BowParams) -> np.ndarray:
     return corpus.counts() - corpus.doc_length * p
 
 
-@dataclass(frozen=True)
-class PairEquivalence:
-    """Exact damped influence of one document pair next to its TF forms.
-
-    tfidf_sum is the bare weighted dot product sum_t TF TF / p_t;
-    tfidf_form rescales and centers it to |d|^2 (tfidf_sum - 1), which is
-    what the centered gradients actually produce as the damping vanishes.
-    """
-
-    doc_a: int
-    doc_b: int
-    influence_exact: float
-    tfidf_sum: float
-    tfidf_form: float
-
-    @property
-    def abs_diff(self) -> float:
-        return abs(self.influence_exact - self.tfidf_form)
-
-
 def tfidf_equivalence_check(
     corpus: Corpus, params: BowParams, lambda_damp: float
-) -> list[PairEquivalence]:
-    """Exact influence versus the TF-IDF limit for every unordered doc pair.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact influence versus the TF-IDF limit for every document pair.
 
-    influence_exact = g_a (H + lambda)^-1 g_b with H = Diag(p) - p p^T.  By
-    Sherman-Morrison, with w = 1/(p + lambda) and c = G w for the gradient
-    block G, the inverse gives G Diag(w) G^T plus (G d)(G d)^T / s, where
-    d = p w and s = lambda sum_j p_j w_j.  Every gradient sums to zero, so
+    Returns three (n_docs, n_docs) arrays whose entry (a, b) belongs to the
+    pair (a, b), self pairs included; each is symmetric up to rounding.
+    influence_exact is g_a (H + lambda)^-1 g_b.  tfidf_sum is the bare
+    weighted dot product sum_t TF TF / p_t; tfidf_form rescales and centers it
+    to |d|^2 (tfidf_sum - 1), which is what the centered gradients actually
+    produce as the damping vanishes.
+
+    By Sherman-Morrison, with H = Diag(p) - p p^T, w = 1/(p + lambda) and
+    c = G w for the gradient block G, the inverse gives G Diag(w) G^T plus
+    (G d)(G d)^T / s, where d = p w and s = lambda sum_j p_j w_j.  Every gradient sums to zero, so
     g . d = -lambda g . w, and the second term is lambda c c^T / sum_j p_j w_j:
     only length-V vectors, and no 1/lambda term to cancel.  For the same
     reason c equals G v with v = w - 1/(1 + lambda) = (1 - p) w / (1 + lambda);
     at a large damping w is nearly constant, and G w would be the rounding
     noise of sum_j g_j.  The gap to tfidf_form shrinks linearly in the
-    damping.  Self pairs are included.
+    damping.
     """
     if not lambda_damp > 0:
         raise ValueError(f"lambda_damp = {lambda_damp!r} must be positive")
@@ -188,16 +174,4 @@ def tfidf_equivalence_check(
     length = corpus.doc_length
     tf = corpus.counts() / length
     tf_sum = (tf * (1.0 / p)) @ tf.T
-    rows = []
-    for a in range(corpus.n_docs):
-        for b in range(a, corpus.n_docs):
-            rows.append(
-                PairEquivalence(
-                    doc_a=a,
-                    doc_b=b,
-                    influence_exact=float(influence[a, b]),
-                    tfidf_sum=float(tf_sum[a, b]),
-                    tfidf_form=float(length**2 * (tf_sum[a, b] - 1.0)),
-                )
-            )
-    return rows
+    return influence, tf_sum, length**2 * (tf_sum - 1.0)

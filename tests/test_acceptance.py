@@ -491,8 +491,9 @@ def test_criterion_10_tfidf_matches_influence(acceptance_log):
     lambdas = (1e-8, 1e-6, 1e-4)
     worst = {}
     for lam in lambdas:
-        rows = tfidf_equivalence_check(corpus, params, lam)
-        worst[lam] = max(r.abs_diff for r in rows)
+        influence, _, form = tfidf_equivalence_check(corpus, params, lam)
+        upper = np.triu_indices(corpus.n_docs)  # the unordered pairs a <= b
+        worst[lam] = float(np.abs(influence[upper] - form[upper]).max())
     tight_ok = worst[1e-8] <= 1e-6 * doc_len_sq
     slopes = [worst[lam] / lam for lam in lambdas]
     linear_ok = max(slopes) <= 1.2 * min(slopes)

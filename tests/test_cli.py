@@ -568,8 +568,9 @@ class TestExitCodes:
         [
             ("lissa", QUAD_CFG.replace("batch_size = 64", "batch_size = 100000000000"), "batch_size"),
             ("convergence", QUAD_CFG + "n_test = 5\nbatch_sizes = 8, 100000000000\n", "batch_sizes"),
-            ("pbrf-compare", QUAD_CFG.replace("batch_size = 64", "batch_size = 5000001")
-             + "n_train = 2\nn_test = 5\n", "n_train = 2 times batch_size"),
+            # 100 batches of 100001, below the 100010 training examples: 10,000,100 words
+            ("pbrf-compare", "\nmodel_kind = softmax-linear\nlayer_sizes = 1, 2\nn_examples = 100010\n"
+             "n_test = 5\nn_train = 100\nbatch_size = 100001\n", "n_train = 100 times batch_size"),
             ("counterexample", "eigenvalues = 1, 1\nbatch_size = 100000000000\nt_max = 3\nn_runs = 2\n",
              "batch_size"),
             ("counterexample", "eigenvalues = 1, 1, 1\nbatch_size = 3333334\nt_max = 3\nn_runs = 2\n",
@@ -582,17 +583,34 @@ class TestExitCodes:
         def refuse(*args, **kwargs):
             raise AssertionError("model work before a config-decided error")
 
-        monkeypatch.setattr("lissakit.cli._build_model", refuse)
-        monkeypatch.setattr("lissakit.cli.counterexample_build", refuse)
+        # pbrf-compare draws nothing when its batch covers the training set, so
+        # it counts its draw once that set is built, and before any solve
+        if command != "pbrf-compare":
+            monkeypatch.setattr("lissakit.cli._build_model", refuse)
+        for name in ("counterexample_build", "lissa_solve", "pbrf_finetune"):
+            monkeypatch.setattr(f"lissakit.cli.{name}", refuse)
         code, _ = run_cli(tmp_path, command, text)
         assert code == 2
         err = capsys.readouterr().err
         assert "config error" in err and field in err and "MAX_DRAW_WORDS" in err
 
+    def test_pbrf_compare_batch_over_the_training_set_draws_nothing(self, tmp_path):
+        # n_train times batch_size is 10,000,002 words, but a batch of at least
+        # the 30 training examples runs full batch: the same bytes as batch_size 30
+        text = MLP_4_5_3 + "n_examples = 30\nn_test = 5\nn_train = 2\nt_steps = 3\neta = 0.1\n"
+        code, huge = run_cli(tmp_path, "pbrf-compare", text + "batch_size = 5000001\n", name="huge")
+        assert code == 0
+        _, covering = run_cli(tmp_path, "pbrf-compare", text + "batch_size = 30\n", name="covering")
+        for name in ("pbrf_pairs.csv", "pbrf_summary.csv"):
+            assert (huge / name).read_bytes() == (covering / name).read_bytes()
+
     def test_draw_limit_is_inclusive(self):
-        cli._check_draw("batch_size", cli.MAX_DRAW_WORDS)
-        with pytest.raises(ConfigError, match="batch_size"):
-            cli._check_draw("batch_size", cli.MAX_DRAW_WORDS + 1)
+        for limit in ("MAX_T_STEPS", "MAX_PROBES", "MAX_KEPT_FLOATS", "MAX_DRAW_WORDS", "MAX_DENSE_PARAMS"):
+            value = getattr(cli, limit)
+            cli._check_limit("batch_size", value, limit)
+            cli._check_limit("batch_size", None, limit)
+            with pytest.raises(ConfigError, match=f"batch_size is over the limit {limit} = {value}$"):
+                cli._check_limit("batch_size", value + 1, limit)
 
     def test_counterexample_eigenvalue_count_over_dense_limit_is_two(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):
@@ -621,6 +639,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and field in err
         assert not any(out.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [("recommend", "trace = 1\nlambda_max = 1\nlambda_damp = 1e-9\n"),
+         ("stats", LINEAR_4_3 + "lambda_damp = 1e-9\n")],
+    )
+    def test_recommended_step_limit_names_the_fields_it_reads(self, tmp_path, capsys, command, text):
+        # T = t_multiplier (lambda_max + lambda_damp) / lambda_damp: neither command
+        # reads t_steps or eta, so the message names neither as a remedy
+        code, _ = run_cli(tmp_path, command, text)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "recommended t_steps" in err and "MAX_T_STEPS" in err
+        remedy = err.split(";")[1]
+        assert "lambda_damp" in remedy and "t_multiplier" in remedy
+        assert "t_steps" not in remedy and "eta" not in remedy
 
     def test_counterexample_computes_the_closed_form_once(self, tmp_path, monkeypatch):
         calls = []
@@ -697,7 +731,52 @@ def corpus_texts(draw):
     )
 
 
+@st.composite
+def malformed_datasets(draw):
+    """Dataset CSV files for a 4-feature, 3-class model with one defect: a
+    ragged row, a label that is not an integer class (non-integer, negative,
+    written as 1e30 or past the last class), a non-finite or non-numeric
+    feature, a header only, or an empty file."""
+    n_rows = draw(st.integers(1, 8))
+    rows = [[repr(float(x)) for x in draw(st.lists(st.floats(-3, 3), min_size=4, max_size=4))]
+            + [str(draw(st.integers(0, 2)))] for _ in range(n_rows)]
+    defect = draw(st.sampled_from(["ragged", "label", "feature", "header only", "empty"]))
+    if defect == "empty":
+        return ""
+    if defect == "header only":
+        rows = []
+    row = rows[draw(st.integers(0, n_rows - 1))] if rows else None
+    if defect == "ragged":
+        if draw(st.booleans()):
+            del row[draw(st.integers(0, 3))]
+        else:
+            row.insert(0, "0.5")
+    elif defect == "label":
+        row[4] = draw(st.sampled_from(["1.5", "-1", "1e30", "3", "one", ""]))
+    elif defect == "feature":
+        row[draw(st.integers(0, 3))] = draw(st.sampled_from(["nan", "inf", "-inf", "1e400", "abc"]))
+    return "x0,x1,x2,x3,label\n" + "".join(",".join(r) + "\n" for r in rows)
+
+
 class TestInputBoundary:
+    @given(
+        command=st.sampled_from(["stats", "lissa", "similarity", "pbrf-compare"]),
+        text=malformed_datasets(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_malformed_dataset_file_is_two(self, command, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            data = Path(tmp) / "data.csv"
+            data.write_text(text)
+            cfg = Path(tmp) / "run.cfg"
+            solver = "n_test = 2\nn_train = 5\neta = 0.1\nt_steps = 2\n"
+            cfg.write_text(LINEAR_4_3 + f"dataset_path = {data}\n" + solver)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+        assert code == 2
+        assert err.getvalue().startswith("config error: ") and "Traceback" not in err.getvalue()
+
     @given(
         trace=EXTREMES,
         lambda_max=EXTREMES,
@@ -795,26 +874,34 @@ class TestInputBoundary:
         sketch_dim=st.integers(2, 8),
         batch_sizes=st.lists(st.integers(1, 64), min_size=1, max_size=3),
         init_scale=st.none() | EXTREMES,
+        lambda_damp=st.none() | EXTREMES,
     )
     # an overflowing model's sketch is NaN: once a traceback, exit 1
     @example(command="stats", model=MLP_4_5_3, n_examples=None, n_probes=6, sketch_dim=8,
-             batch_sizes=[4], init_scale=1.7e308)
+             batch_sizes=[4], init_scale=1.7e308, lambda_damp=None)
     @example(command="stats", model=MLP_4_5_3, n_examples=None, n_probes=10**12, sketch_dim=8,
-             batch_sizes=[4], init_scale=None)
+             batch_sizes=[4], init_scale=None, lambda_damp=None)
     @example(command="condition-c1", model=MLP_4_5_3, n_examples=None, n_probes=10**12, sketch_dim=8,
-             batch_sizes=[4, 8], init_scale=None)
+             batch_sizes=[4, 8], init_scale=None, lambda_damp=None)
     @example(command="stats", model=MLP_4_5_3, n_examples=10**13, n_probes=2, sketch_dim=8,
-             batch_sizes=[4], init_scale=None)
+             batch_sizes=[4], init_scale=None, lambda_damp=None)
     @example(command="condition-c1", model=MLP_4_5_3, n_examples=None, n_probes=4, sketch_dim=8,
-             batch_sizes=[4, 8], init_scale=1e300)
+             batch_sizes=[4, 8], init_scale=1e300, lambda_damp=None)
     @example(command="condition-c1", model=LINEAR_4_3, n_examples=None, n_probes=2, sketch_dim=2,
-             batch_sizes=[2, 2], init_scale=None)
+             batch_sizes=[2, 2], init_scale=None, lambda_damp=None)
+    @example(command="stats", model=MLP_4_5_3, n_examples=None, n_probes=2, sketch_dim=8,
+             batch_sizes=[4], init_scale=None, lambda_damp=5e-324)
+    @example(command="stats", model=LINEAR_4_3, n_examples=None, n_probes=2, sketch_dim=2,
+             batch_sizes=[4], init_scale=None, lambda_damp=1.7e308)
+    @example(command="condition-c1", model=MLP_4_5_3, n_examples=None, n_probes=2, sketch_dim=2,
+             batch_sizes=[4], init_scale=None, lambda_damp=-1.0)
     @settings(max_examples=60, deadline=None)
     def test_spectral_commands_exit_cleanly(
-        self, command, model, n_examples, n_probes, sketch_dim, batch_sizes, init_scale
+        self, command, model, n_examples, n_probes, sketch_dim, batch_sizes, init_scale, lambda_damp
     ):
         text = model + config_text(
-            dict(n_examples=n_examples, n_probes=n_probes, sketch_dim=sketch_dim, init_scale=init_scale)
+            dict(n_examples=n_examples, n_probes=n_probes, sketch_dim=sketch_dim, init_scale=init_scale,
+                 lambda_damp=lambda_damp)
         )
         text += "batch_sizes = " + ", ".join(str(b) for b in batch_sizes) + "\n"
         code, outputs = run_main(command, text)
@@ -1102,6 +1189,18 @@ class TestArtifacts:
         assert code == 0
         header = (out / "tfidf_pairs.csv").read_text().splitlines()[0]
         assert header == "doc_a,doc_b,influence_exact,tfidf_sum,tfidf_form,abs_diff"
+
+    def test_tfidf_pairs_are_the_upper_triangle(self, tmp_path, capsys):
+        # one row per unordered pair a <= b, in row-major order, read off the
+        # (n_docs, n_docs) arrays of tfidf_equivalence_check
+        code, out = run_cli(tmp_path, "tfidf-check", "n_docs = 7\ndoc_length = 3\nvocab_size = 4\n")
+        assert code == 0
+        rows = [line.split(",") for line in (out / "tfidf_pairs.csv").read_text().splitlines()[1:]]
+        assert [(int(r[0]), int(r[1])) for r in rows] == [(a, b) for a in range(7) for b in range(a, 7)]
+        for r in rows:
+            assert float(r[5]) == abs(float(r[2]) - float(r[4]))
+        worst = capsys.readouterr().out.split("worst_abs_diff = ")[1].strip()
+        assert worst == max((r[5] for r in rows), key=float)
 
     @pytest.mark.parametrize("lambda_damp", [1e-300, 1e-308, 5e-324])
     def test_tfidf_check_at_tiny_damping_gives_the_limit(self, tmp_path, capsys, lambda_damp):

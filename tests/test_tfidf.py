@@ -33,11 +33,16 @@ def demo_corpus(seed=1):
 
 
 def influence_matrix(corpus, params, lambda_damp):
-    """influence_exact of every document pair as a symmetric (n_docs, n_docs) array."""
-    out = np.empty((corpus.n_docs, corpus.n_docs))
-    for row in tfidf_equivalence_check(corpus, params, lambda_damp):
-        out[row.doc_a, row.doc_b] = out[row.doc_b, row.doc_a] = row.influence_exact
-    return out
+    """influence_exact of every document pair as an (n_docs, n_docs) array."""
+    return tfidf_equivalence_check(corpus, params, lambda_damp)[0]
+
+
+def pair_gaps(corpus, params, lambda_damp):
+    """Pairs a <= b in row-major order, with |influence_exact - tfidf_form|
+    of each: the doc_a, doc_b and abs_diff columns of tfidf_pairs.csv."""
+    influence, _, form = tfidf_equivalence_check(corpus, params, lambda_damp)
+    a, b = np.triu_indices(corpus.n_docs)
+    return a, b, np.abs(influence[a, b] - form[a, b])
 
 
 def dense_solve_influence(corpus, params, lambda_damp):
@@ -189,8 +194,9 @@ class TestTfIdfWeights:
         # doc "a a" over vocabulary {a, b}: TF = (1, 0), so sum_t TF TF / p_t = 1 / p_a
         corpus = Corpus(documents=((0, 0),), vocab_size=2)
         params = BowParams.from_probabilities([0.25, 0.75])
-        (row,) = tfidf_equivalence_check(corpus, params, 1.0)
-        assert row.tfidf_sum == pytest.approx(4.0, rel=1e-15)
+        _, tfidf_sum, _ = tfidf_equivalence_check(corpus, params, 1.0)
+        assert tfidf_sum.shape == (1, 1)
+        assert tfidf_sum[0, 0] == pytest.approx(4.0, rel=1e-15)
 
     def test_term_frequencies_normalized(self):
         # |d|^2 sum_t (TF_a - p)(TF_b - p) / p_t is |d|^2 (tfidf_sum - 1) only
@@ -198,9 +204,10 @@ class TestTfIdfWeights:
         corpus, params = demo_corpus()
         p = params.probabilities
         centered = corpus.counts() / corpus.doc_length - p
-        for row in tfidf_equivalence_check(corpus, params, 1e-4):
-            expected = corpus.doc_length**2 * float((centered[row.doc_a] * centered[row.doc_b] / p).sum())
-            assert row.tfidf_form == pytest.approx(expected, rel=1e-9, abs=1e-9)
+        _, _, form = tfidf_equivalence_check(corpus, params, 1e-4)
+        for a, b in zip(*np.triu_indices(corpus.n_docs)):
+            expected = corpus.doc_length**2 * float((centered[a] * centered[b] / p).sum())
+            assert form[a, b] == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
 class TestBowGradient:
@@ -318,13 +325,13 @@ class TestEquivalenceCheck:
         corpus = Corpus(documents=((0,) * 8, (1, 2) * 4), vocab_size=3)
         params = BowParams.from_probabilities([0.2, 0.3, 0.5])
         for lam in [3e-309, 1e-310, 5e-324]:
-            rows = {(r.doc_a, r.doc_b): r for r in tfidf_equivalence_check(corpus, params, lam)}
+            influence = influence_matrix(corpus, params, lam)
             # |d|^2 (sum_t TF TF / p_t - 1): 64 (1/0.2 - 1), 64 (0.25/0.3 + 0.25/0.5 - 1), -64
-            assert rows[(0, 0)].influence_exact == pytest.approx(256.0, rel=1e-14)
+            assert influence[0, 0] == pytest.approx(256.0, rel=1e-14)
             expected = 64 * (0.25 / 0.3 + 0.25 / 0.5 - 1)
-            assert rows[(1, 1)].influence_exact == pytest.approx(expected, rel=1e-14)
-            assert rows[(0, 1)].influence_exact == pytest.approx(-64.0, rel=1e-14)
-            assert max(r.abs_diff for r in rows.values()) <= 1e-12
+            assert influence[1, 1] == pytest.approx(expected, rel=1e-14)
+            assert influence[0, 1] == pytest.approx(-64.0, rel=1e-14)
+            assert pair_gaps(corpus, params, lam)[2].max() <= 1e-12
 
     def test_overflowing_influence_rejected(self):
         # w is finite, but |d|^2 w_t near 1e311 overflows g Diag(w) g^T
@@ -348,49 +355,47 @@ class TestEquivalenceCheck:
         # docs "a a" and "a b" at p = (0.5, 0.5): both forms vanish
         corpus = Corpus(documents=((0, 0), (0, 1)), vocab_size=2)
         params = BowParams.from_probabilities([0.5, 0.5])
-        rows = {(r.doc_a, r.doc_b): r for r in tfidf_equivalence_check(corpus, params, 1e-8)}
-        pair = rows[(0, 1)]
-        assert pair.tfidf_sum == pytest.approx(1.0)
-        assert pair.tfidf_form == pytest.approx(0.0, abs=1e-12)
-        assert abs(pair.influence_exact) <= 1e-6
+        influence, tfidf_sum, form = tfidf_equivalence_check(corpus, params, 1e-8)
+        assert tfidf_sum[0, 1] == pytest.approx(1.0)
+        assert form[0, 1] == pytest.approx(0.0, abs=1e-12)
+        assert abs(influence[0, 1]) <= 1e-6
 
     def test_self_pair_value(self):
         # doc "a a" against itself: |d|^2 (1/0.5 - 1) = 4
         corpus = Corpus(documents=((0, 0), (0, 1)), vocab_size=2)
         params = BowParams.from_probabilities([0.5, 0.5])
-        rows = {(r.doc_a, r.doc_b): r for r in tfidf_equivalence_check(corpus, params, 1e-8)}
-        self_pair = rows[(0, 0)]
-        assert self_pair.tfidf_form == pytest.approx(4.0)
-        assert self_pair.influence_exact == pytest.approx(4.0, rel=1e-6)
+        influence, _, form = tfidf_equivalence_check(corpus, params, 1e-8)
+        assert form[0, 0] == pytest.approx(4.0)
+        assert influence[0, 0] == pytest.approx(4.0, rel=1e-6)
 
     def test_large_damping_regime(self):
         corpus, params = demo_corpus()
         lam = 1e3
-        rows = tfidf_equivalence_check(corpus, params, lam)
+        influence, _, form = tfidf_equivalence_check(corpus, params, lam)
         grads = bow_gradients(corpus, params)
         norms = np.linalg.norm(grads, axis=1)
         curvature_norm = np.linalg.norm(softmax_hessian(params.logits), 2)
         deviations = 0
-        for row in rows:
-            raw = float(grads[row.doc_a] @ grads[row.doc_b])
-            slack = norms[row.doc_a] * norms[row.doc_b] * curvature_norm / lam**2
-            assert abs(row.influence_exact - raw / lam) <= slack
-            if row.abs_diff > 0.5 * abs(row.tfidf_form):
+        pairs = list(zip(*pair_gaps(corpus, params, lam)))
+        for a, b, abs_diff in pairs:
+            raw = float(grads[a] @ grads[b])
+            slack = norms[a] * norms[b] * curvature_norm / lam**2
+            assert abs(influence[a, b] - raw / lam) <= slack
+            if abs_diff > 0.5 * abs(form[a, b]):
                 deviations += 1
-        assert deviations > len(rows) / 2
+        assert deviations > len(pairs) / 2
 
     def test_small_damping_agreement(self):
         corpus, params = demo_corpus()
-        rows = tfidf_equivalence_check(corpus, params, 1e-8)
         bound = 1e-6 * corpus.doc_length**2
-        assert max(r.abs_diff for r in rows) <= bound
+        assert pair_gaps(corpus, params, 1e-8)[2].max() <= bound
 
     def test_residual_linear_in_damping(self):
         corpus, params = demo_corpus()
         lams = [1e-8, 1e-6, 1e-4]
         slopes = []
         for lam in lams:
-            worst = max(r.abs_diff for r in tfidf_equivalence_check(corpus, params, lam))
+            worst = pair_gaps(corpus, params, lam)[2].max()
             slopes.append(worst / lam)
         for slope in slopes[1:]:
             assert slope / slopes[0] == pytest.approx(1.0, abs=0.2)
@@ -403,16 +408,20 @@ class TestEquivalenceCheck:
             grads = bow_gradients(corpus, params)
             norms = np.linalg.norm(grads, axis=1)
             for lam in [1e-6, 1e-4]:
-                rows = tfidf_equivalence_check(corpus, params, lam)
-                c = max(r.abs_diff / (lam * norms[r.doc_a] * norms[r.doc_b]) for r in rows)
+                a, b, abs_diff = pair_gaps(corpus, params, lam)
+                c = (abs_diff / (lam * norms[a] * norms[b])).max()
                 fitted.append(c)
         assert max(fitted) <= 1.5 * min(fitted)
 
     def test_pair_enumeration(self):
+        # every ordered pair, self pairs included, in three symmetric arrays
         corpus, params = demo_corpus()
-        rows = tfidf_equivalence_check(corpus, params, 1e-4)
-        assert len(rows) == 50 * 51 // 2
-        assert all(r.doc_a <= r.doc_b for r in rows)
+        for table in tfidf_equivalence_check(corpus, params, 1e-4):
+            assert table.shape == (50, 50)
+            assert np.abs(table - table.T).max() <= 1e-12 * np.abs(table).max()
+        a, b, _ = pair_gaps(corpus, params, 1e-4)
+        assert len(a) == 50 * 51 // 2
+        assert (a <= b).all()
 
     def test_zero_damping_rejected(self):
         corpus = Corpus(documents=((0, 1),), vocab_size=2)
