@@ -63,11 +63,13 @@ MAX_T_STEPS = 1_000_000
 # Largest probe count a command accepts: the probe loop keeps one sample per
 # probe, and each probe costs one to three HVPs.
 MAX_PROBES = 1_000_000
-# Largest number of floats a command holds in one array: convergence keeps one
-# copy of the iterate per snapshot until it correlates them, counterexample
-# one iterate and its moment sums per step, and tfidf-check its corpus and its
-# count, gradient and pair arrays, so this caps each array at 80 MB.  It does
-# not cap the text of a table that a command writes.
+# Largest number of floats a command holds in one array: every model command
+# holds theta, one float per parameter, convergence keeps one copy of the
+# iterate per snapshot until it correlates them, counterexample one iterate and
+# its moment sums per step, condition-c1 the centered factors of one example's
+# exact trace, and tfidf-check its corpus and its count, gradient and pair
+# arrays, so this caps each array at 80 MB.  It does not cap the text of a
+# table that a command writes.
 MAX_KEPT_FLOATS = 10**7
 # Largest number of random words one draw of a command may take: a batch of
 # b examples draws b words per step (b times n_train in the lockstep finetunes
@@ -136,6 +138,9 @@ def _build_model(run: RunContext):
         spec = ModelSpec(cfg.model_kind, cfg.layer_sizes, cfg.activation)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    layers = ", ".join(str(s) for s in spec.layer_sizes)
+    what = f"a model of {spec.n_params} parameters (layer_sizes = {layers})"
+    _check_limit(what, spec.n_params, "MAX_KEPT_FLOATS", "lower layer_sizes")
     # init_scale near the float range overflows to inf weights, which
     # _check_finite_logits rejects
     with np.errstate(over="ignore"):
@@ -206,7 +211,7 @@ def _dense_gnh(run: RunContext, spec: ModelSpec, theta, train) -> SymEig:
     non-finite matrix, which sym_eig rejects: a config error."""
     _check_limit(
         f"a dense GNH of {spec.n_params} parameters", spec.n_params, "MAX_DENSE_PARAMS",
-        "only lissa (eta set, no tolerance) and pbrf-compare (eta set) run without it",
+        "only lissa (eta set, no tolerance), pbrf-compare (eta set) and condition-c1 run without it",
     )
     with np.errstate(over="ignore", invalid="ignore"):
         H = gnh_matrix_exact(spec, theta, train)
@@ -561,7 +566,9 @@ def cmd_condition_c1(run: RunContext) -> None:
     batch_sizes = cfg.require("batch_sizes")
     _check_limit(f"n_probes = {cfg.n_probes}", cfg.n_probes, "MAX_PROBES")
     spec, theta = _build_model(run)
-    _check_limit(f"a dense GNH of {spec.n_params} parameters", spec.n_params, "MAX_DENSE_PARAMS")
+    factor = spec.n_classes * max(spec.layer_sizes[1:])
+    what = f"one example's trace factor of n_classes times the widest layer = {factor} floats"
+    _check_limit(what, factor, "MAX_KEPT_FLOATS", "lower layer_sizes")
     train, _ = _build_data(run, spec)
     _check_finite_logits(run, spec, theta, train)
     rows = check_condition_c1(

@@ -189,6 +189,14 @@ def _write_block(H: np.ndarray, spec: ModelSpec, l: int, m: int, block: np.ndarr
             H[rows_l, rows_m].reshape(shape_l + shape_m)[...] = block[:, cols_l, :, cols_m]
 
 
+def _centered_factors(spec: ModelSpec, lin: _Linearization) -> list:
+    """Per-layer centered factors R_l = sqrt(p) (D_l - p^T D_l), shape
+    (B, K, fan_out_l), for the logit deltas D_l of ``models._logit_deltas``:
+    J_l^T (diag p - p p^T) J_m is R_l^T R_m in each row's Kronecker factors."""
+    sqrt_p = np.sqrt(lin.p)[:, :, None]
+    return [sqrt_p * (d - lin.p[:, None, :] @ d) for d in _logit_deltas(spec, lin)]
+
+
 def gnh_matrix_exact(
     spec: ModelSpec, theta: ParamVector, dataset: Dataset, chunk: int = 128
 ) -> np.ndarray:
@@ -196,7 +204,7 @@ def gnh_matrix_exact(
 
     Layer l's logit Jacobian is the Kronecker product of its logit delta D_l
     (``models._logit_deltas``) and its augmented input [a_l, 1].  With the
-    centered factors R_l = sqrt(p) (D_l - p^T D_l), the (l, m) block of
+    centered factors R_l of ``_centered_factors``, the (l, m) block of
     J^T (diag p - p p^T) J is sum_b (R_l^T R_m)_b kron ([a_l, 1] [a_m, 1]^T)_b,
     so each pass adds one GEMM per layer pair l <= m, over its rows, to that
     block held as (fan_out_l fan_out_m) x ((fan_in_l + 1)(fan_in_m + 1)).
@@ -226,8 +234,7 @@ def gnh_matrix_exact(
     for start in range(0, len(dataset), rows):
         lin = _linearize(spec, theta.values, dataset.X[start : start + rows])
         B = lin.p.shape[0]
-        sqrt_p = np.sqrt(lin.p)[:, :, None]
-        factors = [sqrt_p * (d - lin.p[:, None, :] @ d) for d in _logit_deltas(spec, lin)]
+        factors = _centered_factors(spec, lin)
         augmented = [np.concatenate([a, np.ones((B, 1))], axis=1) for a in lin.inputs]
         for l, m in pairs:
             outer_r = (np.swapaxes(factors[l], 1, 2) @ factors[m]).reshape(B, -1)
@@ -245,3 +252,30 @@ def gnh_matrix_exact(
             H[seg_m, seg_l] = H[seg_l, seg_m].T
     H /= len(dataset)
     return H
+
+
+_TRACE_PASS_FLOATS = 1 << 22  # floats of one pass's centered factors in gnh_trace_exact
+
+
+def gnh_trace_exact(spec: ModelSpec, theta: ParamVector, dataset: Dataset) -> float:
+    """Tr(H) of the dense Gauss-Newton Hessian, without forming H.
+
+    Layer l's diagonal block is sum_b (R_l^T R_l)_b kron ([a_l, 1] [a_l, 1]^T)_b
+    (see ``gnh_matrix_exact``), and the trace of a Kronecker product is the
+    product of the traces, so
+    Tr(H) = (1/N) sum_b sum_l ||R_{l,b}||_F^2 (||a_{l,b}||^2 + 1).
+    A pass takes 128 rows, fewer where one row's factors (n_classes times the
+    widest layer) are so wide that a pass would exceed _TRACE_PASS_FLOATS.
+    No array grows with the parameter count squared, so there is no
+    MAX_DENSE_PARAMS limit here.
+    """
+    if len(dataset) < 1:
+        raise ValueError("dataset is empty")
+    per_row = spec.n_classes * max(spec.layer_sizes[1:])
+    rows = max(1, min(128, _TRACE_PASS_FLOATS // per_row))
+    total = 0.0
+    for start in range(0, len(dataset), rows):
+        lin = _linearize(spec, theta.values, dataset.X[start : start + rows])
+        for r, a in zip(_centered_factors(spec, lin), lin.inputs):
+            total += float(np.sum(r * r, axis=(1, 2)) @ (np.sum(a * a, axis=1) + 1.0))
+    return total / len(dataset)

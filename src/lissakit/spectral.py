@@ -1,6 +1,9 @@
 """Randomized spectral statistics of a curvature operator.
 
-Everything here touches the operator only through matrix-vector products:
+Everything here touches the operator only through matrix-vector products,
+except the reference Tr(H) of condition C1, which is the exact closed-form
+trace of ``gnh.gnh_trace_exact``, read from the per-layer factors of H; no
+dense matrix is built:
 
 * per-parameter trace and squared Frobenius norm via Gaussian probes with
   entry variance 1/N, so the probe estimates Tr(H)/N directly;
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MeanSe, SeededRng, derive_seed, gaussian_vector, sym_eig
-from .gnh import GnhOperator, gnh_matrix_exact
+from .gnh import GnhOperator, gnh_trace_exact
 from .models import Dataset, ModelSpec, ParamVector
 
 
@@ -257,8 +260,7 @@ def check_condition_c1(
     identically zero.
     """
     op_full = GnhOperator(spec, theta, dataset)
-    H = gnh_matrix_exact(spec, theta, dataset)
-    trace_h = float(np.trace(H))
+    trace_h = gnh_trace_exact(spec, theta, dataset)
     n = spec.n_params
     rows = []
     for b in batch_sizes:

@@ -21,39 +21,39 @@ from .models import _softmax
 
 @dataclass(frozen=True)
 class Corpus:
-    """Equal-length documents over an integer vocabulary."""
+    """Equal-length documents over an integer vocabulary, held as one
+    (n_docs, doc_length) int64 array of term indices."""
 
-    documents: tuple[tuple[int, ...], ...]
+    documents: np.ndarray
     vocab_size: int
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "documents", tuple(tuple(int(t) for t in doc) for doc in self.documents)
-        )
-        if not self.documents:
+        if len(self.documents) == 0:
             raise ValueError("corpus is empty")
-        lengths = {len(doc) for doc in self.documents}
-        if lengths == {0}:
-            raise ValueError("documents are empty")
-        if len(lengths) != 1:
+        try:
+            docs = np.asarray(self.documents, dtype=np.int64)
+        except ValueError as exc:
+            raise ValueError("documents must all have the same length") from exc
+        if docs.ndim != 2:
             raise ValueError("documents must all have the same length")
-        ids = [t for doc in self.documents for t in doc]
-        if min(ids) < 0 or max(ids) >= self.vocab_size:
+        if docs.shape[1] == 0:
+            raise ValueError("documents are empty")
+        if docs.min() < 0 or docs.max() >= self.vocab_size:
             raise ValueError("term index outside the vocabulary")
+        object.__setattr__(self, "documents", docs)
 
     @property
     def n_docs(self) -> int:
-        return len(self.documents)
+        return self.documents.shape[0]
 
     @property
     def doc_length(self) -> int:
-        return len(self.documents[0])
+        return self.documents.shape[1]
 
     def counts(self) -> np.ndarray:
         """Per-document term counts, shape (n_docs, vocab_size)."""
         out = np.zeros((self.n_docs, self.vocab_size))
-        for i, doc in enumerate(self.documents):
-            np.add.at(out[i], list(doc), 1.0)
+        np.add.at(out, (np.arange(self.n_docs)[:, None], self.documents), 1.0)
         return out
 
 
@@ -74,7 +74,7 @@ def corpus_from_text(text: str) -> tuple[Corpus, dict[str, int]]:
 def corpus_to_text(corpus: Corpus, id_to_token: dict[int, str] | None = None) -> str:
     """Inverse of corpus_from_text; integer ids become the tokens by default."""
     name = (lambda t: id_to_token[t]) if id_to_token else str
-    return "\n".join(" ".join(name(t) for t in doc) for doc in corpus.documents) + "\n"
+    return "\n".join(" ".join(name(t) for t in doc) for doc in corpus.documents.tolist()) + "\n"
 
 
 def sample_corpus(rng: SeededRng, n_docs: int, doc_length: int, probabilities) -> Corpus:
@@ -86,11 +86,10 @@ def sample_corpus(rng: SeededRng, n_docs: int, doc_length: int, probabilities) -
         raise ValueError("probabilities must be a distribution")
     edges = np.cumsum(p)
     edges[-1] = 1.0
-    docs = []
-    for _ in range(n_docs):
-        draws = np.searchsorted(edges, rng.uniform(doc_length), side="right")
-        docs.append(tuple(int(t) for t in draws))
-    return Corpus(documents=tuple(docs), vocab_size=p.size)
+    # one draw of n_docs * doc_length words, row-major: the words that
+    # n_docs draws of doc_length take one after another
+    draws = np.searchsorted(edges, rng.uniform(n_docs * doc_length), side="right")
+    return Corpus(documents=draws.reshape(n_docs, doc_length), vocab_size=p.size)
 
 
 @dataclass(frozen=True)

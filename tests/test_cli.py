@@ -55,6 +55,12 @@ LINEAR_4_3 = "model_kind = softmax-linear\nlayer_sizes = 4, 3\n"
 
 MLP_4_5_3 = "model_kind = mlp\nlayer_sizes = 4, 5, 3\n"
 
+# 3466 parameters, over MAX_DENSE_PARAMS
+MLP_16_128_10 = "model_kind = mlp\nlayer_sizes = 16, 128, 10\n"
+
+# 5 * 10^10 + 3 parameters, over MAX_KEPT_FLOATS
+MLP_HUGE = "model_kind = mlp\nlayer_sizes = 4, 10000000000, 3\n"
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -312,8 +318,6 @@ class TestExitCodes:
             # a recommended t_steps over the limit that the solvers would refuse
             ("recommend", "trace = 1\nlambda_max = 1\nlambda_damp = 1e-300\n"),
             ("stats", TINY_MLP_CFG + "lambda_damp = 1e-300\n"),
-            # 3466 parameters: over the dense reference's MAX_DENSE_PARAMS
-            ("condition-c1", "model_kind = mlp\nlayer_sizes = 16, 128, 10\nn_examples = 8\nbatch_sizes = 2\n"),
         )
         for i, (command, text) in enumerate(cases):
             code, _ = run_cli(tmp_path, command, text, name=f"run{i}")
@@ -623,6 +627,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and "eigenvalues" in err
 
+    def test_model_over_the_kept_float_limit_is_two_before_init(self, tmp_path, capsys, monkeypatch):
+        # once numpy's "Maximum allowed dimension exceeded" in init_params, exit 1
+        def refuse(*args, **kwargs):
+            raise AssertionError("parameters drawn for a model over the limit")
+
+        monkeypatch.setattr("lissakit.cli.init_params", refuse)
+        text = "model_kind = mlp\nlayer_sizes = 10000000000, 10000000000, 2\nbatch_sizes = 2\n"
+        for command in ("stats", "condition-c1", "lissa"):
+            code, _ = run_cli(tmp_path, command, text, name=command)
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and "MAX_KEPT_FLOATS" in err and "layer_sizes" in err
+
+    def test_condition_c1_wide_trace_factor_is_two_before_the_data(self, tmp_path, capsys, monkeypatch):
+        # 20,005 parameters, but one example's factor of the 4000-wide hidden
+        # layer is 4000 classes times 4000 floats
+        def refuse(*args, **kwargs):
+            raise AssertionError("data built for a trace factor over the limit")
+
+        monkeypatch.setattr("lissakit.cli._build_data", refuse)
+        text = "model_kind = mlp\nlayer_sizes = 1, 4000, 1, 4000\nbatch_sizes = 2\n"
+        code, _ = run_cli(tmp_path, "condition-c1", text)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "16000000 floats" in err and "MAX_KEPT_FLOATS" in err
+
     @pytest.mark.parametrize(
         "command, text, field",
         [
@@ -868,7 +898,7 @@ class TestInputBoundary:
 
     @given(
         command=st.sampled_from(["stats", "condition-c1"]),
-        model=st.sampled_from([LINEAR_4_3, MLP_4_5_3]),
+        model=st.sampled_from([LINEAR_4_3, MLP_4_5_3, MLP_16_128_10, MLP_HUGE]),
         n_examples=EXAMPLES,
         n_probes=st.integers(2, 6) | st.sampled_from([cli.MAX_PROBES + 1, 10**12]),
         sketch_dim=st.integers(2, 8),
@@ -895,6 +925,16 @@ class TestInputBoundary:
              batch_sizes=[4], init_scale=None, lambda_damp=1.7e308)
     @example(command="condition-c1", model=MLP_4_5_3, n_examples=None, n_probes=2, sketch_dim=2,
              batch_sizes=[4], init_scale=None, lambda_damp=-1.0)
+    # either side of the parameter-count limits: condition-c1 needs no dense GNH,
+    # and a model over MAX_KEPT_FLOATS once ended in a traceback in init_params
+    @example(command="condition-c1", model=MLP_16_128_10, n_examples=None, n_probes=2, sketch_dim=2,
+             batch_sizes=[4, 64], init_scale=None, lambda_damp=None)
+    @example(command="stats", model=MLP_16_128_10, n_examples=None, n_probes=2, sketch_dim=2,
+             batch_sizes=[4], init_scale=None, lambda_damp=None)
+    @example(command="condition-c1", model=MLP_HUGE, n_examples=None, n_probes=2, sketch_dim=2,
+             batch_sizes=[4], init_scale=None, lambda_damp=None)
+    @example(command="stats", model=MLP_HUGE, n_examples=None, n_probes=2, sketch_dim=2,
+             batch_sizes=[4], init_scale=None, lambda_damp=None)
     @settings(max_examples=60, deadline=None)
     def test_spectral_commands_exit_cleanly(
         self, command, model, n_examples, n_probes, sketch_dim, batch_sizes, init_scale, lambda_damp
@@ -1137,6 +1177,15 @@ class TestArtifacts:
         lines = (out / "condition_c1.csv").read_text().splitlines()
         full_row = [line for line in lines if line.startswith("64,")][0]
         assert float(full_row.split(",")[1]) == 0.0
+
+    def test_condition_c1_over_the_dense_limit_runs(self, tmp_path):
+        # 3466 parameters, over MAX_DENSE_PARAMS: the reference Tr(H) comes from
+        # the layer factors, so no dense matrix is needed (once exit 2)
+        code, out = run_cli(tmp_path, "condition-c1", MLP_16_128_10 + "n_examples = 8\nbatch_sizes = 2\n")
+        assert code == 0
+        header, row = (out / "condition_c1.csv").read_text().splitlines()
+        assert header == "batch_size,lhs,lhs_se,rhs_c1,ratio"
+        assert all(math.isfinite(float(cell)) for cell in row.split(","))
 
     def test_condition_c1_on_a_zero_gauss_newton_matrix_is_two(self, tmp_path, capsys):
         # init_scale = 1e300 saturates every tanh and softmax, so H = 0 and the

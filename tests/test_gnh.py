@@ -4,13 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lissakit import models
+from lissakit import gnh, models
 from lissakit.core import MeanSe, SeededRng, sym_eig
 from lissakit.gnh import (
     Batch,
     GnhOperator,
     _gnh_hvp,
     gnh_matrix_exact,
+    gnh_trace_exact,
     sample_batch,
     softmax_hessian,
 )
@@ -165,6 +166,34 @@ class TestDenseGnh:
         data = Dataset(X=np.zeros((1, 1000)), y=np.array([0]))
         with pytest.raises(ValueError):
             gnh_matrix_exact(big, ParamVector(np.zeros(big.n_params), big.segments), data)
+
+
+class TestTraceExact:
+    @pytest.mark.parametrize("spec", [LINEAR, MLP, DEEP_TANH, DEEP_RELU, DEEPER_RELU])
+    def test_matches_dense_trace(self, spec, monkeypatch):
+        # 300 rows in passes of 128 leave a short last pass of 44, and a pass
+        # budget of 7 rows' factors leaves one of 6
+        theta, data = toy_fixture(spec, n=300, seed=5)
+        reference = np.trace(gnh_matrix_exact(spec, theta, data))
+        assert abs(gnh_trace_exact(spec, theta, data) - reference) <= 1e-13 * reference
+        per_row = spec.n_classes * max(spec.layer_sizes[1:])
+        monkeypatch.setattr(gnh, "_TRACE_PASS_FLOATS", 7 * per_row)
+        assert abs(gnh_trace_exact(spec, theta, data) - reference) <= 1e-13 * reference
+
+    def test_model_over_the_dense_limit(self):
+        # softmax-linear 1000 -> 3 (n = 3003) has no dense GNH here; its
+        # per-example trace is Tr(S_b) (||x_b||^2 + 1) with Tr(S_b) = 1 - ||p_b||^2
+        spec = ModelSpec(kind="softmax-linear", layer_sizes=(1000, 3))
+        theta, data = toy_fixture(spec, n=9, seed=8)
+        logits, _ = models._forward(spec, theta.values, data.X)
+        p = models._softmax(logits)
+        expected = np.mean((1.0 - np.sum(p * p, axis=1)) * (np.sum(data.X**2, axis=1) + 1.0))
+        assert gnh_trace_exact(spec, theta, data) == pytest.approx(expected, rel=1e-13)
+
+    def test_empty_dataset_rejected(self):
+        data = Dataset(X=np.zeros((0, 4)), y=np.zeros(0, dtype=np.int64))
+        with pytest.raises(ValueError, match="empty"):
+            gnh_trace_exact(LINEAR, init_params(LINEAR, SeededRng(0)), data)
 
 
 class TestHvp:

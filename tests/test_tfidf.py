@@ -82,6 +82,7 @@ class TestCorpus:
         corpus = Corpus(documents=((0, 0, 2), (1, 2, 2)), vocab_size=3)
         assert corpus.n_docs == 2
         assert corpus.doc_length == 3
+        assert corpus.documents.dtype == np.int64 and corpus.documents.shape == (2, 3)
         np.testing.assert_array_equal(corpus.counts(), [[2, 0, 1], [0, 1, 2]])
 
     def test_empty_rejected(self):
@@ -109,7 +110,7 @@ class TestTextIo:
     def test_first_appearance_ids(self):
         corpus, vocab = corpus_from_text("b a\na b\n")
         assert vocab == {"b": 0, "a": 1}
-        assert corpus.documents == ((0, 1), (1, 0))
+        np.testing.assert_array_equal(corpus.documents, [[0, 1], [1, 0]])
 
     def test_blank_lines_skipped(self):
         corpus, _ = corpus_from_text("a a\n\na b\n")
@@ -124,7 +125,7 @@ class TestTextIo:
     def test_integer_token_round_trip(self):
         corpus = Corpus(documents=((0, 1), (1, 1)), vocab_size=2)
         again, _ = corpus_from_text(corpus_to_text(corpus))
-        assert again.documents == corpus.documents
+        np.testing.assert_array_equal(again.documents, corpus.documents)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -140,7 +141,14 @@ class TestSampleCorpus:
         p = [0.2, 0.3, 0.5]
         a = sample_corpus(SeededRng(3), 5, 4, p)
         b = sample_corpus(SeededRng(3), 5, 4, p)
-        assert a.documents == b.documents
+        np.testing.assert_array_equal(a.documents, b.documents)
+
+    def test_one_draw_equals_a_draw_per_document(self):
+        # document i holds words i L .. (i + 1) L - 1 of the stream
+        p = [0.2, 0.3, 0.5]
+        rng = SeededRng(5)
+        singles = [sample_corpus(rng, 1, 4, p).documents[0] for _ in range(6)]
+        np.testing.assert_array_equal(sample_corpus(SeededRng(5), 6, 4, p).documents, singles)
 
     def test_marginals_match_distribution(self):
         p = np.array([0.1, 0.2, 0.3, 0.4])
