@@ -64,12 +64,13 @@ MAX_T_STEPS = 1_000_000
 # probe, and each probe costs one to three HVPs.
 MAX_PROBES = 1_000_000
 # Largest number of floats a command holds in one array: every model command
-# holds theta, one float per parameter, convergence keeps one copy of the
-# iterate per snapshot until it correlates them, counterexample one iterate and
-# its moment sums per step, condition-c1 the centered factors of one example's
-# exact trace, and tfidf-check its corpus and its count, gradient and pair
-# arrays, so this caps each array at 80 MB.  It does not cap the text of a
-# table that a command writes.
+# holds theta, one float per parameter, and its full-batch activations, one
+# float per example and unit of the widest layer, convergence keeps one copy
+# of the iterate per snapshot until it correlates them, counterexample one
+# iterate and its moment sums per step, condition-c1 the centered factors of
+# one example's exact trace, and tfidf-check its corpus and its count,
+# gradient and pair arrays, so this caps each array at 80 MB.  It does not cap
+# the text of a table that a command writes.
 MAX_KEPT_FLOATS = 10**7
 # Largest number of random words one draw of a command may take: a batch of
 # b examples draws b words per step (b times n_train in the lockstep finetunes
@@ -180,10 +181,15 @@ def _build_data(run: RunContext, spec: ModelSpec, n_test: int = 0):
             raise ConfigError("dataset does not match the model's input/classes")
         if int(full.y.min()) < 0:
             raise ConfigError("dataset labels must be non-negative")
+        n_full = len(full)
     else:
         n_full = cfg.n_examples + n_test
         what = f"a draw of n_examples + n_test = {n_full} examples of {spec.input_dim} features"
         _check_limit(what, n_full * spec.input_dim, "MAX_DRAW_WORDS")
+    width = max(spec.layer_sizes[1:])
+    what = f"a full-batch activation array of {n_full} examples times the widest layer of {width}"
+    _check_limit(what, n_full * width, "MAX_KEPT_FLOATS", "use fewer examples or narrower layers")
+    if cfg.dataset_path is None:
         full = make_blobs(run.rng("dataset"), n_full, spec.input_dim, spec.n_classes, cfg.separation)
     if n_test == 0:
         return full, None
@@ -494,52 +500,41 @@ def cmd_pbrf_compare(run: RunContext) -> None:
     batch_size = cfg.batch_size if cfg.batch_size is not None else 32
     spec, theta = _build_model(run)
     train, test = _build_data(run, spec, n_test=cfg.n_test)
-    # A batch of the whole training set runs the solves and the finetunes full
-    # batch and draws nothing; a smaller one draws n_train batches at once.
-    full_batch = batch_size >= len(train)
-    what = f"a draw of n_train = {cfg.n_train} times batch_size = {batch_size}"
-    _check_limit(what, None if full_batch else cfg.n_train * batch_size, "MAX_DRAW_WORDS")
     _check_finite_logits(run, spec, theta, train, test)
     if cfg.n_train > len(train):
         raise ConfigError("n_train exceeds the training set")
+    op = _stochastic_operator(run, spec, theta, train, batch_size)
+    # an operator whose batch covers the training set runs full batch: the
+    # solves and the finetunes draw nothing
+    what = f"a draw of n_train = {cfg.n_train} times batch_size = {batch_size}"
+    draw = None if op.batch_size is None else cfg.n_train * batch_size
+    _check_limit(what, draw, "MAX_DRAW_WORDS")
 
     dense = _dense_gnh(run, spec, theta, train) if cfg.eta is None else None
     eta, steps = _solver_settings(run, dense, steps_field)
     test_grads = [measurement_gradient(spec, theta, test[j]).values for j in range(len(test))]
     item_seeds = [run.sub_seed(f"pbrf-item-{i}") for i in range(cfg.n_train)]
 
-    # The solves run in item order and stop at the first divergence; then the
-    # finetunes of the items before it run in lockstep.  Errors come in item
-    # order, a solve's before its own finetune's, as if each item ran its
-    # solve and its finetune in turn.
-    op = _stochastic_operator(run, spec, theta, train, None if full_batch else batch_size)
-    solved, divergence = [], None
+    # the solves stop at the first divergence, before any finetune
+    lissa = np.empty((cfg.n_train, len(test)))
     for i in range(cfg.n_train):
         g = loss_gradient(spec, theta, train[i])
         lcfg = LissaConfig(eta=eta, lambda_damp=cfg.lambda_damp, t_steps=steps, seed=item_seeds[i])
-        try:
-            u, _ = lissa_solve(op, -g.values, lcfg)
-        except LissaDivergenceError as exc:
-            divergence = exc
-            break
-        solved.append([influence_score(u, tg) for tg in test_grads])
-    n_ok = len(solved)
-    if n_ok:
-        points = Dataset(X=train.X[:n_ok], y=train.y[:n_ok], ids=train.ids[:n_ok])
-        pcfg = PboConfig(
-            epsilon=cfg.epsilon,
-            lambda_damp=cfg.lambda_damp,
-            lr=eta,
-            steps=steps,
-            batch_size=batch_size,
-            seed=tuple(item_seeds[:n_ok]),
-        )
-        results = pbrf_finetune(spec, theta, points, train, pcfg)
-        retrain = pbrf_influence(spec, results, theta, test, cfg.epsilon)
-    if divergence is not None:
-        raise divergence
+        u, _ = lissa_solve(op, -g.values, lcfg)
+        lissa[i] = [influence_score(u, tg) for tg in test_grads]
+    rows = slice(cfg.n_train)
+    points = Dataset(X=train.X[rows], y=train.y[rows], ids=train.ids[rows])
+    pcfg = PboConfig(
+        epsilon=cfg.epsilon,
+        lambda_damp=cfg.lambda_damp,
+        lr=eta,
+        steps=steps,
+        batch_size=batch_size,
+        seed=tuple(item_seeds),
+    )
+    finetunes = pbrf_finetune(spec, theta, points, train, pcfg)
+    retrain = pbrf_influence(spec, finetunes, theta, test, cfg.epsilon)
 
-    lissa = np.array(solved)
     try:
         comparison = compare_influences(lissa, retrain)
     except ValueError as exc:
@@ -616,7 +611,7 @@ def cmd_counterexample(run: RunContext) -> None:
         eta = cfg.eta if cfg.eta is not None else step_size(max(eigenvalues), cfg.lambda_damp)
         # extreme eigenvalues overflow the closed form; it is checked below
         with np.errstate(all="ignore"):
-            problem, _ = counterexample_build(
+            problem = counterexample_build(
                 n=n,
                 eigenvalues=eigenvalues,
                 batch_size=batch_size,
@@ -647,7 +642,7 @@ def cmd_counterexample(run: RunContext) -> None:
                 exact[t],
                 mc.second_moment[t],
                 mc.second_moment_se[t],
-                float(np.linalg.norm(mc.mean_iterate[t])),
+                mc.mean_norm[t],
                 contraction**t * u0_norm,
             )
         )

@@ -97,7 +97,8 @@ def _gnh_hvp(spec: ModelSpec, lin: _Linearization, v: np.ndarray, fd_delta: floa
 class GnhOperator:
     """Stochastic (or full-dataset) Gauss-Newton Hessian-vector products.
 
-    With ``batch_size=None`` every call uses the whole dataset and the
+    With ``batch_size=None``, or a batch size of at least the dataset (which
+    is normalized to None), every call uses the whole dataset and the
     operator is deterministic: it linearizes once, at construction, so each
     ``matvec`` costs one JVP and one backward sweep, and ``theta`` and
     ``dataset`` must not be mutated afterwards.  Otherwise each ``matvec``
@@ -129,6 +130,8 @@ class GnhOperator:
             raise ValueError("fd_delta must be positive")
         if theta.values.size != spec.n_params:
             raise ValueError("theta does not match the model spec")
+        if batch_size is not None and batch_size >= len(dataset):
+            batch_size = None
         self.spec = spec
         self.theta = theta
         self.dataset = dataset

@@ -243,7 +243,7 @@ class RotatedRankOneSampler:
 def counterexample_build(
     n: int, eigenvalues, batch_size: int, lambda_damp: float, eta: float, seed: int
 ):
-    """Construct the rotated rank-one problem and its batch sampler.
+    """Construct the rotated rank-one problem.
 
     ``eigenvalues`` may be a scalar (replicated n times) or a length-n
     vector.  The rotation is a seeded random orthogonal matrix; u0 defaults
@@ -277,9 +277,7 @@ def counterexample_build(
         u0=np.zeros(n),
     )
     top = int(np.argmax(problem.second_moment_diagonal))
-    problem = replace(problem, u0=rotation[:, top].copy())
-    sampler = RotatedRankOneSampler(problem, SeededRng(derive_seed(seed, 13)))
-    return problem, sampler
+    return replace(problem, u0=rotation[:, top].copy())
 
 
 def counterexample_moments(problem: CounterExampleProblem, t_max: int, u0=None) -> np.ndarray:
@@ -313,19 +311,20 @@ def counterexample_moments(problem: CounterExampleProblem, t_max: int, u0=None) 
 
 @dataclass
 class CounterExampleMonteCarlo:
-    """Per-step Monte-Carlo moments over independent solver runs."""
+    """Per-step Monte-Carlo moments over independent solver runs: E||u_t||^2
+    with its standard error, and the norm of the mean iterate with the norm
+    of its per-coordinate standard errors."""
 
     second_moment: np.ndarray
     second_moment_se: np.ndarray
-    mean_iterate: np.ndarray
-    mean_iterate_se: np.ndarray
-    n_runs: int
+    mean_norm: np.ndarray
+    mean_se: np.ndarray
 
 
 def counterexample_simulate(
     problem: CounterExampleProblem, n_runs: int, t: int, seed: int
 ) -> CounterExampleMonteCarlo:
-    """Monte-Carlo E||u_t||^2 and mean iterate from n_runs g = 0 solves.
+    """Monte-Carlo E||u_t||^2 and mean-iterate norm from n_runs g = 0 solves.
 
     Each run reseeds the sampler from its own substream and snapshots every
     step, so the output exposes both the exploding second moment and the
@@ -335,7 +334,8 @@ def counterexample_simulate(
     (t+1, n) array, and the four running sums (||u||^2, ||u||^4, u, u*u per
     step) each take one array add per run, runs added in order.  Each
     ||u||^2 is the dot product u @ u, so the sums are bit for bit those of
-    adding step by step.
+    adding step by step.  Each step's mean-iterate norm is ``np.linalg.norm``
+    of that step's row of the mean.
     """
     if n_runs < 2:
         raise ValueError("need at least two runs")
@@ -376,7 +376,6 @@ def counterexample_simulate(
     return CounterExampleMonteCarlo(
         second_moment=second,
         second_moment_se=np.sqrt(var_sq * n_runs / denom / n_runs),
-        mean_iterate=mean_u,
-        mean_iterate_se=np.sqrt(var_u.sum(axis=1) * n_runs / denom / n_runs),
-        n_runs=n_runs,
+        mean_norm=np.array([np.linalg.norm(row) for row in mean_u]),
+        mean_se=np.sqrt(var_u.sum(axis=1) * n_runs / denom / n_runs),
     )

@@ -13,7 +13,6 @@ independent ground truth.  All arithmetic is float64.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,12 +61,11 @@ class PboConfig:
 
 @dataclass
 class PbrfResult:
-    """Finetuned parameters plus diagnostics; overflow is always explicit."""
+    """R lockstep finetunes: the (R, n) finetuned parameters, row r for point
+    r, and the (R,) overflow flags; overflow is always explicit."""
 
-    theta_pbrf: ParamVector
-    displacement_norm: float
-    overflow: bool
-    steps_run: int
+    theta: np.ndarray
+    overflow: np.ndarray
 
 
 def _bregman_gaps(logits: np.ndarray, ref_logits: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -132,24 +130,13 @@ def pbo_gradient(
     return grad + cfg.lambda_damp * (theta - theta_star.values)
 
 
-def _displacement_norm(theta: np.ndarray, theta_star: np.ndarray) -> float:
-    """||theta - theta_star||, finite whenever every entry of the difference
-    is: the difference is divided by its largest magnitude before squaring."""
-    with np.errstate(over="ignore"):
-        shift = theta - theta_star
-    scale = float(np.max(np.abs(shift)))
-    if not 0.0 < scale < math.inf:
-        return scale
-    return scale * float(np.linalg.norm(shift / scale))
-
-
 def pbrf_finetune(
     spec: ModelSpec,
     theta_star: ParamVector,
     points: Dataset,
     dataset: Dataset,
     cfg: PboConfig,
-) -> list[PbrfResult]:
+) -> PbrfResult:
     """SGD on the proximal Bregman objective of each of R train points,
     starting from the reference.
 
@@ -159,10 +146,10 @@ def pbrf_finetune(
     discipline as the stochastic solver, so a finetune and a solve with
     matching (lr, steps, batch size, seed) see identical batch sequences.  A
     batch size covering the whole dataset switches to deterministic
-    full-batch descent, mirroring the curvature operator's convention.  A
-    non-finite update stops its chain and flags overflow; that chain keeps its
-    last finite parameters while the others run on.  Returns R PbrfResults in
-    point order, each equal to finetuning its point alone.
+    full-batch descent, as ``GnhOperator`` does.  A non-finite update stops
+    its chain and flags overflow; that chain keeps its last finite parameters
+    while the others run on.  Returns the block as one PbrfResult, row r bit
+    for bit what finetuning point r alone computes.
     """
     if len(cfg.seed) != len(points):
         raise ValueError(f"need one seed per point: {len(cfg.seed)} seeds for {len(points)} points")
@@ -170,9 +157,8 @@ def pbrf_finetune(
     full_batch = cfg.batch_size >= len(dataset)
     theta = np.broadcast_to(theta_star.values, (len(points), spec.n_params)).copy()
     overflow = np.zeros(len(points), dtype=bool)
-    steps_run = np.zeros(len(points), dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, cfg.steps + 1):
+        for _ in range(cfg.steps):
             batch = dataset if full_batch else sample_batch(dataset, cfg.batch_size, rng)
             grad = pbo_gradient(spec, theta, theta_star, points, batch, cfg)
             proposal = theta - cfg.lr * grad
@@ -180,47 +166,38 @@ def pbrf_finetune(
             if overflow.all():
                 break
             theta = np.where(overflow[:, None], theta, proposal)
-            steps_run[~overflow] = step
-    return [
-        PbrfResult(
-            theta_pbrf=ParamVector(values, spec.segments),
-            displacement_norm=_displacement_norm(values, theta_star.values),
-            overflow=bool(flag),
-            steps_run=int(run),
-        )
-        for values, flag, run in zip(theta, overflow, steps_run)
-    ]
+    return PbrfResult(theta=theta, overflow=overflow)
 
 
 def pbrf_influence(
     spec: ModelSpec,
-    results: list[PbrfResult],
+    result: PbrfResult,
     theta_star: ParamVector,
     test_points: Dataset,
     epsilon: float,
 ) -> np.ndarray:
     """Influence scores as the measurement change per unit epsilon.
 
-    score(test) = (f(test; theta_pbrf) - f(test; theta_star)) / epsilon with
-    f the log-probability of the test label; to first order in epsilon this
-    equals -grad_f . (H + lambda)^-1 grad_loss(train), the same sign
-    convention the solver pipeline reports.  Returns an (R, J) array, row r
-    for ``results[r]`` and column j for ``test_points[j]``.
+    score(test) = (f(test; theta) - f(test; theta_star)) / epsilon with f the
+    log-probability of the test label and theta a row of ``result.theta``; to
+    first order in epsilon this equals -grad_f . (H + lambda)^-1
+    grad_loss(train), the same sign convention the solver pipeline reports.
+    Returns an (R, J) array, row r for finetune r and column j for
+    ``test_points[j]``; any overflowed finetune raises OverflowError.
 
     Each f is a one-row forward pass, as in ``nll_loss``, so every score is
     bit for bit the one-example value: the reference f once per test point,
-    the moved f of every (result, test point) pair as one stacked forward,
+    the moved f of every (finetune, test point) pair as one stacked forward,
     (R, J, 1, in) rows against (R, 1, n) parameters.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if any(r.overflow for r in results):
+    if result.overflow.any():
         raise OverflowError("finetune overflowed; influences are unavailable")
     X = test_points.X[:, None, :]
     y = test_points.y[:, None]
-    thetas = np.stack([r.theta_pbrf.values for r in results])[:, None, :]
     ref = -_nll_from_logits(_forward(spec, theta_star.values, X)[0], y)
-    moved = -_nll_from_logits(_forward(spec, thetas, X)[0], y)
+    moved = -_nll_from_logits(_forward(spec, result.theta[:, None, :], X)[0], y)
     return (moved - ref)[..., 0] / epsilon
 
 
@@ -233,23 +210,6 @@ class InfluenceComparison:
     class_counts: dict
 
 
-def classify_agreement(
-    x: float, y: float, scale: float, near_zero_frac: float, agree_rtol: float
-) -> str:
-    """Deterministic trichotomy for one scatter point.
-
-    Points whose magnitudes are both below near_zero_frac * scale are
-    near-zero; otherwise the relative residual from the x = y diagonal
-    decides between agreeing and disagreeing.
-    """
-    magnitude = max(abs(x), abs(y))
-    if magnitude <= near_zero_frac * scale:
-        return "near_zero"
-    if abs(y - x) <= agree_rtol * magnitude:
-        return "agreeing"
-    return "disagreeing"
-
-
 def compare_influences(
     lissa_scores: np.ndarray,
     pbrf_scores: np.ndarray,
@@ -259,7 +219,10 @@ def compare_influences(
     """Pearson correlation, origin slope, and trichotomy counts for two arrays.
 
     The arrays must have equal shapes, entry i of one paired with entry i of
-    the other, and at least ten entries; they are read in C order.
+    the other, and at least ten entries; they are read in C order.  A pair
+    whose magnitudes are both at most near_zero_frac times the largest
+    magnitude of either array is near-zero; otherwise its relative residual
+    from the x = y diagonal decides between agreeing and disagreeing.
     """
     x = np.asarray(lissa_scores, dtype=np.float64)
     y = np.asarray(pbrf_scores, dtype=np.float64)
@@ -272,8 +235,12 @@ def compare_influences(
     if denom == 0.0:
         raise ValueError("all reference scores are zero")
     slope = float(x @ y) / denom
-    scale = float(np.max(np.abs(np.concatenate([x, y]))))
-    counts = {"agreeing": 0, "near_zero": 0, "disagreeing": 0}
-    for xi, yi in zip(x, y):
-        counts[classify_agreement(xi, yi, scale, near_zero_frac, agree_rtol)] += 1
+    magnitude = np.maximum(np.abs(x), np.abs(y))
+    near_zero = magnitude <= near_zero_frac * magnitude.max()
+    agreeing = ~near_zero & (np.abs(y - x) <= agree_rtol * magnitude)
+    counts = {
+        "agreeing": int(agreeing.sum()),
+        "near_zero": int(near_zero.sum()),
+        "disagreeing": int(x.size - agreeing.sum() - near_zero.sum()),
+    }
     return InfluenceComparison(pearson=pearson_corr(x, y), slope=slope, class_counts=counts)

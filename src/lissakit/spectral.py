@@ -255,9 +255,9 @@ def check_condition_c1(
 
     For each batch size the probe estimate of Tr(E[Hb^2] - H^2)/N is paired
     with the reference value Tr(H)^2 / (N |B|) at C = 1 (callers compare
-    against C times this).  A batch size covering the whole dataset switches
-    to the deterministic full-batch operator, where the noise term is
-    identically zero.
+    against C times this).  A batch size covering the whole dataset gives the
+    deterministic full-batch operator, where the noise term is identically
+    zero.
     """
     op_full = GnhOperator(spec, theta, dataset)
     trace_h = gnh_trace_exact(spec, theta, dataset)
@@ -266,12 +266,7 @@ def check_condition_c1(
     for b in batch_sizes:
         if b < 1:
             raise ValueError("batch sizes must be >= 1")
-        if b >= len(dataset):
-            op_b = op_full
-        else:
-            op_b = GnhOperator(
-                spec, theta, dataset, batch_size=b, rng=rng.substream(b)
-            )
+        op_b = GnhOperator(spec, theta, dataset, batch_size=b, rng=rng.substream(b))
         lhs = condition_c1_lhs(op_b, op_full, n_probes, rng.substream(b + 1_000_003))
         rhs = trace_h * trace_h / (n * b)
         rows.append(ConditionC1Row(batch_size=b, lhs_trace=lhs, rhs_trace=rhs))

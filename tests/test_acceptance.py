@@ -184,7 +184,7 @@ def test_criterion_02_mean_iterate_contracts(oracle, acceptance_log):
 def test_criterion_03_small_batch_second_moment_divergence(acceptance_log):
     # ten equal unit eigenvalues, eta saturating the step bound, single-sample
     # batches: the iterate's second moment explodes while its mean contracts
-    problem, _ = counterexample_build(10, 1.0, 1, 0.1, 1.0 / 1.1, seed=0)
+    problem = counterexample_build(10, 1.0, 1, 0.1, 1.0 / 1.1, seed=0)
     growth = float(problem.second_moment_diagonal.max())
     exact = counterexample_moments(problem, 8)
     mc = counterexample_simulate(problem, 2000, 8, seed=36)
@@ -193,8 +193,7 @@ def test_criterion_03_small_batch_second_moment_divergence(acceptance_log):
     rate = 1.0 - problem.lambda_damp * problem.eta
     start = float(np.linalg.norm(problem.u0))
     contracts = all(
-        float(np.linalg.norm(mean_mc.mean_iterate[t]))
-        <= rate**t * start + 3.0 * mean_mc.mean_iterate_se[t]
+        mean_mc.mean_norm[t] <= rate**t * start + 3.0 * mean_mc.mean_se[t]
         for t in range(1, 9)
     )
     ok = (
@@ -398,8 +397,8 @@ def _paired_scores(spec, theta, train_set, test_points, lam_damp, eta, steps, ba
         seed=tuple(derive_seed(finetune_base, i) for i in range(25)),
     )
     points = Dataset(X=train_set.X[:25], y=train_set.y[:25], ids=train_set.ids[:25])
-    results = pbrf_finetune(spec, theta, points, train_set, pbo)
-    return np.array(solver_scores), pbrf_influence(spec, results, theta, test_points, 1e-8)
+    finetunes = pbrf_finetune(spec, theta, points, train_set, pbo)
+    return np.array(solver_scores), pbrf_influence(spec, finetunes, theta, test_points, 1e-8)
 
 
 def test_criterion_08_solver_agrees_with_finetuning(mlp_fixture, acceptance_log):

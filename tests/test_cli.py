@@ -212,6 +212,14 @@ class TestDeterminism:
         assert (base / "solution.csv").read_text() != (other / "solution.csv").read_text()
         assert "seed = 9" in (other / "manifest.txt").read_text()
 
+    def test_lissa_covering_batch_writes_the_full_batch_bytes(self, tmp_path):
+        # a batch_size of the whole training set runs full batch, as no batch_size does
+        covering_cfg = QUAD_CFG.replace("batch_size = 64", "batch_size = 256")
+        _, covering = run_cli(tmp_path, "lissa", covering_cfg, name="covering")
+        _, full = run_cli(tmp_path, "lissa", QUAD_CFG.replace("batch_size = 64\n", ""), name="full")
+        for name in ["lissa_trace.csv", "solution.csv"]:
+            assert (covering / name).read_bytes() == (full / name).read_bytes()
+
     def test_threads_one_writes_the_same_bytes_as_no_flag(self, tmp_path):
         cfg_text = QUAD_CFG.replace("t_steps = 400", "t_steps = 20") + "n_train = 6\nn_test = 5\n"
         _, plain = run_cli(tmp_path, "pbrf-compare", cfg_text, name="plain")
@@ -363,7 +371,7 @@ class TestExitCodes:
         "solve_fails, finetune_overflows, message",
         [
             ((2, 3), (), "iterate diverged at step 2 (norm 1e+300)"),
-            ((2,), (1,), "finetune overflowed; influences are unavailable"),
+            ((2,), (1,), "iterate diverged at step 2 (norm 1e+300)"),
             ((2,), (2, 3), "iterate diverged at step 2 (norm 1e+300)"),
             ((), (4,), "finetune overflowed; influences are unavailable"),
         ],
@@ -371,8 +379,8 @@ class TestExitCodes:
     def test_pbrf_compare_fails_on_the_earliest_item(
         self, tmp_path, capsys, monkeypatch, solve_fails, finetune_overflows, message
     ):
-        # the solves and the lockstep finetunes report failures as if each item
-        # ran its solve and then its finetune, one item after another
+        # the solves run first and stop at the first divergence, before any
+        # finetune; only when every solve converged can a finetune overflow
         items = {component_seed(3, f"pbrf-item-{i}"): i for i in range(6)}
         real_solve, real_finetune = cli.lissa_solve, cli.pbrf_finetune
 
@@ -382,10 +390,9 @@ class TestExitCodes:
             return real_solve(op, g, cfg)
 
         def finetune(spec, theta, points, dataset, cfg):
-            results = real_finetune(spec, theta, points, dataset, cfg)
-            for seed, result in zip(cfg.seed, results):
-                result.overflow = items[seed] in finetune_overflows
-            return results
+            result = real_finetune(spec, theta, points, dataset, cfg)
+            result.overflow[:] = [items[seed] in finetune_overflows for seed in cfg.seed]
+            return result
 
         monkeypatch.setattr("lissakit.cli.lissa_solve", solve)
         monkeypatch.setattr("lissakit.cli.pbrf_finetune", finetune)
@@ -1088,6 +1095,40 @@ class TestInputBoundary:
         assert code == 2
         err = capsys.readouterr().err
         assert "config error" in err and "logits overflow" in err and "init_scale = 1.7e+308" in err
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("lissa", ""), ("stats", ""), ("condition-c1", "batch_sizes = 4\n"), ("similarity", ""),
+         ("convergence", "n_test = 5\nbatch_sizes = 4\n"), ("pbrf-compare", "n_test = 5\neta = 0.5\n")],
+    )
+    def test_full_batch_activations_over_the_limit_are_two(self, tmp_path, capsys, monkeypatch, command, extra):
+        # 9,999,995 examples of one feature draw under MAX_DRAW_WORDS, but their
+        # hidden layer of 1000 would hold about 10^10 floats; once an
+        # _ArrayMemoryError in the forward pass, exit 1
+        def refuse(*args, **kwargs):
+            raise AssertionError("activations computed for a dataset over the limit")
+
+        for name in ("lissakit.cli._forward", "lissakit.models._forward", "lissakit.cli.make_blobs"):
+            monkeypatch.setattr(name, refuse)
+        text = "model_kind = mlp\nlayer_sizes = 1, 1000, 2\nn_examples = 9999995\n" + extra
+        code, _ = run_cli(tmp_path, command, text)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: a full-batch activation array of ") and "MAX_KEPT_FLOATS" in err
+
+    def test_dataset_file_activations_over_the_limit_are_two(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("activations computed for a dataset over the limit")
+
+        monkeypatch.setattr("lissakit.cli._forward", refuse)
+        monkeypatch.setattr("lissakit.models._forward", refuse)
+        # 10,001 examples times a hidden layer of 1000 is one float over the limit
+        data = write(tmp_path, "data.csv", "x0,label\n" + "".join(f"{i % 7}.5,{i % 2}\n" for i in range(10_001)))
+        text = f"model_kind = mlp\nlayer_sizes = 1, 1000, 2\ndataset_path = {data}\n"
+        code, _ = run_cli(tmp_path, "stats", text)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "10001 examples times the widest layer of 1000" in err and "MAX_KEPT_FLOATS" in err
 
 
 class TestKeptIterates:

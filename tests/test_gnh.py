@@ -275,6 +275,21 @@ class TestHvp:
         a = [op.reseeded(123).matvec(u) for _ in range(2)]
         assert np.array_equal(a[0], a[1])
 
+    @pytest.mark.parametrize("batch_size", [20, 21, 10**9])
+    def test_covering_batch_is_the_full_batch_operator(self, monkeypatch, batch_size):
+        # a batch of at least the dataset draws nothing and is not stochastic
+        def refuse(*args, **kwargs):
+            raise AssertionError("batch drawn although batch_size covers the dataset")
+
+        monkeypatch.setattr(gnh, "sample_batch", refuse)
+        theta, data = toy_fixture(MLP, n=20, seed=12)
+        op = GnhOperator(MLP, theta, data, batch_size=batch_size, rng=SeededRng(0))
+        full = GnhOperator(MLP, theta, data)
+        assert op.batch_size is None and op.reseeded(5) is op
+        u = SeededRng(120).normal(MLP.n_params)
+        for _ in range(2):
+            assert np.array_equal(op.matvec(u), full.matvec(u))
+
     def test_fresh_batch_per_call(self):
         theta, data = toy_fixture(LINEAR, n=20, seed=9)
         op = GnhOperator(LINEAR, theta, data, batch_size=5, rng=SeededRng(1))

@@ -182,7 +182,8 @@ class TestLissaSolve:
         assert steps == [3, 6, 7]
 
     def test_divergence_raises_with_step(self):
-        problem, sampler = growth_problem()
+        problem = growth_problem()
+        sampler = RotatedRankOneSampler(problem, SeededRng(0))
         cfg = LissaConfig(
             eta=problem.eta, lambda_damp=problem.lambda_damp, t_steps=500,
             seed=5, u0=problem.u0,
@@ -252,11 +253,11 @@ class TestConvergenceCorrelation:
 
 class TestCounterExampleBuild:
     def test_equal_spectrum_growth_factor(self):
-        problem, _ = growth_problem()
+        problem = growth_problem()
         assert np.allclose(problem.second_moment_diagonal, 9.0 / 1.21)
 
     def test_batch_threshold_arithmetic(self):
-        problem, _ = growth_problem()
+        problem = growth_problem()
         assert problem.batch_threshold == pytest.approx((1.0 / 1.1) ** 2 * 10.0)
         assert 8 <= problem.batch_threshold < 9
 
@@ -265,28 +266,28 @@ class TestCounterExampleBuild:
         # second-moment factor above 1
         factors = []
         for eta in np.linspace(0.05, 1.0, 20):
-            problem, _ = counterexample_build(10, 1.0, 8, 0.1, eta, seed=0)
+            problem = counterexample_build(10, 1.0, 8, 0.1, eta, seed=0)
             factors.append(problem.second_moment_diagonal.max())
         assert max(factors) > 1.0
 
     def test_large_batch_removes_noise_term(self):
-        problem, _ = counterexample_build(10, 1.0, 10**9, 0.1, 1.0 / 1.1, seed=0)
+        problem = counterexample_build(10, 1.0, 10**9, 0.1, 1.0 / 1.1, seed=0)
         contraction_sq = (1.0 - problem.eta * 1.1) ** 2
         assert np.allclose(problem.second_moment_diagonal, contraction_sq, atol=1e-8)
 
     def test_rotation_orthogonal(self):
-        problem, _ = counterexample_build(12, np.linspace(0.5, 3.0, 12), 2, 0.2, 0.1, seed=4)
+        problem = counterexample_build(12, np.linspace(0.5, 3.0, 12), 2, 0.2, 0.1, seed=4)
         eye = problem.rotation @ problem.rotation.T
         assert np.abs(eye - np.eye(12)).max() <= 1e-10
 
     def test_mean_matrix_spectrum(self):
         lam = np.array([3.0, 2.0, 1.0, 0.5])
-        problem, _ = counterexample_build(4, lam, 2, 0.2, 0.1, seed=4)
+        problem = counterexample_build(4, lam, 2, 0.2, 0.1, seed=4)
         assert np.allclose(np.linalg.eigvalsh(problem.mean_matrix()), np.sort(lam))
 
     def test_default_u0_targets_worst_coordinate(self):
         lam = np.array([3.0, 2.0, 1.0, 0.5])
-        problem, _ = counterexample_build(4, lam, 2, 0.2, 0.1, seed=4)
+        problem = counterexample_build(4, lam, 2, 0.2, 0.1, seed=4)
         top = int(np.argmax(problem.second_moment_diagonal))
         assert np.array_equal(problem.u0, problem.rotation[:, top])
         assert np.linalg.norm(problem.u0) == pytest.approx(1.0)
@@ -295,7 +296,8 @@ class TestCounterExampleBuild:
         # averaging x x^T over all sign patterns gives H exactly, and
         # averaging (x x^T)^2 gives Tr(H) H exactly: ||x||^2 is constant
         lam = np.array([2.0, 1.0, 0.5, 0.25])
-        problem, sampler = counterexample_build(4, lam, 1, 0.3, 0.25, seed=3)
+        problem = counterexample_build(4, lam, 1, 0.3, 0.25, seed=3)
+        sampler = RotatedRankOneSampler(problem, SeededRng(0))
         H = problem.mean_matrix()
         first = np.zeros((4, 4))
         second = np.zeros((4, 4))
@@ -323,11 +325,11 @@ class TestCounterExampleBuild:
 
 class TestCounterExampleMoments:
     def test_step_zero_is_u0_norm(self):
-        problem, _ = growth_problem()
+        problem = growth_problem()
         assert counterexample_moments(problem, 0)[0] == pytest.approx(1.0)
 
     def test_equal_spectrum_closed_form(self):
-        problem, _ = growth_problem()
+        problem = growth_problem()
         u0 = SeededRng(8).normal(10)
         factor = 9.0 / 1.21
         for t in (1, 3, 6):
@@ -339,7 +341,7 @@ class TestCounterExampleMoments:
         # coupling through s matters, so the naive per-coordinate power of
         # the one-step factors is measurably wrong at t = 2
         lam = np.array([2.0, 1.0, 0.5, 0.25])
-        problem, _ = counterexample_build(4, lam, 1, 0.3, 0.25, seed=3)
+        problem = counterexample_build(4, lam, 1, 0.3, 0.25, seed=3)
         V, root = problem.rotation, np.sqrt(lam)
         eta, damp = problem.eta, problem.lambda_damp
 
@@ -381,7 +383,7 @@ class TestCounterExampleMoments:
         ],
     )
     def test_one_pass_equals_per_step_reruns(self, build, explicit_u0):
-        problem, _ = build()
+        problem = build()
         u0 = SeededRng(8).normal(problem.n) if explicit_u0 else None
         got = counterexample_moments(problem, 40, u0)
         start = problem.u0 if u0 is None else u0
@@ -390,13 +392,13 @@ class TestCounterExampleMoments:
         assert np.array_equal(got, want)
 
     def test_moments_validation(self):
-        problem, _ = growth_problem()
+        problem = growth_problem()
         assert counterexample_moments(problem, 0).shape == (1,)
         with pytest.raises(ValueError):
             counterexample_moments(problem, -1)
 
     def test_monte_carlo_matches_in_growth_regime(self):
-        problem, _ = growth_problem()
+        problem = growth_problem()
         mc = counterexample_simulate(problem, 2000, 8, seed=36)
         exact = counterexample_moments(problem, 8)
         rel = np.abs(mc.second_moment / exact - 1.0)
@@ -405,19 +407,19 @@ class TestCounterExampleMoments:
 
     def test_monte_carlo_matches_on_unequal_spectrum(self):
         lam = np.array([3.0, 2.0, 1.5, 1.0, 0.5, 0.2])
-        problem, _ = counterexample_build(6, lam, 4, 0.5, 0.2, seed=7)
+        problem = counterexample_build(6, lam, 4, 0.5, 0.2, seed=7)
         mc = counterexample_simulate(problem, 4000, 6, seed=9)
         exact = counterexample_moments(problem, 6)
         for t in range(1, 7):
             assert abs(mc.second_moment[t] - exact[t]) <= 3 * mc.second_moment_se[t]
 
     def test_mean_iterate_contracts_despite_growth(self):
-        problem, _ = growth_problem()
+        problem = growth_problem()
         mc = counterexample_simulate(problem, 500, 6, seed=36)
         rate = 1.0 - problem.lambda_damp * problem.eta
         for t in range(1, 7):
-            bound = rate**t * np.linalg.norm(problem.u0) + 3 * mc.mean_iterate_se[t]
-            assert np.linalg.norm(mc.mean_iterate[t]) <= bound
+            bound = rate**t * np.linalg.norm(problem.u0) + 3 * mc.mean_se[t]
+            assert mc.mean_norm[t] <= bound
 
     @staticmethod
     def per_step_simulate(problem, n_runs, t, seed):
@@ -451,23 +453,21 @@ class TestCounterExampleMoments:
         return CounterExampleMonteCarlo(
             second_moment=second,
             second_moment_se=np.sqrt(var_sq * n_runs / denom / n_runs),
-            mean_iterate=mean_u,
-            mean_iterate_se=np.sqrt(var_u.sum(axis=1) * n_runs / denom / n_runs),
-            n_runs=n_runs,
+            mean_norm=np.array([np.linalg.norm(mean_u[step]) for step in range(t + 1)]),
+            mean_se=np.sqrt(var_u.sum(axis=1) * n_runs / denom / n_runs),
         )
 
     @pytest.mark.parametrize("batch_size", [1, 3])
     def test_run_sums_equal_per_step_sums(self, batch_size):
         lam = np.array([3.0, 2.0, 1.5, 1.0, 0.5, 0.2, 0.05])
-        problem, _ = counterexample_build(7, lam, batch_size, 0.3, 0.3, seed=12)
+        problem = counterexample_build(7, lam, batch_size, 0.3, 0.3, seed=12)
         got = counterexample_simulate(problem, 60, 7, seed=13)
         want = self.per_step_simulate(problem, 60, 7, seed=13)
-        for name in ("second_moment", "second_moment_se", "mean_iterate", "mean_iterate_se"):
+        for name in ("second_moment", "second_moment_se", "mean_norm", "mean_se"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        assert got.n_runs == want.n_runs
 
     def test_simulate_validation(self):
-        problem, _ = growth_problem()
+        problem = growth_problem()
         with pytest.raises(ValueError):
             counterexample_simulate(problem, 1, 3, seed=0)
         with pytest.raises(ValueError):

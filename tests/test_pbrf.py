@@ -23,7 +23,6 @@ from lissakit.pbrf import (
     InfluenceComparison,
     PboConfig,
     PbrfResult,
-    classify_agreement,
     compare_influences,
     pbo_gradient,
     pbo_objective,
@@ -155,16 +154,15 @@ class TestPbrfFinetune:
     def test_zero_epsilon_stays_at_reference(self, quad):
         spec, theta, data, H, damp, eta = quad
         cfg = PboConfig(epsilon=0.0, lambda_damp=damp, lr=eta, steps=30, batch_size=64, seed=(1,))
-        (result,) = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
-        assert result.displacement_norm == 0.0
-        assert np.array_equal(result.theta_pbrf.values, theta.values)
+        result = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
+        assert np.array_equal(result.theta, theta.values[None])
 
     def test_deterministic_given_seed(self, quad):
         spec, theta, data, H, damp, eta = quad
         cfg = PboConfig(epsilon=1e-4, lambda_damp=damp, lr=eta, steps=25, batch_size=32, seed=(3,))
-        (a,) = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
-        (b,) = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
-        assert np.array_equal(a.theta_pbrf.values, b.theta_pbrf.values)
+        a = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
+        b = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
+        assert np.array_equal(a.theta, b.theta)
 
     def test_full_batch_matches_ridge_closed_form(self, quad):
         # deterministic descent: displacement/epsilon converges to the
@@ -176,39 +174,18 @@ class TestPbrfFinetune:
         cfg = PboConfig(
             epsilon=1e-8, lambda_damp=damp, lr=eta, steps=80, batch_size=len(data), seed=(0,)
         )
-        (result,) = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
-        implied = -(result.theta_pbrf.values - theta.values) / cfg.epsilon
+        result = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
+        implied = -(result.theta[0] - theta.values) / cfg.epsilon
         rel = np.linalg.norm(implied - ustar) / np.linalg.norm(ustar)
         assert rel <= 0.02
-        assert not result.overflow
+        assert not result.overflow[0]
 
     def test_overflow_flagged_with_finite_partial_result(self, quad):
         spec, theta, data, H, damp, eta = quad
         cfg = PboConfig(epsilon=1.0, lambda_damp=1.0, lr=1e6, steps=100, batch_size=32, seed=(2,))
-        (result,) = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
-        assert result.overflow
-        assert result.steps_run < 100
-        assert np.isfinite(result.theta_pbrf.values).all()
-
-    def test_overflowed_chain_reports_a_finite_displacement_norm(self, quad):
-        # the last finite theta is far out: its squared entries overflow, the
-        # norm itself does not
-        spec, theta, data, H, damp, eta = quad
-        cfg = PboConfig(epsilon=1.0, lambda_damp=1.0, lr=1e6, steps=100, batch_size=32, seed=(2,))
-        (result,) = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
-        shift = result.theta_pbrf.values - theta.values
-        scale = float(np.abs(shift).max())
-        assert scale > math.sqrt(np.finfo(np.float64).max)
-        want = scale * math.sqrt(sum((d / scale) ** 2 for d in shift))
-        assert math.isfinite(result.displacement_norm)
-        assert result.displacement_norm == pytest.approx(want, rel=1e-14)
-
-    def test_displacement_norm_is_the_euclidean_norm(self, quad):
-        spec, theta, data, H, damp, eta = quad
-        cfg = PboConfig(epsilon=1e-2, lambda_damp=damp, lr=eta, steps=5, batch_size=32, seed=(3,))
-        (result,) = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
-        want = np.linalg.norm(result.theta_pbrf.values - theta.values)
-        assert want > 0 and result.displacement_norm == pytest.approx(want, rel=1e-14)
+        result = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
+        assert result.overflow.tolist() == [True]
+        assert np.isfinite(result.theta).all()
 
     def test_objective_trace_non_increasing(self, quad):
         # step k's batch is fixed by (seed, k), so the finetunes with steps
@@ -217,8 +194,9 @@ class TestPbrfFinetune:
         values = []
         for steps in range(5, 101, 5):
             cfg = PboConfig(epsilon=1e-3, lambda_damp=damp, lr=eta, steps=steps, batch_size=64, seed=(4,))
-            (result,) = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
-            values.append(pbo_objective(spec, result.theta_pbrf, theta, data[0], data, cfg))
+            result = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
+            moved = ParamVector(result.theta[0], spec.segments)
+            values.append(pbo_objective(spec, moved, theta, data[0], data, cfg))
         assert len(values) == 20
         increases = np.diff(values)
         assert increases.max() <= 1e-3 * values[0]
@@ -228,13 +206,8 @@ class TestPbrfFinetune:
 class TestPbrfInfluence:
     def test_reference_parameters_give_zeros(self, quad):
         spec, theta, data, H, damp, eta = quad
-        result = PbrfResult(
-            theta_pbrf=theta.copy(),
-            displacement_norm=0.0,
-            overflow=False,
-            steps_run=0,
-        )
-        scores = pbrf_influence(spec, [result], theta, subset(data, range(5)), 1e-8)
+        result = PbrfResult(theta=theta.values[None].copy(), overflow=np.zeros(1, dtype=bool))
+        scores = pbrf_influence(spec, result, theta, subset(data, range(5)), 1e-8)
         assert scores.shape == (1, 5) and (scores == 0.0).all()
 
     def test_quadratic_model_matches_dense_formula(self, quad):
@@ -297,14 +270,9 @@ class TestPbrfInfluence:
 
     def test_epsilon_validation(self, quad):
         spec, theta, data, H, damp, eta = quad
-        result = PbrfResult(
-            theta_pbrf=theta.copy(),
-            displacement_norm=0.0,
-            overflow=False,
-            steps_run=0,
-        )
+        result = PbrfResult(theta=theta.values[None].copy(), overflow=np.zeros(1, dtype=bool))
         with pytest.raises(ValueError):
-            pbrf_influence(spec, [result], theta, subset(data, [0]), 0.0)
+            pbrf_influence(spec, result, theta, subset(data, [0]), 0.0)
 
 
 LOCKSTEP_SPECS = {
@@ -314,10 +282,10 @@ LOCKSTEP_SPECS = {
 }
 
 
-def assert_same_result(got, want):
-    assert got.theta_pbrf.values.tobytes() == want.theta_pbrf.values.tobytes()
-    assert (got.overflow, got.steps_run) == (want.overflow, want.steps_run)
-    assert got.displacement_norm == want.displacement_norm
+def assert_same_row(block, i, want):
+    """Row i of a lockstep block is bit for bit the one-point finetune ``want``."""
+    assert block.theta[i].tobytes() == want.theta[0].tobytes()
+    assert block.overflow[i] == want.overflow[0]
 
 
 class TestLockstep:
@@ -340,12 +308,12 @@ class TestLockstep:
         seeds = (11, 12, 13, 14, 11)
         cfg = PboConfig(epsilon=epsilon, lambda_damp=0.1, lr=0.3, steps=12, batch_size=batch_size, seed=seeds)
         block = pbrf_finetune(spec, theta, points, data, cfg)
-        assert len(block) == len(rows)
-        for i, got in enumerate(block):
+        assert block.theta.shape == (len(rows), spec.n_params) and block.overflow.shape == (len(rows),)
+        for i in range(len(rows)):
             one = PboConfig(epsilon=epsilon, lambda_damp=0.1, lr=0.3, steps=12, batch_size=batch_size, seed=seeds[i : i + 1])
-            assert_same_result(got, pbrf_finetune(spec, theta, subset(points, [i]), data, one)[0])
+            assert_same_row(block, i, pbrf_finetune(spec, theta, subset(points, [i]), data, one))
         if epsilon == 0.0:
-            assert all(r.displacement_norm == 0.0 for r in block)
+            assert np.array_equal(block.theta, np.broadcast_to(theta.values, block.theta.shape))
 
     def test_an_overflowing_chain_leaves_the_others_alone(self):
         spec, theta, data = self.setup("relu")
@@ -354,12 +322,11 @@ class TestLockstep:
         points = Dataset(X=X, y=data.y[:4], ids=data.ids[:4])
         cfg = PboConfig(epsilon=1.0, lambda_damp=0.1, lr=0.3, steps=10, batch_size=8, seed=(1, 2, 3, 4))
         block = pbrf_finetune(spec, theta, points, data, cfg)
-        assert [r.overflow for r in block] == [False, False, True, False]
-        assert block[2].steps_run < 10 and np.isfinite(block[2].theta_pbrf.values).all()
-        assert [r.steps_run for r in block if not r.overflow] == [10, 10, 10]
-        for i, got in enumerate(block):
+        assert block.overflow.tolist() == [False, False, True, False]
+        assert np.isfinite(block.theta).all()
+        for i in range(4):
             one = PboConfig(epsilon=1.0, lambda_damp=0.1, lr=0.3, steps=10, batch_size=8, seed=cfg.seed[i : i + 1])
-            assert_same_result(got, pbrf_finetune(spec, theta, subset(points, [i]), data, one)[0])
+            assert_same_row(block, i, pbrf_finetune(spec, theta, subset(points, [i]), data, one))
 
     def test_one_seed_per_point(self):
         spec, theta, data = self.setup("linear")
@@ -375,24 +342,24 @@ class TestLockstep:
         spec, theta, data = self.setup(name)
         points = Dataset(X=data.X[:6], y=data.y[:6], ids=data.ids[:6])
         cfg = PboConfig(epsilon=1e-8, lambda_damp=0.1, lr=0.3, steps=8, batch_size=8, seed=tuple(range(6)))
-        results = pbrf_finetune(spec, theta, points, data, cfg)
+        finetunes = pbrf_finetune(spec, theta, points, data, cfg)
         tests = subset(data, range(20, 40))
-        block = pbrf_influence(spec, results, theta, tests, 1e-8)
-        assert block.shape == (len(results), len(tests))
-        for result, scores in zip(results, block):
-            assert scores.tobytes() == pbrf_influence(spec, [result], theta, tests, 1e-8)[0].tobytes()
+        block = pbrf_influence(spec, finetunes, theta, tests, 1e-8)
+        assert block.shape == (len(points), len(tests))
+        for values, flag, scores in zip(finetunes.theta, finetunes.overflow, block):
+            one = PbrfResult(theta=values[None], overflow=flag[None])
+            assert scores.tobytes() == pbrf_influence(spec, one, theta, tests, 1e-8)[0].tobytes()
             for j in range(len(tests)):
                 ex = tests[j]
-                moved = -nll_loss(spec, result.theta_pbrf, ex.x, ex.y)
+                moved = -nll_loss(spec, ParamVector(values, spec.segments), ex.x, ex.y)
                 ref = -nll_loss(spec, theta, ex.x, ex.y)
                 assert scores[j].tobytes() == ((moved - ref) / 1e-8).tobytes()
 
     def test_any_overflowed_result_blocks_the_readout(self):
         spec, theta, data = self.setup("linear")
-        fine = PbrfResult(theta.copy(), 0.0, False, 1)
-        broken = PbrfResult(theta.copy(), 0.0, True, 0)
+        block = PbrfResult(theta=np.stack([theta.values, theta.values]), overflow=np.array([False, True]))
         with pytest.raises(OverflowError):
-            pbrf_influence(spec, [fine, broken], theta, subset(data, [0]), 1e-8)
+            pbrf_influence(spec, block, theta, subset(data, [0]), 1e-8)
 
 
 class TestCompareInfluences:
@@ -434,7 +401,39 @@ class TestCompareInfluences:
         cmp = compare_influences(x, y, near_zero_frac=0.05, agree_rtol=0.2)
         assert cmp.class_counts == {"agreeing": 4, "near_zero": 4, "disagreeing": 4}
 
+    def test_counts_equal_a_per_point_loop(self):
+        # the scalar rule, one point at a time, on a 160 x 40 scatter with
+        # every class present
+        rng = SeededRng(31)
+        x = rng.normal(6400).reshape(160, 40)
+        y = x * (1.0 + 0.4 * rng.normal(6400).reshape(160, 40))
+        scale = float(np.abs(np.concatenate([x.ravel(), y.ravel()])).max())
+        want = {"agreeing": 0, "near_zero": 0, "disagreeing": 0}
+        for xi, yi in zip(x.ravel(), y.ravel()):
+            magnitude = max(abs(xi), abs(yi))
+            if magnitude <= 0.05 * scale:
+                want["near_zero"] += 1
+            elif abs(yi - xi) <= 0.2 * magnitude:
+                want["agreeing"] += 1
+            else:
+                want["disagreeing"] += 1
+        assert min(want.values()) > 0
+        assert compare_influences(x, y).class_counts == want
+
     def test_classify_agreement_boundaries(self):
-        assert classify_agreement(0.0, 0.0, 1.0, 0.05, 0.2) == "near_zero"
-        assert classify_agreement(1.0, 1.1, 1.1, 0.05, 0.2) == "agreeing"
-        assert classify_agreement(1.0, -1.0, 1.0, 0.05, 0.2) == "disagreeing"
+        # each boundary pair next to nine agreeing pairs, the last (1, scale),
+        # which fix the largest magnitude at scale; every limit is inclusive
+        for x, y, scale, kind in (
+            (0.0, 0.0, 1.0, "near_zero"),
+            (1.0, 1.1, 1.1, "agreeing"),
+            (1.0, -1.0, 1.0, "disagreeing"),
+            (0.05, 0.0, 1.0, "near_zero"),
+            (1.0, 1.25, 1.25, "agreeing"),
+        ):
+            fill = np.linspace(0.5, 1.0, 9)
+            xs = np.append(fill, x)
+            ys = np.append(fill[:-1], [scale, y])
+            counts = compare_influences(xs, ys, near_zero_frac=0.05, agree_rtol=0.2).class_counts
+            want = {"agreeing": 9, "near_zero": 0, "disagreeing": 0}
+            want[kind] += 1
+            assert counts == want, (x, y)
