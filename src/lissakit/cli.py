@@ -20,7 +20,7 @@ from . import __version__
 from .config import ConfigError, ExperimentConfig, component_seed, load_config, sha256_hex
 from .core import SeededRng, SymEig, sym_eig
 from .gnh import MAX_DENSE_PARAMS, GnhOperator, gnh_matrix_exact
-from .influence import eigen_reweight, influence_score, similarity_matrix
+from .influence import eigen_reweight, similarity_matrix
 from .lissa import (
     LissaConfig,
     LissaDivergenceError,
@@ -38,8 +38,8 @@ from .models import (
     init_params,
     load_dataset_csv,
     loss_gradient,
+    loss_gradients,
     make_blobs,
-    test_gradient as measurement_gradient,
 )
 from .pbrf import PboConfig, compare_influences, pbrf_finetune, pbrf_influence
 from .spectral import (
@@ -65,12 +65,14 @@ MAX_T_STEPS = 1_000_000
 MAX_PROBES = 1_000_000
 # Largest number of floats a command holds in one array: every model command
 # holds theta, one float per parameter, and its full-batch activations, one
-# float per example and unit of the widest layer, convergence keeps one copy
-# of the iterate per snapshot until it correlates them, counterexample one
-# iterate and its moment sums per step, condition-c1 the centered factors of
-# one example's exact trace, and tfidf-check its corpus and its count,
-# gradient and pair arrays, so this caps each array at 80 MB.  It does not cap
-# the text of a table that a command writes.
+# float per example and unit of the widest layer, convergence, pbrf-compare and
+# similarity one gradient per example they score (pbrf-compare also one
+# activation row per scored pair, similarity one float per item pair),
+# convergence one copy of the iterate per snapshot until it correlates them,
+# counterexample one iterate and its moment sums per step, condition-c1 the
+# centered factors of one example's exact trace, and tfidf-check its corpus
+# and its count, gradient and pair arrays, so this caps each array at 80 MB.
+# It does not cap the text of a table that a command writes.
 MAX_KEPT_FLOATS = 10**7
 # Largest number of random words one draw of a command may take: a batch of
 # b examples draws b words per step (b times n_train in the lockstep finetunes
@@ -209,6 +211,19 @@ def _check_limit(what: str, amount: int | None, limit: str, hint: str = "") -> N
     value = globals()[limit]
     if amount is not None and amount > value:
         raise ConfigError(f"{what} is over the limit {limit} = {value}" + (hint and f"; {hint}"))
+
+
+def _check_gradient_block(spec: ModelSpec, rows: int, field: str) -> None:
+    """A command that scores ``rows`` examples, the count in ``field``, holds
+    their (rows, n_params) gradient block."""
+    what = f"a gradient block of {field} = {rows} times {spec.n_params} parameters"
+    _check_limit(what, rows * spec.n_params, "MAX_KEPT_FLOATS", f"lower {field}")
+
+
+def _check_draw(op: GnhOperator, draw: int, what: str) -> None:
+    """An operator whose batch covers the training set runs full batch and
+    draws nothing; otherwise ``draw`` words, which ``what`` names, are a draw."""
+    _check_limit(what, None if op.batch_size is None else draw, "MAX_DRAW_WORDS")
 
 
 def _dense_gnh(run: RunContext, spec: ModelSpec, theta, train) -> SymEig:
@@ -387,13 +402,13 @@ def cmd_lissa(run: RunContext) -> None:
     if cfg.tolerance is not None:
         _check_oracle_damping(run)
     _check_given_step_count(run)
-    if cfg.batch_size is not None:
-        _check_limit(f"a draw of batch_size = {cfg.batch_size}", cfg.batch_size, "MAX_DRAW_WORDS")
     spec, theta = _build_model(run)
     train, _ = _build_data(run, spec)
     _check_finite_logits(run, spec, theta, train)
     if not 0 <= cfg.train_index < len(train):
         raise ConfigError("train_index outside the dataset")
+    op = _stochastic_operator(run, spec, theta, train, cfg.batch_size)
+    _check_draw(op, cfg.batch_size, f"a draw of batch_size = {cfg.batch_size}")
     g = -loss_gradient(spec, theta, train[cfg.train_index]).values
 
     dense = None
@@ -401,7 +416,6 @@ def cmd_lissa(run: RunContext) -> None:
         dense = _dense_gnh(run, spec, theta, train)
     eta, t_steps = _solver_settings(run, dense)
 
-    op = _stochastic_operator(run, spec, theta, train, cfg.batch_size)
     lcfg = LissaConfig(
         eta=eta,
         lambda_damp=cfg.lambda_damp,
@@ -450,9 +464,8 @@ def cmd_convergence(run: RunContext) -> None:
         raise ConfigError("convergence needs n_test >= 2")
     _check_given_step_count(run)
     batch_sizes = cfg.require("batch_sizes")
-    for b in batch_sizes:
-        _check_limit(f"a draw of batch_sizes entry {b}", b, "MAX_DRAW_WORDS")
     spec, theta = _build_model(run)
+    _check_gradient_block(spec, cfg.n_test, "n_test")
     train, test = _build_data(run, spec, n_test=cfg.n_test)
     _check_finite_logits(run, spec, theta, train, test)
     if not 0 <= cfg.train_index < len(train):
@@ -469,11 +482,13 @@ def cmd_convergence(run: RunContext) -> None:
     )
     g = -loss_gradient(spec, theta, train[cfg.train_index]).values
     u_star = _oracle_ihvp(run, dense, g)
-    test_grads = [measurement_gradient(spec, theta, test[j]).values for j in range(len(test))]
+    # the measurement f = log softmax(logits)[y] has the negated loss gradient
+    T = -loss_gradients(spec, theta.values, test.X, test.y)
 
     rows = []
     for b in batch_sizes:
         op = _stochastic_operator(run, spec, theta, train, b)
+        _check_draw(op, b, f"a draw of batch_sizes entry {b}")
         lcfg = LissaConfig(
             eta=eta,
             lambda_damp=cfg.lambda_damp,
@@ -483,7 +498,7 @@ def cmd_convergence(run: RunContext) -> None:
         )
         _, trace = lissa_solve(op, g, lcfg)
         try:
-            series = convergence_correlation(trace, test_grads, reference=u_star)
+            series = convergence_correlation(trace, T, reference=u_star)
         except ValueError as exc:
             raise ConfigError(f"no influence correlation at batch size {b}: {exc}") from exc
         rows += [(b, step, corr) for step, corr in series]
@@ -499,31 +514,38 @@ def cmd_pbrf_compare(run: RunContext) -> None:
     _check_given_step_count(run, steps_field)
     batch_size = cfg.batch_size if cfg.batch_size is not None else 32
     spec, theta = _build_model(run)
+    # the gradient, solution and finetune blocks of the n_train points, the
+    # test gradient block, and the readout's stacked forward of every pair
+    _check_gradient_block(spec, cfg.n_train, "n_train")
+    _check_gradient_block(spec, cfg.n_test, "n_test")
+    width = max(spec.layer_sizes[1:])
+    what = f"a readout of n_train times n_test = {cfg.n_train * cfg.n_test} pairs times the widest layer of {width}"
+    _check_limit(what, cfg.n_train * cfg.n_test * width, "MAX_KEPT_FLOATS", "lower n_train or n_test")
     train, test = _build_data(run, spec, n_test=cfg.n_test)
     _check_finite_logits(run, spec, theta, train, test)
     if cfg.n_train > len(train):
         raise ConfigError("n_train exceeds the training set")
     op = _stochastic_operator(run, spec, theta, train, batch_size)
-    # an operator whose batch covers the training set runs full batch: the
-    # solves and the finetunes draw nothing
+    # the solves and the finetunes draw in lockstep
     what = f"a draw of n_train = {cfg.n_train} times batch_size = {batch_size}"
-    draw = None if op.batch_size is None else cfg.n_train * batch_size
-    _check_limit(what, draw, "MAX_DRAW_WORDS")
+    _check_draw(op, cfg.n_train * batch_size, what)
 
     dense = _dense_gnh(run, spec, theta, train) if cfg.eta is None else None
     eta, steps = _solver_settings(run, dense, steps_field)
-    test_grads = [measurement_gradient(spec, theta, test[j]).values for j in range(len(test))]
+    rows = slice(cfg.n_train)
+    points = Dataset(X=train.X[rows], y=train.y[rows], ids=train.ids[rows])
+    G = loss_gradients(spec, theta.values, points.X, points.y)
+    # the measurement f = log softmax(logits)[y] has the negated loss gradient
+    T = -loss_gradients(spec, theta.values, test.X, test.y)
     item_seeds = [run.sub_seed(f"pbrf-item-{i}") for i in range(cfg.n_train)]
 
     # the solves stop at the first divergence, before any finetune
-    lissa = np.empty((cfg.n_train, len(test)))
+    U = np.empty_like(G)
     for i in range(cfg.n_train):
-        g = loss_gradient(spec, theta, train[i])
         lcfg = LissaConfig(eta=eta, lambda_damp=cfg.lambda_damp, t_steps=steps, seed=item_seeds[i])
-        u, _ = lissa_solve(op, -g.values, lcfg)
-        lissa[i] = [influence_score(u, tg) for tg in test_grads]
-    rows = slice(cfg.n_train)
-    points = Dataset(X=train.X[rows], y=train.y[rows], ids=train.ids[rows])
+        U[i], _ = lissa_solve(op, -G[i], lcfg)
+    # one (1, n) @ (n, 1) product per pair, bit for bit each pair's u @ t
+    lissa = (U[:, None, None, :] @ T[None, :, :, None])[:, :, 0, 0]
     pcfg = PboConfig(
         epsilon=cfg.epsilon,
         lambda_damp=cfg.lambda_damp,
@@ -722,42 +744,44 @@ def cmd_similarity(run: RunContext) -> None:
     cfg = run.cfg
     _check_oracle_damping(run)
     spec, theta = _build_model(run)
+    # the items' gradient block and their (n_items, n_items) similarities
+    _check_gradient_block(spec, cfg.n_items, "n_items")
+    what = f"n_items = {cfg.n_items} squared similarities"
+    _check_limit(what, cfg.n_items**2, "MAX_KEPT_FLOATS", "lower n_items")
     train, _ = _build_data(run, spec)
     _check_finite_logits(run, spec, theta, train)
     if cfg.n_items < 2 or cfg.n_items > len(train):
         raise ConfigError("n_items must be between 2 and the dataset size")
     if not 0 <= cfg.train_index < cfg.n_items:
         raise ConfigError("train_index outside the selected items")
-    examples = [train[i] for i in range(cfg.n_items)]
-    labels = [ex.id for ex in examples]
+    items = slice(cfg.n_items)
+    labels = train.ids[items]
     # huge features overflow the gradients or their inner products; the
     # non-finite gradients or similarities that come out are rejected
     with np.errstate(over="ignore", invalid="ignore"):
-        grads = [loss_gradient(spec, theta, ex).values for ex in examples]
+        G = loss_gradients(spec, theta.values, train.X[items], train.y[items])
         try:
-            gradient_sim = similarity_matrix(grads, labels=labels)
-            dense = _dense_gnh(run, spec, theta, train)
-            influence_sim = similarity_matrix(grads, lambda b: _oracle_ihvp(run, dense, b), labels=labels)
-        except ConfigError:
-            raise
+            gradient_sim = similarity_matrix(G)
+        except ValueError as exc:
+            raise ConfigError(f"no similarity matrix: {exc}") from exc
+        dense = _dense_gnh(run, spec, theta, train)
+        solved = _oracle_ihvp(run, dense, G.T)
+        try:
+            influence_sim = similarity_matrix(G, solved)
         except ValueError as exc:
             raise ConfigError(f"no similarity matrix: {exc}") from exc
 
     def matrix_rows(values):
-        return [(labels[i], *values[i]) for i in range(len(labels))]
+        return [(label, *row) for label, row in zip(labels, values)]
 
-    header = ["item"] + [str(lab) for lab in labels]
-    run.emit_csv("gradient_similarity.csv", header, matrix_rows(gradient_sim.values))
-    run.emit_csv("influence_similarity.csv", header, matrix_rows(influence_sim.values))
-    run.emit_csv(
-        "similarity_difference.csv",
-        header,
-        matrix_rows(gradient_sim.values - influence_sim.values),
-    )
+    header = ["item"] + [str(label) for label in labels]
+    run.emit_csv("gradient_similarity.csv", header, matrix_rows(gradient_sim))
+    run.emit_csv("influence_similarity.csv", header, matrix_rows(influence_sim))
+    run.emit_csv("similarity_difference.csv", header, matrix_rows(gradient_sim - influence_sim))
     run.emit_csv(
         "eigen_reweight.csv",
         ["eigenvalue", "coefficient", "weight"],
-        eigen_reweight(grads[cfg.train_index], dense, cfg.lambda_damp),
+        eigen_reweight(G[cfg.train_index], dense, cfg.lambda_damp),
     )
 
 

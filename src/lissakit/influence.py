@@ -1,84 +1,40 @@
-"""Influence scores, gradient/influence similarity, and eigenbasis reweighting.
+"""Gradient/influence similarity and eigenbasis reweighting.
 
-An influence score is the inner product between a solved inverse-curvature
-vector and a measurement gradient.  Similarity matrices compare training
-items either by raw gradient direction or after damped inverse-curvature
-whitening; the whitened version suppresses directions whose curvature
-dominates the damping, which is also what the eigenbasis reweighting makes
-explicit coordinate by coordinate.
+Similarity matrices compare training items either by raw gradient direction
+or after damped inverse-curvature whitening; the whitened version suppresses
+directions whose curvature dominates the damping, which is also what the
+eigenbasis reweighting makes explicit coordinate by coordinate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import SymEig, check_symmetric
+from .core import SymEig
 from .models import _vector
 
 
-def influence_score(u_train, test_grad) -> float:
-    """Inner product of a solved vector with a measurement gradient.
+def similarity_matrix(G, solved=None) -> np.ndarray:
+    """Pairwise similarity between the rows of the (k, n) gradient block G.
 
-    With u_train solving (H + lambda) u = -grad_loss(train), the score is the
-    damped influence of upweighting the training point on the measurement.
+    Without ``solved`` this is plain cosine similarity.  With it, the (n, k)
+    block of the rows' damped inverse-curvature solves, it is whitened: pair
+    scores G @ solved are symmetrized, and everything is normalized by the
+    self-scores, so output is invariant to positive rescaling of any row.
+    Returns the symmetric, unit-diagonal (k, k) array.
     """
-    u = _vector(u_train)
-    g = _vector(test_grad)
-    if u.shape != g.shape:
-        raise ValueError("vectors differ in length")
-    return float(u @ g)
-
-
-@dataclass
-class SimilarityMatrix:
-    """Symmetric unit-diagonal similarity with item labels."""
-
-    values: np.ndarray
-    labels: list
-    kind: str
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        n = self.values.shape[0]
-        if self.values.shape != (n, n) or len(self.labels) != n:
-            raise ValueError("matrix and labels disagree")
-        if self.kind not in ("gradient", "influence"):
-            raise ValueError(f"unknown similarity kind {self.kind!r}")
-        check_symmetric(self.values, rtol=1e-9)
-        if np.abs(np.diag(self.values) - 1.0).max() > 1e-9:
-            raise ValueError("diagonal must be 1")
-
-
-def similarity_matrix(grads, ihvp_solver=None, labels=None) -> SimilarityMatrix:
-    """Pairwise similarity between gradient vectors.
-
-    Without a solver this is plain cosine similarity.  With one it whitens
-    through a damped inverse-curvature solve: ``ihvp_solver`` gets the
-    (n_params, n_items) block of gradients and returns the block of solved
-    columns in one call, pair scores are symmetrized, and everything is
-    normalized by the self-scores, so output is invariant to positive
-    rescaling of any input gradient.
-    """
-    vectors = [_vector(g) for g in grads]
-    n = len(vectors)
-    if n < 2:
-        raise ValueError("need at least two gradients")
-    if any(v.shape != vectors[0].shape for v in vectors):
-        raise ValueError("gradients differ in length")
-    if not all(np.isfinite(v).all() for v in vectors):
+    G = np.asarray(G, dtype=np.float64)
+    if G.ndim != 2 or G.shape[0] < 2:
+        raise ValueError("need a (k, n) block of at least two gradients")
+    if not np.isfinite(G).all():
         raise ValueError("non-finite gradient")
-    if any(float(v @ v) == 0.0 for v in vectors):
+    if np.any(np.sum(G * G, axis=1) == 0.0):
         raise ValueError("zero-norm gradient")
-    if labels is None:
-        labels = list(range(n))
 
-    G = np.vstack(vectors)
-    if ihvp_solver is None:
+    if solved is None:
         inner = G @ G.T
     else:
-        raw = G @ np.asarray(ihvp_solver(G.T), dtype=np.float64)
+        raw = G @ solved
         inner = 0.5 * (raw + raw.T)
 
     self_scores = np.diag(inner)
@@ -88,8 +44,9 @@ def similarity_matrix(grads, ihvp_solver=None, labels=None) -> SimilarityMatrix:
     values = inner / np.outer(scale, scale)
     np.fill_diagonal(values, 1.0)
     values = 0.5 * (values + values.T)
-    kind = "gradient" if ihvp_solver is None else "influence"
-    return SimilarityMatrix(values=values, labels=list(labels), kind=kind)
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite similarity")
+    return values
 
 
 def eigen_reweight(g, eig: SymEig, lambda_damp: float) -> list[tuple[float, float, float]]:

@@ -142,17 +142,18 @@ def exact_ihvp(eig: SymEig, lambda_damp: float, g) -> np.ndarray:
     return u.reshape(rhs.shape)
 
 
-def convergence_correlation(trace: LissaTrace, test_grads, reference=None):
+def convergence_correlation(trace: LissaTrace, test_grads: np.ndarray, reference=None):
     """Influence-correlation series across a solve's snapshots.
 
-    Each snapshot's influence vector {<u_step, grad_i>}_i is correlated with
-    the reference vector: the final snapshot's when ``reference`` is None,
-    else the supplied solution vector's (e.g. from exact_ihvp).  Returns a
-    list of (step, correlation).
+    Each snapshot's influence vector test_grads @ u_step, one score per row of
+    the (J, n) measurement-gradient block, is correlated with the reference
+    vector: the final snapshot's when ``reference`` is None, else the supplied
+    solution vector's (e.g. from exact_ihvp).  Returns a list of (step,
+    correlation).
     """
-    if len(test_grads) < 2:
-        raise ValueError("need at least two measurement gradients")
-    grads = np.vstack([_vector(t) for t in test_grads])
+    grads = np.asarray(test_grads, dtype=np.float64)
+    if grads.ndim != 2 or grads.shape[0] < 2:
+        raise ValueError("need a (J, n) block of at least two measurement gradients")
     ref_vector = trace.final() if reference is None else _vector(reference)
     ref_scores = grads @ ref_vector
     return [

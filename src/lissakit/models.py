@@ -297,26 +297,21 @@ def _nll_from_logits(h: np.ndarray, y: np.ndarray) -> np.ndarray:
     return lse - np.take_along_axis(shifted, labels, axis=-1)[..., 0]
 
 
-def _loss_gradient_rows(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient of the summed cross-entropy over rows X (..., B, in) with
-    labels y (..., B); (R, n) for an (R, n) block of chains."""
-    lin = _linearize(spec, theta, X)
+def loss_gradients(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(N, n) block of the per-example loss gradients at the rows X (N, in)
+    with labels y (N,), from one linearization of the rows as (N, 1, in).
+    theta is (n,), shared by every row, or (N, n), row r's own parameters.
+    The gradient of the measurement f = log softmax(logits)[y] is the
+    negated block."""
+    lin = _linearize(spec, theta, X[:, None, :])
     g = lin.p.copy()
-    g[(*np.indices(y.shape, sparse=True), y)] -= 1.0
+    g[np.arange(len(y)), 0, y] -= 1.0
     return _backprop(spec, lin, g)
 
 
 def loss_gradient(spec: ModelSpec, theta: ParamVector, example: Example) -> ParamVector:
-    """Gradient of the cross-entropy loss at one example."""
-    return theta.like(
-        _loss_gradient_rows(spec, theta.values, example.x[None, :], np.array([example.y]))
-    )
-
-
-def test_gradient(spec: ModelSpec, theta: ParamVector, example: Example) -> ParamVector:
-    """Gradient of the measurement f = log softmax(logits)[y] (= -loss)."""
-    g = loss_gradient(spec, theta, example)
-    return theta.like(-g.values)
+    """Gradient of the cross-entropy loss at one example: the one-row block."""
+    return theta.like(loss_gradients(spec, theta.values, example.x[None, :], np.array([example.y]))[0])
 
 
 def init_params(spec: ModelSpec, rng: SeededRng, scale: float = 1.0) -> ParamVector:

@@ -27,9 +27,9 @@ from .models import (
     _backprop,
     _forward,
     _linearize,
-    _loss_gradient_rows,
     _nll_from_logits,
     _softmax,
+    loss_gradients,
     nll_loss,
 )
 
@@ -125,8 +125,7 @@ def pbo_gradient(
     gap = (lin.p - _softmax(ref_logits)) / batch.y.shape[-1]
     grad = _backprop(spec, lin, gap)
     if cfg.epsilon:
-        train = _loss_gradient_rows(spec, theta, points.X[:, None, :], points.y[:, None])
-        grad = grad + cfg.epsilon * train
+        grad = grad + cfg.epsilon * loss_gradients(spec, theta, points.X, points.y)
     return grad + cfg.lambda_damp * (theta - theta_star.values)
 
 

@@ -16,11 +16,7 @@ import pytest
 
 from lissakit.core import DenseOperator, SeededRng, derive_seed, sym_eig
 from lissakit.gnh import GnhOperator, gnh_matrix_exact
-from lissakit.influence import (
-    eigen_reweight,
-    eigen_reweight_reconstruction,
-    influence_score,
-)
+from lissakit.influence import eigen_reweight, eigen_reweight_reconstruction
 from lissakit.lissa import (
     LissaConfig,
     convergence_correlation,
@@ -35,9 +31,9 @@ from lissakit.models import (
     ModelSpec,
     init_params,
     loss_gradient,
+    loss_gradients,
     make_blobs,
 )
-from lissakit.models import test_gradient as measurement_gradient
 from lissakit.pbrf import PboConfig, compare_influences, pbrf_finetune, pbrf_influence
 from lissakit.spectral import (
     SketchConfig,
@@ -224,7 +220,8 @@ def test_criterion_04_small_batches_stabilize_later(acceptance_log):
         float(np.trace(H)), lam_max, lam_damp, c_const=2.0, t_multiplier=2.0
     )
     g = -loss_gradient(spec, theta, data[0]).values
-    grads = [measurement_gradient(spec, theta, data[i]).values for i in range(1, 21)]
+    # measurement gradients: the negated loss gradients of 20 examples
+    grads = -loss_gradients(spec, theta.values, data.X[1:21], data.y[1:21])
     t_run = int(1.5 * hp.t_steps)
 
     def crossing_step(batch, seed, trials):
@@ -375,10 +372,11 @@ def _paired_scores(spec, theta, train_set, test_points, lam_damp, eta, steps, ba
                    solver_base, finetune_base):
     """Influence scores from the stochastic solver and from finetuning, as
     (25, J) arrays: train point i against test point j."""
-    test_grads = [measurement_gradient(spec, theta, test_points[j]) for j in range(len(test_points))]
-    solver_scores = []
+    points = Dataset(X=train_set.X[:25], y=train_set.y[:25], ids=train_set.ids[:25])
+    G = loss_gradients(spec, theta.values, points.X, points.y)
+    test_grads = -loss_gradients(spec, theta.values, test_points.X, test_points.y)
+    solved = np.empty_like(G)
     for i in range(25):
-        g = loss_gradient(spec, theta, train_set[i])
         op = GnhOperator(spec, theta, train_set, batch_size=batch, rng=SeededRng(0))
         cfg = LissaConfig(
             eta=eta,
@@ -386,8 +384,7 @@ def _paired_scores(spec, theta, train_set, test_points, lam_damp, eta, steps, ba
             t_steps=steps,
             seed=derive_seed(solver_base, i),
         )
-        u, _ = lissa_solve(op, -g.values, cfg)
-        solver_scores.append([influence_score(u, tg) for tg in test_grads])
+        solved[i], _ = lissa_solve(op, -G[i], cfg)
     pbo = PboConfig(
         epsilon=1e-8,
         lambda_damp=lam_damp,
@@ -396,9 +393,8 @@ def _paired_scores(spec, theta, train_set, test_points, lam_damp, eta, steps, ba
         batch_size=batch,
         seed=tuple(derive_seed(finetune_base, i) for i in range(25)),
     )
-    points = Dataset(X=train_set.X[:25], y=train_set.y[:25], ids=train_set.ids[:25])
     finetunes = pbrf_finetune(spec, theta, points, train_set, pbo)
-    return np.array(solver_scores), pbrf_influence(spec, finetunes, theta, test_points, 1e-8)
+    return solved @ test_grads.T, pbrf_influence(spec, finetunes, theta, test_points, 1e-8)
 
 
 def test_criterion_08_solver_agrees_with_finetuning(mlp_fixture, acceptance_log):

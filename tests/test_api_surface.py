@@ -1,0 +1,72 @@
+"""Every definition in the package has a caller outside the tests: a
+top-level function, class or non-dunder method that only tests reach is API
+that the CLI, the studies and the benchmark do not need."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "lissakit"
+
+# Reference implementations that tests compare the program against.
+TEST_ONLY = {
+    "DenseOperator",
+    "eigen_reweight_reconstruction",
+    "mean_matrix",
+    "pbo_objective",
+    "rank_one_factor",
+    "softmax_hessian",
+}
+
+# A string such as "lissakit.gnh:GnhOperator.matvec" names its target, as the
+# benchmark's tracing probes do.
+_TARGET = re.compile(r"^lissakit(?:\.\w+)*:([\w.]+)$")
+
+
+def definitions():
+    """(file, name) of every top-level function and class of the package and
+    of every non-dunder method of its top-level classes."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                found.append((path.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    (path.name, f"{node.name}.{item.name}")
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+                ]
+    return found
+
+
+def referenced_names():
+    """Every name the program, the scripts and the benchmark read: names,
+    attributes, imported names and the targets of probe strings."""
+    names = set()
+    sources = [*ROOT.glob("src/**/*.py"), *ROOT.glob("scripts/**/*.py"), *ROOT.glob("perfbench/**/*.py")]
+    for path in sources:
+        if path.name.startswith("test_"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rsplit(".", 1)[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                match = _TARGET.match(node.value)
+                if match:
+                    names.update(match.group(1).split("."))
+    return names
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    defined = definitions()
+    assert len(defined) > 50
+    names = referenced_names()
+    unused = sorted(f"{path}: {name}" for path, name in defined if name.rsplit(".", 1)[-1] not in names)
+    # a stale entry of TEST_ONLY fails as well as a new unread definition
+    assert {entry.rsplit(".", 1)[-1].split(": ")[-1] for entry in unused} == TEST_ONLY, unused

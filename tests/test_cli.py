@@ -577,8 +577,6 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "command, text, field",
         [
-            ("lissa", QUAD_CFG.replace("batch_size = 64", "batch_size = 100000000000"), "batch_size"),
-            ("convergence", QUAD_CFG + "n_test = 5\nbatch_sizes = 8, 100000000000\n", "batch_sizes"),
             # 100 batches of 100001, below the 100010 training examples: 10,000,100 words
             ("pbrf-compare", "\nmodel_kind = softmax-linear\nlayer_sizes = 1, 2\nn_examples = 100010\n"
              "n_test = 5\nn_train = 100\nbatch_size = 100001\n", "n_train = 100 times batch_size"),
@@ -596,7 +594,7 @@ class TestExitCodes:
 
         # pbrf-compare draws nothing when its batch covers the training set, so
         # it counts its draw once that set is built, and before any solve
-        if command != "pbrf-compare":
+        if command == "counterexample":
             monkeypatch.setattr("lissakit.cli._build_model", refuse)
         for name in ("counterexample_build", "lissa_solve", "pbrf_finetune"):
             monkeypatch.setattr(f"lissakit.cli.{name}", refuse)
@@ -604,6 +602,53 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "config error" in err and field in err and "MAX_DRAW_WORDS" in err
+
+    @pytest.mark.parametrize(
+        "command, extra, field, covered",
+        [("lissa", "", "batch_size", None), ("convergence", "n_test = 5\n", "batch_sizes", 256)],
+        ids=["lissa", "convergence"],
+    )
+    def test_covering_batch_draws_nothing(self, tmp_path, monkeypatch, command, extra, field, covered):
+        # a batch of 10,000,001 once counted as a draw over MAX_DRAW_WORDS and
+        # exited 2; it covers the 256 training examples, so it runs full batch
+        base = QUAD_CFG.replace("batch_size = 64\n", "") + extra
+        _, full = run_cli(tmp_path, command, base + (covered and f"{field} = {covered}\n" or ""), name="full")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a covering batch drew examples")
+
+        monkeypatch.setattr("lissakit.gnh.sample_batch", refuse)
+        code, covering = run_cli(tmp_path, command, base + f"{field} = 10000001\n", name="covering")
+        assert code == 0
+        if command == "lissa":
+            for name in ("solution.csv", "lissa_trace.csv"):
+                assert (covering / name).read_bytes() == (full / name).read_bytes()
+        else:
+            # the rows differ only in their batch_size cell
+            rows = [(out / "convergence.csv").read_text().splitlines()[1:] for out in (covering, full)]
+            assert [r.split(",", 1)[1] for r in rows[0]] == [r.split(",", 1)[1] for r in rows[1]]
+            assert all(r.startswith("10000001,") for r in rows[0])
+
+    @pytest.mark.parametrize("command, field", [("lissa", "batch_size"), ("convergence", "batch_sizes")])
+    def test_draw_is_counted_once_the_operator_exists(self, tmp_path, capsys, monkeypatch, command, field):
+        # with the real limits no batch smaller than a training set passes
+        # MAX_DRAW_WORDS (a set holds at most MAX_KEPT_FLOATS / 2 examples), so
+        # the limit is lowered to 10 words against 30 rows from a file (25 of
+        # them training rows for convergence, whose last 5 are its test split)
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solve ran before its draw was counted")
+
+        rows = "".join(f"{i % 5}.5,{-(i % 7)}.25,{i % 3}.0,{i % 2}.75,{i % 3}\n" for i in range(30))
+        data = write(tmp_path, "data.csv", "x0,x1,x2,x3,label\n" + rows)
+        text = LINEAR_4_3 + f"dataset_path = {data}\nn_test = 5\nt_steps = 4\nlambda_damp = 0.5\n"
+        monkeypatch.setattr(cli, "MAX_DRAW_WORDS", 10)
+        assert run_cli(tmp_path, command, text + f"{field} = 30\n", name="covering")[0] == 0
+        monkeypatch.setattr("lissakit.cli.lissa_solve", refuse)
+        code, _ = run_cli(tmp_path, command, text + f"{field} = 11\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"a draw of {field.replace('batch_sizes', 'batch_sizes entry')}" in err
+        assert "11 is over the limit MAX_DRAW_WORDS = 10" in err
 
     def test_pbrf_compare_batch_over_the_training_set_draws_nothing(self, tmp_path):
         # n_train times batch_size is 10,000,002 words, but a batch of at least
@@ -1089,7 +1134,7 @@ class TestInputBoundary:
         def refuse(*args, **kwargs):
             raise AssertionError("gradient or curvature of an overflowing model")
 
-        for name in ("loss_gradient", "gnh_matrix_exact", "GnhOperator", "check_condition_c1"):
+        for name in ("loss_gradient", "loss_gradients", "gnh_matrix_exact", "GnhOperator", "check_condition_c1"):
             monkeypatch.setattr(f"lissakit.cli.{name}", refuse)
         code, _ = run_cli(tmp_path, command, MLP_4_5_3 + "init_scale = 1.7e308\n" + extra)
         assert code == 2
@@ -1115,6 +1160,38 @@ class TestInputBoundary:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: a full-batch activation array of ") and "MAX_KEPT_FLOATS" in err
+
+    @pytest.mark.parametrize(
+        "command, text, what",
+        [
+            # mlp 16-64-10 has 1738 parameters: 5754 gradients hold 10,000,452 floats
+            ("similarity", "layer_sizes = 16, 64, 10\nn_items = 5754\n",
+             "a gradient block of n_items = 5754 times 1738 parameters"),
+            # mlp 4-5-3 has 43 parameters, but 3163 items have 10,004,569 similarities
+            ("similarity", "layer_sizes = 4, 5, 3\nn_items = 3163\n", "n_items = 3163 squared similarities"),
+            ("convergence", "layer_sizes = 16, 64, 10\nn_test = 5754\nbatch_sizes = 4\n",
+             "a gradient block of n_test = 5754 times 1738 parameters"),
+            ("pbrf-compare", "layer_sizes = 16, 64, 10\nn_train = 5754\nn_test = 5\neta = 0.1\n",
+             "a gradient block of n_train = 5754 times 1738 parameters"),
+            ("pbrf-compare", "layer_sizes = 16, 64, 10\nn_train = 5\nn_test = 5754\neta = 0.1\n",
+             "a gradient block of n_test = 5754 times 1738 parameters"),
+            # 1000 times 2001 pairs through a hidden layer of 5: 10,005,000 floats
+            ("pbrf-compare", "layer_sizes = 4, 5, 3\nn_train = 1000\nn_test = 2001\neta = 0.1\n",
+             "a readout of n_train times n_test = 2001000 pairs times the widest layer of 5"),
+        ],
+        ids=["similarity-gradients", "similarity-pairs", "convergence", "pbrf-train", "pbrf-test", "pbrf-pairs"],
+    )
+    def test_per_example_blocks_over_the_limit_are_two(self, tmp_path, capsys, monkeypatch, command, text, what):
+        # each block is checked before the dataset is drawn, so nothing is allocated
+        def refuse(*args, **kwargs):
+            raise AssertionError("a block over the limit was computed")
+
+        for name in ("loss_gradients", "make_blobs"):
+            monkeypatch.setattr(f"lissakit.cli.{name}", refuse)
+        code, _ = run_cli(tmp_path, command, "model_kind = mlp\nlambda_damp = 0.1\nt_steps = 5\n" + text)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {what} is over the limit MAX_KEPT_FLOATS = 10000000")
 
     def test_dataset_file_activations_over_the_limit_are_two(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):
@@ -1255,6 +1332,30 @@ class TestArtifacts:
         assert [(r[0], r[1]) for r in rows] == [(str(i), str(256 + j)) for i in range(3) for j in range(4)]
         for k, row in enumerate(rows):
             assert (float(row[2]), float(row[3])) == (lissa[k // 4, k % 4], pbrf[k // 4, k % 4])
+
+    def test_pbrf_scores_equal_the_per_pair_dot_products(self, tmp_path, monkeypatch):
+        # the stacked readout gives bit for bit float(u @ t) of each pair
+        solved, blocks = [], []
+        real_solve, real_gradients = cli.lissa_solve, cli.loss_gradients
+
+        def solve(op, g, cfg):
+            u, trace = real_solve(op, g, cfg)
+            solved.append(u)
+            return u, trace
+
+        def gradients(*args):
+            blocks.append(real_gradients(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr("lissakit.cli.lissa_solve", solve)
+        monkeypatch.setattr("lissakit.cli.loss_gradients", gradients)
+        text = MLP_4_5_3 + "n_examples = 40\nbatch_size = 8\nt_steps = 6\nn_train = 5\nn_test = 7\n"
+        code, out = run_cli(tmp_path, "pbrf-compare", text)
+        assert code == 0
+        _, test_block = blocks
+        want = [float(u @ -t) for u in solved for t in test_block]
+        rows = (out / "pbrf_pairs.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[2]) for row in rows] == want
 
     def test_counterexample_reports_growth(self, tmp_path, capsys):
         cfg_text = (

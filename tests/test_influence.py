@@ -1,20 +1,14 @@
-"""Tests for influence scores, similarity matrices, and eigen reweighting."""
+"""Tests for similarity matrices and eigen reweighting."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lissakit import cli
 from lissakit.core import SeededRng, sym_eig
-from lissakit.influence import (
-    SimilarityMatrix,
-    eigen_reweight,
-    eigen_reweight_reconstruction,
-    influence_score,
-    similarity_matrix,
-)
+from lissakit.influence import eigen_reweight, eigen_reweight_reconstruction, similarity_matrix
 from lissakit.lissa import exact_ihvp
-from lissakit.models import ParamVector
 
 
 def random_psd(n, seed, spread=1.0):
@@ -27,98 +21,70 @@ def cosine(a, b):
     return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
-class TestInfluenceScore:
-    def test_plain_dot_product(self):
-        u = np.array([1.0, 2.0, -1.0])
-        g = np.array([0.5, 0.0, 3.0])
-        assert influence_score(u, g) == pytest.approx(-2.5)
-
-    def test_zero_vector_scores_zero(self):
-        assert influence_score(np.zeros(4), np.ones(4)) == 0.0
-
-    def test_identity_curvature_reduces_to_negative_gradient_dot(self):
-        # with H = 0 and damping 1 the solve of -grad is just -grad
-        rng = SeededRng(3)
-        train_grad = rng.normal(6)
-        test_grad = rng.normal(6)
-        u = exact_ihvp(sym_eig(np.zeros((6, 6))), 1.0, -train_grad)
-        assert influence_score(u, test_grad) == pytest.approx(-float(train_grad @ test_grad))
-
-    def test_param_vector_inputs(self):
-        segments = (("all", 0, 3),)
-        u = ParamVector(np.array([1.0, 0.0, 2.0]), segments)
-        g = ParamVector(np.array([3.0, 5.0, 0.5]), segments)
-        assert influence_score(u, g) == pytest.approx(4.0)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            influence_score(np.ones(3), np.ones(4))
+def whitened(G, H, damp):
+    """similarity_matrix of G under the damped solve of H."""
+    return similarity_matrix(G, exact_ihvp(sym_eig(H), damp, G.T))
 
 
 class TestGradientSimilarity:
     def test_orthogonal_vectors(self):
-        grads = [np.array([1.0, 0.0]), np.array([0.0, 2.0])]
-        sim = similarity_matrix(grads)
-        assert sim.values == pytest.approx(np.eye(2))
+        sim = similarity_matrix(np.array([[1.0, 0.0], [0.0, 2.0]]))
+        assert sim == pytest.approx(np.eye(2))
 
     def test_known_cosine(self):
-        grads = [np.array([1.0, 0.0]), np.array([1.0, 1.0])]
-        sim = similarity_matrix(grads)
-        assert sim.values[0, 1] == pytest.approx(1 / np.sqrt(2))
+        sim = similarity_matrix(np.array([[1.0, 0.0], [1.0, 1.0]]))
+        assert sim[0, 1] == pytest.approx(1 / np.sqrt(2))
 
     def test_matches_pairwise_cosine(self):
-        rng = SeededRng(11)
-        grads = [rng.normal(8) for _ in range(5)]
-        sim = similarity_matrix(grads)
+        G = SeededRng(11).normal(5 * 8).reshape(5, 8)
+        sim = similarity_matrix(G)
         for i in range(5):
             for j in range(5):
-                assert sim.values[i, j] == pytest.approx(cosine(grads[i], grads[j]), abs=1e-12)
+                assert sim[i, j] == pytest.approx(cosine(G[i], G[j]), abs=1e-12)
 
     def test_rescaling_invariance(self):
-        rng = SeededRng(12)
-        grads = [rng.normal(6) for _ in range(4)]
-        scaled = [g * s for g, s in zip(grads, [0.01, 5.0, 300.0, 1.0])]
-        a = similarity_matrix(grads)
-        b = similarity_matrix(scaled)
-        np.testing.assert_allclose(a.values, b.values, atol=1e-12)
+        G = SeededRng(12).normal(4 * 6).reshape(4, 6)
+        scaled = G * np.array([0.01, 5.0, 300.0, 1.0])[:, None]
+        np.testing.assert_allclose(similarity_matrix(G), similarity_matrix(scaled), atol=1e-12)
 
     def test_zero_gradient_rejected(self):
         with pytest.raises(ValueError, match="zero-norm"):
-            similarity_matrix([np.ones(3), np.zeros(3)])
+            similarity_matrix(np.array([np.ones(3), np.zeros(3)]))
 
     def test_single_gradient_rejected(self):
         with pytest.raises(ValueError):
-            similarity_matrix([np.ones(3)])
+            similarity_matrix(np.ones((1, 3)))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             similarity_matrix([np.ones(3), np.ones(4)])
 
-    def test_default_labels(self):
-        sim = similarity_matrix([np.ones(2), np.array([1.0, -1.0])])
-        assert sim.labels == [0, 1]
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_rejected(self, bad):
+        G = np.ones((3, 4))
+        G[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite gradient"):
+            similarity_matrix(G)
 
-    def test_custom_labels(self):
-        sim = similarity_matrix([np.ones(2), np.array([1.0, -1.0])], labels=["a", "b"])
-        assert sim.labels == ["a", "b"]
+    def test_non_finite_result_rejected(self):
+        # finite rows whose inner products overflow give inf / inf = nan
+        G = np.array([[1e200, 0.0], [1e200, 1e200]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite similarity"):
+                similarity_matrix(G)
 
 
 class TestInfluenceSimilarity:
     def test_identity_solver_reduces_to_cosine(self):
-        rng = SeededRng(4)
-        grads = [rng.normal(7) for _ in range(4)]
-        plain = similarity_matrix(grads)
-        ident = similarity_matrix(grads, ihvp_solver=lambda v: v)
-        np.testing.assert_allclose(plain.values, ident.values, atol=1e-12)
+        G = SeededRng(4).normal(4 * 7).reshape(4, 7)
+        np.testing.assert_allclose(similarity_matrix(G), similarity_matrix(G, G.T), atol=1e-12)
 
     def test_symmetric_and_unit_diagonal(self):
         H = random_psd(10, seed=21)
-        damp = 0.3
-        rng = SeededRng(5)
-        grads = [rng.normal(10) for _ in range(6)]
-        sim = similarity_matrix(grads, ihvp_solver=lambda v: exact_ihvp(sym_eig(H), damp, v))
-        assert np.abs(sim.values - sim.values.T).max() <= 1e-9
-        assert np.abs(np.diag(sim.values) - 1.0).max() <= 1e-9
+        G = SeededRng(5).normal(6 * 10).reshape(6, 10)
+        sim = whitened(G, H, 0.3)
+        assert np.array_equal(sim, sim.T)
+        assert (np.diag(sim) == 1.0).all()
 
     def test_matches_whitened_cosine(self):
         # similarity under (H + lambda)^-1 is cosine of (H + lambda)^-1/2 g
@@ -126,23 +92,18 @@ class TestInfluenceSimilarity:
         damp = 0.5
         eigenvalues, vectors = np.linalg.eigh(H)
         whiten = vectors @ np.diag((eigenvalues + damp) ** -0.5) @ vectors.T
-        rng = SeededRng(6)
-        grads = [rng.normal(9) for _ in range(5)]
-        sim = similarity_matrix(grads, ihvp_solver=lambda v: exact_ihvp(sym_eig(H), damp, v))
+        G = SeededRng(6).normal(5 * 9).reshape(5, 9)
+        sim = whitened(G, H, damp)
         for i in range(5):
             for j in range(5):
-                expected = cosine(whiten @ grads[i], whiten @ grads[j])
-                assert abs(sim.values[i, j] - expected) <= 1e-8
+                expected = cosine(whiten @ G[i], whiten @ G[j])
+                assert abs(sim[i, j] - expected) <= 1e-8
 
     def test_rescaling_invariance(self):
         H = random_psd(8, seed=23)
-        solver = lambda v: exact_ihvp(sym_eig(H), 0.2, v)
-        rng = SeededRng(7)
-        grads = [rng.normal(8) for _ in range(4)]
-        scaled = [g * s for g, s in zip(grads, [10.0, 0.5, 2.0, 7.0])]
-        a = similarity_matrix(grads, ihvp_solver=solver)
-        b = similarity_matrix(scaled, ihvp_solver=solver)
-        np.testing.assert_allclose(a.values, b.values, atol=1e-10)
+        G = SeededRng(7).normal(4 * 8).reshape(4, 8)
+        scaled = G * np.array([10.0, 0.5, 2.0, 7.0])[:, None]
+        np.testing.assert_allclose(whitened(G, H, 0.2), whitened(scaled, H, 0.2), atol=1e-10)
 
     def test_near_duplicates_beat_median_pair(self):
         # shared high-curvature component inflates raw-gradient similarity;
@@ -158,52 +119,45 @@ class TestInfluenceSimilarity:
             noise = rng.normal(n)
             grads.append(3.0 * float(rng.uniform(1)[0]) * top + 0.3 * noise)
         grads.append(grads[0] + 1e-3 * rng.normal(n))
+        G = np.array(grads)
 
-        solver = lambda v: exact_ihvp(sym_eig(H), damp, v)
-        infl = similarity_matrix(grads, ihvp_solver=solver)
-        grad = similarity_matrix(grads)
+        infl = whitened(G, H, damp)
+        grad = similarity_matrix(G)
 
         off = ~np.eye(len(grads), dtype=bool)
-        pair = infl.values[0, -1]
-        assert pair > np.median(infl.values[off])
+        pair = infl[0, -1]
+        assert pair > np.median(infl[off])
         assert pair > 0.99
         # unrelated pairs decorrelate after whitening but not before
-        assert np.median(infl.values[off]) < np.median(grad.values[off])
+        assert np.median(infl[off]) < np.median(grad[off])
 
-    def test_solver_called_once_on_the_whole_block(self):
-        H = random_psd(10, seed=24)
-        grads = [SeededRng(9).normal(10) * k for k in range(1, 6)]
+    def test_solver_called_once_on_the_whole_block(self, tmp_path, monkeypatch):
+        # the similarity command solves its items as one (n_params, n_items) block
         shapes = []
+        real = cli.exact_ihvp
 
-        def solver(block):
-            shapes.append(block.shape)
-            return exact_ihvp(sym_eig(H), 0.4, block)
+        def exact_ihvp_spy(eig, damp, g):
+            shapes.append(np.shape(g))
+            return real(eig, damp, g)
 
-        sim = similarity_matrix(grads, ihvp_solver=solver)
-        assert shapes == [(10, 5)]
-        assert sim.kind == "influence"
-        assert similarity_matrix(grads).kind == "gradient"
+        monkeypatch.setattr(cli, "exact_ihvp", exact_ihvp_spy)
+        cfg = tmp_path / "similarity.cfg"
+        cfg.write_text("model_kind = mlp\nlayer_sizes = 4, 5, 3\nn_examples = 30\nn_items = 6\n")
+        assert cli.main(["similarity", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert shapes == [(43, 6)]
 
     def test_non_positive_self_score_rejected(self):
-        grads = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+        G = np.array([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="self-similarity"):
-            similarity_matrix(grads, ihvp_solver=lambda v: -v)
+            similarity_matrix(G, -G.T)
 
-
-class TestSimilarityMatrixType:
-    def test_asymmetric_rejected(self):
-        values = np.array([[1.0, 0.5], [0.2, 1.0]])
-        with pytest.raises(ValueError):
-            SimilarityMatrix(values=values, labels=[0, 1], kind="gradient")
-
-    def test_off_diagonal_rejected(self):
-        values = np.array([[1.0, 0.1], [0.1, 0.9]])
-        with pytest.raises(ValueError, match="diagonal"):
-            SimilarityMatrix(values=values, labels=[0, 1], kind="gradient")
-
-    def test_label_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            SimilarityMatrix(values=np.eye(2), labels=[0], kind="gradient")
+    @pytest.mark.parametrize("where", [(0, 0), (1, 2)])
+    def test_nan_solved_block_rejected(self, where):
+        G = SeededRng(10).normal(3 * 4).reshape(3, 4)
+        solved = G.T.copy()
+        solved[where] = np.nan
+        with pytest.raises(ValueError, match="non-finite similarity"):
+            similarity_matrix(G, solved)
 
 
 class TestEigenReweight:

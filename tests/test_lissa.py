@@ -20,8 +20,7 @@ from lissakit.lissa import (
     exact_ihvp,
     lissa_solve,
 )
-from lissakit.models import ModelSpec, init_params, make_blobs
-from lissakit.models import test_gradient as measurement_gradient
+from lissakit.models import ModelSpec, init_params, loss_gradient, loss_gradients, make_blobs
 
 
 def toy_problem(damp=0.3, seed=5):
@@ -29,7 +28,7 @@ def toy_problem(damp=0.3, seed=5):
     theta = init_params(spec, SeededRng(seed), scale=0.5)
     data = make_blobs(SeededRng(seed + 1), 512, 10, 4)
     H = gnh_matrix_exact(spec, theta, data)
-    g = -measurement_gradient(spec, theta, data[0]).values
+    g = loss_gradient(spec, theta, data[0]).values
     return spec, theta, data, H, g
 
 
@@ -69,7 +68,7 @@ class TestExactIhvp:
         for seed in range(4):
             theta = init_params(spec, SeededRng(seed), scale=0.5)
             data = make_blobs(SeededRng(seed + 1), 30, sizes[0], sizes[-1])
-            g = -measurement_gradient(spec, theta, data[0]).values
+            g = loss_gradient(spec, theta, data[0]).values
             with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
                 exact_ihvp(sym_eig(gnh_matrix_exact(spec, theta, data)), 0.0, g)
 
@@ -218,7 +217,7 @@ class TestLissaSolve:
 class TestConvergenceCorrelation:
     def solve_with_snapshots(self):
         spec, theta, data, H, g = toy_problem(seed=5)
-        grads = [measurement_gradient(spec, theta, data[i]).values for i in range(1, 9)]
+        grads = -loss_gradients(spec, theta.values, data.X[1:9], data.y[1:9])
         damp = 0.5
         eta = 1.0 / (np.linalg.eigvalsh(H)[-1] + damp)
         op = GnhOperator(spec, theta, data, batch_size=64, rng=SeededRng(7))
@@ -243,7 +242,7 @@ class TestConvergenceCorrelation:
     def test_identical_gradients_rejected(self):
         _, _, grads, trace = self.solve_with_snapshots()
         with pytest.raises(ValueError):
-            convergence_correlation(trace, [grads[0], grads[0]])
+            convergence_correlation(trace, grads[[0, 0]])
 
     def test_needs_two_gradients(self):
         _, _, grads, trace = self.solve_with_snapshots()

@@ -15,6 +15,7 @@ from lissakit.models import (
     init_params,
     load_dataset_csv,
     loss_gradient,
+    loss_gradients,
     make_blobs,
     nll_loss,
     save_dataset_csv,
@@ -23,17 +24,23 @@ from lissakit.models import (
     _forward,
     _jvp_batch,
     _linearize,
-    _loss_gradient_rows,
     _softmax,
     _unpack,
 )
-from lissakit.models import test_gradient as measurement_gradient
 from lissakit.pbrf import PboConfig, pbo_gradient
 
 LINEAR = ModelSpec(kind="softmax-linear", layer_sizes=(4, 3))
 MLP_TANH = ModelSpec(kind="mlp", layer_sizes=(5, 7, 4), activation="tanh")
 MLP_RELU = ModelSpec(kind="mlp", layer_sizes=(5, 7, 4), activation="relu")
 DEEP_TANH = ModelSpec(kind="mlp", layer_sizes=(5, 7, 6, 4), activation="tanh")
+# the model sizes of the benchmark and study commands, and a deeper relu net
+BLOCK_SPECS = [
+    ModelSpec(kind="mlp", layer_sizes=(8, 6, 4)),
+    ModelSpec(kind="mlp", layer_sizes=(16, 64, 10)),
+    ModelSpec(kind="softmax-linear", layer_sizes=(16, 5)),
+    ModelSpec(kind="mlp", layer_sizes=(4, 6, 5, 7, 3), activation="relu"),
+]
+BLOCK_IDS = ["mlp-8-6-4", "mlp-16-64-10", "linear-16-5", "relu-4-6-5-7-3"]
 
 
 def rand_theta(spec, seed=0, scale=0.8):
@@ -182,12 +189,23 @@ class TestGradients:
             fd = fd_loss_directional(MLP_RELU, theta, ex, d)
             assert fd == pytest.approx(float(np.dot(g.values, d)), rel=1e-4, abs=1e-10)
 
-    def test_test_gradient_is_negated_loss_gradient(self):
-        theta = rand_theta(MLP_TANH, 7)
-        ex = Example(x=SeededRng(70).normal(5), y=2, id=0)
-        g = loss_gradient(MLP_TANH, theta, ex)
-        f = measurement_gradient(MLP_TANH, theta, ex)
-        assert np.array_equal(f.values, -g.values)
+    @pytest.mark.parametrize("spec", BLOCK_SPECS, ids=BLOCK_IDS)
+    def test_block_rows_equal_single_example_gradients(self, spec):
+        theta = rand_theta(spec, 7)
+        data = make_blobs(SeededRng(70), 13, spec.input_dim, spec.n_classes)
+        want = np.vstack([loss_gradient(spec, theta, data[i]).values for i in range(len(data))])
+        assert np.array_equal(loss_gradients(spec, theta.values, data.X, data.y), want)
+
+    @pytest.mark.parametrize("spec", BLOCK_SPECS, ids=BLOCK_IDS)
+    def test_block_of_chains_equals_each_chain_alone(self, spec):
+        # an (R, n) theta: row r is the gradient of example r at theta row r
+        R = 5
+        thetas = rand_theta(spec, 71).values + 0.1 * SeededRng(72).normal(R * spec.n_params).reshape(R, -1)
+        data = make_blobs(SeededRng(73), R, spec.input_dim, spec.n_classes)
+        want = np.vstack([
+            loss_gradient(spec, ParamVector(thetas[r], spec.segments), data[r]).values for r in range(R)
+        ])
+        assert np.array_equal(loss_gradients(spec, thetas, data.X, data.y), want)
 
     def test_duplicate_examples_same_gradient(self):
         theta = rand_theta(LINEAR, 8)
@@ -427,19 +445,18 @@ class TestSweepScratch:
         batch = sample_batch(data, B, SeededRng((1, 2, 3, 4)))
         points = Dataset(X=data.X[:R], y=data.y[:R])
 
-        lin = _linearize(spec, thetas, batch.X)
-        g = lin.p.copy()
-        g[np.arange(R)[:, None], np.arange(B), batch.y] -= 1.0
-        want_loss = reference_backprop(spec, lin, g)
-        assert np.array_equal(_loss_gradient_rows(spec, thetas, batch.X, batch.y), want_loss)
-
-        cfg = PboConfig(epsilon=1e-2, lambda_damp=0.2)
-        ref_p = _softmax(_forward(spec, theta_star.values, batch.X)[0])
-        want = reference_backprop(spec, lin, (lin.p - ref_p) / B)
+        # chain r's loss gradient at its own point, one row through its own theta
         train = _linearize(spec, thetas, points.X[:, None, :])
         g = train.p.copy()
         g[np.arange(R), 0, points.y] -= 1.0
-        want = want + cfg.epsilon * reference_backprop(spec, train, g)
+        want_loss = reference_backprop(spec, train, g)
+        assert np.array_equal(loss_gradients(spec, thetas, points.X, points.y), want_loss)
+
+        cfg = PboConfig(epsilon=1e-2, lambda_damp=0.2)
+        lin = _linearize(spec, thetas, batch.X)
+        ref_p = _softmax(_forward(spec, theta_star.values, batch.X)[0])
+        want = reference_backprop(spec, lin, (lin.p - ref_p) / B)
+        want = want + cfg.epsilon * want_loss
         want = want + cfg.lambda_damp * (thetas - theta_star.values)
         got = pbo_gradient(spec, thetas, theta_star, points, batch, cfg)
         assert got.shape == (R, spec.n_params) and np.array_equal(got, want)

@@ -14,11 +14,11 @@ from lissakit.models import (
     ParamVector,
     init_params,
     loss_gradient,
+    loss_gradients,
     make_blobs,
     nll_loss,
     _forward,
 )
-from lissakit.models import test_gradient as measurement_gradient
 from lissakit.pbrf import (
     InfluenceComparison,
     PboConfig,
@@ -216,10 +216,7 @@ class TestPbrfInfluence:
         tests = subset(data, range(100, 120))
         grad_train = loss_gradient(spec, theta, train).values
         u_exact = exact_ihvp(sym_eig(H), damp, -grad_train)
-        exact = [
-            float(u_exact @ measurement_gradient(spec, theta, tests[j]).values)
-            for j in range(len(tests))
-        ]
+        exact = -loss_gradients(spec, theta.values, tests.X, tests.y) @ u_exact
         cfg = PboConfig(
             epsilon=1e-8, lambda_damp=damp, lr=eta, steps=80, batch_size=len(data), seed=(0,)
         )
@@ -252,7 +249,7 @@ class TestPbrfInfluence:
         op = GnhOperator(spec, theta, data, batch_size=64, rng=SeededRng(0))
         lissa_cfg = LissaConfig(eta=eta, lambda_damp=damp, t_steps=80, seed=11)
         u, _ = lissa_solve(op, -grad_train, lissa_cfg)
-        lissa = [float(u @ measurement_gradient(spec, theta, tests[j]).values) for j in range(len(tests))]
+        lissa = -loss_gradients(spec, theta.values, tests.X, tests.y) @ u
         pbo_cfg = PboConfig(
             epsilon=1e-8, lambda_damp=damp, lr=eta, steps=80, batch_size=64, seed=(11,)
         )
