@@ -37,7 +37,6 @@ from .models import (
     _forward,
     init_params,
     load_dataset_csv,
-    loss_gradient,
     loss_gradients,
     make_blobs,
 )
@@ -144,8 +143,8 @@ def _build_model(run: RunContext):
     layers = ", ".join(str(s) for s in spec.layer_sizes)
     what = f"a model of {spec.n_params} parameters (layer_sizes = {layers})"
     _check_limit(what, spec.n_params, "MAX_KEPT_FLOATS", "lower layer_sizes")
-    # init_scale near the float range overflows to inf weights, which
-    # _check_finite_logits rejects
+    # init_scale near the float range overflows to inf weights, whose logits
+    # _build_data rejects
     with np.errstate(over="ignore"):
         theta = init_params(spec, run.rng("init"), cfg.init_scale)
     return spec, theta
@@ -159,18 +158,11 @@ def _overflow_error(run: RunContext, what: str) -> ConfigError:
     )
 
 
-def _check_finite_logits(run: RunContext, spec: ModelSpec, theta, *datasets) -> None:
-    """A model whose logits overflow on its data has no gradient, curvature
-    or score to compute: a config error before any of them."""
-    for data in datasets:
-        with np.errstate(over="ignore", invalid="ignore"):
-            logits, _ = _forward(spec, theta.values, data.X)
-        if not np.isfinite(logits).all():
-            raise _overflow_error(run, "the model's logits overflow")
-
-
-def _build_data(run: RunContext, spec: ModelSpec, n_test: int = 0):
-    """Train set plus an optional held-out tail of n_test examples."""
+def _build_data(run: RunContext, spec: ModelSpec, theta: np.ndarray, n_test: int = 0):
+    """Train set plus an optional held-out tail of n_test examples.  A model
+    whose logits overflow on the data has no gradient, curvature or score to
+    compute: one forward pass over every example makes that a config error
+    before any of them."""
     cfg = run.cfg
     if cfg.dataset_path is not None:
         try:
@@ -193,10 +185,14 @@ def _build_data(run: RunContext, spec: ModelSpec, n_test: int = 0):
     _check_limit(what, n_full * width, "MAX_KEPT_FLOATS", "use fewer examples or narrower layers")
     if cfg.dataset_path is None:
         full = make_blobs(run.rng("dataset"), n_full, spec.input_dim, spec.n_classes, cfg.separation)
-    if n_test == 0:
-        return full, None
     if len(full) <= n_test:
         raise ConfigError("dataset too small for the requested test split")
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits, _ = _forward(spec, theta, full.X)
+    if not np.isfinite(logits).all():
+        raise _overflow_error(run, "the model's logits overflow")
+    if n_test == 0:
+        return full, None
     cut = len(full) - n_test
     train = Dataset(X=full.X[:cut], y=full.y[:cut], ids=full.ids[:cut])
     test = Dataset(X=full.X[cut:], y=full.y[cut:], ids=full.ids[cut:])
@@ -332,8 +328,7 @@ def cmd_stats(run: RunContext) -> None:
     cfg = run.cfg
     _check_limit(f"n_probes = {cfg.n_probes}", cfg.n_probes, "MAX_PROBES")
     spec, theta = _build_model(run)
-    train, _ = _build_data(run, spec)
-    _check_finite_logits(run, spec, theta, train)
+    train, _ = _build_data(run, spec, theta)
     op = _stochastic_operator(run, spec, theta, train, None)
     sketch_cfg = SketchConfig(cfg.sketch_dim, run.sub_seed("sketch"), cfg.sketch_layout)
     columns = sketch_size(op, sketch_cfg)
@@ -403,13 +398,13 @@ def cmd_lissa(run: RunContext) -> None:
         _check_oracle_damping(run)
     _check_given_step_count(run)
     spec, theta = _build_model(run)
-    train, _ = _build_data(run, spec)
-    _check_finite_logits(run, spec, theta, train)
+    train, _ = _build_data(run, spec, theta)
     if not 0 <= cfg.train_index < len(train):
         raise ConfigError("train_index outside the dataset")
     op = _stochastic_operator(run, spec, theta, train, cfg.batch_size)
     _check_draw(op, cfg.batch_size, f"a draw of batch_size = {cfg.batch_size}")
-    g = -loss_gradient(spec, theta, train[cfg.train_index]).values
+    row = slice(cfg.train_index, cfg.train_index + 1)
+    g = -loss_gradients(spec, theta, train.X[row], train.y[row])[0]
 
     dense = None
     if cfg.eta is None or cfg.tolerance is not None:
@@ -466,8 +461,7 @@ def cmd_convergence(run: RunContext) -> None:
     batch_sizes = cfg.require("batch_sizes")
     spec, theta = _build_model(run)
     _check_gradient_block(spec, cfg.n_test, "n_test")
-    train, test = _build_data(run, spec, n_test=cfg.n_test)
-    _check_finite_logits(run, spec, theta, train, test)
+    train, test = _build_data(run, spec, theta, n_test=cfg.n_test)
     if not 0 <= cfg.train_index < len(train):
         raise ConfigError("train_index outside the dataset")
 
@@ -480,10 +474,11 @@ def cmd_convergence(run: RunContext) -> None:
         f"snapshot_every = {snapshot_every})", snapshots * spec.n_params, "MAX_KEPT_FLOATS",
         "raise snapshot_every or lower t_steps",
     )
-    g = -loss_gradient(spec, theta, train[cfg.train_index]).values
+    row = slice(cfg.train_index, cfg.train_index + 1)
+    g = -loss_gradients(spec, theta, train.X[row], train.y[row])[0]
     u_star = _oracle_ihvp(run, dense, g)
     # the measurement f = log softmax(logits)[y] has the negated loss gradient
-    T = -loss_gradients(spec, theta.values, test.X, test.y)
+    T = -loss_gradients(spec, theta, test.X, test.y)
 
     rows = []
     for b in batch_sizes:
@@ -521,8 +516,7 @@ def cmd_pbrf_compare(run: RunContext) -> None:
     width = max(spec.layer_sizes[1:])
     what = f"a readout of n_train times n_test = {cfg.n_train * cfg.n_test} pairs times the widest layer of {width}"
     _check_limit(what, cfg.n_train * cfg.n_test * width, "MAX_KEPT_FLOATS", "lower n_train or n_test")
-    train, test = _build_data(run, spec, n_test=cfg.n_test)
-    _check_finite_logits(run, spec, theta, train, test)
+    train, test = _build_data(run, spec, theta, n_test=cfg.n_test)
     if cfg.n_train > len(train):
         raise ConfigError("n_train exceeds the training set")
     op = _stochastic_operator(run, spec, theta, train, batch_size)
@@ -534,9 +528,9 @@ def cmd_pbrf_compare(run: RunContext) -> None:
     eta, steps = _solver_settings(run, dense, steps_field)
     rows = slice(cfg.n_train)
     points = Dataset(X=train.X[rows], y=train.y[rows], ids=train.ids[rows])
-    G = loss_gradients(spec, theta.values, points.X, points.y)
+    G = loss_gradients(spec, theta, points.X, points.y)
     # the measurement f = log softmax(logits)[y] has the negated loss gradient
-    T = -loss_gradients(spec, theta.values, test.X, test.y)
+    T = -loss_gradients(spec, theta, test.X, test.y)
     item_seeds = [run.sub_seed(f"pbrf-item-{i}") for i in range(cfg.n_train)]
 
     # the solves stop at the first divergence, before any finetune
@@ -586,8 +580,7 @@ def cmd_condition_c1(run: RunContext) -> None:
     factor = spec.n_classes * max(spec.layer_sizes[1:])
     what = f"one example's trace factor of n_classes times the widest layer = {factor} floats"
     _check_limit(what, factor, "MAX_KEPT_FLOATS", "lower layer_sizes")
-    train, _ = _build_data(run, spec)
-    _check_finite_logits(run, spec, theta, train)
+    train, _ = _build_data(run, spec, theta)
     rows = check_condition_c1(
         spec, theta, train, list(batch_sizes), cfg.n_probes, run.rng("condition-c1")
     )
@@ -748,8 +741,7 @@ def cmd_similarity(run: RunContext) -> None:
     _check_gradient_block(spec, cfg.n_items, "n_items")
     what = f"n_items = {cfg.n_items} squared similarities"
     _check_limit(what, cfg.n_items**2, "MAX_KEPT_FLOATS", "lower n_items")
-    train, _ = _build_data(run, spec)
-    _check_finite_logits(run, spec, theta, train)
+    train, _ = _build_data(run, spec, theta)
     if cfg.n_items < 2 or cfg.n_items > len(train):
         raise ConfigError("n_items must be between 2 and the dataset size")
     if not 0 <= cfg.train_index < cfg.n_items:
@@ -759,7 +751,7 @@ def cmd_similarity(run: RunContext) -> None:
     # huge features overflow the gradients or their inner products; the
     # non-finite gradients or similarities that come out are rejected
     with np.errstate(over="ignore", invalid="ignore"):
-        G = loss_gradients(spec, theta.values, train.X[items], train.y[items])
+        G = loss_gradients(spec, theta, train.X[items], train.y[items])
         try:
             gradient_sim = similarity_matrix(G)
         except ValueError as exc:

@@ -25,7 +25,6 @@ from .core import SeededRng
 from .models import (
     Dataset,
     ModelSpec,
-    ParamVector,
     _Linearization,
     _backprop,
     _forward,
@@ -115,7 +114,7 @@ class GnhOperator:
     def __init__(
         self,
         spec: ModelSpec,
-        theta: ParamVector,
+        theta: np.ndarray,
         dataset: Dataset,
         batch_size: int | None = None,
         rng: SeededRng | None = None,
@@ -128,7 +127,7 @@ class GnhOperator:
                 raise ValueError("stochastic operator needs an rng")
         if fd_delta is not None and not fd_delta > 0:
             raise ValueError("fd_delta must be positive")
-        if theta.values.size != spec.n_params:
+        if np.shape(theta) != (spec.n_params,):
             raise ValueError("theta does not match the model spec")
         if batch_size is not None and batch_size >= len(dataset):
             batch_size = None
@@ -140,7 +139,7 @@ class GnhOperator:
         self.fd_delta = fd_delta
         self.n_params = spec.n_params
         self.segments = spec.segments
-        self._full_lin = _linearize(spec, theta.values, dataset.X) if batch_size is None else None
+        self._full_lin = _linearize(spec, theta, dataset.X) if batch_size is None else None
 
     def reseeded(self, seed: int) -> "GnhOperator":
         """Copy of this operator with its batch stream reset to ``seed``; the
@@ -163,7 +162,7 @@ class GnhOperator:
         lin = self._full_lin
         if lin is None:
             X = sample_batch(self.dataset, self.batch_size, self.rng).X
-            lin = _linearize(self.spec, self.theta.values, X)
+            lin = _linearize(self.spec, self.theta, X)
         return _gnh_hvp(self.spec, lin, v, self.fd_delta)
 
 
@@ -201,7 +200,7 @@ def _centered_factors(spec: ModelSpec, lin: _Linearization) -> list:
 
 
 def gnh_matrix_exact(
-    spec: ModelSpec, theta: ParamVector, dataset: Dataset, chunk: int = 128
+    spec: ModelSpec, theta: np.ndarray, dataset: Dataset, chunk: int = 128
 ) -> np.ndarray:
     """Dense Gauss-Newton Hessian averaged over the whole dataset.
 
@@ -235,7 +234,7 @@ def gnh_matrix_exact(
     widest = max(max(b.shape) for b in blocks.values())
     rows = max(1, min(chunk, n * n // (2 * widest)))
     for start in range(0, len(dataset), rows):
-        lin = _linearize(spec, theta.values, dataset.X[start : start + rows])
+        lin = _linearize(spec, theta, dataset.X[start : start + rows])
         B = lin.p.shape[0]
         factors = _centered_factors(spec, lin)
         augmented = [np.concatenate([a, np.ones((B, 1))], axis=1) for a in lin.inputs]
@@ -260,7 +259,7 @@ def gnh_matrix_exact(
 _TRACE_PASS_FLOATS = 1 << 22  # floats of one pass's centered factors in gnh_trace_exact
 
 
-def gnh_trace_exact(spec: ModelSpec, theta: ParamVector, dataset: Dataset) -> float:
+def gnh_trace_exact(spec: ModelSpec, theta: np.ndarray, dataset: Dataset) -> float:
     """Tr(H) of the dense Gauss-Newton Hessian, without forming H.
 
     Layer l's diagonal block is sum_b (R_l^T R_l)_b kron ([a_l, 1] [a_l, 1]^T)_b
@@ -278,7 +277,7 @@ def gnh_trace_exact(spec: ModelSpec, theta: ParamVector, dataset: Dataset) -> fl
     rows = max(1, min(128, _TRACE_PASS_FLOATS // per_row))
     total = 0.0
     for start in range(0, len(dataset), rows):
-        lin = _linearize(spec, theta.values, dataset.X[start : start + rows])
+        lin = _linearize(spec, theta, dataset.X[start : start + rows])
         for r, a in zip(_centered_factors(spec, lin), lin.inputs):
             total += float(np.sum(r * r, axis=(1, 2)) @ (np.sum(a * a, axis=1) + 1.0))
     return total / len(dataset)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .core import SymEig
-from .models import _vector
 
 
 def similarity_matrix(G, solved=None) -> np.ndarray:
@@ -59,8 +58,8 @@ def eigen_reweight(g, eig: SymEig, lambda_damp: float) -> list[tuple[float, floa
     """
     if lambda_damp < 0:
         raise ValueError("damping must be non-negative")
-    g = _vector(g)
-    if g.size != eig.vectors.shape[0]:
+    g = np.asarray(g, dtype=np.float64)
+    if g.shape != eig.vectors.shape[:1]:
         raise ValueError("gradient does not match the matrix")
     denom = eig.values + lambda_damp
     weights = np.divide(lambda_damp, denom, out=np.ones_like(denom), where=denom > 0)

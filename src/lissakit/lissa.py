@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import SeededRng, SymEig, derive_seed, pearson_corr
-from .models import _vector
 
 _DIVERGENCE_SCALE = 1e12
 
@@ -80,18 +79,16 @@ def lissa_solve(op, g, cfg: LissaConfig):
     trace; raises LissaDivergenceError, carrying the faulting step, when the
     iterate goes non-finite or passes the runaway guard.
     """
-    g_values = _vector(g)
-    if g_values.size != op.n_params:
+    g = np.asarray(g, dtype=np.float64)
+    if g.shape != (op.n_params,):
         raise ValueError("gradient does not match the operator")
     if hasattr(op, "reseeded"):
         op = op.reseeded(cfg.seed)
 
-    u = np.zeros_like(g_values) if cfg.u0 is None else _vector(cfg.u0).copy()
-    if u.size != g_values.size:
+    u = np.zeros_like(g) if cfg.u0 is None else np.array(cfg.u0, dtype=np.float64)
+    if u.shape != g.shape:
         raise ValueError("u0 does not match the gradient")
-    bound = _divergence_bound(
-        float(np.linalg.norm(g_values)), float(np.linalg.norm(u)), cfg.lambda_damp
-    )
+    bound = _divergence_bound(float(np.linalg.norm(g)), float(np.linalg.norm(u)), cfg.lambda_damp)
 
     t_steps, eta, damp, every = cfg.t_steps, cfg.eta, cfg.lambda_damp, cfg.snapshot_every
     matvec, sqrt, isfinite = op.matvec, math.sqrt, math.isfinite
@@ -102,7 +99,7 @@ def lissa_solve(op, g, cfg: LissaConfig):
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, t_steps + 1):
             hu = matvec(u)
-            u = u - eta * (hu + damp * u - g_values)
+            u = u - eta * (hu + damp * u - g)
             norm = sqrt(u @ u)
             if not isfinite(norm) or norm > bound:
                 raise LissaDivergenceError(step, norm)
@@ -154,7 +151,9 @@ def convergence_correlation(trace: LissaTrace, test_grads: np.ndarray, reference
     grads = np.asarray(test_grads, dtype=np.float64)
     if grads.ndim != 2 or grads.shape[0] < 2:
         raise ValueError("need a (J, n) block of at least two measurement gradients")
-    ref_vector = trace.final() if reference is None else _vector(reference)
+    ref_vector = trace.final() if reference is None else np.asarray(reference, dtype=np.float64)
+    if ref_vector.shape != grads.shape[1:]:
+        raise ValueError("reference does not match the measurement gradients")
     ref_scores = grads @ ref_vector
     return [
         (step, pearson_corr(grads @ u, ref_scores)) for step, u in trace.snapshots
@@ -295,8 +294,10 @@ def counterexample_moments(problem: CounterExampleProblem, t_max: int, u0=None) 
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
-    start = problem.u0 if u0 is None else u0
-    coords = problem.rotation.T @ _vector(start)
+    start = np.asarray(problem.u0 if u0 is None else u0, dtype=np.float64)
+    if start.shape != (problem.n,):
+        raise ValueError("u0 does not match the problem")
+    coords = problem.rotation.T @ start
     r = coords**2
     lam = problem.eigenvalues
     contraction_sq = (1.0 - problem.eta * (lam + problem.lambda_damp)) ** 2

@@ -89,7 +89,8 @@ class ModelSpec:
 
 @dataclass
 class ParamVector:
-    """Flat parameter (or parameter-space) vector with layer segmentation."""
+    """A gradient with its layer segmentation, as ``loss_gradient`` returns it;
+    parameters and every other parameter-space vector are plain (n,) arrays."""
 
     values: np.ndarray
     segments: tuple[tuple[str, int, int], ...]
@@ -103,21 +104,6 @@ class ParamVector:
             offset += seg_len
         if offset != self.values.size:
             raise ValueError("segments do not cover the vector")
-
-    def like(self, values: np.ndarray) -> "ParamVector":
-        return ParamVector(np.asarray(values, dtype=np.float64), self.segments)
-
-    def copy(self) -> "ParamVector":
-        return ParamVector(self.values.copy(), self.segments)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
-
-
-def _vector(x) -> np.ndarray:
-    """Flat float64 values of a ParamVector or any array-like."""
-    values = x.values if isinstance(x, ParamVector) else x
-    return np.asarray(values, dtype=np.float64).ravel()
 
 
 @dataclass(frozen=True)
@@ -282,9 +268,9 @@ def _logit_deltas(spec: ModelSpec, lin: _Linearization) -> list:
     return deltas
 
 
-def nll_loss(spec: ModelSpec, theta: ParamVector, x: np.ndarray, y: int) -> float:
+def nll_loss(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: int) -> float:
     """Cross-entropy loss -log softmax(logits)[y]."""
-    h, _ = _forward(spec, theta.values, np.asarray(x, dtype=np.float64)[None, :])
+    h, _ = _forward(spec, theta, np.asarray(x, dtype=np.float64)[None, :])
     return _nll_from_logits(h, np.array([y]))[0]
 
 
@@ -309,19 +295,20 @@ def loss_gradients(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndar
     return _backprop(spec, lin, g)
 
 
-def loss_gradient(spec: ModelSpec, theta: ParamVector, example: Example) -> ParamVector:
+def loss_gradient(spec: ModelSpec, theta: np.ndarray, example: Example) -> ParamVector:
     """Gradient of the cross-entropy loss at one example: the one-row block."""
-    return theta.like(loss_gradients(spec, theta.values, example.x[None, :], np.array([example.y]))[0])
+    g = loss_gradients(spec, theta, example.x[None, :], np.array([example.y]))[0]
+    return ParamVector(g, spec.segments)
 
 
-def init_params(spec: ModelSpec, rng: SeededRng, scale: float = 1.0) -> ParamVector:
+def init_params(spec: ModelSpec, rng: SeededRng, scale: float = 1.0) -> np.ndarray:
     """Random unit-scale initialization: W ~ N(0, scale^2 / fan_in), b = 0."""
     theta = np.zeros(spec.n_params)
     for l, (name, offset, length) in enumerate(spec.segments):
         fan_in, fan_out = spec.layer_sizes[l], spec.layer_sizes[l + 1]
         w = rng.normal(fan_out * fan_in) * (scale / math.sqrt(fan_in))
         theta[offset : offset + fan_out * fan_in] = w
-    return ParamVector(theta, spec.segments)
+    return theta
 
 
 def make_blobs(

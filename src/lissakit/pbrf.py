@@ -23,7 +23,6 @@ from .models import (
     Dataset,
     Example,
     ModelSpec,
-    ParamVector,
     _backprop,
     _forward,
     _linearize,
@@ -81,33 +80,33 @@ def _bregman_gaps(logits: np.ndarray, ref_logits: np.ndarray, y: np.ndarray) -> 
     return losses - ref_losses - ((logits - ref_logits) * ref_grad).sum(axis=1)
 
 
-def _batch_bregman_mean(spec, theta_values, theta_star_values, X, y) -> float:
-    logits, _ = _forward(spec, theta_values, X)
-    ref_logits, _ = _forward(spec, theta_star_values, X)
+def _batch_bregman_mean(spec, theta, theta_star, X, y) -> float:
+    logits, _ = _forward(spec, theta, X)
+    ref_logits, _ = _forward(spec, theta_star, X)
     return float(_bregman_gaps(logits, ref_logits, y).mean())
 
 
 def pbo_objective(
     spec: ModelSpec,
-    theta: ParamVector,
-    theta_star: ParamVector,
+    theta: np.ndarray,
+    theta_star: np.ndarray,
     train_point: Example,
     batch,
     cfg: PboConfig,
 ) -> float:
     """Mean Bregman term over ``batch`` (anything with .X/.y) plus the
     epsilon-weighted training loss and the proximity penalty."""
-    value = _batch_bregman_mean(spec, theta.values, theta_star.values, batch.X, batch.y)
+    value = _batch_bregman_mean(spec, theta, theta_star, batch.X, batch.y)
     if cfg.epsilon:
         value += cfg.epsilon * nll_loss(spec, theta, train_point.x, train_point.y)
-    shift = theta.values - theta_star.values
+    shift = theta - theta_star
     return value + 0.5 * cfg.lambda_damp * float(shift @ shift)
 
 
 def pbo_gradient(
     spec: ModelSpec,
     theta: np.ndarray,
-    theta_star: ParamVector,
+    theta_star: np.ndarray,
     points: Dataset,
     batch,
     cfg: PboConfig,
@@ -121,17 +120,17 @@ def pbo_gradient(
     gradient is (R, n).
     """
     lin = _linearize(spec, theta, batch.X)
-    ref_logits, _ = _forward(spec, theta_star.values, batch.X)
+    ref_logits, _ = _forward(spec, theta_star, batch.X)
     gap = (lin.p - _softmax(ref_logits)) / batch.y.shape[-1]
     grad = _backprop(spec, lin, gap)
     if cfg.epsilon:
         grad = grad + cfg.epsilon * loss_gradients(spec, theta, points.X, points.y)
-    return grad + cfg.lambda_damp * (theta - theta_star.values)
+    return grad + cfg.lambda_damp * (theta - theta_star)
 
 
 def pbrf_finetune(
     spec: ModelSpec,
-    theta_star: ParamVector,
+    theta_star: np.ndarray,
     points: Dataset,
     dataset: Dataset,
     cfg: PboConfig,
@@ -154,7 +153,7 @@ def pbrf_finetune(
         raise ValueError(f"need one seed per point: {len(cfg.seed)} seeds for {len(points)} points")
     rng = SeededRng(cfg.seed)
     full_batch = cfg.batch_size >= len(dataset)
-    theta = np.broadcast_to(theta_star.values, (len(points), spec.n_params)).copy()
+    theta = np.broadcast_to(theta_star, (len(points), spec.n_params)).copy()
     overflow = np.zeros(len(points), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.steps):
@@ -171,7 +170,7 @@ def pbrf_finetune(
 def pbrf_influence(
     spec: ModelSpec,
     result: PbrfResult,
-    theta_star: ParamVector,
+    theta_star: np.ndarray,
     test_points: Dataset,
     epsilon: float,
 ) -> np.ndarray:
@@ -195,7 +194,7 @@ def pbrf_influence(
         raise OverflowError("finetune overflowed; influences are unavailable")
     X = test_points.X[:, None, :]
     y = test_points.y[:, None]
-    ref = -_nll_from_logits(_forward(spec, theta_star.values, X)[0], y)
+    ref = -_nll_from_logits(_forward(spec, theta_star, X)[0], y)
     moved = -_nll_from_logits(_forward(spec, result.theta[:, None, :], X)[0], y)
     return (moved - ref)[..., 0] / epsilon
 

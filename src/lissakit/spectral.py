@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import MeanSe, SeededRng, derive_seed, gaussian_vector, sym_eig
 from .gnh import GnhOperator, gnh_trace_exact
-from .models import Dataset, ModelSpec, ParamVector
+from .models import Dataset, ModelSpec
 
 
 @dataclass(frozen=True)
@@ -245,7 +245,7 @@ class ConditionC1Row:
 
 def check_condition_c1(
     spec: ModelSpec,
-    theta: ParamVector,
+    theta: np.ndarray,
     dataset: Dataset,
     batch_sizes: list[int],
     n_probes: int,

@@ -221,7 +221,7 @@ def test_criterion_04_small_batches_stabilize_later(acceptance_log):
     )
     g = -loss_gradient(spec, theta, data[0]).values
     # measurement gradients: the negated loss gradients of 20 examples
-    grads = -loss_gradients(spec, theta.values, data.X[1:21], data.y[1:21])
+    grads = -loss_gradients(spec, theta, data.X[1:21], data.y[1:21])
     t_run = int(1.5 * hp.t_steps)
 
     def crossing_step(batch, seed, trials):
@@ -373,8 +373,8 @@ def _paired_scores(spec, theta, train_set, test_points, lam_damp, eta, steps, ba
     """Influence scores from the stochastic solver and from finetuning, as
     (25, J) arrays: train point i against test point j."""
     points = Dataset(X=train_set.X[:25], y=train_set.y[:25], ids=train_set.ids[:25])
-    G = loss_gradients(spec, theta.values, points.X, points.y)
-    test_grads = -loss_gradients(spec, theta.values, test_points.X, test_points.y)
+    G = loss_gradients(spec, theta, points.X, points.y)
+    test_grads = -loss_gradients(spec, theta, test_points.X, test_points.y)
     solved = np.empty_like(G)
     for i in range(25):
         op = GnhOperator(spec, theta, train_set, batch_size=batch, rng=SeededRng(0))

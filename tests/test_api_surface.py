@@ -19,6 +19,14 @@ TEST_ONLY = {
     "softmax_hessian",
 }
 
+# Read only by the benchmark's output checks (perfbench/checks.py): nothing in
+# the program or the studies may call it, and the entry and the definition go
+# once the benchmark reads the loss_gradients block instead.
+BENCHMARK_ONLY = {"loss_gradient"}
+
+PROGRAM = ("src/**/*.py", "scripts/**/*.py")
+BENCHMARK = ("perfbench/**/*.py",)
+
 # A string such as "lissakit.gnh:GnhOperator.matvec" names its target, as the
 # benchmark's tracing probes do.
 _TARGET = re.compile(r"^lissakit(?:\.\w+)*:([\w.]+)$")
@@ -41,12 +49,11 @@ def definitions():
     return found
 
 
-def referenced_names():
-    """Every name the program, the scripts and the benchmark read: names,
+def referenced_names(*patterns):
+    """Every name that the non-test sources matching ``patterns`` read: names,
     attributes, imported names and the targets of probe strings."""
     names = set()
-    sources = [*ROOT.glob("src/**/*.py"), *ROOT.glob("scripts/**/*.py"), *ROOT.glob("perfbench/**/*.py")]
-    for path in sources:
+    for path in (path for pattern in patterns for path in ROOT.glob(pattern)):
         if path.name.startswith("test_"):
             continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -66,7 +73,12 @@ def referenced_names():
 def test_every_definition_has_a_caller_outside_the_tests():
     defined = definitions()
     assert len(defined) > 50
-    names = referenced_names()
+    names = referenced_names(*PROGRAM, *BENCHMARK)
     unused = sorted(f"{path}: {name}" for path, name in defined if name.rsplit(".", 1)[-1] not in names)
     # a stale entry of TEST_ONLY fails as well as a new unread definition
     assert {entry.rsplit(".", 1)[-1].split(": ")[-1] for entry in unused} == TEST_ONLY, unused
+
+
+def test_benchmark_only_names_are_read_by_the_benchmark_alone():
+    assert not BENCHMARK_ONLY & referenced_names(*PROGRAM)
+    assert BENCHMARK_ONLY <= referenced_names(*BENCHMARK)

@@ -1134,7 +1134,7 @@ class TestInputBoundary:
         def refuse(*args, **kwargs):
             raise AssertionError("gradient or curvature of an overflowing model")
 
-        for name in ("loss_gradient", "loss_gradients", "gnh_matrix_exact", "GnhOperator", "check_condition_c1"):
+        for name in ("loss_gradients", "gnh_matrix_exact", "GnhOperator", "check_condition_c1"):
             monkeypatch.setattr(f"lissakit.cli.{name}", refuse)
         code, _ = run_cli(tmp_path, command, MLP_4_5_3 + "init_scale = 1.7e308\n" + extra)
         assert code == 2

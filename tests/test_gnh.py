@@ -19,7 +19,6 @@ from lissakit.lissa import LissaConfig, lissa_solve
 from lissakit.models import (
     Dataset,
     ModelSpec,
-    ParamVector,
     _jvp_batch,
     _linearize,
     init_params,
@@ -88,7 +87,7 @@ class TestDenseGnh:
         spec = ModelSpec(kind="softmax-linear", layer_sizes=(3, 2))
         x = np.array([0.5, -1.0, 2.0])
         data = Dataset(X=x[None, :], y=np.array([1]))
-        H = gnh_matrix_exact(spec, ParamVector(np.zeros(spec.n_params), spec.segments), data)
+        H = gnh_matrix_exact(spec, np.zeros(spec.n_params), data)
         S = softmax_hessian(np.zeros(2))
         ww = np.kron(S, np.outer(x, x))
         wb = np.kron(S, x[:, None])
@@ -124,10 +123,10 @@ class TestDenseGnh:
         # column by column from forward-mode JVPs along the unit vectors; 37
         # rows in passes of 7 leave a short last pass
         theta, data = toy_fixture(spec, n=37, seed=4)
-        lin = _linearize(spec, theta.values, data.X)
+        lin = _linearize(spec, theta, data.X)
         units = np.eye(spec.n_params)
         jac = np.stack([_jvp_batch(spec, lin, e) for e in units], axis=-1)
-        logits, _ = models._forward(spec, theta.values, data.X)
+        logits, _ = models._forward(spec, theta, data.X)
         reference = sum(j.T @ softmax_hessian(h) @ j for j, h in zip(jac, logits)) / len(data)
         H = gnh_matrix_exact(spec, theta, data, chunk=7)
         assert np.max(np.abs(H - reference)) <= 1e-13 * np.max(np.abs(reference))
@@ -165,7 +164,7 @@ class TestDenseGnh:
         big = ModelSpec(kind="softmax-linear", layer_sizes=(1000, 3))
         data = Dataset(X=np.zeros((1, 1000)), y=np.array([0]))
         with pytest.raises(ValueError):
-            gnh_matrix_exact(big, ParamVector(np.zeros(big.n_params), big.segments), data)
+            gnh_matrix_exact(big, np.zeros(big.n_params), data)
 
 
 class TestTraceExact:
@@ -185,7 +184,7 @@ class TestTraceExact:
         # per-example trace is Tr(S_b) (||x_b||^2 + 1) with Tr(S_b) = 1 - ||p_b||^2
         spec = ModelSpec(kind="softmax-linear", layer_sizes=(1000, 3))
         theta, data = toy_fixture(spec, n=9, seed=8)
-        logits, _ = models._forward(spec, theta.values, data.X)
+        logits, _ = models._forward(spec, theta, data.X)
         p = models._softmax(logits)
         expected = np.mean((1.0 - np.sum(p * p, axis=1)) * (np.sum(data.X**2, axis=1) + 1.0))
         assert gnh_trace_exact(spec, theta, data) == pytest.approx(expected, rel=1e-13)
@@ -305,7 +304,7 @@ class TestHvp:
         rng = SeededRng(100)
         for _ in range(3):
             u = rng.normal(spec.n_params)
-            fresh = _gnh_hvp(spec, _linearize(spec, theta.values, data.X), u, fd_delta)
+            fresh = _gnh_hvp(spec, _linearize(spec, theta, data.X), u, fd_delta)
             assert np.array_equal(op.matvec(u), fresh)
 
     def test_full_batch_operator_runs_one_forward(self, monkeypatch):

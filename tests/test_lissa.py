@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from lissakit.core import DenseOperator, SeededRng, derive_seed, sym_eig
 from lissakit.gnh import GnhOperator, gnh_matrix_exact
+from lissakit.influence import eigen_reweight
 from lissakit.lissa import (
     CounterExampleMonteCarlo,
     CounterExampleProblem,
@@ -217,7 +219,7 @@ class TestLissaSolve:
 class TestConvergenceCorrelation:
     def solve_with_snapshots(self):
         spec, theta, data, H, g = toy_problem(seed=5)
-        grads = -loss_gradients(spec, theta.values, data.X[1:9], data.y[1:9])
+        grads = -loss_gradients(spec, theta, data.X[1:9], data.y[1:9])
         damp = 0.5
         eta = 1.0 / (np.linalg.eigvalsh(H)[-1] + damp)
         op = GnhOperator(spec, theta, data, batch_size=64, rng=SeededRng(7))
@@ -471,3 +473,31 @@ class TestCounterExampleMoments:
             counterexample_simulate(problem, 1, 3, seed=0)
         with pytest.raises(ValueError):
             counterexample_simulate(problem, 10, 0, seed=0)
+
+
+def _shape_cases():
+    """Each call that takes one parameter-space vector, given that vector
+    through ``bad``, which reshapes it to two dimensions."""
+    spec, theta, data, H, g = toy_problem()
+    op = DenseOperator(H)
+    cfg = LissaConfig(eta=0.1, lambda_damp=0.3, t_steps=3, snapshot_every=1)
+    grads = -loss_gradients(spec, theta, data.X[1:9], data.y[1:9])
+    problem = growth_problem()
+    return {
+        "lissa_solve-g": lambda bad: lissa_solve(op, bad(g), cfg),
+        "lissa_solve-u0": lambda bad: lissa_solve(op, g, replace(cfg, u0=bad(g))),
+        "convergence_correlation": lambda bad: convergence_correlation(
+            lissa_solve(op, g, cfg)[1], grads, reference=bad(g)
+        ),
+        "counterexample_moments": lambda bad: counterexample_moments(problem, 3, u0=bad(problem.u0)),
+        "eigen_reweight": lambda bad: eigen_reweight(bad(g), sym_eig(H), 0.3),
+        "GnhOperator": lambda bad: GnhOperator(spec, bad(theta), data),
+    }
+
+
+@pytest.mark.parametrize("bad", [lambda v: v[:, None], lambda v: v[None, :]], ids=["column", "row"])
+@pytest.mark.parametrize("call", list(_shape_cases()))
+def test_vector_shapes_are_checked_not_raveled(call, bad):
+    # an (n, 1) or (1, n) array was once flattened without a word
+    with pytest.raises(ValueError, match="does not match"):
+        _shape_cases()[call](bad)

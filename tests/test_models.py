@@ -48,8 +48,8 @@ def rand_theta(spec, seed=0, scale=0.8):
 
 
 def fd_loss_directional(spec, theta, example, direction, step=1e-6):
-    up = theta.like(theta.values + step * direction)
-    dn = theta.like(theta.values - step * direction)
+    up = theta + step * direction
+    dn = theta - step * direction
     return (nll_loss(spec, up, example.x, example.y) - nll_loss(spec, dn, example.x, example.y)) / (2 * step)
 
 
@@ -85,24 +85,17 @@ class TestParamVector:
         with pytest.raises(ValueError):
             ParamVector(np.zeros(5), (("a", 0, 2), ("b", 3, 2)))
 
-    def test_like_preserves_segments(self):
-        pv = ParamVector(np.zeros(LINEAR.n_params), LINEAR.segments)
-        pv2 = pv.like(np.ones(LINEAR.n_params))
-        assert pv2.segments == pv.segments
-        assert pv2.norm() == pytest.approx(np.sqrt(LINEAR.n_params))
-
 
 class TestForward:
     def test_zero_params_uniform_softmax(self):
-        theta = ParamVector(np.zeros(LINEAR.n_params), LINEAR.segments)
-        logits, _ = _forward(LINEAR, theta.values, np.ones((2, 4)))
+        theta = np.zeros(LINEAR.n_params)
+        logits, _ = _forward(LINEAR, theta, np.ones((2, 4)))
         assert np.allclose(logits, 0.0)
         assert np.allclose(_softmax(logits), 1.0 / 3)
 
     def test_mlp_zero_weights_gives_output_bias(self):
         # all weight matrices zero, biases set: logits equal the last bias
-        theta = ParamVector(np.zeros(MLP_TANH.n_params), MLP_TANH.segments)
-        values = theta.values.copy()
+        values = np.zeros(MLP_TANH.n_params)
         name, offset, length = MLP_TANH.segments[-1]
         fan_out, fan_in = 4, 7
         bias = np.array([0.3, -0.2, 0.05, 1.0])
@@ -113,7 +106,7 @@ class TestForward:
     def test_softmax_shift_invariance(self):
         theta = rand_theta(MLP_TANH, 3)
         X = SeededRng(9).normal(15).reshape(3, 5)
-        logits, _ = _forward(MLP_TANH, theta.values, X)
+        logits, _ = _forward(MLP_TANH, theta, X)
         shifted = np.exp(logits - 100.0)
         assert np.allclose(_softmax(logits), shifted / shifted.sum(axis=1, keepdims=True), atol=1e-10)
 
@@ -122,21 +115,21 @@ class TestForward:
     def test_softmax_normalized(self, seed):
         theta = rand_theta(MLP_TANH, seed)
         X = SeededRng(seed + 1).normal(10).reshape(2, 5)
-        p = _softmax(_forward(MLP_TANH, theta.values, X)[0])
+        p = _softmax(_forward(MLP_TANH, theta, X)[0])
         assert np.allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         assert np.all(p >= 0)
 
     def test_input_shape_checked(self):
         # a batch of the wrong width fails loudly instead of broadcasting
-        theta = ParamVector(np.zeros(LINEAR.n_params), LINEAR.segments)
+        theta = np.zeros(LINEAR.n_params)
         with pytest.raises(ValueError):
-            _forward(LINEAR, theta.values, np.ones((2, 5)))
+            _forward(LINEAR, theta, np.ones((2, 5)))
 
     @pytest.mark.parametrize("spec", [LINEAR, MLP_RELU, DEEP_TANH])
     def test_caches_hold_each_layer_input(self, spec):
         theta = rand_theta(spec, 4)
         X = SeededRng(40).normal(3 * spec.input_dim).reshape(3, spec.input_dim)
-        logits, caches = _forward(spec, theta.values, X)
+        logits, caches = _forward(spec, theta, X)
         assert len(caches) == spec.n_layers and caches[0] is X
         for l, a in enumerate(caches):
             assert a.shape == (3, spec.layer_sizes[l])
@@ -149,7 +142,7 @@ class TestGradients:
         # has weight rows (p - onehot) outer x.
         spec = ModelSpec(kind="softmax-linear", layer_sizes=(3, 2))
         x = np.array([1.0, -2.0, 0.5])
-        theta = ParamVector(np.zeros(spec.n_params), spec.segments)
+        theta = np.zeros(spec.n_params)
         g = loss_gradient(spec, theta, Example(x=x, y=0, id=0))
         expected_w = np.vstack([-0.5 * x, 0.5 * x])
         assert np.allclose(g.values[:6].reshape(2, 3), expected_w)
@@ -184,8 +177,8 @@ class TestGradients:
             d /= np.linalg.norm(d) * 1e3  # keep the probe inside the linear region
             # both difference points share the relu pattern: no kink between them
             for sign in (1.0, -1.0):
-                shifted = theta.values + sign * 1e-6 * d
-                assert np.array_equal(active_units(shifted), active_units(theta.values))
+                shifted = theta + sign * 1e-6 * d
+                assert np.array_equal(active_units(shifted), active_units(theta))
             fd = fd_loss_directional(MLP_RELU, theta, ex, d)
             assert fd == pytest.approx(float(np.dot(g.values, d)), rel=1e-4, abs=1e-10)
 
@@ -194,16 +187,16 @@ class TestGradients:
         theta = rand_theta(spec, 7)
         data = make_blobs(SeededRng(70), 13, spec.input_dim, spec.n_classes)
         want = np.vstack([loss_gradient(spec, theta, data[i]).values for i in range(len(data))])
-        assert np.array_equal(loss_gradients(spec, theta.values, data.X, data.y), want)
+        assert np.array_equal(loss_gradients(spec, theta, data.X, data.y), want)
 
     @pytest.mark.parametrize("spec", BLOCK_SPECS, ids=BLOCK_IDS)
     def test_block_of_chains_equals_each_chain_alone(self, spec):
         # an (R, n) theta: row r is the gradient of example r at theta row r
         R = 5
-        thetas = rand_theta(spec, 71).values + 0.1 * SeededRng(72).normal(R * spec.n_params).reshape(R, -1)
+        thetas = rand_theta(spec, 71) + 0.1 * SeededRng(72).normal(R * spec.n_params).reshape(R, -1)
         data = make_blobs(SeededRng(73), R, spec.input_dim, spec.n_classes)
         want = np.vstack([
-            loss_gradient(spec, ParamVector(thetas[r], spec.segments), data[r]).values for r in range(R)
+            loss_gradient(spec, thetas[r], data[r]).values for r in range(R)
         ])
         assert np.array_equal(loss_gradients(spec, thetas, data.X, data.y), want)
 
@@ -236,7 +229,7 @@ class TestLogitJvp:
 
     def test_zero_direction(self):
         theta = rand_theta(MLP_TANH, 11)
-        lin = _linearize(MLP_TANH, theta.values, SeededRng(110).normal(15).reshape(3, 5))
+        lin = _linearize(MLP_TANH, theta, SeededRng(110).normal(15).reshape(3, 5))
         assert np.allclose(_jvp_batch(MLP_TANH, lin, np.zeros(MLP_TANH.n_params)), 0.0)
 
     def test_linear_model_fd_is_exact(self):
@@ -244,7 +237,7 @@ class TestLogitJvp:
         theta = rand_theta(LINEAR, 12)
         rng = SeededRng(120)
         X, u = rng.normal(12).reshape(3, 4), rng.normal(LINEAR.n_params)
-        lin = _linearize(LINEAR, theta.values, X)
+        lin = _linearize(LINEAR, theta, X)
         exact = _gnh_hvp(LINEAR, lin, u, None)
         for delta in (0.01, 0.5):
             fd = _gnh_hvp(LINEAR, lin, u, delta)
@@ -256,7 +249,7 @@ class TestLogitJvp:
         x = rng.normal(5)
         u = rng.normal(MLP_TANH.n_params)
         u /= np.linalg.norm(u)
-        lin = _linearize(MLP_TANH, theta.values, x[None, :])
+        lin = _linearize(MLP_TANH, theta, x[None, :])
         exact = _gnh_hvp(MLP_TANH, lin, u, None)
         err_2 = np.linalg.norm(_gnh_hvp(MLP_TANH, lin, u, 0.02) - exact)
         err_1 = np.linalg.norm(_gnh_hvp(MLP_TANH, lin, u, 0.01) - exact)
@@ -265,7 +258,7 @@ class TestLogitJvp:
     def test_exact_matches_tight_fd(self):
         theta = rand_theta(MLP_TANH, 14)
         rng = SeededRng(140)
-        lin = _linearize(MLP_TANH, theta.values, rng.normal(5)[None, :])
+        lin = _linearize(MLP_TANH, theta, rng.normal(5)[None, :])
         for _ in range(5):
             u = rng.normal(MLP_TANH.n_params)
             exact = _gnh_hvp(MLP_TANH, lin, u, None)
@@ -275,7 +268,7 @@ class TestLogitJvp:
     def test_linearity_in_direction(self):
         theta = rand_theta(MLP_TANH, 15)
         rng = SeededRng(150)
-        lin = _linearize(MLP_TANH, theta.values, rng.normal(15).reshape(3, 5))
+        lin = _linearize(MLP_TANH, theta, rng.normal(15).reshape(3, 5))
         u, v = rng.normal(MLP_TANH.n_params), rng.normal(MLP_TANH.n_params)
 
         def jvp(direction):
@@ -329,35 +322,35 @@ class TestLinearization:
         data = make_blobs(SeededRng(310), 12, spec.input_dim, spec.n_classes)
         for i in range(len(data)):
             got = loss_gradient(spec, theta, data[i]).values
-            assert got.tobytes() == self.hand_built_loss_gradient(spec, theta.values, data[i]).tobytes()
+            assert got.tobytes() == self.hand_built_loss_gradient(spec, theta, data[i]).tobytes()
 
     @pytest.mark.parametrize("spec", [MLP_TANH, MLP_RELU])
     def test_pbo_gradient_bit_identical_to_hand_built_pass(self, spec):
         theta_star = rand_theta(spec, 32)
         rng = SeededRng(320)
-        theta = theta_star.like(theta_star.values + 0.1 * rng.normal(spec.n_params))
+        theta = theta_star + 0.1 * rng.normal(spec.n_params)
         data = make_blobs(rng, 16, spec.input_dim, spec.n_classes)
         cfg = PboConfig(epsilon=1e-3, lambda_damp=0.2)
-        gap = (_softmax(_forward(spec, theta.values, data.X)[0])
-               - _softmax(_forward(spec, theta_star.values, data.X)[0])) / len(data)
-        want = self.hand_built_backprop(spec, theta.values, gap, data.X)
-        want = want + cfg.epsilon * self.hand_built_loss_gradient(spec, theta.values, data[2])
-        want = want + cfg.lambda_damp * (theta.values - theta_star.values)
+        gap = (_softmax(_forward(spec, theta, data.X)[0])
+               - _softmax(_forward(spec, theta_star, data.X)[0])) / len(data)
+        want = self.hand_built_backprop(spec, theta, gap, data.X)
+        want = want + cfg.epsilon * self.hand_built_loss_gradient(spec, theta, data[2])
+        want = want + cfg.lambda_damp * (theta - theta_star)
         point = Dataset(X=data.X[2:3], y=data.y[2:3])
-        got = pbo_gradient(spec, theta.values[None], theta_star, point, data, cfg)
+        got = pbo_gradient(spec, theta[None], theta_star, point, data, cfg)
         assert got.shape == (1, spec.n_params) and got[0].tobytes() == want.tobytes()
 
     def test_record_holds_one_pass(self):
         theta = rand_theta(DEEP_TANH, 33)
         X = SeededRng(330).normal(15).reshape(3, 5)
-        lin = _linearize(DEEP_TANH, theta.values, X)
-        logits, caches = _forward(DEEP_TANH, theta.values, X)
+        lin = _linearize(DEEP_TANH, theta, X)
+        logits, caches = _forward(DEEP_TANH, theta, X)
         assert lin.inputs[0] is X and len(lin.inputs) == len(lin.layers) == DEEP_TANH.n_layers
         for a, b in zip(lin.inputs, caches):
             assert np.array_equal(a, b)
-        for (w, b), (w_ref, b_ref) in zip(lin.layers, _unpack(DEEP_TANH, theta.values)):
-            assert np.shares_memory(w, theta.values) and np.array_equal(w, w_ref)
-            assert np.shares_memory(b, theta.values) and np.array_equal(b, b_ref)
+        for (w, b), (w_ref, b_ref) in zip(lin.layers, _unpack(DEEP_TANH, theta)):
+            assert np.shares_memory(w, theta) and np.array_equal(w, w_ref)
+            assert np.shares_memory(b, theta) and np.array_equal(b, b_ref)
         assert [d.tobytes() for d in lin.derivs] == [_act_deriv(DEEP_TANH, a).tobytes() for a in caches[1:]]
         assert np.array_equal(lin.p, _softmax(logits))
 
@@ -416,7 +409,7 @@ class TestSweepScratch:
         theta = rand_theta(spec, 41)
         data = make_blobs(SeededRng(410), 30, spec.input_dim, spec.n_classes)
         op = GnhOperator(spec, theta, data, fd_delta=fd_delta)
-        lin = _linearize(spec, theta.values, data.X)
+        lin = _linearize(spec, theta, data.X)
         rng = SeededRng(411)
         for _ in range(3):
             u = rng.normal(spec.n_params)
@@ -432,7 +425,7 @@ class TestSweepScratch:
         rng = SeededRng(422)
         for _ in range(3):
             u = rng.normal(spec.n_params)
-            lin = _linearize(spec, theta.values, sample_batch(data, 6, draws).X)
+            lin = _linearize(spec, theta, sample_batch(data, 6, draws).X)
             assert np.array_equal(op.matvec(u), reference_hvp(spec, lin, u, fd_delta))
 
     @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=SWEEP_IDS)
@@ -441,7 +434,7 @@ class TestSweepScratch:
         rng = SeededRng(430)
         data = make_blobs(rng, 30, spec.input_dim, spec.n_classes)
         R, B = 4, 5
-        thetas = theta_star.values + 0.1 * rng.normal(R * spec.n_params).reshape(R, -1)
+        thetas = theta_star + 0.1 * rng.normal(R * spec.n_params).reshape(R, -1)
         batch = sample_batch(data, B, SeededRng((1, 2, 3, 4)))
         points = Dataset(X=data.X[:R], y=data.y[:R])
 
@@ -454,10 +447,10 @@ class TestSweepScratch:
 
         cfg = PboConfig(epsilon=1e-2, lambda_damp=0.2)
         lin = _linearize(spec, thetas, batch.X)
-        ref_p = _softmax(_forward(spec, theta_star.values, batch.X)[0])
+        ref_p = _softmax(_forward(spec, theta_star, batch.X)[0])
         want = reference_backprop(spec, lin, (lin.p - ref_p) / B)
         want = want + cfg.epsilon * want_loss
-        want = want + cfg.lambda_damp * (thetas - theta_star.values)
+        want = want + cfg.lambda_damp * (thetas - theta_star)
         got = pbo_gradient(spec, thetas, theta_star, points, batch, cfg)
         assert got.shape == (R, spec.n_params) and np.array_equal(got, want)
 
@@ -488,7 +481,7 @@ class TestSweepScratch:
         kept = first.copy()
         op.matvec(v)
         assert np.array_equal(first, kept)
-        lin = _linearize(spec, theta.values, data.X)
+        lin = _linearize(spec, theta, data.X)
         first = _jvp_batch(spec, lin, u)
         kept = first.copy()
         _jvp_batch(spec, lin, v)

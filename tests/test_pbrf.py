@@ -11,7 +11,6 @@ from lissakit.lissa import LissaConfig, exact_ihvp, lissa_solve
 from lissakit.models import (
     Dataset,
     ModelSpec,
-    ParamVector,
     init_params,
     loss_gradient,
     loss_gradients,
@@ -88,14 +87,14 @@ class TestBregmanDivergence:
         # each row's gap depends on that row alone, and the batch objective
         # is their mean
         spec, theta, data, H, damp, eta = quad
-        moved = theta.values + 0.1 * SeededRng(12).normal(spec.n_params)
+        moved = theta + 0.1 * SeededRng(12).normal(spec.n_params)
         X, y = data.X[:6], data.y[:6]
         logits, _ = _forward(spec, moved, X)
-        ref_logits, _ = _forward(spec, theta.values, X)
+        ref_logits, _ = _forward(spec, theta, X)
         gaps = _bregman_gaps(logits, ref_logits, y)
         for b in range(6):
             assert gaps[b] == bregman(logits[b], ref_logits[b], y[b])
-        assert _batch_bregman_mean(spec, moved, theta.values, X, y) == float(gaps.mean())
+        assert _batch_bregman_mean(spec, moved, theta, X, y) == float(gaps.mean())
 
 
 class TestPboObjective:
@@ -117,18 +116,18 @@ class TestPboObjective:
         spec, theta, data, H, damp, eta = quad
         cfg = PboConfig(epsilon=0.3, lambda_damp=damp, lr=eta, steps=1, batch_size=64)
         rng = SeededRng(77)
-        moved = ParamVector(theta.values + 0.05 * rng.normal(spec.n_params), spec.segments)
+        moved = theta + 0.05 * rng.normal(spec.n_params)
         batch = sample_batch(data, 64, SeededRng(8))
-        grad = pbo_gradient(spec, moved.values[None], theta, subset(data, [0]), batch, cfg)[0]
+        grad = pbo_gradient(spec, moved[None], theta, subset(data, [0]), batch, cfg)[0]
         step = 1e-5
         for _ in range(10):
             d = rng.normal(spec.n_params)
             d /= np.linalg.norm(d)
             up = pbo_objective(
-                spec, ParamVector(moved.values + step * d, spec.segments), theta, data[0], batch, cfg
+                spec, moved + step * d, theta, data[0], batch, cfg
             )
             down = pbo_objective(
-                spec, ParamVector(moved.values - step * d, spec.segments), theta, data[0], batch, cfg
+                spec, moved - step * d, theta, data[0], batch, cfg
             )
             fd = (up - down) / (2 * step)
             assert abs(fd - grad @ d) <= 1e-4 * max(abs(fd), 1e-12)
@@ -137,7 +136,7 @@ class TestPboObjective:
         spec, theta, data, H, damp, eta = quad
         cfg = PboConfig(epsilon=0.25, lambda_damp=damp, lr=eta, steps=1, batch_size=16)
         batch = sample_batch(data, 16, SeededRng(9))
-        grad = pbo_gradient(spec, theta.values[None], theta, subset(data, [0]), batch, cfg)[0]
+        grad = pbo_gradient(spec, theta[None], theta, subset(data, [0]), batch, cfg)[0]
         want = 0.25 * loss_gradient(spec, theta, data[0]).values
         assert np.allclose(grad, want, atol=1e-14)
 
@@ -155,7 +154,7 @@ class TestPbrfFinetune:
         spec, theta, data, H, damp, eta = quad
         cfg = PboConfig(epsilon=0.0, lambda_damp=damp, lr=eta, steps=30, batch_size=64, seed=(1,))
         result = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
-        assert np.array_equal(result.theta, theta.values[None])
+        assert np.array_equal(result.theta, theta[None])
 
     def test_deterministic_given_seed(self, quad):
         spec, theta, data, H, damp, eta = quad
@@ -175,7 +174,7 @@ class TestPbrfFinetune:
             epsilon=1e-8, lambda_damp=damp, lr=eta, steps=80, batch_size=len(data), seed=(0,)
         )
         result = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
-        implied = -(result.theta[0] - theta.values) / cfg.epsilon
+        implied = -(result.theta[0] - theta) / cfg.epsilon
         rel = np.linalg.norm(implied - ustar) / np.linalg.norm(ustar)
         assert rel <= 0.02
         assert not result.overflow[0]
@@ -195,7 +194,7 @@ class TestPbrfFinetune:
         for steps in range(5, 101, 5):
             cfg = PboConfig(epsilon=1e-3, lambda_damp=damp, lr=eta, steps=steps, batch_size=64, seed=(4,))
             result = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
-            moved = ParamVector(result.theta[0], spec.segments)
+            moved = result.theta[0]
             values.append(pbo_objective(spec, moved, theta, data[0], data, cfg))
         assert len(values) == 20
         increases = np.diff(values)
@@ -206,7 +205,7 @@ class TestPbrfFinetune:
 class TestPbrfInfluence:
     def test_reference_parameters_give_zeros(self, quad):
         spec, theta, data, H, damp, eta = quad
-        result = PbrfResult(theta=theta.values[None].copy(), overflow=np.zeros(1, dtype=bool))
+        result = PbrfResult(theta=theta[None].copy(), overflow=np.zeros(1, dtype=bool))
         scores = pbrf_influence(spec, result, theta, subset(data, range(5)), 1e-8)
         assert scores.shape == (1, 5) and (scores == 0.0).all()
 
@@ -216,7 +215,7 @@ class TestPbrfInfluence:
         tests = subset(data, range(100, 120))
         grad_train = loss_gradient(spec, theta, train).values
         u_exact = exact_ihvp(sym_eig(H), damp, -grad_train)
-        exact = -loss_gradients(spec, theta.values, tests.X, tests.y) @ u_exact
+        exact = -loss_gradients(spec, theta, tests.X, tests.y) @ u_exact
         cfg = PboConfig(
             epsilon=1e-8, lambda_damp=damp, lr=eta, steps=80, batch_size=len(data), seed=(0,)
         )
@@ -249,7 +248,7 @@ class TestPbrfInfluence:
         op = GnhOperator(spec, theta, data, batch_size=64, rng=SeededRng(0))
         lissa_cfg = LissaConfig(eta=eta, lambda_damp=damp, t_steps=80, seed=11)
         u, _ = lissa_solve(op, -grad_train, lissa_cfg)
-        lissa = -loss_gradients(spec, theta.values, tests.X, tests.y) @ u
+        lissa = -loss_gradients(spec, theta, tests.X, tests.y) @ u
         pbo_cfg = PboConfig(
             epsilon=1e-8, lambda_damp=damp, lr=eta, steps=80, batch_size=64, seed=(11,)
         )
@@ -267,7 +266,7 @@ class TestPbrfInfluence:
 
     def test_epsilon_validation(self, quad):
         spec, theta, data, H, damp, eta = quad
-        result = PbrfResult(theta=theta.values[None].copy(), overflow=np.zeros(1, dtype=bool))
+        result = PbrfResult(theta=theta[None].copy(), overflow=np.zeros(1, dtype=bool))
         with pytest.raises(ValueError):
             pbrf_influence(spec, result, theta, subset(data, [0]), 0.0)
 
@@ -310,7 +309,7 @@ class TestLockstep:
             one = PboConfig(epsilon=epsilon, lambda_damp=0.1, lr=0.3, steps=12, batch_size=batch_size, seed=seeds[i : i + 1])
             assert_same_row(block, i, pbrf_finetune(spec, theta, subset(points, [i]), data, one))
         if epsilon == 0.0:
-            assert np.array_equal(block.theta, np.broadcast_to(theta.values, block.theta.shape))
+            assert np.array_equal(block.theta, np.broadcast_to(theta, block.theta.shape))
 
     def test_an_overflowing_chain_leaves_the_others_alone(self):
         spec, theta, data = self.setup("relu")
@@ -348,13 +347,13 @@ class TestLockstep:
             assert scores.tobytes() == pbrf_influence(spec, one, theta, tests, 1e-8)[0].tobytes()
             for j in range(len(tests)):
                 ex = tests[j]
-                moved = -nll_loss(spec, ParamVector(values, spec.segments), ex.x, ex.y)
+                moved = -nll_loss(spec, values, ex.x, ex.y)
                 ref = -nll_loss(spec, theta, ex.x, ex.y)
                 assert scores[j].tobytes() == ((moved - ref) / 1e-8).tobytes()
 
     def test_any_overflowed_result_blocks_the_readout(self):
         spec, theta, data = self.setup("linear")
-        block = PbrfResult(theta=np.stack([theta.values, theta.values]), overflow=np.array([False, True]))
+        block = PbrfResult(theta=np.stack([theta, theta]), overflow=np.array([False, True]))
         with pytest.raises(OverflowError):
             pbrf_influence(spec, block, theta, subset(data, [0]), 1e-8)
 
