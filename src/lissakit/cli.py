@@ -184,7 +184,11 @@ def _build_data(run: RunContext, spec: ModelSpec, theta: np.ndarray, n_test: int
     what = f"a full-batch activation array of {n_full} examples times the widest layer of {width}"
     _check_limit(what, n_full * width, "MAX_KEPT_FLOATS", "use fewer examples or narrower layers")
     if cfg.dataset_path is None:
-        full = make_blobs(run.rng("dataset"), n_full, spec.input_dim, spec.n_classes, cfg.separation)
+        # a huge separation overflows the class means, giving inf features
+        with np.errstate(over="ignore"):
+            full = make_blobs(run.rng("dataset"), n_full, spec.input_dim, spec.n_classes, cfg.separation)
+        if not np.isfinite(full.X).all():
+            raise ConfigError(f"separation = {cfg.separation!r} gives non-finite features; lower separation")
     if len(full) <= n_test:
         raise ConfigError("dataset too small for the requested test split")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -194,8 +198,8 @@ def _build_data(run: RunContext, spec: ModelSpec, theta: np.ndarray, n_test: int
     if n_test == 0:
         return full, None
     cut = len(full) - n_test
-    train = Dataset(X=full.X[:cut], y=full.y[:cut], ids=full.ids[:cut])
-    test = Dataset(X=full.X[cut:], y=full.y[cut:], ids=full.ids[cut:])
+    train = Dataset(X=full.X[:cut], y=full.y[:cut])
+    test = Dataset(X=full.X[cut:], y=full.y[cut:])
     return train, test
 
 
@@ -527,7 +531,7 @@ def cmd_pbrf_compare(run: RunContext) -> None:
     dense = _dense_gnh(run, spec, theta, train) if cfg.eta is None else None
     eta, steps = _solver_settings(run, dense, steps_field)
     rows = slice(cfg.n_train)
-    points = Dataset(X=train.X[rows], y=train.y[rows], ids=train.ids[rows])
+    points = Dataset(X=train.X[rows], y=train.y[rows])
     G = loss_gradients(spec, theta, points.X, points.y)
     # the measurement f = log softmax(logits)[y] has the negated loss gradient
     T = -loss_gradients(spec, theta, test.X, test.y)
@@ -555,8 +559,9 @@ def cmd_pbrf_compare(run: RunContext) -> None:
         comparison = compare_influences(lissa, retrain)
     except ValueError as exc:
         raise ConfigError(f"cannot compare the influences: {exc}") from exc
-    # row i of both score arrays is train point i, column j test point j
-    pairs = [(train_id, test_id) for train_id in points.ids for test_id in test.ids]
+    # row i of both score arrays is train point i, column j test point j; an
+    # example's id is its row, the test split's counted on from the train set's
+    pairs = [(i, len(train) + j) for i in range(cfg.n_train) for j in range(cfg.n_test)]
     run.emit_csv(
         "pbrf_pairs.csv",
         ["train_id", "test_id", "lissa", "pbrf"],
@@ -581,12 +586,19 @@ def cmd_condition_c1(run: RunContext) -> None:
     what = f"one example's trace factor of n_classes times the widest layer = {factor} floats"
     _check_limit(what, factor, "MAX_KEPT_FLOATS", "lower layer_sizes")
     train, _ = _build_data(run, spec, theta)
-    rows = check_condition_c1(
-        spec, theta, train, list(batch_sizes), cfg.n_probes, run.rng("condition-c1")
-    )
+    # huge features overflow the curvature; the non-finite values are reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = check_condition_c1(
+            spec, theta, train, list(batch_sizes), cfg.n_probes, run.rng("condition-c1")
+        )
     table = []
     points = []
     for row in rows:
+        if not all(map(math.isfinite, (row.rhs_trace, row.lhs_trace.mean, row.lhs_trace.se))):
+            raise _overflow_error(
+                run, f"no finite noise profile at batch size {row.batch_size} "
+                f"(Tr(H)^2/(n |B|) = {row.rhs_trace!r}, lhs = {row.lhs_trace.mean!r})"
+            )
         if not row.rhs_trace > 0:
             raise ConfigError(
                 f"Tr(H)^2/(n |B|) = {row.rhs_trace!r} at batch size {row.batch_size} is not positive "
@@ -686,7 +698,7 @@ def cmd_tfidf_check(run: RunContext) -> None:
         except OSError as exc:
             raise ConfigError(f"cannot read corpus {cfg.corpus_path!r}: {exc}") from exc
         try:
-            corpus, _ = corpus_from_text(text)
+            corpus = corpus_from_text(text)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if corpus.vocab_size < 2:
@@ -747,7 +759,7 @@ def cmd_similarity(run: RunContext) -> None:
     if not 0 <= cfg.train_index < cfg.n_items:
         raise ConfigError("train_index outside the selected items")
     items = slice(cfg.n_items)
-    labels = train.ids[items]
+    labels = range(cfg.n_items)
     # huge features overflow the gradients or their inner products; the
     # non-finite gradients or similarities that come out are rejected
     with np.errstate(over="ignore", invalid="ignore"):

@@ -278,24 +278,3 @@ class MeanSe:
         if x.size < 2:
             raise ValueError("need at least two samples for a standard error")
         return cls(mean=float(x.mean()), se=float(x.std(ddof=1) / math.sqrt(x.size)), n=int(x.size))
-
-
-class DenseOperator:
-    """Deterministic matrix-vector oracle around an explicit symmetric matrix.
-
-    Used wherever a curvature operator is needed but the matrix is small
-    enough to hold: unit tests, closed-form baselines, and exact references.
-    """
-
-    def __init__(self, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=np.float64)
-        check_symmetric(matrix)
-        self.matrix = matrix
-        self.n_params = matrix.shape[0]
-        self.segments = (("all", 0, self.n_params),)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.n_params,):
-            raise ValueError(f"expected vector of length {self.n_params}")
-        return self.matrix @ v

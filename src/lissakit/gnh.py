@@ -17,8 +17,6 @@ batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import SeededRng
@@ -31,42 +29,20 @@ from .models import (
     _jvp_batch,
     _linearize,
     _logit_deltas,
-    _softmax,
 )
 
 MAX_DENSE_PARAMS = 2000
 
 
-def softmax_hessian(logits: np.ndarray) -> np.ndarray:
-    """Hessian of -log softmax at the given logits: diag(p) - p p^T."""
-    logits = np.asarray(logits, dtype=np.float64).ravel()
-    if logits.size < 2:
-        raise ValueError("need at least two logits")
-    p = _softmax(logits[None, :])[0]
-    return np.diag(p) - np.outer(p, p)
-
-
-@dataclass(frozen=True)
-class Batch:
-    """Examples drawn for one stochastic curvature evaluation."""
-
-    ids: np.ndarray
-    X: np.ndarray
-    y: np.ndarray
-
-    def __len__(self) -> int:
-        return self.ids.size
-
-
-def sample_batch(dataset: Dataset, size: int, rng: SeededRng) -> Batch:
-    """i.i.d. uniform draw with replacement; duplicates are expected.  An rng
-    of R seeds draws R batches at once: ids and y (R, size), X (R, size, in)."""
+def sample_batch(dataset: Dataset, size: int, rng: SeededRng) -> np.ndarray:
+    """Row indices of an i.i.d. uniform draw with replacement; duplicates are
+    expected.  Shape (size,), or (R, size) for an rng of R seeds, which draws
+    R batches at once."""
     if size < 1:
         raise ValueError("batch size must be >= 1")
     if len(dataset) < 1:
         raise ValueError("dataset is empty")
-    idx = rng.integers(size, len(dataset))
-    return Batch(ids=dataset.ids[idx], X=dataset.X[idx], y=dataset.y[idx])
+    return rng.integers(size, len(dataset))
 
 
 def _softmax_hessian_apply(p: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -161,7 +137,7 @@ class GnhOperator:
             raise ValueError(f"expected vector of length {self.n_params}")
         lin = self._full_lin
         if lin is None:
-            X = sample_batch(self.dataset, self.batch_size, self.rng).X
+            X = self.dataset.X[sample_batch(self.dataset, self.batch_size, self.rng)]
             lin = _linearize(self.spec, self.theta, X)
         return _gnh_hvp(self.spec, lin, v, self.fd_delta)
 

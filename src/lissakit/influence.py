@@ -64,13 +64,3 @@ def eigen_reweight(g, eig: SymEig, lambda_damp: float) -> list[tuple[float, floa
     denom = eig.values + lambda_damp
     weights = np.divide(lambda_damp, denom, out=np.ones_like(denom), where=denom > 0)
     return list(zip(eig.values.tolist(), (eig.vectors.T @ g).tolist(), weights.tolist()))
-
-
-def eigen_reweight_reconstruction(g, eig: SymEig, lambda_damp: float) -> np.ndarray:
-    """Assemble sum_j weight_j <g, v_j> v_j, the damped projection of g.
-
-    Equals lambda (H + lambda)^-1 g, the part of the gradient that survives
-    the solve after the high-curvature directions are suppressed.
-    """
-    _, coefficients, weights = np.array(eigen_reweight(g, eig, lambda_damp)).T
-    return eig.vectors @ (coefficients * weights)

@@ -202,9 +202,6 @@ class CounterExampleProblem:
         lmax = self.lambda_max
         return (lmax / (lmax + self.lambda_damp)) ** 2 * self.trace / lmax
 
-    def mean_matrix(self) -> np.ndarray:
-        return (self.rotation * self.eigenvalues) @ self.rotation.T
-
 
 class RotatedRankOneSampler:
     """Draws Hb = (1/B) sum_b x x^T with x = V (sqrt(lam) * signs).
@@ -226,10 +223,6 @@ class RotatedRankOneSampler:
 
     def reseeded(self, seed: int) -> "RotatedRankOneSampler":
         return RotatedRankOneSampler(self.problem, SeededRng(seed))
-
-    def rank_one_factor(self, signs: np.ndarray) -> np.ndarray:
-        """The batch member x for an explicit sign pattern."""
-        return self.problem.rotation @ (self._root * np.asarray(signs, dtype=np.float64))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         batch_size, n = self.batch_size, self.n_params

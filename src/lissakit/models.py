@@ -20,7 +20,7 @@ overwrite each other's intermediates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -110,34 +110,26 @@ class ParamVector:
 class Example:
     x: np.ndarray
     y: int
-    id: int
 
 
 @dataclass
 class Dataset:
-    """Ordered classification examples held as arrays."""
+    """Ordered classification examples held as arrays; an example's id is its row."""
 
     X: np.ndarray
     y: np.ndarray
-    ids: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
         self.y = np.asarray(self.y, dtype=np.int64)
         if self.X.ndim != 2 or self.X.shape[0] != self.y.size:
             raise ValueError("X must be (n, dim) with one label per row")
-        if self.ids is None:
-            self.ids = np.arange(self.X.shape[0], dtype=np.int64)
-        else:
-            self.ids = np.asarray(self.ids, dtype=np.int64)
-            if self.ids.size != self.X.shape[0]:
-                raise ValueError("one id per example required")
 
     def __len__(self) -> int:
         return self.X.shape[0]
 
     def __getitem__(self, i: int) -> Example:
-        return Example(x=self.X[i], y=int(self.y[i]), id=int(self.ids[i]))
+        return Example(x=self.X[i], y=int(self.y[i]))
 
 
 def _unpack(spec: ModelSpec, theta: np.ndarray):
@@ -266,12 +258,6 @@ def _logit_deltas(spec: ModelSpec, lin: _Linearization) -> list:
         if l > 0:
             delta = (delta @ lin.layers[l][0]) * lin.derivs[l - 1][:, None, :]
     return deltas
-
-
-def nll_loss(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: int) -> float:
-    """Cross-entropy loss -log softmax(logits)[y]."""
-    h, _ = _forward(spec, theta, np.asarray(x, dtype=np.float64)[None, :])
-    return _nll_from_logits(h, np.array([y]))[0]
 
 
 def _nll_from_logits(h: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -21,7 +21,6 @@ from .core import SeededRng, pearson_corr
 from .gnh import sample_batch
 from .models import (
     Dataset,
-    Example,
     ModelSpec,
     _backprop,
     _forward,
@@ -29,7 +28,6 @@ from .models import (
     _nll_from_logits,
     _softmax,
     loss_gradients,
-    nll_loss,
 )
 
 
@@ -67,61 +65,29 @@ class PbrfResult:
     overflow: np.ndarray
 
 
-def _bregman_gaps(logits: np.ndarray, ref_logits: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Cross-entropy Bregman divergence between matching rows of logits.
-
-    l(h, y) - l(h_ref, y) - (h - h_ref) . grad_l(h_ref, y) per row;
-    non-negative by convexity of the loss in the logits.
-    """
-    losses = _nll_from_logits(logits, y)
-    ref_losses = _nll_from_logits(ref_logits, y)
-    ref_grad = _softmax(ref_logits)
-    ref_grad[np.arange(len(y)), y] -= 1.0
-    return losses - ref_losses - ((logits - ref_logits) * ref_grad).sum(axis=1)
-
-
-def _batch_bregman_mean(spec, theta, theta_star, X, y) -> float:
-    logits, _ = _forward(spec, theta, X)
-    ref_logits, _ = _forward(spec, theta_star, X)
-    return float(_bregman_gaps(logits, ref_logits, y).mean())
-
-
-def pbo_objective(
-    spec: ModelSpec,
-    theta: np.ndarray,
-    theta_star: np.ndarray,
-    train_point: Example,
-    batch,
-    cfg: PboConfig,
-) -> float:
-    """Mean Bregman term over ``batch`` (anything with .X/.y) plus the
-    epsilon-weighted training loss and the proximity penalty."""
-    value = _batch_bregman_mean(spec, theta, theta_star, batch.X, batch.y)
-    if cfg.epsilon:
-        value += cfg.epsilon * nll_loss(spec, theta, train_point.x, train_point.y)
-    shift = theta - theta_star
-    return value + 0.5 * cfg.lambda_damp * float(shift @ shift)
-
-
 def pbo_gradient(
     spec: ModelSpec,
     theta: np.ndarray,
     theta_star: np.ndarray,
     points: Dataset,
-    batch,
+    X: np.ndarray,
     cfg: PboConfig,
 ) -> np.ndarray:
-    """Exact objective gradient of R chains; the label one-hots cancel in the
-    Bregman term, leaving the softmax gap between current and reference logits.
+    """Exact gradient of R chains' proximal Bregman objectives.  Chain r's is
+    the batch mean of l(h, y) - l(h*, y) - (h - h*) . grad_l(h*, y), plus
+    epsilon l at point r and (lambda/2) ||theta_r - theta_star||^2, for l the
+    cross-entropy and h, h* a row's logits at theta_r and theta_star.  The
+    label one-hots cancel in the Bregman term, leaving the softmax gap between
+    current and reference logits, so the batch's labels are not read.
 
     ``theta`` is an (R, n) block, one row per chain, and ``points`` a Dataset
-    of R train points, chain r's training term at point r.  ``batch.X`` is
-    (R, B, in), one batch per chain, or (B, in) shared by every chain; the
-    gradient is (R, n).
+    of R train points, chain r's training term at point r.  ``X`` is the
+    batch's (R, B, in) rows, one batch per chain, or (B, in) shared by every
+    chain; the gradient is (R, n).
     """
-    lin = _linearize(spec, theta, batch.X)
-    ref_logits, _ = _forward(spec, theta_star, batch.X)
-    gap = (lin.p - _softmax(ref_logits)) / batch.y.shape[-1]
+    lin = _linearize(spec, theta, X)
+    ref_logits, _ = _forward(spec, theta_star, X)
+    gap = (lin.p - _softmax(ref_logits)) / X.shape[-2]
     grad = _backprop(spec, lin, gap)
     if cfg.epsilon:
         grad = grad + cfg.epsilon * loss_gradients(spec, theta, points.X, points.y)
@@ -157,8 +123,8 @@ def pbrf_finetune(
     overflow = np.zeros(len(points), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.steps):
-            batch = dataset if full_batch else sample_batch(dataset, cfg.batch_size, rng)
-            grad = pbo_gradient(spec, theta, theta_star, points, batch, cfg)
+            X = dataset.X if full_batch else dataset.X[sample_batch(dataset, cfg.batch_size, rng)]
+            grad = pbo_gradient(spec, theta, theta_star, points, X, cfg)
             proposal = theta - cfg.lr * grad
             overflow |= ~np.isfinite(proposal).all(axis=-1)
             if overflow.all():
@@ -183,10 +149,10 @@ def pbrf_influence(
     Returns an (R, J) array, row r for finetune r and column j for
     ``test_points[j]``; any overflowed finetune raises OverflowError.
 
-    Each f is a one-row forward pass, as in ``nll_loss``, so every score is
-    bit for bit the one-example value: the reference f once per test point,
-    the moved f of every (finetune, test point) pair as one stacked forward,
-    (R, J, 1, in) rows against (R, 1, n) parameters.
+    Each f is a one-row forward pass, so every score is bit for bit the
+    one-example value: the reference f once per test point, the moved f of
+    every (finetune, test point) pair as one stacked forward, (R, J, 1, in)
+    rows against (R, 1, n) parameters.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")

@@ -57,7 +57,7 @@ class Corpus:
         return out
 
 
-def corpus_from_text(text: str) -> tuple[Corpus, dict[str, int]]:
+def corpus_from_text(text: str) -> Corpus:
     """Parse one document per line, whitespace tokens, ids by first appearance."""
     vocab: dict[str, int] = {}
     documents = []
@@ -68,13 +68,12 @@ def corpus_from_text(text: str) -> tuple[Corpus, dict[str, int]]:
         documents.append(tuple(vocab.setdefault(tok, len(vocab)) for tok in tokens))
     if not documents:
         raise ValueError("no documents in input")
-    return Corpus(documents=tuple(documents), vocab_size=len(vocab)), vocab
+    return Corpus(documents=tuple(documents), vocab_size=len(vocab))
 
 
-def corpus_to_text(corpus: Corpus, id_to_token: dict[int, str] | None = None) -> str:
-    """Inverse of corpus_from_text; integer ids become the tokens by default."""
-    name = (lambda t: id_to_token[t]) if id_to_token else str
-    return "\n".join(" ".join(name(t) for t in doc) for doc in corpus.documents.tolist()) + "\n"
+def corpus_to_text(corpus: Corpus) -> str:
+    """Inverse of corpus_from_text, each term index written as its token."""
+    return "\n".join(" ".join(map(str, doc)) for doc in corpus.documents.tolist()) + "\n"
 
 
 def sample_corpus(rng: SeededRng, n_docs: int, doc_length: int, probabilities) -> Corpus:

@@ -14,9 +14,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lissakit.core import DenseOperator, SeededRng, derive_seed, sym_eig
+from _reference import DenseOperator, eigen_reweight_reconstruction
+from lissakit.core import SeededRng, derive_seed, sym_eig
 from lissakit.gnh import GnhOperator, gnh_matrix_exact
-from lissakit.influence import eigen_reweight, eigen_reweight_reconstruction
+from lissakit.influence import eigen_reweight
 from lissakit.lissa import (
     LissaConfig,
     convergence_correlation,
@@ -113,8 +114,8 @@ def mlp_fixture():
     spec = ModelSpec(kind="mlp", layer_sizes=(8, 6, 4), activation="tanh")
     theta = init_params(spec, SeededRng(60), scale=0.5)
     blobs = make_blobs(SeededRng(61), 300, 8, 4, separation=2.0)
-    train = Dataset(X=blobs.X[:200], y=blobs.y[:200], ids=blobs.ids[:200])
-    tests = Dataset(X=blobs.X[200:], y=blobs.y[200:], ids=blobs.ids[200:])
+    train = Dataset(X=blobs.X[:200], y=blobs.y[:200])
+    tests = Dataset(X=blobs.X[200:], y=blobs.y[200:])
     H = gnh_matrix_exact(spec, theta, train)
     eigs = sym_eig(H).values
     return SimpleNamespace(spec=spec, theta=theta, train=train, tests=tests, eigs=eigs)
@@ -372,7 +373,7 @@ def _paired_scores(spec, theta, train_set, test_points, lam_damp, eta, steps, ba
                    solver_base, finetune_base):
     """Influence scores from the stochastic solver and from finetuning, as
     (25, J) arrays: train point i against test point j."""
-    points = Dataset(X=train_set.X[:25], y=train_set.y[:25], ids=train_set.ids[:25])
+    points = Dataset(X=train_set.X[:25], y=train_set.y[:25])
     G = loss_gradients(spec, theta, points.X, points.y)
     test_grads = -loss_gradients(spec, theta, test_points.X, test_points.y)
     solved = np.empty_like(G)
@@ -415,8 +416,8 @@ def test_criterion_08_solver_agrees_with_finetuning(mlp_fixture, acceptance_log)
     spec2 = ModelSpec(kind="softmax-linear", layer_sizes=(10, 4))
     theta2 = init_params(spec2, SeededRng(62), scale=0.5)
     blobs2 = make_blobs(SeededRng(63), 260, 10, 4, separation=2.0)
-    train2 = Dataset(X=blobs2.X[:160], y=blobs2.y[:160], ids=blobs2.ids[:160])
-    tests2 = Dataset(X=blobs2.X[160:], y=blobs2.y[160:], ids=blobs2.ids[160:])
+    train2 = Dataset(X=blobs2.X[:160], y=blobs2.y[:160])
+    tests2 = Dataset(X=blobs2.X[160:], y=blobs2.y[160:])
     H2 = gnh_matrix_exact(spec2, theta2, train2)
     eigs2 = sym_eig(H2).values
     lam2 = 0.1 * float(eigs2[0])

@@ -9,15 +9,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "lissakit"
 
-# Reference implementations that tests compare the program against.
-TEST_ONLY = {
-    "DenseOperator",
-    "eigen_reweight_reconstruction",
-    "mean_matrix",
-    "pbo_objective",
-    "rank_one_factor",
-    "softmax_hessian",
-}
+# Definitions that only tests read: none.  A reference implementation that
+# tests compare the program against lives in tests/_reference.py.
+TEST_ONLY = set()
 
 # Read only by the benchmark's output checks (perfbench/checks.py): nothing in
 # the program or the studies may call it, and the entry and the definition go

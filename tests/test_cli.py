@@ -1146,6 +1146,31 @@ class TestInputBoundary:
         [("lissa", ""), ("stats", ""), ("condition-c1", "batch_sizes = 4\n"), ("similarity", ""),
          ("convergence", "n_test = 5\nbatch_sizes = 4\n"), ("pbrf-compare", "n_test = 5\neta = 0.5\n")],
     )
+    def test_non_finite_features_name_separation(self, tmp_path, capsys, command, extra):
+        # at seed 2 a class mean overflows to inf; tanh kept the logits finite,
+        # and each command once failed further down, on a sketch, a dense GNH
+        # or a gradient
+        code, out = run_cli(tmp_path, command, MLP_4_5_3 + "separation = 1.7e308\nseed = 2\n" + extra)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: separation = 1.7e+308 gives non-finite features" in err
+        assert "Traceback" not in err and not any(out.glob("*.csv"))
+
+    def test_condition_c1_overflowing_trace_is_two(self, tmp_path, capsys):
+        # features of about 1e300 are finite, but ||a||^2 in Tr(H) overflows:
+        # the C = 1 reference read nan and was reported as a zero matrix
+        text = MLP_4_5_3 + "separation = 1e300\nbatch_sizes = 4\n"
+        code, out = run_cli(tmp_path, "condition-c1", text)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: no finite noise profile at batch size 4" in err and "is not positive" not in err
+        assert not any(out.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("lissa", ""), ("stats", ""), ("condition-c1", "batch_sizes = 4\n"), ("similarity", ""),
+         ("convergence", "n_test = 5\nbatch_sizes = 4\n"), ("pbrf-compare", "n_test = 5\neta = 0.5\n")],
+    )
     def test_full_batch_activations_over_the_limit_are_two(self, tmp_path, capsys, monkeypatch, command, extra):
         # 9,999,995 examples of one feature draw under MAX_DRAW_WORDS, but their
         # hidden layer of 1000 would hold about 10^10 floats; once an

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference import DenseOperator
 from lissakit.core import (
     _BLOCK_WORDS,
-    DenseOperator,
     MeanSe,
     SeededRng,
     derive_seed,

@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 
 from lissakit import gnh, models
+from _reference import softmax_hessian
 from lissakit.core import MeanSe, SeededRng, sym_eig
 from lissakit.gnh import (
-    Batch,
     GnhOperator,
     _gnh_hvp,
     gnh_matrix_exact,
     gnh_trace_exact,
     sample_batch,
-    softmax_hessian,
 )
 from lissakit.lissa import LissaConfig, lissa_solve
 from lissakit.models import (
@@ -363,29 +362,29 @@ class TestHvp:
 class TestSampleBatch:
     def test_with_replacement_and_bounds(self):
         data = make_blobs(SeededRng(10), 10, 3, 2)
-        batch = sample_batch(data, 500, SeededRng(11))
-        assert len(batch) == 500
-        assert batch.ids.min() >= 0 and batch.ids.max() <= 9
+        rows = sample_batch(data, 500, SeededRng(11))
+        assert rows.shape == (500,)
+        assert rows.min() >= 0 and rows.max() <= 9
         # with replacement: 500 draws from 10 items must repeat
-        assert np.unique(batch.ids).size <= 10
+        assert np.unique(rows).size <= 10
 
     def test_frequencies_uniform(self):
         data = make_blobs(SeededRng(12), 10, 3, 2)
-        ids = sample_batch(data, 10000, SeededRng(13)).ids
-        counts = np.bincount(ids, minlength=10)
+        rows = sample_batch(data, 10000, SeededRng(13))
+        counts = np.bincount(rows, minlength=10)
         sigma = math.sqrt(10000 * 0.1 * 0.9)
         assert np.all(np.abs(counts - 1000) < 5 * sigma)
 
     def test_singleton_dataset(self):
         data = Dataset(X=np.ones((1, 2)), y=np.array([0]))
-        batch = sample_batch(data, 7, SeededRng(14))
-        assert np.all(batch.ids == 0)
+        rows = sample_batch(data, 7, SeededRng(14))
+        assert np.all(rows == 0)
 
     def test_deterministic(self):
         data = make_blobs(SeededRng(15), 8, 2, 2)
         a = sample_batch(data, 6, SeededRng(16))
         b = sample_batch(data, 6, SeededRng(16))
-        assert np.array_equal(a.ids, b.ids)
+        assert np.array_equal(a, b)
 
     def test_rejects_empty_batch(self):
         data = make_blobs(SeededRng(17), 5, 2, 2)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference import nll_loss
 from lissakit.core import SeededRng
 from lissakit.gnh import GnhOperator, _gnh_hvp, _softmax_hessian_apply, sample_batch
 from lissakit.models import (
@@ -17,7 +18,6 @@ from lissakit.models import (
     loss_gradient,
     loss_gradients,
     make_blobs,
-    nll_loss,
     save_dataset_csv,
     _act,
     _act_deriv,
@@ -143,7 +143,7 @@ class TestGradients:
         spec = ModelSpec(kind="softmax-linear", layer_sizes=(3, 2))
         x = np.array([1.0, -2.0, 0.5])
         theta = np.zeros(spec.n_params)
-        g = loss_gradient(spec, theta, Example(x=x, y=0, id=0))
+        g = loss_gradient(spec, theta, Example(x=x, y=0))
         expected_w = np.vstack([-0.5 * x, 0.5 * x])
         assert np.allclose(g.values[:6].reshape(2, 3), expected_w)
         assert np.allclose(g.values[6:], [-0.5, 0.5])
@@ -152,7 +152,7 @@ class TestGradients:
     def test_matches_finite_differences(self, spec, seed):
         theta = rand_theta(spec, seed)
         rng = SeededRng(seed + 100)
-        ex = Example(x=rng.normal(spec.input_dim), y=1, id=0)
+        ex = Example(x=rng.normal(spec.input_dim), y=1)
         g = loss_gradient(spec, theta, ex)
         for _ in range(20):
             d = rng.normal(spec.n_params)
@@ -164,7 +164,7 @@ class TestGradients:
         theta = rand_theta(MLP_RELU, 5)
         rng = SeededRng(55)
         x = rng.normal(MLP_RELU.input_dim)
-        ex = Example(x=x, y=0, id=0)
+        ex = Example(x=x, y=0)
         g = loss_gradient(MLP_RELU, theta, ex)
 
         def active_units(values):
@@ -203,8 +203,8 @@ class TestGradients:
     def test_duplicate_examples_same_gradient(self):
         theta = rand_theta(LINEAR, 8)
         x = SeededRng(80).normal(4)
-        g1 = loss_gradient(LINEAR, theta, Example(x=x, y=1, id=0))
-        g2 = loss_gradient(LINEAR, theta, Example(x=x.copy(), y=1, id=99))
+        g1 = loss_gradient(LINEAR, theta, Example(x=x, y=1))
+        g2 = loss_gradient(LINEAR, theta, Example(x=x.copy(), y=1))
         assert np.array_equal(g1.values, g2.values)
 
 
@@ -337,7 +337,7 @@ class TestLinearization:
         want = want + cfg.epsilon * self.hand_built_loss_gradient(spec, theta, data[2])
         want = want + cfg.lambda_damp * (theta - theta_star)
         point = Dataset(X=data.X[2:3], y=data.y[2:3])
-        got = pbo_gradient(spec, theta[None], theta_star, point, data, cfg)
+        got = pbo_gradient(spec, theta[None], theta_star, point, data.X, cfg)
         assert got.shape == (1, spec.n_params) and got[0].tobytes() == want.tobytes()
 
     def test_record_holds_one_pass(self):
@@ -425,7 +425,7 @@ class TestSweepScratch:
         rng = SeededRng(422)
         for _ in range(3):
             u = rng.normal(spec.n_params)
-            lin = _linearize(spec, theta, sample_batch(data, 6, draws).X)
+            lin = _linearize(spec, theta, data.X[sample_batch(data, 6, draws)])
             assert np.array_equal(op.matvec(u), reference_hvp(spec, lin, u, fd_delta))
 
     @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=SWEEP_IDS)
@@ -435,7 +435,7 @@ class TestSweepScratch:
         data = make_blobs(rng, 30, spec.input_dim, spec.n_classes)
         R, B = 4, 5
         thetas = theta_star + 0.1 * rng.normal(R * spec.n_params).reshape(R, -1)
-        batch = sample_batch(data, B, SeededRng((1, 2, 3, 4)))
+        X = data.X[sample_batch(data, B, SeededRng((1, 2, 3, 4)))]
         points = Dataset(X=data.X[:R], y=data.y[:R])
 
         # chain r's loss gradient at its own point, one row through its own theta
@@ -446,12 +446,12 @@ class TestSweepScratch:
         assert np.array_equal(loss_gradients(spec, thetas, points.X, points.y), want_loss)
 
         cfg = PboConfig(epsilon=1e-2, lambda_damp=0.2)
-        lin = _linearize(spec, thetas, batch.X)
-        ref_p = _softmax(_forward(spec, theta_star, batch.X)[0])
+        lin = _linearize(spec, thetas, X)
+        ref_p = _softmax(_forward(spec, theta_star, X)[0])
         want = reference_backprop(spec, lin, (lin.p - ref_p) / B)
         want = want + cfg.epsilon * want_loss
         want = want + cfg.lambda_damp * (thetas - theta_star)
-        got = pbo_gradient(spec, thetas, theta_star, points, batch, cfg)
+        got = pbo_gradient(spec, thetas, theta_star, points, X, cfg)
         assert got.shape == (R, spec.n_params) and np.array_equal(got, want)
 
     @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=SWEEP_IDS)
@@ -539,5 +539,5 @@ class TestData:
     def test_dataset_indexing(self):
         data = Dataset(X=np.eye(3), y=np.array([0, 1, 0]))
         ex = data[1]
-        assert ex.y == 1 and ex.id == 1
+        assert ex.y == 1
         assert np.array_equal(ex.x, np.array([0.0, 1.0, 0.0]))

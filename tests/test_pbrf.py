@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference import batch_bregman_mean, bregman_gaps, nll_loss, pbo_objective
 from lissakit.core import SeededRng, sym_eig
 from lissakit.gnh import GnhOperator, gnh_matrix_exact, sample_batch
 from lissakit.lissa import LissaConfig, exact_ihvp, lissa_solve
@@ -15,7 +16,6 @@ from lissakit.models import (
     loss_gradient,
     loss_gradients,
     make_blobs,
-    nll_loss,
     _forward,
 )
 from lissakit.pbrf import (
@@ -24,11 +24,8 @@ from lissakit.pbrf import (
     PbrfResult,
     compare_influences,
     pbo_gradient,
-    pbo_objective,
     pbrf_finetune,
     pbrf_influence,
-    _batch_bregman_mean,
-    _bregman_gaps,
 )
 
 
@@ -45,14 +42,14 @@ def quad():
 
 
 def subset(data, rows):
-    """The Dataset of ``data``'s rows ``rows``, ids kept."""
+    """The Dataset of ``data``'s rows ``rows``."""
     rows = list(rows)
-    return Dataset(X=data.X[rows], y=data.y[rows], ids=data.ids[rows])
+    return Dataset(X=data.X[rows], y=data.y[rows])
 
 
 def bregman(h, h_ref, y):
     """Divergence of one pair of logit vectors through the per-row formula."""
-    return float(_bregman_gaps(np.array([h], dtype=float), np.array([h_ref], dtype=float), np.array([y]))[0])
+    return float(bregman_gaps(np.array([h], dtype=float), np.array([h_ref], dtype=float), np.array([y]))[0])
 
 
 class TestBregmanDivergence:
@@ -68,7 +65,7 @@ class TestBregmanDivergence:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            _bregman_gaps(np.zeros((1, 3)), np.zeros((1, 2)), np.array([0]))
+            bregman_gaps(np.zeros((1, 3)), np.zeros((1, 2)), np.array([0]))
 
     @given(
         st.lists(st.floats(min_value=-20, max_value=20), min_size=2, max_size=6),
@@ -91,18 +88,16 @@ class TestBregmanDivergence:
         X, y = data.X[:6], data.y[:6]
         logits, _ = _forward(spec, moved, X)
         ref_logits, _ = _forward(spec, theta, X)
-        gaps = _bregman_gaps(logits, ref_logits, y)
+        gaps = bregman_gaps(logits, ref_logits, y)
         for b in range(6):
             assert gaps[b] == bregman(logits[b], ref_logits[b], y[b])
-        assert _batch_bregman_mean(spec, moved, theta, X, y) == float(gaps.mean())
+        assert batch_bregman_mean(spec, moved, theta, X, y) == float(gaps.mean())
 
 
 class TestPboObjective:
     def test_at_reference_reduces_to_train_loss(self, quad):
         spec, theta, data, H, damp, eta = quad
         cfg = PboConfig(epsilon=0.7, lambda_damp=damp, lr=eta, steps=1, batch_size=8)
-        from lissakit.models import nll_loss
-
         want = 0.7 * nll_loss(spec, theta, data[0].x, data[0].y)
         got = pbo_objective(spec, theta, theta, data[0], data, cfg)
         assert got == pytest.approx(want, rel=1e-12)
@@ -117,8 +112,8 @@ class TestPboObjective:
         cfg = PboConfig(epsilon=0.3, lambda_damp=damp, lr=eta, steps=1, batch_size=64)
         rng = SeededRng(77)
         moved = theta + 0.05 * rng.normal(spec.n_params)
-        batch = sample_batch(data, 64, SeededRng(8))
-        grad = pbo_gradient(spec, moved[None], theta, subset(data, [0]), batch, cfg)[0]
+        batch = subset(data, sample_batch(data, 64, SeededRng(8)))
+        grad = pbo_gradient(spec, moved[None], theta, subset(data, [0]), batch.X, cfg)[0]
         step = 1e-5
         for _ in range(10):
             d = rng.normal(spec.n_params)
@@ -135,8 +130,8 @@ class TestPboObjective:
     def test_gradient_at_reference_is_scaled_train_gradient(self, quad):
         spec, theta, data, H, damp, eta = quad
         cfg = PboConfig(epsilon=0.25, lambda_damp=damp, lr=eta, steps=1, batch_size=16)
-        batch = sample_batch(data, 16, SeededRng(9))
-        grad = pbo_gradient(spec, theta[None], theta, subset(data, [0]), batch, cfg)[0]
+        X = data.X[sample_batch(data, 16, SeededRng(9))]
+        grad = pbo_gradient(spec, theta[None], theta, subset(data, [0]), X, cfg)[0]
         want = 0.25 * loss_gradient(spec, theta, data[0]).values
         assert np.allclose(grad, want, atol=1e-14)
 
@@ -300,7 +295,7 @@ class TestLockstep:
     def test_block_equals_single_finetunes(self, name, batch_size, epsilon):
         spec, theta, data = self.setup(name)
         rows = [3, 0, 17, 3, 39]
-        points = Dataset(X=data.X[rows], y=data.y[rows], ids=data.ids[rows])
+        points = Dataset(X=data.X[rows], y=data.y[rows])
         seeds = (11, 12, 13, 14, 11)
         cfg = PboConfig(epsilon=epsilon, lambda_damp=0.1, lr=0.3, steps=12, batch_size=batch_size, seed=seeds)
         block = pbrf_finetune(spec, theta, points, data, cfg)
@@ -315,7 +310,7 @@ class TestLockstep:
         spec, theta, data = self.setup("relu")
         X = data.X[:4].copy()
         X[2] = 1e200  # its logits overflow once theta has moved along it
-        points = Dataset(X=X, y=data.y[:4], ids=data.ids[:4])
+        points = Dataset(X=X, y=data.y[:4])
         cfg = PboConfig(epsilon=1.0, lambda_damp=0.1, lr=0.3, steps=10, batch_size=8, seed=(1, 2, 3, 4))
         block = pbrf_finetune(spec, theta, points, data, cfg)
         assert block.overflow.tolist() == [False, False, True, False]
@@ -336,7 +331,7 @@ class TestLockstep:
     @pytest.mark.parametrize("name", sorted(LOCKSTEP_SPECS))
     def test_batched_influence_equals_one_row_losses(self, name):
         spec, theta, data = self.setup(name)
-        points = Dataset(X=data.X[:6], y=data.y[:6], ids=data.ids[:6])
+        points = Dataset(X=data.X[:6], y=data.y[:6])
         cfg = PboConfig(epsilon=1e-8, lambda_damp=0.1, lr=0.3, steps=8, batch_size=8, seed=tuple(range(6)))
         finetunes = pbrf_finetune(spec, theta, points, data, cfg)
         tests = subset(data, range(20, 40))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lissakit.core import DenseOperator, SeededRng, derive_seed
+from _reference import DenseOperator
+from lissakit.core import SeededRng, derive_seed
 from lissakit.gnh import GnhOperator, gnh_matrix_exact
 from lissakit.models import ModelSpec, init_params, make_blobs
 from lissakit.spectral import (
