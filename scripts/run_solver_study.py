@@ -1,7 +1,7 @@
 """Solver behaviour on one synthetic problem: solve, race batches, diverge.
 
   lissa/          iterate norms and the solution, checked against the oracle
-  convergence/    correlation-to-final for three batch sizes
+  convergence/    correlation with the oracle solution for three batch sizes
   counterexample/ exploding second moment at batch size 1 vs the closed form
 """
 
@@ -23,7 +23,7 @@ t_steps = 40
 COMMANDS = (
     (
         "lissa",
-        "command = lissa\n" + MODEL + "snapshot_every = 5\ntolerance = 0.5\n",
+        "command = lissa\n" + MODEL + "tolerance = 0.5\n",
     ),
     (
         "convergence",

@@ -51,7 +51,7 @@ from .spectral import (
     sketch_size,
     step_count,
     step_size,
-    top_eigenvalues_from_sketch,
+    top_eigenvalue_from_sketch,
 )
 from .tfidf import BowParams, corpus_from_text, sample_corpus, tfidf_equivalence_check
 
@@ -151,11 +151,14 @@ def _build_model(run: RunContext):
 
 
 def _overflow_error(run: RunContext, what: str) -> ConfigError:
-    """The config error for a model whose numbers overflow."""
-    return ConfigError(
-        f"{what} at init_scale = {run.cfg.init_scale!r}; "
-        "lower init_scale (or the scale of the dataset's features)"
-    )
+    """The config error for a model whose numbers overflow, naming both the
+    weights' scale and where the features come from."""
+    cfg = run.cfg
+    if cfg.dataset_path is None:
+        data, hint = f"separation = {cfg.separation!r}", "separation"
+    else:
+        data, hint = f"dataset_path = {cfg.dataset_path!r}", "the scale of the dataset's features"
+    return ConfigError(f"{what} at init_scale = {cfg.init_scale!r} and {data}; lower init_scale or {hint}")
 
 
 def _build_data(run: RunContext, spec: ModelSpec, theta: np.ndarray, n_test: int = 0):
@@ -284,7 +287,10 @@ def _solver_settings(run: RunContext, dense: SymEig | None, field: str = "t_step
     cfg = run.cfg
     eta = cfg.eta
     if eta is None:
-        eta = step_size(float(dense.values[0]), cfg.lambda_damp)
+        try:
+            eta = step_size(float(dense.values[0]), cfg.lambda_damp)
+        except ValueError as exc:
+            raise ConfigError(f"{exc}; set eta or raise lambda_damp") from exc
     t_steps = getattr(cfg, field)
     if t_steps is None:
         try:
@@ -317,14 +323,13 @@ def _recommend(run: RunContext, trace: float, lambda_max: float):
 
 
 def _stochastic_operator(run: RunContext, spec, theta, train, batch_size):
-    cfg = run.cfg
     return GnhOperator(
         spec,
         theta,
         train,
         batch_size=batch_size,
         rng=SeededRng(0) if batch_size is not None else None,
-        fd_delta=cfg.fd_delta if cfg.hvp_mode == "fd" else None,
+        fd_delta=run.cfg.fd_delta,
     )
 
 
@@ -344,7 +349,7 @@ def cmd_stats(run: RunContext) -> None:
         frob = estimate_frobenius(op, cfg.n_probes, run.rng("frobenius-probes"))
         sketch = sketch_operator(op, sketch_cfg)
     try:
-        lambda_top = float(top_eigenvalues_from_sketch(sketch, 1)[0])
+        lambda_top = top_eigenvalue_from_sketch(sketch)
     except ValueError as exc:
         raise _overflow_error(run, f"no curvature sketch ({exc})") from exc
     trace_total = trace.mean * op.n_params
@@ -423,7 +428,7 @@ def cmd_lissa(run: RunContext) -> None:
     )
     u, trace = lissa_solve(op, g, lcfg)
 
-    if cfg.hvp_mode == "fd" and cfg.fd_delta * float(trace.norms.max()) > 1.0:
+    if cfg.fd_delta is not None and cfg.fd_delta * float(trace.norms.max()) > 1.0:
         print(
             "warning: fd step times iterate norm exceeds 1; "
             "finite-difference curvature may be inaccurate",
@@ -639,7 +644,6 @@ def cmd_counterexample(run: RunContext) -> None:
         # extreme eigenvalues overflow the closed form; it is checked below
         with np.errstate(all="ignore"):
             problem = counterexample_build(
-                n=n,
                 eigenvalues=eigenvalues,
                 batch_size=batch_size,
                 lambda_damp=cfg.lambda_damp,

@@ -128,8 +128,8 @@ class ExperimentConfig:
     n_probes: int = 200
     sketch_dim: int = 64
     sketch_layout: str = "summed"
-    hvp_mode: str = "exact"
-    fd_delta: float = 0.01
+    # set: the curvature operator takes J v by central differences of this step
+    fd_delta: float | None = None
     # externally supplied curvature statistics
     trace: float | None = None
     lambda_max: float | None = None
@@ -170,8 +170,6 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"{name} must be {'>' if strict else '>='} {bound}, got {low!r}"
                 )
-        if self.hvp_mode not in ("exact", "fd"):
-            raise ConfigError(f"hvp_mode must be exact or fd, got {self.hvp_mode!r}")
         if self.sketch_layout not in ("summed", "concatenated"):
             raise ConfigError(f"unknown sketch_layout {self.sketch_layout!r}")
 

@@ -89,16 +89,14 @@ class SeededRng:
     it covers, so reassigning ``position`` replays or skips as before.
     """
 
-    def __init__(self, seed, position: int = 0):
+    def __init__(self, seed):
         if np.ndim(seed) == 0:
             self.seed = int(seed) & _MASK64
             self._base = np.uint64(self.seed)
         else:
             self.seed = np.array([int(s) & _MASK64 for s in seed], dtype=np.uint64)
             self._base = self.seed[:, None]
-        self.position = int(position)
-        if self.position < 0:
-            raise ValueError("position must be non-negative")
+        self.position = 0
         self._width = max(1, _BLOCK_WORDS // max(1, self._base.size))
         self._block = None  # words _block_start+1 ... of every row, read-only
         self._block_start = 0
@@ -160,22 +158,15 @@ class SeededRng:
         return SeededRng(derive_seed(self.seed, *keys))
 
 
-def gaussian_vector(rng: SeededRng, n: int, variance: float = 1.0) -> np.ndarray:
-    """Vector of ``n`` i.i.d. N(0, variance) entries."""
-    if n <= 0:
-        raise ValueError("gaussian_vector needs n >= 1")
-    if variance < 0:
-        raise ValueError("variance must be non-negative")
-    return rng.normal(n) * math.sqrt(variance)
-
-
-# Rows per block of check_symmetric's upper-triangle sweep.
+# Rows per block of check_symmetric's upper-triangle sweep, and its tolerance
+# on max|m - m^T| relative to max|m|.
 _SYMMETRY_BLOCK = 128
+_SYMMETRY_RTOL = 1e-12
 
 
-def check_symmetric(m: np.ndarray, rtol: float = 1e-12) -> None:
+def check_symmetric(m: np.ndarray) -> None:
     """Raise if ``m`` is not square, has a non-finite entry, or is not
-    symmetric within ``rtol * max|m|``.
+    symmetric within ``_SYMMETRY_RTOL * max|m|``.
 
     Sweeps the upper triangle in blocks of rows, comparing ``m[i:i+b, i:]``
     with ``m[i:, i:i+b].T``; the two slabs cover every entry, so max|m| and
@@ -196,7 +187,7 @@ def check_symmetric(m: np.ndarray, rtol: float = 1e-12) -> None:
     scale = float(np.max(scales))
     if not math.isfinite(scale):
         raise ValueError("matrix has a non-finite entry")
-    tol = rtol * max(scale, np.finfo(np.float64).tiny)
+    tol = _SYMMETRY_RTOL * max(scale, np.finfo(np.float64).tiny)
     if float(np.max(gaps)) > tol:
         raise ValueError("matrix is not symmetric within tolerance")
 

@@ -32,6 +32,8 @@ from .models import (
 )
 
 MAX_DENSE_PARAMS = 2000
+# Rows of one linearization pass of gnh_matrix_exact and gnh_trace_exact.
+_PASS_ROWS = 128
 
 
 def sample_batch(dataset: Dataset, size: int, rng: SeededRng) -> np.ndarray:
@@ -175,9 +177,7 @@ def _centered_factors(spec: ModelSpec, lin: _Linearization) -> list:
     return [sqrt_p * (d - lin.p[:, None, :] @ d) for d in _logit_deltas(spec, lin)]
 
 
-def gnh_matrix_exact(
-    spec: ModelSpec, theta: np.ndarray, dataset: Dataset, chunk: int = 128
-) -> np.ndarray:
+def gnh_matrix_exact(spec: ModelSpec, theta: np.ndarray, dataset: Dataset) -> np.ndarray:
     """Dense Gauss-Newton Hessian averaged over the whole dataset.
 
     Layer l's logit Jacobian is the Kronecker product of its logit delta D_l
@@ -190,7 +190,7 @@ def gnh_matrix_exact(
     (weights row-major, then bias), each l < m block is mirrored by
     transpose and each diagonal block symmetrized, so H is exactly symmetric.
 
-    A pass takes ``chunk`` rows, fewer where one row's factor products are
+    A pass takes _PASS_ROWS rows, fewer where one row's factor products are
     so wide that a pass's per-row arrays would exceed n^2 / 2 floats.
 
     Desk-scale oracle: refuses models with more than MAX_DENSE_PARAMS
@@ -208,7 +208,7 @@ def gnh_matrix_exact(
         for l, m in pairs
     }
     widest = max(max(b.shape) for b in blocks.values())
-    rows = max(1, min(chunk, n * n // (2 * widest)))
+    rows = max(1, min(_PASS_ROWS, n * n // (2 * widest)))
     for start in range(0, len(dataset), rows):
         lin = _linearize(spec, theta, dataset.X[start : start + rows])
         B = lin.p.shape[0]
@@ -242,15 +242,16 @@ def gnh_trace_exact(spec: ModelSpec, theta: np.ndarray, dataset: Dataset) -> flo
     (see ``gnh_matrix_exact``), and the trace of a Kronecker product is the
     product of the traces, so
     Tr(H) = (1/N) sum_b sum_l ||R_{l,b}||_F^2 (||a_{l,b}||^2 + 1).
-    A pass takes 128 rows, fewer where one row's factors (n_classes times the
-    widest layer) are so wide that a pass would exceed _TRACE_PASS_FLOATS.
+    A pass takes _PASS_ROWS rows, fewer where one row's factors (n_classes
+    times the widest layer) are so wide that a pass would exceed
+    _TRACE_PASS_FLOATS.
     No array grows with the parameter count squared, so there is no
     MAX_DENSE_PARAMS limit here.
     """
     if len(dataset) < 1:
         raise ValueError("dataset is empty")
     per_row = spec.n_classes * max(spec.layer_sizes[1:])
-    rows = max(1, min(128, _TRACE_PASS_FLOATS // per_row))
+    rows = max(1, min(_PASS_ROWS, _TRACE_PASS_FLOATS // per_row))
     total = 0.0
     for start in range(0, len(dataset), rows):
         lin = _linearize(spec, theta, dataset.X[start : start + rows])

@@ -233,21 +233,18 @@ class RotatedRankOneSampler:
         return self._rotation @ (scaled.T @ coeffs / batch_size)
 
 
-def counterexample_build(
-    n: int, eigenvalues, batch_size: int, lambda_damp: float, eta: float, seed: int
-):
-    """Construct the rotated rank-one problem.
+def counterexample_build(eigenvalues, batch_size: int, lambda_damp: float, eta: float, seed: int):
+    """Construct the rotated rank-one problem in the dimension n of the
+    eigenvalue vector.
 
-    ``eigenvalues`` may be a scalar (replicated n times) or a length-n
-    vector.  The rotation is a seeded random orthogonal matrix; u0 defaults
-    to the eigendirection with the largest second-moment growth factor, the
+    The rotation is a seeded random n x n orthogonal matrix; u0 is the
+    eigendirection with the largest second-moment growth factor, the
     coordinate the divergence analysis cares about.
     """
     lam = np.asarray(eigenvalues, dtype=np.float64)
-    if lam.ndim == 0:
-        lam = np.full(n, float(lam))
-    if lam.shape != (n,):
-        raise ValueError("eigenvalues must be a scalar or length-n vector")
+    if lam.ndim != 1 or lam.size == 0:
+        raise ValueError("eigenvalues must be a non-empty vector")
+    n = lam.size
     if np.any(lam < 0):
         raise ValueError("eigenvalues must be non-negative")
     if lam.max() <= 0:
@@ -273,9 +270,10 @@ def counterexample_build(
     return replace(problem, u0=rotation[:, top].copy())
 
 
-def counterexample_moments(problem: CounterExampleProblem, t_max: int, u0=None) -> np.ndarray:
-    """Exact E||u_t||^2 for t = 0..t_max of the g = 0 iteration under the
-    rank-one sampler, as a (t_max + 1,) array from one run of the recurrence.
+def counterexample_moments(problem: CounterExampleProblem, t_max: int) -> np.ndarray:
+    """Exact E||u_t||^2 for t = 0..t_max of the g = 0 iteration from
+    ``problem.u0`` under the rank-one sampler, as a (t_max + 1,) array from
+    one run of the recurrence.
 
     In the eigenbasis the coordinate second moments r_j = E[c_j^2] close on
     themselves: one step maps
@@ -287,10 +285,7 @@ def counterexample_moments(problem: CounterExampleProblem, t_max: int, u0=None) 
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
-    start = np.asarray(problem.u0 if u0 is None else u0, dtype=np.float64)
-    if start.shape != (problem.n,):
-        raise ValueError("u0 does not match the problem")
-    coords = problem.rotation.T @ start
+    coords = problem.rotation.T @ problem.u0
     r = coords**2
     lam = problem.eigenvalues
     contraction_sq = (1.0 - problem.eta * (lam + problem.lambda_damp)) ** 2

@@ -165,6 +165,11 @@ def pbrf_influence(
     return (moved - ref)[..., 0] / epsilon
 
 
+# The trichotomy thresholds of compare_influences, relative to a magnitude.
+NEAR_ZERO_FRAC = 0.05
+AGREE_RTOL = 0.2
+
+
 @dataclass
 class InfluenceComparison:
     """Scatter summary of two score arrays over the same (train, test) pairs."""
@@ -174,19 +179,15 @@ class InfluenceComparison:
     class_counts: dict
 
 
-def compare_influences(
-    lissa_scores: np.ndarray,
-    pbrf_scores: np.ndarray,
-    near_zero_frac: float = 0.05,
-    agree_rtol: float = 0.2,
-) -> InfluenceComparison:
+def compare_influences(lissa_scores: np.ndarray, pbrf_scores: np.ndarray) -> InfluenceComparison:
     """Pearson correlation, origin slope, and trichotomy counts for two arrays.
 
     The arrays must have equal shapes, entry i of one paired with entry i of
     the other, and at least ten entries; they are read in C order.  A pair
-    whose magnitudes are both at most near_zero_frac times the largest
+    whose magnitudes are both at most NEAR_ZERO_FRAC times the largest
     magnitude of either array is near-zero; otherwise its relative residual
-    from the x = y diagonal decides between agreeing and disagreeing.
+    from the x = y diagonal, against AGREE_RTOL, decides between agreeing and
+    disagreeing.
     """
     x = np.asarray(lissa_scores, dtype=np.float64)
     y = np.asarray(pbrf_scores, dtype=np.float64)
@@ -200,8 +201,8 @@ def compare_influences(
         raise ValueError("all reference scores are zero")
     slope = float(x @ y) / denom
     magnitude = np.maximum(np.abs(x), np.abs(y))
-    near_zero = magnitude <= near_zero_frac * magnitude.max()
-    agreeing = ~near_zero & (np.abs(y - x) <= agree_rtol * magnitude)
+    near_zero = magnitude <= NEAR_ZERO_FRAC * magnitude.max()
+    agreeing = ~near_zero & (np.abs(y - x) <= AGREE_RTOL * magnitude)
     counts = {
         "agreeing": int(agreeing.sum()),
         "near_zero": int(near_zero.sum()),

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MeanSe, SeededRng, derive_seed, gaussian_vector, sym_eig
+from .core import MeanSe, SeededRng, derive_seed, sym_eig
 from .gnh import GnhOperator, gnh_trace_exact
 from .models import Dataset, ModelSpec
 
@@ -70,7 +70,7 @@ def _probe_loop(n: int, n_probes: int, rng: SeededRng, sample) -> MeanSe:
         raise ValueError("need at least two probes")
     samples = np.empty(n_probes)
     for i in range(n_probes):
-        samples[i] = sample(gaussian_vector(rng, n, 1.0 / n))
+        samples[i] = sample(rng.normal(n) * math.sqrt(1.0 / n))
     return MeanSe.from_samples(samples)
 
 
@@ -145,8 +145,8 @@ def sketch_operator(op, cfg: SketchConfig) -> np.ndarray:
     return (sketch + sketch.T) / 2.0
 
 
-def top_eigenvalues_from_sketch(sketch: np.ndarray, k: int = 1) -> np.ndarray:
-    """Shift-corrected leading eigenvalues of a sketch.
+def top_eigenvalue_from_sketch(sketch: np.ndarray) -> float:
+    """Shift-corrected top eigenvalue of a sketch.
 
     The random projection inflates every eigenvalue by roughly Tr(H)/d; the
     mean sketch eigenvalue tracks that inflation, so subtracting
@@ -154,11 +154,8 @@ def top_eigenvalues_from_sketch(sketch: np.ndarray, k: int = 1) -> np.ndarray:
     true leading eigenvalues.
     """
     sketch = np.asarray(sketch, dtype=np.float64)
-    d = sketch.shape[0]
-    if not 1 <= k <= d:
-        raise ValueError("k must be in [1, sketch dimension]")
-    shift = float(np.trace(sketch)) / d
-    return sym_eig(sketch).values[:k] - shift
+    shift = float(np.trace(sketch)) / sketch.shape[0]
+    return float(sym_eig(sketch).values[0] - shift)
 
 
 def step_size(lambda_max: float, lambda_damp: float) -> float:

@@ -43,7 +43,7 @@ from lissakit.spectral import (
     estimate_trace,
     recommend_hyperparams,
     sketch_operator,
-    top_eigenvalues_from_sketch,
+    top_eigenvalue_from_sketch,
 )
 from lissakit.tfidf import BowParams, sample_corpus, tfidf_equivalence_check
 
@@ -74,7 +74,7 @@ def oracle():
     op = GnhOperator(spec, theta, data)
     trace_est = estimate_trace(op, 300, SeededRng(13))
     sketch = sketch_operator(op, SketchConfig(d=1000, seed=14, layout="summed"))
-    lam_hat = float(top_eigenvalues_from_sketch(sketch)[0])
+    lam_hat = top_eigenvalue_from_sketch(sketch)
     lam_damp = 0.02 * lam_hat
     hp = recommend_hyperparams(
         trace_est.mean * spec.n_params, lam_hat, lam_damp, c_const=2.0, t_multiplier=2.0
@@ -181,7 +181,7 @@ def test_criterion_02_mean_iterate_contracts(oracle, acceptance_log):
 def test_criterion_03_small_batch_second_moment_divergence(acceptance_log):
     # ten equal unit eigenvalues, eta saturating the step bound, single-sample
     # batches: the iterate's second moment explodes while its mean contracts
-    problem = counterexample_build(10, 1.0, 1, 0.1, 1.0 / 1.1, seed=0)
+    problem = counterexample_build([1.0] * 10, 1, 0.1, 1.0 / 1.1, seed=0)
     growth = float(problem.second_moment_diagonal.max())
     exact = counterexample_moments(problem, 8)
     mc = counterexample_simulate(problem, 2000, 8, seed=36)
@@ -312,7 +312,7 @@ def test_criterion_06_randomized_spectral_estimates(oracle, acceptance_log):
 
     lam_exact = float(fx.eigs[0])
     sketch = sketch_operator(dense, SketchConfig(d=1000, seed=44, layout="summed"))
-    lam_hat = float(top_eigenvalues_from_sketch(sketch)[0])
+    lam_hat = top_eigenvalue_from_sketch(sketch)
     lam_tol = max(0.10 * lam_exact, 5.0 * math.sqrt(frob_sq_exact * n) / math.sqrt(1000))
     lam_ok = abs(lam_hat - lam_exact) <= lam_tol
 

@@ -1,6 +1,8 @@
 """Every definition in the package has a caller outside the tests: a
 top-level function, class or non-dunder method that only tests reach is API
-that the CLI, the studies and the benchmark do not need."""
+that the CLI, the studies and the benchmark do not need.  Likewise every
+parameter default: a setting that no caller outside the tests passes is a
+constant, not a setting."""
 
 import ast
 import re
@@ -76,3 +78,59 @@ def test_every_definition_has_a_caller_outside_the_tests():
 def test_benchmark_only_names_are_read_by_the_benchmark_alone():
     assert not BENCHMARK_ONLY & referenced_names(*PROGRAM)
     assert BENCHMARK_ONLY <= referenced_names(*BENCHMARK)
+
+
+def signatures():
+    """(file, name, positional parameters, every parameter, defaulted
+    parameters) of the package's top-level functions and of its top-level
+    classes' methods.  A method is called by its own name, an ``__init__`` by
+    its class's; a bound method's first parameter is not passed."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            functions = [(node.name, node, False)] if isinstance(node, ast.FunctionDef) else []
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        static = any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)
+                        name = node.name if item.name == "__init__" else item.name
+                        functions.append((name, item, not static))
+            for name, fn, bound in functions:
+                a = fn.args
+                positional = [p.arg for p in a.posonlyargs + a.args][int(bound) :]
+                keyword_only = [p.arg for p in a.kwonlyargs]
+                defaulted = positional[len(positional) - len(a.defaults) :] if a.defaults else []
+                defaulted += [p for p, d in zip(keyword_only, a.kw_defaults) if d is not None]
+                found.append((path.name, name, positional, positional + keyword_only, defaulted))
+    return found
+
+
+def program_calls(*patterns):
+    """For each called name (a function, or a method or class by its last
+    attribute), the parameters that non-test calls matching ``patterns`` pass,
+    as (positional count, keywords, whether a * or ** argument passes all)."""
+    calls = {}
+    for path in (path for pattern in patterns for path in ROOT.glob(pattern)):
+        if path.name.startswith("test_"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            keywords = {k.arg for k in node.keywords}
+            calls.setdefault(name, []).append((len(node.args), keywords - {None}, starred or None in keywords))
+    return calls
+
+
+def test_every_default_is_set_by_a_program_caller():
+    found = signatures()
+    assert sum(bool(defaulted) for *_, defaulted in found) > 10
+    calls = program_calls(*PROGRAM, *BENCHMARK)
+    unset = []
+    for path, name, positional, params, defaulted in found:
+        passed = set()
+        for count, keywords, passes_all in calls.get(name, ()):
+            passed |= set(params) if passes_all else set(positional[:count]) | keywords
+        unset += [f"{path}: {name}({param})" for param in defaulted if param not in passed]
+    assert unset == [], unset

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lissakit import cli
+from lissakit import cli, gnh
 from lissakit.cli import main
 from lissakit.config import (
     ConfigError,
@@ -120,8 +120,9 @@ class TestExperimentConfig:
     def test_invariants_checked(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_text("seed = -1\n")
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_text("hvp_mode = magic\n")
+        # a set fd_delta selects central differences; there is no mode field
+        with pytest.raises(ConfigError, match="unknown config field 'hvp_mode'"):
+            ExperimentConfig.from_text("hvp_mode = fd\n")
         for text in (
             "n_examples = 0\n",
             "n_probes = 1\n",
@@ -131,7 +132,6 @@ class TestExperimentConfig:
             "eta = -1\n",
             "t_steps = 0\n",
             "fd_delta = 0\n",
-            "hvp_mode = fd\nfd_delta = 0\n",
             "snapshot_every = -1\n",
             "tolerance = -1\n",
             "t_multiplier = -1\n",
@@ -167,6 +167,55 @@ class TestExperimentConfig:
         assert component_seed(3, "init") == component_seed(3, "init")
         assert component_seed(3, "init") != component_seed(3, "dataset")
         assert component_seed(3, "init") != component_seed(4, "init")
+
+
+class TestFiniteDifferences:
+    """lissa with fd_delta set takes J v by central differences: two forward
+    passes per HVP in place of one forward-mode sweep."""
+
+    @staticmethod
+    def counted_run(tmp_path, monkeypatch, name, extra):
+        calls = {"_forward": 0, "_jvp_batch": 0, "matvec": 0}
+
+        def counting(owner, attr):
+            real = getattr(owner, attr)
+
+            def wrapper(*args, **kwargs):
+                calls[attr] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, wrapper)
+
+        for attr in ("_forward", "_jvp_batch"):
+            counting(gnh, attr)
+        counting(GnhOperator, "matvec")
+        text = QUAD_CFG.replace("t_steps = 400", "t_steps = 20") + extra
+        code, out = run_cli(tmp_path, "lissa", text, name=name)
+        monkeypatch.undo()
+        assert code == 0
+        solution = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)[:, 1]
+        return calls, solution
+
+    def test_fd_delta_takes_two_forward_passes_per_hvp(self, tmp_path, monkeypatch, capsys):
+        exact, u_exact = self.counted_run(tmp_path, monkeypatch, "exact", "")
+        fd, u_fd = self.counted_run(tmp_path, monkeypatch, "fd", "fd_delta = 0.01\n")
+        assert exact == {"_forward": 0, "_jvp_batch": 20, "matvec": 20}
+        assert fd == {"_forward": 40, "_jvp_batch": 0, "matvec": 20}
+        # a linear model's logits are linear in theta: the difference is exact
+        # up to rounding
+        assert np.allclose(u_fd, u_exact, rtol=1e-12, atol=0)
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("fd_delta, warns", [("0.01", False), ("1", True)])
+    def test_warning_when_step_times_iterate_norm_exceeds_one(self, tmp_path, capsys, fd_delta, warns):
+        # the iterate norm peaks near 2.17 on this config
+        text = QUAD_CFG.replace("t_steps = 400", "t_steps = 20") + f"fd_delta = {fd_delta}\n"
+        code, out = run_cli(tmp_path, "lissa", text)
+        assert code == 0
+        peak = np.loadtxt(out / "lissa_trace.csv", delimiter=",", skiprows=1)[:, 1].max()
+        assert (float(fd_delta) * peak > 1.0) == warns
+        err = capsys.readouterr().err
+        assert ("warning: fd step times iterate norm exceeds 1" in err) == warns
 
 
 class TestRecommendCommand:
@@ -326,6 +375,10 @@ class TestExitCodes:
             # a recommended t_steps over the limit that the solvers would refuse
             ("recommend", "trace = 1\nlambda_max = 1\nlambda_damp = 1e-300\n"),
             ("stats", TINY_MLP_CFG + "lambda_damp = 1e-300\n"),
+            # saturated tanh and softmax: a zero Gauss-Newton matrix, and at
+            # lambda_damp = 0 no step size 1/(lambda_max + lambda_damp)
+            ("lissa", MLP_4_5_3 + "init_scale = 1e300\nlambda_damp = 0\nt_steps = 10\n"),
+            ("pbrf-compare", MLP_4_5_3 + "init_scale = 1e300\nlambda_damp = 0\nt_steps = 10\n"),
         )
         for i, (command, text) in enumerate(cases):
             code, _ = run_cli(tmp_path, command, text, name=f"run{i}")
@@ -1113,6 +1166,8 @@ class TestInputBoundary:
         assert "config error" in err and "non-finite" in err and message in err
         assert "Traceback" not in err
         assert not any(out.glob("*.csv"))
+        if command != "similarity":
+            assert f"and dataset_path = {data!r}; lower init_scale or the scale of the dataset's features" in err
 
     @pytest.mark.parametrize("train_index, code", [(0, 0), (2, 2)])
     def test_tolerance_needs_a_nonzero_oracle_solution(self, tmp_path, capsys, train_index, code):
@@ -1156,6 +1211,15 @@ class TestInputBoundary:
         assert "config error: separation = 1.7e+308 gives non-finite features" in err
         assert "Traceback" not in err and not any(out.glob("*.csv"))
 
+    def test_dense_gnh_overflow_names_separation(self, tmp_path, capsys):
+        # features of about 1e300 overflow the curvature at the default
+        # init_scale; the message once blamed init_scale alone
+        code, _ = run_cli(tmp_path, "similarity", MLP_4_5_3 + "separation = 1e300\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: no dense Gauss-Newton matrix" in err
+        assert "at init_scale = 0.5 and separation = 1e+300; lower init_scale or separation" in err
+
     def test_condition_c1_overflowing_trace_is_two(self, tmp_path, capsys):
         # features of about 1e300 are finite, but ||a||^2 in Tr(H) overflows:
         # the C = 1 reference read nan and was reported as a zero matrix
@@ -1164,6 +1228,7 @@ class TestInputBoundary:
         assert code == 2
         err = capsys.readouterr().err
         assert "config error: no finite noise profile at batch size 4" in err and "is not positive" not in err
+        assert "at init_scale = 0.5 and separation = 1e+300; lower init_scale or separation" in err
         assert not any(out.glob("*.csv"))
 
     @pytest.mark.parametrize(

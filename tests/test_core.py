@@ -11,13 +11,19 @@ from lissakit.core import (
     MeanSe,
     SeededRng,
     derive_seed,
-    gaussian_vector,
     check_symmetric,
     pearson_corr,
     sym_eig,
 )
 
 MASK = (1 << 64) - 1
+
+
+def rng_at(seed, position):
+    """A stream resumed at ``position``: a new stream, its position assigned."""
+    rng = SeededRng(seed)
+    rng.position = position
+    return rng
 
 
 def splitmix64_reference(seed, n):
@@ -105,8 +111,8 @@ class TestSeededRng:
     @pytest.mark.parametrize("position", [0, 7, 2**40])
     def test_seed_array_draws_each_stream_in_lockstep(self, position):
         seeds = [0, 3, 2**64 - 1, derive_seed(9, 1), 3]
-        block = SeededRng(seeds, position=position)
-        singles = [SeededRng(s, position=position) for s in seeds]
+        block = rng_at(seeds, position)
+        singles = [rng_at(s, position) for s in seeds]
         draws = [("raw_uint64", (6,)), ("uniform", (5,)), ("normal", (4,)),
                  ("integers", (9, 13)), ("rademacher", (10,)), ("raw_uint64", (0,))]
         for name, args in draws:
@@ -157,13 +163,13 @@ class TestSeededRngBlock:
     @staticmethod
     def direct(seed, start, n):
         # words start+1 ... start+n from a draw too long for any block
-        return SeededRng(seed, position=start).raw_uint64(n + _BLOCK_WORDS)[..., :n]
+        return rng_at(seed, start).raw_uint64(n + _BLOCK_WORDS)[..., :n]
 
     @settings(max_examples=150, deadline=None)
     @given(draw_plans())
     def test_draws_concatenate_to_one_fresh_draw(self, plan):
         seed, start, sizes = plan
-        rng = SeededRng(seed, position=start)
+        rng = rng_at(seed, start)
         parts = []
         for n in sizes:
             parts.append(rng.raw_uint64(n))
@@ -179,7 +185,7 @@ class TestSeededRngBlock:
         width = _BLOCK_WORDS // np.size(seed)
         whole = self.direct(seed, 0, 4 * width)
         for p in (1, 5, width - 2, width, width + 3, 3 * width - 1):
-            assert np.array_equal(SeededRng(seed, position=p).raw_uint64(4), whole[..., p : p + 4])
+            assert np.array_equal(rng_at(seed, p).raw_uint64(4), whole[..., p : p + 4])
         rng = SeededRng(seed)
         rng.raw_uint64(6)
         # back, forward inside the block, across its edge and past it
@@ -205,21 +211,6 @@ class TestSeededRngBlock:
         got[...] = 0
         assert np.array_equal(rng.raw_uint64(4), whole[..., _BLOCK_WORDS + 40 : _BLOCK_WORDS + 44])
         assert np.array_equal(SeededRng(seed).uniform(40), (whole[..., :40] >> np.uint64(11)) * 2.0**-53)
-
-
-class TestGaussianVector:
-    def test_variance_scaling(self):
-        n = 200000
-        g = gaussian_vector(SeededRng(13), n, variance=1.0 / 64)
-        assert abs(np.dot(g, g) / n - 1.0 / 64) < 0.05 / 64
-
-    def test_zero_length_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian_vector(SeededRng(0), 0)
-
-    def test_negative_variance_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian_vector(SeededRng(0), 3, variance=-1.0)
 
 
 class TestSymEig:

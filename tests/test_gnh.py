@@ -108,16 +108,16 @@ class TestDenseGnh:
         H2 = gnh_matrix_exact(LINEAR, theta, doubled)
         assert np.allclose(H1, H2, atol=1e-13)
 
-    def test_chunking_invariant(self):
+    def test_chunking_invariant(self, monkeypatch):
         theta, data = toy_fixture(MLP, n=23)
-        assert np.allclose(
-            gnh_matrix_exact(MLP, theta, data, chunk=4),
-            gnh_matrix_exact(MLP, theta, data, chunk=64),
-            atol=1e-12,
-        )
+        built = []
+        for rows in (4, 64):
+            monkeypatch.setattr(gnh, "_PASS_ROWS", rows)
+            built.append(gnh_matrix_exact(MLP, theta, data))
+        assert np.allclose(*built, atol=1e-12)
 
     @pytest.mark.parametrize("spec", [LINEAR, MLP, DEEP_TANH, DEEP_RELU, DEEPER_RELU])
-    def test_matches_per_example_reference(self, spec):
+    def test_matches_per_example_reference(self, spec, monkeypatch):
         # sum_b J_b^T S(h_b) J_b, one example at a time, with each J_b read
         # column by column from forward-mode JVPs along the unit vectors; 37
         # rows in passes of 7 leave a short last pass
@@ -127,7 +127,8 @@ class TestDenseGnh:
         jac = np.stack([_jvp_batch(spec, lin, e) for e in units], axis=-1)
         logits, _ = models._forward(spec, theta, data.X)
         reference = sum(j.T @ softmax_hessian(h) @ j for j, h in zip(jac, logits)) / len(data)
-        H = gnh_matrix_exact(spec, theta, data, chunk=7)
+        monkeypatch.setattr(gnh, "_PASS_ROWS", 7)
+        H = gnh_matrix_exact(spec, theta, data)
         assert np.max(np.abs(H - reference)) <= 1e-13 * np.max(np.abs(reference))
         assert np.array_equal(H, H.T)
 

@@ -38,7 +38,7 @@ def toy_problem(damp=0.3, seed=5):
 def growth_problem():
     # ten equal unit eigenvalues, damping 0.1, eta saturating the bound,
     # single-sample batches: per-step second-moment factor 9/1.21
-    return counterexample_build(10, 1.0, 1, 0.1, 1.0 / 1.1, seed=0)
+    return counterexample_build([1.0] * 10, 1, 0.1, 1.0 / 1.1, seed=0)
 
 
 class TestExactIhvp:
@@ -268,28 +268,28 @@ class TestCounterExampleBuild:
         # second-moment factor above 1
         factors = []
         for eta in np.linspace(0.05, 1.0, 20):
-            problem = counterexample_build(10, 1.0, 8, 0.1, eta, seed=0)
+            problem = counterexample_build([1.0] * 10, 8, 0.1, eta, seed=0)
             factors.append(problem.second_moment_diagonal.max())
         assert max(factors) > 1.0
 
     def test_large_batch_removes_noise_term(self):
-        problem = counterexample_build(10, 1.0, 10**9, 0.1, 1.0 / 1.1, seed=0)
+        problem = counterexample_build([1.0] * 10, 10**9, 0.1, 1.0 / 1.1, seed=0)
         contraction_sq = (1.0 - problem.eta * 1.1) ** 2
         assert np.allclose(problem.second_moment_diagonal, contraction_sq, atol=1e-8)
 
     def test_rotation_orthogonal(self):
-        problem = counterexample_build(12, np.linspace(0.5, 3.0, 12), 2, 0.2, 0.1, seed=4)
+        problem = counterexample_build(np.linspace(0.5, 3.0, 12), 2, 0.2, 0.1, seed=4)
         eye = problem.rotation @ problem.rotation.T
         assert np.abs(eye - np.eye(12)).max() <= 1e-10
 
     def test_mean_matrix_spectrum(self):
         lam = np.array([3.0, 2.0, 1.0, 0.5])
-        problem = counterexample_build(4, lam, 2, 0.2, 0.1, seed=4)
+        problem = counterexample_build(lam, 2, 0.2, 0.1, seed=4)
         assert np.allclose(np.linalg.eigvalsh(mean_matrix(problem)), np.sort(lam))
 
     def test_default_u0_targets_worst_coordinate(self):
         lam = np.array([3.0, 2.0, 1.0, 0.5])
-        problem = counterexample_build(4, lam, 2, 0.2, 0.1, seed=4)
+        problem = counterexample_build(lam, 2, 0.2, 0.1, seed=4)
         top = int(np.argmax(problem.second_moment_diagonal))
         assert np.array_equal(problem.u0, problem.rotation[:, top])
         assert np.linalg.norm(problem.u0) == pytest.approx(1.0)
@@ -298,7 +298,7 @@ class TestCounterExampleBuild:
         # averaging x x^T over all sign patterns gives H exactly, and
         # averaging (x x^T)^2 gives Tr(H) H exactly: ||x||^2 is constant
         lam = np.array([2.0, 1.0, 0.5, 0.25])
-        problem = counterexample_build(4, lam, 1, 0.3, 0.25, seed=3)
+        problem = counterexample_build(lam, 1, 0.3, 0.25, seed=3)
         H = mean_matrix(problem)
         first = np.zeros((4, 4))
         second = np.zeros((4, 4))
@@ -315,13 +315,15 @@ class TestCounterExampleBuild:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            counterexample_build(3, np.array([1.0, -0.5, 2.0]), 1, 0.1, 0.5, seed=0)
+            counterexample_build(np.array([1.0, -0.5, 2.0]), 1, 0.1, 0.5, seed=0)
         with pytest.raises(ValueError):
-            counterexample_build(3, 0.0, 1, 0.1, 0.5, seed=0)
+            counterexample_build([0.0] * 3, 1, 0.1, 0.5, seed=0)
         with pytest.raises(ValueError):
-            counterexample_build(3, np.ones(4), 1, 0.1, 0.5, seed=0)
-        with pytest.raises(ValueError):
-            counterexample_build(3, 1.0, 0, 0.1, 0.5, seed=0)
+            counterexample_build([1.0] * 3, 0, 0.1, 0.5, seed=0)
+        # the dimension is the length of one eigenvalue vector
+        for shapeless in (1.0, [], np.ones((2, 2))):
+            with pytest.raises(ValueError, match="non-empty vector"):
+                counterexample_build(shapeless, 1, 0.1, 0.5, seed=0)
 
 
 class TestCounterExampleMoments:
@@ -330,19 +332,19 @@ class TestCounterExampleMoments:
         assert counterexample_moments(problem, 0)[0] == pytest.approx(1.0)
 
     def test_equal_spectrum_closed_form(self):
-        problem = growth_problem()
         u0 = SeededRng(8).normal(10)
+        problem = replace(growth_problem(), u0=u0)
         factor = 9.0 / 1.21
         for t in (1, 3, 6):
             want = factor**t * float(u0 @ u0)
-            assert counterexample_moments(problem, t, u0)[t] == pytest.approx(want, rel=1e-10)
+            assert counterexample_moments(problem, t)[t] == pytest.approx(want, rel=1e-10)
 
     def test_exact_by_enumeration(self):
         # brute-force expectation over every sign sequence; the coordinate
         # coupling through s matters, so the naive per-coordinate power of
         # the one-step factors is measurably wrong at t = 2
         lam = np.array([2.0, 1.0, 0.5, 0.25])
-        problem = counterexample_build(4, lam, 1, 0.3, 0.25, seed=3)
+        problem = counterexample_build(lam, 1, 0.3, 0.25, seed=3)
         V, root = problem.rotation, np.sqrt(lam)
         eta, damp = problem.eta, problem.lambda_damp
 
@@ -379,16 +381,16 @@ class TestCounterExampleMoments:
         [
             (growth_problem, False),
             (growth_problem, True),
-            (lambda: counterexample_build(6, [3.0, 2.0, 1.5, 1.0, 0.5, 0.2], 4, 0.5, 0.2, seed=7), False),
-            (lambda: counterexample_build(7, [3.0, 2.0, 1.5, 1.0, 0.5, 0.2, 0.05], 1, 0.3, 0.3, seed=12), True),
+            (lambda: counterexample_build([3.0, 2.0, 1.5, 1.0, 0.5, 0.2], 4, 0.5, 0.2, seed=7), False),
+            (lambda: counterexample_build([3.0, 2.0, 1.5, 1.0, 0.5, 0.2, 0.05], 1, 0.3, 0.3, seed=12), True),
         ],
     )
     def test_one_pass_equals_per_step_reruns(self, build, explicit_u0):
         problem = build()
-        u0 = SeededRng(8).normal(problem.n) if explicit_u0 else None
-        got = counterexample_moments(problem, 40, u0)
-        start = problem.u0 if u0 is None else u0
-        want = np.array([self.per_t_moment(problem, start, t) for t in range(41)])
+        if explicit_u0:
+            problem = replace(problem, u0=SeededRng(8).normal(problem.n))
+        got = counterexample_moments(problem, 40)
+        want = np.array([self.per_t_moment(problem, problem.u0, t) for t in range(41)])
         assert got.shape == (41,)
         assert np.array_equal(got, want)
 
@@ -408,7 +410,7 @@ class TestCounterExampleMoments:
 
     def test_monte_carlo_matches_on_unequal_spectrum(self):
         lam = np.array([3.0, 2.0, 1.5, 1.0, 0.5, 0.2])
-        problem = counterexample_build(6, lam, 4, 0.5, 0.2, seed=7)
+        problem = counterexample_build(lam, 4, 0.5, 0.2, seed=7)
         mc = counterexample_simulate(problem, 4000, 6, seed=9)
         exact = counterexample_moments(problem, 6)
         for t in range(1, 7):
@@ -461,7 +463,7 @@ class TestCounterExampleMoments:
     @pytest.mark.parametrize("batch_size", [1, 3])
     def test_run_sums_equal_per_step_sums(self, batch_size):
         lam = np.array([3.0, 2.0, 1.5, 1.0, 0.5, 0.2, 0.05])
-        problem = counterexample_build(7, lam, batch_size, 0.3, 0.3, seed=12)
+        problem = counterexample_build(lam, batch_size, 0.3, 0.3, seed=12)
         got = counterexample_simulate(problem, 60, 7, seed=13)
         want = self.per_step_simulate(problem, 60, 7, seed=13)
         for name in ("second_moment", "second_moment_se", "mean_norm", "mean_se"):
@@ -482,14 +484,12 @@ def _shape_cases():
     op = DenseOperator(H)
     cfg = LissaConfig(eta=0.1, lambda_damp=0.3, t_steps=3, snapshot_every=1)
     grads = -loss_gradients(spec, theta, data.X[1:9], data.y[1:9])
-    problem = growth_problem()
     return {
         "lissa_solve-g": lambda bad: lissa_solve(op, bad(g), cfg),
         "lissa_solve-u0": lambda bad: lissa_solve(op, g, replace(cfg, u0=bad(g))),
         "convergence_correlation": lambda bad: convergence_correlation(
             lissa_solve(op, g, cfg)[1], grads, reference=bad(g)
         ),
-        "counterexample_moments": lambda bad: counterexample_moments(problem, 3, u0=bad(problem.u0)),
         "eigen_reweight": lambda bad: eigen_reweight(bad(g), sym_eig(H), 0.3),
         "GnhOperator": lambda bad: GnhOperator(spec, bad(theta), data),
     }

@@ -389,7 +389,7 @@ class TestCompareInfluences:
         for i, base in enumerate((1.0, 1.5, -1.2, 1.8), start=8):
             x[i] = base
             y[i] = -base
-        cmp = compare_influences(x, y, near_zero_frac=0.05, agree_rtol=0.2)
+        cmp = compare_influences(x, y)
         assert cmp.class_counts == {"agreeing": 4, "near_zero": 4, "disagreeing": 4}
 
     def test_counts_equal_a_per_point_loop(self):
@@ -424,7 +424,7 @@ class TestCompareInfluences:
             fill = np.linspace(0.5, 1.0, 9)
             xs = np.append(fill, x)
             ys = np.append(fill[:-1], [scale, y])
-            counts = compare_influences(xs, ys, near_zero_frac=0.05, agree_rtol=0.2).class_counts
+            counts = compare_influences(xs, ys).class_counts
             want = {"agreeing": 9, "near_zero": 0, "disagreeing": 0}
             want[kind] += 1
             assert counts == want, (x, y)

@@ -19,7 +19,7 @@ from lissakit.spectral import (
     estimate_trace,
     recommend_hyperparams,
     sketch_operator,
-    top_eigenvalues_from_sketch,
+    top_eigenvalue_from_sketch,
     _probe_vector,
 )
 
@@ -117,15 +117,13 @@ class TestSketch:
         # pure-noise spectrum: correction puts the top eigenvalue near 1
         op = DenseOperator(np.eye(4))
         cfg = SketchConfig(d=200, seed=2)
-        lam = top_eigenvalues_from_sketch(sketch_operator(op, cfg), 1)[0]
+        lam = top_eigenvalue_from_sketch(sketch_operator(op, cfg))
         assert abs(lam - 1.0) <= 0.2
 
     def test_spiked_spectrum_within_frobenius_bound(self):
         H = np.diag(np.concatenate([[100.0], np.ones(499)]))
         tol = 5 * np.linalg.norm(H, "fro") / math.sqrt(500)
-        lam = top_eigenvalues_from_sketch(
-            sketch_operator(DenseOperator(H), SketchConfig(d=500, seed=1)), 1
-        )[0]
+        lam = top_eigenvalue_from_sketch(sketch_operator(DenseOperator(H), SketchConfig(d=500, seed=1)))
         assert abs(lam - 100.0) <= tol
 
     def test_summed_equals_sum_of_concatenated_blocks(self):
@@ -157,9 +155,9 @@ class TestSketch:
         spec, theta, data = toy_gnh()
         H = gnh_matrix_exact(spec, theta, data)
         top = np.linalg.eigvalsh(H)[-1]
-        lam = top_eigenvalues_from_sketch(
-            sketch_operator(GnhOperator(spec, theta, data), SketchConfig(d=400, seed=3)), 1
-        )[0]
+        lam = top_eigenvalue_from_sketch(
+            sketch_operator(GnhOperator(spec, theta, data), SketchConfig(d=400, seed=3))
+        )
         assert abs(lam - top) <= 0.1 * top
 
     def test_bad_config_rejected(self):
@@ -171,26 +169,18 @@ class TestSketch:
 
 class TestTopEigenvaluesFromSketch:
     def test_diag_shift(self):
-        lam = top_eigenvalues_from_sketch(np.diag([10.0, 0.0, 0.0, 0.0]), 1)
-        assert lam[0] == pytest.approx(7.5)
+        lam = top_eigenvalue_from_sketch(np.diag([10.0, 0.0, 0.0, 0.0]))
+        assert isinstance(lam, float) and lam == pytest.approx(7.5)
 
     def test_zero_matrix(self):
-        lam = top_eigenvalues_from_sketch(np.zeros((3, 3)), 3)
-        assert np.allclose(lam, 0.0)
+        assert top_eigenvalue_from_sketch(np.zeros((3, 3))) == pytest.approx(0.0)
 
     def test_scaled_identity_maps_to_zero(self):
-        lam = top_eigenvalues_from_sketch(4.2 * np.eye(5), 5)
-        assert np.allclose(lam, 0.0, atol=1e-12)
-
-    def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            top_eigenvalues_from_sketch(np.eye(3), 4)
-        with pytest.raises(ValueError):
-            top_eigenvalues_from_sketch(np.eye(3), 0)
+        assert top_eigenvalue_from_sketch(4.2 * np.eye(5)) == pytest.approx(0.0, abs=1e-12)
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
-            top_eigenvalues_from_sketch(np.array([[1.0, 1.0], [0.0, 1.0]]), 1)
+            top_eigenvalue_from_sketch(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 class TestRecommend:
