@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, component_seed, load_config, sha256_hex
-from .core import SeededRng, SymEig, sym_eig
+from .core import SeededRng, check_symmetric, sym_eig, top_eigenvalue
 from .gnh import MAX_DENSE_PARAMS, GnhOperator, gnh_matrix_exact
 from .influence import eigen_reweight, similarity_matrix
 from .lissa import (
@@ -56,6 +57,9 @@ from .spectral import (
 from .tfidf import BowParams, corpus_from_text, sample_corpus, tfidf_equivalence_check
 
 MANIFEST_FORMAT = "lissakit-run-1"
+# Environment variables that set the BLAS thread count.  Dense outputs move in
+# their last bits with that count, so the manifest records each one's value.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # Largest solver step count a command accepts: the solve keeps one iterate
 # norm per step and lissa writes one trace row per step.
 MAX_T_STEPS = 1_000_000
@@ -122,13 +126,19 @@ class RunContext:
         self.emit_text(name, "\n".join(lines) + "\n")
 
     def write_manifest(self, command: str) -> None:
+        """The run's inputs, the NumPy and BLAS build and the BLAS thread
+        variables it ran under, then one hash line per output."""
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         lines = [
             f"format = {MANIFEST_FORMAT}",
             f"command = {command}",
             f"config_sha256 = {self.config_sha}",
             f"seed = {self.seed}",
             f"package_version = {__version__}",
+            f"numpy_version = {np.__version__}",
+            f"blas = {blas.get('name')} {blas.get('version')}",
         ]
+        lines += [f"{var} = {os.environ.get(var, 'unset')}" for var in BLAS_THREAD_VARS]
         for name, sha in sorted(self.outputs):
             lines.append(f"output {name} sha256 = {sha}")
         (self.out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
@@ -229,10 +239,12 @@ def _check_draw(op: GnhOperator, draw: int, what: str) -> None:
     _check_limit(what, None if op.batch_size is None else draw, "MAX_DRAW_WORDS")
 
 
-def _dense_gnh(run: RunContext, spec: ModelSpec, theta, train) -> SymEig:
-    """The dense GNH, decomposed once for every dense quantity of a command.
-    Curvature can overflow where the logits do not (huge features), giving a
-    non-finite matrix, which sym_eig rejects: a config error."""
+def _dense_gnh(run: RunContext, spec: ModelSpec, theta, train, read):
+    """The dense GNH H and ``read(H)``, the one read of H that checks it:
+    check_symmetric when the command only solves with H, top_eigenvalue when
+    it reads lambda_max, sym_eig when it reads the eigenbasis.  Curvature can
+    overflow where the logits do not (huge features), giving a non-finite
+    matrix, which the check rejects: a config error."""
     _check_limit(
         f"a dense GNH of {spec.n_params} parameters", spec.n_params, "MAX_DENSE_PARAMS",
         "only lissa (eta set, no tolerance), pbrf-compare (eta set) and condition-c1 run without it",
@@ -240,7 +252,7 @@ def _dense_gnh(run: RunContext, spec: ModelSpec, theta, train) -> SymEig:
     with np.errstate(over="ignore", invalid="ignore"):
         H = gnh_matrix_exact(spec, theta, train)
     try:
-        return sym_eig(H)
+        return H, read(H)
     except ValueError as exc:
         raise _overflow_error(run, f"no dense Gauss-Newton matrix ({exc})") from exc
 
@@ -256,10 +268,10 @@ def _check_oracle_damping(run: RunContext) -> None:
         )
 
 
-def _oracle_ihvp(run: RunContext, dense: SymEig, g: np.ndarray) -> np.ndarray:
+def _oracle_ihvp(run: RunContext, H: np.ndarray, g: np.ndarray) -> np.ndarray:
     """exact_ihvp at the run's damping; a failed solve is a config error."""
     try:
-        return exact_ihvp(dense, run.cfg.lambda_damp, g)
+        return exact_ihvp(H, run.cfg.lambda_damp, g)
     except np.linalg.LinAlgError as exc:
         raise ConfigError(
             f"dense oracle failed at lambda_damp = {run.cfg.lambda_damp!r} ({exc}); raise lambda_damp"
@@ -278,9 +290,9 @@ def _check_given_step_count(run: RunContext, field: str = "t_steps") -> None:
     _check_limit(f"{field} = {steps}", steps, "MAX_T_STEPS", f"set a smaller {field}")
 
 
-def _solver_settings(run: RunContext, dense: SymEig | None, field: str = "t_steps"):
+def _solver_settings(run: RunContext, lambda_max: float | None, field: str = "t_steps"):
     """eta and the step count from config; an omitted eta comes from the dense
-    GNH's top eigenvalue (dense is None when eta is set), an omitted step
+    GNH's top eigenvalue lambda_max (None when eta is set), an omitted step
     count from eta.  ``field`` names the config field that gives the step
     count, which _check_given_step_count has checked; a derived count over
     MAX_T_STEPS is a config error."""
@@ -288,7 +300,7 @@ def _solver_settings(run: RunContext, dense: SymEig | None, field: str = "t_step
     eta = cfg.eta
     if eta is None:
         try:
-            eta = step_size(float(dense.values[0]), cfg.lambda_damp)
+            eta = step_size(lambda_max, cfg.lambda_damp)
         except ValueError as exc:
             raise ConfigError(f"{exc}; set eta or raise lambda_damp") from exc
     t_steps = getattr(cfg, field)
@@ -415,10 +427,11 @@ def cmd_lissa(run: RunContext) -> None:
     row = slice(cfg.train_index, cfg.train_index + 1)
     g = -loss_gradients(spec, theta, train.X[row], train.y[row])[0]
 
-    dense = None
+    H = lambda_max = None
     if cfg.eta is None or cfg.tolerance is not None:
-        dense = _dense_gnh(run, spec, theta, train)
-    eta, t_steps = _solver_settings(run, dense)
+        read = top_eigenvalue if cfg.eta is None else check_symmetric
+        H, lambda_max = _dense_gnh(run, spec, theta, train, read)
+    eta, t_steps = _solver_settings(run, lambda_max)
 
     lcfg = LissaConfig(
         eta=eta,
@@ -443,7 +456,7 @@ def cmd_lissa(run: RunContext) -> None:
     run.emit_csv("solution.csv", ["index", "value"], list(enumerate(u)))
 
     if cfg.tolerance is not None:
-        u_star = _oracle_ihvp(run, dense, g)
+        u_star = _oracle_ihvp(run, H, g)
         # both norms scaled by max|u*|, which keeps a tiny u* (lambda_damp
         # near the float range) from underflowing to 0 / 0
         scale = float(np.max(np.abs(u_star)))
@@ -474,8 +487,9 @@ def cmd_convergence(run: RunContext) -> None:
     if not 0 <= cfg.train_index < len(train):
         raise ConfigError("train_index outside the dataset")
 
-    dense = _dense_gnh(run, spec, theta, train)
-    eta, t_steps = _solver_settings(run, dense)
+    read = top_eigenvalue if cfg.eta is None else check_symmetric
+    H, lambda_max = _dense_gnh(run, spec, theta, train, read)
+    eta, t_steps = _solver_settings(run, lambda_max)
     snapshot_every = cfg.snapshot_every or max(1, t_steps // 50)
     snapshots = t_steps // snapshot_every + 1
     _check_limit(
@@ -485,7 +499,7 @@ def cmd_convergence(run: RunContext) -> None:
     )
     row = slice(cfg.train_index, cfg.train_index + 1)
     g = -loss_gradients(spec, theta, train.X[row], train.y[row])[0]
-    u_star = _oracle_ihvp(run, dense, g)
+    u_star = _oracle_ihvp(run, H, g)
     # the measurement f = log softmax(logits)[y] has the negated loss gradient
     T = -loss_gradients(spec, theta, test.X, test.y)
 
@@ -533,8 +547,8 @@ def cmd_pbrf_compare(run: RunContext) -> None:
     what = f"a draw of n_train = {cfg.n_train} times batch_size = {batch_size}"
     _check_draw(op, cfg.n_train * batch_size, what)
 
-    dense = _dense_gnh(run, spec, theta, train) if cfg.eta is None else None
-    eta, steps = _solver_settings(run, dense, steps_field)
+    lambda_max = _dense_gnh(run, spec, theta, train, top_eigenvalue)[1] if cfg.eta is None else None
+    eta, steps = _solver_settings(run, lambda_max, steps_field)
     rows = slice(cfg.n_train)
     points = Dataset(X=train.X[rows], y=train.y[rows])
     G = loss_gradients(spec, theta, points.X, points.y)
@@ -594,7 +608,7 @@ def cmd_condition_c1(run: RunContext) -> None:
     # huge features overflow the curvature; the non-finite values are reported below
     with np.errstate(over="ignore", invalid="ignore"):
         rows = check_condition_c1(
-            spec, theta, train, list(batch_sizes), cfg.n_probes, run.rng("condition-c1")
+            spec, theta, train, list(batch_sizes), cfg.n_probes, run.rng("condition-c1"), cfg.fd_delta
         )
     table = []
     points = []
@@ -772,8 +786,12 @@ def cmd_similarity(run: RunContext) -> None:
             gradient_sim = similarity_matrix(G)
         except ValueError as exc:
             raise ConfigError(f"no similarity matrix: {exc}") from exc
-        dense = _dense_gnh(run, spec, theta, train)
-        solved = _oracle_ihvp(run, dense, G.T)
+        H, eig = _dense_gnh(run, spec, theta, train, sym_eig)
+        # the eigenbasis serves only the reweighting: read it, and let it go
+        # before the solve copies H
+        reweight = eigen_reweight(G[cfg.train_index], eig, cfg.lambda_damp)
+        del eig
+        solved = _oracle_ihvp(run, H, G.T)
         try:
             influence_sim = similarity_matrix(G, solved)
         except ValueError as exc:
@@ -786,11 +804,7 @@ def cmd_similarity(run: RunContext) -> None:
     run.emit_csv("gradient_similarity.csv", header, matrix_rows(gradient_sim))
     run.emit_csv("influence_similarity.csv", header, matrix_rows(influence_sim))
     run.emit_csv("similarity_difference.csv", header, matrix_rows(gradient_sim - influence_sim))
-    run.emit_csv(
-        "eigen_reweight.csv",
-        ["eigenvalue", "coefficient", "weight"],
-        eigen_reweight(G[cfg.train_index], dense, cfg.lambda_damp),
-    )
+    run.emit_csv("eigen_reweight.csv", ["eigenvalue", "coefficient", "weight"], reweight)
 
 
 COMMANDS = {

@@ -192,12 +192,69 @@ def check_symmetric(m: np.ndarray) -> None:
         raise ValueError("matrix is not symmetric within tolerance")
 
 
+# top_eigenvalue's Lanczos iteration: the seed of its start vector, its first
+# checkpoint (each later one is 1.5 times the last), and its stopping rule
+# beta_k |s_k| <= _LANCZOS_RTOL |theta| on the top Ritz pair.
+_LANCZOS_SEED = 0x6C616E637A6F73
+_LANCZOS_FIRST = 16
+_LANCZOS_RTOL = 1e-14
+
+
+def top_eigenvalue(m: np.ndarray) -> float:
+    """Largest eigenvalue of a symmetric matrix, without its eigenvectors.
+
+    One symmetry check, then Lanczos with full reorthogonalization (two
+    Gram-Schmidt passes per step) from a start vector drawn at a fixed seed,
+    so the value is a function of the matrix alone.  The top Ritz value of
+    the tridiagonal is read only at checkpoints k = 16, 24, 36, ..., at an
+    invariant subspace (beta = 0) and at k = n; it is returned once the top
+    Ritz pair's residual beta_k |s_k| is at most _LANCZOS_RTOL |theta|, or at
+    the subspace or k = n, where the Ritz values are the eigenvalues.  The
+    basis grows as it fills, so a fast solve holds a few dozen vectors.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    check_symmetric(m)
+    n = m.shape[0]
+    if n == 0:
+        raise ValueError("an empty matrix has no eigenvalue")
+    q = SeededRng(_LANCZOS_SEED).normal(n)
+    basis = np.empty((min(n, 2 * _LANCZOS_FIRST), n))
+    basis[0] = q / np.linalg.norm(q)
+    alpha, beta = [], []
+    checkpoint = _LANCZOS_FIRST
+    # a matrix near the float range can overflow a product; checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n + 1):
+            w = m @ basis[k - 1]
+            past = basis[:k]
+            coefficients = past @ w
+            w -= coefficients @ past
+            correction = past @ w
+            w -= correction @ past
+            alpha.append(coefficients[-1] + correction[-1])
+            # ||w|| from w scaled to max |w| = 1, whose squares can neither
+            # overflow nor underflow; beta = 0 only for w = 0
+            top = float(np.max(np.abs(w)))
+            b = top * float(np.linalg.norm(w / top)) if top > 0 else 0.0
+            if not math.isfinite(b):
+                raise ValueError("the Lanczos vectors overflow; the matrix is too large in norm")
+            if k in (checkpoint, n) or b == 0.0:
+                values, vectors = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+                theta = float(values[-1])
+                if k == n or b == 0.0 or b * abs(vectors[-1, -1]) <= _LANCZOS_RTOL * abs(theta):
+                    return theta
+                checkpoint = checkpoint * 3 // 2
+            beta.append(b)
+            if k == basis.shape[0]:
+                basis = np.concatenate([basis, np.empty((min(n, 2 * k) - k, n))])
+            basis[k] = w / b
+
+
 class SymEig(NamedTuple):
-    """A checked symmetric matrix, its eigenvalues sorted descending and the
+    """Eigenvalues of a checked symmetric matrix sorted descending and the
     matching orthonormal eigenvector columns: matrix = V diag(values) V^T.
     Each column's largest-magnitude entry (the first, on a tie) is positive."""
 
-    matrix: np.ndarray
     values: np.ndarray
     vectors: np.ndarray
 
@@ -223,7 +280,7 @@ def sym_eig(m: np.ndarray) -> SymEig:
         tied = vectors[:, ties]
         flip[ties] = tied[np.argmax(np.abs(tied), axis=0), np.arange(ties.size)] < 0
     vectors *= np.where(flip, -1.0, 1.0)
-    return SymEig(m, np.ascontiguousarray(w[::-1]), vectors)
+    return SymEig(np.ascontiguousarray(w[::-1]), vectors)
 
 
 def pearson_corr(a: np.ndarray, b: np.ndarray) -> float:

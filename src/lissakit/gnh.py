@@ -213,7 +213,12 @@ def gnh_matrix_exact(spec: ModelSpec, theta: np.ndarray, dataset: Dataset) -> np
         lin = _linearize(spec, theta, dataset.X[start : start + rows])
         B = lin.p.shape[0]
         factors = _centered_factors(spec, lin)
-        augmented = [np.concatenate([a, np.ones((B, 1))], axis=1) for a in lin.inputs]
+        # a row whose factor R_l is exactly 0 adds exactly 0 to layer l's
+        # blocks, also where its input's outer product overflows (0 * inf)
+        augmented = [
+            np.where(np.any(r, axis=(1, 2))[:, None], np.concatenate([a, np.ones((B, 1))], axis=1), 0.0)
+            for r, a in zip(factors, lin.inputs)
+        ]
         for l, m in pairs:
             outer_r = (np.swapaxes(factors[l], 1, 2) @ factors[m]).reshape(B, -1)
             outer_a = (augmented[l][:, :, None] * augmented[m][:, None, :]).reshape(B, -1)
@@ -256,5 +261,7 @@ def gnh_trace_exact(spec: ModelSpec, theta: np.ndarray, dataset: Dataset) -> flo
     for start in range(0, len(dataset), rows):
         lin = _linearize(spec, theta, dataset.X[start : start + rows])
         for r, a in zip(_centered_factors(spec, lin), lin.inputs):
-            total += float(np.sum(r * r, axis=(1, 2)) @ (np.sum(a * a, axis=1) + 1.0))
+            # a row whose R is exactly 0 adds exactly 0, also where ||a||^2 overflows
+            norms = np.where(np.any(r, axis=(1, 2)), np.sum(a * a, axis=1) + 1.0, 0.0)
+            total += float(np.sum(r * r, axis=(1, 2)) @ norms)
     return total / len(dataset)

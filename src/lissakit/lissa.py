@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import SeededRng, SymEig, derive_seed, pearson_corr
+from .core import SeededRng, derive_seed, pearson_corr
 
 _DIVERGENCE_SCALE = 1e12
 
@@ -112,30 +112,38 @@ def lissa_solve(op, g, cfg: LissaConfig):
     return u, LissaTrace(norms=norms, snapshots=snapshots)
 
 
-def exact_ihvp(eig: SymEig, lambda_damp: float, g) -> np.ndarray:
+def exact_ihvp(H: np.ndarray, lambda_damp: float, g) -> np.ndarray:
     """Dense oracle: solve (H + lambda I) u = g to residual <= 1e-10 ||g||.
 
-    ``eig`` is ``core.sym_eig(H)``; u = V ((V^T g) / (w + lambda)) plus one
-    refinement round, with the residual checked against H itself.  ``g`` is a
-    vector or an (n, k) block, each column held to its own bound.  Raises
-    ``np.linalg.LinAlgError`` when some eigenvalue + lambda is not positive
-    or a column misses the bound.
+    ``H`` is a symmetric matrix that the caller has checked
+    (``core.check_symmetric``).  One LU solve of H + lambda I; a second one,
+    on the residual, runs only when some column misses the bound, and the
+    residual is checked against H itself.  ``g`` is a vector or an (n, k)
+    block, each column held to its own bound.  Raises
+    ``np.linalg.LinAlgError`` when lambda <= 0, where a Gauss-Newton matrix,
+    PSD and singular, leaves H + lambda I not positive definite, when the
+    system is singular, or when a column misses the bound.
     """
-    H, w, V = eig
     rhs = np.asarray(g, dtype=np.float64)
-    if rhs.ndim not in (1, 2) or rhs.shape[0] != H.shape[0]:
+    n = H.shape[0]
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
         raise ValueError("gradient does not match the matrix")
-    denom = (w + lambda_damp)[:, None]
-    if not np.all(denom > 0):
-        raise np.linalg.LinAlgError(f"H + lambda I is not positive definite ({denom.min():.3e})")
-    block = rhs.reshape(rhs.shape[0], -1)
-    # a near-null eigenvalue can overflow the solve; the residual check reports it
+    if not lambda_damp > 0:
+        raise np.linalg.LinAlgError(f"H + lambda I is not positive definite at lambda = {lambda_damp!r}")
+    system = H.copy()
+    system.flat[:: n + 1] += lambda_damp
+    block = rhs.reshape(n, -1)
+    bound = 1e-10 * np.linalg.norm(block, axis=0)
+    # a near-singular system can overflow the solve; the residual check reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        u = V @ ((V.T @ block) / denom)
-        u += V @ ((V.T @ (block - (H @ u + lambda_damp * u))) / denom)
-        residual = np.linalg.norm(block - (H @ u + lambda_damp * u), axis=0)
-    if not np.all(residual <= 1e-10 * np.linalg.norm(block, axis=0)):
-        raise np.linalg.LinAlgError(f"system too ill-conditioned: residual {residual.max():.3e}")
+        u = np.linalg.solve(system, block)
+        residual = block - (H @ u + lambda_damp * u)
+        if not np.all(np.linalg.norm(residual, axis=0) <= bound):
+            u += np.linalg.solve(system, residual)
+            residual = block - (H @ u + lambda_damp * u)
+        miss = np.linalg.norm(residual, axis=0)
+    if not np.all(miss <= bound):
+        raise np.linalg.LinAlgError(f"system too ill-conditioned: residual {miss.max():.3e}")
     return u.reshape(rhs.shape)
 
 

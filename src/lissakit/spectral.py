@@ -247,6 +247,7 @@ def check_condition_c1(
     batch_sizes: list[int],
     n_probes: int,
     rng: SeededRng,
+    fd_delta: float | None = None,
 ) -> list[ConditionC1Row]:
     """Batch-noise profile of a model's curvature operator.
 
@@ -254,16 +255,17 @@ def check_condition_c1(
     with the reference value Tr(H)^2 / (N |B|) at C = 1 (callers compare
     against C times this).  A batch size covering the whole dataset gives the
     deterministic full-batch operator, where the noise term is identically
-    zero.
+    zero.  ``fd_delta`` sets both operators' Jacobian-vector products, as in
+    ``GnhOperator``.
     """
-    op_full = GnhOperator(spec, theta, dataset)
+    op_full = GnhOperator(spec, theta, dataset, fd_delta=fd_delta)
     trace_h = gnh_trace_exact(spec, theta, dataset)
     n = spec.n_params
     rows = []
     for b in batch_sizes:
         if b < 1:
             raise ValueError("batch sizes must be >= 1")
-        op_b = GnhOperator(spec, theta, dataset, batch_size=b, rng=rng.substream(b))
+        op_b = GnhOperator(spec, theta, dataset, batch_size=b, rng=rng.substream(b), fd_delta=fd_delta)
         lhs = condition_c1_lhs(op_b, op_full, n_probes, rng.substream(b + 1_000_003))
         rhs = trace_h * trace_h / (n * b)
         rows.append(ConditionC1Row(batch_size=b, lhs_trace=lhs, rhs_trace=rhs))

@@ -103,7 +103,7 @@ def oracle():
         op_batch=op_batch,
         base_cfg=cfg,
         u_final=np.asarray(u_final),
-        u_star=exact_ihvp(sym_eig(H), lam_damp, g),
+        u_star=exact_ihvp(H, lam_damp, g),
         seconds=seconds,
     )
 

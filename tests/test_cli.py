@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lissakit import cli, gnh
+from lissakit import cli, core, gnh
 from lissakit.cli import main
 from lissakit.config import (
     ConfigError,
@@ -170,8 +170,8 @@ class TestExperimentConfig:
 
 
 class TestFiniteDifferences:
-    """lissa with fd_delta set takes J v by central differences: two forward
-    passes per HVP in place of one forward-mode sweep."""
+    """lissa and condition-c1 with fd_delta set take J v by central
+    differences: two forward passes per HVP in place of one forward-mode sweep."""
 
     @staticmethod
     def counted_run(tmp_path, monkeypatch, name, extra):
@@ -205,6 +205,16 @@ class TestFiniteDifferences:
         # up to rounding
         assert np.allclose(u_fd, u_exact, rtol=1e-12, atol=0)
         assert capsys.readouterr().err == ""
+
+    def test_condition_c1_reads_fd_delta(self, tmp_path):
+        # both of its operators take central differences, which move the
+        # probe estimates on a nonlinear model; fd_delta was once ignored here
+        text = MLP_4_5_3 + "batch_sizes = 4, 8\nn_probes = 50\n"
+        tables = [
+            (run_cli(tmp_path, "condition-c1", text + extra, name=name)[1] / "condition_c1.csv").read_text()
+            for name, extra in (("exact", ""), ("fd", "fd_delta = 0.5\n"))
+        ]
+        assert tables[0] != tables[1]
 
     @pytest.mark.parametrize("fd_delta, warns", [("0.01", False), ("1", True)])
     def test_warning_when_step_times_iterate_norm_exceeds_one(self, tmp_path, capsys, fd_delta, warns):
@@ -246,6 +256,33 @@ class TestRecommendCommand:
     def test_exactly_one_manifest(self, tmp_path):
         _, out = run_cli(tmp_path, "recommend", RECOMMEND_CFG)
         assert len(list(out.glob("*manifest*"))) == 1
+
+    def test_manifest_records_the_numpy_build_before_the_outputs(self, tmp_path, monkeypatch):
+        for var in cli.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        _, out = run_cli(tmp_path, "recommend", RECOMMEND_CFG)
+        lines = (out / "manifest.txt").read_text().splitlines()
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        build = [
+            f"numpy_version = {np.__version__}",
+            f"blas = {blas.get('name')} {blas.get('version')}",
+            "OPENBLAS_NUM_THREADS = unset",
+            "OMP_NUM_THREADS = unset",
+            "MKL_NUM_THREADS = unset",
+        ]
+        first_output = next(i for i, line in enumerate(lines) if line.startswith("output "))
+        assert lines[first_output - len(build) : first_output] == build
+
+    def test_blas_thread_variable_changes_only_its_own_line(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        _, out = run_cli(tmp_path, "recommend", RECOMMEND_CFG, name="unset")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        _, other = run_cli(tmp_path, "recommend", RECOMMEND_CFG, name="three")
+        before = (out / "manifest.txt").read_text().splitlines()
+        after = (other / "manifest.txt").read_text().splitlines()
+        changed = [(a, b) for a, b in zip(before, after) if a != b]
+        assert len(before) == len(after)
+        assert changed == [("OPENBLAS_NUM_THREADS = unset", "OPENBLAS_NUM_THREADS = 3")]
 
 
 class TestDeterminism:
@@ -580,24 +617,37 @@ class TestExitCodes:
         ],
         ids=["lissa", "convergence", "similarity", "pbrf-compare"],
     )
-    def test_dense_commands_decompose_the_gnh_once(self, tmp_path, monkeypatch, command, text):
-        # lambda_max, every exact solve and the eigen-reweighting read one eigh
-        eigh = np.linalg.eigh
-        calls = []
+    def test_dense_commands_build_the_gnh_once(self, tmp_path, monkeypatch, command, text):
+        # each command builds H once and checks it once; lambda_max comes from
+        # Lanczos and u* from LU, so only the eigen-reweighting of similarity
+        # runs an eigh of H, and no command runs eigvalsh
+        built, checked, decomposed = [], [], []
+        build, check, eigh = cli.gnh_matrix_exact, core.check_symmetric, np.linalg.eigh
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return eigh(*args, **kwargs)
+        def counted_build(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        def counted_check(m):
+            checked.append(1)
+            return check(m)
+
+        def counted_eigh(m):
+            decomposed.extend(1 for H in built if m is H)
+            return eigh(m)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the dense GNH factored a second way")
+            raise AssertionError("eigvalsh on the dense GNH")
 
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(cli, "gnh_matrix_exact", counted_build)
+        monkeypatch.setattr(cli, "check_symmetric", counted_check)
+        monkeypatch.setattr(core, "check_symmetric", counted_check)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        monkeypatch.setattr(np.linalg, "solve", refuse)
         code, _ = run_cli(tmp_path, command, text)
         assert code == 0
-        assert len(calls) == 1
+        assert len(built) == 1 and len(checked) == 1
+        assert len(decomposed) == (1 if command == "similarity" else 0)
 
     def test_model_too_large_for_derived_settings_is_two(self, tmp_path, capsys):
         text = "model_kind = mlp\nlayer_sizes = 16, 128, 10\nbatch_size = 8\nt_steps = 5\n"
@@ -1212,24 +1262,41 @@ class TestInputBoundary:
         assert "Traceback" not in err and not any(out.glob("*.csv"))
 
     def test_dense_gnh_overflow_names_separation(self, tmp_path, capsys):
-        # features of about 1e300 overflow the curvature at the default
-        # init_scale; the message once blamed init_scale alone
-        code, _ = run_cli(tmp_path, "similarity", MLP_4_5_3 + "separation = 1e300\n")
+        # features of about 1e200 at init_scale 1e-200 keep the first tanh
+        # layer unsaturated; the dense build's R^T R of that layer underflows
+        # and its [a, 1][a, 1]^T overflows, so H is not finite; the message
+        # once blamed init_scale alone
+        text = MLP_4_5_3 + "init_scale = 1e-200\nseparation = 1e200\n"
+        code, _ = run_cli(tmp_path, "similarity", text)
         assert code == 2
         err = capsys.readouterr().err
         assert "config error: no dense Gauss-Newton matrix" in err
-        assert "at init_scale = 0.5 and separation = 1e+300; lower init_scale or separation" in err
+        assert "at init_scale = 1e-200 and separation = 1e+200; lower init_scale or separation" in err
 
     def test_condition_c1_overflowing_trace_is_two(self, tmp_path, capsys):
-        # features of about 1e300 are finite, but ||a||^2 in Tr(H) overflows:
-        # the C = 1 reference read nan and was reported as a zero matrix
-        text = MLP_4_5_3 + "separation = 1e300\nbatch_sizes = 4\n"
+        # the same features: ||a||^2 in Tr(H) overflows where ||R||^2
+        # underflows; the C = 1 reference reads nan, once reported as a zero
+        # matrix
+        text = MLP_4_5_3 + "init_scale = 1e-200\nseparation = 1e200\nbatch_sizes = 4\n"
         code, out = run_cli(tmp_path, "condition-c1", text)
         assert code == 2
         err = capsys.readouterr().err
         assert "config error: no finite noise profile at batch size 4" in err and "is not positive" not in err
-        assert "at init_scale = 0.5 and separation = 1e+300; lower init_scale or separation" in err
+        assert "at init_scale = 1e-200 and separation = 1e+200; lower init_scale or separation" in err
         assert not any(out.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("lissa", "tolerance = 0.5\n"), ("stats", ""), ("condition-c1", "batch_sizes = 4, 8\n"),
+         ("similarity", ""), ("convergence", "n_test = 5\nbatch_sizes = 4\n"), ("pbrf-compare", "n_test = 5\n")],
+    )
+    def test_saturated_first_layer_has_a_finite_curvature(self, command, extra):
+        # features of about 1e300 saturate every first-layer tanh, so that
+        # layer's factor is exactly 0 and ||a||^2 overflows; 0 * inf once made
+        # the dense GNH and Tr(H) nan, and every command but stats exit 2
+        code, outputs = run_main(command, MLP_4_5_3 + "separation = 1e300\n" + extra)
+        assert code == 0
+        assert outputs and non_finite_cells(outputs) == []
 
     @pytest.mark.parametrize(
         "command, extra",

@@ -14,7 +14,10 @@ from lissakit.core import (
     check_symmetric,
     pearson_corr,
     sym_eig,
+    top_eigenvalue,
 )
+from lissakit.gnh import gnh_matrix_exact
+from lissakit.models import ModelSpec, init_params, make_blobs
 
 MASK = (1 << 64) - 1
 
@@ -226,16 +229,10 @@ class TestSymEig:
         rng = SeededRng(17)
         a = rng.normal(64).reshape(8, 8)
         m = (a + a.T) / 2
-        _, w, v = sym_eig(m)
+        w, v = sym_eig(m)
         assert np.all(np.diff(w) <= 1e-12)
         assert np.linalg.norm(v @ np.diag(w) @ v.T - m) <= 1e-8
         assert np.linalg.norm(v.T @ v - np.eye(8)) <= 1e-10
-
-    def test_holds_the_checked_matrix(self):
-        m = [[2, 1], [1, 2]]
-        eig = sym_eig(m)
-        assert eig.matrix.dtype == np.float64
-        assert np.array_equal(eig.matrix, np.array(m, dtype=np.float64))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
@@ -287,7 +284,7 @@ class TestSymEig:
     def test_property_residual(self, n, seed):
         a = SeededRng(seed).normal(n * n).reshape(n, n)
         m = (a + a.T) / 2
-        _, w, v = sym_eig(m)
+        w, v = sym_eig(m)
         scale = max(1.0, np.abs(m).max())
         assert np.linalg.norm(v @ np.diag(w) @ v.T - m) <= 1e-9 * scale * n
 
@@ -312,6 +309,93 @@ class TestSymEigvals:
         m[60, 129] += 1.0
         with pytest.raises(ValueError):
             sym_eig(m).values
+
+
+def with_spectrum(values, seed=0):
+    """The exactly symmetric matrix Q diag(values) Q^T for a random orthogonal Q."""
+    n = len(values)
+    q, _ = np.linalg.qr(SeededRng(seed).normal(n * n).reshape(n, n))
+    m = (q * np.asarray(values, dtype=np.float64)) @ q.T
+    return (m + m.T) / 2
+
+
+def assert_top_eigenvalue(m):
+    reference = np.linalg.eigvalsh(m)[-1]
+    assert abs(top_eigenvalue(m) - reference) <= 1e-13 * abs(reference)
+
+
+class TestTopEigenvalue:
+    """lambda_max by Lanczos, against the full spectrum of eigvalsh."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ModelSpec("softmax-linear", (10, 4)), ModelSpec("mlp", (6, 12, 5), "tanh")],
+        ids=["softmax-linear", "mlp"],
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dense_gnh(self, spec, seed):
+        theta = init_params(spec, SeededRng(seed), scale=0.5)
+        data = make_blobs(SeededRng(seed + 10), 200, spec.input_dim, spec.n_classes)
+        assert_top_eigenvalue(gnh_matrix_exact(spec, theta, data))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.linspace(0.0, 1.0, 300),
+            np.concatenate([np.linspace(0.0, 1.0 - 1e-12, 299), [1.0]]),
+            np.concatenate([np.linspace(0.0, 1.0, 299), [20.0]]),
+            np.concatenate([np.zeros(299), [3.5]]),
+            np.zeros(300),
+            np.ones(300),
+        ],
+        ids=["uniform", "top-gap-1e-12", "twenty-fold-top", "rank-one", "zero", "identity"],
+    )
+    def test_spectra(self, values):
+        assert_top_eigenvalue(with_spectrum(values, seed=3))
+
+    @pytest.mark.parametrize("m", [[[2.5]], [[-1.0]], [[2.0, 1.0], [1.0, 2.0]], [[0.0, 1.0], [1.0, 0.0]]])
+    def test_one_and_two_by_two(self, m):
+        assert_top_eigenvalue(np.array(m))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e250, 1e300])
+    def test_scale_near_the_float_range(self, scale):
+        # ||H q||^2 underflows or overflows here unless the norm is taken scaled
+        assert_top_eigenvalue(with_spectrum(np.linspace(0.0, 1.0, 200), seed=1) * scale)
+
+    def test_is_a_function_of_the_matrix(self):
+        m = with_spectrum(np.linspace(0.0, 1.0, 120), seed=4)
+        assert top_eigenvalue(m) == top_eigenvalue(m.copy())
+
+    def test_reads_the_tridiagonal_only_at_checkpoints(self, monkeypatch):
+        # eigh on the k x k tridiagonal at k = 16, 24, 36, 54, ... and at k = n
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def counted(t):
+            sizes.append(t.shape[0])
+            return eigh(t)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        assert_top_eigenvalue(with_spectrum(np.linspace(0.0, 1.0, 100), seed=5))
+        assert sizes and set(sizes) <= {16, 24, 36, 54, 81, 100}
+
+    def test_rejects_asymmetric(self):
+        m = with_spectrum(np.linspace(0.0, 1.0, 130), seed=6)
+        m[60, 129] += 1e-6
+        with pytest.raises(ValueError, match="not symmetric"):
+            top_eigenvalue(m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        m = np.eye(3)
+        m[0, 2] = m[2, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            top_eigenvalue(m)
+
+    def test_rejects_empty_and_non_square(self):
+        for m in (np.zeros((0, 0)), np.ones((2, 3))):
+            with pytest.raises(ValueError):
+                top_eigenvalue(m)
 
 
 def full_matrix_asymmetric(m, rtol=1e-12):

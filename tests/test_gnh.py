@@ -132,6 +132,25 @@ class TestDenseGnh:
         assert np.max(np.abs(H - reference)) <= 1e-13 * np.max(np.abs(reference))
         assert np.array_equal(H, H.T)
 
+    def test_saturated_layer_adds_exactly_zero(self):
+        # features of about 1e300 saturate every first-layer tanh: that
+        # layer's factor is exactly 0 while ||a||^2 overflows, and 0 * inf
+        # once made H nan; the per-example JVP reference never squares a
+        spec = ModelSpec(kind="mlp", layer_sizes=(4, 5, 3), activation="tanh")
+        theta = init_params(spec, SeededRng(2), scale=0.5)
+        data = make_blobs(SeededRng(3), 30, 4, 3, separation=1e300)
+        lin = _linearize(spec, theta, data.X)
+        assert not lin.derivs[0].any()
+        jac = np.stack([_jvp_batch(spec, lin, e) for e in np.eye(spec.n_params)], axis=-1)
+        logits, _ = models._forward(spec, theta, data.X)
+        reference = sum(j.T @ softmax_hessian(h) @ j for j, h in zip(jac, logits)) / len(data)
+        with np.errstate(over="ignore"):
+            H = gnh_matrix_exact(spec, theta, data)
+            trace = gnh_trace_exact(spec, theta, data)
+        assert np.isfinite(H).all() and np.max(np.abs(reference)) > 0
+        assert np.max(np.abs(H - reference)) <= 1e-13 * np.max(np.abs(reference))
+        assert abs(trace - np.trace(reference)) <= 1e-13 * np.trace(reference)
+
     @pytest.mark.parametrize("spec", [LINEAR, MLP, DEEP_RELU])
     def test_last_layer_bias_shift_is_a_null_vector(self, spec):
         # +c on every class bias adds c to every logit, which no softmax sees

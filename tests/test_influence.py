@@ -24,7 +24,7 @@ def cosine(a, b):
 
 def whitened(G, H, damp):
     """similarity_matrix of G under the damped solve of H."""
-    return similarity_matrix(G, exact_ihvp(sym_eig(H), damp, G.T))
+    return similarity_matrix(G, exact_ihvp(H, damp, G.T))
 
 
 class TestGradientSimilarity:
@@ -137,9 +137,9 @@ class TestInfluenceSimilarity:
         shapes = []
         real = cli.exact_ihvp
 
-        def exact_ihvp_spy(eig, damp, g):
+        def exact_ihvp_spy(H, damp, g):
             shapes.append(np.shape(g))
-            return real(eig, damp, g)
+            return real(H, damp, g)
 
         monkeypatch.setattr(cli, "exact_ihvp", exact_ihvp_spy)
         cfg = tmp_path / "similarity.cfg"
