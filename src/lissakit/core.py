@@ -34,6 +34,8 @@ _GAMMA_U64 = np.uint64(_GAMMA)
 _MIX_A_U64 = np.uint64(_MIX_A)
 _MIX_B_U64 = np.uint64(_MIX_B)
 _U1, _U11, _U27, _U30, _U31, _U63 = (np.uint64(k) for k in (1, 11, 27, 30, 31, 63))
+# rademacher's value of a word's top bit
+_SIGNS = np.array([-1.0, 1.0])
 
 
 def _mix64_scalar(z: int) -> int:
@@ -150,8 +152,8 @@ class SeededRng:
 
     def rademacher(self, n: int) -> np.ndarray:
         """``n`` independent +-1 values as float64."""
-        bits = self.raw_uint64(n) >> _U63
-        return bits.astype(np.float64) * 2.0 - 1.0
+        # the 0/1 top bits index the table as int64, which NumPy takes uncast
+        return _SIGNS[(self.raw_uint64(n) >> _U63).view(np.int64)]
 
     def substream(self, *keys: int) -> "SeededRng":
         """Fresh stream derived from this stream's seed and integer keys."""

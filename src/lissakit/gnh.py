@@ -9,10 +9,10 @@ contributions either over the full dataset (deterministic) or over fresh
 i.i.d. batches drawn with replacement (one new batch per matrix-vector call).
 
 An HVP splits into a linearization at (theta, X), the record that
-``models._linearize`` builds, and a sweep along v that reads it.  The
-full-batch operator linearizes once at construction, so theta and the dataset
-must not be mutated afterwards; the mini-batch operator linearizes each drawn
-batch.
+``models._linearize`` builds, and a sweep along v that reads it.  Every
+operator linearizes its whole dataset once, at construction, so theta and the
+dataset must not be mutated afterwards; a mini-batch call gathers its drawn
+rows from that record (``models._take_rows``) and sweeps them.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .models import (
     _jvp_batch,
     _linearize,
     _logit_deltas,
+    _take_rows,
 )
 
 MAX_DENSE_PARAMS = 2000
@@ -74,19 +75,22 @@ def _gnh_hvp(spec: ModelSpec, lin: _Linearization, v: np.ndarray, fd_delta: floa
 class GnhOperator:
     """Stochastic (or full-dataset) Gauss-Newton Hessian-vector products.
 
-    With ``batch_size=None``, or a batch size of at least the dataset (which
-    is normalized to None), every call uses the whole dataset and the
-    operator is deterministic: it linearizes once, at construction, so each
-    ``matvec`` costs one JVP and one backward sweep, and ``theta`` and
-    ``dataset`` must not be mutated afterwards.  Otherwise each ``matvec``
-    draws a fresh i.i.d. batch from ``rng`` and linearizes it, so repeated
-    calls see independent curvature estimates whose mean is the full-dataset
+    Every operator linearizes its whole dataset once, at construction, so
+    ``theta`` and ``dataset`` must not be mutated afterwards.  With
+    ``batch_size=None``, or a batch size of at least the dataset (which is
+    normalized to None), every call uses the whole dataset and the operator
+    is deterministic: each ``matvec`` costs one JVP and one backward sweep.
+    Otherwise each ``matvec`` draws a fresh i.i.d. batch of rows from ``rng``,
+    gathers their layer inputs, activation derivatives and softmax
+    probabilities from the record, and sweeps those rows, so repeated calls
+    see independent curvature estimates whose mean is the full-dataset
     operator.  ``fd_delta`` switches the Jacobian-vector product from forward
     mode to central differences.
 
-    A linearization record owns the scratch its sweeps write their hidden-layer
-    intermediates into, so one caller at a time may call ``matvec`` on one
-    operator; each result is a fresh array.
+    A full-batch ``matvec`` writes its hidden-layer intermediates into the
+    record's scratch, so one caller at a time may call it on one full-batch
+    operator; a mini-batch ``matvec`` gathers its rows into fresh arrays.
+    Each result is a fresh array.  ``reseeded`` copies share the record.
     """
 
     def __init__(
@@ -107,6 +111,8 @@ class GnhOperator:
             raise ValueError("fd_delta must be positive")
         if np.shape(theta) != (spec.n_params,):
             raise ValueError("theta does not match the model spec")
+        if len(dataset) < 1:
+            raise ValueError("dataset is empty")
         if batch_size is not None and batch_size >= len(dataset):
             batch_size = None
         self.spec = spec
@@ -117,30 +123,25 @@ class GnhOperator:
         self.fd_delta = fd_delta
         self.n_params = spec.n_params
         self.segments = spec.segments
-        self._full_lin = _linearize(spec, theta, dataset.X) if batch_size is None else None
+        self._lin = _linearize(spec, theta, dataset.X)
 
     def reseeded(self, seed: int) -> "GnhOperator":
-        """Copy of this operator with its batch stream reset to ``seed``; the
-        full-batch operator has no batch stream and returns itself."""
+        """Copy of this operator with its batch stream reset to ``seed``,
+        sharing its linearization; the full-batch operator has no batch
+        stream and returns itself."""
         if self.batch_size is None:
             return self
-        return GnhOperator(
-            self.spec,
-            self.theta,
-            self.dataset,
-            batch_size=self.batch_size,
-            rng=SeededRng(seed),
-            fd_delta=self.fd_delta,
-        )
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__, rng=SeededRng(seed))
+        return twin
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.n_params,):
             raise ValueError(f"expected vector of length {self.n_params}")
-        lin = self._full_lin
-        if lin is None:
-            X = self.dataset.X[sample_batch(self.dataset, self.batch_size, self.rng)]
-            lin = _linearize(self.spec, self.theta, X)
+        lin = self._lin
+        if self.batch_size is not None:
+            lin = _take_rows(lin, sample_batch(self.dataset, self.batch_size, self.rng))
         return _gnh_hvp(self.spec, lin, v, self.fd_delta)
 
 

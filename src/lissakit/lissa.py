@@ -88,12 +88,14 @@ def lissa_solve(op, g, cfg: LissaConfig):
     u = np.zeros_like(g) if cfg.u0 is None else np.array(cfg.u0, dtype=np.float64)
     if u.shape != g.shape:
         raise ValueError("u0 does not match the gradient")
-    bound = _divergence_bound(float(np.linalg.norm(g)), float(np.linalg.norm(u)), cfg.lambda_damp)
+    # sqrt(x @ x) is what np.linalg.norm computes for a 1-D float64 array
+    u0_norm = math.sqrt(u @ u)
+    bound = _divergence_bound(math.sqrt(g @ g), u0_norm, cfg.lambda_damp)
 
     t_steps, eta, damp, every = cfg.t_steps, cfg.eta, cfg.lambda_damp, cfg.snapshot_every
     matvec, sqrt, isfinite = op.matvec, math.sqrt, math.isfinite
     norms = np.empty(t_steps + 1)
-    norms[0] = np.linalg.norm(u)
+    norms[0] = u0_norm
     snapshots: list[tuple[int, np.ndarray]] = []
     # a step that overflows leaves a non-finite norm, which the guard reports
     with np.errstate(over="ignore", invalid="ignore"):
@@ -230,7 +232,11 @@ class RotatedRankOneSampler:
         self._rotation_t = problem.rotation.T
 
     def reseeded(self, seed: int) -> "RotatedRankOneSampler":
-        return RotatedRankOneSampler(self.problem, SeededRng(seed))
+        """Copy with its sign stream reset to ``seed``, sharing the square
+        roots of the eigenvalues and the rotation."""
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__, rng=SeededRng(seed))
+        return twin
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         batch_size, n = self.batch_size, self.n_params

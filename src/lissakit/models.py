@@ -9,6 +9,8 @@ all that the derivative sweeps at that point read in one ``_Linearization``
 record; ``_backprop``, ``_jvp_batch`` and ``_logit_deltas`` take the record,
 so none of them unpacks theta or pairs the caches of two passes.  The record
 holds views of theta and of the inputs, which must not be mutated after.
+``_take_rows`` gathers some of a record's rows into a record of their own,
+which the sweeps read without another forward pass.
 
 The record also owns scratch for the hidden-layer intermediates of its sweeps,
 so no sweep allocates an array the size of a hidden layer: it allocates only
@@ -201,6 +203,17 @@ def _linearize(spec: ModelSpec, theta: np.ndarray, X: np.ndarray) -> _Linearizat
     derivs = [_act_deriv(spec, a) for a in inputs[1:]]
     work = [(np.empty_like(a), np.empty_like(a)) for a in inputs[1:]]
     return _Linearization(theta, _unpack(spec, theta), inputs, derivs, _softmax(h), work)
+
+
+def _take_rows(lin: _Linearization, rows: np.ndarray) -> _Linearization:
+    """The record of the rows ``rows`` of a 2-D ``lin``, duplicates allowed:
+    its per-row arrays gathered, theta's layer views shared, fresh scratch.
+    It equals ``_linearize`` at those rows up to the last bits, where BLAS
+    picks its GEMM kernel by the row count."""
+    inputs = [a.take(rows, axis=0) for a in lin.inputs]
+    derivs = [d.take(rows, axis=0) for d in lin.derivs]
+    work = [(np.empty_like(a), np.empty_like(a)) for a in inputs[1:]]
+    return _Linearization(lin.theta, lin.layers, inputs, derivs, lin.p.take(rows, axis=0), work)
 
 
 def _backprop(spec: ModelSpec, lin: _Linearization, G: np.ndarray) -> np.ndarray:

@@ -111,6 +111,18 @@ class TestSeededRng:
         assert set(np.unique(r)) == {-1.0, 1.0}
         assert abs(r.mean()) < 0.06
 
+    @pytest.mark.parametrize("seed", [4, [0, 3, 2**64 - 1, 3]])
+    def test_rademacher_equals_the_arithmetic_sign_map(self, seed):
+        # the sign table gives the values of (bits >> 63) * 2 - 1, at draws
+        # below, at and above the 256-word block and across its edge
+        signs, words = SeededRng(seed), SeededRng(seed)
+        for n in (255, 256, 257, 1, 100, 200, 0, 3):
+            got = signs.rademacher(n)
+            want = (words.raw_uint64(n) >> np.uint64(63)).astype(np.float64) * 2.0 - 1.0
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert signs.position == words.position == 1072
+
     @pytest.mark.parametrize("position", [0, 7, 2**40])
     def test_seed_array_draws_each_stream_in_lockstep(self, position):
         seeds = [0, 3, 2**64 - 1, derive_seed(9, 1), 3]

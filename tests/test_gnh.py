@@ -339,21 +339,26 @@ class TestHvp:
         lissa_solve(op, rng.normal(MLP.n_params), LissaConfig(eta=0.5, lambda_damp=0.1, t_steps=5))
         assert len(calls) == 1
 
-    def test_minibatch_operator_linearizes_each_fresh_batch(self, monkeypatch):
-        batches = []
-        forward = models._forward
-        monkeypatch.setattr(models, "_forward", lambda spec, theta, X: batches.append(X) or forward(spec, theta, X))
+    def test_minibatch_operator_runs_one_forward(self, monkeypatch):
+        # construction linearizes the dataset; each matvec gathers its rows
+        calls, drawn = [], []
+        forward, take_rows = models._forward, gnh._take_rows
+        monkeypatch.setattr(models, "_forward", lambda *args: calls.append(1) or forward(*args))
+        monkeypatch.setattr(gnh, "_take_rows", lambda lin, rows: drawn.append(rows) or take_rows(lin, rows))
         theta, data = toy_fixture(MLP, n=30, seed=12)
         op = GnhOperator(MLP, theta, data, batch_size=6, rng=SeededRng(120))
-        u = SeededRng(121).normal(MLP.n_params)
+        rng = SeededRng(121)
         for _ in range(4):
-            op.matvec(u)
-        assert len(batches) == 4
-        assert all(not np.array_equal(a, b) for a, b in zip(batches, batches[1:]))
+            op.matvec(rng.normal(MLP.n_params))
+        assert len(drawn) == 4
+        assert all(not np.array_equal(a, b) for a, b in zip(drawn, drawn[1:]))
+        lissa_solve(op, rng.normal(MLP.n_params), LissaConfig(eta=0.5, lambda_damp=0.1, t_steps=5))
+        assert len(drawn) == 9
+        assert len(calls) == 1
 
     def test_matvec_unpacks_theta_only_in_the_forward_pass(self, monkeypatch):
-        # the record holds theta's layer views: a full-batch matvec unpacks
-        # only v; a mini-batch one also runs the batch's forward pass
+        # the record holds theta's layer views, and a mini-batch matvec
+        # gathers its rows from it: either kind of matvec unpacks only v
         calls = []
         unpack = models._unpack
         monkeypatch.setattr(models, "_unpack", lambda *args: calls.append(1) or unpack(*args))
@@ -361,10 +366,49 @@ class TestHvp:
         u = SeededRng(130).normal(DEEP_TANH.n_params)
         full = GnhOperator(DEEP_TANH, theta, data)
         mini = GnhOperator(DEEP_TANH, theta, data, batch_size=6, rng=SeededRng(131))
-        for op, expected in ((full, 1), (mini, 3)):
+        for op, expected in ((full, 1), (mini, 1)):
             calls.clear()
             op.matvec(u)
             assert len(calls) == expected
+
+    @pytest.mark.parametrize("batch_size", [1, 6])
+    @pytest.mark.parametrize("fd_delta", [None, 0.01])
+    @pytest.mark.parametrize("spec", [LINEAR, MLP, DEEPER_RELU])
+    def test_minibatch_matvec_matches_fresh_linearization_of_its_rows(self, spec, fd_delta, batch_size):
+        # the gathered rows agree with a linearization of the drawn rows up
+        # to the last bits; a twin stream replays the operator's draws
+        theta, data = toy_fixture(spec, n=8, seed=14)
+        op = GnhOperator(spec, theta, data, batch_size=batch_size, rng=SeededRng(140), fd_delta=fd_delta)
+        twin = SeededRng(140)
+        rng = SeededRng(141)
+        duplicates = False
+        for _ in range(6):
+            u = rng.normal(spec.n_params)
+            rows = sample_batch(data, batch_size, twin)
+            duplicates |= np.unique(rows).size < batch_size
+            want = _gnh_hvp(spec, _linearize(spec, theta, data.X[rows]), u, fd_delta)
+            got = op.matvec(u)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        assert duplicates == (batch_size > 1)
+
+    @pytest.mark.parametrize("fd_delta", [None, 0.01])
+    def test_reseeded_equals_a_new_operator_at_its_seed(self, fd_delta):
+        theta, data = toy_fixture(DEEP_TANH, n=30, seed=15)
+        op = GnhOperator(DEEP_TANH, theta, data, batch_size=5, rng=SeededRng(0), fd_delta=fd_delta)
+        op.matvec(SeededRng(150).normal(DEEP_TANH.n_params))  # moves op's stream, not the copy's
+        twin = op.reseeded(151)
+        fresh = GnhOperator(DEEP_TANH, theta, data, batch_size=5, rng=SeededRng(151), fd_delta=fd_delta)
+        rng = SeededRng(152)
+        for _ in range(5):
+            u = rng.normal(DEEP_TANH.n_params)
+            assert twin.matvec(u).tobytes() == fresh.matvec(u).tobytes()
+
+    @pytest.mark.parametrize("batch_size", [None, 4])
+    def test_empty_dataset_rejected(self, batch_size):
+        data = Dataset(X=np.zeros((0, 4)), y=np.zeros(0, dtype=np.int64))
+        theta = init_params(LINEAR, SeededRng(0))
+        with pytest.raises(ValueError, match="dataset is empty"):
+            GnhOperator(LINEAR, theta, data, batch_size=batch_size, rng=SeededRng(1))
 
     def test_validation_errors(self):
         theta, data = toy_fixture(LINEAR)

@@ -345,6 +345,20 @@ class TestCounterExampleBuild:
         assert np.allclose(first, H, atol=1e-12)
         assert np.allclose(second, problem.trace * H, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_reseeded_sampler_equals_a_new_sampler_at_its_seed(self, seed):
+        problem = counterexample_build([2.0, 1.0, 0.5, 0.25, 0.1], 3, 0.1, 0.4, seed=5)
+        sampler = RotatedRankOneSampler(problem, SeededRng(1))
+        sampler.matvec(problem.u0)  # moves the original's stream, not the copy's
+        iterates = []
+        for op in (sampler.reseeded(seed), RotatedRankOneSampler(problem, SeededRng(seed))):
+            u, g, steps = problem.u0, np.ones(problem.n), []
+            for _ in range(8):
+                u = u - problem.eta * (op.matvec(u) + problem.lambda_damp * u - g)
+                steps.append(u.tobytes())
+            iterates.append(steps)
+        assert iterates[0] == iterates[1]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             counterexample_build(np.array([1.0, -0.5, 2.0]), 1, 0.1, 0.5, seed=0)
