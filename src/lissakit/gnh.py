@@ -35,6 +35,9 @@ from .models import (
 MAX_DENSE_PARAMS = 2000
 # Rows of one linearization pass of gnh_matrix_exact and gnh_trace_exact.
 _PASS_ROWS = 128
+# Floats of one gnh_matrix_exact pass's per-row arrays allowed whatever n is,
+# so a tiny model is not split into many short passes by the n^2 / 2 budget.
+_PASS_FLOOR_FLOATS = 1 << 16
 
 
 def sample_batch(dataset: Dataset, size: int, rng: SeededRng) -> np.ndarray:
@@ -49,8 +52,11 @@ def sample_batch(dataset: Dataset, size: int, rng: SeededRng) -> np.ndarray:
 
 
 def _softmax_hessian_apply(p: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Rows of S_b t_b for batched probabilities p and logit vectors t."""
-    return p * t - p * np.sum(p * t, axis=1, keepdims=True)
+    """Rows of S_b t_b = p_b * t_b - p_b (p_b . t_b) for probabilities p and
+    logit vectors t, (..., B, K) each; the row sums p_b . t_b are one GEMV."""
+    pt = p * t
+    pt -= p * (pt @ np.ones(pt.shape[-1]))[..., None]
+    return pt
 
 
 def _gnh_hvp(spec: ModelSpec, lin: _Linearization, v: np.ndarray, fd_delta: float | None) -> np.ndarray:
@@ -59,17 +65,19 @@ def _gnh_hvp(spec: ModelSpec, lin: _Linearization, v: np.ndarray, fd_delta: floa
     ``fd_delta=None`` takes J v in one forward-mode sweep.  A float takes the
     central difference (h(theta + fd_delta v) - h(theta - fd_delta v)) /
     (2 fd_delta) instead, at two forward passes per call; the softmax factor S
-    and the backward sweep still use the linearization.
+    and the backward sweep still use the linearization.  The mean's 1/B
+    divides the (n,) result, not a (B, K) array.
     """
-    X = lin.inputs[0]
     if fd_delta is None:
         t = _jvp_batch(spec, lin, v)
     else:
+        X = lin.inputs[0][..., :-1]
         h_plus, _ = _forward(spec, lin.theta + fd_delta * v, X)
         h_minus, _ = _forward(spec, lin.theta - fd_delta * v, X)
         t = (h_plus - h_minus) / (2.0 * fd_delta)
-    w = _softmax_hessian_apply(lin.p, t)
-    return _backprop(spec, lin, w / X.shape[0])
+    hvp = _backprop(spec, lin, _softmax_hessian_apply(lin.p, t))
+    hvp /= lin.p.shape[-2]
+    return hvp
 
 
 class GnhOperator:
@@ -90,7 +98,8 @@ class GnhOperator:
     A full-batch ``matvec`` writes its hidden-layer intermediates into the
     record's scratch, so one caller at a time may call it on one full-batch
     operator; a mini-batch ``matvec`` gathers its rows into fresh arrays.
-    Each result is a fresh array.  ``reseeded`` copies share the record.
+    Each result is a fresh array.  ``reseeded`` and ``batched`` copies share
+    the record.
     """
 
     def __init__(
@@ -102,28 +111,29 @@ class GnhOperator:
         rng: SeededRng | None = None,
         fd_delta: float | None = None,
     ):
-        if batch_size is not None:
-            if batch_size < 1:
-                raise ValueError("batch size must be >= 1")
-            if rng is None:
-                raise ValueError("stochastic operator needs an rng")
+        self.dataset = dataset
+        self._set_batches(batch_size, rng)
         if fd_delta is not None and not fd_delta > 0:
             raise ValueError("fd_delta must be positive")
         if np.shape(theta) != (spec.n_params,):
             raise ValueError("theta does not match the model spec")
         if len(dataset) < 1:
             raise ValueError("dataset is empty")
-        if batch_size is not None and batch_size >= len(dataset):
-            batch_size = None
         self.spec = spec
         self.theta = theta
-        self.dataset = dataset
-        self.batch_size = batch_size
-        self.rng = rng
         self.fd_delta = fd_delta
         self.n_params = spec.n_params
         self.segments = spec.segments
         self._lin = _linearize(spec, theta, dataset.X)
+
+    def _set_batches(self, batch_size: int | None, rng: SeededRng | None) -> None:
+        if batch_size is not None:
+            if batch_size < 1:
+                raise ValueError("batch size must be >= 1")
+            if rng is None:
+                raise ValueError("stochastic operator needs an rng")
+        self.batch_size = None if batch_size is None or batch_size >= len(self.dataset) else batch_size
+        self.rng = rng
 
     def reseeded(self, seed: int) -> "GnhOperator":
         """Copy of this operator with its batch stream reset to ``seed``,
@@ -131,8 +141,15 @@ class GnhOperator:
         stream and returns itself."""
         if self.batch_size is None:
             return self
+        return self.batched(self.batch_size, SeededRng(seed))
+
+    def batched(self, batch_size: int, rng: SeededRng) -> "GnhOperator":
+        """Copy of this operator that draws batches of ``batch_size`` rows
+        from ``rng``, as one built with them would, sharing its
+        linearization."""
         twin = object.__new__(type(self))
-        twin.__dict__.update(self.__dict__, rng=SeededRng(seed))
+        twin.__dict__.update(self.__dict__)
+        twin._set_batches(batch_size, rng)
         return twin
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
@@ -182,7 +199,8 @@ def gnh_matrix_exact(spec: ModelSpec, theta: np.ndarray, dataset: Dataset) -> np
     """Dense Gauss-Newton Hessian averaged over the whole dataset.
 
     Layer l's logit Jacobian is the Kronecker product of its logit delta D_l
-    (``models._logit_deltas``) and its augmented input [a_l, 1].  With the
+    (``models._logit_deltas``) and its augmented input [a_l, 1], which each
+    pass's linearization record holds as ``inputs[l]``.  With the
     centered factors R_l of ``_centered_factors``, the (l, m) block of
     J^T (diag p - p p^T) J is sum_b (R_l^T R_m)_b kron ([a_l, 1] [a_m, 1]^T)_b,
     so each pass adds one GEMM per layer pair l <= m, over its rows, to that
@@ -192,7 +210,9 @@ def gnh_matrix_exact(spec: ModelSpec, theta: np.ndarray, dataset: Dataset) -> np
     transpose and each diagonal block symmetrized, so H is exactly symmetric.
 
     A pass takes _PASS_ROWS rows, fewer where one row's factor products are
-    so wide that a pass's per-row arrays would exceed n^2 / 2 floats.
+    so wide that a pass's per-row arrays would exceed n^2 / 2 floats, or
+    _PASS_FLOOR_FLOATS where that is more: a tiny model's n^2 / 2 would
+    otherwise cut its rows into many short passes.
 
     Desk-scale oracle: refuses models with more than MAX_DENSE_PARAMS
     parameters, where the dense matrix stops being a sensible object.
@@ -209,17 +229,14 @@ def gnh_matrix_exact(spec: ModelSpec, theta: np.ndarray, dataset: Dataset) -> np
         for l, m in pairs
     }
     widest = max(max(b.shape) for b in blocks.values())
-    rows = max(1, min(_PASS_ROWS, n * n // (2 * widest)))
+    rows = max(1, min(_PASS_ROWS, max(n * n // 2, _PASS_FLOOR_FLOATS) // widest))
     for start in range(0, len(dataset), rows):
         lin = _linearize(spec, theta, dataset.X[start : start + rows])
         B = lin.p.shape[0]
         factors = _centered_factors(spec, lin)
         # a row whose factor R_l is exactly 0 adds exactly 0 to layer l's
         # blocks, also where its input's outer product overflows (0 * inf)
-        augmented = [
-            np.where(np.any(r, axis=(1, 2))[:, None], np.concatenate([a, np.ones((B, 1))], axis=1), 0.0)
-            for r, a in zip(factors, lin.inputs)
-        ]
+        augmented = [np.where(np.any(r, axis=(1, 2))[:, None], a, 0.0) for r, a in zip(factors, lin.inputs)]
         for l, m in pairs:
             outer_r = (np.swapaxes(factors[l], 1, 2) @ factors[m]).reshape(B, -1)
             outer_a = (augmented[l][:, :, None] * augmented[m][:, None, :]).reshape(B, -1)
@@ -261,7 +278,8 @@ def gnh_trace_exact(spec: ModelSpec, theta: np.ndarray, dataset: Dataset) -> flo
     total = 0.0
     for start in range(0, len(dataset), rows):
         lin = _linearize(spec, theta, dataset.X[start : start + rows])
-        for r, a in zip(_centered_factors(spec, lin), lin.inputs):
+        for r, augmented in zip(_centered_factors(spec, lin), lin.inputs):
+            a = augmented[:, :-1]
             # a row whose R is exactly 0 adds exactly 0, also where ||a||^2 overflows
             norms = np.where(np.any(r, axis=(1, 2)), np.sum(a * a, axis=1) + 1.0, 0.0)
             total += float(np.sum(r * r, axis=(1, 2)) @ norms)

@@ -8,9 +8,14 @@ address layers individually.  ``_linearize`` runs one forward pass and keeps
 all that the derivative sweeps at that point read in one ``_Linearization``
 record; ``_backprop``, ``_jvp_batch`` and ``_logit_deltas`` take the record,
 so none of them unpacks theta or pairs the caches of two passes.  The record
-holds views of theta and of the inputs, which must not be mutated after.
-``_take_rows`` gathers some of a record's rows into a record of their own,
-which the sweeps read without another forward pass.
+holds views of theta, which must not be mutated after.  ``_take_rows``
+gathers some of a record's rows into a record of their own, which the sweeps
+read without another forward pass.
+
+The record holds each layer's input once, as the augmented row [a_l, 1], so
+the bias rides in the weights' GEMM: the JVP's layer tangent is
+[a_l, 1] [dW_l | db_l]^T, and the gradient's weights and bias are the columns
+of one delta^T [a_l, 1].
 
 The record also owns scratch for the hidden-layer intermediates of its sweeps,
 so no sweep allocates an array the size of a hidden layer: it allocates only
@@ -148,29 +153,43 @@ def _unpack(spec: ModelSpec, theta: np.ndarray):
 
 
 def _act(spec: ModelSpec, z: np.ndarray) -> np.ndarray:
-    return np.tanh(z) if spec.activation == "tanh" else np.maximum(z, 0.0)
+    """The activation of z, written over z."""
+    return np.tanh(z, out=z) if spec.activation == "tanh" else np.maximum(z, 0.0, out=z)
 
 
 def _act_deriv(spec: ModelSpec, a: np.ndarray) -> np.ndarray:
-    """Activation derivative read off the activation a = act(z) itself."""
+    """Activation derivative read off the activation a = act(z) itself, as
+    one fresh array."""
     if spec.activation == "tanh":
-        return 1.0 - a * a
+        d = np.square(a)
+        return np.subtract(1.0, d, out=d)
     return (a > 0.0).astype(np.float64)
+
+
+def _with_ones(a: np.ndarray) -> np.ndarray:
+    """The augmented rows [a, 1]: a copy of a with a last column of ones."""
+    augmented = np.empty(a.shape[:-1] + (a.shape[-1] + 1,))
+    augmented[..., :-1] = a
+    augmented[..., -1] = 1.0
+    return augmented
 
 
 def _forward(spec: ModelSpec, theta: np.ndarray, X: np.ndarray):
     """Batched forward pass; returns logits (..., B, K) and the per-layer
-    caches, the input of each layer.  Each hidden layer's activation is the
-    next input.  theta (n,) or (R, n) and X (B, in) or (R, B, in) broadcast
-    over their leading axes; a 2-D X against a 1-D theta runs plain matmuls."""
+    caches, each layer's input as the augmented row [a_l, 1], which holds
+    the only kept copy of each hidden activation.  theta (n,) or (R, n) and
+    X (B, in) or (R, B, in) broadcast over their leading axes; a 2-D X
+    against a 1-D theta runs plain matmuls."""
     layers = _unpack(spec, theta)
     a = X
-    caches = []
+    caches = [_with_ones(X)]
     for l, (w, b) in enumerate(layers):
-        caches.append(a)
-        z = a @ np.swapaxes(w, -1, -2) + b[..., None, :]
-        a = _act(spec, z) if l < len(layers) - 1 else z
-    return a, caches
+        z = a @ np.swapaxes(w, -1, -2)
+        z += b[..., None, :]
+        if l == len(layers) - 1:
+            return z, caches
+        a = _act(spec, z)
+        caches.append(_with_ones(a))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -182,12 +201,13 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 class _Linearization(NamedTuple):
     """One forward pass at (theta, X) and what every sweep there reads from it:
     ``layers`` holds theta's per-layer (W, b) views, ``inputs`` each layer's
-    input (``inputs[0]`` is X), ``derivs`` each hidden layer's activation
-    derivative (entry l - 1 belongs to ``inputs[l]``) and ``p`` the softmax
-    probabilities.  ``work`` is the sweeps' scratch: two buffers per hidden
-    layer, each shaped like that layer's activation, which every JVP and
-    backward sweep at this record overwrites; so one caller at a time sweeps
-    a record."""
+    augmented input [a_l, 1] (``inputs[0][..., :-1]`` is X; a reader that
+    wants a_l takes the view ``[..., :-1]``), ``derivs`` each hidden layer's
+    activation derivative (entry l - 1 belongs to ``inputs[l]``) and ``p`` the
+    softmax probabilities.  ``work`` is the sweeps' scratch: two buffers per
+    hidden layer, each shaped like that layer's activation, which every JVP
+    and backward sweep at this record overwrites; so one caller at a time
+    sweeps a record."""
 
     theta: np.ndarray
     layers: list
@@ -200,8 +220,8 @@ class _Linearization(NamedTuple):
 def _linearize(spec: ModelSpec, theta: np.ndarray, X: np.ndarray) -> _Linearization:
     """Run the forward pass at (theta, X) and keep what the sweeps read."""
     h, inputs = _forward(spec, theta, X)
-    derivs = [_act_deriv(spec, a) for a in inputs[1:]]
-    work = [(np.empty_like(a), np.empty_like(a)) for a in inputs[1:]]
+    derivs = [_act_deriv(spec, a[..., :-1]) for a in inputs[1:]]
+    work = [(np.empty_like(d), np.empty_like(d)) for d in derivs]
     return _Linearization(theta, _unpack(spec, theta), inputs, derivs, _softmax(h), work)
 
 
@@ -212,24 +232,27 @@ def _take_rows(lin: _Linearization, rows: np.ndarray) -> _Linearization:
     picks its GEMM kernel by the row count."""
     inputs = [a.take(rows, axis=0) for a in lin.inputs]
     derivs = [d.take(rows, axis=0) for d in lin.derivs]
-    work = [(np.empty_like(a), np.empty_like(a)) for a in inputs[1:]]
+    work = [(np.empty_like(d), np.empty_like(d)) for d in derivs]
     return _Linearization(lin.theta, lin.layers, inputs, derivs, lin.p.take(rows, axis=0), work)
 
 
 def _backprop(spec: ModelSpec, lin: _Linearization, G: np.ndarray) -> np.ndarray:
     """Gradient of sum_b <G[b], logits(x_b)> with respect to theta at ``lin``;
-    (R, n) for a linearization with a leading chain axis.  Each hidden delta
-    is formed in ``lin.work``; the gradient is a fresh array."""
+    (R, n) for a linearization with a leading chain axis.  Each layer's
+    weights and bias are the columns of one GEMM, delta^T [a_l, 1], scattered
+    into their segments.  Each hidden delta is formed in ``lin.work``; the
+    gradient is a fresh array."""
     lead = G.shape[:-2]
-    grad = np.zeros(lead + (spec.n_params,))
+    grad = np.empty(lead + (spec.n_params,))
     delta = G
     for l in range(len(lin.layers) - 1, -1, -1):
         w, _ = lin.layers[l]
         name, offset, length = spec.segments[l]
         fan_out, fan_in = w.shape[-2:]
-        weights = np.swapaxes(delta, -1, -2) @ lin.inputs[l]
-        grad[..., offset : offset + fan_out * fan_in] = weights.reshape(lead + (-1,))
-        grad[..., offset + fan_out * fan_in : offset + length] = delta.sum(axis=-2)
+        end_w = offset + fan_out * fan_in
+        weights_bias = np.swapaxes(delta, -1, -2) @ lin.inputs[l]
+        grad[..., offset:end_w] = weights_bias[..., :-1].reshape(lead + (-1,))
+        grad[..., end_w : offset + length] = weights_bias[..., -1]
         if l > 0:
             delta = np.matmul(delta, w, out=lin.work[l - 1][0])
             delta *= lin.derivs[l - 1]
@@ -239,21 +262,22 @@ def _backprop(spec: ModelSpec, lin: _Linearization, G: np.ndarray) -> np.ndarray
 def _jvp_batch(spec: ModelSpec, lin: _Linearization, u: np.ndarray) -> np.ndarray:
     """Directional derivative of logits along parameter direction u at ``lin``;
     for a linearization with a leading chain axis, u is (R, n), one direction
-    per chain, and the tangent (R, B, K).  Each hidden layer's tangent is
-    formed in ``lin.work``; the logit tangent is a fresh array."""
+    per chain, and the tangent (R, B, K).  Layer l's tangent is
+    [a_l, 1] [dW_l | db_l]^T, plus da_l W_l^T past the first layer, for the
+    direction block [dW_l | db_l] of u.  Each hidden layer's tangent is formed
+    in ``lin.work``; the logit tangent is a fresh array."""
     da = None
     for l, ((w, _), (dw, db)) in enumerate(zip(lin.layers, _unpack(spec, u))):
-        a = lin.inputs[l]
-        dw_t, db = dw.swapaxes(-1, -2), db[..., None, :]
+        direction = np.concatenate([dw, db[..., None]], axis=-1).swapaxes(-1, -2)
         if l == len(lin.layers) - 1:
-            if da is None:
-                return a @ dw_t + db
-            return a @ dw_t + da @ w.swapaxes(-1, -2) + db
+            t = lin.inputs[l] @ direction
+            if da is not None:
+                t += da @ w.swapaxes(-1, -2)
+            return t
         dz, scratch = lin.work[l]
-        np.matmul(a, dw_t, out=dz)
+        np.matmul(lin.inputs[l], direction, out=dz)
         if da is not None:
             dz += np.matmul(da, w.swapaxes(-1, -2), out=scratch)
-        dz += db
         dz *= lin.derivs[l]
         da = dz
 

@@ -256,7 +256,8 @@ def check_condition_c1(
     against C times this).  A batch size covering the whole dataset gives the
     deterministic full-batch operator, where the noise term is identically
     zero.  ``fd_delta`` sets both operators' Jacobian-vector products, as in
-    ``GnhOperator``.
+    ``GnhOperator``.  Every batch size's operator shares the full-batch
+    operator's linearization, so the dataset is linearized once.
     """
     op_full = GnhOperator(spec, theta, dataset, fd_delta=fd_delta)
     trace_h = gnh_trace_exact(spec, theta, dataset)
@@ -265,7 +266,7 @@ def check_condition_c1(
     for b in batch_sizes:
         if b < 1:
             raise ValueError("batch sizes must be >= 1")
-        op_b = GnhOperator(spec, theta, dataset, batch_size=b, rng=rng.substream(b), fd_delta=fd_delta)
+        op_b = op_full.batched(b, rng.substream(b))
         lhs = condition_c1_lhs(op_b, op_full, n_probes, rng.substream(b + 1_000_003))
         rhs = trace_h * trace_h / (n * b)
         rows.append(ConditionC1Row(batch_size=b, lhs_trace=lhs, rhs_trace=rhs))

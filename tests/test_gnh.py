@@ -179,6 +179,17 @@ class TestDenseGnh:
         assert peak <= 3 * H.nbytes
         assert np.array_equal(H, H.T)
 
+    def test_tiny_model_passes_take_full_rows(self, monkeypatch):
+        # mlp 8-6-4 (n = 82) would get n^2 / 2 // 81 = 41 rows a pass from
+        # the n^2 / 2 budget alone; the floor gives it passes of 128
+        spec = ModelSpec(kind="mlp", layer_sizes=(8, 6, 4), activation="tanh")
+        theta, data = toy_fixture(spec, n=200, seed=8)
+        passes = []
+        linearize = gnh._linearize
+        monkeypatch.setattr(gnh, "_linearize", lambda *args: passes.append(len(args[2])) or linearize(*args))
+        gnh_matrix_exact(spec, theta, data)
+        assert passes == [128, 72]
+
     def test_refuses_large_models(self):
         big = ModelSpec(kind="softmax-linear", layer_sizes=(1000, 3))
         data = Dataset(X=np.zeros((1, 1000)), y=np.array([0]))
@@ -402,6 +413,22 @@ class TestHvp:
         for _ in range(5):
             u = rng.normal(DEEP_TANH.n_params)
             assert twin.matvec(u).tobytes() == fresh.matvec(u).tobytes()
+
+    @pytest.mark.parametrize("fd_delta", [None, 0.01])
+    def test_batched_equals_a_new_operator_with_its_batches(self, fd_delta):
+        theta, data = toy_fixture(DEEP_TANH, n=30, seed=16)
+        full = GnhOperator(DEEP_TANH, theta, data, fd_delta=fd_delta)
+        twin = full.batched(5, SeededRng(160))
+        fresh = GnhOperator(DEEP_TANH, theta, data, batch_size=5, rng=SeededRng(160), fd_delta=fd_delta)
+        assert twin._lin is full._lin and full.batch_size is None
+        rng = SeededRng(161)
+        for _ in range(5):
+            u = rng.normal(DEEP_TANH.n_params)
+            assert twin.matvec(u).tobytes() == fresh.matvec(u).tobytes()
+        # the constructor's batch rules: a covering batch is the full batch
+        assert full.batched(30, SeededRng(162)).batch_size is None
+        with pytest.raises(ValueError, match="batch size"):
+            full.batched(0, SeededRng(163))
 
     @pytest.mark.parametrize("batch_size", [None, 4])
     def test_empty_dataset_rejected(self, batch_size):

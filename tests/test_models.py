@@ -21,10 +21,12 @@ from lissakit.models import (
     save_dataset_csv,
     _act,
     _act_deriv,
+    _backprop,
     _forward,
     _jvp_batch,
     _linearize,
     _softmax,
+    _take_rows,
     _unpack,
 )
 from lissakit.pbrf import PboConfig, pbo_gradient
@@ -127,12 +129,13 @@ class TestForward:
 
     @pytest.mark.parametrize("spec", [LINEAR, MLP_RELU, DEEP_TANH])
     def test_caches_hold_each_layer_input(self, spec):
+        # each cache is the layer's augmented input [a_l, 1], the first a copy of X
         theta = rand_theta(spec, 4)
         X = SeededRng(40).normal(3 * spec.input_dim).reshape(3, spec.input_dim)
         logits, caches = _forward(spec, theta, X)
-        assert len(caches) == spec.n_layers and caches[0] is X
+        assert len(caches) == spec.n_layers and np.array_equal(caches[0][:, :-1], X)
         for l, a in enumerate(caches):
-            assert a.shape == (3, spec.layer_sizes[l])
+            assert a.shape == (3, spec.layer_sizes[l] + 1) and np.all(a[:, -1] == 1.0)
         assert logits.shape == (3, spec.n_classes)
 
 
@@ -170,7 +173,7 @@ class TestGradients:
         def active_units(values):
             # the hidden layer's output is the last layer's cached input
             _, caches = _forward(MLP_RELU, values, x[None, :])
-            return caches[-1] > 0.0
+            return caches[-1][:, :-1] > 0.0
 
         for _ in range(10):
             d = rng.normal(MLP_RELU.n_params)
@@ -214,7 +217,7 @@ class TestActDeriv:
         # the derivative taken from a = act(z) equals the textbook one taken
         # from z, bit for bit, signed zeros and saturated tanh included
         z = np.concatenate([np.linspace(-30.0, 30.0, 2401), [0.0, -0.0, 1e-300, -1e-300]])
-        got = _act_deriv(spec, _act(spec, z))
+        got = _act_deriv(spec, _act(spec, z.copy()))
         if spec.activation == "tanh":
             want = 1.0 - np.tanh(z) ** 2
         else:
@@ -294,9 +297,10 @@ class TestLinearization:
     @staticmethod
     def hand_built_backprop(spec, theta, G, X):
         # the backward sweep as assembled without the record: a forward pass,
-        # theta unpacked again and each derivative taken from the caches
+        # theta unpacked again and each derivative taken from the caches; a
+        # layer's weights and bias are the columns of delta^T [a_l, 1]
         _, caches = _forward(spec, theta, X)
-        derivs = [_act_deriv(spec, a) for a in caches[1:]]
+        derivs = [_act_deriv(spec, a[:, :-1]) for a in caches[1:]]
         layers = _unpack(spec, theta)
         grad = np.zeros(spec.n_params)
         delta = G
@@ -304,8 +308,9 @@ class TestLinearization:
             w, _ = layers[l]
             name, offset, length = spec.segments[l]
             fan_out, fan_in = w.shape
-            grad[offset : offset + fan_out * fan_in] = (delta.T @ caches[l]).ravel()
-            grad[offset + fan_out * fan_in : offset + length] = delta.sum(axis=0)
+            weights_bias = delta.T @ caches[l]
+            grad[offset : offset + fan_out * fan_in] = weights_bias[:, :-1].ravel()
+            grad[offset + fan_out * fan_in : offset + length] = weights_bias[:, -1]
             if l > 0:
                 delta = (delta @ w) * derivs[l - 1]
         return grad
@@ -345,25 +350,27 @@ class TestLinearization:
         X = SeededRng(330).normal(15).reshape(3, 5)
         lin = _linearize(DEEP_TANH, theta, X)
         logits, caches = _forward(DEEP_TANH, theta, X)
-        assert lin.inputs[0] is X and len(lin.inputs) == len(lin.layers) == DEEP_TANH.n_layers
+        assert len(lin.inputs) == len(lin.layers) == DEEP_TANH.n_layers
+        assert lin.inputs[0][:, :-1].tobytes() == X.tobytes()
         for a, b in zip(lin.inputs, caches):
-            assert np.array_equal(a, b)
+            assert np.array_equal(a, b) and np.all(a[:, -1] == 1.0)
         for (w, b), (w_ref, b_ref) in zip(lin.layers, _unpack(DEEP_TANH, theta)):
             assert np.shares_memory(w, theta) and np.array_equal(w, w_ref)
             assert np.shares_memory(b, theta) and np.array_equal(b, b_ref)
-        assert [d.tobytes() for d in lin.derivs] == [_act_deriv(DEEP_TANH, a).tobytes() for a in caches[1:]]
+        assert [d.tobytes() for d in lin.derivs] == [_act_deriv(DEEP_TANH, a[:, :-1]).tobytes() for a in caches[1:]]
         assert np.array_equal(lin.p, _softmax(logits))
 
 
 def reference_jvp(spec, lin, u):
-    # the sweeps as plain expressions: every intermediate a fresh array
+    # the sweeps as plain expressions: every intermediate a fresh array, each
+    # layer's bias a column of its direction block [dW | db]
     for l, ((w, _), (dw, db)) in enumerate(zip(lin.layers, _unpack(spec, u))):
-        a = lin.inputs[l]
+        direction = np.swapaxes(np.concatenate([dw, db[..., None]], axis=-1), -1, -2)
         if l == 0:
-            dz = a @ dw.T + db
+            dz = lin.inputs[l] @ direction
         else:
             da = lin.derivs[l - 1] * dz
-            dz = a @ dw.T + da @ w.T + db
+            dz = lin.inputs[l] @ direction + da @ np.swapaxes(w, -1, -2)
     return dz
 
 
@@ -375,7 +382,54 @@ def reference_backprop(spec, lin, G):
         w, _ = lin.layers[l]
         name, offset, length = spec.segments[l]
         fan_out, fan_in = w.shape[-2:]
-        weights = np.swapaxes(delta, -1, -2) @ lin.inputs[l]
+        weights_bias = np.swapaxes(delta, -1, -2) @ lin.inputs[l]
+        grad[..., offset : offset + fan_out * fan_in] = weights_bias[..., :-1].reshape(lead + (-1,))
+        grad[..., offset + fan_out * fan_in : offset + length] = weights_bias[..., -1]
+        if l > 0:
+            delta = (delta @ w) * lin.derivs[l - 1]
+    return grad
+
+
+def reference_apply(p, t):
+    pt = p * t
+    return pt - p * (pt @ np.ones(p.shape[-1]))[..., None]
+
+
+def reference_hvp(spec, lin, v, fd_delta):
+    X = lin.inputs[0][..., :-1]
+    if fd_delta is None:
+        t = reference_jvp(spec, lin, v)
+    else:
+        h_plus, _ = _forward(spec, lin.theta + fd_delta * v, X)
+        h_minus, _ = _forward(spec, lin.theta - fd_delta * v, X)
+        t = (h_plus - h_minus) / (2.0 * fd_delta)
+    return reference_backprop(spec, lin, reference_apply(lin.p, t)) / X.shape[-2]
+
+
+def bias_add_jvp(spec, lin, u):
+    # the same sweeps in other arithmetic, to check the augmented GEMMs
+    # against: a broadcast bias add in the tangent, axis sums for the bias
+    # gradient and the softmax-Hessian row sum, and 1/B applied to the
+    # (B, K) array
+    for l, ((w, _), (dw, db)) in enumerate(zip(lin.layers, _unpack(spec, u))):
+        a, dw_t = lin.inputs[l][..., :-1], np.swapaxes(dw, -1, -2)
+        if l == 0:
+            dz = a @ dw_t + db[..., None, :]
+        else:
+            da = lin.derivs[l - 1] * dz
+            dz = a @ dw_t + da @ np.swapaxes(w, -1, -2) + db[..., None, :]
+    return dz
+
+
+def bias_add_backprop(spec, lin, G):
+    lead = G.shape[:-2]
+    grad = np.zeros(lead + (spec.n_params,))
+    delta = G
+    for l in range(len(lin.layers) - 1, -1, -1):
+        w, _ = lin.layers[l]
+        name, offset, length = spec.segments[l]
+        fan_out, fan_in = w.shape[-2:]
+        weights = np.swapaxes(delta, -1, -2) @ lin.inputs[l][..., :-1]
         grad[..., offset : offset + fan_out * fan_in] = weights.reshape(lead + (-1,))
         grad[..., offset + fan_out * fan_in : offset + length] = delta.sum(axis=-2)
         if l > 0:
@@ -383,15 +437,24 @@ def reference_backprop(spec, lin, G):
     return grad
 
 
-def reference_hvp(spec, lin, v, fd_delta):
-    X = lin.inputs[0]
+def bias_add_apply(p, t):
+    return p * t - p * np.sum(p * t, axis=-1, keepdims=True)
+
+
+def bias_add_hvp(spec, lin, v, fd_delta):
+    X = lin.inputs[0][..., :-1]
     if fd_delta is None:
-        t = reference_jvp(spec, lin, v)
+        t = bias_add_jvp(spec, lin, v)
     else:
         h_plus, _ = _forward(spec, lin.theta + fd_delta * v, X)
         h_minus, _ = _forward(spec, lin.theta - fd_delta * v, X)
         t = (h_plus - h_minus) / (2.0 * fd_delta)
-    return reference_backprop(spec, lin, _softmax_hessian_apply(lin.p, t) / X.shape[0])
+    return bias_add_backprop(spec, lin, bias_add_apply(lin.p, t) / X.shape[-2])
+
+
+def assert_last_bits(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 SWEEP_SPECS = [LINEAR, MLP_TANH, MLP_RELU, DEEP_TANH]
@@ -501,6 +564,62 @@ class TestSweepScratch:
             tracemalloc.stop()
         hidden_array = 2048 * 64 * np.dtype(np.float64).itemsize
         assert peak < hidden_array
+
+
+class TestBiasAsColumn:
+    """The bias as a column of each layer's GEMM and the softmax-Hessian row
+    sum as a GEMV agree with the broadcast bias add and the axis sums they
+    replaced, to within 1e-13 of the largest magnitude, and no sweep writes
+    the augmented inputs' column of ones."""
+
+    @pytest.mark.parametrize("fd_delta", [None, 0.01])
+    @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=SWEEP_IDS)
+    def test_matvecs_match_bias_add_sweeps(self, spec, fd_delta):
+        theta = rand_theta(spec, 46)
+        data = make_blobs(SeededRng(460), 30, spec.input_dim, spec.n_classes)
+        full = GnhOperator(spec, theta, data, fd_delta=fd_delta)
+        mini = GnhOperator(spec, theta, data, batch_size=6, rng=SeededRng(461), fd_delta=fd_delta)
+        lin = _linearize(spec, theta, data.X)
+        draws = SeededRng(461)
+        rng = SeededRng(462)
+        for _ in range(3):
+            u = rng.normal(spec.n_params)
+            assert_last_bits(full.matvec(u), bias_add_hvp(spec, lin, u, fd_delta))
+            drawn = _take_rows(lin, sample_batch(data, 6, draws))
+            assert_last_bits(mini.matvec(u), bias_add_hvp(spec, drawn, u, fd_delta))
+
+    @pytest.mark.parametrize("shared_batch", [False, True], ids=["own-batch", "shared-batch"])
+    @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=SWEEP_IDS)
+    def test_chain_blocks_match_bias_add_sweeps(self, spec, shared_batch):
+        # (R, n) parameters over (R, B, in) rows, or over one (B, in) batch
+        # that every chain shares, as pbrf's full-batch finetune has it
+        rng = SeededRng(470)
+        R, B = 3, 5
+        thetas = rng.normal(R * spec.n_params).reshape(R, -1)
+        X = rng.normal(R * B * spec.input_dim).reshape(R, B, -1)
+        u = rng.normal(R * spec.n_params).reshape(R, -1)
+        G = rng.normal(R * B * spec.n_classes).reshape(R, B, -1)
+        lin = _linearize(spec, thetas, X[0] if shared_batch else X)
+        assert_last_bits(_jvp_batch(spec, lin, u), bias_add_jvp(spec, lin, u))
+        assert_last_bits(_backprop(spec, lin, G), bias_add_backprop(spec, lin, G))
+        assert_last_bits(_softmax_hessian_apply(lin.p, G), bias_add_apply(lin.p, G))
+
+    @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=SWEEP_IDS)
+    def test_columns_of_ones_survive_repeated_sweeps(self, spec):
+        theta = rand_theta(spec, 48)
+        rng = SeededRng(480)
+        data = make_blobs(rng, 30, spec.input_dim, spec.n_classes)
+        lin = _linearize(spec, theta, data.X)
+        drawn = _take_rows(lin, sample_batch(data, 6, rng))
+        chains = _linearize(spec, theta + 0.1 * rng.normal(2 * spec.n_params).reshape(2, -1), data.X[:6])
+        for _ in range(3):
+            for record in (lin, drawn):
+                for fd_delta in (None, 0.01):
+                    _gnh_hvp(spec, record, rng.normal(spec.n_params), fd_delta)
+            _jvp_batch(spec, chains, rng.normal(2 * spec.n_params).reshape(2, -1))
+            _backprop(spec, chains, rng.normal(2 * 6 * spec.n_classes).reshape(2, 6, -1))
+        for record in (lin, drawn, chains):
+            assert all(np.all(a[..., -1] == 1.0) for a in record.inputs)
 
 
 class TestData:

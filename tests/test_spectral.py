@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference import DenseOperator
+from lissakit import models
 from lissakit.core import SeededRng, derive_seed
 from lissakit.gnh import GnhOperator, gnh_matrix_exact
 from lissakit.models import ModelSpec, init_params, make_blobs
@@ -281,6 +282,29 @@ class TestConditionC1:
         ys = np.log([r.lhs_trace.mean for r in rows])
         slope = np.polyfit(xs, ys, 1)[0]
         assert -1.2 <= slope <= -0.8
+
+    @pytest.mark.parametrize("fd_delta", [None, 0.01])
+    def test_one_linearization_of_the_dataset(self, monkeypatch, fd_delta):
+        # every batch size's operator shares the full-batch record: one
+        # forward pass over all N rows (gnh_trace_exact's passes take at most
+        # 128), where an operator per batch size made 6 for 5 batch sizes;
+        # the rows are bit for bit those of operators built each on its own
+        spec = ModelSpec(kind="mlp", layer_sizes=(5, 6, 3), activation="tanh")
+        theta = init_params(spec, SeededRng(37), scale=0.7)
+        data = make_blobs(SeededRng(38), 300, 5, 3)
+        batch_sizes = [4, 16, 64, 300, 1000]
+        forward, full_passes = models._forward, []
+        spy = lambda spec, theta, X: full_passes.append(len(X) == len(data)) or forward(spec, theta, X)
+        monkeypatch.setattr(models, "_forward", spy)
+        rows = check_condition_c1(spec, theta, data, batch_sizes, n_probes=5, rng=SeededRng(39), fd_delta=fd_delta)
+        assert sum(full_passes) == 1
+        monkeypatch.setattr(models, "_forward", forward)
+        rng = SeededRng(39)
+        op_full = GnhOperator(spec, theta, data, fd_delta=fd_delta)
+        for row, b in zip(rows, batch_sizes):
+            op_b = GnhOperator(spec, theta, data, batch_size=b, rng=rng.substream(b), fd_delta=fd_delta)
+            want = condition_c1_lhs(op_b, op_full, 5, rng.substream(b + 1_000_003))
+            assert (row.lhs_trace.mean, row.lhs_trace.se) == (want.mean, want.se)
 
     def test_rank_one_sampler_closed_form(self):
         # E[Hb^2] - H^2 = (Tr(H) H - H^2)/B exactly for this sampler
