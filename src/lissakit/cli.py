@@ -108,6 +108,7 @@ class RunContext:
         self.out_dir = out_dir
         self.seed = seed
         self.config_sha = config_sha
+        self.inputs: list[tuple[str, str]] = []
         self.outputs: list[tuple[str, str]] = []
 
     def sub_seed(self, name: str) -> int:
@@ -115,6 +116,12 @@ class RunContext:
 
     def rng(self, name: str) -> SeededRng:
         return SeededRng(self.sub_seed(name))
+
+    def hash_input(self, name: str, path: str) -> None:
+        """Record the sha256 of the bytes of the input file at ``path`` for
+        the manifest's ``<name>_sha256`` line; raises OSError when it cannot
+        be read."""
+        self.inputs.append((name, sha256_hex(Path(path).read_bytes())))
 
     def emit_text(self, name: str, text: str) -> None:
         (self.out_dir / name).write_text(text)
@@ -127,13 +134,15 @@ class RunContext:
         self.emit_text(name, "\n".join(lines) + "\n")
 
     def write_manifest(self, command: str) -> None:
-        """The run's inputs, the NumPy and BLAS build and the BLAS thread
-        variables it ran under, then one hash line per output."""
+        """The run's inputs (the config, each input file it read, the seed),
+        the NumPy and BLAS build and the BLAS thread variables it ran under,
+        then one hash line per output."""
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         lines = [
             f"format = {MANIFEST_FORMAT}",
             f"command = {command}",
             f"config_sha256 = {self.config_sha}",
+            *(f"{name}_sha256 = {sha}" for name, sha in self.inputs),
             f"seed = {self.seed}",
             f"package_version = {__version__}",
             f"numpy_version = {np.__version__}",
@@ -181,6 +190,7 @@ def _build_data(run: RunContext, spec: ModelSpec, theta: np.ndarray, n_test: int
     if cfg.dataset_path is not None:
         try:
             full = load_dataset_csv(cfg.dataset_path)
+            run.hash_input("dataset", cfg.dataset_path)
         except OSError as exc:
             raise ConfigError(f"cannot read dataset {cfg.dataset_path!r}: {exc}") from exc
         except ValueError as exc:
@@ -248,7 +258,8 @@ def _dense_gnh(run: RunContext, spec: ModelSpec, theta, train, read):
     matrix, which the check rejects: a config error."""
     _check_limit(
         f"a dense GNH of {spec.n_params} parameters", spec.n_params, "MAX_DENSE_PARAMS",
-        "only lissa (eta set, no tolerance), pbrf-compare (eta set) and condition-c1 run without it",
+        "stats and condition-c1 never build it, and only lissa (eta set, no tolerance) and "
+        "pbrf-compare (eta set) can run without it",
     )
     with np.errstate(over="ignore", invalid="ignore"):
         H = gnh_matrix_exact(spec, theta, train)
@@ -714,7 +725,8 @@ def cmd_tfidf_check(run: RunContext) -> None:
     if cfg.corpus_path is not None:
         try:
             text = Path(cfg.corpus_path).read_text()
-        except OSError as exc:
+            run.hash_input("corpus", cfg.corpus_path)
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read corpus {cfg.corpus_path!r}: {exc}") from exc
         try:
             corpus = corpus_from_text(text)

@@ -38,6 +38,12 @@ _U1, _U11, _U27, _U30, _U31, _U63 = (np.uint64(k) for k in (1, 11, 27, 30, 31, 6
 _SIGNS = np.array([-1.0, 1.0])
 
 
+def _signs(words: np.ndarray) -> np.ndarray:
+    """The value in _SIGNS of each word's top bit, as a fresh array."""
+    # the 0/1 top bits index the table as int64, which NumPy takes uncast
+    return _SIGNS[(words >> _U63).view(np.int64)]
+
+
 def _mix64_scalar(z: int) -> int:
     """SplitMix64 finalizer on a Python int, mod 2**64."""
     z &= _MASK64
@@ -47,10 +53,14 @@ def _mix64_scalar(z: int) -> int:
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    # uint64 arithmetic wraps mod 2**64, matching the scalar path.
-    z = (z ^ (z >> _U30)) * _MIX_A_U64
-    z = (z ^ (z >> _U27)) * _MIX_B_U64
-    return z ^ (z >> _U31)
+    # uint64 arithmetic wraps mod 2**64, matching the scalar path; after the
+    # first operation every step works in place on the one fresh array
+    z = z ^ (z >> _U30)
+    z *= _MIX_A_U64
+    z ^= z >> _U27
+    z *= _MIX_B_U64
+    z ^= z >> _U31
+    return z
 
 
 def derive_seed(seed: int, *keys: int) -> int:
@@ -66,6 +76,14 @@ def derive_seed(seed: int, *keys: int) -> int:
     for k in keys:
         h = _mix64_scalar(h ^ _mix64_scalar((int(k) + _GAMMA) & _MASK64))
     return h
+
+
+def derive_seeds(seed: int, *keys: int, count: int) -> list[int]:
+    """``[derive_seed(seed, *keys, i) for i in range(count)]``, with the last
+    key's fold done for every i in one uint64 array pass."""
+    h = np.uint64(derive_seed(seed, *keys))
+    last = np.arange(count, dtype=np.uint64) + _GAMMA_U64
+    return _mix64_array(h ^ _mix64_array(last)).tolist()
 
 
 class SeededRng:
@@ -85,23 +103,28 @@ class SeededRng:
     ahead: ``_BLOCK_WORDS`` words across all rows, starting at the position
     of the draw that filled it.  A draw that fits in the block returns a
     read-only slice of it; any other draw computes exactly its own words.
-    Word i is the same either way, so words, positions and every output are
-    those of the blockless stream.  ``position`` stays the number of words
-    consumed, and the block is read only while ``position`` lies in the range
-    it covers, so reassigning ``position`` replays or skips as before.
+    ``rademacher`` reads the block's +-1 values, computed on its first draw
+    from that block.  Word i is the same either way, so words, positions and
+    every output are those of the blockless stream.  ``position`` stays the
+    number of words consumed, and the block is read only while ``position``
+    lies in the range it covers, so reassigning ``position`` replays or skips
+    as before.
     """
 
     def __init__(self, seed):
-        if np.ndim(seed) == 0:
+        # a Python int, the common seed, skips np.ndim
+        if isinstance(seed, int) or np.ndim(seed) == 0:
             self.seed = int(seed) & _MASK64
             self._base = np.uint64(self.seed)
+            self._width = _BLOCK_WORDS
         else:
             self.seed = np.array([int(s) & _MASK64 for s in seed], dtype=np.uint64)
             self._base = self.seed[:, None]
+            self._width = max(1, _BLOCK_WORDS // max(1, self.seed.size))
         self.position = 0
-        self._width = max(1, _BLOCK_WORDS // max(1, self._base.size))
         self._block = None  # words _block_start+1 ... of every row, read-only
         self._block_start = 0
+        self._block_signs = None  # rademacher's values of _block, once read
 
     def __repr__(self) -> str:
         if isinstance(self.seed, int):
@@ -122,6 +145,7 @@ class SeededRng:
             self._block = self._words(start, self._width)
             self._block.flags.writeable = False
             self._block_start = start
+            self._block_signs = None
             offset = 0
         self.position = start + n
         return self._block[..., offset : offset + n]
@@ -148,12 +172,25 @@ class SeededRng:
             raise ValueError("bound must be positive")
         if bound > (1 << 53):
             raise ValueError("bound exceeds 53-bit sampling resolution")
-        return np.minimum((self.uniform(n) * bound).astype(np.int64), bound - 1)
+        # uniform(n) * bound: the same two products in the same order, in
+        # place on one float array
+        u = np.multiply(self.raw_uint64(n) >> _U11, _INV_2_53)
+        u *= bound
+        index = u.astype(np.int64)
+        return np.minimum(index, bound - 1, out=index)
 
     def rademacher(self, n: int) -> np.ndarray:
-        """``n`` independent +-1 values as float64."""
-        # the 0/1 top bits index the table as int64, which NumPy takes uncast
-        return _SIGNS[(self.raw_uint64(n) >> _U63).view(np.int64)]
+        """``n`` independent +-1 values as float64.  A draw that raw_uint64
+        serves from the block reads a read-only slice of the block's signs,
+        computed once per block."""
+        words = self.raw_uint64(n)
+        if self._block is None or words.base is not self._block:
+            return _signs(words)  # a draw too long for a block: its own words
+        if self._block_signs is None:
+            self._block_signs = _signs(self._block)
+            self._block_signs.flags.writeable = False
+        offset = self.position - n - self._block_start
+        return self._block_signs[..., offset : offset + n]
 
     def substream(self, *keys: int) -> "SeededRng":
         """Fresh stream derived from this stream's seed and integer keys."""

@@ -29,6 +29,7 @@ from .models import (
     _jvp_batch,
     _linearize,
     _logit_deltas,
+    _matmul,
     _take_rows,
 )
 
@@ -55,7 +56,7 @@ def _softmax_hessian_apply(p: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Rows of S_b t_b = p_b * t_b - p_b (p_b . t_b) for probabilities p and
     logit vectors t, (..., B, K) each; the row sums p_b . t_b are one GEMV."""
     pt = p * t
-    pt -= p * (pt @ np.ones(pt.shape[-1]))[..., None]
+    pt -= p * _matmul(pt, np.ones(pt.shape[-1]))[..., None]
     return pt
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import SeededRng, derive_seed, pearson_corr
+from .core import SeededRng, derive_seed, derive_seeds, pearson_corr
 
 _DIVERGENCE_SCALE = 1e12
 
@@ -54,7 +54,9 @@ class LissaDivergenceError(RuntimeError):
 
 @dataclass
 class LissaTrace:
-    """Per-step iterate norms plus snapshot copies at selected steps."""
+    """Per-step iterate norms plus the iterates at selected steps.  The
+    solver writes no iterate after its step, so a snapshot is the iterate
+    itself, and the last one is the array that the solve returns."""
 
     norms: np.ndarray
     snapshots: list[tuple[int, np.ndarray]]
@@ -78,6 +80,9 @@ def lissa_solve(op, g, cfg: LissaConfig):
     function of (op, g, cfg).  Returns the final iterate as an array and a
     trace; raises LissaDivergenceError, carrying the faulting step, when the
     iterate goes non-finite or passes the runaway guard.
+
+    ``op.matvec`` must return a fresh float64 array: each step forms
+    eta ((H_b + lambda) u - g) in place on it.
     """
     g = np.asarray(g, dtype=np.float64)
     if g.shape != (op.n_params,):
@@ -85,12 +90,13 @@ def lissa_solve(op, g, cfg: LissaConfig):
     if hasattr(op, "reseeded"):
         op = op.reseeded(cfg.seed)
 
-    u = np.zeros_like(g) if cfg.u0 is None else np.array(cfg.u0, dtype=np.float64)
+    u = np.zeros(g.shape) if cfg.u0 is None else np.array(cfg.u0, dtype=np.float64)
     if u.shape != g.shape:
         raise ValueError("u0 does not match the gradient")
-    # sqrt(x @ x) is what np.linalg.norm computes for a 1-D float64 array
-    u0_norm = math.sqrt(u @ u)
-    bound = _divergence_bound(math.sqrt(g @ g), u0_norm, cfg.lambda_damp)
+    # sqrt(x . x) is what np.linalg.norm computes for a 1-D float64 array;
+    # ndarray.dot is the product of @ at less cost per call
+    u0_norm = math.sqrt(u.dot(u))
+    bound = _divergence_bound(math.sqrt(g.dot(g)), u0_norm, cfg.lambda_damp)
 
     t_steps, eta, damp, every = cfg.t_steps, cfg.eta, cfg.lambda_damp, cfg.snapshot_every
     matvec, sqrt, isfinite = op.matvec, math.sqrt, math.isfinite
@@ -100,16 +106,20 @@ def lissa_solve(op, g, cfg: LissaConfig):
     # a step that overflows leaves a non-finite norm, which the guard reports
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, t_steps + 1):
+            # u - eta (H_b u + damp u - g), its operations in that order
             hu = matvec(u)
-            u = u - eta * (hu + damp * u - g)
-            norm = sqrt(u @ u)
+            hu += damp * u
+            hu -= g
+            hu *= eta
+            u = u - hu
+            norm = sqrt(u.dot(u))
             if not isfinite(norm) or norm > bound:
                 raise LissaDivergenceError(step, norm)
             norms[step] = norm
             if every and step % every == 0:
-                snapshots.append((step, u.copy()))
+                snapshots.append((step, u))
     if not snapshots or snapshots[-1][0] != t_steps:
-        snapshots.append((t_steps, u.copy()))
+        snapshots.append((t_steps, u))
 
     return u, LissaTrace(norms=norms, snapshots=snapshots)
 
@@ -239,12 +249,12 @@ class RotatedRankOneSampler:
         return twin
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
+        # ndarray.dot is the product of @, bit for bit, at less cost per call
         batch_size, n = self.batch_size, self.n_params
-        z = self._rotation_t @ np.asarray(v, dtype=np.float64)
-        signs = self.rng.rademacher(batch_size * n)
-        scaled = signs.reshape(batch_size, n) * self._root
-        coeffs = scaled @ z
-        return self._rotation @ (scaled.T @ coeffs / batch_size)
+        z = self._rotation_t.dot(v)
+        scaled = self.rng.rademacher(batch_size * n).reshape(batch_size, n) * self._root
+        coeffs = scaled.dot(z)
+        return self._rotation.dot(scaled.T.dot(coeffs) / batch_size)
 
 
 def counterexample_build(eigenvalues, batch_size: int, lambda_damp: float, eta: float, seed: int):
@@ -354,12 +364,13 @@ def counterexample_simulate(
     run_u = np.empty((t + 1, problem.n))
     run_u[0] = problem.u0
 
-    for run in range(n_runs):
+    # run r's seed is derive_seed(seed, 17, r)
+    for run_seed in derive_seeds(seed, 17, count=n_runs):
         cfg = LissaConfig(
             eta=problem.eta,
             lambda_damp=problem.lambda_damp,
             t_steps=t,
-            seed=derive_seed(seed, 17, run),
+            seed=run_seed,
             snapshot_every=1,
             u0=problem.u0,
         )

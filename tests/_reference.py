@@ -2,15 +2,18 @@
 
 Each one computes a quantity the slow, obvious way: the dense operator behind
 a matrix, the softmax Hessian as a matrix, the proximal Bregman objective that
-``pbrf.pbo_gradient`` differentiates, and the closed forms of the rank-one
-counterexample.  None of them is part of the program.
+``pbrf.pbo_gradient`` differentiates, the closed forms of the rank-one
+counterexample, and the plain-expression forms of the solver step and the
+rank-one sampler.  None of them is part of the program.
 """
+
+import math
 
 import numpy as np
 
-from lissakit.core import SymEig, check_symmetric
+from lissakit.core import SeededRng, SymEig, check_symmetric
 from lissakit.influence import eigen_reweight
-from lissakit.lissa import CounterExampleProblem
+from lissakit.lissa import CounterExampleProblem, LissaConfig
 from lissakit.models import ModelSpec, _forward, _nll_from_logits, _softmax
 from lissakit.pbrf import PboConfig
 
@@ -61,6 +64,36 @@ def rank_one_factor(problem: CounterExampleProblem, signs: np.ndarray) -> np.nda
     """The sampler's batch member x = V (sqrt(lam) * signs) for an explicit
     sign pattern."""
     return problem.rotation @ (np.sqrt(problem.eigenvalues) * np.asarray(signs, dtype=np.float64))
+
+
+def sampler_matvec(problem: CounterExampleProblem, rng: SeededRng, v: np.ndarray) -> np.ndarray:
+    """The rank-one sampler's H_b v as plain @ expressions: B sign patterns
+    drawn from ``rng`` as one raw draw of B * n words, each word's top bit
+    mapped to +-1 arithmetically."""
+    B, n = problem.batch_size, problem.n
+    signs = (rng.raw_uint64(B * n) >> np.uint64(63)).astype(np.float64) * 2.0 - 1.0
+    scaled = signs.reshape(B, n) * np.sqrt(problem.eigenvalues)
+    coeffs = scaled @ (problem.rotation.T @ v)
+    return problem.rotation @ (scaled.T @ coeffs / B)
+
+
+def solve_loop(op, g: np.ndarray, cfg: LissaConfig):
+    """lissa_solve's iteration as one expression per step,
+    u <- u - eta (H_b u + lambda u - g), with a copy of each snapshot; the
+    norms are sqrt(u @ u).  Returns the final iterate, the norms and the
+    snapshots."""
+    if hasattr(op, "reseeded"):
+        op = op.reseeded(cfg.seed)
+    u = np.zeros_like(g) if cfg.u0 is None else np.array(cfg.u0, dtype=np.float64)
+    norms, snapshots = [math.sqrt(u @ u)], []
+    for step in range(1, cfg.t_steps + 1):
+        u = u - cfg.eta * (op.matvec(u) + cfg.lambda_damp * u - g)
+        norms.append(math.sqrt(u @ u))
+        if cfg.snapshot_every and step % cfg.snapshot_every == 0:
+            snapshots.append((step, u.copy()))
+    if not snapshots or snapshots[-1][0] != cfg.t_steps:
+        snapshots.append((cfg.t_steps, u.copy()))
+    return u, np.array(norms), snapshots
 
 
 def nll_loss(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: int) -> float:

@@ -273,6 +273,50 @@ class TestRecommendCommand:
         first_output = next(i for i, line in enumerate(lines) if line.startswith("output "))
         assert lines[first_output - len(build) : first_output] == build
 
+    @pytest.mark.parametrize("kind", ["dataset", "corpus"])
+    def test_input_file_hash_changes_exactly_with_its_bytes(self, tmp_path, capsys, kind):
+        from lissakit.core import SeededRng
+        from lissakit.models import make_blobs, save_dataset_csv
+
+        path = tmp_path / f"{kind}.txt"
+        if kind == "dataset":
+            save_dataset_csv(make_blobs(SeededRng(5), 24, 4, 3), str(path))
+            command, text = "lissa", LINEAR_4_3 + f"dataset_path = {path}\nlambda_damp = 0.5\nbatch_size = 4\nt_steps = 3\n"
+        else:
+            path.write_text("a b c\nb c a\nc a b\n")
+            command, text = "tfidf-check", f"corpus_path = {path}\nlambda_damp = 1.0\n"
+
+        def run(name):
+            code, out = run_cli(tmp_path, command, text, name=name)
+            assert code == 0
+            lines = (out / "manifest.txt").read_text().splitlines()
+            stdout = capsys.readouterr().out
+            hashes = [line for line in lines if line.startswith(f"{kind}_sha256 = ")]
+            assert len(hashes) == 1 and "sha256" not in stdout
+            assert not any(line.startswith("output") and kind in line for line in lines)
+            # an input line: after the config hash, before the seed
+            assert lines.index(hashes[0]) == lines.index(f"config_sha256 = {sha256_hex(text)}") + 1
+            assert lines[lines.index(hashes[0]) + 1].startswith("seed = ")
+            return hashes[0].split(" = ")[1], [line for line in lines if line.startswith("output")]
+
+        first, outputs = run("first")
+        assert first == sha256_hex(path.read_bytes())
+        data = path.read_bytes()
+        path.write_bytes(data)  # the same bytes, written again
+        assert run("same") == (first, outputs)
+        edited = data.replace(b"1", b"2", 1) if kind == "dataset" else data + b"b a c\n"
+        assert edited != data
+        path.write_bytes(edited)
+        changed, _ = run("edited")
+        assert changed == sha256_hex(edited) != first
+        path.write_bytes(data)
+        assert run("restored") == (first, outputs)
+
+    def test_no_input_file_no_input_hash(self, tmp_path):
+        _, out = run_cli(tmp_path, "lissa", QUAD_CFG)
+        lines = (out / "manifest.txt").read_text().splitlines()
+        assert not any(line.startswith(("dataset_sha256", "corpus_sha256")) for line in lines)
+
     def test_blas_thread_variable_changes_only_its_own_line(self, tmp_path, monkeypatch):
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         _, out = run_cli(tmp_path, "recommend", RECOMMEND_CFG, name="unset")
@@ -654,6 +698,22 @@ class TestExitCodes:
         code, _ = run_cli(tmp_path, "lissa", text)
         assert code == 2
         assert "only lissa (eta set, no tolerance)" in capsys.readouterr().err
+
+    def test_dense_limit_message_names_stats_which_runs_past_it(self, tmp_path, capsys):
+        # 3466 parameters, over MAX_DENSE_PARAMS: stats never builds the dense
+        # GNH, so it runs, and the refusal of similarity lists it
+        assert gnh.MAX_DENSE_PARAMS < 3466
+        text = MLP_16_128_10 + "n_examples = 32\nn_probes = 2\nsketch_dim = 4\nlambda_damp = 0.5\n"
+        code, out = run_cli(tmp_path, "stats", text, name="stats")
+        assert code == 0
+        assert (out / "stats.csv").read_text().splitlines()[1].startswith("3466,")
+        capsys.readouterr()
+        code, out = run_cli(tmp_path, "similarity", MLP_16_128_10 + "n_examples = 32\nn_items = 4\n", name="sim")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "a dense GNH of 3466 parameters is over the limit MAX_DENSE_PARAMS" in err
+        assert "stats and condition-c1 never build it" in err
+        assert not any(out.glob("*.csv"))
 
     def test_large_model_with_eta_derives_t_steps_without_dense_gnh(self, tmp_path):
         # 2442 parameters, over the dense limit: T = ceil(mult / (lambda eta)) needs no spectrum
@@ -1149,6 +1209,15 @@ class TestInputBoundary:
         for n_docs in (3163, 10**12):
             code, _ = run_main("tfidf-check", f"n_docs = {n_docs}\ndoc_length = 1\nvocab_size = 2\n")
             assert code == 2
+
+    def test_tfidf_check_undecodable_corpus_is_two(self, tmp_path, capsys):
+        # once a UnicodeDecodeError traceback with exit code 1
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(b"a b\n\xff\xfe c\n")
+        code, out = run_cli(tmp_path, "tfidf-check", f"corpus_path = {corpus}\n")
+        assert code == 2
+        assert f"cannot read corpus {str(corpus)!r}" in capsys.readouterr().err
+        assert not (out / "manifest.txt").exists()
 
     def test_tfidf_check_corpus_file_pairs_are_checked_after_parsing(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):

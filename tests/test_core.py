@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from _reference import DenseOperator
 from lissakit.core import (
     _BLOCK_WORDS,
+    _SIGNS,
     MeanSe,
     SeededRng,
     derive_seed,
+    derive_seeds,
     check_symmetric,
     pearson_corr,
     sym_eig,
@@ -226,6 +228,91 @@ class TestSeededRngBlock:
         got[...] = 0
         assert np.array_equal(rng.raw_uint64(4), whole[..., _BLOCK_WORDS + 40 : _BLOCK_WORDS + 44])
         assert np.array_equal(SeededRng(seed).uniform(40), (whole[..., :40] >> np.uint64(11)) * 2.0**-53)
+
+
+def fresh_words(seed, start, n):
+    """Words start+1 ... start+n of a new stream, from a draw too long for
+    any block."""
+    return rng_at(seed, start).raw_uint64(n + _BLOCK_WORDS)[..., :n]
+
+
+class TestSeededRngFastPaths:
+    """rademacher reads a sign table of the computed block, integers works in
+    place, a Python int seed skips the array checks, and derive_seeds folds
+    its last key for every index at once: each must give the bits of the
+    plain form."""
+
+    @pytest.mark.parametrize("seed", [4, [4, 9, 2**64 - 1]])
+    def test_rademacher_equals_the_signs_of_a_fresh_draw(self, seed):
+        width = _BLOCK_WORDS // np.size(seed)
+        rng = SeededRng(seed)
+        # (position to move to or None, draw, n): inside a block, across its
+        # end, at and above its width, after raw draws of the same block, and
+        # after the position moves back and forward
+        plan = [
+            (None, "signs", 3), (None, "signs", 10), (None, "raw", 4), (None, "signs", width - 20),
+            (None, "signs", 6), (None, "signs", width), (None, "signs", width + 7), (2, "signs", 4),
+            (None, "raw", 1), (None, "signs", 9), (width - 2, "signs", 5), (7, "signs", 1),
+            (3 * width, "raw", 2), (None, "signs", 9), (1, "signs", 0), (5 * width + 3, "signs", 2),
+        ]
+        for position, kind, n in plan:
+            if position is not None:
+                rng.position = position
+            start = rng.position
+            words = fresh_words(seed, start, n)
+            if kind == "raw":
+                assert np.array_equal(rng.raw_uint64(n), words)
+                continue
+            got = rng.rademacher(n)
+            want = _SIGNS[(words >> np.uint64(63)).astype(np.int64)]
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (position, n)
+            assert rng.position == start + n
+
+    @pytest.mark.parametrize("seed", [4, [4, 9]])
+    def test_rademacher_arrays_are_read_only_like_raw_words(self, seed):
+        signs, words = SeededRng(seed), SeededRng(seed)
+        for n in (3, 10, 1):
+            got, raw = signs.rademacher(n), words.raw_uint64(n)
+            assert not got.flags.writeable and not raw.flags.writeable
+            with pytest.raises(ValueError):
+                got[...] = 0.0
+        # a draw too long for a block is its own fresh array, as raw_uint64's is
+        got, raw = signs.rademacher(2 * _BLOCK_WORDS), words.raw_uint64(2 * _BLOCK_WORDS)
+        assert got.flags.writeable and raw.flags.writeable
+        got[...] = 0.0
+        assert np.array_equal(signs.rademacher(5), SeededRng(seed).rademacher(2 * _BLOCK_WORDS + 19)[..., -5:])
+
+    @pytest.mark.parametrize("bound", [1, 2, 200, 2**31, 2**53])
+    @pytest.mark.parametrize("seed", [6, [6, 2**64 - 1, 0]])
+    def test_integers_equal_the_floor_of_uniforms_times_bound(self, seed, bound):
+        rng, uniforms = SeededRng(seed), SeededRng(seed)
+        for n in (0, 1, 16, 300, 7, 2 * _BLOCK_WORDS):
+            got = rng.integers(n, bound)
+            want = np.minimum((uniforms.uniform(n) * bound).astype(np.int64), bound - 1)
+            assert got.dtype == np.int64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), n
+
+    @pytest.mark.parametrize("k", [0, 5, 2**63 + 11, 2**64 - 1, -1, -5, -(2**63)])
+    def test_seed_types_give_one_stream(self, k):
+        # a negative seed wraps mod 2**64, as the same np.int64 and the
+        # np.uint64 of its wrapped value do
+        wrapped = k % 2**64
+        want = SeededRng(wrapped).raw_uint64(300)
+        seeds = [k, np.uint64(wrapped)] + ([np.int64(k)] if -(2**63) <= k < 2**63 else [])
+        for seed in seeds:
+            rng = SeededRng(seed)
+            assert type(rng.seed) is int and rng.seed == wrapped, type(seed)
+            assert rng.raw_uint64(300).tobytes() == want.tobytes(), type(seed)
+            assert repr(rng) == repr(SeededRng(wrapped)).replace("position=0", "position=300")
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**64 - 1])
+    def test_derive_seeds_equals_derive_seed_per_index(self, seed):
+        got = derive_seeds(seed, 17, count=1000)
+        assert got == [derive_seed(seed, 17, run) for run in range(1000)]
+        assert all(type(s) is int for s in got)
+        assert derive_seeds(seed, 2, 5, count=3) == [derive_seed(seed, 2, 5, i) for i in range(3)]
+        assert derive_seeds(seed, 17, count=0) == []
 
 
 class TestSymEig:

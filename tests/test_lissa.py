@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import DenseOperator, mean_matrix, rank_one_factor
+from _reference import DenseOperator, mean_matrix, rank_one_factor, sampler_matvec, solve_loop
 from lissakit.core import SeededRng, derive_seed, sym_eig
 from lissakit.gnh import GnhOperator, gnh_matrix_exact
 from lissakit.influence import eigen_reweight
@@ -247,6 +247,59 @@ class TestLissaSolve:
             LissaConfig(eta=0.1, lambda_damp=-1.0, t_steps=1)
         with pytest.raises(ValueError):
             LissaConfig(eta=0.1, lambda_damp=1.0, t_steps=0)
+
+
+class TestFastPathsEqualReferenceLoops:
+    """The sampler and the solver take their products through ndarray.dot,
+    read signs from the RNG's sign table, and step in place on the matvec
+    result; each must give the bits of the plain expressions."""
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 16])
+    @pytest.mark.parametrize("n", [1, 2, 10, 33])
+    def test_sampler_matvec_equals_reference(self, n, batch_size):
+        problem = counterexample_build(np.linspace(2.0, 0.1, n), batch_size, 0.1, 0.4, seed=n)
+        sampler = RotatedRankOneSampler(problem, SeededRng(7))
+        rng = SeededRng(7)
+        v = SeededRng(8).normal(n)
+        # enough calls of B n words each to cross several block edges
+        for _ in range(40):
+            got = sampler.matvec(v)
+            want = sampler_matvec(problem, rng, v)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+            v = got / np.linalg.norm(got) + 0.5 * v
+        assert sampler.rng.position == rng.position
+
+    @staticmethod
+    def operators():
+        spec, theta, data, H, g = toy_problem()
+        mlp = ModelSpec("mlp", (5, 4, 3), "tanh")
+        mlp_theta = init_params(mlp, SeededRng(31))
+        mlp_data = make_blobs(SeededRng(32), 40, 5, 3)
+        mlp_g = loss_gradients(mlp, mlp_theta, mlp_data.X[:1], mlp_data.y[:1])[0]
+        lam = np.array([3.0, 2.0, 1.5, 1.0, 0.5, 0.2, 0.05])
+        problem = counterexample_build(lam, 2, 0.3, 0.3, seed=12)
+        sampler = RotatedRankOneSampler(problem, SeededRng(0))
+        return {
+            "dense": (DenseOperator(H), g, None),
+            "gnh-minibatch": (GnhOperator(mlp, mlp_theta, mlp_data, batch_size=6, rng=SeededRng(0)), mlp_g, None),
+            "gnh-full": (GnhOperator(mlp, mlp_theta, mlp_data), mlp_g, mlp_g),
+            "sampler-g0": (sampler, np.zeros(problem.n), problem.u0),
+            "sampler": (sampler, np.linspace(-1.0, 1.0, problem.n), problem.u0),
+        }
+
+    @pytest.mark.parametrize("every", [0, 1, 3])
+    @pytest.mark.parametrize("name", ["dense", "gnh-minibatch", "gnh-full", "sampler-g0", "sampler"])
+    def test_lissa_solve_equals_reference_loop(self, name, every):
+        op, g, u0 = self.operators()[name]
+        cfg = LissaConfig(eta=0.3, lambda_damp=0.2, t_steps=10, seed=41, snapshot_every=every, u0=u0)
+        u, trace = lissa_solve(op, g, cfg)
+        want_u, want_norms, want_snapshots = solve_loop(op, g, cfg)
+        assert u.tobytes() == want_u.tobytes()
+        assert trace.norms.tobytes() == want_norms.tobytes()
+        assert [step for step, _ in trace.snapshots] == [step for step, _ in want_snapshots]
+        for (_, got), (_, want) in zip(trace.snapshots, want_snapshots):
+            assert got.tobytes() == want.tobytes()
+        assert trace.final() is u
 
 
 class TestConvergenceCorrelation:
