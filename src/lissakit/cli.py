@@ -73,17 +73,24 @@ MAX_PROBES = 1_000_000
 # similarity one gradient per example they score (pbrf-compare also one
 # activation row per scored pair, similarity one float per item pair),
 # convergence one copy of the iterate per snapshot until it correlates them,
-# counterexample one iterate and its moment sums per step, condition-c1 the
-# centered factors of one example's exact trace, and tfidf-check its corpus
-# and its count, gradient and pair arrays, so this caps each array at 80 MB.
-# It does not cap the text of a table that a command writes.
+# counterexample one iterate and its moment sums per step (a pass of its
+# lockstep runs keeps the iterates of as many runs as fit in 2^20 floats, and
+# of one run where one run holds more), condition-c1 the centered factors of
+# one example's exact trace, and tfidf-check its corpus and its count,
+# gradient and pair arrays, so this caps each array at 80 MB.  It does not
+# cap the text of a table that a command writes.
 MAX_KEPT_FLOATS = 10**7
 # Largest number of random words one draw of a command may take: a batch of
 # b examples draws b words per step (b times n_train in the lockstep finetunes
-# of pbrf-compare, b times the dimension in counterexample), a synthetic
-# dataset its n examples times their features, and each word is held as an
-# 8-byte float, so this caps one draw at 80 MB.
+# of pbrf-compare, b times the dimension in counterexample; each chain of a
+# lockstep solve draws its own batch), a synthetic dataset its n examples
+# times their features, and each word is held as an 8-byte float, so this
+# caps one draw at 80 MB.
 MAX_DRAW_WORDS = 10**7
+
+
+# Rows of a table that emit_csv formats at a time.
+_CSV_CHUNK_ROWS = 1024
 
 
 class OracleMismatchError(RuntimeError):
@@ -98,6 +105,20 @@ def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
+
+
+def _fmt_column(column) -> list[str]:
+    """``_fmt`` of each cell of a column: a NumPy int or float array is read
+    out once by ``tolist()``, whose Python ints and floats ``str`` and
+    ``repr`` format as ``_fmt`` does."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iuf":
+        return list(map(repr if column.dtype.kind == "f" else str, column.tolist()))
+    return [_fmt(cell) for cell in column]
+
+
+def _row(*cells) -> list[list]:
+    """The columns of a one-row table."""
+    return [[cell] for cell in cells]
 
 
 class RunContext:
@@ -127,10 +148,19 @@ class RunContext:
         (self.out_dir / name).write_text(text)
         self.outputs.append((name, sha256_hex(text)))
 
-    def emit_csv(self, name: str, header: list[str], rows) -> None:
+    def emit_csv(self, name: str, header: list[str], columns) -> None:
+        """A table given as its columns, each an array or a sequence of
+        cells of one length, one line per row, each cell as ``_fmt`` writes
+        it.  The columns are formatted _CSV_CHUNK_ROWS rows at a time, so
+        no more than that many rows' cells are held as strings at once."""
+        columns = list(columns)
+        lengths = {len(column) for column in columns}
+        if len(lengths) > 1:
+            raise ValueError("the columns of a table differ in length")
         lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt(cell) for cell in row))
+        for start in range(0, max(lengths, default=0), _CSV_CHUNK_ROWS):
+            cells = [_fmt_column(column[start : start + _CSV_CHUNK_ROWS]) for column in columns]
+            lines += map(",".join, zip(*cells))
         self.emit_text(name, "\n".join(lines) + "\n")
 
     def write_manifest(self, command: str) -> None:
@@ -391,18 +421,16 @@ def cmd_stats(run: RunContext) -> None:
             "batch_size",
             "t_steps",
         ],
-        [
-            (
-                op.n_params,
-                trace_total,
-                trace.se * op.n_params,
-                frob_norm,
-                lambda_top,
-                hp.eta,
-                hp.batch_size_min,
-                hp.t_steps,
-            )
-        ],
+        _row(
+            op.n_params,
+            trace_total,
+            trace.se * op.n_params,
+            frob_norm,
+            lambda_top,
+            hp.eta,
+            hp.batch_size_min,
+            hp.t_steps,
+        ),
     )
     print(f"n_params = {op.n_params}")
     print(f"trace = {_fmt(trace_total)}")
@@ -418,7 +446,7 @@ def cmd_recommend(run: RunContext) -> None:
     run.emit_csv(
         "recommend.csv",
         ["eta", "batch_size", "t_steps", "lambda_damp", "c_const", "t_multiplier"],
-        [(hp.eta, hp.batch_size_min, hp.t_steps, cfg.lambda_damp, cfg.c_const, cfg.t_multiplier)],
+        _row(hp.eta, hp.batch_size_min, hp.t_steps, cfg.lambda_damp, cfg.c_const, cfg.t_multiplier),
     )
     print(f"eta = {_fmt(hp.eta)}")
     print(f"batch_size = {hp.batch_size_min}")
@@ -460,12 +488,8 @@ def cmd_lissa(run: RunContext) -> None:
             file=sys.stderr,
         )
 
-    run.emit_csv(
-        "lissa_trace.csv",
-        ["step", "u_norm"],
-        [(step, trace.norms[step]) for step in range(t_steps + 1)],
-    )
-    run.emit_csv("solution.csv", ["index", "value"], list(enumerate(u)))
+    run.emit_csv("lissa_trace.csv", ["step", "u_norm"], [range(t_steps + 1), trace.norms])
+    run.emit_csv("solution.csv", ["index", "value"], [range(len(u)), u])
 
     if cfg.tolerance is not None:
         u_star = _oracle_ihvp(run, H, g)
@@ -532,7 +556,7 @@ def cmd_convergence(run: RunContext) -> None:
         except ValueError as exc:
             raise ConfigError(f"no influence correlation at batch size {b}: {exc}") from exc
         rows += [(b, step, corr) for step, corr in series]
-    run.emit_csv("convergence.csv", ["batch_size", "step", "correlation"], rows)
+    run.emit_csv("convergence.csv", ["batch_size", "step", "correlation"], zip(*rows))
 
 
 def cmd_pbrf_compare(run: RunContext) -> None:
@@ -568,11 +592,10 @@ def cmd_pbrf_compare(run: RunContext) -> None:
     T = -loss_gradients(spec, theta, test.X, test.y)
     item_seeds = [run.sub_seed(f"pbrf-item-{i}") for i in range(cfg.n_train)]
 
-    # the solves stop at the first divergence, before any finetune
-    U = np.empty_like(G)
-    for i in range(cfg.n_train):
-        lcfg = LissaConfig(eta=eta, lambda_damp=cfg.lambda_damp, t_steps=steps, seed=item_seeds[i])
-        U[i], _ = lissa_solve(op, -G[i], lcfg)
+    # the items' solves run as lockstep chains; a divergence ends the command
+    # before any finetune, naming the earliest diverging item
+    lcfg = LissaConfig(eta=eta, lambda_damp=cfg.lambda_damp, t_steps=steps, seed=tuple(item_seeds))
+    U, _ = lissa_solve(op, -G, lcfg)
     # one (1, n) @ (n, 1) product per pair, bit for bit each pair's u @ t
     lissa = (U[:, None, None, :] @ T[None, :, :, None])[:, :, 0, 0]
     pcfg = PboConfig(
@@ -592,17 +615,16 @@ def cmd_pbrf_compare(run: RunContext) -> None:
         raise ConfigError(f"cannot compare the influences: {exc}") from exc
     # row i of both score arrays is train point i, column j test point j; an
     # example's id is its row, the test split's counted on from the train set's
-    pairs = [(i, len(train) + j) for i in range(cfg.n_train) for j in range(cfg.n_test)]
+    train_ids = np.repeat(np.arange(cfg.n_train), cfg.n_test)
+    test_ids = np.tile(len(train) + np.arange(cfg.n_test), cfg.n_train)
     run.emit_csv(
-        "pbrf_pairs.csv",
-        ["train_id", "test_id", "lissa", "pbrf"],
-        [(*pair, a, b) for pair, a, b in zip(pairs, lissa.ravel(), retrain.ravel())],
+        "pbrf_pairs.csv", ["train_id", "test_id", "lissa", "pbrf"], [train_ids, test_ids, lissa.ravel(), retrain.ravel()]
     )
     counts = [comparison.class_counts[k] for k in ("agreeing", "disagreeing", "near_zero")]
     run.emit_csv(
         "pbrf_summary.csv",
         ["pearson", "slope", "n_agreeing", "n_disagreeing", "n_near_zero"],
-        [(comparison.pearson, comparison.slope, *counts)],
+        _row(comparison.pearson, comparison.slope, *counts),
     )
     print(f"pearson = {_fmt(comparison.pearson)}")
     print(f"slope = {_fmt(comparison.slope)}")
@@ -641,14 +663,12 @@ def cmd_condition_c1(run: RunContext) -> None:
         )
         if row.batch_size < len(train) and row.lhs_trace.mean > 0:
             points.append((math.log(row.batch_size), math.log(row.lhs_trace.mean)))
-    run.emit_csv(
-        "condition_c1.csv", ["batch_size", "lhs", "lhs_se", "rhs_c1", "ratio"], table
-    )
+    run.emit_csv("condition_c1.csv", ["batch_size", "lhs", "lhs_se", "rhs_c1", "ratio"], zip(*table))
     if len({x for x, _ in points}) >= 2:  # a slope needs two distinct batch sizes
         xs = np.array([p[0] for p in points])
         ys = np.array([p[1] for p in points])
         slope = float(np.polyfit(xs, ys, 1)[0])
-        run.emit_csv("condition_c1_fit.csv", ["slope", "n_points"], [(slope, len(points))])
+        run.emit_csv("condition_c1_fit.csv", ["slope", "n_points"], _row(slope, len(points)))
         print(f"slope = {_fmt(slope)}")
 
 
@@ -691,18 +711,7 @@ def cmd_counterexample(run: RunContext) -> None:
     )
     contraction = 1.0 - cfg.lambda_damp * eta
     u0_norm = float(np.linalg.norm(problem.u0))
-    rows = []
-    for t in range(cfg.t_max + 1):
-        rows.append(
-            (
-                t,
-                exact[t],
-                mc.second_moment[t],
-                mc.second_moment_se[t],
-                mc.mean_norm[t],
-                contraction**t * u0_norm,
-            )
-        )
+    bound = [contraction**t * u0_norm for t in range(cfg.t_max + 1)]
     run.emit_csv(
         "counterexample.csv",
         [
@@ -713,7 +722,7 @@ def cmd_counterexample(run: RunContext) -> None:
             "mc_mean_norm",
             "mean_contraction_bound",
         ],
-        rows,
+        [range(cfg.t_max + 1), exact, mc.second_moment, mc.second_moment_se, mc.mean_norm, bound],
     )
     print(f"batch_threshold = {_fmt(threshold)}")
     print(f"max_growth_factor = {_fmt(growth)}")
@@ -764,7 +773,7 @@ def cmd_tfidf_check(run: RunContext) -> None:
     run.emit_csv(
         "tfidf_pairs.csv",
         ["doc_a", "doc_b", "influence_exact", "tfidf_sum", "tfidf_form", "abs_diff"],
-        zip(a, b, exact, tfidf_sum[a, b], form, abs_diff),
+        [a, b, exact, tfidf_sum[a, b], form, abs_diff],
     )
     worst = abs_diff.max()
     print(f"worst_abs_diff = {_fmt(worst)}")
@@ -810,14 +819,11 @@ def cmd_similarity(run: RunContext) -> None:
         except ValueError as exc:
             raise ConfigError(f"no similarity matrix: {exc}") from exc
 
-    def matrix_rows(values):
-        return [(label, *row) for label, row in zip(labels, values)]
-
     header = ["item"] + [str(label) for label in labels]
-    run.emit_csv("gradient_similarity.csv", header, matrix_rows(gradient_sim))
-    run.emit_csv("influence_similarity.csv", header, matrix_rows(influence_sim))
-    run.emit_csv("similarity_difference.csv", header, matrix_rows(gradient_sim - influence_sim))
-    run.emit_csv("eigen_reweight.csv", ["eigenvalue", "coefficient", "weight"], reweight)
+    run.emit_csv("gradient_similarity.csv", header, [labels, *gradient_sim.T])
+    run.emit_csv("influence_similarity.csv", header, [labels, *influence_sim.T])
+    run.emit_csv("similarity_difference.csv", header, [labels, *(gradient_sim - influence_sim).T])
+    run.emit_csv("eigen_reweight.csv", ["eigenvalue", "coefficient", "weight"], zip(*reweight))
 
 
 COMMANDS = {

@@ -1,7 +1,10 @@
 """Stochastic inverse-curvature solves plus convergence and divergence diagnostics.
 
 The solver iterates u <- u - eta*((Hb + lambda) u - g) with a fresh curvature
-batch each step and tracks iterate norms and snapshots.  Around it live the
+batch each step and tracks iterate norms and snapshots.  It runs one solve,
+or R independent solves as the chains of one (R, n) array program: one
+``matvec`` per chain per step, then the update, the norms and the
+divergence guard on the whole block.  Around it live the
 dense-solve oracle used by every accuracy check, an influence-correlation
 series for convergence studies, and a rotated rank-one curvature sampler whose
 second moment is known in closed form, including the regime where the mean
@@ -18,17 +21,25 @@ import numpy as np
 from .core import SeededRng, derive_seed, derive_seeds, pearson_corr
 
 _DIVERGENCE_SCALE = 1e12
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+# Chains that one pass of lissa_solve steps together.  Each live chain holds
+# its own reseeded operator (a sampler's block of draws and its sign table,
+# about 4 KB), so passes bound that memory whatever the number of chains.
+_PASS_CHAINS = 256
+# Iterate floats that one pass of counterexample_simulate keeps, over its runs.
+_PASS_FLOATS = 1 << 20
 
 
 @dataclass(frozen=True)
 class LissaConfig:
     """Solver settings: step size, damping, step count, seeding.  The batch
-    size belongs to the operator."""
+    size belongs to the operator.  ``seed`` is one seed, or a tuple of one
+    seed per chain of a lockstep solve."""
 
     eta: float
     lambda_damp: float
     t_steps: int
-    seed: int = 0
+    seed: int | tuple[int, ...] = 0
     snapshot_every: int = 0
     u0: np.ndarray | None = None
 
@@ -54,9 +65,10 @@ class LissaDivergenceError(RuntimeError):
 
 @dataclass
 class LissaTrace:
-    """Per-step iterate norms plus the iterates at selected steps.  The
-    solver writes no iterate after its step, so a snapshot is the iterate
-    itself, and the last one is the array that the solve returns."""
+    """Per-step iterate norms plus the iterates at selected steps: (T + 1,)
+    norms and (n,) iterates for a single solve, (R, T + 1) and (R, n) for R
+    chains.  The snapshots are copies in one block, and the last one is the
+    array that the solve returns."""
 
     norms: np.ndarray
     snapshots: list[tuple[int, np.ndarray]]
@@ -65,63 +77,118 @@ class LissaTrace:
         return self.snapshots[-1][1]
 
 
-def _divergence_bound(g_norm: float, u0_norm: float, lambda_damp: float) -> float:
+def _divergence_bound(g_norm: np.ndarray, u0_norm: np.ndarray, lambda_damp: float) -> np.ndarray:
     if lambda_damp > 0:
         return _DIVERGENCE_SCALE * (g_norm / lambda_damp + u0_norm)
-    return _DIVERGENCE_SCALE * max(g_norm, u0_norm, 1.0)
+    return _DIVERGENCE_SCALE * np.maximum(np.maximum(g_norm, u0_norm), 1.0)
+
+
+def _row_norms(block: np.ndarray) -> np.ndarray:
+    """sqrt(x . x) of each row of a C-contiguous (R, n) block: each (1, n) @
+    (n, 1) product is the dot product that ``x.dot(x)`` computes, bit for
+    bit, and sqrt is correctly rounded, as for np.linalg.norm of a row."""
+    return np.sqrt((block[:, None, :] @ block[:, :, None])[:, 0, 0])
 
 
 def lissa_solve(op, g, cfg: LissaConfig):
     """Run the damped stochastic iteration against operator ``op``.
 
     Every step applies a fresh curvature estimate, so the iterates target
-    u* = (H + lambda)^-1 g where H is the operator's mean.  The operator is
-    reseeded from cfg.seed when it supports reseeding, making a solve a pure
-    function of (op, g, cfg).  Returns the final iterate as an array and a
-    trace; raises LissaDivergenceError, carrying the faulting step, when the
-    iterate goes non-finite or passes the runaway guard.
+    u* = (H + lambda)^-1 g where H is the operator's mean.  Returns the final
+    iterate and a trace; raises LissaDivergenceError, carrying the faulting
+    step, when an iterate goes non-finite or passes the runaway guard.
 
-    ``op.matvec`` must return a fresh float64 array: each step forms
-    eta ((H_b + lambda) u - g) in place on it.
+    One solve takes a (n,) ``g`` and an int ``cfg.seed``.  R solves run as R
+    chains in lockstep when ``g`` is an (R, n) block or ``cfg.seed`` a tuple
+    of R seeds; the other one (an (n,) ``g``, an int seed) and ``cfg.u0``
+    ((n,) or (R, n)) are shared by every chain.  Chain r is a pure function
+    of (op, g_r, seed_r, u0_r): its operator is ``op.reseeded(seed_r)`` when
+    ``op`` supports reseeding (chains of an operator that does not share its
+    one stream), and each step calls its ``matvec`` once on the chain's
+    iterate, so chain r is bit for bit the single solve of (g_r, seed_r).  The
+    rest of a step, u - eta ((H_b + lambda) u - g), the norms and the guard,
+    runs on the (R, n) block.  The result is (R, n), the norms (R, T + 1).
+
+    Chains step in passes of at most _PASS_CHAINS.  A chain that diverges is
+    dropped together with every chain above it, while the chains below it
+    step on to T, so the error names the lowest diverging chain, as solving
+    the chains one by one in order would.
+
+    ``op.matvec`` must return a float64 (n,) array; the solver copies it
+    into its block.
     """
     g = np.asarray(g, dtype=np.float64)
-    if g.shape != (op.n_params,):
+    n = op.n_params
+    if g.ndim not in (1, 2) or g.shape[-1] != n:
         raise ValueError("gradient does not match the operator")
-    if hasattr(op, "reseeded"):
-        op = op.reseeded(cfg.seed)
-
-    u = np.zeros(g.shape) if cfg.u0 is None else np.array(cfg.u0, dtype=np.float64)
-    if u.shape != g.shape:
+    one_seed = isinstance(cfg.seed, (int, np.integer))
+    seeds = [cfg.seed] if one_seed else list(cfg.seed)
+    single = g.ndim == 1 and one_seed
+    chains = len(g) if g.ndim == 2 else len(seeds)
+    if chains < 1 or len(seeds) not in (1, chains):
+        raise ValueError("need one seed, or one per gradient row")
+    u0 = np.zeros(n) if cfg.u0 is None else np.asarray(cfg.u0, dtype=np.float64)
+    if u0.shape != (n,) and (single or u0.shape != (chains, n)):
         raise ValueError("u0 does not match the gradient")
-    # sqrt(x . x) is what np.linalg.norm computes for a 1-D float64 array;
-    # ndarray.dot is the product of @ at less cost per call
-    u0_norm = math.sqrt(u.dot(u))
-    bound = _divergence_bound(math.sqrt(g.dot(g)), u0_norm, cfg.lambda_damp)
 
     t_steps, eta, damp, every = cfg.t_steps, cfg.eta, cfg.lambda_damp, cfg.snapshot_every
-    matvec, sqrt, isfinite = op.matvec, math.sqrt, math.isfinite
-    norms = np.empty(t_steps + 1)
-    norms[0] = u0_norm
-    snapshots: list[tuple[int, np.ndarray]] = []
-    # a step that overflows leaves a non-finite norm, which the guard reports
+    kept = list(range(every, t_steps + 1, every)) if every else []
+    if not kept or kept[-1] != t_steps:
+        kept.append(t_steps)
+    snapshots = np.empty((len(kept), chains, n))
+    norms = np.empty((chains, t_steps + 1))
+    diverged = None  # (step, norm) of the lowest diverging chain so far
+    # a norm or a step that overflows is non-finite, which the guard reports
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, t_steps + 1):
-            # u - eta (H_b u + damp u - g), its operations in that order
-            hu = matvec(u)
-            hu += damp * u
-            hu -= g
-            hu *= eta
-            u = u - hu
-            norm = sqrt(u.dot(u))
-            if not isfinite(norm) or norm > bound:
-                raise LissaDivergenceError(step, norm)
-            norms[step] = norm
-            if every and step % every == 0:
-                snapshots.append((step, u))
-    if not snapshots or snapshots[-1][0] != t_steps:
-        snapshots.append((t_steps, u))
+        # every (R, n) block is C-contiguous, so that the products that read
+        # its rows, the row norms and each chain's matvec, take each row's
+        # bits as they would a lone (n,) array's; a strided row can differ
+        G = np.ascontiguousarray(g.reshape(-1, n))
+        U0 = np.ascontiguousarray(u0.reshape(-1, n))
+        norms[:, 0] = u0_norms = _row_norms(U0)
+        # a norm passes the guard when it is at most this: never when it is
+        # non-finite, also where the bound itself overflows to inf
+        limits = np.broadcast_to(
+            np.minimum(_divergence_bound(_row_norms(G), u0_norms, damp), _FLOAT_MAX), chains
+        )
+        for start in range(0, chains, _PASS_CHAINS):
+            rows = slice(start, min(start + _PASS_CHAINS, chains))
+            pass_seeds = seeds[rows] if len(seeds) > 1 else seeds * (rows.stop - start)
+            if hasattr(op, "reseeded"):
+                matvecs = [op.reseeded(seed).matvec for seed in pass_seeds]
+            else:
+                matvecs = [op.matvec] * len(pass_seeds)
+            u = np.empty((len(matvecs), n))
+            u[...] = U0[rows] if len(U0) > 1 else U0
+            g_rows = G[rows] if len(G) > 1 else G
+            limit = limits[rows]
+            kept_at = 0
+            for step in range(1, t_steps + 1):
+                # u - eta (H_b u + damp u - g), its operations in that order
+                hu = np.concatenate([matvec(row) for matvec, row in zip(matvecs, u)]).reshape(u.shape)
+                hu += damp * u
+                hu -= g_rows
+                hu *= eta
+                u = u - hu
+                norm = _row_norms(u)
+                norms[start : start + len(u), step] = norm
+                passed = norm <= limit
+                if not passed.all():
+                    live = int(np.argmin(passed))  # the lowest chain that failed
+                    diverged = (step, float(norm[live]))
+                    if not live:
+                        break
+                    matvecs, u, g_rows, limit = matvecs[:live], u[:live], g_rows[:live], limit[:live]
+                elif diverged is None and step == kept[kept_at]:
+                    snapshots[kept_at, rows] = u
+                    kept_at += 1
+            if diverged is not None:
+                raise LissaDivergenceError(*diverged)
 
-    return u, LissaTrace(norms=norms, snapshots=snapshots)
+    if single:
+        snapshots, norms = snapshots[:, 0], norms[0]
+    trace = LissaTrace(norms=norms, snapshots=list(zip(kept, snapshots)))
+    return trace.final(), trace
 
 
 def exact_ihvp(H: np.ndarray, lambda_damp: float, g) -> np.ndarray:
@@ -344,12 +411,15 @@ def counterexample_simulate(
     step, so the output exposes both the exploding second moment and the
     still-contracting mean for direct comparison with the closed forms.
 
-    Accumulation order: a run's u0 and snapshots are copied into one
-    (t+1, n) array, and the four running sums (||u||^2, ||u||^4, u, u*u per
-    step) each take one array add per run, runs added in order.  Each
-    ||u||^2 is the dot product u @ u, so the sums are bit for bit those of
-    adding step by step.  Each step's mean-iterate norm is ``np.linalg.norm``
-    of that step's row of the mean.
+    The runs are the chains of lockstep solves, in passes of at most
+    _PASS_CHAINS runs whose (t + 1, n) iterate blocks together hold at most
+    _PASS_FLOATS floats, or one run where one run holds more.
+
+    Accumulation order: the four running sums (||u||^2, ||u||^4, u, u*u per
+    step, a run's terms side by side in one row) each take one array add per
+    run, runs added in order.  Each ||u||^2 is the dot product u @ u, so the
+    sums are bit for bit those of adding step by step.  Each step's
+    mean-iterate norm is ``np.linalg.norm`` of that step's row of the mean.
     """
     if n_runs < 2:
         raise ValueError("need at least two runs")
@@ -357,31 +427,39 @@ def counterexample_simulate(
         raise ValueError("need at least one step")
     sampler = RotatedRankOneSampler(problem, SeededRng(seed))
     g = np.zeros(problem.n)
-    sum_sq = np.zeros(t + 1)
-    sum_sq2 = np.zeros(t + 1)
-    sum_u = np.zeros((t + 1, problem.n))
-    sum_uu = np.zeros((t + 1, problem.n))
-    run_u = np.empty((t + 1, problem.n))
-    run_u[0] = problem.u0
+    steps, width = t + 1, (t + 1) * problem.n
+    per_pass = max(1, min(n_runs, _PASS_CHAINS, _PASS_FLOATS // width))
+    # row r holds run r's ||u||^2 and ||u||^4 per step, then its u and u*u
+    # per step, so a run is one add onto the running sums
+    terms = np.empty((per_pass, 2 * steps + 2 * width))
+    norm_sq, norm_4 = terms[:, :steps], terms[:, steps : 2 * steps]
+    iterates = terms[:, 2 * steps : 2 * steps + width].reshape(per_pass, steps, problem.n)
+    squares = terms[:, 2 * steps + width :].reshape(per_pass, steps, problem.n)
+    iterates[:, 0] = problem.u0
+    totals = np.zeros(terms.shape[1])
 
     # run r's seed is derive_seed(seed, 17, r)
-    for run_seed in derive_seeds(seed, 17, count=n_runs):
+    seeds = derive_seeds(seed, 17, count=n_runs)
+    for start in range(0, n_runs, per_pass):
         cfg = LissaConfig(
             eta=problem.eta,
             lambda_damp=problem.lambda_damp,
             t_steps=t,
-            seed=run_seed,
+            seed=tuple(seeds[start : start + per_pass]),
             snapshot_every=1,
             u0=problem.u0,
         )
         _, trace = lissa_solve(sampler, g, cfg)
+        k = len(cfg.seed)
         for step, u in trace.snapshots:
-            run_u[step] = u
-        nsq = (run_u[:, None, :] @ run_u[:, :, None])[:, 0, 0]
-        sum_sq += nsq
-        sum_sq2 += nsq * nsq
-        sum_u += run_u
-        sum_uu += run_u * run_u
+            iterates[:k, step] = u
+        norm_sq[:k] = (iterates[:k, :, None, :] @ iterates[:k, :, :, None])[:, :, 0, 0]
+        np.multiply(norm_sq[:k], norm_sq[:k], out=norm_4[:k])
+        np.multiply(iterates[:k], iterates[:k], out=squares[:k])
+        for row in terms[:k]:
+            totals += row
+    sum_sq, sum_sq2 = totals[:steps], totals[steps : 2 * steps]
+    sum_u, sum_uu = totals[2 * steps :].reshape(2, steps, problem.n)
 
     second = sum_sq / n_runs
     var_sq = np.maximum(sum_sq2 / n_runs - second**2, 0.0)

@@ -20,6 +20,7 @@ from lissakit.gnh import GnhOperator, gnh_matrix_exact
 from lissakit.influence import eigen_reweight
 from lissakit.lissa import (
     LissaConfig,
+    LissaTrace,
     convergence_correlation,
     counterexample_build,
     counterexample_moments,
@@ -154,12 +155,16 @@ def test_criterion_02_mean_iterate_contracts(oracle, acceptance_log):
     sums = {t: np.zeros(fx.spec.n_params) for t in checkpoints}
     squares = {t: np.zeros(fx.spec.n_params) for t in checkpoints}
     base = replace(fx.base_cfg, snapshot_every=10)
-    for m in range(runs):
-        _, trace_run = lissa_solve(fx.op_batch, fx.g, replace(base, seed=derive_seed(77, m)))
-        snap = dict(trace_run.snapshots)
+    seeds = [derive_seed(77, m) for m in range(runs)]
+    # the runs as lockstep chains, 100 to a solve; each run's snapshots are
+    # added in run order
+    for start in range(0, runs, 100):
+        _, trace_runs = lissa_solve(fx.op_batch, fx.g, replace(base, seed=tuple(seeds[start : start + 100])))
+        snap = dict(trace_runs.snapshots)
         for t in checkpoints:
-            sums[t] += snap[t]
-            squares[t] += snap[t] ** 2
+            for u in snap[t]:
+                sums[t] += u
+                squares[t] += u**2
     rate = 1.0 - fx.lam_damp * fx.hp.eta
     start_dist = float(np.linalg.norm(fx.u_star))  # u0 = 0
     parts = []
@@ -227,17 +232,19 @@ def test_criterion_04_small_batches_stabilize_later(acceptance_log):
 
     def crossing_step(batch, seed, trials):
         """First step where the trial-averaged correlation-to-final hits 0.99."""
+        op = GnhOperator(spec, theta, data, batch_size=batch, rng=SeededRng(0))
+        cfg = LissaConfig(
+            eta=hp.eta,
+            lambda_damp=lam_damp,
+            t_steps=t_run,
+            seed=tuple(derive_seed(seed, batch, i) for i in range(trials)),
+            snapshot_every=1,
+        )
+        # the trials as lockstep chains; trial i's trace is row i of each block
+        _, trace_runs = lissa_solve(op, g, cfg)
         series = []
         for i in range(trials):
-            op = GnhOperator(spec, theta, data, batch_size=batch, rng=SeededRng(0))
-            cfg = LissaConfig(
-                eta=hp.eta,
-                lambda_damp=lam_damp,
-                t_steps=t_run,
-                seed=derive_seed(seed, batch, i),
-                snapshot_every=1,
-            )
-            _, trace_run = lissa_solve(op, g, cfg)
+            trace_run = LissaTrace(trace_runs.norms[i], [(step, u[i]) for step, u in trace_runs.snapshots])
             series.append([c for _, c in convergence_correlation(trace_run, grads)])
         averaged = np.mean(np.asarray(series), axis=0)
         for step, corr in zip(range(1, t_run + 1), averaged):

@@ -27,7 +27,7 @@ from lissakit.config import (
     sha256_hex,
 )
 from lissakit.gnh import GnhOperator
-from lissakit.lissa import LissaDivergenceError
+from lissakit.lissa import LissaDivergenceError, RotatedRankOneSampler
 
 RECOMMEND_CFG = """
 # spectral statistics of a large image classifier
@@ -378,6 +378,28 @@ class TestDeterminism:
         assert done.stdout == "False\n"
 
 
+def _diverging_reseeded(items, diverge_at, calls):
+    """GnhOperator.reseeded whose copy for item i (``items`` maps seeds to
+    items) returns inf from its ``diverge_at[i]``-th matvec on, and counts
+    each item's matvec calls in ``calls``."""
+    real_reseeded = GnhOperator.reseeded
+
+    def reseeded(self, seed):
+        twin = real_reseeded(self, seed)
+        item, matvec = items[seed], twin.matvec
+
+        def counted(v):
+            calls[item] = calls.get(item, 0) + 1
+            if calls[item] >= diverge_at.get(item, math.inf):
+                return np.full(v.shape, np.inf)
+            return matvec(v)
+
+        twin.matvec = counted
+        return twin
+
+    return reseeded
+
+
 class TestExitCodes:
     def test_success_is_zero(self, tmp_path):
         code, _ = run_cli(tmp_path, "recommend", RECOMMEND_CFG)
@@ -504,31 +526,30 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "solve_fails, finetune_overflows, message",
         [
-            ((2, 3), (), "iterate diverged at step 2 (norm 1e+300)"),
-            ((2,), (1,), "iterate diverged at step 2 (norm 1e+300)"),
-            ((2,), (2, 3), "iterate diverged at step 2 (norm 1e+300)"),
-            ((), (4,), "finetune overflowed; influences are unavailable"),
+            ({2: 2, 3: 3}, (), "iterate diverged at step 2 (norm inf)"),
+            ({2: 2}, (1,), "iterate diverged at step 2 (norm inf)"),
+            ({2: 2}, (2, 3), "iterate diverged at step 2 (norm inf)"),
+            ({}, (4,), "finetune overflowed; influences are unavailable"),
+            # a higher item that diverges at an earlier step does not hide item 2
+            ({2: 4, 3: 1}, (), "iterate diverged at step 4 (norm inf)"),
         ],
     )
     def test_pbrf_compare_fails_on_the_earliest_item(
         self, tmp_path, capsys, monkeypatch, solve_fails, finetune_overflows, message
     ):
-        # the solves run first and stop at the first divergence, before any
-        # finetune; only when every solve converged can a finetune overflow
+        # the solves run first and end the command at a divergence, naming the
+        # earliest diverging item, before any finetune; only when every solve
+        # converged can a finetune overflow.  Item i's chain diverges at step
+        # solve_fails[i], where its operator returns inf.
         items = {component_seed(3, f"pbrf-item-{i}"): i for i in range(6)}
-        real_solve, real_finetune = cli.lissa_solve, cli.pbrf_finetune
-
-        def solve(op, g, cfg):
-            if items[cfg.seed] in solve_fails:
-                raise LissaDivergenceError(step=items[cfg.seed], norm=1e300)
-            return real_solve(op, g, cfg)
+        real_finetune = cli.pbrf_finetune
+        monkeypatch.setattr(GnhOperator, "reseeded", _diverging_reseeded(items, solve_fails, {}))
 
         def finetune(spec, theta, points, dataset, cfg):
             result = real_finetune(spec, theta, points, dataset, cfg)
             result.overflow[:] = [items[seed] in finetune_overflows for seed in cfg.seed]
             return result
 
-        monkeypatch.setattr("lissakit.cli.lissa_solve", solve)
         monkeypatch.setattr("lissakit.cli.pbrf_finetune", finetune)
         text = QUAD_CFG.replace("t_steps = 400", "t_steps = 5") + "n_train = 6\nn_test = 5\n"
         code, _ = run_cli(tmp_path, "pbrf-compare", text)
@@ -536,21 +557,20 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"numerical overflow: {message}\n"
 
     def test_pbrf_compare_solves_no_item_after_a_divergence(self, tmp_path, monkeypatch):
+        # item 2 diverges at step 2: the items below it step on to T = 5, the
+        # items above it stop with it, and no finetune runs
         items = {component_seed(3, f"pbrf-item-{i}"): i for i in range(6)}
-        solved = []
-        real_solve = cli.lissa_solve
+        calls = {}
+        monkeypatch.setattr(GnhOperator, "reseeded", _diverging_reseeded(items, {2: 2}, calls))
 
-        def solve(op, g, cfg):
-            solved.append(items[cfg.seed])
-            if items[cfg.seed] == 2:
-                raise LissaDivergenceError(step=2, norm=1e300)
-            return real_solve(op, g, cfg)
+        def finetune(*args):
+            raise AssertionError("finetune after a divergence")
 
-        monkeypatch.setattr("lissakit.cli.lissa_solve", solve)
+        monkeypatch.setattr("lissakit.cli.pbrf_finetune", finetune)
         text = QUAD_CFG.replace("t_steps = 400", "t_steps = 5") + "n_train = 6\nn_test = 5\n"
         code, _ = run_cli(tmp_path, "pbrf-compare", text)
         assert code == 3
-        assert solved == [0, 1, 2]
+        assert calls == {0: 5, 1: 5, 2: 2, 3: 2, 4: 2, 5: 2}
 
     def test_pbrf_steps_over_limit_is_two_before_model_work(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):
@@ -575,18 +595,19 @@ class TestExitCodes:
         real_solve, real_finetune = cli.lissa_solve, cli.pbrf_finetune
 
         def solve(op, g, cfg):
-            steps.append(cfg.t_steps)
+            steps.append((len(cfg.seed), cfg.t_steps))
             return real_solve(op, g, cfg)
 
         def finetune(spec, theta, points, dataset, cfg):
-            steps.append(cfg.steps)
+            steps.append((len(cfg.seed), cfg.steps))
             return real_finetune(spec, theta, points, dataset, cfg)
 
         monkeypatch.setattr("lissakit.cli.lissa_solve", solve)
         monkeypatch.setattr("lissakit.cli.pbrf_finetune", finetune)
         text = MLP_4_5_3 + extra + "pbrf_steps = 5\nn_train = 2\nn_test = 5\n"
         code, _ = run_cli(tmp_path, "pbrf-compare", text)
-        assert code == 0 and steps == [5, 5, 5]
+        # one lockstep solve and one lockstep finetune, of both items each
+        assert code == 0 and steps == [(2, 5), (2, 5)]
 
     def test_pbrf_compare_solves_full_batch_when_the_finetunes_do(self, tmp_path, monkeypatch):
         # batch_size = 32 covers the 30 training examples, so pbrf_finetune runs
@@ -609,8 +630,9 @@ class TestExitCodes:
         text = MLP_4_5_3 + "n_examples = 30\nn_test = 5\nn_train = 4\nbatch_size = 32\neta = 0.5\nt_steps = 5\n"
         code, _ = run_cli(tmp_path, "pbrf-compare", text)
         assert code == 0
-        assert len(iterates) == 4
-        assert all(np.array_equal(u, full) for u, full in iterates)
+        # one lockstep solve of the 4 items
+        [(u, full)] = iterates
+        assert u.shape == (4, 43) and np.array_equal(u, full)
 
     def test_pbrf_lr_is_an_unknown_field(self, tmp_path, capsys):
         # eta is the one step size of the solves and the finetunes
@@ -1434,6 +1456,77 @@ class TestInputBoundary:
         assert "10001 examples times the widest layer of 1000" in err and "MAX_KEPT_FLOATS" in err
 
 
+class TestCsvColumns:
+    """emit_csv formats a NumPy int or float column from its tolist(); every
+    cell must come out as _fmt writes it."""
+
+    NUMBERS = [0, 1, -7, 2**62, -0.0, 0.1, 1 / 3, -2.5e-300, 1e300, math.inf, -math.inf, math.nan]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64, np.uint8, np.float64, np.float32, np.float16])
+    def test_array_columns_format_as_their_cells(self, dtype):
+        kind = np.dtype(dtype).kind
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = [v for v in self.NUMBERS if kind == "f" or (isinstance(v, int) and (kind == "i" or v >= 0))]
+            column = np.array(values).astype(dtype)
+        assert cli._fmt_column(column) == [cli._fmt(cell) for cell in column]
+
+    def test_mixed_columns_format_cell_by_cell(self):
+        cells = [
+            3, -3, np.int64(-4), np.uint64(2**64 - 1), np.int8(7),
+            0.25, -0.0, np.float64(-0.0), np.float64(1 / 3), np.float32(0.1), math.nan,
+            None, "abc", "", True, np.bool_(False),
+        ]
+        assert cli._fmt_column(cells) == [cli._fmt(cell) for cell in cells]
+        assert cli._fmt_column(cells)[:8] == ["3", "-3", "-4", "18446744073709551615", "7", "0.25", "-0.0", "-0.0"]
+        assert cli._fmt_column(cells)[11:] == ["", "abc", "", "1", "False"]
+
+    def test_emit_csv_writes_the_rows_of_its_columns(self, tmp_path):
+        run = cli.RunContext(None, tmp_path, 0, "")
+        ids, values, notes = np.array([1, -2]), np.array([-0.0, 0.5]), [None, "x"]
+        run.emit_csv("table.csv", ["id", "value", "note"], [ids, values, notes])
+        rows = [",".join(cli._fmt(cell) for cell in row) for row in zip(ids, values, notes)]
+        assert (tmp_path / "table.csv").read_text() == "id,value,note\n" + "\n".join(rows) + "\n"
+        assert rows == ["1,-0.0,", "-2,0.5,x"]
+        run.emit_csv("empty.csv", ["id"], [])
+        assert (tmp_path / "empty.csv").read_text() == "id\n"
+        with pytest.raises(ValueError, match="differ in length"):
+            run.emit_csv("ragged.csv", ["id", "value"], [ids, values[:1]])
+
+
+class TestHvpCounts:
+    """The benchmark counts one HVP per ``matvec`` call of a GNH operator or
+    of the rank-one sampler, so every call must take one (n,) vector: a
+    pbrf-compare run makes n_train times its step count of them and a
+    counterexample run n_runs times t_max, as ``nominal_hvps`` in the
+    benchmark's workloads expects."""
+
+    @staticmethod
+    def spy(monkeypatch, cls):
+        shapes = []
+        real = cls.matvec
+
+        def matvec(self, v):
+            shapes.append(np.shape(v))
+            return real(self, v)
+
+        monkeypatch.setattr(cls, "matvec", matvec)
+        return shapes
+
+    def test_pbrf_compare_makes_one_hvp_per_item_and_step(self, tmp_path, monkeypatch):
+        shapes = self.spy(monkeypatch, GnhOperator)
+        text = MLP_4_5_3 + "n_examples = 40\nbatch_size = 8\neta = 0.5\nt_steps = 6\nn_train = 5\nn_test = 4\n"
+        code, _ = run_cli(tmp_path, "pbrf-compare", text)
+        assert code == 0
+        assert shapes == [(43,)] * (5 * 6)
+
+    def test_counterexample_makes_one_hvp_per_run_and_step(self, tmp_path, monkeypatch):
+        shapes = self.spy(monkeypatch, RotatedRankOneSampler)
+        text = "eigenvalues = 1, 2, 3\nbatch_size = 1\nlambda_damp = 0.1\nn_runs = 300\nt_max = 4\n"
+        code, _ = run_cli(tmp_path, "counterexample", text)
+        assert code == 0
+        assert shapes == [(3,)] * (300 * 4)
+
+
 class TestKeptIterates:
     def test_lissa_keeps_no_snapshots(self, tmp_path, monkeypatch):
         # lissa writes the norms and the final iterate, so it asks for no copies
@@ -1566,7 +1659,7 @@ class TestArtifacts:
 
         def solve(op, g, cfg):
             u, trace = real_solve(op, g, cfg)
-            solved.append(u)
+            solved.extend(u)  # one lockstep solve: a row per train point
             return u, trace
 
         def gradients(*args):

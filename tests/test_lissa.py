@@ -1,4 +1,6 @@
 import itertools
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +12,7 @@ from _reference import DenseOperator, mean_matrix, rank_one_factor, sampler_matv
 from lissakit.core import SeededRng, derive_seed, sym_eig
 from lissakit.gnh import GnhOperator, gnh_matrix_exact
 from lissakit.influence import eigen_reweight
+from lissakit import lissa
 from lissakit.lissa import (
     CounterExampleMonteCarlo,
     CounterExampleProblem,
@@ -302,6 +305,141 @@ class TestFastPathsEqualReferenceLoops:
         assert trace.final() is u
 
 
+class ScheduledOp:
+    """Identity curvature whose copy for seed s returns inf from its
+    ``diverge_at[s]``-th matvec on, counting each seed's calls in ``calls``."""
+
+    n_params = 3
+    segments = (("all", 0, 3),)
+
+    def __init__(self, diverge_at, calls, seed=None):
+        self.diverge_at, self.calls, self.seed = diverge_at, calls, seed
+
+    def reseeded(self, seed):
+        return ScheduledOp(self.diverge_at, self.calls, seed)
+
+    def matvec(self, v):
+        self.calls[self.seed] = self.calls.get(self.seed, 0) + 1
+        if self.calls[self.seed] >= self.diverge_at.get(self.seed, math.inf):
+            return np.full(3, np.inf)
+        return v.copy()
+
+
+def single_solves_error(op, G, cfg):
+    """The (step, norm) that solving the chains one by one in order raises
+    first, or None."""
+    for r, g in enumerate(G):
+        try:
+            lissa_solve(op, g, replace(cfg, seed=cfg.seed[r]))
+        except LissaDivergenceError as exc:
+            return exc.step, exc.norm
+    return None
+
+
+class TestLockstep:
+    """R chains stepped together are bit for bit R single solves: iterates,
+    norms, snapshots and the raised error."""
+
+    @staticmethod
+    def assert_chains_equal_single_solves(op, G, cfg, u0_rows=None):
+        U, trace = lissa_solve(op, G, cfg)
+        R, n = len(cfg.seed), op.n_params
+        assert U.shape == (R, n) and trace.norms.shape == (R, cfg.t_steps + 1)
+        assert U.flags.c_contiguous and trace.final() is U
+        for r in range(R):
+            g = G[r] if np.ndim(G) == 2 else G
+            u0 = cfg.u0 if u0_rows is None else u0_rows[r]
+            u, single = lissa_solve(op, g, replace(cfg, seed=cfg.seed[r], u0=u0))
+            assert U[r].tobytes() == u.tobytes()
+            assert trace.norms[r].tobytes() == single.norms.tobytes()
+            assert [s for s, _ in trace.snapshots] == [s for s, _ in single.snapshots]
+            for (_, block), (_, want) in zip(trace.snapshots, single.snapshots):
+                assert block[r].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("every", [0, 3])
+    @pytest.mark.parametrize("u0", ["none", "shared", "per-chain"])
+    @pytest.mark.parametrize("name", ["gnh-minibatch", "gnh-full", "sampler"])
+    def test_chains_equal_single_solves(self, name, u0, every):
+        op, g, _ = TestFastPathsEqualReferenceLoops.operators()[name]
+        R, n = 5, op.n_params
+        G = np.stack([(1.0 + 0.5 * r) * g + 0.1 * r for r in range(R)])
+        U0 = SeededRng(3).normal(R * n).reshape(R, n)
+        u0_arg = {"none": None, "shared": U0[0], "per-chain": U0}[u0]
+        seeds = tuple(derive_seed(41, r) for r in range(R))
+        cfg = LissaConfig(eta=0.3, lambda_damp=0.2, t_steps=10, seed=seeds, snapshot_every=every, u0=u0_arg)
+        self.assert_chains_equal_single_solves(op, G, cfg, U0 if u0 == "per-chain" else None)
+
+    def test_shared_gradient_and_one_seed_broadcast(self):
+        # an (n,) g with R seeds, and an (R, n) g with one seed
+        op, g, _ = TestFastPathsEqualReferenceLoops.operators()["gnh-minibatch"]
+        seeds = (5, 6, 7)
+        cfg = LissaConfig(eta=0.3, lambda_damp=0.2, t_steps=6, seed=seeds, snapshot_every=2)
+        self.assert_chains_equal_single_solves(op, g, cfg)
+        G = np.stack([g, 2.0 * g])
+        U, _ = lissa_solve(op, G, replace(cfg, seed=5))
+        for r in range(2):
+            assert U[r].tobytes() == lissa_solve(op, G[r], replace(cfg, seed=5))[0].tobytes()
+
+    @pytest.mark.parametrize("chains", [10, 300])
+    def test_more_chains_than_a_pass(self, monkeypatch, chains):
+        # 10 chains in passes of 4, and 300 in the real passes of 256
+        if chains == 10:
+            monkeypatch.setattr(lissa, "_PASS_CHAINS", 4)
+        op, g, u0 = TestFastPathsEqualReferenceLoops.operators()["sampler"]
+        seeds = tuple(derive_seed(9, r) for r in range(chains))
+        cfg = LissaConfig(eta=0.3, lambda_damp=0.2, t_steps=3, seed=seeds, snapshot_every=1, u0=u0)
+        self.assert_chains_equal_single_solves(op, g, cfg)
+
+    def test_error_names_the_lowest_diverging_chain(self):
+        # chain 4 diverges at step 2 and chain 1 only at step 7: the error is
+        # chain 1's, chains 2 and 3 step on until chain 1 fails, chains above
+        # 4 stop with it, and chain 0 steps on to T
+        calls = {}
+        op = ScheduledOp({1: 7, 4: 2}, calls)
+        cfg = LissaConfig(eta=0.5, lambda_damp=1.0, t_steps=10, seed=tuple(range(6)))
+        with pytest.raises(LissaDivergenceError) as err:
+            lissa_solve(op, np.ones(3), cfg)
+        assert (err.value.step, err.value.norm) == (7, math.inf)
+        assert calls == {0: 10, 1: 7, 2: 7, 3: 7, 4: 2, 5: 2}
+        assert single_solves_error(ScheduledOp({1: 7, 4: 2}, {}), [np.ones(3)] * 6, cfg) == (7, math.inf)
+
+    @pytest.mark.parametrize("pass_chains", [256, 8])
+    def test_sampled_divergence_equals_single_solves(self, monkeypatch, pass_chains):
+        # the growth regime: some chains outgrow the guard, at various steps
+        monkeypatch.setattr(lissa, "_PASS_CHAINS", pass_chains)
+        problem = growth_problem()
+        sampler = RotatedRankOneSampler(problem, SeededRng(0))
+        seeds = tuple(derive_seed(2, r) for r in range(40))
+        cfg = LissaConfig(eta=problem.eta, lambda_damp=problem.lambda_damp, t_steps=60, seed=seeds, u0=problem.u0)
+        G = np.zeros((40, problem.n))
+        want = single_solves_error(sampler, G, cfg)
+        assert want is not None and want[0] > 1
+        with pytest.raises(LissaDivergenceError) as err:
+            lissa_solve(sampler, G, cfg)
+        assert (err.value.step, err.value.norm) == want
+
+    def test_chain_count_checks(self):
+        op = DenseOperator(np.eye(2))
+        cfg = LissaConfig(eta=0.5, lambda_damp=1.0, t_steps=2, seed=(1, 2, 3))
+        with pytest.raises(ValueError, match="one per gradient row"):
+            lissa_solve(op, np.ones((2, 2)), cfg)
+        with pytest.raises(ValueError, match="one per gradient row"):
+            lissa_solve(op, np.ones(2), replace(cfg, seed=()))
+        with pytest.raises(ValueError, match="u0 does not match"):
+            lissa_solve(op, np.ones(2), replace(cfg, u0=np.ones((2, 2))))
+
+    def test_simulate_memory_does_not_grow_with_the_runs(self):
+        # runs step in passes: 4000 runs hold about what 256 do
+        problem = growth_problem()
+        peaks = {}
+        for runs in (256, 4000):
+            tracemalloc.start()
+            counterexample_simulate(problem, runs, 8, seed=1)
+            peaks[runs] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peaks[4000] <= 2 * peaks[256], peaks
+
+
 class TestConvergenceCorrelation:
     def solve_with_snapshots(self):
         spec, theta, data, H, g = toy_problem(seed=5)
@@ -568,6 +706,16 @@ class TestCounterExampleMoments:
         for name in ("second_moment", "second_moment_se", "mean_norm", "mean_se"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
+    def test_run_sums_equal_per_step_sums_across_passes(self, monkeypatch):
+        # passes of 8 runs (the last one short), set by the float budget
+        lam = np.array([3.0, 2.0, 1.5, 1.0, 0.5, 0.2, 0.05])
+        problem = counterexample_build(lam, 2, 0.3, 0.3, seed=12)
+        monkeypatch.setattr(lissa, "_PASS_FLOATS", 8 * 8 * 7 + 5)
+        got = counterexample_simulate(problem, 60, 7, seed=13)
+        want = self.per_step_simulate(problem, 60, 7, seed=13)
+        for name in ("second_moment", "second_moment_se", "mean_norm", "mean_se"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
     def test_simulate_validation(self):
         problem = growth_problem()
         with pytest.raises(ValueError):
@@ -597,6 +745,13 @@ def _shape_cases():
 @pytest.mark.parametrize("bad", [lambda v: v[:, None], lambda v: v[None, :]], ids=["column", "row"])
 @pytest.mark.parametrize("call", list(_shape_cases()))
 def test_vector_shapes_are_checked_not_raveled(call, bad):
-    # an (n, 1) or (1, n) array was once flattened without a word
+    # an (n, 1) or (1, n) array was once flattened without a word; a (1, n)
+    # gradient is a block of one lockstep chain, and stays one
+    if call == "lissa_solve-g" and bad(np.zeros(2)).shape == (1, 2):
+        u, trace = _shape_cases()[call](bad)
+        single, single_trace = _shape_cases()[call](lambda v: v)
+        assert u.tobytes() == single.tobytes() and u.shape == (1, single.size)
+        assert trace.norms.tobytes() == single_trace.norms.tobytes() and trace.norms.ndim == 2
+        return
     with pytest.raises(ValueError, match="does not match"):
         _shape_cases()[call](bad)
