@@ -69,9 +69,11 @@ MAX_PROBES = 1_000_000
 # Largest number of floats a command holds in one array: every model command
 # holds theta, one float per parameter, and its full-batch activations, one
 # float per example and unit of the widest layer (every GnhOperator, mini-batch
-# too, keeps them in its linearization record), convergence, pbrf-compare and
-# similarity one gradient per example they score (pbrf-compare also one
-# activation row per scored pair, similarity one float per item pair),
+# too, keeps them in its linearization record, and a mini-batch one its
+# centered Jacobian rows where they fit 2^20 floats), convergence,
+# pbrf-compare and similarity one gradient per example they score
+# (pbrf-compare also one activation row per scored pair, similarity one float
+# per item pair),
 # convergence one copy of the iterate per snapshot until it correlates them,
 # counterexample one iterate and its moment sums per step (a pass of its
 # lockstep runs keeps the iterates of as many runs as fit in 2^20 floats, and

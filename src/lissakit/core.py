@@ -173,11 +173,13 @@ class SeededRng:
         if bound > (1 << 53):
             raise ValueError("bound exceeds 53-bit sampling resolution")
         # uniform(n) * bound: the same two products in the same order, in
-        # place on one float array
+        # place on one float array.  No index reaches bound: u <= 1 - 2^-53,
+        # and (1 - 2^-53) bound falls short of bound by bound 2^-53, which for
+        # any bound <= 2^53 is more than half the float spacing below bound
+        # (all of it when bound is a power of two), so it rounds below bound.
         u = np.multiply(self.raw_uint64(n) >> _U11, _INV_2_53)
         u *= bound
-        index = u.astype(np.int64)
-        return np.minimum(index, bound - 1, out=index)
+        return u.astype(np.int64)
 
     def rademacher(self, n: int) -> np.ndarray:
         """``n`` independent +-1 values as float64.  A draw that raw_uint64

@@ -12,10 +12,14 @@ An HVP splits into a linearization at (theta, X), the record that
 ``models._linearize`` builds, and a sweep along v that reads it.  Every
 operator linearizes its whole dataset once, at construction, so theta and the
 dataset must not be mutated afterwards; a mini-batch call gathers its drawn
-rows from that record (``models._take_rows``) and sweeps them.
+rows from that record (``models._take_rows``) and sweeps them, or, for a
+small draw, gathers them from the record's centered Jacobian rows F and
+forms F_b^T (F_b v) / B.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +43,16 @@ _PASS_ROWS = 128
 # Floats of one gnh_matrix_exact pass's per-row arrays allowed whatever n is,
 # so a tiny model is not split into many short passes by the n^2 / 2 budget.
 _PASS_FLOOR_FLOATS = 1 << 16
+# Most floats of the centered Jacobian rows that the operators sharing one
+# linearization keep: N K n for N examples, K classes and n parameters (8 MB).
+_ROWS_MAX_FLOATS = 1 << 20
+# Most floats B K n of a draw's gathered rows for the row path.  The row
+# path's two GEMVs cost about 1 ns a float of the block, the sweep mostly a
+# fixed cost per layer.  Timed per HVP on a 2-core Xeon, the two meet at
+# about 2.0e4 to 2.5e4 floats on one-layer models (softmax-linear 16-5,
+# 32-10, 64-3), 3.5e4 to 5.2e4 on mlp 16-64-10 and 6.5e4 on mlp 8-6-4 and
+# 5-7-6-4, so 2^14 keeps the row path below every crossover measured.
+_ROWS_MAX_WORK = 1 << 14
 
 
 def sample_batch(dataset: Dataset, size: int, rng: SeededRng) -> np.ndarray:
@@ -81,6 +95,30 @@ def _gnh_hvp(spec: ModelSpec, lin: _Linearization, v: np.ndarray, fd_delta: floa
     return hvp
 
 
+def _row_hvp(F: np.ndarray, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The Gauss-Newton HVP mean_b J_b^T S_b J_b v over the drawn rows
+    ``rows`` of the centered Jacobian rows F (N, K, n) of ``_jacobian_rows``:
+    F_b^T (F_b v) / B for the gathered (B K, n) block F_b, two GEMVs."""
+    F_b = F.take(rows, axis=0).reshape(-1, v.size)
+    hvp = F_b.dot(v).dot(F_b)
+    hvp /= rows.size
+    return hvp
+
+
+class _SharedRows:
+    """The centered Jacobian rows of one linearization record, built on the
+    first read of ``F``; every operator copy that shares the record shares
+    this object, so the rows are built at most once per record."""
+
+    def __init__(self, spec: ModelSpec, lin: _Linearization):
+        self.spec = spec
+        self.lin = lin
+
+    @cached_property
+    def F(self) -> np.ndarray:
+        return _jacobian_rows(self.spec, self.lin)
+
+
 class GnhOperator:
     """Stochastic (or full-dataset) Gauss-Newton Hessian-vector products.
 
@@ -96,11 +134,18 @@ class GnhOperator:
     operator.  ``fd_delta`` switches the Jacobian-vector product from forward
     mode to central differences.
 
+    A draw with ``fd_delta`` unset whose gathered rows B K n are at most
+    ``_ROWS_MAX_WORK``, of a model whose N K n fits ``_ROWS_MAX_FLOATS``,
+    takes the row path instead: it gathers the drawn rows of the centered
+    Jacobian rows F (N, K, n), built at the first such draw, and returns
+    F_b^T (F_b v) / B, two GEMVs in place of a JVP and a backward sweep, equal
+    to the sweep up to the last bits.
+
     A full-batch ``matvec`` writes its hidden-layer intermediates into the
     record's scratch, so one caller at a time may call it on one full-batch
     operator; a mini-batch ``matvec`` gathers its rows into fresh arrays.
     Each result is a fresh array.  ``reseeded`` and ``batched`` copies share
-    the record.
+    the record and its rows F.
     """
 
     def __init__(
@@ -112,7 +157,10 @@ class GnhOperator:
         rng: SeededRng | None = None,
         fd_delta: float | None = None,
     ):
+        self.spec = spec
         self.dataset = dataset
+        self.fd_delta = fd_delta
+        self.n_params = spec.n_params
         self._set_batches(batch_size, rng)
         if fd_delta is not None and not fd_delta > 0:
             raise ValueError("fd_delta must be positive")
@@ -120,12 +168,10 @@ class GnhOperator:
             raise ValueError("theta does not match the model spec")
         if len(dataset) < 1:
             raise ValueError("dataset is empty")
-        self.spec = spec
         self.theta = theta
-        self.fd_delta = fd_delta
-        self.n_params = spec.n_params
         self.segments = spec.segments
         self._lin = _linearize(spec, theta, dataset.X)
+        self._rows = _SharedRows(spec, self._lin)
 
     def _set_batches(self, batch_size: int | None, rng: SeededRng | None) -> None:
         if batch_size is not None:
@@ -135,6 +181,15 @@ class GnhOperator:
                 raise ValueError("stochastic operator needs an rng")
         self.batch_size = None if batch_size is None or batch_size >= len(self.dataset) else batch_size
         self.rng = rng
+        # a draw whose gathered rows are few floats, of a model whose rows fit
+        # the cap, takes the row path; any other draw the sweep
+        row_floats = self.spec.n_classes * self.n_params
+        self._by_rows = (
+            self.batch_size is not None
+            and self.fd_delta is None
+            and self.batch_size * row_floats <= _ROWS_MAX_WORK
+            and len(self.dataset) * row_floats <= _ROWS_MAX_FLOATS
+        )
 
     def reseeded(self, seed: int) -> "GnhOperator":
         """Copy of this operator with its batch stream reset to ``seed``,
@@ -157,10 +212,12 @@ class GnhOperator:
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.n_params,):
             raise ValueError(f"expected vector of length {self.n_params}")
-        lin = self._lin
-        if self.batch_size is not None:
-            lin = _take_rows(lin, sample_batch(self.dataset, self.batch_size, self.rng))
-        return _gnh_hvp(self.spec, lin, v, self.fd_delta)
+        if self.batch_size is None:
+            return _gnh_hvp(self.spec, self._lin, v, self.fd_delta)
+        rows = sample_batch(self.dataset, self.batch_size, self.rng)
+        if self._by_rows:
+            return _row_hvp(self._rows.F, rows, v)
+        return _gnh_hvp(self.spec, _take_rows(self._lin, rows), v, self.fd_delta)
 
 
 def _layer_parts(spec: ModelSpec, k: int):
@@ -194,6 +251,33 @@ def _centered_factors(spec: ModelSpec, lin: _Linearization) -> list:
     J_l^T (diag p - p p^T) J_m is R_l^T R_m in each row's Kronecker factors."""
     sqrt_p = np.sqrt(lin.p)[:, :, None]
     return [sqrt_p * (d - lin.p[:, None, :] @ d) for d in _logit_deltas(spec, lin)]
+
+
+def _jacobian_rows(spec: ModelSpec, lin: _Linearization) -> np.ndarray:
+    """The centered Jacobian rows F_b = sqrt(p_b) (J_b - p_b^T J_b) of every
+    row of a 2-D ``lin``, (B, K, n), so that J_b^T S_b J_b = F_b^T F_b.  Layer
+    l's entries are the Kronecker products R_l kron [a_l, 1] of
+    ``_centered_factors``, each written in place into its parameters' columns
+    viewed as (fan_out, width)."""
+    B, K = lin.p.shape
+    F = np.empty((B, K, spec.n_params))
+    for l, (r, a) in enumerate(zip(_centered_factors(spec, lin), lin.inputs)):
+        for rows, shape, cols in _layer_parts(spec, l):
+            np.multiply(r[..., None], a[:, None, None, cols], out=F[..., rows].reshape((B, K) + shape))
+    return F
+
+
+def _balanced(factors: list, inputs: list) -> list:
+    """Each row's pair (R_l, [a_l, 1]) scaled by 2^e and 2^-e, for e the
+    exponent of that row's largest |[a_l, 1]|.  Powers of two are exact, so
+    every product of the two keeps its bits wherever nothing overflows or
+    goes subnormal, and a huge input's outer product no longer overflows
+    while a tiny factor's underflows (0 * inf)."""
+    pairs = []
+    for r, a in zip(factors, inputs):
+        _, e = np.frexp(np.max(np.abs(a), axis=1))
+        pairs.append((np.ldexp(r, e[:, None, None]), np.ldexp(a, -e[:, None])))
+    return pairs
 
 
 def gnh_matrix_exact(spec: ModelSpec, theta: np.ndarray, dataset: Dataset) -> np.ndarray:
@@ -234,10 +318,7 @@ def gnh_matrix_exact(spec: ModelSpec, theta: np.ndarray, dataset: Dataset) -> np
     for start in range(0, len(dataset), rows):
         lin = _linearize(spec, theta, dataset.X[start : start + rows])
         B = lin.p.shape[0]
-        factors = _centered_factors(spec, lin)
-        # a row whose factor R_l is exactly 0 adds exactly 0 to layer l's
-        # blocks, also where its input's outer product overflows (0 * inf)
-        augmented = [np.where(np.any(r, axis=(1, 2))[:, None], a, 0.0) for r, a in zip(factors, lin.inputs)]
+        factors, augmented = zip(*_balanced(_centered_factors(spec, lin), lin.inputs))
         for l, m in pairs:
             outer_r = (np.swapaxes(factors[l], 1, 2) @ factors[m]).reshape(B, -1)
             outer_a = (augmented[l][:, :, None] * augmented[m][:, None, :]).reshape(B, -1)
@@ -279,9 +360,8 @@ def gnh_trace_exact(spec: ModelSpec, theta: np.ndarray, dataset: Dataset) -> flo
     total = 0.0
     for start in range(0, len(dataset), rows):
         lin = _linearize(spec, theta, dataset.X[start : start + rows])
-        for r, augmented in zip(_centered_factors(spec, lin), lin.inputs):
-            a = augmented[:, :-1]
-            # a row whose R is exactly 0 adds exactly 0, also where ||a||^2 overflows
-            norms = np.where(np.any(r, axis=(1, 2)), np.sum(a * a, axis=1) + 1.0, 0.0)
-            total += float(np.sum(r * r, axis=(1, 2)) @ norms)
+        for r, augmented in _balanced(_centered_factors(spec, lin), lin.inputs):
+            # ||a||^2 + 1 in that order, the constant 1 scaled with a
+            a, one = augmented[:, :-1], augmented[:, -1]
+            total += float(np.sum(r * r, axis=(1, 2)) @ (np.sum(a * a, axis=1) + one * one))
     return total / len(dataset)

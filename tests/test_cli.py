@@ -171,11 +171,12 @@ class TestExperimentConfig:
 
 class TestFiniteDifferences:
     """lissa and condition-c1 with fd_delta set take J v by central
-    differences: two forward passes per HVP in place of one forward-mode sweep."""
+    differences: two forward passes per HVP in place of one forward-mode sweep,
+    or, for a small draw, in place of the row path's two GEMVs."""
 
     @staticmethod
     def counted_run(tmp_path, monkeypatch, name, extra):
-        calls = {"_forward": 0, "_jvp_batch": 0, "matvec": 0}
+        calls = {"_forward": 0, "_jvp_batch": 0, "_row_hvp": 0, "matvec": 0}
 
         def counting(owner, attr):
             real = getattr(owner, attr)
@@ -186,7 +187,7 @@ class TestFiniteDifferences:
 
             monkeypatch.setattr(owner, attr, wrapper)
 
-        for attr in ("_forward", "_jvp_batch"):
+        for attr in ("_forward", "_jvp_batch", "_row_hvp"):
             counting(gnh, attr)
         counting(GnhOperator, "matvec")
         text = QUAD_CFG.replace("t_steps = 400", "t_steps = 20") + extra
@@ -199,8 +200,9 @@ class TestFiniteDifferences:
     def test_fd_delta_takes_two_forward_passes_per_hvp(self, tmp_path, monkeypatch, capsys):
         exact, u_exact = self.counted_run(tmp_path, monkeypatch, "exact", "")
         fd, u_fd = self.counted_run(tmp_path, monkeypatch, "fd", "fd_delta = 0.01\n")
-        assert exact == {"_forward": 0, "_jvp_batch": 20, "matvec": 20}
-        assert fd == {"_forward": 40, "_jvp_batch": 0, "matvec": 20}
+        # B K n = 11,264: without fd_delta every draw takes the row path
+        assert exact == {"_forward": 0, "_jvp_batch": 0, "_row_hvp": 20, "matvec": 20}
+        assert fd == {"_forward": 40, "_jvp_batch": 0, "_row_hvp": 0, "matvec": 20}
         # a linear model's logits are linear in theta: the difference is exact
         # up to rounding
         assert np.allclose(u_fd, u_exact, rtol=1e-12, atol=0)
@@ -1353,28 +1355,48 @@ class TestInputBoundary:
         assert "Traceback" not in err and not any(out.glob("*.csv"))
 
     def test_dense_gnh_overflow_names_separation(self, tmp_path, capsys):
-        # features of about 1e200 at init_scale 1e-200 keep the first tanh
-        # layer unsaturated; the dense build's R^T R of that layer underflows
-        # and its [a, 1][a, 1]^T overflows, so H is not finite; the message
-        # once blamed init_scale alone
-        text = MLP_4_5_3 + "init_scale = 1e-200\nseparation = 1e200\n"
-        code, _ = run_cli(tmp_path, "similarity", text)
+        # a linear model at init_scale 1e-200 on features of about 1e200 has
+        # logits of about 1, so its centered factors R are about 1 and its
+        # Jacobian rows R kron [x, 1] about 1e200: H, about 1e400, overflows;
+        # the message once blamed init_scale alone.  lissa reads H first;
+        # similarity's cosine Gram of the gradients overflows before it
+        text = LINEAR_4_3 + "init_scale = 1e-200\nseparation = 1e200\n"
+        code, out = run_cli(tmp_path, "lissa", text)
         assert code == 2
         err = capsys.readouterr().err
         assert "config error: no dense Gauss-Newton matrix" in err
         assert "at init_scale = 1e-200 and separation = 1e+200; lower init_scale or separation" in err
+        assert not any(out.glob("*.csv"))
+        code, out = run_cli(tmp_path, "similarity", text, name="similarity")
+        assert code == 2
+        assert "config error: no similarity matrix: non-finite similarity" in capsys.readouterr().err
+        assert not any(out.glob("*.csv"))
 
     def test_condition_c1_overflowing_trace_is_two(self, tmp_path, capsys):
-        # the same features: ||a||^2 in Tr(H) overflows where ||R||^2
-        # underflows; the C = 1 reference reads nan, once reported as a zero
-        # matrix
-        text = MLP_4_5_3 + "init_scale = 1e-200\nseparation = 1e200\nbatch_sizes = 4\n"
+        # the same model: Tr(H) overflows; the C = 1 reference reads inf or
+        # nan, once reported as a zero matrix
+        text = LINEAR_4_3 + "init_scale = 1e-200\nseparation = 1e200\nbatch_sizes = 4\n"
         code, out = run_cli(tmp_path, "condition-c1", text)
         assert code == 2
         err = capsys.readouterr().err
         assert "config error: no finite noise profile at batch size 4" in err and "is not positive" not in err
         assert "at init_scale = 1e-200 and separation = 1e+200; lower init_scale or separation" in err
         assert not any(out.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("lissa", ""), ("lissa", "tolerance = 0.5\n"), ("stats", ""), ("condition-c1", "batch_sizes = 4\n"),
+         ("similarity", ""), ("convergence", "n_test = 5\nbatch_sizes = 4\n"), ("pbrf-compare", "n_test = 5\n")],
+        ids=["lissa", "lissa-tolerance", "stats", "condition-c1", "similarity", "convergence", "pbrf-compare"],
+    )
+    def test_underflow_times_overflow_is_finite(self, command, extra):
+        # features of about 1e200 at init_scale 1e-200 keep the first tanh
+        # layer unsaturated; its R^T R underflows where its [a, 1][a, 1]^T
+        # overflows, which once made the dense GNH and Tr(H) nan, so every
+        # command but stats exit 2, though H is finite
+        code, outputs = run_main(command, MLP_4_5_3 + "init_scale = 1e-200\nseparation = 1e200\n" + extra)
+        assert code == 0
+        assert outputs and non_finite_cells(outputs) == []
 
     @pytest.mark.parametrize(
         "command, extra",
@@ -1388,6 +1410,34 @@ class TestInputBoundary:
         code, outputs = run_main(command, MLP_4_5_3 + "separation = 1e300\n" + extra)
         assert code == 0
         assert outputs and non_finite_cells(outputs) == []
+
+    @pytest.mark.parametrize(
+        "model",
+        [MLP_4_5_3 + "init_scale = 1.7e308\n", MLP_4_5_3 + "init_scale = 1e300\n",
+         MLP_4_5_3 + "init_scale = 1e200\nseparation = 1e200\n",
+         LINEAR_4_3 + "init_scale = 1e-300\nseparation = 1e300\n"],
+        ids=["mlp-1.7e308", "mlp-1e300", "mlp-1e200-1e200", "linear-1e-300-1e300"],
+    )
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("lissa", "batch_size = 4\nt_steps = 20\n"), ("lissa", "batch_size = 4\nt_steps = 20\neta = 0.5\n"),
+         ("convergence", "n_test = 5\nbatch_sizes = 4, 8\n"), ("pbrf-compare", "n_test = 5\nbatch_size = 4\n"),
+         ("pbrf-compare", "n_test = 5\nbatch_size = 4\neta = 0.5\n"),
+         ("condition-c1", "batch_sizes = 4, 8\nn_probes = 20\n")],
+    )
+    def test_overflowing_draws_exit_as_the_sweep_does(self, monkeypatch, tmp_path, capsys, command, extra, model):
+        # every draw here takes the row path; with no room for rows it takes
+        # the sweep, and the exit code and message stay those of the sweep:
+        # 2 for overflowing logits or a zero GNH, 3 for a nan or inf iterate
+        text = model + extra
+        ends = []
+        for name, cap in (("rows", gnh._ROWS_MAX_FLOATS), ("sweep", 0)):
+            monkeypatch.setattr(gnh, "_ROWS_MAX_FLOATS", cap)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                code, _ = run_cli(tmp_path, command, text, name=name)
+            ends.append((code, capsys.readouterr().err.replace(str(tmp_path / name), "OUT")))
+        assert ends[0] == ends[1] and ends[0][0] in (0, 2, 3)
 
     @pytest.mark.parametrize(
         "command, extra",

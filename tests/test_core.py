@@ -293,6 +293,16 @@ class TestSeededRngFastPaths:
             assert got.dtype == np.int64 and got.shape == want.shape
             assert got.tobytes() == want.tobytes(), n
 
+    @pytest.mark.parametrize(
+        "bound", [1, 2, 3] + [2**k + d for k in (2, 10, 31, 52) for d in (-1, 0, 1)] + [2**53 - 1, 2**53]
+    )
+    def test_the_all_ones_word_stays_below_the_bound(self, bound, monkeypatch):
+        # the largest uniform, 1 - 2^-53, times any bound up to 2^53 rounds
+        # below the bound, so integers needs no clamp to bound - 1
+        rng = SeededRng(0)
+        monkeypatch.setattr(rng, "raw_uint64", lambda n: np.full(n, 2**64 - 1, dtype=np.uint64))
+        assert rng.integers(3, bound).tolist() == [bound - 1] * 3
+
     @pytest.mark.parametrize("k", [0, 5, 2**63 + 11, 2**64 - 1, -1, -5, -(2**63)])
     def test_seed_types_give_one_stream(self, k):
         # a negative seed wraps mod 2**64, as the same np.int64 and the

@@ -20,6 +20,7 @@ from lissakit.models import (
     ModelSpec,
     _jvp_batch,
     _linearize,
+    _take_rows,
     init_params,
     make_blobs,
 )
@@ -150,6 +151,23 @@ class TestDenseGnh:
         assert np.isfinite(H).all() and np.max(np.abs(reference)) > 0
         assert np.max(np.abs(H - reference)) <= 1e-13 * np.max(np.abs(reference))
         assert abs(trace - np.trace(reference)) <= 1e-13 * np.trace(reference)
+
+    def test_underflowing_factor_times_overflowing_input_is_finite(self):
+        # features of about 1e200 at init_scale 1e-200 keep the first tanh
+        # layer unsaturated: that layer's R^T R underflows and its
+        # [a, 1][a, 1]^T overflows, which once made H and Tr(H) nan; scaled
+        # by 2^e and 2^-e per row, both stay in range, and H is the
+        # full-batch matvec of each unit vector
+        spec = ModelSpec(kind="mlp", layer_sizes=(4, 5, 3), activation="tanh")
+        theta = init_params(spec, SeededRng(0), scale=1e-200)
+        data = make_blobs(SeededRng(1), 64, 4, 3, separation=1e200)
+        op = GnhOperator(spec, theta, data)
+        columns = np.column_stack([op.matvec(e) for e in np.eye(spec.n_params)])
+        H = gnh_matrix_exact(spec, theta, data)
+        assert np.isfinite(H).all() and np.max(np.abs(columns)) > 0
+        assert np.max(np.abs(H - columns)) <= 1e-12 * np.max(np.abs(columns))
+        trace = np.trace(columns)
+        assert abs(gnh_trace_exact(spec, theta, data) - trace) <= 1e-12 * trace
 
     @pytest.mark.parametrize("spec", [LINEAR, MLP, DEEP_RELU])
     def test_last_layer_bias_shift_is_a_null_vector(self, spec):
@@ -351,11 +369,12 @@ class TestHvp:
         assert len(calls) == 1
 
     def test_minibatch_operator_runs_one_forward(self, monkeypatch):
-        # construction linearizes the dataset; each matvec gathers its rows
+        # construction linearizes the dataset; each matvec gathers its rows,
+        # here through the row path
         calls, drawn = [], []
-        forward, take_rows = models._forward, gnh._take_rows
+        forward, row_hvp = models._forward, gnh._row_hvp
         monkeypatch.setattr(models, "_forward", lambda *args: calls.append(1) or forward(*args))
-        monkeypatch.setattr(gnh, "_take_rows", lambda lin, rows: drawn.append(rows) or take_rows(lin, rows))
+        monkeypatch.setattr(gnh, "_row_hvp", lambda F, rows, v: drawn.append(rows) or row_hvp(F, rows, v))
         theta, data = toy_fixture(MLP, n=30, seed=12)
         op = GnhOperator(MLP, theta, data, batch_size=6, rng=SeededRng(120))
         rng = SeededRng(121)
@@ -369,15 +388,18 @@ class TestHvp:
 
     def test_matvec_unpacks_theta_only_in_the_forward_pass(self, monkeypatch):
         # the record holds theta's layer views, and a mini-batch matvec
-        # gathers its rows from it: either kind of matvec unpacks only v
+        # gathers its rows from it: either kind of sweep unpacks only v, and
+        # the row path nothing; a batch of 150 rows puts B K n = 70,800 over
+        # the row path's rule
         calls = []
         unpack = models._unpack
         monkeypatch.setattr(models, "_unpack", lambda *args: calls.append(1) or unpack(*args))
-        theta, data = toy_fixture(DEEP_TANH, n=30, seed=13)
+        theta, data = toy_fixture(DEEP_TANH, n=200, seed=13)
         u = SeededRng(130).normal(DEEP_TANH.n_params)
         full = GnhOperator(DEEP_TANH, theta, data)
-        mini = GnhOperator(DEEP_TANH, theta, data, batch_size=6, rng=SeededRng(131))
-        for op, expected in ((full, 1), (mini, 1)):
+        mini = GnhOperator(DEEP_TANH, theta, data, batch_size=150, rng=SeededRng(131))
+        by_rows = mini.batched(6, SeededRng(132))
+        for op, expected in ((full, 1), (mini, 1), (by_rows, 0)):
             calls.clear()
             op.matvec(u)
             assert len(calls) == expected
@@ -448,6 +470,114 @@ class TestHvp:
         op = GnhOperator(LINEAR, theta, data)
         with pytest.raises(ValueError):
             op.matvec(np.ones(3))
+
+
+class TestRowPath:
+    """A mini-batch draw with fd_delta unset, B K n <= 2^14 and N K n <= 2^20
+    is F_b^T (F_b v) / B over the centered Jacobian rows that the operator and
+    its copies keep; any other draw sweeps the gathered rows."""
+
+    @pytest.mark.parametrize("batch_size", [1, 6])
+    @pytest.mark.parametrize("spec", [LINEAR, MLP, DEEP_TANH, DEEPER_RELU])
+    def test_equals_the_dense_gnh_of_the_drawn_rows(self, spec, batch_size):
+        # the drawn rows, duplicates kept, are a dataset of their own whose
+        # dense GNH times u is the draw's HVP; a twin stream replays the draws
+        theta, data = toy_fixture(spec, n=8, seed=17)
+        op = GnhOperator(spec, theta, data, batch_size=batch_size, rng=SeededRng(170))
+        twin, rng = SeededRng(170), SeededRng(171)
+        duplicates = False
+        for _ in range(6):
+            u = rng.normal(spec.n_params)
+            rows = sample_batch(data, batch_size, twin)
+            duplicates |= np.unique(rows).size < batch_size
+            want = gnh_matrix_exact(spec, theta, Dataset(X=data.X[rows], y=data.y[rows])) @ u
+            got = op.matvec(u)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        assert duplicates == (batch_size > 1)
+        assert "F" in vars(op._rows)
+
+    @pytest.mark.parametrize(
+        "batch_size, fd_delta, by_rows",
+        # softmax-linear 3 -> 2 keeps K n = 16 floats a row: 1024 rows are
+        # 2^14 floats, 1025 rows one row more
+        [(1024, None, True), (1025, None, False), (6, 0.01, False), (None, None, False)],
+    )
+    def test_the_rule_selects_the_path(self, monkeypatch, batch_size, fd_delta, by_rows):
+        taken, by_row_path = [], []
+        take_rows, row_hvp = gnh._take_rows, gnh._row_hvp
+        monkeypatch.setattr(gnh, "_take_rows", lambda lin, rows: taken.append(rows) or take_rows(lin, rows))
+        monkeypatch.setattr(gnh, "_row_hvp", lambda F, rows, v: by_row_path.append(rows) or row_hvp(F, rows, v))
+        spec = ModelSpec(kind="softmax-linear", layer_sizes=(3, 2))
+        theta, data = toy_fixture(spec, n=5000, seed=18)
+        op = GnhOperator(spec, theta, data, batch_size=batch_size, rng=SeededRng(180), fd_delta=fd_delta)
+        twin, rng = SeededRng(180), SeededRng(181)
+        for _ in range(3):
+            u = rng.normal(spec.n_params)
+            got = op.matvec(u)
+            if batch_size is not None and not by_rows:
+                lin = take_rows(op._lin, sample_batch(data, batch_size, twin))
+                assert got.tobytes() == _gnh_hvp(spec, lin, u, fd_delta).tobytes()
+        sweeps = 0 if batch_size is None or by_rows else 3
+        assert (len(taken), len(by_row_path)) == (sweeps, 3 if by_rows else 0)
+        assert ("F" in vars(op._rows)) == by_rows
+
+    def test_copies_share_one_rows_array(self, monkeypatch):
+        # condition-c1's batched copies of a full-batch operator and a
+        # solver's reseeded copies build the rows once, and each copy draws
+        # bit for bit as a fresh operator at its batch size and seed
+        builds = []
+        jacobian_rows = gnh._jacobian_rows
+        monkeypatch.setattr(gnh, "_jacobian_rows", lambda *args: builds.append(1) or jacobian_rows(*args))
+        theta, data = toy_fixture(DEEP_TANH, n=30, seed=19)
+        full = GnhOperator(DEEP_TANH, theta, data)
+        op = full.batched(5, SeededRng(190))
+        copies = {(5, 190): op, (5, 191): op.reseeded(191), (3, 192): full.batched(3, SeededRng(192)),
+                  (5, 194): op.reseeded(193).reseeded(194)}
+        rng = SeededRng(195)
+        directions = [rng.normal(DEEP_TANH.n_params) for _ in range(4)]
+        results = {key: [copy.matvec(u) for u in directions] for key, copy in copies.items()}
+        assert len(builds) == 1
+        assert all(copy._rows.F is full._rows.F for copy in copies.values())
+        for (size, seed), got in results.items():
+            fresh = GnhOperator(DEEP_TANH, theta, data, batch_size=size, rng=SeededRng(seed))
+            for u, row in zip(directions, got):
+                assert row.tobytes() == fresh.matvec(u).tobytes()
+
+    def test_model_over_the_cap_builds_no_rows(self):
+        # softmax-linear 3 -> 2 keeps K n = 16 floats a row: 65,536 rows
+        # fill the cap of 2^20 floats and one more passes it
+        spec = ModelSpec(kind="softmax-linear", layer_sizes=(3, 2))
+        u = SeededRng(200).normal(spec.n_params)
+        for n, by_rows in ((65_536, True), (65_537, False)):
+            theta, data = toy_fixture(spec, n=n, seed=20)
+            op = GnhOperator(spec, theta, data, batch_size=16, rng=SeededRng(201))
+            got = op.matvec(u)
+            assert ("F" in vars(op._rows)) == by_rows
+            if not by_rows:
+                lin = _take_rows(op._lin, sample_batch(data, 16, SeededRng(201)))
+                assert got.tobytes() == _gnh_hvp(spec, lin, u, None).tobytes()
+
+    @pytest.mark.parametrize("spec", [LINEAR, MLP, DEEP_TANH, DEEPER_RELU])
+    def test_building_the_rows_at_the_cap_peaks_near_their_size(self, spec):
+        # as many rows as fit the cap of 2^20 floats; on top of the record
+        # built before, the first draw holds the rows and, while it builds
+        # them, the centered factors and their deltas: a peak of 1.11 to
+        # 1.25 times the rows' and the record's bytes on these four models
+        row_floats = spec.n_classes * spec.n_params
+        theta, data = toy_fixture(spec, n=(1 << 20) // row_floats, seed=21)
+        op = GnhOperator(spec, theta, data, batch_size=16, rng=SeededRng(210))
+        lin = op._lin
+        record = sum(a.nbytes for a in (*lin.inputs, *lin.derivs, lin.p, *sum(lin.work, ())))
+        u = SeededRng(211).normal(spec.n_params)
+        tracemalloc.start()
+        try:
+            op.matvec(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = op._rows.F.nbytes
+        assert rows == len(data) * row_floats * 8 > (1 << 20) * 8 - row_floats * 8
+        assert peak <= 1.5 * (rows + record), (peak, rows, record)
 
 
 class TestSampleBatch:

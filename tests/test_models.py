@@ -481,6 +481,9 @@ class TestSweepScratch:
     @pytest.mark.parametrize("fd_delta", [None, 0.01])
     @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=SWEEP_IDS)
     def test_minibatch_matvec_equals_reference(self, spec, fd_delta):
+        # the sweep over the gathered rows; a draw with fd_delta set is the
+        # operator's own, and one without takes the row path, tested in
+        # test_gnh.TestRowPath
         theta = rand_theta(spec, 42)
         data = make_blobs(SeededRng(420), 30, spec.input_dim, spec.n_classes)
         op = GnhOperator(spec, theta, data, batch_size=6, rng=SeededRng(421), fd_delta=fd_delta)
@@ -488,8 +491,11 @@ class TestSweepScratch:
         rng = SeededRng(422)
         for _ in range(3):
             u = rng.normal(spec.n_params)
-            lin = _linearize(spec, theta, data.X[sample_batch(data, 6, draws)])
-            assert np.array_equal(op.matvec(u), reference_hvp(spec, lin, u, fd_delta))
+            rows = sample_batch(data, 6, draws)
+            sweep = _gnh_hvp(spec, _take_rows(op._lin, rows), u, fd_delta)
+            assert np.array_equal(sweep, reference_hvp(spec, _linearize(spec, theta, data.X[rows]), u, fd_delta))
+            if fd_delta is not None:
+                assert np.array_equal(op.matvec(u), sweep)
 
     @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=SWEEP_IDS)
     def test_chain_block_gradients_equal_reference(self, spec):
