@@ -276,6 +276,16 @@ def _check_gradient_block(spec: ModelSpec, rows: int, field: str) -> None:
     _check_limit(what, rows * spec.n_params, "MAX_KEPT_FLOATS", f"lower {field}")
 
 
+def _gradients(run: RunContext, spec: ModelSpec, theta, X, y) -> np.ndarray:
+    """The loss gradients of the rows X at labels y.  A row's own (1, in)
+    product can overflow to nan where _build_data's one GEMM saturated."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = loss_gradients(spec, theta, X, y)
+    if not np.isfinite(G).all():
+        raise _overflow_error(run, "the loss gradients overflow")
+    return G
+
+
 def _check_draw(op: GnhOperator, draw: int, what: str) -> None:
     """An operator whose batch covers the training set runs full batch and
     draws nothing; otherwise ``draw`` words, which ``what`` names, are a draw."""
@@ -378,29 +388,20 @@ def _recommend(run: RunContext, trace: float, lambda_max: float):
     return hp
 
 
-def _stochastic_operator(run: RunContext, spec, theta, train, batch_size):
-    return GnhOperator(
-        spec,
-        theta,
-        train,
-        batch_size=batch_size,
-        rng=SeededRng(0) if batch_size is not None else None,
-        fd_delta=run.cfg.fd_delta,
-    )
-
-
 def cmd_stats(run: RunContext) -> None:
     cfg = run.cfg
     _check_limit(f"n_probes = {cfg.n_probes}", cfg.n_probes, "MAX_PROBES")
     spec, theta = _build_model(run)
     train, _ = _build_data(run, spec, theta)
-    op = _stochastic_operator(run, spec, theta, train, None)
     sketch_cfg = SketchConfig(cfg.sketch_dim, run.sub_seed("sketch"), cfg.sketch_layout)
-    columns = sketch_size(op, sketch_cfg)
     layout = f"sketch_dim = {cfg.sketch_dim}, sketch_layout = {cfg.sketch_layout}"
-    _check_limit(f"{columns} sketch columns ({layout})", columns, "MAX_DENSE_PARAMS")
-    # curvature that overflows gives a non-finite sketch, which sym_eig rejects
+    # a first layer that overflows into saturated tanh units leaves the
+    # operator's record as finite as the logits; curvature that overflows
+    # gives a non-finite sketch, which sym_eig rejects
     with np.errstate(over="ignore", invalid="ignore"):
+        op = GnhOperator(spec, theta, train, fd_delta=cfg.fd_delta)
+        columns = sketch_size(op, sketch_cfg)
+        _check_limit(f"{columns} sketch columns ({layout})", columns, "MAX_DENSE_PARAMS")
         trace = estimate_trace(op, cfg.n_probes, run.rng("trace-probes"))
         frob = estimate_frobenius(op, cfg.n_probes, run.rng("frobenius-probes"))
         sketch = sketch_operator(op, sketch_cfg)
@@ -464,10 +465,11 @@ def cmd_lissa(run: RunContext) -> None:
     train, _ = _build_data(run, spec, theta)
     if not 0 <= cfg.train_index < len(train):
         raise ConfigError("train_index outside the dataset")
-    op = _stochastic_operator(run, spec, theta, train, cfg.batch_size)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in stats
+        op = GnhOperator(spec, theta, train, batch_size=cfg.batch_size, fd_delta=cfg.fd_delta)
     _check_draw(op, cfg.batch_size, f"a draw of batch_size = {cfg.batch_size}")
     row = slice(cfg.train_index, cfg.train_index + 1)
-    g = -loss_gradients(spec, theta, train.X[row], train.y[row])[0]
+    g = -_gradients(run, spec, theta, train.X[row], train.y[row])[0]
 
     H = lambda_max = None
     if cfg.eta is None or cfg.tolerance is not None:
@@ -536,14 +538,16 @@ def cmd_convergence(run: RunContext) -> None:
         "raise snapshot_every or lower t_steps",
     )
     row = slice(cfg.train_index, cfg.train_index + 1)
-    g = -loss_gradients(spec, theta, train.X[row], train.y[row])[0]
+    g = -_gradients(run, spec, theta, train.X[row], train.y[row])[0]
     u_star = _oracle_ihvp(run, H, g)
     # the measurement f = log softmax(logits)[y] has the negated loss gradient
-    T = -loss_gradients(spec, theta, test.X, test.y)
+    T = -_gradients(run, spec, theta, test.X, test.y)
 
+    with np.errstate(over="ignore", invalid="ignore"):  # as in stats
+        op_full = GnhOperator(spec, theta, train, fd_delta=cfg.fd_delta)
     rows = []
     for b in batch_sizes:
-        op = _stochastic_operator(run, spec, theta, train, b)
+        op = op_full.batched(b)
         _check_draw(op, b, f"a draw of batch_sizes entry {b}")
         lcfg = LissaConfig(
             eta=eta,
@@ -580,7 +584,8 @@ def cmd_pbrf_compare(run: RunContext) -> None:
     train, test = _build_data(run, spec, theta, n_test=cfg.n_test)
     if cfg.n_train > len(train):
         raise ConfigError("n_train exceeds the training set")
-    op = _stochastic_operator(run, spec, theta, train, batch_size)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in stats
+        op = GnhOperator(spec, theta, train, batch_size=batch_size, fd_delta=cfg.fd_delta)
     # the solves and the finetunes draw in lockstep
     what = f"a draw of n_train = {cfg.n_train} times batch_size = {batch_size}"
     _check_draw(op, cfg.n_train * batch_size, what)
@@ -589,9 +594,9 @@ def cmd_pbrf_compare(run: RunContext) -> None:
     eta, steps = _solver_settings(run, lambda_max, steps_field)
     rows = slice(cfg.n_train)
     points = Dataset(X=train.X[rows], y=train.y[rows])
-    G = loss_gradients(spec, theta, points.X, points.y)
+    G = _gradients(run, spec, theta, points.X, points.y)
     # the measurement f = log softmax(logits)[y] has the negated loss gradient
-    T = -loss_gradients(spec, theta, test.X, test.y)
+    T = -_gradients(run, spec, theta, test.X, test.y)
     item_seeds = [run.sub_seed(f"pbrf-item-{i}") for i in range(cfg.n_train)]
 
     # the items' solves run as lockstep chains; a divergence ends the command
@@ -609,7 +614,8 @@ def cmd_pbrf_compare(run: RunContext) -> None:
         seed=tuple(item_seeds),
     )
     finetunes = pbrf_finetune(spec, theta, points, train, pcfg)
-    retrain = pbrf_influence(spec, finetunes, theta, test, cfg.epsilon)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in stats
+        retrain = pbrf_influence(spec, finetunes, theta, test, cfg.epsilon)
 
     try:
         comparison = compare_influences(lissa, retrain)
@@ -802,10 +808,10 @@ def cmd_similarity(run: RunContext) -> None:
         raise ConfigError("train_index outside the selected items")
     items = slice(cfg.n_items)
     labels = range(cfg.n_items)
-    # huge features overflow the gradients or their inner products; the
-    # non-finite gradients or similarities that come out are rejected
+    # huge features overflow the gradients' inner products; the non-finite
+    # similarities that come out are rejected
     with np.errstate(over="ignore", invalid="ignore"):
-        G = loss_gradients(spec, theta, train.X[items], train.y[items])
+        G = _gradients(run, spec, theta, train.X[items], train.y[items])
         try:
             gradient_sim = similarity_matrix(G)
         except ValueError as exc:

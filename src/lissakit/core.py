@@ -24,9 +24,7 @@ _MIX_B = 0x94D049BB133111EB
 
 _INV_2_53 = 2.0 ** -53
 
-# Words a SeededRng computes ahead for its small draws, across all its rows:
-# 256 per row for one seed, fewer per row for R seeds, so a lockstep stream's
-# block stays as small as a single stream's.
+# Words a single-seed SeededRng computes ahead for its small draws.
 _BLOCK_WORDS = 256
 
 # The same constants as uint64 scalars, built once rather than on every draw.
@@ -99,10 +97,12 @@ class SeededRng:
     is word for word the draw of ``SeededRng(seeds[r])`` at the same
     position, and all rows share the position.
 
-    Small draws are served from a block of the same counter stream computed
-    ahead: ``_BLOCK_WORDS`` words across all rows, starting at the position
-    of the draw that filled it.  A draw that fits in the block returns a
-    read-only slice of it; any other draw computes exactly its own words.
+    A single-seed stream serves its small draws from a block of the same
+    counter stream computed ahead: ``_BLOCK_WORDS`` words, starting at the
+    position of the draw that filled it.  A draw that fits in the block
+    returns a read-only slice of it; any other draw, and every draw of R
+    seeds (whose one caller never reads a block twice), computes exactly its
+    own words.
     ``rademacher`` reads the block's +-1 values, computed on its first draw
     from that block.  Word i is the same either way, so words, positions and
     every output are those of the blockless stream.  ``position`` stays the
@@ -120,9 +120,9 @@ class SeededRng:
         else:
             self.seed = np.array([int(s) & _MASK64 for s in seed], dtype=np.uint64)
             self._base = self.seed[:, None]
-            self._width = max(1, _BLOCK_WORDS // max(1, self.seed.size))
+            self._width = 0
         self.position = 0
-        self._block = None  # words _block_start+1 ... of every row, read-only
+        self._block = None  # words _block_start+1 ..., read-only
         self._block_start = 0
         self._block_signs = None  # rademacher's values of _block, once read
 
@@ -148,7 +148,7 @@ class SeededRng:
             self._block_signs = None
             offset = 0
         self.position = start + n
-        return self._block[..., offset : offset + n]
+        return self._block[offset : offset + n]
 
     def _words(self, start: int, n: int) -> np.ndarray:
         """Words start+1 ... start+n of every row."""
@@ -192,7 +192,7 @@ class SeededRng:
             self._block_signs = _signs(self._block)
             self._block_signs.flags.writeable = False
         offset = self.position - n - self._block_start
-        return self._block_signs[..., offset : offset + n]
+        return self._block_signs[offset : offset + n]
 
     def substream(self, *keys: int) -> "SeededRng":
         """Fresh stream derived from this stream's seed and integer keys."""

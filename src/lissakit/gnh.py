@@ -33,7 +33,6 @@ from .models import (
     _jvp_batch,
     _linearize,
     _logit_deltas,
-    _matmul,
     _take_rows,
 )
 
@@ -70,7 +69,7 @@ def _softmax_hessian_apply(p: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Rows of S_b t_b = p_b * t_b - p_b (p_b . t_b) for probabilities p and
     logit vectors t, (..., B, K) each; the row sums p_b . t_b are one GEMV."""
     pt = p * t
-    pt -= p * _matmul(pt, np.ones(pt.shape[-1]))[..., None]
+    pt -= p * (pt @ np.ones(pt.shape[-1]))[..., None]
     return pt
 
 
@@ -127,7 +126,8 @@ class GnhOperator:
     ``batch_size=None``, or a batch size of at least the dataset (which is
     normalized to None), every call uses the whole dataset and the operator
     is deterministic: each ``matvec`` costs one JVP and one backward sweep.
-    Otherwise each ``matvec`` draws a fresh i.i.d. batch of rows from ``rng``,
+    Otherwise the operator draws only from the stream of a ``reseeded(seed)``
+    copy: each ``matvec`` of that copy draws a fresh i.i.d. batch of rows,
     gathers their layer inputs, activation derivatives and softmax
     probabilities from the record, and sweeps those rows, so repeated calls
     see independent curvature estimates whose mean is the full-dataset
@@ -154,14 +154,13 @@ class GnhOperator:
         theta: np.ndarray,
         dataset: Dataset,
         batch_size: int | None = None,
-        rng: SeededRng | None = None,
         fd_delta: float | None = None,
     ):
         self.spec = spec
         self.dataset = dataset
         self.fd_delta = fd_delta
         self.n_params = spec.n_params
-        self._set_batches(batch_size, rng)
+        self._set_batches(batch_size)
         if fd_delta is not None and not fd_delta > 0:
             raise ValueError("fd_delta must be positive")
         if np.shape(theta) != (spec.n_params,):
@@ -173,14 +172,11 @@ class GnhOperator:
         self._lin = _linearize(spec, theta, dataset.X)
         self._rows = _SharedRows(spec, self._lin)
 
-    def _set_batches(self, batch_size: int | None, rng: SeededRng | None) -> None:
-        if batch_size is not None:
-            if batch_size < 1:
-                raise ValueError("batch size must be >= 1")
-            if rng is None:
-                raise ValueError("stochastic operator needs an rng")
+    def _set_batches(self, batch_size: int | None) -> None:
+        if batch_size is not None and batch_size < 1:
+            raise ValueError("batch size must be >= 1")
         self.batch_size = None if batch_size is None or batch_size >= len(self.dataset) else batch_size
-        self.rng = rng
+        self.rng = None
         # a draw whose gathered rows are few floats, of a model whose rows fit
         # the cap, takes the row path; any other draw the sweep
         row_floats = self.spec.n_classes * self.n_params
@@ -192,20 +188,22 @@ class GnhOperator:
         )
 
     def reseeded(self, seed: int) -> "GnhOperator":
-        """Copy of this operator with its batch stream reset to ``seed``,
-        sharing its linearization; the full-batch operator has no batch
-        stream and returns itself."""
+        """Copy of this operator that draws its batches from a stream at
+        ``seed``, sharing its linearization; the full-batch operator has no
+        batch stream and returns itself."""
         if self.batch_size is None:
             return self
-        return self.batched(self.batch_size, SeededRng(seed))
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__, rng=SeededRng(seed))
+        return twin
 
-    def batched(self, batch_size: int, rng: SeededRng) -> "GnhOperator":
-        """Copy of this operator that draws batches of ``batch_size`` rows
-        from ``rng``, as one built with them would, sharing its
-        linearization."""
+    def batched(self, batch_size: int) -> "GnhOperator":
+        """Copy of this operator with batches of ``batch_size`` rows, as one
+        built with it would be, sharing its linearization; a mini-batch copy
+        has no stream until ``reseeded``."""
         twin = object.__new__(type(self))
         twin.__dict__.update(self.__dict__)
-        twin._set_batches(batch_size, rng)
+        twin._set_batches(batch_size)
         return twin
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
@@ -214,6 +212,8 @@ class GnhOperator:
             raise ValueError(f"expected vector of length {self.n_params}")
         if self.batch_size is None:
             return _gnh_hvp(self.spec, self._lin, v, self.fd_delta)
+        if self.rng is None:
+            raise ValueError("a mini-batch operator draws only from a stream: call reseeded(seed) first")
         rows = sample_batch(self.dataset, self.batch_size, self.rng)
         if self._by_rows:
             return _row_hvp(self._rows.F, rows, v)

@@ -99,15 +99,15 @@ def lissa_solve(op, g, cfg: LissaConfig):
     step, when an iterate goes non-finite or passes the runaway guard.
 
     One solve takes a (n,) ``g`` and an int ``cfg.seed``.  R solves run as R
-    chains in lockstep when ``g`` is an (R, n) block or ``cfg.seed`` a tuple
-    of R seeds; the other one (an (n,) ``g``, an int seed) and ``cfg.u0``
-    ((n,) or (R, n)) are shared by every chain.  Chain r is a pure function
-    of (op, g_r, seed_r, u0_r): its operator is ``op.reseeded(seed_r)`` when
-    ``op`` supports reseeding (chains of an operator that does not share its
-    one stream), and each step calls its ``matvec`` once on the chain's
-    iterate, so chain r is bit for bit the single solve of (g_r, seed_r).  The
-    rest of a step, u - eta ((H_b + lambda) u - g), the norms and the guard,
-    runs on the (R, n) block.  The result is (R, n), the norms (R, T + 1).
+    chains in lockstep when ``cfg.seed`` is a tuple of R seeds, with an (R, n)
+    ``g`` or one (n,) ``g`` that every chain shares; ``cfg.u0`` is one (n,)
+    start that every chain shares.  Chain r is a pure function of (op, g_r,
+    seed_r): its operator is ``op.reseeded(seed_r)``, which every operator
+    defines (one that draws nothing returns itself), and each step calls its
+    ``matvec`` once on the chain's iterate, so chain r is bit for bit the
+    single solve of (g_r, seed_r).  The rest of a step, u - eta ((H_b +
+    lambda) u - g), the norms and the guard, runs on the (R, n) block.  The
+    result is (R, n), the norms (R, T + 1).
 
     Chains step in passes of at most _PASS_CHAINS.  A chain that diverges is
     dropped together with every chain above it, while the chains below it
@@ -121,15 +121,16 @@ def lissa_solve(op, g, cfg: LissaConfig):
     n = op.n_params
     if g.ndim not in (1, 2) or g.shape[-1] != n:
         raise ValueError("gradient does not match the operator")
-    one_seed = isinstance(cfg.seed, (int, np.integer))
-    seeds = [cfg.seed] if one_seed else list(cfg.seed)
-    single = g.ndim == 1 and one_seed
+    single = isinstance(cfg.seed, (int, np.integer))
+    if single and g.ndim == 2:
+        raise ValueError("a block of gradient rows needs a tuple of one seed per row")
+    seeds = [cfg.seed] if single else list(cfg.seed)
     chains = len(g) if g.ndim == 2 else len(seeds)
-    if chains < 1 or len(seeds) not in (1, chains):
+    if chains < 1 or len(seeds) != chains:
         raise ValueError("need one seed, or one per gradient row")
     u0 = np.zeros(n) if cfg.u0 is None else np.asarray(cfg.u0, dtype=np.float64)
-    if u0.shape != (n,) and (single or u0.shape != (chains, n)):
-        raise ValueError("u0 does not match the gradient")
+    if u0.shape != (n,):
+        raise ValueError(f"u0 does not match the gradient: it is one ({n},) start, which every chain shares")
 
     t_steps, eta, damp, every = cfg.t_steps, cfg.eta, cfg.lambda_damp, cfg.snapshot_every
     kept = list(range(every, t_steps + 1, every)) if every else []
@@ -144,22 +145,17 @@ def lissa_solve(op, g, cfg: LissaConfig):
         # its rows, the row norms and each chain's matvec, take each row's
         # bits as they would a lone (n,) array's; a strided row can differ
         G = np.ascontiguousarray(g.reshape(-1, n))
-        U0 = np.ascontiguousarray(u0.reshape(-1, n))
-        norms[:, 0] = u0_norms = _row_norms(U0)
+        norms[:, 0] = u0_norm = _row_norms(np.ascontiguousarray(u0[None]))
         # a norm passes the guard when it is at most this: never when it is
         # non-finite, also where the bound itself overflows to inf
         limits = np.broadcast_to(
-            np.minimum(_divergence_bound(_row_norms(G), u0_norms, damp), _FLOAT_MAX), chains
+            np.minimum(_divergence_bound(_row_norms(G), u0_norm, damp), _FLOAT_MAX), chains
         )
         for start in range(0, chains, _PASS_CHAINS):
             rows = slice(start, min(start + _PASS_CHAINS, chains))
-            pass_seeds = seeds[rows] if len(seeds) > 1 else seeds * (rows.stop - start)
-            if hasattr(op, "reseeded"):
-                matvecs = [op.reseeded(seed).matvec for seed in pass_seeds]
-            else:
-                matvecs = [op.matvec] * len(pass_seeds)
+            matvecs = [op.reseeded(seed).matvec for seed in seeds[rows]]
             u = np.empty((len(matvecs), n))
-            u[...] = U0[rows] if len(U0) > 1 else U0
+            u[...] = u0
             g_rows = G[rows] if len(G) > 1 else G
             limit = limits[rows]
             kept_at = 0
@@ -295,12 +291,12 @@ class RotatedRankOneSampler:
 
     Because ||x||^2 = Tr(H) for every sign pattern, the batch operator obeys
     the exact identity E[Hb^2] = (1 - 1/B) H^2 + Tr(H) H / B, which is what
-    makes the divergence threshold computable in closed form.
+    makes the divergence threshold computable in closed form.  It draws its
+    signs only from the stream of a ``reseeded(seed)`` copy.
     """
 
-    def __init__(self, problem: CounterExampleProblem, rng: SeededRng):
-        self.problem = problem
-        self.rng = rng
+    def __init__(self, problem: CounterExampleProblem):
+        self.rng = None
         self.n_params = problem.n
         self.segments = (("all", 0, problem.n),)
         self.batch_size = problem.batch_size
@@ -309,8 +305,8 @@ class RotatedRankOneSampler:
         self._rotation_t = problem.rotation.T
 
     def reseeded(self, seed: int) -> "RotatedRankOneSampler":
-        """Copy with its sign stream reset to ``seed``, sharing the square
-        roots of the eigenvalues and the rotation."""
+        """Copy that draws its signs from a stream at ``seed``, sharing the
+        square roots of the eigenvalues and the rotation."""
         twin = object.__new__(type(self))
         twin.__dict__.update(self.__dict__, rng=SeededRng(seed))
         return twin
@@ -318,6 +314,8 @@ class RotatedRankOneSampler:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         # ndarray.dot is the product of @, bit for bit, at less cost per call
         batch_size, n = self.batch_size, self.n_params
+        if self.rng is None:
+            raise ValueError("the sampler draws only from a stream: call reseeded(seed) first")
         z = self._rotation_t.dot(v)
         scaled = self.rng.rademacher(batch_size * n).reshape(batch_size, n) * self._root
         coeffs = scaled.dot(z)
@@ -425,7 +423,7 @@ def counterexample_simulate(
         raise ValueError("need at least two runs")
     if t < 1:
         raise ValueError("need at least one step")
-    sampler = RotatedRankOneSampler(problem, SeededRng(seed))
+    sampler = RotatedRankOneSampler(problem)
     g = np.zeros(problem.n)
     steps, width = t + 1, (t + 1) * problem.n
     per_pass = max(1, min(n_runs, _PASS_CHAINS, _PASS_FLOATS // width))

@@ -236,24 +236,6 @@ def _take_rows(lin: _Linearization, rows: np.ndarray) -> _Linearization:
     return _Linearization(lin.theta, lin.layers, inputs, derivs, lin.p.take(rows, axis=0), work)
 
 
-# Most multiply-adds of a product that _matmul takes through ndarray.dot.  At
-# a few thousand, dot costs about half of matmul's per-call overhead; at
-# hundreds of thousands matmul's BLAS call is as fast or faster: 89 against
-# 160 us for (2048, 17) by (17, 64), with the same bits either way (2-core
-# Xeon, OpenBLAS with 2 threads).
-_DOT_WORK = 1 << 16
-
-
-def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """a @ b for a 2-D or stacked ``a``, written into ``out`` when it is given.
-    A small product of a 2-D ``a`` and a 1-D or 2-D ``b``, the size of a
-    mini-batch sweep's, goes through ndarray.dot, which gives the bits of @;
-    any other through matmul."""
-    if a.ndim == 2 and b.ndim <= 2 and a.size * (b.shape[1] if b.ndim == 2 else 1) <= _DOT_WORK:
-        return a.dot(b, out=out)
-    return np.matmul(a, b, out=out)
-
-
 def _backprop(spec: ModelSpec, lin: _Linearization, G: np.ndarray) -> np.ndarray:
     """Gradient of sum_b <G[b], logits(x_b)> with respect to theta at ``lin``;
     (R, n) for a linearization with a leading chain axis.  Each layer's
@@ -268,11 +250,11 @@ def _backprop(spec: ModelSpec, lin: _Linearization, G: np.ndarray) -> np.ndarray
         name, offset, length = spec.segments[l]
         fan_out, fan_in = w.shape[-2:]
         end_w = offset + fan_out * fan_in
-        weights_bias = _matmul(np.swapaxes(delta, -1, -2), lin.inputs[l])
+        weights_bias = np.swapaxes(delta, -1, -2) @ lin.inputs[l]
         grad[..., offset:end_w] = weights_bias[..., :-1].reshape(lead + (-1,))
         grad[..., end_w : offset + length] = weights_bias[..., -1]
         if l > 0:
-            delta = _matmul(delta, w, out=lin.work[l - 1][0])
+            delta = np.matmul(delta, w, out=lin.work[l - 1][0])
             delta *= lin.derivs[l - 1]
     return grad
 
@@ -288,14 +270,14 @@ def _jvp_batch(spec: ModelSpec, lin: _Linearization, u: np.ndarray) -> np.ndarra
     for l, ((w, _), (dw, db)) in enumerate(zip(lin.layers, _unpack(spec, u))):
         direction = np.concatenate([dw, db[..., None]], axis=-1).swapaxes(-1, -2)
         if l == len(lin.layers) - 1:
-            t = _matmul(lin.inputs[l], direction)
+            t = lin.inputs[l] @ direction
             if da is not None:
-                t += _matmul(da, w.swapaxes(-1, -2))
+                t += da @ w.swapaxes(-1, -2)
             return t
         dz, scratch = lin.work[l]
-        _matmul(lin.inputs[l], direction, out=dz)
+        np.matmul(lin.inputs[l], direction, out=dz)
         if da is not None:
-            dz += _matmul(da, w.swapaxes(-1, -2), out=scratch)
+            dz += np.matmul(da, w.swapaxes(-1, -2), out=scratch)
         dz *= lin.derivs[l]
         da = dz
 

@@ -266,7 +266,7 @@ def check_condition_c1(
     for b in batch_sizes:
         if b < 1:
             raise ValueError("batch sizes must be >= 1")
-        op_b = op_full.batched(b, rng.substream(b))
+        op_b = op_full.batched(b).reseeded(derive_seed(rng.seed, b))
         lhs = condition_c1_lhs(op_b, op_full, n_probes, rng.substream(b + 1_000_003))
         rhs = trace_h * trace_h / (n * b)
         rows.append(ConditionC1Row(batch_size=b, lhs_trace=lhs, rhs_trace=rhs))

@@ -20,7 +20,8 @@ from lissakit.pbrf import PboConfig
 
 class DenseOperator:
     """Deterministic matrix-vector oracle around an explicit symmetric matrix,
-    with the operator protocol's ``n_params``, ``segments`` and ``matvec``."""
+    with the operator protocol's ``n_params``, ``segments``, ``matvec`` and
+    ``reseeded``, which returns the operator itself: it draws nothing."""
 
     def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=np.float64)
@@ -34,6 +35,9 @@ class DenseOperator:
         if v.shape != (self.n_params,):
             raise ValueError(f"expected vector of length {self.n_params}")
         return self.matrix @ v
+
+    def reseeded(self, seed: int) -> "DenseOperator":
+        return self
 
 
 def eigen_reweight_reconstruction(g, eig: SymEig, lambda_damp: float) -> np.ndarray:
@@ -82,8 +86,7 @@ def solve_loop(op, g: np.ndarray, cfg: LissaConfig):
     u <- u - eta (H_b u + lambda u - g), with a copy of each snapshot; the
     norms are sqrt(u @ u).  Returns the final iterate, the norms and the
     snapshots."""
-    if hasattr(op, "reseeded"):
-        op = op.reseeded(cfg.seed)
+    op = op.reseeded(cfg.seed)
     u = np.zeros_like(g) if cfg.u0 is None else np.array(cfg.u0, dtype=np.float64)
     norms, snapshots = [math.sqrt(u @ u)], []
     for step in range(1, cfg.t_steps + 1):

@@ -81,8 +81,8 @@ def oracle():
         trace_est.mean * spec.n_params, lam_hat, lam_damp, c_const=2.0, t_multiplier=2.0
     )
     op_batch = GnhOperator(
-        spec, theta, data, batch_size=hp.batch_size_min, rng=SeededRng(0)
-    )
+        spec, theta, data, batch_size=hp.batch_size_min
+    ).reseeded(0)
     cfg = LissaConfig(
         eta=hp.eta,
         lambda_damp=lam_damp,
@@ -232,7 +232,7 @@ def test_criterion_04_small_batches_stabilize_later(acceptance_log):
 
     def crossing_step(batch, seed, trials):
         """First step where the trial-averaged correlation-to-final hits 0.99."""
-        op = GnhOperator(spec, theta, data, batch_size=batch, rng=SeededRng(0))
+        op = GnhOperator(spec, theta, data, batch_size=batch).reseeded(0)
         cfg = LissaConfig(
             eta=hp.eta,
             lambda_damp=lam_damp,
@@ -385,7 +385,7 @@ def _paired_scores(spec, theta, train_set, test_points, lam_damp, eta, steps, ba
     test_grads = -loss_gradients(spec, theta, test_points.X, test_points.y)
     solved = np.empty_like(G)
     for i in range(25):
-        op = GnhOperator(spec, theta, train_set, batch_size=batch, rng=SeededRng(0))
+        op = GnhOperator(spec, theta, train_set, batch_size=batch).reseeded(0)
         cfg = LissaConfig(
             eta=eta,
             lambda_damp=lam_damp,

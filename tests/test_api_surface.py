@@ -134,3 +134,27 @@ def test_every_default_is_set_by_a_program_caller():
             passed |= set(params) if passes_all else set(positional[:count]) | keywords
         unset += [f"{path}: {name}({param})" for param in defaulted if param not in passed]
     assert unset == [], unset
+
+
+def test_every_operator_keeps_the_whole_protocol():
+    """The operator protocol is n_params, segments, matvec and reseeded, the
+    one source of an operator's stream, which lissa_solve calls on every
+    operator: a class of the package with a matvec defines reseeded and sets
+    n_params and segments on self."""
+    operators = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            methods = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+            if "matvec" not in methods:
+                continue
+            assigned = {
+                target.attr
+                for item in ast.walk(node) if isinstance(item, ast.Assign)
+                for target in item.targets
+                if isinstance(target, ast.Attribute) and getattr(target.value, "id", None) == "self"
+            }
+            assert "reseeded" in methods and {"n_params", "segments"} <= assigned, node.name
+            operators.append(node.name)
+    assert sorted(operators) == ["GnhOperator", "RotatedRankOneSampler"]

@@ -1412,6 +1412,37 @@ class TestInputBoundary:
         assert outputs and non_finite_cells(outputs) == []
 
     @pytest.mark.parametrize(
+        "inputs, command, code, message",
+        [(4, "lissa", 2, "the loss gradients overflow"), (4, "pbrf-compare", 2, "the loss gradients overflow"),
+         (4, "convergence", 2, "the loss gradients overflow"), (4, "similarity", 2, "the loss gradients overflow"),
+         (4, "stats", 2, "lambda_max must be positive"), (1, "lissa", 0, ""), (1, "convergence", 0, ""),
+         (1, "pbrf-compare", 2, "cannot compare the influences"), (1, "stats", 2, "lambda_max must be positive")],
+    )
+    def test_overflowing_first_layer_warns_nothing(self, tmp_path, capsys, inputs, command, code, message):
+        # at init_scale 1e300 on features of about 1e200 the first layer
+        # overflows.  The one GEMM over all rows saturates every tanh, so the
+        # logits are finite; with four features each row's own (1, in)
+        # product reads inf - inf = nan, so every loss gradient is nan, and
+        # with one it saturates too.  lissa and pbrf-compare once exited 3 on
+        # a nan iterate and convergence 2 blaming lambda_damp; the operator's
+        # linearization and pbrf-compare's test forward passes printed
+        # NumPy's RuntimeWarnings on stderr
+        text = f"model_kind = mlp\nlayer_sizes = {inputs}, 5, 3\n" + (
+            "init_scale = 1e300\nseparation = 1e200\neta = 0.5\nbatch_size = 4\nt_steps = 20\n"
+            "n_test = 5\nbatch_sizes = 4\nlambda_damp = 1\n"
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result, out = run_cli(tmp_path, command, text)
+        err = capsys.readouterr().err
+        assert result == code and not caught, [str(w.message) for w in caught]
+        assert "RuntimeWarning" not in err and "Traceback" not in err
+        if code:
+            assert f"config error: {message}" in err and not any(out.glob("*.csv"))
+        if message == "the loss gradients overflow":
+            assert "at init_scale = 1e+300 and separation = 1e+200; lower init_scale or separation" in err
+
+    @pytest.mark.parametrize(
         "model",
         [MLP_4_5_3 + "init_scale = 1.7e308\n", MLP_4_5_3 + "init_scale = 1e300\n",
          MLP_4_5_3 + "init_scale = 1e200\nseparation = 1e200\n",

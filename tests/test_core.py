@@ -158,10 +158,11 @@ class TestSeededRng:
 @st.composite
 def draw_plans(draw):
     """A stream (one seed, or R <= 4 seeds) and a sequence of draw sizes: empty,
-    small, near the block edge and at or above the block width."""
+    small, near the block edge and at or above the block width (R seeds have
+    no block, and draw these sizes directly)."""
     n_seeds = draw(st.integers(0, 4))
     seeds = draw(st.lists(st.integers(0, MASK), min_size=max(1, n_seeds), max_size=max(1, n_seeds)))
-    width = _BLOCK_WORDS // max(1, n_seeds)
+    width = _BLOCK_WORDS
     size = st.one_of(
         st.just(0),
         st.integers(1, 9),
@@ -174,8 +175,9 @@ def draw_plans(draw):
 
 
 class TestSeededRngBlock:
-    """Small draws come from a block of the same counter stream computed ahead;
-    every draw must still be exactly the words of the blockless stream."""
+    """A single seed's small draws come from a block of the same counter
+    stream computed ahead, R seeds' draws are computed directly; every draw
+    must be exactly the words of the blockless stream."""
 
     @staticmethod
     def direct(seed, start, n):
@@ -199,7 +201,7 @@ class TestSeededRngBlock:
 
     @pytest.mark.parametrize("seed", [17, [17, 3, 2**64 - 1]])
     def test_resume_mid_block_and_reassigned_position(self, seed):
-        width = _BLOCK_WORDS // np.size(seed)
+        width = _BLOCK_WORDS
         whole = self.direct(seed, 0, 4 * width)
         for p in (1, 5, width - 2, width, width + 3, 3 * width - 1):
             assert np.array_equal(rng_at(seed, p).raw_uint64(4), whole[..., p : p + 4])
@@ -244,7 +246,7 @@ class TestSeededRngFastPaths:
 
     @pytest.mark.parametrize("seed", [4, [4, 9, 2**64 - 1]])
     def test_rademacher_equals_the_signs_of_a_fresh_draw(self, seed):
-        width = _BLOCK_WORDS // np.size(seed)
+        width = _BLOCK_WORDS
         rng = SeededRng(seed)
         # (position to move to or None, draw, n): inside a block, across its
         # end, at and above its width, after raw draws of the same block, and
@@ -274,9 +276,14 @@ class TestSeededRngFastPaths:
         signs, words = SeededRng(seed), SeededRng(seed)
         for n in (3, 10, 1):
             got, raw = signs.rademacher(n), words.raw_uint64(n)
-            assert not got.flags.writeable and not raw.flags.writeable
-            with pytest.raises(ValueError):
+            # one seed's small draws are read-only slices of its block; every
+            # draw of R seeds is its own fresh array
+            assert got.flags.writeable == raw.flags.writeable == (np.ndim(seed) > 0)
+            if got.flags.writeable:
                 got[...] = 0.0
+            else:
+                with pytest.raises(ValueError):
+                    got[...] = 0.0
         # a draw too long for a block is its own fresh array, as raw_uint64's is
         got, raw = signs.rademacher(2 * _BLOCK_WORDS), words.raw_uint64(2 * _BLOCK_WORDS)
         assert got.flags.writeable and raw.flags.writeable

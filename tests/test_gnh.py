@@ -296,7 +296,7 @@ class TestHvp:
 
     def test_batch_hvp_psd(self):
         theta, data = toy_fixture(MLP, n=30, seed=6)
-        op = GnhOperator(MLP, theta, data, batch_size=4, rng=SeededRng(60))
+        op = GnhOperator(MLP, theta, data, batch_size=4).reseeded(60)
         rng = SeededRng(61)
         for _ in range(10):
             u = rng.normal(MLP.n_params)
@@ -310,14 +310,14 @@ class TestHvp:
         u = rng.normal(LINEAR.n_params)
         proj = rng.normal(LINEAR.n_params)
         exact = float(proj @ (H @ u))
-        op = GnhOperator(LINEAR, theta, data, batch_size=3, rng=SeededRng(71))
+        op = GnhOperator(LINEAR, theta, data, batch_size=3).reseeded(71)
         samples = np.array([float(proj @ op.matvec(u)) for _ in range(2000)])
         ms = MeanSe.from_samples(samples)
         assert abs(ms.mean - exact) <= 3 * ms.se
 
     def test_reseeded_reproducible(self):
         theta, data = toy_fixture(LINEAR, n=20, seed=8)
-        op = GnhOperator(LINEAR, theta, data, batch_size=5, rng=SeededRng(0))
+        op = GnhOperator(LINEAR, theta, data, batch_size=5).reseeded(0)
         u = SeededRng(80).normal(LINEAR.n_params)
         a = [op.reseeded(123).matvec(u) for _ in range(2)]
         assert np.array_equal(a[0], a[1])
@@ -330,7 +330,7 @@ class TestHvp:
 
         monkeypatch.setattr(gnh, "sample_batch", refuse)
         theta, data = toy_fixture(MLP, n=20, seed=12)
-        op = GnhOperator(MLP, theta, data, batch_size=batch_size, rng=SeededRng(0))
+        op = GnhOperator(MLP, theta, data, batch_size=batch_size).reseeded(0)
         full = GnhOperator(MLP, theta, data)
         assert op.batch_size is None and op.reseeded(5) is op
         u = SeededRng(120).normal(MLP.n_params)
@@ -339,7 +339,7 @@ class TestHvp:
 
     def test_fresh_batch_per_call(self):
         theta, data = toy_fixture(LINEAR, n=20, seed=9)
-        op = GnhOperator(LINEAR, theta, data, batch_size=5, rng=SeededRng(1))
+        op = GnhOperator(LINEAR, theta, data, batch_size=5).reseeded(1)
         u = SeededRng(90).normal(LINEAR.n_params)
         assert not np.array_equal(op.matvec(u), op.matvec(u))
 
@@ -376,7 +376,7 @@ class TestHvp:
         monkeypatch.setattr(models, "_forward", lambda *args: calls.append(1) or forward(*args))
         monkeypatch.setattr(gnh, "_row_hvp", lambda F, rows, v: drawn.append(rows) or row_hvp(F, rows, v))
         theta, data = toy_fixture(MLP, n=30, seed=12)
-        op = GnhOperator(MLP, theta, data, batch_size=6, rng=SeededRng(120))
+        op = GnhOperator(MLP, theta, data, batch_size=6).reseeded(120)
         rng = SeededRng(121)
         for _ in range(4):
             op.matvec(rng.normal(MLP.n_params))
@@ -397,8 +397,8 @@ class TestHvp:
         theta, data = toy_fixture(DEEP_TANH, n=200, seed=13)
         u = SeededRng(130).normal(DEEP_TANH.n_params)
         full = GnhOperator(DEEP_TANH, theta, data)
-        mini = GnhOperator(DEEP_TANH, theta, data, batch_size=150, rng=SeededRng(131))
-        by_rows = mini.batched(6, SeededRng(132))
+        mini = GnhOperator(DEEP_TANH, theta, data, batch_size=150).reseeded(131)
+        by_rows = mini.batched(6).reseeded(132)
         for op, expected in ((full, 1), (mini, 1), (by_rows, 0)):
             calls.clear()
             op.matvec(u)
@@ -411,7 +411,7 @@ class TestHvp:
         # the gathered rows agree with a linearization of the drawn rows up
         # to the last bits; a twin stream replays the operator's draws
         theta, data = toy_fixture(spec, n=8, seed=14)
-        op = GnhOperator(spec, theta, data, batch_size=batch_size, rng=SeededRng(140), fd_delta=fd_delta)
+        op = GnhOperator(spec, theta, data, batch_size=batch_size, fd_delta=fd_delta).reseeded(140)
         twin = SeededRng(140)
         rng = SeededRng(141)
         duplicates = False
@@ -427,10 +427,10 @@ class TestHvp:
     @pytest.mark.parametrize("fd_delta", [None, 0.01])
     def test_reseeded_equals_a_new_operator_at_its_seed(self, fd_delta):
         theta, data = toy_fixture(DEEP_TANH, n=30, seed=15)
-        op = GnhOperator(DEEP_TANH, theta, data, batch_size=5, rng=SeededRng(0), fd_delta=fd_delta)
+        op = GnhOperator(DEEP_TANH, theta, data, batch_size=5, fd_delta=fd_delta).reseeded(0)
         op.matvec(SeededRng(150).normal(DEEP_TANH.n_params))  # moves op's stream, not the copy's
         twin = op.reseeded(151)
-        fresh = GnhOperator(DEEP_TANH, theta, data, batch_size=5, rng=SeededRng(151), fd_delta=fd_delta)
+        fresh = GnhOperator(DEEP_TANH, theta, data, batch_size=5, fd_delta=fd_delta).reseeded(151)
         rng = SeededRng(152)
         for _ in range(5):
             u = rng.normal(DEEP_TANH.n_params)
@@ -440,31 +440,31 @@ class TestHvp:
     def test_batched_equals_a_new_operator_with_its_batches(self, fd_delta):
         theta, data = toy_fixture(DEEP_TANH, n=30, seed=16)
         full = GnhOperator(DEEP_TANH, theta, data, fd_delta=fd_delta)
-        twin = full.batched(5, SeededRng(160))
-        fresh = GnhOperator(DEEP_TANH, theta, data, batch_size=5, rng=SeededRng(160), fd_delta=fd_delta)
+        twin = full.batched(5).reseeded(160)
+        fresh = GnhOperator(DEEP_TANH, theta, data, batch_size=5, fd_delta=fd_delta).reseeded(160)
         assert twin._lin is full._lin and full.batch_size is None
         rng = SeededRng(161)
         for _ in range(5):
             u = rng.normal(DEEP_TANH.n_params)
             assert twin.matvec(u).tobytes() == fresh.matvec(u).tobytes()
         # the constructor's batch rules: a covering batch is the full batch
-        assert full.batched(30, SeededRng(162)).batch_size is None
+        assert full.batched(30).reseeded(162).batch_size is None
         with pytest.raises(ValueError, match="batch size"):
-            full.batched(0, SeededRng(163))
+            full.batched(0).reseeded(163)
 
     @pytest.mark.parametrize("batch_size", [None, 4])
     def test_empty_dataset_rejected(self, batch_size):
         data = Dataset(X=np.zeros((0, 4)), y=np.zeros(0, dtype=np.int64))
         theta = init_params(LINEAR, SeededRng(0))
         with pytest.raises(ValueError, match="dataset is empty"):
-            GnhOperator(LINEAR, theta, data, batch_size=batch_size, rng=SeededRng(1))
+            GnhOperator(LINEAR, theta, data, batch_size=batch_size).reseeded(1)
 
     def test_validation_errors(self):
         theta, data = toy_fixture(LINEAR)
+        with pytest.raises(ValueError, match=r"call reseeded\(seed\) first"):
+            GnhOperator(LINEAR, theta, data, batch_size=4).matvec(np.ones(LINEAR.n_params))
         with pytest.raises(ValueError):
-            GnhOperator(LINEAR, theta, data, batch_size=4)  # missing rng
-        with pytest.raises(ValueError):
-            GnhOperator(LINEAR, theta, data, batch_size=0, rng=SeededRng(0))
+            GnhOperator(LINEAR, theta, data, batch_size=0).reseeded(0)
         with pytest.raises(ValueError):
             GnhOperator(LINEAR, theta, data, fd_delta=0.0)
         op = GnhOperator(LINEAR, theta, data)
@@ -483,7 +483,7 @@ class TestRowPath:
         # the drawn rows, duplicates kept, are a dataset of their own whose
         # dense GNH times u is the draw's HVP; a twin stream replays the draws
         theta, data = toy_fixture(spec, n=8, seed=17)
-        op = GnhOperator(spec, theta, data, batch_size=batch_size, rng=SeededRng(170))
+        op = GnhOperator(spec, theta, data, batch_size=batch_size).reseeded(170)
         twin, rng = SeededRng(170), SeededRng(171)
         duplicates = False
         for _ in range(6):
@@ -509,7 +509,7 @@ class TestRowPath:
         monkeypatch.setattr(gnh, "_row_hvp", lambda F, rows, v: by_row_path.append(rows) or row_hvp(F, rows, v))
         spec = ModelSpec(kind="softmax-linear", layer_sizes=(3, 2))
         theta, data = toy_fixture(spec, n=5000, seed=18)
-        op = GnhOperator(spec, theta, data, batch_size=batch_size, rng=SeededRng(180), fd_delta=fd_delta)
+        op = GnhOperator(spec, theta, data, batch_size=batch_size, fd_delta=fd_delta).reseeded(180)
         twin, rng = SeededRng(180), SeededRng(181)
         for _ in range(3):
             u = rng.normal(spec.n_params)
@@ -530,8 +530,8 @@ class TestRowPath:
         monkeypatch.setattr(gnh, "_jacobian_rows", lambda *args: builds.append(1) or jacobian_rows(*args))
         theta, data = toy_fixture(DEEP_TANH, n=30, seed=19)
         full = GnhOperator(DEEP_TANH, theta, data)
-        op = full.batched(5, SeededRng(190))
-        copies = {(5, 190): op, (5, 191): op.reseeded(191), (3, 192): full.batched(3, SeededRng(192)),
+        op = full.batched(5).reseeded(190)
+        copies = {(5, 190): op, (5, 191): op.reseeded(191), (3, 192): full.batched(3).reseeded(192),
                   (5, 194): op.reseeded(193).reseeded(194)}
         rng = SeededRng(195)
         directions = [rng.normal(DEEP_TANH.n_params) for _ in range(4)]
@@ -539,7 +539,7 @@ class TestRowPath:
         assert len(builds) == 1
         assert all(copy._rows.F is full._rows.F for copy in copies.values())
         for (size, seed), got in results.items():
-            fresh = GnhOperator(DEEP_TANH, theta, data, batch_size=size, rng=SeededRng(seed))
+            fresh = GnhOperator(DEEP_TANH, theta, data, batch_size=size).reseeded(seed)
             for u, row in zip(directions, got):
                 assert row.tobytes() == fresh.matvec(u).tobytes()
 
@@ -550,7 +550,7 @@ class TestRowPath:
         u = SeededRng(200).normal(spec.n_params)
         for n, by_rows in ((65_536, True), (65_537, False)):
             theta, data = toy_fixture(spec, n=n, seed=20)
-            op = GnhOperator(spec, theta, data, batch_size=16, rng=SeededRng(201))
+            op = GnhOperator(spec, theta, data, batch_size=16).reseeded(201)
             got = op.matvec(u)
             assert ("F" in vars(op._rows)) == by_rows
             if not by_rows:
@@ -565,7 +565,7 @@ class TestRowPath:
         # 1.25 times the rows' and the record's bytes on these four models
         row_floats = spec.n_classes * spec.n_params
         theta, data = toy_fixture(spec, n=(1 << 20) // row_floats, seed=21)
-        op = GnhOperator(spec, theta, data, batch_size=16, rng=SeededRng(210))
+        op = GnhOperator(spec, theta, data, batch_size=16).reseeded(210)
         lin = op._lin
         record = sum(a.nbytes for a in (*lin.inputs, *lin.derivs, lin.p, *sum(lin.work, ())))
         u = SeededRng(211).normal(spec.n_params)

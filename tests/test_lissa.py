@@ -203,7 +203,7 @@ class TestLissaSolve:
 
     def test_seed_determinism(self):
         spec, theta, data, H, g = toy_problem()
-        op = GnhOperator(spec, theta, data, batch_size=16, rng=SeededRng(99))
+        op = GnhOperator(spec, theta, data, batch_size=16).reseeded(99)
         cfg = LissaConfig(eta=0.5, lambda_damp=0.5, t_steps=20, seed=3)
         u1, _ = lissa_solve(op, g, cfg)
         u2, _ = lissa_solve(op, g, cfg)
@@ -220,7 +220,7 @@ class TestLissaSolve:
 
     def test_divergence_raises_with_step(self):
         problem = growth_problem()
-        sampler = RotatedRankOneSampler(problem, SeededRng(0))
+        sampler = RotatedRankOneSampler(problem).reseeded(0)
         cfg = LissaConfig(
             eta=problem.eta, lambda_damp=problem.lambda_damp, t_steps=500,
             seed=5, u0=problem.u0,
@@ -237,6 +237,9 @@ class TestLissaSolve:
 
             def matvec(self, v):
                 return np.full(2, np.inf)
+
+            def reseeded(self, seed):
+                return self
 
         cfg = LissaConfig(eta=0.5, lambda_damp=1.0, t_steps=5)
         with pytest.raises(LissaDivergenceError) as err:
@@ -261,7 +264,7 @@ class TestFastPathsEqualReferenceLoops:
     @pytest.mark.parametrize("n", [1, 2, 10, 33])
     def test_sampler_matvec_equals_reference(self, n, batch_size):
         problem = counterexample_build(np.linspace(2.0, 0.1, n), batch_size, 0.1, 0.4, seed=n)
-        sampler = RotatedRankOneSampler(problem, SeededRng(7))
+        sampler = RotatedRankOneSampler(problem).reseeded(7)
         rng = SeededRng(7)
         v = SeededRng(8).normal(n)
         # enough calls of B n words each to cross several block edges
@@ -281,10 +284,10 @@ class TestFastPathsEqualReferenceLoops:
         mlp_g = loss_gradients(mlp, mlp_theta, mlp_data.X[:1], mlp_data.y[:1])[0]
         lam = np.array([3.0, 2.0, 1.5, 1.0, 0.5, 0.2, 0.05])
         problem = counterexample_build(lam, 2, 0.3, 0.3, seed=12)
-        sampler = RotatedRankOneSampler(problem, SeededRng(0))
+        sampler = RotatedRankOneSampler(problem).reseeded(0)
         return {
             "dense": (DenseOperator(H), g, None),
-            "gnh-minibatch": (GnhOperator(mlp, mlp_theta, mlp_data, batch_size=6, rng=SeededRng(0)), mlp_g, None),
+            "gnh-minibatch": (GnhOperator(mlp, mlp_theta, mlp_data, batch_size=6).reseeded(0), mlp_g, None),
             "gnh-full": (GnhOperator(mlp, mlp_theta, mlp_data), mlp_g, mlp_g),
             "sampler-g0": (sampler, np.zeros(problem.n), problem.u0),
             "sampler": (sampler, np.linspace(-1.0, 1.0, problem.n), problem.u0),
@@ -341,15 +344,14 @@ class TestLockstep:
     norms, snapshots and the raised error."""
 
     @staticmethod
-    def assert_chains_equal_single_solves(op, G, cfg, u0_rows=None):
+    def assert_chains_equal_single_solves(op, G, cfg):
         U, trace = lissa_solve(op, G, cfg)
         R, n = len(cfg.seed), op.n_params
         assert U.shape == (R, n) and trace.norms.shape == (R, cfg.t_steps + 1)
         assert U.flags.c_contiguous and trace.final() is U
         for r in range(R):
             g = G[r] if np.ndim(G) == 2 else G
-            u0 = cfg.u0 if u0_rows is None else u0_rows[r]
-            u, single = lissa_solve(op, g, replace(cfg, seed=cfg.seed[r], u0=u0))
+            u, single = lissa_solve(op, g, replace(cfg, seed=cfg.seed[r]))
             assert U[r].tobytes() == u.tobytes()
             assert trace.norms[r].tobytes() == single.norms.tobytes()
             assert [s for s, _ in trace.snapshots] == [s for s, _ in single.snapshots]
@@ -357,28 +359,24 @@ class TestLockstep:
                 assert block[r].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("every", [0, 3])
-    @pytest.mark.parametrize("u0", ["none", "shared", "per-chain"])
+    @pytest.mark.parametrize("u0", ["none", "shared"])
     @pytest.mark.parametrize("name", ["gnh-minibatch", "gnh-full", "sampler"])
     def test_chains_equal_single_solves(self, name, u0, every):
         op, g, _ = TestFastPathsEqualReferenceLoops.operators()[name]
         R, n = 5, op.n_params
         G = np.stack([(1.0 + 0.5 * r) * g + 0.1 * r for r in range(R)])
         U0 = SeededRng(3).normal(R * n).reshape(R, n)
-        u0_arg = {"none": None, "shared": U0[0], "per-chain": U0}[u0]
+        u0_arg = {"none": None, "shared": U0[0]}[u0]
         seeds = tuple(derive_seed(41, r) for r in range(R))
         cfg = LissaConfig(eta=0.3, lambda_damp=0.2, t_steps=10, seed=seeds, snapshot_every=every, u0=u0_arg)
-        self.assert_chains_equal_single_solves(op, G, cfg, U0 if u0 == "per-chain" else None)
+        self.assert_chains_equal_single_solves(op, G, cfg)
 
     def test_shared_gradient_and_one_seed_broadcast(self):
-        # an (n,) g with R seeds, and an (R, n) g with one seed
+        # an (n,) g with R seeds
         op, g, _ = TestFastPathsEqualReferenceLoops.operators()["gnh-minibatch"]
         seeds = (5, 6, 7)
         cfg = LissaConfig(eta=0.3, lambda_damp=0.2, t_steps=6, seed=seeds, snapshot_every=2)
         self.assert_chains_equal_single_solves(op, g, cfg)
-        G = np.stack([g, 2.0 * g])
-        U, _ = lissa_solve(op, G, replace(cfg, seed=5))
-        for r in range(2):
-            assert U[r].tobytes() == lissa_solve(op, G[r], replace(cfg, seed=5))[0].tobytes()
 
     @pytest.mark.parametrize("chains", [10, 300])
     def test_more_chains_than_a_pass(self, monkeypatch, chains):
@@ -408,7 +406,7 @@ class TestLockstep:
         # the growth regime: some chains outgrow the guard, at various steps
         monkeypatch.setattr(lissa, "_PASS_CHAINS", pass_chains)
         problem = growth_problem()
-        sampler = RotatedRankOneSampler(problem, SeededRng(0))
+        sampler = RotatedRankOneSampler(problem).reseeded(0)
         seeds = tuple(derive_seed(2, r) for r in range(40))
         cfg = LissaConfig(eta=problem.eta, lambda_damp=problem.lambda_damp, t_steps=60, seed=seeds, u0=problem.u0)
         G = np.zeros((40, problem.n))
@@ -425,8 +423,11 @@ class TestLockstep:
             lissa_solve(op, np.ones((2, 2)), cfg)
         with pytest.raises(ValueError, match="one per gradient row"):
             lissa_solve(op, np.ones(2), replace(cfg, seed=()))
-        with pytest.raises(ValueError, match="u0 does not match"):
-            lissa_solve(op, np.ones(2), replace(cfg, u0=np.ones((2, 2))))
+        # one u0, shared by every chain, and one seed per gradient row
+        with pytest.raises(ValueError, match="u0 does not match.*one \\(2,\\) start, which every chain shares"):
+            lissa_solve(op, np.ones(2), replace(cfg, u0=np.ones((3, 2))))
+        with pytest.raises(ValueError, match="needs a tuple of one seed per row"):
+            lissa_solve(op, np.ones((2, 2)), replace(cfg, seed=1))
 
     def test_simulate_memory_does_not_grow_with_the_runs(self):
         # runs step in passes: 4000 runs hold about what 256 do
@@ -446,7 +447,7 @@ class TestConvergenceCorrelation:
         grads = -loss_gradients(spec, theta, data.X[1:9], data.y[1:9])
         damp = 0.5
         eta = 1.0 / (np.linalg.eigvalsh(H)[-1] + damp)
-        op = GnhOperator(spec, theta, data, batch_size=64, rng=SeededRng(7))
+        op = GnhOperator(spec, theta, data, batch_size=64).reseeded(7)
         cfg = LissaConfig(eta=eta, lambda_damp=damp, t_steps=60, seed=2, snapshot_every=2)
         _, trace = lissa_solve(op, g, cfg)
         return H, g, grads, trace
@@ -539,10 +540,10 @@ class TestCounterExampleBuild:
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
     def test_reseeded_sampler_equals_a_new_sampler_at_its_seed(self, seed):
         problem = counterexample_build([2.0, 1.0, 0.5, 0.25, 0.1], 3, 0.1, 0.4, seed=5)
-        sampler = RotatedRankOneSampler(problem, SeededRng(1))
+        sampler = RotatedRankOneSampler(problem).reseeded(1)
         sampler.matvec(problem.u0)  # moves the original's stream, not the copy's
         iterates = []
-        for op in (sampler.reseeded(seed), RotatedRankOneSampler(problem, SeededRng(seed))):
+        for op in (sampler.reseeded(seed), RotatedRankOneSampler(problem).reseeded(seed)):
             u, g, steps = problem.u0, np.ones(problem.n), []
             for _ in range(8):
                 u = u - problem.eta * (op.matvec(u) + problem.lambda_damp * u - g)
@@ -664,7 +665,7 @@ class TestCounterExampleMoments:
     @staticmethod
     def per_step_simulate(problem, n_runs, t, seed):
         # the moments summed one step at a time, through a per-step helper
-        sampler = RotatedRankOneSampler(problem, SeededRng(seed))
+        sampler = RotatedRankOneSampler(problem).reseeded(seed)
         g = np.zeros(problem.n)
         sum_sq = np.zeros(t + 1)
         sum_sq2 = np.zeros(t + 1)
@@ -746,10 +747,15 @@ def _shape_cases():
 @pytest.mark.parametrize("call", list(_shape_cases()))
 def test_vector_shapes_are_checked_not_raveled(call, bad):
     # an (n, 1) or (1, n) array was once flattened without a word; a (1, n)
-    # gradient is a block of one lockstep chain, and stays one
+    # gradient is a block of one lockstep chain, which needs a tuple of one
+    # seed, and stays one
     if call == "lissa_solve-g" and bad(np.zeros(2)).shape == (1, 2):
-        u, trace = _shape_cases()[call](bad)
-        single, single_trace = _shape_cases()[call](lambda v: v)
+        with pytest.raises(ValueError, match="one seed per row"):
+            _shape_cases()[call](bad)
+        spec, theta, data, H, g = toy_problem()
+        cfg = LissaConfig(eta=0.1, lambda_damp=0.3, t_steps=3, snapshot_every=1)
+        u, trace = lissa_solve(DenseOperator(H), bad(g), replace(cfg, seed=(0,)))
+        single, single_trace = lissa_solve(DenseOperator(H), g, cfg)
         assert u.tobytes() == single.tobytes() and u.shape == (1, single.size)
         assert trace.norms.tobytes() == single_trace.norms.tobytes() and trace.norms.ndim == 2
         return

@@ -486,7 +486,7 @@ class TestSweepScratch:
         # test_gnh.TestRowPath
         theta = rand_theta(spec, 42)
         data = make_blobs(SeededRng(420), 30, spec.input_dim, spec.n_classes)
-        op = GnhOperator(spec, theta, data, batch_size=6, rng=SeededRng(421), fd_delta=fd_delta)
+        op = GnhOperator(spec, theta, data, batch_size=6, fd_delta=fd_delta).reseeded(421)
         draws = SeededRng(421)
         rng = SeededRng(422)
         for _ in range(3):
@@ -584,7 +584,7 @@ class TestBiasAsColumn:
         theta = rand_theta(spec, 46)
         data = make_blobs(SeededRng(460), 30, spec.input_dim, spec.n_classes)
         full = GnhOperator(spec, theta, data, fd_delta=fd_delta)
-        mini = GnhOperator(spec, theta, data, batch_size=6, rng=SeededRng(461), fd_delta=fd_delta)
+        mini = GnhOperator(spec, theta, data, batch_size=6, fd_delta=fd_delta).reseeded(461)
         lin = _linearize(spec, theta, data.X)
         draws = SeededRng(461)
         rng = SeededRng(462)

@@ -240,7 +240,7 @@ class TestPbrfInfluence:
         train = data[0]
         tests = subset(data, range(100, 120))
         grad_train = loss_gradient(spec, theta, train).values
-        op = GnhOperator(spec, theta, data, batch_size=64, rng=SeededRng(0))
+        op = GnhOperator(spec, theta, data, batch_size=64).reseeded(0)
         lissa_cfg = LissaConfig(eta=eta, lambda_damp=damp, t_steps=80, seed=11)
         u, _ = lissa_solve(op, -grad_train, lissa_cfg)
         lissa = -loss_gradients(spec, theta, tests.X, tests.y) @ u
