@@ -19,8 +19,8 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, component_seed, load_config, sha256_hex
-from .core import SeededRng, check_symmetric, sym_eig, top_eigenvalue
-from .gnh import MAX_DENSE_PARAMS, GnhOperator, gnh_matrix_exact
+from .core import SeededRng, SymEig, check_symmetric, sym_eig, top_eigenvalue
+from .gnh import MAX_DENSE_PARAMS, GnhOperator, gnh_matrix_exact, gnh_trace_exact
 from .influence import eigen_reweight, similarity_matrix
 from .lissa import (
     LissaConfig,
@@ -213,6 +213,14 @@ def _overflow_error(run: RunContext, what: str) -> ConfigError:
     return ConfigError(f"{what} at init_scale = {cfg.init_scale!r} and {data}; lower init_scale or {hint}")
 
 
+def _check_nonzero_gnh(run: RunContext, spec: ModelSpec, theta, train) -> None:
+    """For an error path: a softmax saturated at every example gives a zero
+    Gauss-Newton matrix, the cause to name."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if gnh_trace_exact(spec, theta, train) == 0.0:
+            raise _overflow_error(run, "a zero Gauss-Newton matrix (Tr(H) = 0: the softmax saturates)")
+
+
 def _build_data(run: RunContext, spec: ModelSpec, theta: np.ndarray, n_test: int = 0):
     """Train set plus an optional held-out tail of n_test examples.  A model
     whose logits overflow on the data has no gradient, curvature or score to
@@ -322,10 +330,10 @@ def _check_oracle_damping(run: RunContext) -> None:
         )
 
 
-def _oracle_ihvp(run: RunContext, H: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """exact_ihvp at the run's damping; a failed solve is a config error."""
+def _oracle_ihvp(run: RunContext, H: np.ndarray, g: np.ndarray, eig: SymEig | None = None) -> np.ndarray:
+    """exact_ihvp at the run's damping, in ``eig`` = sym_eig(H) if given; a failed solve is a config error."""
     try:
-        return exact_ihvp(H, run.cfg.lambda_damp, g)
+        return exact_ihvp(H, run.cfg.lambda_damp, g, eig)
     except np.linalg.LinAlgError as exc:
         raise ConfigError(
             f"dense oracle failed at lambda_damp = {run.cfg.lambda_damp!r} ({exc}); raise lambda_damp"
@@ -410,6 +418,8 @@ def cmd_stats(run: RunContext) -> None:
     except ValueError as exc:
         raise _overflow_error(run, f"no curvature sketch ({exc})") from exc
     trace_total = trace.mean * op.n_params
+    if not min(trace_total, lambda_top) > 0:  # _recommend refuses a non-positive one
+        _check_nonzero_gnh(run, spec, theta, train)
     hp = _recommend(run, trace_total, lambda_top)
     frob_norm = math.sqrt(max(frob.mean, 0.0) * op.n_params)
     run.emit_csv(
@@ -620,6 +630,7 @@ def cmd_pbrf_compare(run: RunContext) -> None:
     try:
         comparison = compare_influences(lissa, retrain)
     except ValueError as exc:
+        _check_nonzero_gnh(run, spec, theta, train)
         raise ConfigError(f"cannot compare the influences: {exc}") from exc
     # row i of both score arrays is train point i, column j test point j; an
     # example's id is its row, the test split's counted on from the train set's
@@ -817,11 +828,8 @@ def cmd_similarity(run: RunContext) -> None:
         except ValueError as exc:
             raise ConfigError(f"no similarity matrix: {exc}") from exc
         H, eig = _dense_gnh(run, spec, theta, train, sym_eig)
-        # the eigenbasis serves only the reweighting: read it, and let it go
-        # before the solve copies H
         reweight = eigen_reweight(G[cfg.train_index], eig, cfg.lambda_damp)
-        del eig
-        solved = _oracle_ihvp(run, H, G.T)
+        solved = _oracle_ihvp(run, H, G.T, eig)
         try:
             influence_sim = similarity_matrix(G, solved)
         except ValueError as exc:

@@ -338,6 +338,9 @@ def pearson_corr(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError("need at least two points")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("inputs must be finite")
+    # the correlation is scale-free: a sample whose squares could overflow is
+    # first divided by its largest magnitude
+    a, b = (x / np.abs(x).max() if np.abs(x).max() > 1e100 else x for x in (a, b))
     da = a - a.mean()
     db = b - b.mean()
     na = float(np.sqrt(np.dot(da, da)))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import SeededRng, derive_seed, derive_seeds, pearson_corr
+from .core import SeededRng, SymEig, derive_seed, derive_seeds, pearson_corr
 
 _DIVERGENCE_SCALE = 1e12
 _FLOAT_MAX = float(np.finfo(np.float64).max)
@@ -187,17 +187,18 @@ def lissa_solve(op, g, cfg: LissaConfig):
     return trace.final(), trace
 
 
-def exact_ihvp(H: np.ndarray, lambda_damp: float, g) -> np.ndarray:
+def exact_ihvp(H: np.ndarray, lambda_damp: float, g, eig: SymEig | None = None) -> np.ndarray:
     """Dense oracle: solve (H + lambda I) u = g to residual <= 1e-10 ||g||.
 
     ``H`` is a symmetric matrix that the caller has checked
-    (``core.check_symmetric``).  One LU solve of H + lambda I; a second one,
-    on the residual, runs only when some column misses the bound, and the
-    residual is checked against H itself.  ``g`` is a vector or an (n, k)
-    block, each column held to its own bound.  Raises
-    ``np.linalg.LinAlgError`` when lambda <= 0, where a Gauss-Newton matrix,
-    PSD and singular, leaves H + lambda I not positive definite, when the
-    system is singular, or when a column misses the bound.
+    (``core.check_symmetric``).  A caller that holds ``eig`` =
+    ``core.sym_eig(H)`` solves in that eigenbasis, V((V^T g)/(values +
+    lambda)); otherwise one LU solve of H + lambda I.  Either way the residual
+    is checked against H itself, which also rejects an ``eig`` of another
+    matrix.  ``g`` is a vector or an (n, k) block, each column held to its own
+    bound.  Raises ``np.linalg.LinAlgError`` when lambda <= 0, where a
+    Gauss-Newton matrix, PSD and singular, leaves H + lambda I not positive
+    definite, when the system is singular, or when a column misses the bound.
     """
     rhs = np.asarray(g, dtype=np.float64)
     n = H.shape[0]
@@ -205,18 +206,18 @@ def exact_ihvp(H: np.ndarray, lambda_damp: float, g) -> np.ndarray:
         raise ValueError("gradient does not match the matrix")
     if not lambda_damp > 0:
         raise np.linalg.LinAlgError(f"H + lambda I is not positive definite at lambda = {lambda_damp!r}")
-    system = H.copy()
-    system.flat[:: n + 1] += lambda_damp
     block = rhs.reshape(n, -1)
     bound = 1e-10 * np.linalg.norm(block, axis=0)
-    # a near-singular system can overflow the solve; the residual check reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = np.linalg.solve(system, block)
-        residual = block - (H @ u + lambda_damp * u)
-        if not np.all(np.linalg.norm(residual, axis=0) <= bound):
-            u += np.linalg.solve(system, residual)
-            residual = block - (H @ u + lambda_damp * u)
-        miss = np.linalg.norm(residual, axis=0)
+    # a near-singular system can overflow the solve, or divide by 0 in the
+    # eigenbasis; the residual check reports it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if eig is None:
+            system = H.copy()
+            system.flat[:: n + 1] += lambda_damp
+            u = np.linalg.solve(system, block)
+        else:
+            u = eig.vectors @ ((eig.vectors.T @ block) / (eig.values + lambda_damp)[:, None])
+        miss = np.linalg.norm(block - (H @ u + lambda_damp * u), axis=0)
     if not np.all(miss <= bound):
         raise np.linalg.LinAlgError(f"system too ill-conditioned: residual {miss.max():.3e}")
     return u.reshape(rhs.shape)

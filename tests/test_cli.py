@@ -687,8 +687,8 @@ class TestExitCodes:
     )
     def test_dense_commands_build_the_gnh_once(self, tmp_path, monkeypatch, command, text):
         # each command builds H once and checks it once; lambda_max comes from
-        # Lanczos and u* from LU, so only the eigen-reweighting of similarity
-        # runs an eigh of H, and no command runs eigvalsh
+        # Lanczos, and u* from LU or from similarity's eigenbasis, so only
+        # similarity runs an eigh of H, and no command runs eigvalsh
         built, checked, decomposed = [], [], []
         build, check, eigh = cli.gnh_matrix_exact, core.check_symmetric, np.linalg.eigh
 
@@ -1118,6 +1118,10 @@ class TestInputBoundary:
     @example(command="lissa", model=LINEAR_4_3, n_examples=1, n_test=1, n_train=1, t_steps=1,
              pbrf_steps=None, snapshot_every=None, batch_size=None, batch_sizes=[1], eta=None,
              lambda_damp=1e300, init_scale=None, tolerance=0.5)
+    # u* of size 1e300: its scores' squares overflowed in the correlation
+    @example(command="convergence", model=LINEAR_4_3, n_examples=1, n_test=3, n_train=1, t_steps=1,
+             pbrf_steps=None, snapshot_every=None, batch_size=None, batch_sizes=[1], eta=5e-324,
+             lambda_damp=1e-300, init_scale=1e5, tolerance=None)
     @settings(max_examples=150, deadline=None)
     def test_solver_commands_exit_cleanly(
         self, command, model, n_examples, n_test, n_train, t_steps, pbrf_steps, snapshot_every,
@@ -1415,8 +1419,8 @@ class TestInputBoundary:
         "inputs, command, code, message",
         [(4, "lissa", 2, "the loss gradients overflow"), (4, "pbrf-compare", 2, "the loss gradients overflow"),
          (4, "convergence", 2, "the loss gradients overflow"), (4, "similarity", 2, "the loss gradients overflow"),
-         (4, "stats", 2, "lambda_max must be positive"), (1, "lissa", 0, ""), (1, "convergence", 0, ""),
-         (1, "pbrf-compare", 2, "cannot compare the influences"), (1, "stats", 2, "lambda_max must be positive")],
+         (4, "stats", 2, "a zero Gauss-Newton matrix"), (1, "lissa", 0, ""), (1, "convergence", 0, ""),
+         (1, "pbrf-compare", 2, "a zero Gauss-Newton matrix"), (1, "stats", 2, "a zero Gauss-Newton matrix")],
     )
     def test_overflowing_first_layer_warns_nothing(self, tmp_path, capsys, inputs, command, code, message):
         # at init_scale 1e300 on features of about 1e200 the first layer
@@ -1439,8 +1443,29 @@ class TestInputBoundary:
         assert "RuntimeWarning" not in err and "Traceback" not in err
         if code:
             assert f"config error: {message}" in err and not any(out.glob("*.csv"))
-        if message == "the loss gradients overflow":
+        if message in ("the loss gradients overflow", "a zero Gauss-Newton matrix"):
             assert "at init_scale = 1e+300 and separation = 1e+200; lower init_scale or separation" in err
+
+    @pytest.mark.parametrize(
+        "command, sizes, extra",
+        [("stats", "4, 5, 3", ""), ("pbrf-compare", "1, 5, 3", "eta = 0.5\nt_steps = 3\n")],
+    )
+    def test_zero_gauss_newton_matrix_is_named(self, tmp_path, command, sizes, extra):
+        # the softmax saturates at every example, so H = 0 though pbrf-compare's
+        # gradients are finite and nonzero; stats once blamed lambda_max and
+        # pbrf-compare a zero-variance input
+        cfg = write(tmp_path, "run.cfg", f"model_kind = mlp\nlayer_sizes = {sizes}\n"
+                    "init_scale = 1e300\nseparation = 1e200\n" + extra)
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "lissakit.cli", command, "--config", cfg, "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 2
+        assert done.stderr == (
+            "config error: a zero Gauss-Newton matrix (Tr(H) = 0: the softmax saturates) at init_scale = "
+            "1e+300 and separation = 1e+200; lower init_scale or separation\n"
+        )
 
     @pytest.mark.parametrize(
         "model",
@@ -1606,6 +1631,48 @@ class TestHvpCounts:
         code, _ = run_cli(tmp_path, "counterexample", text)
         assert code == 0
         assert shapes == [(3,)] * (300 * 4)
+
+
+class TestDenseFactorizations:
+    """Each dense command factors H once: similarity solves in the eigenbasis
+    that it reads for the reweighting, and lissa and convergence make one LU
+    solve, with no eigendecomposition of H."""
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        shapes = []
+        real = getattr(np.linalg, name)
+
+        def counted(a, *args):
+            shapes.append(np.shape(a))
+            return real(a, *args)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+        return shapes
+
+    @pytest.mark.parametrize("extra", ["", "eta = 0.5\n"], ids=["lanczos", "eta-set"])
+    def test_lissa_with_tolerance_makes_no_eigh_of_h(self, tmp_path, monkeypatch, extra):
+        eighs, solves = self.spy(monkeypatch, "eigh"), self.spy(monkeypatch, "solve")
+        text = MLP_4_5_3 + "n_examples = 30\nbatch_size = 8\nt_steps = 20\ntolerance = 10\n" + extra
+        code, _ = run_cli(tmp_path, "lissa", text)
+        assert code == 0
+        # Lanczos reads lambda_max from small tridiagonal eighs
+        assert (43, 43) not in eighs and solves == [(43, 43)]
+
+    def test_similarity_makes_one_eigh_and_no_solve(self, tmp_path, monkeypatch):
+        eighs, solves = self.spy(monkeypatch, "eigh"), self.spy(monkeypatch, "solve")
+        code, _ = run_cli(tmp_path, "similarity", MLP_4_5_3 + "n_examples = 30\nn_items = 6\n")
+        assert code == 0
+        assert eighs == [(43, 43)] and solves == []
+
+    def test_similarity_with_a_foreign_eigenbasis_is_two(self, tmp_path, capsys, monkeypatch):
+        # the residual check against H rejects an eigenbasis of another matrix
+        monkeypatch.setattr(cli, "sym_eig", lambda H: core.sym_eig(2.0 * H))
+        code, out = run_cli(tmp_path, "similarity", MLP_4_5_3 + "n_examples = 30\nn_items = 6\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: dense oracle failed at lambda_damp" in err and "Traceback" not in err
+        assert not any(out.glob("*.csv"))
 
 
 class TestKeptIterates:

@@ -607,6 +607,14 @@ class TestPearson:
         with pytest.raises(ValueError):
             pearson_corr([1.0, np.nan, 2.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("scale", [1e200, 1e300, 1.7e307])
+    def test_samples_near_the_float_range(self, scale):
+        # their squares overflow; the samples of convergence at lambda_damp =
+        # 1e-300 once warned of an overflow in a dot product
+        a, b = np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 4.0])
+        assert pearson_corr(scale * a, b) == pytest.approx(9.0 / math.sqrt(84.0), abs=1e-12)
+        assert pearson_corr(-scale * a, scale * b) == pytest.approx(-9.0 / math.sqrt(84.0), abs=1e-12)
+
     @given(st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=30, deadline=None)
     def test_property_bounded(self, seed):

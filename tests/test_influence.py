@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lissakit import cli
-from lissakit.core import SeededRng, sym_eig
+from lissakit.core import SeededRng, SymEig, sym_eig
 from _reference import eigen_reweight_reconstruction
 from lissakit.influence import eigen_reweight, similarity_matrix
 from lissakit.lissa import exact_ihvp
@@ -133,19 +133,24 @@ class TestInfluenceSimilarity:
         assert np.median(infl[off]) < np.median(grad[off])
 
     def test_solver_called_once_on_the_whole_block(self, tmp_path, monkeypatch):
-        # the similarity command solves its items as one (n_params, n_items) block
-        shapes = []
+        # the similarity command solves its items as one (n_params, n_items)
+        # block, in the eigenbasis that it holds for the reweighting: no LU
+        calls = []
         real = cli.exact_ihvp
 
-        def exact_ihvp_spy(H, damp, g):
-            shapes.append(np.shape(g))
-            return real(H, damp, g)
+        def exact_ihvp_spy(H, damp, g, eig=None):
+            calls.append((np.shape(g), type(eig)))
+            return real(H, damp, g, eig)
+
+        def refuse(*args):
+            raise AssertionError("an LU solve in similarity")
 
         monkeypatch.setattr(cli, "exact_ihvp", exact_ihvp_spy)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
         cfg = tmp_path / "similarity.cfg"
         cfg.write_text("model_kind = mlp\nlayer_sizes = 4, 5, 3\nn_examples = 30\nn_items = 6\n")
         assert cli.main(["similarity", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-        assert shapes == [(43, 6)]
+        assert calls == [((43, 6), SymEig)]
 
     def test_non_positive_self_score_rejected(self):
         G = np.array([[1.0, 0.0], [0.0, 1.0]])

@@ -98,21 +98,52 @@ class TestExactIhvp:
             residual = rhs - (H @ u + 0.3 * u)
             assert np.all(np.linalg.norm(residual, axis=0) <= 1e-10 * np.linalg.norm(rhs, axis=0))
 
-    def test_second_solve_only_on_a_missed_bound(self, monkeypatch):
-        # a first solve that misses the bound gets one round on its residual
+    def test_a_missed_bound_raises_after_one_solve(self, monkeypatch):
+        # no second round: a first solve that misses the bound is an error
         _, _, _, H, g = toy_problem()
         solve = np.linalg.solve
         calls = []
 
-        def first_off(a, b):
+        def off(a, b):
             calls.append(1)
-            x = solve(a, b)
-            return x * (1.0 + 1e-6) if len(calls) == 1 else x
+            return solve(a, b) * (1.0 + 1e-6)
 
-        monkeypatch.setattr(np.linalg, "solve", first_off)
-        u = exact_ihvp(H, 0.3, g)
-        assert len(calls) == 2
-        assert np.linalg.norm(g - (H @ u + 0.3 * u)) <= 1e-10 * np.linalg.norm(g)
+        monkeypatch.setattr(np.linalg, "solve", off)
+        with pytest.raises(np.linalg.LinAlgError, match="residual"):
+            exact_ihvp(H, 0.3, g)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("damp", [0.01, 0.3])
+    def test_eigenbasis_solve_equals_lu(self, seed, damp, monkeypatch):
+        # the solve in sym_eig(H) makes no LU solve and agrees with it to
+        # rounding, for a vector and for a block
+        n = 20 + 10 * seed
+        A = SeededRng(seed).normal(n * n).reshape(n, n)
+        H = A @ A.T / n
+        eig = sym_eig(H)
+        G = SeededRng(seed + 10).normal(n * 5).reshape(n, 5)
+        for rhs in (G[:, 0], G):
+            lu = exact_ihvp(H, damp, rhs)
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "solve", None)
+                u = exact_ihvp(H, damp, rhs, eig)
+            assert u.shape == rhs.shape
+            assert np.max(np.abs(u - lu)) <= 1e-12 * np.max(np.abs(lu))
+
+    def test_singular_shifted_system_raises_on_both_paths(self):
+        # H + lambda I = diag(2, 0): LU finds it singular, and the eigenbasis
+        # solve divides by 0, which the residual check reports
+        H, g = np.diag([1.0, -1.0]), np.array([1.0, 1.0])
+        for eig in (None, sym_eig(H)):
+            with pytest.raises(np.linalg.LinAlgError):
+                exact_ihvp(H, 1.0, g, eig)
+
+    def test_eigenbasis_of_another_matrix_raises(self):
+        _, _, _, H, g = toy_problem()
+        for other in (2.0 * H, H + 0.01 * np.eye(H.shape[0])):
+            with pytest.raises(np.linalg.LinAlgError, match="residual"):
+                exact_ihvp(H, 0.3, g, sym_eig(other))
 
     def test_zero_gradient(self):
         u = exact_ihvp(np.eye(3), 0.5, np.zeros(3))

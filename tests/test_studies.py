@@ -2,6 +2,8 @@
 exactly the files beside it, and a rerun is byte-identical."""
 
 import hashlib
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -46,3 +48,32 @@ def test_attribution_study_rerun_is_byte_identical(tmp_path):
     for out in (first, second):
         assert run_study("attribution", out).returncode == 0
     assert tree(first) == tree(second)
+
+
+def _golden():
+    spec = importlib.util.spec_from_file_location("golden_sha256", ROOT / "scripts" / "golden_sha256.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+golden = _golden()
+
+
+def test_studies_match_the_golden_table(tmp_path):
+    # every output and stdout of the three studies at seeds 0 and 1 is the
+    # same byte for byte as at the commit that made the table, on its build
+    table = json.loads(golden.TABLE.read_text())
+    here = golden.build()
+    differs = [f"{key} {table['build'].get(key)!r} there, {value!r} here" for key, value in here.items()
+               if table["build"].get(key) != value]
+    if differs:
+        pytest.skip("the golden table was made on another build: " + "; ".join(differs))
+    moved = golden.moved(table["files"], golden.hash_studies(tmp_path, table["blas_threads"]))
+    assert not moved, "files that moved from tests/golden_sha256.json: " + ", ".join(moved)
+
+
+def test_golden_comparison_names_each_moved_file():
+    table = {"a/0/x.csv": "1", "a/0/y.csv": "2", "a/0/stdout": "3"}
+    hashes = {"a/0/x.csv": "1", "a/0/y.csv": "4", "a/0/new.csv": "5", "a/0/stdout": "3"}
+    assert golden.moved(table, hashes) == ["a/0/new.csv", "a/0/y.csv"]
