@@ -41,7 +41,7 @@ from .models import (
     loss_gradients,
     make_blobs,
 )
-from .pbrf import PboConfig, compare_influences, pbrf_finetune, pbrf_influence
+from .pbrf import compare_influences, pbrf_finetune, pbrf_influence
 from .spectral import (
     SketchConfig,
     check_condition_c1,
@@ -64,7 +64,8 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 # norm per step and lissa writes one trace row per step.
 MAX_T_STEPS = 1_000_000
 # Largest probe count a command accepts: the probe loop keeps one sample per
-# probe, and each probe costs one to three HVPs.
+# probe, and each probe costs one to three HVPs.  It caps counterexample's
+# n_runs too: the Monte-Carlo check keeps one seed per run.
 MAX_PROBES = 1_000_000
 # Largest number of floats a command holds in one array: every model command
 # holds theta, one float per parameter, and its full-batch activations, one
@@ -610,20 +611,14 @@ def cmd_pbrf_compare(run: RunContext) -> None:
     item_seeds = [run.sub_seed(f"pbrf-item-{i}") for i in range(cfg.n_train)]
 
     # the items' solves run as lockstep chains; a divergence ends the command
-    # before any finetune, naming the earliest diverging item
+    # before any finetune, naming the earliest diverging item.  The finetunes
+    # replay the solves from the same operator and settings, and the first
+    # step that overflows ends the command.
     lcfg = LissaConfig(eta=eta, lambda_damp=cfg.lambda_damp, t_steps=steps, seed=tuple(item_seeds))
     U, _ = lissa_solve(op, -G, lcfg)
     # one (1, n) @ (n, 1) product per pair, bit for bit each pair's u @ t
     lissa = (U[:, None, None, :] @ T[None, :, :, None])[:, :, 0, 0]
-    pcfg = PboConfig(
-        epsilon=cfg.epsilon,
-        lambda_damp=cfg.lambda_damp,
-        lr=eta,
-        steps=steps,
-        batch_size=batch_size,
-        seed=tuple(item_seeds),
-    )
-    finetunes = pbrf_finetune(spec, theta, points, train, pcfg)
+    finetunes = pbrf_finetune(op, points, lcfg, cfg.epsilon)
     with np.errstate(over="ignore", invalid="ignore"):  # as in stats
         retrain = pbrf_influence(spec, finetunes, theta, test, cfg.epsilon)
 
@@ -697,6 +692,7 @@ def cmd_counterexample(run: RunContext) -> None:
     batch_size = cfg.batch_size if cfg.batch_size is not None else 1
     n = len(eigenvalues)
     _check_limit(f"t_max = {cfg.t_max}", cfg.t_max, "MAX_T_STEPS")
+    _check_limit(f"n_runs = {cfg.n_runs}", cfg.n_runs, "MAX_PROBES")
     _check_limit(f"a dense rotation of {n} eigenvalues", n, "MAX_DENSE_PARAMS")
     what = f"a draw of batch_size = {batch_size} times {n} eigenvalues"
     _check_limit(what, batch_size * n, "MAX_DRAW_WORDS")

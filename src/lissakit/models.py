@@ -385,4 +385,8 @@ def load_dataset_csv(path: str) -> Dataset:
     X = np.array(rows, dtype=np.float64)
     if not np.all(np.isfinite(X)):
         raise ValueError("dataset features must be finite")
-    return Dataset(X=X, y=np.array(labels, dtype=np.int64))
+    try:
+        y = np.array(labels, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("dataset labels must fit int64") from None
+    return Dataset(X=X, y=y)

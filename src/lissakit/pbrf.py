@@ -4,11 +4,13 @@ Finetuning minimizes, around a frozen reference parameter vector, the mean
 Bregman divergence between current and reference logits plus an
 epsilon-weighted training-point loss and a quadratic proximity penalty.  The
 minimizer's displacement, divided by epsilon, reads out the damped
-inverse-curvature influence by finite differences.  With a small epsilon and
-the stochastic solver's step size, step count and batch stream, the finetune
-equals the solver's iteration to first order in epsilon, so the comparison
-checks the finetune code against the solver code rather than against an
-independent ground truth.  All arithmetic is float64.
+inverse-curvature influence by finite differences.  A finetune replays a
+stochastic solve: it reads the reference, the model, the training set and the
+batch size from the solve's ``GnhOperator`` and the step size, damping, step
+count and seeds from its ``LissaConfig``, so it equals the solver's iteration
+to first order in epsilon, and the comparison checks the finetune code
+against the solver code rather than against an independent ground truth.
+All arithmetic is float64.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SeededRng, pearson_corr
-from .gnh import sample_batch
+from .gnh import GnhOperator, sample_batch
+from .lissa import LissaConfig
 from .models import (
     Dataset,
     ModelSpec,
@@ -31,47 +34,14 @@ from .models import (
 )
 
 
-@dataclass(frozen=True)
-class PboConfig:
-    """Finetuning settings; lr, steps, and batch size mirror the paired solve.
-    ``seed`` holds one seed per finetuned point."""
-
-    epsilon: float = 1e-8
-    lambda_damp: float = 0.0
-    lr: float = 0.1
-    steps: int = 100
-    batch_size: int = 32
-    seed: tuple[int, ...] = (0,)
-
-    def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
-        if self.lambda_damp < 0:
-            raise ValueError("damping must be non-negative")
-        if not self.lr > 0:
-            raise ValueError("learning rate must be positive")
-        if self.steps < 1:
-            raise ValueError("need at least one step")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
-
-
-@dataclass
-class PbrfResult:
-    """R lockstep finetunes: the (R, n) finetuned parameters, row r for point
-    r, and the (R,) overflow flags; overflow is always explicit."""
-
-    theta: np.ndarray
-    overflow: np.ndarray
-
-
 def pbo_gradient(
     spec: ModelSpec,
     theta: np.ndarray,
     theta_star: np.ndarray,
     points: Dataset,
     X: np.ndarray,
-    cfg: PboConfig,
+    epsilon: float,
+    lambda_damp: float,
 ) -> np.ndarray:
     """Exact gradient of R chains' proximal Bregman objectives.  Chain r's is
     the batch mean of l(h, y) - l(h*, y) - (h - h*) . grad_l(h*, y), plus
@@ -89,53 +59,47 @@ def pbo_gradient(
     ref_logits, _ = _forward(spec, theta_star, X)
     gap = (lin.p - _softmax(ref_logits)) / X.shape[-2]
     grad = _backprop(spec, lin, gap)
-    if cfg.epsilon:
-        grad = grad + cfg.epsilon * loss_gradients(spec, theta, points.X, points.y)
-    return grad + cfg.lambda_damp * (theta - theta_star)
+    if epsilon:
+        grad = grad + epsilon * loss_gradients(spec, theta, points.X, points.y)
+    return grad + lambda_damp * (theta - theta_star)
 
 
-def pbrf_finetune(
-    spec: ModelSpec,
-    theta_star: np.ndarray,
-    points: Dataset,
-    dataset: Dataset,
-    cfg: PboConfig,
-) -> PbrfResult:
+def pbrf_finetune(op: GnhOperator, points: Dataset, cfg: LissaConfig, epsilon: float) -> np.ndarray:
     """SGD on the proximal Bregman objective of each of R train points,
-    starting from the reference.
+    starting from the reference, as the replay of a lockstep solve.
 
-    The R finetunes run in lockstep as one (R, n) parameter block, chain r
-    finetuning ``points[r]`` from the seed ``cfg.seed[r]``; a single finetune
-    is the R = 1 case.  Batches are drawn with the same sampler and seed
-    discipline as the stochastic solver, so a finetune and a solve with
-    matching (lr, steps, batch size, seed) see identical batch sequences.  A
-    batch size covering the whole dataset switches to deterministic
-    full-batch descent, as ``GnhOperator`` does.  A non-finite update stops
-    its chain and flags overflow; that chain keeps its last finite parameters
-    while the others run on.  Returns the block as one PbrfResult, row r bit
-    for bit what finetuning point r alone computes.
+    ``op`` and ``cfg`` are the operator and the settings of the solve that
+    the finetunes replay: the reference ``op.theta``, the model, the training
+    set and the batch size come from ``op``, the step size, damping and step
+    count from ``cfg``, and chain r finetunes ``points[r]`` from the seed
+    ``cfg.seed[r]``, a tuple of one seed per point.  Chain r draws row for
+    row the batches that ``op.reseeded(cfg.seed[r])`` draws, and a full-batch
+    ``op`` makes every step deterministic full-batch descent.  The R
+    finetunes run in lockstep as one (R, n) parameter block, row r bit for
+    bit what finetuning point r alone computes; a single finetune is the
+    R = 1 case.  Returns the block; the first step that leaves it non-finite
+    raises OverflowError, and no later step runs.
     """
-    if len(cfg.seed) != len(points):
-        raise ValueError(f"need one seed per point: {len(cfg.seed)} seeds for {len(points)} points")
-    rng = SeededRng(cfg.seed)
-    full_batch = cfg.batch_size >= len(dataset)
+    if isinstance(cfg.seed, (int, np.integer)) or len(cfg.seed) != len(points):
+        raise ValueError(f"need a tuple of one seed per point for {len(points)} points")
+    if epsilon < 0:
+        raise ValueError("epsilon must be non-negative")
+    spec, theta_star, dataset = op.spec, op.theta, op.dataset
+    rng = None if op.batch_size is None else SeededRng(cfg.seed)
     theta = np.broadcast_to(theta_star, (len(points), spec.n_params)).copy()
-    overflow = np.zeros(len(points), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cfg.steps):
-            X = dataset.X if full_batch else dataset.X[sample_batch(dataset, cfg.batch_size, rng)]
-            grad = pbo_gradient(spec, theta, theta_star, points, X, cfg)
-            proposal = theta - cfg.lr * grad
-            overflow |= ~np.isfinite(proposal).all(axis=-1)
-            if overflow.all():
-                break
-            theta = np.where(overflow[:, None], theta, proposal)
-    return PbrfResult(theta=theta, overflow=overflow)
+        for _ in range(cfg.t_steps):
+            X = dataset.X if rng is None else dataset.X[sample_batch(dataset, op.batch_size, rng)]
+            grad = pbo_gradient(spec, theta, theta_star, points, X, epsilon, cfg.lambda_damp)
+            theta = theta - cfg.eta * grad
+            if not np.isfinite(theta).all():
+                raise OverflowError("finetune overflowed; influences are unavailable")
+    return theta
 
 
 def pbrf_influence(
     spec: ModelSpec,
-    result: PbrfResult,
+    theta: np.ndarray,
     theta_star: np.ndarray,
     test_points: Dataset,
     epsilon: float,
@@ -143,11 +107,11 @@ def pbrf_influence(
     """Influence scores as the measurement change per unit epsilon.
 
     score(test) = (f(test; theta) - f(test; theta_star)) / epsilon with f the
-    log-probability of the test label and theta a row of ``result.theta``; to
-    first order in epsilon this equals -grad_f . (H + lambda)^-1
-    grad_loss(train), the same sign convention the solver pipeline reports.
-    Returns an (R, J) array, row r for finetune r and column j for
-    ``test_points[j]``; any overflowed finetune raises OverflowError.
+    log-probability of the test label and theta a row of the (R, n) finetune
+    block ``theta``; to first order in epsilon this equals -grad_f . (H +
+    lambda)^-1 grad_loss(train), the same sign convention the solver pipeline
+    reports.  Returns an (R, J) array, row r for finetune r and column j for
+    ``test_points[j]``.
 
     Each f is a one-row forward pass, so every score is bit for bit the
     one-example value: the reference f once per test point, the moved f of
@@ -156,12 +120,10 @@ def pbrf_influence(
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if result.overflow.any():
-        raise OverflowError("finetune overflowed; influences are unavailable")
     X = test_points.X[:, None, :]
     y = test_points.y[:, None]
     ref = -_nll_from_logits(_forward(spec, theta_star, X)[0], y)
-    moved = -_nll_from_logits(_forward(spec, result.theta[:, None, :], X)[0], y)
+    moved = -_nll_from_logits(_forward(spec, theta[:, None, :], X)[0], y)
     return (moved - ref)[..., 0] / epsilon
 
 

@@ -118,12 +118,12 @@ class BowParams:
         return cls(logits=np.log(p))
 
 
-def bow_gradients(corpus: Corpus, params: BowParams) -> np.ndarray:
+def bow_gradients(corpus: Corpus, params: BowParams, counts: np.ndarray | None = None) -> np.ndarray:
     """Gradients of the document log-likelihoods in the logits, one row per document.
 
     Row i is counts_i - |d| p, which is |d| (tau_i - p) for the document's
     term frequencies tau_i; every row sums to zero because softmax is shift
-    invariant.
+    invariant.  ``counts`` is ``corpus.counts()`` when the caller holds it.
     """
     p = params.probabilities
     if corpus.vocab_size != p.size:
@@ -131,7 +131,7 @@ def bow_gradients(corpus: Corpus, params: BowParams) -> np.ndarray:
             f"corpus vocabulary of {corpus.vocab_size} terms does not match "
             f"{p.size} term probabilities"
         )
-    return corpus.counts() - corpus.doc_length * p
+    return (corpus.counts() if counts is None else counts) - corpus.doc_length * p
 
 
 def tfidf_equivalence_check(
@@ -159,7 +159,9 @@ def tfidf_equivalence_check(
     if not lambda_damp > 0:
         raise ValueError(f"lambda_damp = {lambda_damp!r} must be positive")
     p = params.probabilities
-    grads = bow_gradients(corpus, params)
+    # one count of the corpus serves the gradients and, divided in place, tf
+    counts = corpus.counts()
+    grads = bow_gradients(corpus, params, counts)
     # an infinite damping gives inf * 0 below; reported as non-finite
     with np.errstate(over="ignore", invalid="ignore"):
         w = 1.0 / (p + lambda_damp)
@@ -170,6 +172,7 @@ def tfidf_equivalence_check(
     if not np.isfinite(influence).all():
         raise ValueError(f"lambda_damp = {lambda_damp!r} gives a non-finite exact influence")
     length = corpus.doc_length
-    tf = corpus.counts() / length
+    tf = counts
+    tf /= length
     tf_sum = (tf * (1.0 / p)) @ tf.T
     return influence, tf_sum, length**2 * (tf_sum - 1.0)

@@ -15,7 +15,6 @@ from lissakit.core import SeededRng, SymEig, check_symmetric
 from lissakit.influence import eigen_reweight
 from lissakit.lissa import CounterExampleProblem, LissaConfig
 from lissakit.models import ModelSpec, _forward, _nll_from_logits, _softmax
-from lissakit.pbrf import PboConfig
 
 
 class DenseOperator:
@@ -124,12 +123,12 @@ def batch_bregman_mean(spec, theta, theta_star, X, y) -> float:
     return float(bregman_gaps(logits, ref_logits, y).mean())
 
 
-def pbo_objective(spec: ModelSpec, theta, theta_star, train_point, batch, cfg: PboConfig) -> float:
+def pbo_objective(spec: ModelSpec, theta, theta_star, train_point, batch, epsilon, lambda_damp) -> float:
     """Mean Bregman term over ``batch`` (anything with .X/.y) plus the
     epsilon-weighted training loss and the proximity penalty: the objective
     whose gradient ``pbrf.pbo_gradient`` computes."""
     value = batch_bregman_mean(spec, theta, theta_star, batch.X, batch.y)
-    if cfg.epsilon:
-        value += cfg.epsilon * nll_loss(spec, theta, train_point.x, train_point.y)
+    if epsilon:
+        value += epsilon * nll_loss(spec, theta, train_point.x, train_point.y)
     shift = theta - theta_star
-    return value + 0.5 * cfg.lambda_damp * float(shift @ shift)
+    return value + 0.5 * lambda_damp * float(shift @ shift)

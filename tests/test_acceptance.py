@@ -36,7 +36,7 @@ from lissakit.models import (
     loss_gradients,
     make_blobs,
 )
-from lissakit.pbrf import PboConfig, compare_influences, pbrf_finetune, pbrf_influence
+from lissakit.pbrf import compare_influences, pbrf_finetune, pbrf_influence
 from lissakit.spectral import (
     SketchConfig,
     check_condition_c1,
@@ -384,8 +384,8 @@ def _paired_scores(spec, theta, train_set, test_points, lam_damp, eta, steps, ba
     G = loss_gradients(spec, theta, points.X, points.y)
     test_grads = -loss_gradients(spec, theta, test_points.X, test_points.y)
     solved = np.empty_like(G)
+    op = GnhOperator(spec, theta, train_set, batch_size=batch)
     for i in range(25):
-        op = GnhOperator(spec, theta, train_set, batch_size=batch).reseeded(0)
         cfg = LissaConfig(
             eta=eta,
             lambda_damp=lam_damp,
@@ -393,15 +393,10 @@ def _paired_scores(spec, theta, train_set, test_points, lam_damp, eta, steps, ba
             seed=derive_seed(solver_base, i),
         )
         solved[i], _ = lissa_solve(op, -G[i], cfg)
-    pbo = PboConfig(
-        epsilon=1e-8,
-        lambda_damp=lam_damp,
-        lr=eta,
-        steps=steps,
-        batch_size=batch,
-        seed=tuple(derive_seed(finetune_base, i) for i in range(25)),
-    )
-    finetunes = pbrf_finetune(spec, theta, points, train_set, pbo)
+    # the finetunes replay the same settings from their own seeds
+    finetune_seeds = tuple(derive_seed(finetune_base, i) for i in range(25))
+    finetune_cfg = LissaConfig(eta=eta, lambda_damp=lam_damp, t_steps=steps, seed=finetune_seeds)
+    finetunes = pbrf_finetune(op, points, finetune_cfg, 1e-8)
     return solved @ test_grads.T, pbrf_influence(spec, finetunes, theta, test_points, 1e-8)
 
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lissakit import cli, core, gnh
+from lissakit import cli, core, gnh, pbrf
 from lissakit.cli import main
 from lissakit.config import (
     ConfigError,
@@ -528,12 +528,11 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "solve_fails, finetune_overflows, message",
         [
-            ({2: 2, 3: 3}, (), "iterate diverged at step 2 (norm inf)"),
-            ({2: 2}, (1,), "iterate diverged at step 2 (norm inf)"),
-            ({2: 2}, (2, 3), "iterate diverged at step 2 (norm inf)"),
-            ({}, (4,), "finetune overflowed; influences are unavailable"),
+            ({2: 2, 3: 3}, False, "iterate diverged at step 2 (norm inf)"),
+            ({2: 2}, True, "iterate diverged at step 2 (norm inf)"),
+            ({}, True, "finetune overflowed; influences are unavailable"),
             # a higher item that diverges at an earlier step does not hide item 2
-            ({2: 4, 3: 1}, (), "iterate diverged at step 4 (norm inf)"),
+            ({2: 4, 3: 1}, False, "iterate diverged at step 4 (norm inf)"),
         ],
     )
     def test_pbrf_compare_fails_on_the_earliest_item(
@@ -542,21 +541,60 @@ class TestExitCodes:
         # the solves run first and end the command at a divergence, naming the
         # earliest diverging item, before any finetune; only when every solve
         # converged can a finetune overflow.  Item i's chain diverges at step
-        # solve_fails[i], where its operator returns inf.
+        # solve_fails[i], where its operator returns inf; epsilon = 1.7e308
+        # drives the finetunes' training term, which the solves never read,
+        # to a real overflow.
         items = {component_seed(3, f"pbrf-item-{i}"): i for i in range(6)}
-        real_finetune = cli.pbrf_finetune
         monkeypatch.setattr(GnhOperator, "reseeded", _diverging_reseeded(items, solve_fails, {}))
-
-        def finetune(spec, theta, points, dataset, cfg):
-            result = real_finetune(spec, theta, points, dataset, cfg)
-            result.overflow[:] = [items[seed] in finetune_overflows for seed in cfg.seed]
-            return result
-
-        monkeypatch.setattr("lissakit.cli.pbrf_finetune", finetune)
         text = QUAD_CFG.replace("t_steps = 400", "t_steps = 5") + "n_train = 6\nn_test = 5\n"
-        code, _ = run_cli(tmp_path, "pbrf-compare", text)
+        code, _ = run_cli(tmp_path, "pbrf-compare", text + ("epsilon = 1.7e308\n" if finetune_overflows else ""))
         assert code == 3
         assert capsys.readouterr().err == f"numerical overflow: {message}\n"
+
+    def test_pbrf_compare_finetunes_replay_their_solves(self, tmp_path, monkeypatch):
+        # item r's finetune draws row for row the batch indices that its solve
+        # chain draws: the solve's chains draw (B,) rows each from one seed,
+        # the finetunes (n_train, B) rows from the tuple of the items' seeds
+        items = {component_seed(3, f"pbrf-item-{i}"): i for i in range(4)}
+        solves, finetunes = {}, []
+        real_gnh, real_pbrf = gnh.sample_batch, pbrf.sample_batch
+
+        def solve_draw(dataset, size, rng):
+            rows = real_gnh(dataset, size, rng)
+            solves.setdefault(items[rng.seed], []).append(rows)
+            return rows
+
+        def finetune_draw(dataset, size, rng):
+            rows = real_pbrf(dataset, size, rng)
+            assert [items[int(seed)] for seed in rng.seed] == [0, 1, 2, 3]
+            finetunes.append(rows)
+            return rows
+
+        # and the command hands one operator and one config to both
+        handed = []
+        real_solve, real_finetune = cli.lissa_solve, cli.pbrf_finetune
+
+        def solve(op, g, cfg):
+            handed.append((op, cfg))
+            return real_solve(op, g, cfg)
+
+        def finetune(op, points, cfg, epsilon):
+            handed.append((op, cfg))
+            return real_finetune(op, points, cfg, epsilon)
+
+        monkeypatch.setattr("lissakit.gnh.sample_batch", solve_draw)
+        monkeypatch.setattr("lissakit.pbrf.sample_batch", finetune_draw)
+        monkeypatch.setattr("lissakit.cli.lissa_solve", solve)
+        monkeypatch.setattr("lissakit.cli.pbrf_finetune", finetune)
+        text = QUAD_CFG.replace("t_steps = 400", "t_steps = 7") + "n_train = 4\nn_test = 5\n"
+        code, _ = run_cli(tmp_path, "pbrf-compare", text)
+        assert code == 0
+        [(op, cfg), (op_f, cfg_f)] = handed
+        assert op_f is op and cfg_f is cfg
+        assert sorted(solves) == [0, 1, 2, 3] and len(finetunes) == 7
+        for r in range(4):
+            drawn = np.stack([rows[r] for rows in finetunes])
+            assert drawn.shape == (7, 64) and np.array_equal(drawn, np.stack(solves[r]))
 
     def test_pbrf_compare_solves_no_item_after_a_divergence(self, tmp_path, monkeypatch):
         # item 2 diverges at step 2: the items below it step on to T = 5, the
@@ -600,9 +638,9 @@ class TestExitCodes:
             steps.append((len(cfg.seed), cfg.t_steps))
             return real_solve(op, g, cfg)
 
-        def finetune(spec, theta, points, dataset, cfg):
-            steps.append((len(cfg.seed), cfg.steps))
-            return real_finetune(spec, theta, points, dataset, cfg)
+        def finetune(op, points, cfg, epsilon):
+            steps.append((len(cfg.seed), cfg.t_steps))
+            return real_finetune(op, points, cfg, epsilon)
 
         monkeypatch.setattr("lissakit.cli.lissa_solve", solve)
         monkeypatch.setattr("lissakit.cli.pbrf_finetune", finetune)
@@ -854,6 +892,21 @@ class TestExitCodes:
             cli._check_limit("batch_size", None, limit)
             with pytest.raises(ConfigError, match=f"batch_size is over the limit {limit} = {value}$"):
                 cli._check_limit("batch_size", value + 1, limit)
+
+    def test_counterexample_runs_over_the_probe_limit_is_two_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # n_runs = 10^12 once derived one seed per run, asked for 7.28 TiB and
+        # ended in a traceback with exit 1
+        def refuse(*args, **kwargs):
+            raise AssertionError("work before a config-decided error")
+
+        monkeypatch.setattr("lissakit.cli.counterexample_build", refuse)
+        monkeypatch.setattr("lissakit.cli.counterexample_simulate", refuse)
+        text = "eigenvalues = 1, 1, 1\nlambda_damp = 0.1\nbatch_size = 1\nt_max = 2\nn_runs = 1000000000000\n"
+        code, out = run_cli(tmp_path, "counterexample", text)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "config error: n_runs = 1000000000000 is over the limit MAX_PROBES = 1000000\n"
+        assert not (out / "counterexample.csv").exists()
 
     def test_counterexample_eigenvalue_count_over_dense_limit_is_two(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):
@@ -1942,6 +1995,14 @@ class TestArtifacts:
         )
         code, _ = run_cli(tmp_path, "lissa", cfg_text)
         assert code == 2
+
+    def test_label_beyond_int64_is_two(self, tmp_path, capsys):
+        # once exit 3, "numerical overflow: Python int too large to convert to C long"
+        path = write(tmp_path, "data.csv", "x,label\n0.5,9223372036854775808\n1.0,0\n")
+        cfg_text = f"model_kind = softmax-linear\nlayer_sizes = 1, 2\ndataset_path = {path}\n"
+        code, _ = run_cli(tmp_path, "stats", cfg_text)
+        assert code == 2
+        assert capsys.readouterr().err == "config error: dataset labels must fit int64\n"
 
     @pytest.mark.parametrize("feature", ["nan", "1e400"])
     def test_non_finite_feature_is_two(self, tmp_path, capsys, feature):

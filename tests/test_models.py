@@ -29,7 +29,7 @@ from lissakit.models import (
     _take_rows,
     _unpack,
 )
-from lissakit.pbrf import PboConfig, pbo_gradient
+from lissakit.pbrf import pbo_gradient
 
 LINEAR = ModelSpec(kind="softmax-linear", layer_sizes=(4, 3))
 MLP_TANH = ModelSpec(kind="mlp", layer_sizes=(5, 7, 4), activation="tanh")
@@ -335,14 +335,14 @@ class TestLinearization:
         rng = SeededRng(320)
         theta = theta_star + 0.1 * rng.normal(spec.n_params)
         data = make_blobs(rng, 16, spec.input_dim, spec.n_classes)
-        cfg = PboConfig(epsilon=1e-3, lambda_damp=0.2)
+        epsilon, lambda_damp = 1e-3, 0.2
         gap = (_softmax(_forward(spec, theta, data.X)[0])
                - _softmax(_forward(spec, theta_star, data.X)[0])) / len(data)
         want = self.hand_built_backprop(spec, theta, gap, data.X)
-        want = want + cfg.epsilon * self.hand_built_loss_gradient(spec, theta, data[2])
-        want = want + cfg.lambda_damp * (theta - theta_star)
+        want = want + epsilon * self.hand_built_loss_gradient(spec, theta, data[2])
+        want = want + lambda_damp * (theta - theta_star)
         point = Dataset(X=data.X[2:3], y=data.y[2:3])
-        got = pbo_gradient(spec, theta[None], theta_star, point, data.X, cfg)
+        got = pbo_gradient(spec, theta[None], theta_star, point, data.X, epsilon, lambda_damp)
         assert got.shape == (1, spec.n_params) and got[0].tobytes() == want.tobytes()
 
     def test_record_holds_one_pass(self):
@@ -514,13 +514,13 @@ class TestSweepScratch:
         want_loss = reference_backprop(spec, train, g)
         assert np.array_equal(loss_gradients(spec, thetas, points.X, points.y), want_loss)
 
-        cfg = PboConfig(epsilon=1e-2, lambda_damp=0.2)
+        epsilon, lambda_damp = 1e-2, 0.2
         lin = _linearize(spec, thetas, X)
         ref_p = _softmax(_forward(spec, theta_star, X)[0])
         want = reference_backprop(spec, lin, (lin.p - ref_p) / B)
-        want = want + cfg.epsilon * want_loss
-        want = want + cfg.lambda_damp * (thetas - theta_star)
-        got = pbo_gradient(spec, thetas, theta_star, points, X, cfg)
+        want = want + epsilon * want_loss
+        want = want + lambda_damp * (thetas - theta_star)
+        got = pbo_gradient(spec, thetas, theta_star, points, X, epsilon, lambda_damp)
         assert got.shape == (R, spec.n_params) and np.array_equal(got, want)
 
     @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=SWEEP_IDS)

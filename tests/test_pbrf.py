@@ -18,10 +18,9 @@ from lissakit.models import (
     make_blobs,
     _forward,
 )
+from lissakit import pbrf
 from lissakit.pbrf import (
     InfluenceComparison,
-    PboConfig,
-    PbrfResult,
     compare_influences,
     pbo_gradient,
     pbrf_finetune,
@@ -97,66 +96,67 @@ class TestBregmanDivergence:
 class TestPboObjective:
     def test_at_reference_reduces_to_train_loss(self, quad):
         spec, theta, data, H, damp, eta = quad
-        cfg = PboConfig(epsilon=0.7, lambda_damp=damp, lr=eta, steps=1, batch_size=8)
         want = 0.7 * nll_loss(spec, theta, data[0].x, data[0].y)
-        got = pbo_objective(spec, theta, theta, data[0], data, cfg)
+        got = pbo_objective(spec, theta, theta, data[0], data, 0.7, damp)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_zero_epsilon_at_reference_is_zero(self, quad):
         spec, theta, data, H, damp, eta = quad
-        cfg = PboConfig(epsilon=0.0, lambda_damp=damp, lr=eta, steps=1, batch_size=8)
-        assert pbo_objective(spec, theta, theta, data[0], data, cfg) == 0.0
+        assert pbo_objective(spec, theta, theta, data[0], data, 0.0, damp) == 0.0
 
     def test_gradient_matches_finite_differences(self, quad):
         spec, theta, data, H, damp, eta = quad
-        cfg = PboConfig(epsilon=0.3, lambda_damp=damp, lr=eta, steps=1, batch_size=64)
         rng = SeededRng(77)
         moved = theta + 0.05 * rng.normal(spec.n_params)
         batch = subset(data, sample_batch(data, 64, SeededRng(8)))
-        grad = pbo_gradient(spec, moved[None], theta, subset(data, [0]), batch.X, cfg)[0]
+        grad = pbo_gradient(spec, moved[None], theta, subset(data, [0]), batch.X, 0.3, damp)[0]
         step = 1e-5
         for _ in range(10):
             d = rng.normal(spec.n_params)
             d /= np.linalg.norm(d)
-            up = pbo_objective(
-                spec, moved + step * d, theta, data[0], batch, cfg
-            )
-            down = pbo_objective(
-                spec, moved - step * d, theta, data[0], batch, cfg
-            )
+            up = pbo_objective(spec, moved + step * d, theta, data[0], batch, 0.3, damp)
+            down = pbo_objective(spec, moved - step * d, theta, data[0], batch, 0.3, damp)
             fd = (up - down) / (2 * step)
             assert abs(fd - grad @ d) <= 1e-4 * max(abs(fd), 1e-12)
 
     def test_gradient_at_reference_is_scaled_train_gradient(self, quad):
         spec, theta, data, H, damp, eta = quad
-        cfg = PboConfig(epsilon=0.25, lambda_damp=damp, lr=eta, steps=1, batch_size=16)
         X = data.X[sample_batch(data, 16, SeededRng(9))]
-        grad = pbo_gradient(spec, theta[None], theta, subset(data, [0]), X, cfg)[0]
+        grad = pbo_gradient(spec, theta[None], theta, subset(data, [0]), X, 0.25, damp)[0]
         want = 0.25 * loss_gradient(spec, theta, data[0]).values
         assert np.allclose(grad, want, atol=1e-14)
 
-    def test_config_validation(self):
+    def test_config_validation(self, quad):
+        # the finetune's settings: epsilon here, the rest in the solve's config
+        spec, theta, data, H, damp, eta = quad
+        with pytest.raises(ValueError, match="epsilon"):
+            finetune(spec, theta, data, [0], batch_size=64, eta=eta, damp=damp, steps=1, seeds=[0], epsilon=-1e-8)
         with pytest.raises(ValueError):
-            PboConfig(epsilon=-1e-8)
+            LissaConfig(eta=0.0, lambda_damp=damp, t_steps=1)
         with pytest.raises(ValueError):
-            PboConfig(lr=0.0)
-        with pytest.raises(ValueError):
-            PboConfig(steps=0)
+            LissaConfig(eta=eta, lambda_damp=damp, t_steps=0)
+
+
+def finetune(spec, theta, data, rows, *, batch_size, eta, damp, steps, seeds, epsilon):
+    """pbrf_finetune of ``data``'s rows ``rows`` with the operator and the
+    solver settings that a solve of the same items would take."""
+    op = GnhOperator(spec, theta, data, batch_size=batch_size)
+    cfg = LissaConfig(eta=eta, lambda_damp=damp, t_steps=steps, seed=tuple(seeds))
+    return pbrf_finetune(op, subset(data, rows), cfg, epsilon)
 
 
 class TestPbrfFinetune:
     def test_zero_epsilon_stays_at_reference(self, quad):
         spec, theta, data, H, damp, eta = quad
-        cfg = PboConfig(epsilon=0.0, lambda_damp=damp, lr=eta, steps=30, batch_size=64, seed=(1,))
-        result = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
-        assert np.array_equal(result.theta, theta[None])
+        moved = finetune(spec, theta, data, [0], batch_size=64, eta=eta, damp=damp, steps=30, seeds=[1], epsilon=0.0)
+        assert np.array_equal(moved, theta[None])
 
     def test_deterministic_given_seed(self, quad):
         spec, theta, data, H, damp, eta = quad
-        cfg = PboConfig(epsilon=1e-4, lambda_damp=damp, lr=eta, steps=25, batch_size=32, seed=(3,))
-        a = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
-        b = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
-        assert np.array_equal(a.theta, b.theta)
+        kw = dict(batch_size=32, eta=eta, damp=damp, steps=25, seeds=[3], epsilon=1e-4)
+        a = finetune(spec, theta, data, [0], **kw)
+        b = finetune(spec, theta, data, [0], **kw)
+        assert np.array_equal(a, b)
 
     def test_full_batch_matches_ridge_closed_form(self, quad):
         # deterministic descent: displacement/epsilon converges to the
@@ -165,21 +165,35 @@ class TestPbrfFinetune:
         train = data[0]
         grad_train = loss_gradient(spec, theta, train).values
         ustar = exact_ihvp(H, damp, grad_train)
-        cfg = PboConfig(
-            epsilon=1e-8, lambda_damp=damp, lr=eta, steps=80, batch_size=len(data), seed=(0,)
+        moved = finetune(
+            spec, theta, data, [0], batch_size=len(data), eta=eta, damp=damp, steps=80, seeds=[0], epsilon=1e-8
         )
-        result = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
-        implied = -(result.theta[0] - theta) / cfg.epsilon
+        implied = -(moved[0] - theta) / 1e-8
         rel = np.linalg.norm(implied - ustar) / np.linalg.norm(ustar)
         assert rel <= 0.02
-        assert not result.overflow[0]
 
-    def test_overflow_flagged_with_finite_partial_result(self, quad):
-        spec, theta, data, H, damp, eta = quad
-        cfg = PboConfig(epsilon=1.0, lambda_damp=1.0, lr=1e6, steps=100, batch_size=32, seed=(2,))
-        result = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
-        assert result.overflow.tolist() == [True]
-        assert np.isfinite(result.theta).all()
+    def test_first_overflowing_step_raises_and_no_later_step_runs(self, monkeypatch):
+        # point 2's features are huge, so its training term overflows once
+        # theta has moved along it, while the other chains stay finite; the
+        # step that overflows is the last one that runs
+        spec, theta, data = TestLockstep.setup("relu")
+        X = data.X.copy()
+        X[2] = 1e200
+        data = Dataset(X=X, y=data.y)
+        kw = dict(batch_size=8, eta=0.3, damp=0.1, seeds=[1, 2, 3, 4], epsilon=1.0)
+        steps = []
+        real_gradient = pbrf.pbo_gradient
+
+        def gradient(*args):
+            steps.append(len(steps) + 1)
+            return real_gradient(*args)
+
+        monkeypatch.setattr(pbrf, "pbo_gradient", gradient)
+        with pytest.raises(OverflowError, match="^finetune overflowed; influences are unavailable$"):
+            finetune(spec, theta, data, range(4), steps=10, **kw)
+        last = len(steps)
+        assert 1 < last < 10
+        assert np.isfinite(finetune(spec, theta, data, range(4), steps=last - 1, **kw)).all()
 
     def test_objective_trace_non_increasing(self, quad):
         # step k's batch is fixed by (seed, k), so the finetunes with steps
@@ -187,10 +201,10 @@ class TestPbrfFinetune:
         spec, theta, data, H, damp, eta = quad
         values = []
         for steps in range(5, 101, 5):
-            cfg = PboConfig(epsilon=1e-3, lambda_damp=damp, lr=eta, steps=steps, batch_size=64, seed=(4,))
-            result = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
-            moved = result.theta[0]
-            values.append(pbo_objective(spec, moved, theta, data[0], data, cfg))
+            moved = finetune(
+                spec, theta, data, [0], batch_size=64, eta=eta, damp=damp, steps=steps, seeds=[4], epsilon=1e-3
+            )
+            values.append(pbo_objective(spec, moved[0], theta, data[0], data, 1e-3, damp))
         assert len(values) == 20
         increases = np.diff(values)
         assert increases.max() <= 1e-3 * values[0]
@@ -200,8 +214,7 @@ class TestPbrfFinetune:
 class TestPbrfInfluence:
     def test_reference_parameters_give_zeros(self, quad):
         spec, theta, data, H, damp, eta = quad
-        result = PbrfResult(theta=theta[None].copy(), overflow=np.zeros(1, dtype=bool))
-        scores = pbrf_influence(spec, result, theta, subset(data, range(5)), 1e-8)
+        scores = pbrf_influence(spec, theta[None].copy(), theta, subset(data, range(5)), 1e-8)
         assert scores.shape == (1, 5) and (scores == 0.0).all()
 
     def test_quadratic_model_matches_dense_formula(self, quad):
@@ -211,11 +224,10 @@ class TestPbrfInfluence:
         grad_train = loss_gradient(spec, theta, train).values
         u_exact = exact_ihvp(H, damp, -grad_train)
         exact = -loss_gradients(spec, theta, tests.X, tests.y) @ u_exact
-        cfg = PboConfig(
-            epsilon=1e-8, lambda_damp=damp, lr=eta, steps=80, batch_size=len(data), seed=(0,)
+        moved = finetune(
+            spec, theta, data, [0], batch_size=len(data), eta=eta, damp=damp, steps=80, seeds=[0], epsilon=1e-8
         )
-        results = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
-        (scores,) = pbrf_influence(spec, results, theta, tests, cfg.epsilon)
+        (scores,) = pbrf_influence(spec, moved, theta, tests, 1e-8)
         for j in range(len(tests)):
             assert abs(scores[j] - exact[j]) <= 0.02 * abs(exact[j])
 
@@ -225,45 +237,39 @@ class TestPbrfInfluence:
         tests = subset(data, range(100, 110))
         scores = {}
         for eps in (1e-8, 2e-8):
-            cfg = PboConfig(
-                epsilon=eps, lambda_damp=damp, lr=eta, steps=60, batch_size=len(data), seed=(0,)
+            moved = finetune(
+                spec, theta, data, [0], batch_size=len(data), eta=eta, damp=damp, steps=60, seeds=[0], epsilon=eps
             )
-            results = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
-            (scores[eps],) = pbrf_influence(spec, results, theta, tests, eps)
+            (scores[eps],) = pbrf_influence(spec, moved, theta, tests, eps)
         for a, b in zip(scores[1e-8], scores[2e-8]):
             assert abs(a - b) <= 1e-3 * max(abs(a), abs(b))
 
     def test_matched_seeds_agree_pointwise_with_solver(self, quad):
-        # identical batch sequences make the finetune displacement track the
-        # solver iterate to first order in epsilon
+        # the finetune replays the solve's operator and settings, so their
+        # batch sequences are identical and the finetune displacement tracks
+        # the solver iterate to first order in epsilon
         spec, theta, data, H, damp, eta = quad
-        train = data[0]
         tests = subset(data, range(100, 120))
-        grad_train = loss_gradient(spec, theta, train).values
-        op = GnhOperator(spec, theta, data, batch_size=64).reseeded(0)
-        lissa_cfg = LissaConfig(eta=eta, lambda_damp=damp, t_steps=80, seed=11)
-        u, _ = lissa_solve(op, -grad_train, lissa_cfg)
+        points = subset(data, [0])
+        grads = loss_gradients(spec, theta, points.X, points.y)
+        op = GnhOperator(spec, theta, data, batch_size=64)
+        cfg = LissaConfig(eta=eta, lambda_damp=damp, t_steps=80, seed=(11,))
+        (u,), _ = lissa_solve(op, -grads, cfg)
         lissa = -loss_gradients(spec, theta, tests.X, tests.y) @ u
-        pbo_cfg = PboConfig(
-            epsilon=1e-8, lambda_damp=damp, lr=eta, steps=80, batch_size=64, seed=(11,)
-        )
-        results = pbrf_finetune(spec, theta, subset(data, [0]), data, pbo_cfg)
-        (pbrf,) = pbrf_influence(spec, results, theta, tests, pbo_cfg.epsilon)
-        for a, b in zip(lissa, pbrf):
+        (pbrf_scores,) = pbrf_influence(spec, pbrf_finetune(op, points, cfg, 1e-8), theta, tests, 1e-8)
+        for a, b in zip(lissa, pbrf_scores):
             assert abs(a - b) <= 0.02 * max(abs(a), abs(b))
 
     def test_overflow_propagates(self, quad):
+        # an overflowing finetune leaves no block to read out
         spec, theta, data, H, damp, eta = quad
-        cfg = PboConfig(epsilon=1.0, lambda_damp=1.0, lr=1e6, steps=100, batch_size=32, seed=(2,))
-        results = pbrf_finetune(spec, theta, subset(data, [0]), data, cfg)
-        with pytest.raises(OverflowError):
-            pbrf_influence(spec, results, theta, subset(data, [0]), 1.0)
+        with pytest.raises(OverflowError, match="influences are unavailable"):
+            finetune(spec, theta, data, [0], batch_size=32, eta=1e6, damp=1.0, steps=100, seeds=[2], epsilon=1.0)
 
     def test_epsilon_validation(self, quad):
         spec, theta, data, H, damp, eta = quad
-        result = PbrfResult(theta=theta[None].copy(), overflow=np.zeros(1, dtype=bool))
         with pytest.raises(ValueError):
-            pbrf_influence(spec, result, theta, subset(data, [0]), 0.0)
+            pbrf_influence(spec, theta[None].copy(), theta, subset(data, [0]), 0.0)
 
 
 LOCKSTEP_SPECS = {
@@ -271,12 +277,6 @@ LOCKSTEP_SPECS = {
     "tanh": ModelSpec(kind="mlp", layer_sizes=(5, 6, 3), activation="tanh"),
     "relu": ModelSpec(kind="mlp", layer_sizes=(5, 6, 4, 3), activation="relu"),
 }
-
-
-def assert_same_row(block, i, want):
-    """Row i of a lockstep block is bit for bit the one-point finetune ``want``."""
-    assert block.theta[i].tobytes() == want.theta[0].tobytes()
-    assert block.overflow[i] == want.overflow[0]
 
 
 class TestLockstep:
@@ -295,62 +295,44 @@ class TestLockstep:
     def test_block_equals_single_finetunes(self, name, batch_size, epsilon):
         spec, theta, data = self.setup(name)
         rows = [3, 0, 17, 3, 39]
-        points = Dataset(X=data.X[rows], y=data.y[rows])
         seeds = (11, 12, 13, 14, 11)
-        cfg = PboConfig(epsilon=epsilon, lambda_damp=0.1, lr=0.3, steps=12, batch_size=batch_size, seed=seeds)
-        block = pbrf_finetune(spec, theta, points, data, cfg)
-        assert block.theta.shape == (len(rows), spec.n_params) and block.overflow.shape == (len(rows),)
+        kw = dict(batch_size=batch_size, eta=0.3, damp=0.1, steps=12, epsilon=epsilon)
+        block = finetune(spec, theta, data, rows, seeds=seeds, **kw)
+        assert block.shape == (len(rows), spec.n_params)
         for i in range(len(rows)):
-            one = PboConfig(epsilon=epsilon, lambda_damp=0.1, lr=0.3, steps=12, batch_size=batch_size, seed=seeds[i : i + 1])
-            assert_same_row(block, i, pbrf_finetune(spec, theta, subset(points, [i]), data, one))
+            one = finetune(spec, theta, data, rows[i : i + 1], seeds=seeds[i : i + 1], **kw)
+            assert block[i].tobytes() == one[0].tobytes()
         if epsilon == 0.0:
-            assert np.array_equal(block.theta, np.broadcast_to(theta, block.theta.shape))
-
-    def test_an_overflowing_chain_leaves_the_others_alone(self):
-        spec, theta, data = self.setup("relu")
-        X = data.X[:4].copy()
-        X[2] = 1e200  # its logits overflow once theta has moved along it
-        points = Dataset(X=X, y=data.y[:4])
-        cfg = PboConfig(epsilon=1.0, lambda_damp=0.1, lr=0.3, steps=10, batch_size=8, seed=(1, 2, 3, 4))
-        block = pbrf_finetune(spec, theta, points, data, cfg)
-        assert block.overflow.tolist() == [False, False, True, False]
-        assert np.isfinite(block.theta).all()
-        for i in range(4):
-            one = PboConfig(epsilon=1.0, lambda_damp=0.1, lr=0.3, steps=10, batch_size=8, seed=cfg.seed[i : i + 1])
-            assert_same_row(block, i, pbrf_finetune(spec, theta, subset(points, [i]), data, one))
+            assert np.array_equal(block, np.broadcast_to(theta, block.shape))
 
     def test_one_seed_per_point(self):
         spec, theta, data = self.setup("linear")
+        op = GnhOperator(spec, theta, data, batch_size=8)
         points = Dataset(X=data.X[:3], y=data.y[:3])
-        for seeds in ((1, 2), (1, 2, 3, 4), ()):
+        for seed in ((1, 2), (1, 2, 3, 4), (), 1):
+            cfg = LissaConfig(eta=0.3, lambda_damp=0.1, t_steps=2, seed=seed)
             with pytest.raises(ValueError, match="one seed per point"):
-                pbrf_finetune(spec, theta, points, data, PboConfig(seed=seeds))
+                pbrf_finetune(op, points, cfg, 1e-8)
+        cfg = LissaConfig(eta=0.3, lambda_damp=0.1, t_steps=2, seed=(1, 2))
         with pytest.raises(ValueError, match="one seed per point"):
-            pbrf_finetune(spec, theta, subset(data, [0]), data, PboConfig(seed=(1, 2)))
+            pbrf_finetune(op, subset(data, [0]), cfg, 1e-8)
 
     @pytest.mark.parametrize("name", sorted(LOCKSTEP_SPECS))
     def test_batched_influence_equals_one_row_losses(self, name):
         spec, theta, data = self.setup(name)
-        points = Dataset(X=data.X[:6], y=data.y[:6])
-        cfg = PboConfig(epsilon=1e-8, lambda_damp=0.1, lr=0.3, steps=8, batch_size=8, seed=tuple(range(6)))
-        finetunes = pbrf_finetune(spec, theta, points, data, cfg)
+        finetunes = finetune(
+            spec, theta, data, range(6), batch_size=8, eta=0.3, damp=0.1, steps=8, seeds=range(6), epsilon=1e-8
+        )
         tests = subset(data, range(20, 40))
         block = pbrf_influence(spec, finetunes, theta, tests, 1e-8)
-        assert block.shape == (len(points), len(tests))
-        for values, flag, scores in zip(finetunes.theta, finetunes.overflow, block):
-            one = PbrfResult(theta=values[None], overflow=flag[None])
-            assert scores.tobytes() == pbrf_influence(spec, one, theta, tests, 1e-8)[0].tobytes()
+        assert block.shape == (len(finetunes), len(tests))
+        for values, scores in zip(finetunes, block):
+            assert scores.tobytes() == pbrf_influence(spec, values[None], theta, tests, 1e-8)[0].tobytes()
             for j in range(len(tests)):
                 ex = tests[j]
                 moved = -nll_loss(spec, values, ex.x, ex.y)
                 ref = -nll_loss(spec, theta, ex.x, ex.y)
                 assert scores[j].tobytes() == ((moved - ref) / 1e-8).tobytes()
-
-    def test_any_overflowed_result_blocks_the_readout(self):
-        spec, theta, data = self.setup("linear")
-        block = PbrfResult(theta=np.stack([theta, theta]), overflow=np.array([False, True]))
-        with pytest.raises(OverflowError):
-            pbrf_influence(spec, block, theta, subset(data, [0]), 1e-8)
 
 
 class TestCompareInfluences:

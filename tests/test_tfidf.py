@@ -334,6 +334,24 @@ class TestEquivalenceCheck:
             assert influence[0, 1] == pytest.approx(-64.0, rel=1e-14)
             assert pair_gaps(corpus, params, lam)[2].max() <= 1e-12
 
+    def test_counts_the_corpus_once(self, monkeypatch):
+        # the gradients and the term frequencies share one count
+        calls = []
+        real_counts = Corpus.counts
+
+        def counts(self):
+            calls.append(self)
+            return real_counts(self)
+
+        corpus = Corpus(documents=((0, 1, 1), (2, 0, 2), (1, 1, 1)), vocab_size=3)
+        params = BowParams.from_probabilities([0.2, 0.3, 0.5])
+        want = tfidf_equivalence_check(corpus, params, 0.1)
+        monkeypatch.setattr(Corpus, "counts", counts)
+        got = tfidf_equivalence_check(corpus, params, 0.1)
+        assert calls == [corpus]
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
     def test_overflowing_influence_rejected(self):
         # w is finite, but |d|^2 w_t near 1e311 overflows g Diag(w) g^T
         corpus = Corpus(documents=((1,) * 100, (0,) * 100), vocab_size=2)
