@@ -1,5 +1,7 @@
 """Regenerate tests/golden_sha256.json: the sha256 of every file that the three
-run_*_study.py studies write at seeds 0 and 1, and of each run's stdout.
+run_*_study.py studies write at seeds 0 and 1, and of each run's stdout; and
+the same of each command of the benchmark's solve-minibatch workload, whose
+configs the script reads from perfbench/workloads.py.
 
 Run from the repository root, at the commit whose outputs are the reference:
 
@@ -8,15 +10,16 @@ Run from the repository root, at the commit whose outputs are the reference:
 A manifest is hashed without its BLAS thread lines, and the output directory
 in stdout reads OUT.  The table records the build it was made on: the NumPy
 version, the BLAS build and the CPU features that NumPy reports.  The script
-runs the studies at 1 and at 2 OpenBLAS threads; where their bytes agree the
+runs everything at 1 and at 2 OpenBLAS threads; where their bytes agree the
 table holds ``"blas_threads": null``, and where they differ it holds the
-studies' hashes at 1 thread and ``"blas_threads": 1``.
+hashes at 1 thread and ``"blas_threads": 1``.
 tests/test_studies.py compares a fresh run against the table on that build
 only, at that thread count.  Regenerate the table only when a change moves
-the studies' outputs, never to make another build pass.
+these outputs, never to make another build pass.
 """
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -29,6 +32,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 TABLE = ROOT / "tests" / "golden_sha256.json"
 STUDIES = ("attribution", "solver", "spectral")
+WORKLOAD = "solve-minibatch"
 SEEDS = (0, 1)
 
 
@@ -51,28 +55,50 @@ def _file_bytes(path: Path) -> bytes:
     return "".join(line for line in lines if not line.split(" = ")[0].endswith("_NUM_THREADS")).encode()
 
 
+def _workload_commands():
+    """The (name, config text) of each command of the benchmark's WORKLOAD."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault(spec.name, module)
+    spec.loader.exec_module(module)
+    return [(command.name, command.config) for command in module.WORKLOADS[WORKLOAD].commands]
+
+
+def _runs(out: Path):
+    """Each run to hash: its key, the interpreter's arguments and the
+    directory it writes.  A workload command's config is written beside
+    that directory."""
+    for study in STUDIES:
+        for seed in SEEDS:
+            run_dir = out / study / str(seed)
+            script = ROOT / "scripts" / f"run_{study}_study.py"
+            yield f"{study}/{seed}", [str(script), "--seed", str(seed), "--out", str(run_dir)], run_dir
+    for command, config in _workload_commands():
+        for seed in SEEDS:
+            run_dir = out / WORKLOAD / str(seed) / command
+            run_dir.parent.mkdir(parents=True, exist_ok=True)
+            cfg = run_dir.parent / f"{command}.cfg"
+            cfg.write_text(config)
+            argv = ["-m", "lissakit.cli", command, "--config", str(cfg), "--out", str(run_dir), "--seed", str(seed)]
+            yield f"{WORKLOAD}/{seed}/{command}", argv, run_dir
+
+
 def hash_studies(out: Path, blas_threads: int | None = None) -> dict:
-    """Run each study at each seed under ``out``; "<study>/<seed>/<file>" and
-    "<study>/<seed>/stdout" -> sha256."""
+    """Run each study and workload command at each seed under ``out``;
+    "<key>/<file>" and "<key>/stdout" -> sha256, for the keys
+    "<study>/<seed>" and "solve-minibatch/<seed>/<command>"."""
     paths = [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
     hashes = {}
-    for study in STUDIES:
-        for seed in SEEDS:
-            run_dir = out / study / str(seed)
-            script = ROOT / "scripts" / f"run_{study}_study.py"
-            done = subprocess.run(
-                [sys.executable, str(script), "--seed", str(seed), "--out", str(run_dir)],
-                env=env, capture_output=True, text=True,
-            )
-            if done.returncode:
-                raise RuntimeError(f"{script.name} --seed {seed} failed: {done.stderr}")
-            key = f"{study}/{seed}"
-            for path in sorted(p for p in run_dir.rglob("*") if p.is_file()):
-                hashes[f"{key}/{path.relative_to(run_dir).as_posix()}"] = hashlib.sha256(_file_bytes(path)).hexdigest()
-            hashes[f"{key}/stdout"] = hashlib.sha256(done.stdout.replace(str(run_dir), "OUT").encode()).hexdigest()
+    for key, argv, run_dir in _runs(out):
+        done = subprocess.run([sys.executable] + argv, env=env, capture_output=True, text=True)
+        if done.returncode:
+            raise RuntimeError(f"{key} failed: {done.stderr}")
+        for path in sorted(p for p in run_dir.rglob("*") if p.is_file()):
+            hashes[f"{key}/{path.relative_to(run_dir).as_posix()}"] = hashlib.sha256(_file_bytes(path)).hexdigest()
+        hashes[f"{key}/stdout"] = hashlib.sha256(done.stdout.replace(str(run_dir), "OUT").encode()).hexdigest()
     return hashes
 
 

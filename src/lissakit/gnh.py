@@ -15,6 +15,11 @@ dataset must not be mutated afterwards; a mini-batch call gathers its drawn
 rows from that record (``models._take_rows``) and sweeps them, or, for a
 small draw, gathers them from the record's centered Jacobian rows F and
 forms F_b^T (F_b v) / B.
+
+The dense readers -- ``gnh_matrix_exact``, ``gnh_trace_exact`` and the rows
+F -- read each layer's Kronecker factors from one generator,
+``_layer_factors``, which walks the layers from the logits down and holds
+one logit delta at a time.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from .models import (
     _forward,
     _jvp_batch,
     _linearize,
-    _logit_deltas,
     _take_rows,
 )
 
@@ -220,19 +224,6 @@ class GnhOperator:
         return _gnh_hvp(self.spec, _take_rows(self._lin, rows), v, self.fd_delta)
 
 
-def _layer_parts(spec: ModelSpec, k: int):
-    """Layer k's parameters as (rows of theta, their (fan_out, width) shape,
-    their columns of the augmented input [a_k, 1]): the row-major weights,
-    then the bias, which multiplies the constant 1."""
-    name, offset, length = spec.segments[k]
-    fan_in, fan_out = spec.layer_sizes[k], spec.layer_sizes[k + 1]
-    end_w = offset + fan_out * fan_in
-    return (
-        (slice(offset, end_w), (fan_out, fan_in), slice(0, fan_in)),
-        (slice(end_w, offset + length), (fan_out, 1), slice(fan_in, fan_in + 1)),
-    )
-
-
 def _write_block(H: np.ndarray, spec: ModelSpec, l: int, m: int, block: np.ndarray) -> None:
     """Write the (l, m) block, held as (fan_out_l fan_out_m) x
     ((fan_in_l + 1)(fan_in_m + 1)), into H's rows of layer l and columns of
@@ -240,53 +231,61 @@ def _write_block(H: np.ndarray, spec: ModelSpec, l: int, m: int, block: np.ndarr
     sizes = spec.layer_sizes
     block = block.reshape(sizes[l + 1], sizes[m + 1], sizes[l] + 1, sizes[m] + 1)
     block = block.transpose(0, 2, 1, 3)
-    for rows_l, shape_l, cols_l in _layer_parts(spec, l):
-        for rows_m, shape_m, cols_m in _layer_parts(spec, m):
+    for rows_l, shape_l, cols_l in spec.parts[l]:
+        for rows_m, shape_m, cols_m in spec.parts[m]:
             H[rows_l, rows_m].reshape(shape_l + shape_m)[...] = block[:, cols_l, :, cols_m]
 
 
-def _centered_factors(spec: ModelSpec, lin: _Linearization) -> list:
-    """Per-layer centered factors R_l = sqrt(p) (D_l - p^T D_l), shape
-    (B, K, fan_out_l), for the logit deltas D_l of ``models._logit_deltas``:
-    J_l^T (diag p - p p^T) J_m is R_l^T R_m in each row's Kronecker factors."""
+def _layer_factors(spec: ModelSpec, lin: _Linearization):
+    """Each layer's Kronecker factors at a 2-D ``lin``, last layer first: the
+    triples (l, R_l 2^e, [a_l, 1] 2^-e).
+
+    Layer l's logit Jacobian is the Kronecker product of its logit delta
+    D_l = d logits / d z_l, (B, K, fan_out_l) for z_l the layer's
+    pre-activation, and its augmented input [a_l, 1], the record's
+    ``inputs[l]``.  With the centered factor R_l = sqrt(p) (D_l - p^T D_l),
+    J_l^T (diag p - p p^T) J_m is R_l^T R_m in each row's Kronecker factors.
+    Each row's pair is scaled by 2^e and 2^-e, for e the exponent of that
+    row's largest |[a_l, 1]|.  Powers of two are exact, so every product of
+    the two keeps its bits wherever nothing overflows or goes subnormal, and
+    a huge input's outer product no longer overflows while a tiny factor's
+    underflows (0 * inf).
+
+    The walk holds one delta at a time, and each R_l is a fresh array that
+    the caller may overwrite.
+    """
+    B, K = lin.p.shape
     sqrt_p = np.sqrt(lin.p)[:, :, None]
-    return [sqrt_p * (d - lin.p[:, None, :] @ d) for d in _logit_deltas(spec, lin)]
+    delta = np.broadcast_to(np.eye(K), (B, K, K))
+    for l in range(spec.n_layers - 1, -1, -1):
+        r = np.subtract(delta, lin.p[:, None, :] @ delta)
+        r *= sqrt_p
+        _, e = np.frexp(np.max(np.abs(lin.inputs[l]), axis=1))
+        yield l, np.ldexp(r, e[:, None, None], out=r), np.ldexp(lin.inputs[l], -e[:, None])
+        if l > 0:
+            delta = delta @ lin.layers[l][0]
+            delta *= lin.derivs[l - 1][:, None, :]
 
 
 def _jacobian_rows(spec: ModelSpec, lin: _Linearization) -> np.ndarray:
     """The centered Jacobian rows F_b = sqrt(p_b) (J_b - p_b^T J_b) of every
     row of a 2-D ``lin``, (B, K, n), so that J_b^T S_b J_b = F_b^T F_b.  Layer
     l's entries are the Kronecker products R_l kron [a_l, 1] of
-    ``_centered_factors``, each written in place into its parameters' columns
+    ``_layer_factors``, each written in place into its parameters' columns
     viewed as (fan_out, width)."""
     B, K = lin.p.shape
     F = np.empty((B, K, spec.n_params))
-    for l, (r, a) in enumerate(zip(_centered_factors(spec, lin), lin.inputs)):
-        for rows, shape, cols in _layer_parts(spec, l):
+    for l, r, a in _layer_factors(spec, lin):
+        for rows, shape, cols in spec.parts[l]:
             np.multiply(r[..., None], a[:, None, None, cols], out=F[..., rows].reshape((B, K) + shape))
     return F
-
-
-def _balanced(factors: list, inputs: list) -> list:
-    """Each row's pair (R_l, [a_l, 1]) scaled by 2^e and 2^-e, for e the
-    exponent of that row's largest |[a_l, 1]|.  Powers of two are exact, so
-    every product of the two keeps its bits wherever nothing overflows or
-    goes subnormal, and a huge input's outer product no longer overflows
-    while a tiny factor's underflows (0 * inf)."""
-    pairs = []
-    for r, a in zip(factors, inputs):
-        _, e = np.frexp(np.max(np.abs(a), axis=1))
-        pairs.append((np.ldexp(r, e[:, None, None]), np.ldexp(a, -e[:, None])))
-    return pairs
 
 
 def gnh_matrix_exact(spec: ModelSpec, theta: np.ndarray, dataset: Dataset) -> np.ndarray:
     """Dense Gauss-Newton Hessian averaged over the whole dataset.
 
-    Layer l's logit Jacobian is the Kronecker product of its logit delta D_l
-    (``models._logit_deltas``) and its augmented input [a_l, 1], which each
-    pass's linearization record holds as ``inputs[l]``.  With the
-    centered factors R_l of ``_centered_factors``, the (l, m) block of
+    With the Kronecker factors R_l and [a_l, 1] of each layer's logit
+    Jacobian that ``_layer_factors`` yields for a pass, the (l, m) block of
     J^T (diag p - p p^T) J is sum_b (R_l^T R_m)_b kron ([a_l, 1] [a_m, 1]^T)_b,
     so each pass adds one GEMM per layer pair l <= m, over its rows, to that
     block held as (fan_out_l fan_out_m) x ((fan_in_l + 1)(fan_in_m + 1)).
@@ -318,10 +317,11 @@ def gnh_matrix_exact(spec: ModelSpec, theta: np.ndarray, dataset: Dataset) -> np
     for start in range(0, len(dataset), rows):
         lin = _linearize(spec, theta, dataset.X[start : start + rows])
         B = lin.p.shape[0]
-        factors, augmented = zip(*_balanced(_centered_factors(spec, lin), lin.inputs))
+        factors = {l: (r, a) for l, r, a in _layer_factors(spec, lin)}
         for l, m in pairs:
-            outer_r = (np.swapaxes(factors[l], 1, 2) @ factors[m]).reshape(B, -1)
-            outer_a = (augmented[l][:, :, None] * augmented[m][:, None, :]).reshape(B, -1)
+            (r_l, a_l), (r_m, a_m) = factors[l], factors[m]
+            outer_r = (np.swapaxes(r_l, 1, 2) @ r_m).reshape(B, -1)
+            outer_a = (a_l[:, :, None] * a_m[:, None, :]).reshape(B, -1)
             blocks[l, m] += outer_r.T @ outer_a
     H = np.empty((n, n))
     for l, m in pairs:
@@ -360,8 +360,11 @@ def gnh_trace_exact(spec: ModelSpec, theta: np.ndarray, dataset: Dataset) -> flo
     total = 0.0
     for start in range(0, len(dataset), rows):
         lin = _linearize(spec, theta, dataset.X[start : start + rows])
-        for r, augmented in _balanced(_centered_factors(spec, lin), lin.inputs):
+        terms = [0.0] * spec.n_layers
+        for l, r, augmented in _layer_factors(spec, lin):
             # ||a||^2 + 1 in that order, the constant 1 scaled with a
             a, one = augmented[:, :-1], augmented[:, -1]
-            total += float(np.sum(r * r, axis=(1, 2)) @ (np.sum(a * a, axis=1) + one * one))
+            terms[l] = float(np.sum(np.square(r, out=r), axis=(1, 2)) @ (np.sum(a * a, axis=1) + one * one))
+        for term in terms:  # in layer order 0 ... L - 1, which fixes the sum's rounding
+            total += term
     return total / len(dataset)

@@ -4,10 +4,12 @@ Two architectures cover the validation needs: a softmax-linear model (logits
 affine in the parameters, so curvature statements have closed forms) and a
 fully-connected MLP with tanh or relu hidden units.  Parameters live in a
 single flat float64 vector with per-layer segmentation so curvature code can
-address layers individually.  ``_linearize`` runs one forward pass and keeps
-all that the derivative sweeps at that point read in one ``_Linearization``
-record; ``_backprop``, ``_jvp_batch`` and ``_logit_deltas`` take the record,
-so none of them unpacks theta or pairs the caches of two passes.  The record
+address layers individually; ``ModelSpec.parts`` is the one table of where
+each layer's weights and bias sit in it.  ``_linearize`` runs one forward
+pass and keeps all that the derivative sweeps at that point read in one
+``_Linearization`` record; ``_backprop``, ``_jvp_batch`` and
+``gnh._layer_factors`` take the record, so none of them unpacks theta or
+pairs the caches of two passes.  The record
 holds views of theta, which must not be mutated after.  ``_take_rows``
 gathers some of a record's rows into a record of their own, which the sweeps
 read without another forward pass.
@@ -77,16 +79,29 @@ class ModelSpec:
         return len(self.layer_sizes) - 1
 
     @cached_property
+    def parts(self) -> tuple:
+        """Per layer, where its parameters sit: for the row-major weights and
+        then the bias, (rows of theta, their (fan_out, width) shape, their
+        columns of the augmented input [a_l, 1]); the bias multiplies the
+        constant 1."""
+        parts = []
+        offset = 0
+        for fan_in, fan_out in zip(self.layer_sizes, self.layer_sizes[1:]):
+            end_w = offset + fan_out * fan_in
+            parts.append((
+                (slice(offset, end_w), (fan_out, fan_in), slice(0, fan_in)),
+                (slice(end_w, end_w + fan_out), (fan_out, 1), slice(fan_in, fan_in + 1)),
+            ))
+            offset = end_w + fan_out
+        return tuple(parts)
+
+    @cached_property
     def segments(self) -> tuple[tuple[str, int, int], ...]:
         """Per-layer (name, offset, length) for weights-plus-bias blocks."""
-        segs = []
-        offset = 0
-        for l in range(self.n_layers):
-            fan_in, fan_out = self.layer_sizes[l], self.layer_sizes[l + 1]
-            length = fan_out * fan_in + fan_out
-            segs.append((f"layer{l}", offset, length))
-            offset += length
-        return tuple(segs)
+        return tuple(
+            (f"layer{l}", weights[0].start, bias[0].stop - weights[0].start)
+            for l, (weights, bias) in enumerate(self.parts)
+        )
 
     @property
     def n_params(self) -> int:
@@ -143,13 +158,10 @@ def _unpack(spec: ModelSpec, theta: np.ndarray):
     """Views of the flat vector as per-layer (W, b) pairs; no copies.  A
     leading chain axis on theta, (R, n), gives (R, out, in) and (R, out)."""
     lead = theta.shape[:-1]
-    layers = []
-    for l, (name, offset, length) in enumerate(spec.segments):
-        fan_in, fan_out = spec.layer_sizes[l], spec.layer_sizes[l + 1]
-        w = theta[..., offset : offset + fan_out * fan_in].reshape(lead + (fan_out, fan_in))
-        b = theta[..., offset + fan_out * fan_in : offset + length]
-        layers.append((w, b))
-    return layers
+    return [
+        (theta[..., w_rows].reshape(lead + w_shape), theta[..., b_rows])
+        for (w_rows, w_shape, _), (b_rows, _, _) in spec.parts
+    ]
 
 
 def _act(spec: ModelSpec, z: np.ndarray) -> np.ndarray:
@@ -240,21 +252,17 @@ def _backprop(spec: ModelSpec, lin: _Linearization, G: np.ndarray) -> np.ndarray
     """Gradient of sum_b <G[b], logits(x_b)> with respect to theta at ``lin``;
     (R, n) for a linearization with a leading chain axis.  Each layer's
     weights and bias are the columns of one GEMM, delta^T [a_l, 1], scattered
-    into their segments.  Each hidden delta is formed in ``lin.work``; the
-    gradient is a fresh array."""
+    into their rows of theta.  Each hidden delta is formed in ``lin.work``;
+    the gradient is a fresh array."""
     lead = G.shape[:-2]
     grad = np.empty(lead + (spec.n_params,))
     delta = G
     for l in range(len(lin.layers) - 1, -1, -1):
-        w, _ = lin.layers[l]
-        name, offset, length = spec.segments[l]
-        fan_out, fan_in = w.shape[-2:]
-        end_w = offset + fan_out * fan_in
         weights_bias = np.swapaxes(delta, -1, -2) @ lin.inputs[l]
-        grad[..., offset:end_w] = weights_bias[..., :-1].reshape(lead + (-1,))
-        grad[..., end_w : offset + length] = weights_bias[..., -1]
+        for rows, shape, cols in spec.parts[l]:
+            grad[..., rows].reshape(lead + shape)[...] = weights_bias[..., cols]
         if l > 0:
-            delta = np.matmul(delta, w, out=lin.work[l - 1][0])
+            delta = np.matmul(delta, lin.layers[l][0], out=lin.work[l - 1][0])
             delta *= lin.derivs[l - 1]
     return grad
 
@@ -280,21 +288,6 @@ def _jvp_batch(spec: ModelSpec, lin: _Linearization, u: np.ndarray) -> np.ndarra
             dz += np.matmul(da, w.swapaxes(-1, -2), out=scratch)
         dz *= lin.derivs[l]
         da = dz
-
-
-def _logit_deltas(spec: ModelSpec, lin: _Linearization) -> list:
-    """Per-layer logit deltas at ``lin``: entry l is d logits / d z_l, shape
-    (B, K, fan_out_l), for z_l the pre-activation of layer l.  The logit
-    Jacobian of layer l's weights is the Kronecker product of this delta and
-    the layer input, and of its bias the delta itself."""
-    B, K = lin.inputs[0].shape[0], spec.n_classes
-    deltas = [None] * len(lin.layers)
-    delta = np.broadcast_to(np.eye(K), (B, K, K))
-    for l in range(len(lin.layers) - 1, -1, -1):
-        deltas[l] = delta
-        if l > 0:
-            delta = (delta @ lin.layers[l][0]) * lin.derivs[l - 1][:, None, :]
-    return deltas
 
 
 def _nll_from_logits(h: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -327,10 +320,8 @@ def loss_gradient(spec: ModelSpec, theta: np.ndarray, example: Example) -> Param
 def init_params(spec: ModelSpec, rng: SeededRng, scale: float = 1.0) -> np.ndarray:
     """Random unit-scale initialization: W ~ N(0, scale^2 / fan_in), b = 0."""
     theta = np.zeros(spec.n_params)
-    for l, (name, offset, length) in enumerate(spec.segments):
-        fan_in, fan_out = spec.layer_sizes[l], spec.layer_sizes[l + 1]
-        w = rng.normal(fan_out * fan_in) * (scale / math.sqrt(fan_in))
-        theta[offset : offset + fan_out * fan_in] = w
+    for (rows, (fan_out, fan_in), _), _ in spec.parts:
+        theta[rows] = rng.normal(fan_out * fan_in) * (scale / math.sqrt(fan_in))
     return theta
 
 

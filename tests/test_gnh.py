@@ -227,6 +227,21 @@ class TestTraceExact:
         monkeypatch.setattr(gnh, "_TRACE_PASS_FLOATS", 7 * per_row)
         assert abs(gnh_trace_exact(spec, theta, data) - reference) <= 1e-13 * reference
 
+    def test_pass_holds_about_two_factors(self):
+        # mlp 1-1000-1-1000 with 4 examples is one pass of 4 rows, whose
+        # widest factor is B K fan_out = 4e6 floats; a pass holds the K x K
+        # eye, one delta and one factor at a time, each squared in place
+        spec = ModelSpec(kind="mlp", layer_sizes=(1, 1000, 1, 1000), activation="tanh")
+        theta = init_params(spec, SeededRng(0))
+        data = make_blobs(SeededRng(1), 4, 1, 1000)
+        tracemalloc.start()
+        try:
+            gnh_trace_exact(spec, theta, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * (4 * 1000 * 1000 * 8)
+
     def test_model_over_the_dense_limit(self):
         # softmax-linear 1000 -> 3 (n = 3003) has no dense GNH here; its
         # per-example trace is Tr(S_b) (||x_b||^2 + 1) with Tr(S_b) = 1 - ||p_b||^2
