@@ -1,7 +1,8 @@
 """Regenerate tests/golden_sha256.json: the sha256 of every file that the three
 run_*_study.py studies write at seeds 0 and 1, and of each run's stdout; and
-the same of each command of the benchmark's solve-minibatch workload, whose
-configs the script reads from perfbench/workloads.py.
+the same of each command of the benchmark's solve-minibatch and
+spectral-fullbatch workloads, whose configs the script reads from
+perfbench/workloads.py.
 
 Run from the repository root, at the commit whose outputs are the reference:
 
@@ -32,7 +33,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 TABLE = ROOT / "tests" / "golden_sha256.json"
 STUDIES = ("attribution", "solver", "spectral")
-WORKLOAD = "solve-minibatch"
+WORKLOADS = ("solve-minibatch", "spectral-fullbatch")
 SEEDS = (0, 1)
 
 
@@ -56,12 +57,14 @@ def _file_bytes(path: Path) -> bytes:
 
 
 def _workload_commands():
-    """The (name, config text) of each command of the benchmark's WORKLOAD."""
+    """The (workload, name, config text) of each command of the benchmark's
+    WORKLOADS."""
     spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules.setdefault(spec.name, module)
     spec.loader.exec_module(module)
-    return [(command.name, command.config) for command in module.WORKLOADS[WORKLOAD].commands]
+    return [(name, command.name, command.config) for name in WORKLOADS
+            for command in module.WORKLOADS[name].commands]
 
 
 def _runs(out: Path):
@@ -73,20 +76,20 @@ def _runs(out: Path):
             run_dir = out / study / str(seed)
             script = ROOT / "scripts" / f"run_{study}_study.py"
             yield f"{study}/{seed}", [str(script), "--seed", str(seed), "--out", str(run_dir)], run_dir
-    for command, config in _workload_commands():
+    for workload, command, config in _workload_commands():
         for seed in SEEDS:
-            run_dir = out / WORKLOAD / str(seed) / command
+            run_dir = out / workload / str(seed) / command
             run_dir.parent.mkdir(parents=True, exist_ok=True)
             cfg = run_dir.parent / f"{command}.cfg"
             cfg.write_text(config)
             argv = ["-m", "lissakit.cli", command, "--config", str(cfg), "--out", str(run_dir), "--seed", str(seed)]
-            yield f"{WORKLOAD}/{seed}/{command}", argv, run_dir
+            yield f"{workload}/{seed}/{command}", argv, run_dir
 
 
 def hash_studies(out: Path, blas_threads: int | None = None) -> dict:
     """Run each study and workload command at each seed under ``out``;
     "<key>/<file>" and "<key>/stdout" -> sha256, for the keys
-    "<study>/<seed>" and "solve-minibatch/<seed>/<command>"."""
+    "<study>/<seed>" and "<workload>/<seed>/<command>"."""
     paths = [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     if blas_threads is not None:

@@ -4,6 +4,8 @@ Each subcommand reads one flat config file, derives every random stream from
 the global seed plus a component name, writes CSV artifacts plus a manifest
 into the output directory, and exits 0 on success, 2 on configuration
 problems, 3 on numerical overflow, and 4 when a built-in oracle check fails.
+``main`` runs each command under the one ``np.errstate`` of the CLI, so no
+NumPy warning reaches stderr, and ``emit_csv`` refuses a nan or inf cell.
 Reruns with the same config and seed are byte-identical.
 """
 
@@ -119,6 +121,13 @@ def _fmt_column(column) -> list[str]:
     return [_fmt(cell) for cell in column]
 
 
+def _finite(column) -> bool:
+    """Whether no float cell of a column is nan or inf."""
+    if isinstance(column, np.ndarray):
+        return column.dtype.kind != "f" or bool(np.isfinite(column).all())
+    return all(math.isfinite(cell) for cell in column if isinstance(cell, (float, np.floating)))
+
+
 def _row(*cells) -> list[list]:
     """The columns of a one-row table."""
     return [[cell] for cell in cells]
@@ -155,11 +164,16 @@ class RunContext:
         """A table given as its columns, each an array or a sequence of
         cells of one length, one line per row, each cell as ``_fmt`` writes
         it.  The columns are formatted _CSV_CHUNK_ROWS rows at a time, so
-        no more than that many rows' cells are held as strings at once."""
+        no more than that many rows' cells are held as strings at once.  A nan
+        or inf cell is an OverflowError naming the file and the column,
+        raised before anything is written."""
         columns = list(columns)
         lengths = {len(column) for column in columns}
         if len(lengths) > 1:
             raise ValueError("the columns of a table differ in length")
+        for title, column in zip(header, columns):
+            if not _finite(column):
+                raise OverflowError(f"{name}: column {title} holds a non-finite value")
         lines = [",".join(header)]
         for start in range(0, max(lengths, default=0), _CSV_CHUNK_ROWS):
             cells = [_fmt_column(column[start : start + _CSV_CHUNK_ROWS]) for column in columns]
@@ -196,11 +210,7 @@ def _build_model(run: RunContext):
     layers = ", ".join(str(s) for s in spec.layer_sizes)
     what = f"a model of {spec.n_params} parameters (layer_sizes = {layers})"
     _check_limit(what, spec.n_params, "MAX_KEPT_FLOATS", "lower layer_sizes")
-    # init_scale near the float range overflows to inf weights, whose logits
-    # _build_data rejects
-    with np.errstate(over="ignore"):
-        theta = init_params(spec, run.rng("init"), cfg.init_scale)
-    return spec, theta
+    return spec, init_params(spec, run.rng("init"), cfg.init_scale)
 
 
 def _overflow_error(run: RunContext, what: str) -> ConfigError:
@@ -217,9 +227,8 @@ def _overflow_error(run: RunContext, what: str) -> ConfigError:
 def _check_nonzero_gnh(run: RunContext, spec: ModelSpec, theta, train) -> None:
     """For an error path: a softmax saturated at every example gives a zero
     Gauss-Newton matrix, the cause to name."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if gnh_trace_exact(spec, theta, train) == 0.0:
-            raise _overflow_error(run, "a zero Gauss-Newton matrix (Tr(H) = 0: the softmax saturates)")
+    if gnh_trace_exact(spec, theta, train) == 0.0:
+        raise _overflow_error(run, "a zero Gauss-Newton matrix (Tr(H) = 0: the softmax saturates)")
 
 
 def _build_data(run: RunContext, spec: ModelSpec, theta: np.ndarray, n_test: int = 0):
@@ -250,14 +259,12 @@ def _build_data(run: RunContext, spec: ModelSpec, theta: np.ndarray, n_test: int
     _check_limit(what, n_full * width, "MAX_KEPT_FLOATS", "use fewer examples or narrower layers")
     if cfg.dataset_path is None:
         # a huge separation overflows the class means, giving inf features
-        with np.errstate(over="ignore"):
-            full = make_blobs(run.rng("dataset"), n_full, spec.input_dim, spec.n_classes, cfg.separation)
+        full = make_blobs(run.rng("dataset"), n_full, spec.input_dim, spec.n_classes, cfg.separation)
         if not np.isfinite(full.X).all():
             raise ConfigError(f"separation = {cfg.separation!r} gives non-finite features; lower separation")
     if len(full) <= n_test:
         raise ConfigError("dataset too small for the requested test split")
-    with np.errstate(over="ignore", invalid="ignore"):
-        logits, _ = _forward(spec, theta, full.X)
+    logits, _ = _forward(spec, theta, full.X)
     if not np.isfinite(logits).all():
         raise _overflow_error(run, "the model's logits overflow")
     if n_test == 0:
@@ -288,8 +295,7 @@ def _check_gradient_block(spec: ModelSpec, rows: int, field: str) -> None:
 def _gradients(run: RunContext, spec: ModelSpec, theta, X, y) -> np.ndarray:
     """The loss gradients of the rows X at labels y.  A row's own (1, in)
     product can overflow to nan where _build_data's one GEMM saturated."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        G = loss_gradients(spec, theta, X, y)
+    G = loss_gradients(spec, theta, X, y)
     if not np.isfinite(G).all():
         raise _overflow_error(run, "the loss gradients overflow")
     return G
@@ -312,8 +318,7 @@ def _dense_gnh(run: RunContext, spec: ModelSpec, theta, train, read):
         "stats and condition-c1 never build it, and only lissa (eta set, no tolerance) and "
         "pbrf-compare (eta set) can run without it",
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        H = gnh_matrix_exact(spec, theta, train)
+    H = gnh_matrix_exact(spec, theta, train)
     try:
         return H, read(H)
     except ValueError as exc:
@@ -404,16 +409,13 @@ def cmd_stats(run: RunContext) -> None:
     train, _ = _build_data(run, spec, theta)
     sketch_cfg = SketchConfig(cfg.sketch_dim, run.sub_seed("sketch"), cfg.sketch_layout)
     layout = f"sketch_dim = {cfg.sketch_dim}, sketch_layout = {cfg.sketch_layout}"
-    # a first layer that overflows into saturated tanh units leaves the
-    # operator's record as finite as the logits; curvature that overflows
-    # gives a non-finite sketch, which sym_eig rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        op = GnhOperator(spec, theta, train, fd_delta=cfg.fd_delta)
-        columns = sketch_size(op, sketch_cfg)
-        _check_limit(f"{columns} sketch columns ({layout})", columns, "MAX_DENSE_PARAMS")
-        trace = estimate_trace(op, cfg.n_probes, run.rng("trace-probes"))
-        frob = estimate_frobenius(op, cfg.n_probes, run.rng("frobenius-probes"))
-        sketch = sketch_operator(op, sketch_cfg)
+    op = GnhOperator(spec, theta, train, fd_delta=cfg.fd_delta)
+    columns = sketch_size(op, sketch_cfg)
+    _check_limit(f"{columns} sketch columns ({layout})", columns, "MAX_DENSE_PARAMS")
+    trace = estimate_trace(op, cfg.n_probes, run.rng("trace-probes"))
+    frob = estimate_frobenius(op, cfg.n_probes, run.rng("frobenius-probes"))
+    sketch = sketch_operator(op, sketch_cfg)
+    # curvature that overflows gives a non-finite sketch, which sym_eig rejects
     try:
         lambda_top = top_eigenvalue_from_sketch(sketch)
     except ValueError as exc:
@@ -476,8 +478,7 @@ def cmd_lissa(run: RunContext) -> None:
     train, _ = _build_data(run, spec, theta)
     if not 0 <= cfg.train_index < len(train):
         raise ConfigError("train_index outside the dataset")
-    with np.errstate(over="ignore", invalid="ignore"):  # as in stats
-        op = GnhOperator(spec, theta, train, batch_size=cfg.batch_size, fd_delta=cfg.fd_delta)
+    op = GnhOperator(spec, theta, train, batch_size=cfg.batch_size, fd_delta=cfg.fd_delta)
     _check_draw(op, cfg.batch_size, f"a draw of batch_size = {cfg.batch_size}")
     row = slice(cfg.train_index, cfg.train_index + 1)
     g = -_gradients(run, spec, theta, train.X[row], train.y[row])[0]
@@ -516,8 +517,7 @@ def cmd_lissa(run: RunContext) -> None:
                 f"the gradient at train_index = {cfg.train_index} is zero, so is the oracle "
                 "solution, and no relative error can be checked"
             )
-        with np.errstate(over="ignore"):
-            rel = float(np.linalg.norm((u - u_star) / scale) / np.linalg.norm(u_star / scale))
+        rel = float(np.linalg.norm((u - u_star) / scale) / np.linalg.norm(u_star / scale))
         print(f"relative_error = {_fmt(rel)}")
         if rel > cfg.tolerance:
             raise OracleMismatchError(
@@ -554,8 +554,7 @@ def cmd_convergence(run: RunContext) -> None:
     # the measurement f = log softmax(logits)[y] has the negated loss gradient
     T = -_gradients(run, spec, theta, test.X, test.y)
 
-    with np.errstate(over="ignore", invalid="ignore"):  # as in stats
-        op_full = GnhOperator(spec, theta, train, fd_delta=cfg.fd_delta)
+    op_full = GnhOperator(spec, theta, train, fd_delta=cfg.fd_delta)
     rows = []
     for b in batch_sizes:
         op = op_full.batched(b)
@@ -595,8 +594,7 @@ def cmd_pbrf_compare(run: RunContext) -> None:
     train, test = _build_data(run, spec, theta, n_test=cfg.n_test)
     if cfg.n_train > len(train):
         raise ConfigError("n_train exceeds the training set")
-    with np.errstate(over="ignore", invalid="ignore"):  # as in stats
-        op = GnhOperator(spec, theta, train, batch_size=batch_size, fd_delta=cfg.fd_delta)
+    op = GnhOperator(spec, theta, train, batch_size=batch_size, fd_delta=cfg.fd_delta)
     # the solves and the finetunes draw in lockstep
     what = f"a draw of n_train = {cfg.n_train} times batch_size = {batch_size}"
     _check_draw(op, cfg.n_train * batch_size, what)
@@ -619,8 +617,7 @@ def cmd_pbrf_compare(run: RunContext) -> None:
     # one (1, n) @ (n, 1) product per pair, bit for bit each pair's u @ t
     lissa = (U[:, None, None, :] @ T[None, :, :, None])[:, :, 0, 0]
     finetunes = pbrf_finetune(op, points, lcfg, cfg.epsilon)
-    with np.errstate(over="ignore", invalid="ignore"):  # as in stats
-        retrain = pbrf_influence(spec, finetunes, theta, test, cfg.epsilon)
+    retrain = pbrf_influence(spec, finetunes, theta, test, cfg.epsilon)
 
     try:
         comparison = compare_influences(lissa, retrain)
@@ -654,10 +651,9 @@ def cmd_condition_c1(run: RunContext) -> None:
     _check_limit(what, factor, "MAX_KEPT_FLOATS", "lower layer_sizes")
     train, _ = _build_data(run, spec, theta)
     # huge features overflow the curvature; the non-finite values are reported below
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = check_condition_c1(
-            spec, theta, train, list(batch_sizes), cfg.n_probes, run.rng("condition-c1"), cfg.fd_delta
-        )
+    rows = check_condition_c1(
+        spec, theta, train, list(batch_sizes), cfg.n_probes, run.rng("condition-c1"), cfg.fd_delta
+    )
     table = []
     points = []
     for row in rows:
@@ -702,24 +698,23 @@ def cmd_counterexample(run: RunContext) -> None:
     )
     try:
         eta = cfg.eta if cfg.eta is not None else step_size(max(eigenvalues), cfg.lambda_damp)
-        # extreme eigenvalues overflow the closed form; it is checked below
-        with np.errstate(all="ignore"):
-            problem = counterexample_build(
-                eigenvalues=eigenvalues,
-                batch_size=batch_size,
-                lambda_damp=cfg.lambda_damp,
-                eta=eta,
-                seed=run.sub_seed("counterexample"),
-            )
-            exact = counterexample_moments(problem, cfg.t_max)
-            growth = float(problem.second_moment_diagonal.max())
-            threshold = problem.batch_threshold
+        # extreme eigenvalues or eta overflow the closed form; it is checked below
+        problem = counterexample_build(
+            eigenvalues=eigenvalues,
+            batch_size=batch_size,
+            lambda_damp=cfg.lambda_damp,
+            eta=eta,
+            seed=run.sub_seed("counterexample"),
+        )
+        exact = counterexample_moments(problem, cfg.t_max)
+        growth = float(problem.second_moment_diagonal.max())
+        threshold = problem.batch_threshold
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if not (np.isfinite(exact).all() and math.isfinite(growth) and math.isfinite(threshold)):
         raise ConfigError(
-            "eigenvalues give a non-finite closed-form second moment (E||u_t||^2, "
-            "growth factor or batch threshold); keep their magnitudes and ratios moderate"
+            f"the eigenvalues and eta = {eta!r} give a non-finite closed-form second moment (E||u_t||^2, "
+            "growth factor or batch threshold); keep eta and the eigenvalues' magnitudes and ratios moderate"
         )
     mc = counterexample_simulate(
         problem, cfg.n_runs, cfg.t_max, seed=run.sub_seed("counterexample-mc")
@@ -817,19 +812,18 @@ def cmd_similarity(run: RunContext) -> None:
     labels = range(cfg.n_items)
     # huge features overflow the gradients' inner products; the non-finite
     # similarities that come out are rejected
-    with np.errstate(over="ignore", invalid="ignore"):
-        G = _gradients(run, spec, theta, train.X[items], train.y[items])
-        try:
-            gradient_sim = similarity_matrix(G)
-        except ValueError as exc:
-            raise ConfigError(f"no similarity matrix: {exc}") from exc
-        H, eig = _dense_gnh(run, spec, theta, train, sym_eig)
-        reweight = eigen_reweight(G[cfg.train_index], eig, cfg.lambda_damp)
-        solved = _oracle_ihvp(run, H, G.T, eig)
-        try:
-            influence_sim = similarity_matrix(G, solved)
-        except ValueError as exc:
-            raise ConfigError(f"no similarity matrix: {exc}") from exc
+    G = _gradients(run, spec, theta, train.X[items], train.y[items])
+    try:
+        gradient_sim = similarity_matrix(G)
+    except ValueError as exc:
+        raise ConfigError(f"no similarity matrix: {exc}") from exc
+    H, eig = _dense_gnh(run, spec, theta, train, sym_eig)
+    reweight = eigen_reweight(G[cfg.train_index], eig, cfg.lambda_damp)
+    solved = _oracle_ihvp(run, H, G.T, eig)
+    try:
+        influence_sim = similarity_matrix(G, solved)
+    except ValueError as exc:
+        raise ConfigError(f"no similarity matrix: {exc}") from exc
 
     header = ["item"] + [str(label) for label in labels]
     run.emit_csv("gradient_similarity.csv", header, [labels, *gradient_sim.T])
@@ -884,7 +878,8 @@ def main(argv=None) -> int:
         run = RunContext(cfg, Path(out_dir), seed, sha256_hex(raw_text))
         run.out_dir.mkdir(parents=True, exist_ok=True)
         try:
-            COMMANDS[args.command](run)
+            with np.errstate(all="ignore"):
+                COMMANDS[args.command](run)
         finally:
             # failed runs keep a manifest too, as long as they emitted data
             if run.outputs:
@@ -893,7 +888,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (OverflowError, FloatingPointError, LissaDivergenceError) as exc:
+    except (OverflowError, LissaDivergenceError) as exc:
         print(f"numerical overflow: {exc}", file=sys.stderr)
         return 3
     except OracleMismatchError as exc:

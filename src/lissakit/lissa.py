@@ -277,7 +277,7 @@ class CounterExampleProblem:
     def second_moment_diagonal(self) -> np.ndarray:
         lam = self.eigenvalues
         contraction = 1.0 - self.eta * (lam + self.lambda_damp)
-        noise = self.eta**2 * (self.trace * lam - lam**2) / self.batch_size
+        noise = np.square(self.eta) * (self.trace * lam - lam**2) / self.batch_size
         return contraction**2 + noise
 
     @property
@@ -379,7 +379,7 @@ def counterexample_moments(problem: CounterExampleProblem, t_max: int) -> np.nda
     r = coords**2
     lam = problem.eigenvalues
     contraction_sq = (1.0 - problem.eta * (lam + problem.lambda_damp)) ** 2
-    scale = problem.eta**2 / problem.batch_size
+    scale = np.square(problem.eta) / problem.batch_size
     moments = np.empty(t_max + 1)
     moments[0] = r.sum()
     for t in range(1, t_max + 1):

@@ -141,7 +141,8 @@ def sketch_operator(op, cfg: SketchConfig) -> np.ndarray:
     for start in range(0, total, _ROW_BLOCK):
         stop = min(start + _ROW_BLOCK, total)
         rows = np.vstack([_probe_vector(op, cfg, i) for i in range(start, stop)])
-        sketch[start:stop, :] = rows @ y
+        # einsum's own loops, not a threaded BLAS GEMM: the same bits at any thread count
+        sketch[start:stop, :] = np.einsum("ij,jk->ik", rows, y)
     return (sketch + sketch.T) / 2.0
 
 
@@ -160,9 +161,10 @@ def top_eigenvalue_from_sketch(sketch: np.ndarray) -> float:
 
 def step_size(lambda_max: float, lambda_damp: float) -> float:
     """eta = 1/(lambda_max + lambda), the largest step the contraction bound allows."""
-    if not lambda_max + lambda_damp > 0:
-        raise ValueError(f"step size needs lambda_max + lambda_damp > 0, got {lambda_max + lambda_damp!r}")
-    return 1.0 / (lambda_max + lambda_damp)
+    total = lambda_max + lambda_damp
+    if not (total > 0 and math.isfinite(1.0 / total)):
+        raise ValueError(f"step size needs lambda_max + lambda_damp > 0 with a finite reciprocal, got {total!r}")
+    return 1.0 / total
 
 
 def step_count(eta: float, lambda_damp: float, t_multiplier: float) -> int | None:

@@ -434,6 +434,21 @@ class TestExitCodes:
         assert code == 3
         assert not (out / "manifest.txt").exists()
 
+    def test_non_finite_cell_is_three_and_writes_no_table(self, tmp_path, capsys):
+        # every per-site check passes, but the trace's standard error and the
+        # Frobenius norm overflow: stats once exited 0 with inf in stats.csv
+        text = LINEAR_4_3 + (
+            "init_scale = 1e-82\nseparation = 1e80\nn_examples = 64\nn_probes = 10\n"
+            "sketch_dim = 4\nlambda_damp = 1e158\n"
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_cli(tmp_path, "stats", text)
+        err = capsys.readouterr().err
+        assert code == 3 and caught == [] and "Traceback" not in err
+        assert "numerical overflow: stats.csv: column trace_se holds a non-finite value" in err
+        assert not (out / "stats.csv").exists() and not (out / "manifest.txt").exists()
+
     def test_oracle_mismatch_is_four(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, "lissa", QUAD_CFG + "tolerance = 1e-6\n")
         assert code == 4
@@ -491,15 +506,21 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "config error" in err and "Traceback" not in err, command
 
-    @pytest.mark.parametrize("eigenvalues", ["1e200, 1e-200", "1e308, 1e308", "1e160, 1e160"])
-    def test_counterexample_non_finite_closed_form_is_two(self, tmp_path, capsys, eigenvalues):
-        text = f"eigenvalues = {eigenvalues}\nlambda_damp = 0.1\nn_runs = 20\nt_max = 3\n"
+    @pytest.mark.parametrize(
+        "eigenvalues, extra",
+        # eta squared as a Python float once raised OverflowError: exit 3
+        [("1e200, 1e-200", ""), ("1e308, 1e308", ""), ("1e160, 1e160", ""), ("1", "eta = 1e300\n")],
+        ids=["1e200, 1e-200", "1e308, 1e308", "1e160, 1e160", "eta-1e300"],
+    )
+    def test_counterexample_non_finite_closed_form_is_two(self, tmp_path, capsys, eigenvalues, extra):
+        text = f"eigenvalues = {eigenvalues}\nlambda_damp = 0.1\nn_runs = 20\nt_max = 3\n" + extra
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out = run_cli(tmp_path, "counterexample", text)
         assert code == 2 and caught == []
         err = capsys.readouterr().err
         assert "config error" in err and "eigenvalues" in err and "Traceback" not in err
+        assert not extra or "eta = 1e+300" in err
         assert not (out / "counterexample.csv").exists()
 
     def test_zero_damping_without_t_steps_is_two(self, tmp_path, capsys):
@@ -1108,6 +1129,8 @@ class TestInputBoundary:
     )
     @example(trace=1e10, lambda_max=1e-300, lambda_damp=None, c_const=None, t_multiplier=None)
     @example(trace=1.0, lambda_max=1.0, lambda_damp=None, c_const=1e300, t_multiplier=None)
+    # eta = 1/5e-324 overflows; it once exited 0 with an inf eta cell
+    @example(trace=5e-324, lambda_max=5e-324, lambda_damp=0.0, c_const=None, t_multiplier=None)
     @settings(max_examples=150, deadline=None)
     def test_recommend_exits_cleanly(self, trace, lambda_max, lambda_damp, c_const, t_multiplier):
         # recommend does no iterative numerics: a config error (2) or settings
@@ -1650,6 +1673,19 @@ class TestCsvColumns:
         assert (tmp_path / "empty.csv").read_text() == "id\n"
         with pytest.raises(ValueError, match="differ in length"):
             run.emit_csv("ragged.csv", ["id", "value"], [ids, values[:1]])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_emit_csv_refuses_a_non_finite_cell_before_writing(self, tmp_path, bad):
+        run = cli.RunContext(None, tmp_path, 0, "")
+        with pytest.raises(OverflowError, match="^table.csv: column value holds a non-finite value$"):
+            run.emit_csv("table.csv", ["id", "value"], [np.array([1, 2]), np.array([0.5, bad])])
+        # plain-sequence columns: the tuples of zip(*rows), and _row's lists
+        rows = [(1, 0.5, "a"), (2, bad, "b")]
+        with pytest.raises(OverflowError, match="^rows.csv: column x holds a non-finite value$"):
+            run.emit_csv("rows.csv", ["id", "x", "note"], zip(*rows))
+        with pytest.raises(OverflowError, match="^row.csv: column y holds a non-finite value$"):
+            run.emit_csv("row.csv", ["x", "y"], cli._row(0.5, np.float64(bad)))
+        assert not any(tmp_path.iterdir()) and run.outputs == []
 
 
 class TestHvpCounts:

@@ -61,9 +61,9 @@ golden = _golden()
 
 
 def test_studies_match_the_golden_table(tmp_path):
-    # every output and stdout of the three studies and of solve-minibatch's
-    # commands at seeds 0 and 1 is the same byte for byte as at the commit
-    # that made the table, on its build
+    # every output and stdout of the three studies and of the commands of
+    # solve-minibatch and spectral-fullbatch at seeds 0 and 1 is the same byte
+    # for byte as at the commit that made the table, on its build
     table = json.loads(golden.TABLE.read_text())
     here = golden.build()
     differs = [f"{key} {table['build'].get(key)!r} there, {value!r} here" for key, value in here.items()
